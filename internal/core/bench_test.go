@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"octopus/internal/graph"
+	"octopus/internal/matching"
 	"octopus/internal/obs"
 	"octopus/internal/traffic"
 )
@@ -133,6 +134,41 @@ func BenchmarkGValue(b *testing.B) {
 			}
 		}
 		gValueSink = sum
+	}
+}
+
+// BenchmarkNewRemaining measures building T^r for 100k flows on a 16×16
+// pod fabric: per-flow work only, no matching.
+func BenchmarkNewRemaining(b *testing.B) {
+	g, load := podInstance(b, 16, 16, 100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newRemaining(g, load, 0, false, false, false)
+	}
+}
+
+var weightedEdgesSink int
+
+// BenchmarkWeightedEdgesGreedy measures what matcher=greedy pays per
+// iteration before any matching: the g(link, α) table and the weighted edge
+// list of every candidate α, on the same instance a few configurations in.
+func BenchmarkWeightedEdgesGreedy(b *testing.B) {
+	g, load := podInstance(b, 16, 16, 100_000)
+	s, err := New(g, load, Options{Window: 512, Delta: 4, Matcher: MatcherGreedy, Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok, err := s.Step(); err != nil || !ok {
+			b.Fatal("warmup step failed")
+		}
+	}
+	alphas := append([]int(nil), s.tr.candidateAlphas(512)...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.forAlphas(alphas, func(_ *evalScratch, _ int, we []matching.Edge) { weightedEdgesSink += len(we) })
 	}
 }
 

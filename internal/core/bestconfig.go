@@ -77,17 +77,15 @@ type warmEntry struct {
 
 // alphaEval is the per-α evaluation record of one greedy iteration.
 type alphaEval struct {
-	// Bipartite exact mode: greedy seed, matching-weight upper bound, and
-	// (phase 2) the exact matching.
-	greedyLinks []graph.Edge
-	greedyW     int64
-	ub          int64
-	exactLinks  []graph.Edge
-	exactW      int64
-	// Other modes (greedy-only, multi-port, bidirectional, chained):
-	// a single candidate.
+	// Phase-1 candidate: the greedy matching in the single-port bipartite
+	// modes, the mode's only candidate otherwise.
 	links []graph.Edge
 	w     int64
+	// Exact bipartite mode only: matching-weight upper bound and (phase 2)
+	// the exact matching.
+	ub         int64
+	exactLinks []graph.Edge
+	exactW     int64
 }
 
 // bestConfiguration implements Procedure 2 (BestConfiguration) with the
@@ -108,9 +106,11 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	// Materialize lazily-built state before any parallel read-only phase.
 	s.tr.activeEdges()
 
+	// The single-port bipartite modes read G' off the batched g-table.
+	bipartite := s.ufabric == nil && !s.opt.MultiHop && s.opt.Ports == 1
 	bst := &best{delta: s.opt.Delta}
 	if s.opt.AlphaSearch == AlphaBinary {
-		s.ternarySearch(alphas, bst)
+		s.ternarySearch(alphas, bst, bipartite)
 		sortLinks(bst.links)
 		return bst.links, bst.alpha, bst.benefit
 	}
@@ -122,34 +122,28 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	for i := range evals {
 		evals[i] = alphaEval{}
 	}
-	exactBipartite := s.ufabric == nil && !s.opt.MultiHop && s.opt.Ports == 1 && s.opt.Matcher.exact()
-	s.gbufValid = false
-	if exactBipartite {
-		s.buildGBuf(alphas)
-	}
+	twoPhase := bipartite && s.opt.Matcher.exact()
 
 	// Phase 1: cheap evaluation of every α.
-	s.parallelFor(len(alphas), func(w, i int) {
-		sc := s.scratch[w]
-		a := alphas[i]
-		if exactBipartite {
-			we := s.weightedEdgesAt(sc, i, a)
+	if bipartite {
+		s.forAlphas(alphas, func(sc *evalScratch, i int, we []matching.Edge) {
 			if len(we) == 0 {
 				return
 			}
 			m, gw := sc.arena.GreedyBipartite(s.fabric.N(), we)
-			evals[i].greedyLinks = toLinks(m)
-			evals[i].greedyW = gw
-			evals[i].ub = rowColUB(we, sc.row, sc.col)
-			return
-		}
-		local := &best{delta: s.opt.Delta}
-		s.evalAlpha(sc, a, local)
-		evals[i].links = local.links
-		evals[i].w = local.benefit
-	})
-
-	if !exactBipartite {
+			evals[i].links, evals[i].w = toLinks(m), gw
+			if twoPhase {
+				evals[i].ub = rowColUB(we, sc.row, sc.col)
+			}
+		})
+	} else {
+		s.parallelFor(len(alphas), func(w, i int) {
+			local := &best{delta: s.opt.Delta}
+			s.evalAlpha(s.scratch[w], alphas[i], local)
+			evals[i].links, evals[i].w = local.links, local.benefit
+		})
+	}
+	if !twoPhase {
 		for i, a := range alphas {
 			bst.consider(evals[i].links, a, evals[i].w)
 		}
@@ -160,7 +154,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	// Reduce the greedy seeds (ascending α; deterministic).
 	seed := &best{delta: s.opt.Delta}
 	for i, a := range alphas {
-		seed.consider(evals[i].greedyLinks, a, evals[i].greedyW)
+		seed.consider(evals[i].links, a, evals[i].w)
 	}
 	// Phase 2: exact matchings only where an upper bound can still strictly
 	// beat the best greedy seed. Two admissible bounds apply: the row/column
@@ -180,7 +174,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	// exact(α) < seed ratio and stay non-winners.
 	sel := s.selBuf[:0]
 	for i := range alphas {
-		if seed.beats(evals[i].ub, alphas[i]) && !seed.exceeds(2*evals[i].greedyW, alphas[i]) {
+		if seed.beats(evals[i].ub, alphas[i]) && !seed.exceeds(2*evals[i].w, alphas[i]) {
 			sel = append(sel, i)
 		}
 	}
@@ -226,7 +220,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		k := lo
 		for _, i := range sel[lo:hi] {
 			bound := evals[i].ub
-			if g2 := 2 * evals[i].greedyW; g2 < bound {
+			if g2 := 2 * evals[i].w; g2 < bound {
 				bound = g2
 			}
 			if !inc.exceeds(bound, alphas[i]) {
@@ -234,10 +228,17 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 				k++
 			}
 		}
-		s.parallelFor(k-lo, func(w, ci int) {
+		// The chunk becomes one g-table block, which wants ascending α's.
+		// Reordering inside a chunk is harmless: the chunk's results only
+		// feed inc, and pruning reads inc's ratio, which equal-ratio
+		// candidates share whichever of them got there first.
+		slices.Sort(sel[lo:k])
+		var chunk [phase2Chunk]int
+		for ci, i := range sel[lo:k] {
+			chunk[ci] = alphas[i]
+		}
+		s.forAlphas(chunk[:k-lo], func(sc *evalScratch, ci int, we []matching.Edge) {
 			i := sel[lo+ci]
-			sc := s.scratch[w]
-			we := s.weightedEdgesAt(sc, i, alphas[i])
 			m, mw := s.exactSolve(sc, alphas[i], we)
 			evals[i].exactLinks = toLinks(m)
 			evals[i].exactW = mw
@@ -251,7 +252,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	// Final reduction mirrors the sequential order: for each α ascending,
 	// greedy first, then the exact matching if computed.
 	for i, a := range alphas {
-		bst.consider(evals[i].greedyLinks, a, evals[i].greedyW)
+		bst.consider(evals[i].links, a, evals[i].w)
 		bst.consider(evals[i].exactLinks, a, evals[i].exactW)
 	}
 	sortLinks(bst.links)
@@ -263,71 +264,85 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 // synchronize more often.
 const phase2Chunk = 8
 
-// gbufMaxEntries caps the batched g-value buffer (8 MiB of int64); larger
-// iterations fall back to the per-α summary walk, which computes the same
-// values.
-const gbufMaxEntries = 1 << 20
+// gTableEntries caps one block of the g(link, α) table at 8 MiB of int64
+// (a fabric with more active links than that gets one-α blocks).
+const gTableEntries = 1 << 20
 
-// buildGBuf precomputes g(link, α) for every active link and candidate α in
-// one pass per link: the candidate α's are ascending, so each summary's
-// prefix arrays are walked once with a rolling cursor instead of one binary
-// search per (link, α) pair. Values are exactly gValueState's.
-func (s *Scheduler) buildGBuf(alphas []int) {
-	states := s.tr.activeStates()
-	nA := len(alphas)
-	need := nA * len(states)
-	if need == 0 || need > gbufMaxEntries {
+// forAlphas calls f(scratch, j, we) once for every j in [0, len(as)), we
+// being the weighted graph G' of Procedure 2 for α = as[j]: every active
+// link weighted by g(i, j, α), ordered by (From, To), zero weights dropped.
+// we aliases the scratch and is valid until f returns. as must be
+// ascending; it is cut into blocks of as many α's as the table holds, and
+// the α's of a block are evaluated in parallel.
+func (s *Scheduler) forAlphas(as []int, f func(sc *evalScratch, j int, we []matching.Edge)) {
+	edges, states := s.tr.activeEdges(), s.tr.activeStates()
+	nL := len(states)
+	if nL == 0 {
 		return
 	}
-	if cap(s.gbuf) < need {
-		s.gbuf = make([]int64, need)
+	width := max(1, gTableEntries/nL)
+	for lo := 0; lo < len(as); lo += width {
+		block := as[lo:min(lo+width, len(as))]
+		s.fillG(states, block)
+		s.parallelFor(len(block), func(w, j int) {
+			sc := s.scratch[w]
+			we := sc.we[:0]
+			for li, g := range s.gbuf[j*nL : (j+1)*nL] {
+				if g > 0 {
+					we = append(we, matching.Edge{From: edges[li].From, To: edges[li].To, Weight: g})
+				}
+			}
+			sc.we = we
+			f(sc, lo+j, we)
+		})
 	}
-	g := s.gbuf[:need]
-	for li, ls := range states {
-		row := g[li*nA : (li+1)*nA]
-		sum := ls.summary()
-		n := len(sum.prefC)
-		if n == 0 {
-			for ai := range row {
-				row[ai] = 0
-			}
-			continue
-		}
-		top := sum.prefC[n-1]
-		k := 0
-		for ai, a := range alphas {
-			if a >= top {
-				row[ai] = sum.prefB[n-1]
-				continue
-			}
-			for sum.prefC[k] < a {
-				k++
-			}
-			row[ai] = sum.prefB[k] - int64(sum.prefC[k]-a)*sum.bws[k]
-		}
-	}
-	s.gbuf = g
-	s.gbufStride = nA
-	s.gbufValid = true
 }
 
-// weightedEdgesAt is weightedEdges fed from the batched g-value buffer when
-// one was built this iteration (ai indexes the candidate-α slice); it falls
-// back to the per-α walk otherwise. Both produce the identical edge list.
-func (s *Scheduler) weightedEdgesAt(sc *evalScratch, ai int, a int) []matching.Edge {
-	if !s.gbufValid {
-		return s.weightedEdges(sc, a)
+// fillLinks is the number of links one fillG work item covers.
+const fillLinks = 1024
+
+// fillG sets s.gbuf[j*len(states)+li] = g(states[li], block[j]): per link,
+// one binary search for the block's first α, then a cursor that rolls
+// forward over the summary's prefix arrays as α ascends. Values are exactly
+// gValueState's. A column (one α, every link) is contiguous because that is
+// how forAlphas reads it; the writes of consecutive links land in the same
+// len(block) cache lines. Links are filled in parallel, fillLinks at a time:
+// a link's slots are written by the one worker that holds its range, and
+// every summary is clean (see linkState.summary), so nothing is shared.
+func (s *Scheduler) fillG(states []*linkState, block []int) {
+	nL := len(states)
+	if need := len(block) * nL; cap(s.gbuf) < need {
+		s.gbuf = make([]int64, need)
 	}
-	we := sc.we[:0]
-	edges := s.tr.activeEdges()
-	nA := s.gbufStride
-	for li, e := range edges {
-		if w := s.gbuf[li*nA+ai]; w > 0 {
-			we = append(we, matching.Edge{From: e.From, To: e.To, Weight: w})
+	s.parallelFor((nL+fillLinks-1)/fillLinks, func(_, c int) {
+		for li := c * fillLinks; li < min((c+1)*fillLinks, nL); li++ {
+			fillLink(s.gbuf[li:], nL, states[li].summary(), block)
 		}
+	})
+}
+
+// fillLink writes g(link, block[j]) to col[j*stride] for every j.
+func fillLink(col []int64, stride int, sum *linkSummary, block []int) {
+	n := len(sum.prefC)
+	if n == 0 {
+		for j := range block {
+			col[j*stride] = 0
+		}
+		return
 	}
-	sc.we = we
-	return we
+	prefC, prefB, bws := sum.prefC, sum.prefB[:n], sum.bws[:n]
+	top := prefC[n-1]
+	k, _ := slices.BinarySearch(prefC, block[0])
+	for j, a := range block {
+		if a >= top {
+			col[j*stride] = prefB[n-1]
+			continue
+		}
+		for prefC[k] < a {
+			k++
+		}
+		col[j*stride] = prefB[k] - int64(prefC[k]-a)*bws[k]
+	}
 }
 
 // warmFor returns the warm-start entry of α, creating it if absent. Callers
@@ -450,7 +465,7 @@ func (s *Scheduler) ensureScratch(workers int) {
 // paper's Octopus-B). The function need not be unimodal, so this finds one
 // of its maxima, not necessarily the global one; §8 observes the loss is
 // minimal in practice.
-func (s *Scheduler) ternarySearch(alphas []int, bst *best) {
+func (s *Scheduler) ternarySearch(alphas []int, bst *best, bipartite bool) {
 	type evald struct {
 		links   []graph.Edge
 		benefit int64
@@ -463,7 +478,21 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best) {
 			return e
 		}
 		local := &best{delta: s.opt.Delta}
-		s.evalAlpha(s.scratch[0], a, local)
+		if bipartite {
+			s.forAlphas(alphas[i:i+1], func(sc *evalScratch, _ int, we []matching.Edge) {
+				if len(we) == 0 {
+					return
+				}
+				gm, gw := sc.arena.GreedyBipartite(s.fabric.N(), we)
+				local.consider(toLinks(gm), a, gw)
+				if s.opt.Matcher.exact() {
+					m, w := s.exactSolve(sc, a, we)
+					local.consider(toLinks(m), a, w)
+				}
+			})
+		} else {
+			s.evalAlpha(s.scratch[0], a, local)
+		}
 		e := evald{local.links, local.benefit}
 		cache[a] = e
 		return e
@@ -488,9 +517,10 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best) {
 	}
 }
 
-// evalAlpha fully evaluates the best configuration for one α (both
-// matchers where applicable) and feeds it to bst. It only reads the
-// remaining-traffic state, plus the caller's exclusively-owned scratch.
+// evalAlpha fully evaluates the best configuration for one α in the modes
+// that do not go through forAlphas (bidirectional, chained, multi-port) and
+// feeds it to bst. It only reads the remaining-traffic state, plus the
+// caller's exclusively-owned scratch.
 func (s *Scheduler) evalAlpha(sc *evalScratch, a int, bst *best) {
 	switch {
 	case s.ufabric != nil:
@@ -498,28 +528,15 @@ func (s *Scheduler) evalAlpha(sc *evalScratch, a int, bst *best) {
 	case s.opt.MultiHop:
 		links, benefit := s.chainedGreedy(a)
 		bst.consider(links, a, benefit)
-	case s.opt.Ports > 1:
-		s.evalMultiPort(sc, a, bst)
 	default:
-		we := s.weightedEdges(sc, a)
-		if len(we) == 0 {
-			return
-		}
-		n := s.fabric.N()
-		gm, gw := sc.arena.GreedyBipartite(n, we)
-		bst.consider(toLinks(gm), a, gw)
-		if s.opt.Matcher == MatcherGreedy {
-			return
-		}
-		m, w := s.exactSolve(sc, a, we)
-		bst.consider(toLinks(m), a, w)
+		s.evalMultiPort(sc, a, bst)
 	}
 }
 
-// weightedEdges builds the weighted graph G' of Procedure 2: every active
-// link weighted by g(i, j, α). The result is ordered by (From, To) and
-// aliases the scratch buffer — it is valid until the next call with the
-// same scratch.
+// weightedEdges builds G' for one α link by link, for the multi-port mode
+// (the single-port modes batch it, see forAlphas). The result is ordered by
+// (From, To) and aliases the scratch buffer — it is valid until the next
+// call with the same scratch.
 func (s *Scheduler) weightedEdges(sc *evalScratch, a int) []matching.Edge {
 	we := sc.we[:0]
 	edges := s.tr.activeEdges()

@@ -40,7 +40,7 @@ func (s *Scheduler) evalChain(edges []graph.Edge, alpha int) int64 {
 	var carry []chItem
 	for idx, e := range edges {
 		items := carry[:len(carry):len(carry)]
-		if ls := s.tr.links[e]; ls != nil {
+		if ls := s.tr.state(e); ls != nil {
 			// The summary's live list skips zero-count entries up front; it
 			// is clean here because candidateAlphas rebuilt every active
 			// link's summary before the evaluation phase began.
@@ -203,14 +203,14 @@ func (s *Scheduler) chainedGreedy(alpha int) ([]graph.Edge, int64) {
 // determinism.
 func (s *Scheduler) chainCandidates() []graph.Edge {
 	seen := make(map[graph.Edge]bool)
-	for _, sf := range s.tr.byKey {
+	s.tr.eachSubflow(func(sf *subflow) {
 		if sf.count == 0 || sf.route == nil {
-			continue
+			return
 		}
 		for k := sf.key.pos; k+1 < len(sf.route); k++ {
 			seen[graph.Edge{From: sf.route[k], To: sf.route[k+1]}] = true
 		}
-	}
+	})
 	cands := make([]graph.Edge, 0, len(seen))
 	for e := range seen {
 		cands = append(cands, e)

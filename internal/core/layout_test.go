@@ -1,0 +1,173 @@
+package core
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"octopus/internal/graph"
+	"octopus/internal/matching"
+	"octopus/internal/schedule"
+	"octopus/internal/traffic"
+)
+
+// This file pins the flat remaining-traffic layout: what core.New may
+// allocate, and that the blocked g(link, α) table is gValueState laid out
+// differently.
+
+// TestNewAllocatesPerLinkNotPerFlow: subflows, entries, queue slots and
+// homes of the initial load come from slabs, so building T^r costs a few
+// allocations per active link at most. (One subflow, one entry, one homes
+// slice and two map inserts per flow were ≈3.3 allocations per flow.)
+func TestNewAllocatesPerLinkNotPerFlow(t *testing.T) {
+	const flows = 10_000
+	g, load := podInstance(t, 8, 16, flows)
+	opt := Options{Window: 512, Delta: 4, Matcher: MatcherGreedy}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := New(g, load, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= flows/4 {
+		t.Fatalf("core.New allocates %v times for %d flows over %d links, want < %d", allocs, flows, g.M(), flows/4)
+	}
+}
+
+// podInstance is a single-route load of the given size, ascending IDs, on
+// a pod fabric: the shape of the benchmark's pods-flows workload.
+func podInstance(tb testing.TB, pods, podSize, flows int) (*graph.Digraph, *traffic.Load) {
+	tb.Helper()
+	pp := traffic.DefaultPodParams(pods, podSize, 512)
+	pp.LargePerPod = flows / pods / 4
+	pp.SmallPerPod = flows/pods - pp.LargePerPod
+	pp.LargeTotal, pp.SmallTotal = max(pp.LargeTotal, pp.LargePerPod), max(pp.SmallTotal, pp.SmallPerPod)
+	store, err := traffic.PodSynthetic(pp, rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	load := store.Materialize(nil)
+	if len(load.Flows) != flows {
+		tb.Fatalf("generated %d flows, want %d", len(load.Flows), flows)
+	}
+	return pp.Fabric(), load
+}
+
+// randomQueues returns a fabric with several flows of mixed route lengths
+// (hence mixed benefit weights) queued on every link.
+func randomQueues(n int, seed int64) (*graph.Digraph, *traffic.Load) {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.Complete(n)
+	load := &traffic.Load{}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			for k := rng.Intn(4); k >= 0; k-- {
+				route := traffic.Route{i, j}
+				for m := rng.Intn(3); m > 0; m-- {
+					if next := rng.Intn(n); !slices.Contains(route, next) {
+						route = append(route, next)
+					}
+				}
+				load.Flows = append(load.Flows, traffic.Flow{
+					ID: len(load.Flows), Size: 1 + rng.Intn(1500), Src: i, Dst: route.Dst(), Routes: []traffic.Route{route},
+				})
+			}
+		}
+	}
+	return g, load
+}
+
+// TestGTableMatchesGValueState feeds forAlphas more (link, α) pairs than one
+// block of the table holds — several full blocks and a partial last one, α's
+// from 1 to past every queue's total — on queues a few configurations into
+// a run (drained entries, downstream arrivals), and checks every weighted
+// edge list against one gValueState call per link.
+func TestGTableMatchesGValueState(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		g, load := randomQueues(36, seed)
+		s, err := New(g, load, Options{Window: 3000, Delta: 10, Matcher: MatcherGreedy, Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, ok, err := s.Step(); err != nil || !ok {
+				t.Fatalf("seed %d: step %d: ok=%v err=%v", seed, i, ok, err)
+			}
+		}
+		s.tr.candidateAlphas(1 << 30) // rebuild the summaries the last apply dirtied
+		edges, states := s.tr.activeEdges(), s.tr.activeStates()
+		top := 0
+		for _, ls := range states {
+			if c := ls.summary().prefC; len(c) > 0 {
+				top = max(top, c[len(c)-1])
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var as []int
+		for a := 1; a <= top+50; a += 1 + rng.Intn(3) {
+			as = append(as, a)
+		}
+		width := gTableEntries / len(states)
+		if len(as) < 2*width || len(as)%width == 0 {
+			t.Fatalf("seed %d: %d α's over %d links do not make full blocks plus a partial one (width %d)", seed, len(as), len(states), width)
+		}
+		seen := make([]bool, len(as))
+		s.forAlphas(as, func(_ *evalScratch, j int, we []matching.Edge) {
+			seen[j] = true
+			var want []matching.Edge
+			for li, ls := range states {
+				if w := gValueState(ls, as[j]); w > 0 {
+					want = append(want, matching.Edge{From: edges[li].From, To: edges[li].To, Weight: w})
+				}
+			}
+			if !reflect.DeepEqual(we, want) {
+				t.Errorf("seed %d: G' for α=%d (index %d) differs from gValueState", seed, as[j], j)
+			}
+		})
+		for j, ok := range seen {
+			if !ok {
+				t.Fatalf("seed %d: α index %d never evaluated", seed, j)
+			}
+		}
+	}
+}
+
+// TestGreedyScheduleIndependentOfParallelism: the α's of a table block are
+// evaluated concurrently; the chosen configurations must not depend on how
+// many workers share them, nor on how many fill a block's link ranges. The
+// instance needs more than one block and more than one range.
+func TestGreedyScheduleIndependentOfParallelism(t *testing.T) {
+	g, load := randomQueues(36, 7)
+	plan := func(par int) []schedule.Configuration {
+		s, err := New(g, load, Options{Window: 3000, Delta: 10, Matcher: MatcherGreedy, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cfgs []schedule.Configuration
+		for {
+			cfg, ok, err := s.Step()
+			if err != nil {
+				t.Fatalf("par %d: %v", par, err)
+			}
+			if !ok {
+				return cfgs
+			}
+			if len(cfgs) == 0 && s.lastCandidates*len(s.tr.activeStates()) <= gTableEntries {
+				t.Fatalf("instance fits one table block (%d α's × %d links)", s.lastCandidates, len(s.tr.activeStates()))
+			}
+			if len(s.tr.activeStates()) <= fillLinks {
+				t.Fatalf("%d links fit one fillG range", len(s.tr.activeStates()))
+			}
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	want := plan(1)
+	for _, par := range []int{2, 8} {
+		if got := plan(par); !reflect.DeepEqual(got, want) {
+			t.Errorf("Parallelism %d plans a different schedule than Parallelism 1", par)
+		}
+	}
+}

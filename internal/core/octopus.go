@@ -143,13 +143,11 @@ type Scheduler struct {
 	scratch []*evalScratch
 	evals   []alphaEval
 
-	// Batched per-iteration g-values (gbuf[link*gbufStride+alphaIdx], valid
-	// only while gbufValid), the phase-2 solve-set buffer, the per-α
-	// warm-start states of MatcherWarm, and the running count of exact
-	// solves skipped by incumbent pruning (observability only).
+	// The current block of the g(link, α) table (see forAlphas), the
+	// phase-2 solve-set buffer, the per-α warm-start states of MatcherWarm,
+	// and the running count of exact solves skipped by incumbent pruning
+	// (observability only).
 	gbuf        []int64
-	gbufStride  int
-	gbufValid   bool
 	selBuf      []int
 	warm        map[int]*warmEntry
 	prunedExact int64
@@ -279,11 +277,11 @@ func (s *Scheduler) Pending() int { return s.tr.pending }
 // to account per-hop service of the one-hop load.
 func (s *Scheduler) PendingByFlow() map[int]int {
 	m := make(map[int]int)
-	for _, sf := range s.tr.byKey {
+	s.tr.eachSubflow(func(sf *subflow) {
 		if sf.count > 0 {
 			m[sf.flow.ID] += sf.count
 		}
-	}
+	})
 	return m
 }
 

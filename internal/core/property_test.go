@@ -241,7 +241,7 @@ func TestQueueOrderProperty(t *testing.T) {
 			}
 			tr.apply(links, 1+rng.Intn(10))
 		}
-		for _, ls := range tr.links {
+		for _, ls := range tr.activeStates() {
 			for i := 1; i < len(ls.entries); i++ {
 				a, b := ls.entries[i-1], ls.entries[i]
 				if a.bw < b.bw {

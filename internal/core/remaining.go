@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -33,6 +34,22 @@ type subflow struct {
 	// homes are the link queues holding an entry for this subflow. A count
 	// change invalidates exactly these links' cached summaries.
 	homes []*linkState
+	// next and alt are the flow's position chain, which stands in for a map
+	// keyed by sfKey. next is the subflow one hop further along the route
+	// (nil until a packet gets there). Only an uncommitted subflow can have
+	// several successors, one per route its packets have committed to: next
+	// is the newest and alt links each to the one created before it.
+	next, alt *subflow
+}
+
+// successor returns the subflow that packets served from sf along route
+// routeID join, or nil if none has been created yet.
+func (sf *subflow) successor(routeID int) *subflow {
+	d := sf.next
+	for d != nil && d.key.routeID != routeID {
+		d = d.alt
+	}
+	return d
 }
 
 // markDirty invalidates the cached summary of every queue holding one of
@@ -43,14 +60,6 @@ func (tr *remaining) markDirty(sf *subflow) {
 		ls.dirty = true
 		ls.lastTick = tr.tick
 	}
-}
-
-// node returns the subflow's current node.
-func (sf *subflow) node() int {
-	if sf.route == nil {
-		return sf.flow.Src
-	}
-	return sf.route[sf.key.pos]
 }
 
 // entry is one appearance of a subflow in a link's virtual output queue.
@@ -93,6 +102,7 @@ type linkSummary struct {
 
 // linkState is the priority queue of entries for one directed link.
 type linkState struct {
+	edge    graph.Edge
 	entries []*entry
 	sum     linkSummary
 	// dirty marks the summary stale. It is set single-threaded (entry
@@ -127,6 +137,10 @@ func (ls *linkState) insert(e *entry) {
 // rebuild recomputes the cached summary from the queue contents.
 func (ls *linkState) rebuild() {
 	s := &ls.sum
+	if n := len(ls.entries); cap(s.prefC) < n {
+		// Sized once per queue growth, not by append's doubling.
+		s.live, s.prefC, s.prefB, s.bws = make([]*entry, 0, n), make([]int, 0, n), make([]int64, 0, n), make([]int64, 0, n)
+	}
 	s.live = s.live[:0]
 	s.prefC = s.prefC[:0]
 	s.prefB = s.prefB[:0]
@@ -185,12 +199,24 @@ type servedRecord struct {
 // remaining is the remaining traffic load T^r plus the plan accounting the
 // greedy loop maintains while building a schedule.
 type remaining struct {
-	g          *graph.Digraph
-	links      map[graph.Edge]*linkState
-	edgeList   []graph.Edge // sorted keys of links; rebuilt lazily
-	stateList  []*linkState // links[edgeList[i]], same order; avoids map hits on the hot path
+	g *graph.Digraph
+	// links is indexed by graph.Digraph.LinkID; nil until the link first
+	// holds an entry. heads[i] is the initial subflow of load.Flows[i], the
+	// root of that flow's position chain (see subflow.next).
+	links []*linkState
+	heads []subflow
+	// stateList holds every non-nil element of links, sorted by edge once
+	// activeEdges has run; edgeList is its edges, index-aligned.
+	stateList  []*linkState
+	edgeList   []graph.Edge
 	edgesDirty bool
-	byKey      map[sfKey]*subflow
+
+	// Everything created after construction is carved from slabs; T^r only
+	// grows, so nothing is ever handed back.
+	subflows slab[subflow]
+	entries  slab[entry]
+	homes    slab[*linkState]
+	states   slab[linkState]
 
 	eps        int  // Octopus-e ε in 1/64 units
 	multiRoute bool // Octopus+ first-hop route choice
@@ -209,13 +235,15 @@ type remaining struct {
 	// increments at the start of every apply, and every queue content
 	// change stamps its link's lastTick with the current value (so a
 	// post-apply tick value strictly exceeds every pre-apply stamp).
-	tick int64
-	touched   []*subflow // subflows with frozen packets from the current apply
+	tick    int64
+	touched []*subflow // subflows with frozen packets from the current apply
+	btBuf   []int      // per-link backtrack-pass service of the current apply
 
-	// building marks the bulk-construction phase of newRemaining: entries
-	// are appended unsorted and every queue is sorted once at the end,
-	// avoiding the O(n) copy-per-insert of incremental insertion.
-	building bool
+	// buildHomes is non-nil only during newRemaining: addEntry records each
+	// entry's queue here (and counts it in buildCount, by link id) instead
+	// of inserting, so every queue is carved to size and sorted once.
+	buildHomes []*linkState
+	buildCount []int32
 	// alphaBuf is the reusable merge buffer of candidateAlphas; the
 	// returned slice aliases it and is valid until the next call.
 	alphaBuf []int
@@ -224,37 +252,80 @@ type remaining struct {
 	lastRebuilds int
 }
 
-// newRemaining builds T^r = T.
+// slabChunk is how many objects a slab allocates at a time once its
+// initial reservation is used up.
+const slabChunk = 64
+
+// slab carves objects out of chunked backing arrays, so n of them cost
+// n/slabChunk allocations instead of n.
+type slab[T any] struct{ free []T }
+
+// take returns n fresh zero elements with no spare capacity.
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.free = make([]T, max(n, slabChunk))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// newRemaining builds T^r = T. Its allocations are O(links), not O(flows):
+// subflows, entries, queue slots and homes of the whole load come from four
+// arrays sized up front.
 func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, backtrack, keepTrace bool) *remaining {
 	tr := &remaining{
 		g:          g,
-		links:      make(map[graph.Edge]*linkState),
-		byKey:      make(map[sfKey]*subflow),
+		links:      make([]*linkState, g.M()),
+		heads:      make([]subflow, len(load.Flows)),
 		eps:        eps,
 		multiRoute: multiRoute,
 		backtrack:  backtrack,
 		keepTrace:  keepTrace,
 	}
-	tr.building = true
+	nEntries := len(load.Flows)
+	if multiRoute {
+		nEntries = 0
+		for i := range load.Flows {
+			nEntries += len(load.Flows[i].Routes)
+		}
+	}
+	initial := make([]entry, nEntries)
+	tr.entries.free = initial
+	tr.buildHomes = make([]*linkState, 0, nEntries)
+	tr.buildCount = make([]int32, g.M())
 	for i := range load.Flows {
 		f := &load.Flows[i]
+		sf := &tr.heads[i]
 		tr.pending += f.Size
 		if !tr.multiRoute || len(f.Routes) == 1 {
-			sf := &subflow{key: sfKey{f.ID, 0, 0}, flow: f, route: f.Routes[0], count: f.Size}
-			tr.byKey[sf.key] = sf
+			*sf = subflow{key: sfKey{f.ID, 0, 0}, flow: f, route: f.Routes[0], count: f.Size}
 			tr.addCommittedEntry(sf)
 			continue
 		}
-		sf := &subflow{key: sfKey{f.ID, -1, 0}, flow: f, count: f.Size}
-		tr.byKey[sf.key] = sf
+		*sf = subflow{key: sfKey{f.ID, -1, 0}, flow: f, count: f.Size}
 		tr.addUncommittedEntries(sf)
 	}
-	tr.building = false
+	// Carve every queue to its final size, then deal the entries out. A
+	// subflow's entries are consecutive, so its homes are a window of
+	// buildHomes.
+	homes := tr.buildHomes
+	slots := make([]*entry, len(homes))
+	for _, ls := range tr.stateList {
+		c := tr.buildCount[g.LinkID(ls.edge.From, ls.edge.To)]
+		ls.entries, slots = slots[:0:c], slots[c:]
+	}
+	for k, ls := range homes {
+		en := &initial[k]
+		ls.entries = append(ls.entries, en)
+		en.sf.homes = homes[k-len(en.sf.homes) : k+1 : k+1]
+	}
+	tr.buildHomes, tr.buildCount = nil, nil
 	// Sort each queue once. During construction every flow contributes at
 	// most one entry per link, so (bw desc, flow ID asc) is a strict total
 	// order and the batch sort reproduces the incremental-insert order
 	// exactly.
-	for _, ls := range tr.links {
+	for _, ls := range tr.stateList {
 		sortEntries(ls.entries)
 	}
 	return tr
@@ -263,15 +334,14 @@ func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, bac
 // sortEntries orders a queue by (bw desc, flow ID asc, pos asc), the order
 // linkState.insert maintains incrementally.
 func sortEntries(entries []*entry) {
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
+	slices.SortStableFunc(entries, func(a, b *entry) int {
 		if a.bw != b.bw {
-			return a.bw > b.bw
+			return cmp.Compare(b.bw, a.bw)
 		}
 		if a.sf.flow.ID != b.sf.flow.ID {
-			return a.sf.flow.ID < b.sf.flow.ID
+			return cmp.Compare(a.sf.flow.ID, b.sf.flow.ID)
 		}
-		return a.sf.key.pos < b.sf.key.pos
+		return cmp.Compare(a.sf.key.pos, b.sf.key.pos)
 	})
 }
 
@@ -279,29 +349,38 @@ func sortEntries(entries []*entry) {
 // route under the current ε.
 func (tr *remaining) hopBW(l, pos int) int64 { return traffic.HopWeight(l, pos, tr.eps) }
 
-func (tr *remaining) link(e graph.Edge) *linkState {
-	ls := tr.links[e]
-	if ls == nil {
-		ls = &linkState{dirty: true}
-		tr.links[e] = ls
-		tr.edgesDirty = true
+// state returns the queue of link e, or nil if e is not a fabric link or
+// has never held an entry.
+func (tr *remaining) state(e graph.Edge) *linkState {
+	id := tr.g.LinkID(e.From, e.To)
+	if id < 0 {
+		return nil
 	}
-	return ls
+	return tr.links[id]
 }
 
-// addEntry queues en on link e and records the queue as a home of the
-// subflow so count changes can invalidate its summary. During bulk
-// construction the entry is appended unsorted; newRemaining sorts once.
-func (tr *remaining) addEntry(e graph.Edge, en *entry) {
-	ls := tr.link(e)
-	if tr.building {
-		ls.entries = append(ls.entries, en)
-		ls.dirty = true
-	} else {
-		ls.insert(en)
+// addEntry queues en on fabric link e and records the queue as a home of
+// the subflow so count changes can invalidate its summary.
+func (tr *remaining) addEntry(e graph.Edge, en entry) {
+	id := tr.g.LinkID(e.From, e.To)
+	ls := tr.links[id]
+	if ls == nil {
+		ls = &tr.states.take(1)[0]
+		ls.edge, ls.dirty = e, true
+		tr.links[id] = ls
+		tr.stateList = append(tr.stateList, ls)
+		tr.edgesDirty = true
 	}
 	ls.lastTick = tr.tick
-	en.sf.homes = append(en.sf.homes, ls)
+	p := &tr.entries.take(1)[0]
+	*p = en
+	if tr.buildHomes != nil {
+		tr.buildHomes = append(tr.buildHomes, ls)
+		tr.buildCount[id]++
+		return
+	}
+	ls.insert(p)
+	p.sf.homes = append(p.sf.homes, ls)
 }
 
 // addCommittedEntry queues a committed subflow on its next-hop link and,
@@ -310,12 +389,12 @@ func (tr *remaining) addCommittedEntry(sf *subflow) {
 	l := sf.flow.WeightLen(sf.route)
 	pos := sf.key.pos
 	e := graph.Edge{From: sf.route[pos], To: sf.route[pos+1]}
-	tr.addEntry(e, &entry{
+	tr.addEntry(e, entry{
 		sf: sf, bw: tr.hopBW(l, pos), pw: traffic.Weight(l), routeID: sf.key.routeID,
 	})
 	if tr.backtrack && pos > 0 && tr.g.HasEdge(sf.flow.Src, sf.flow.Dst) {
 		direct := graph.Edge{From: sf.flow.Src, To: sf.flow.Dst}
-		tr.addEntry(direct, &entry{
+		tr.addEntry(direct, entry{
 			sf: sf, bw: tr.hopBW(1, 0), pw: traffic.Weight(1), routeID: -1, backtrack: true,
 		})
 	}
@@ -348,26 +427,19 @@ func (tr *remaining) addUncommittedEntries(sf *subflow) {
 	for _, e := range links {
 		ri := best[e]
 		l := sf.flow.WeightLen(sf.flow.Routes[ri])
-		tr.addEntry(e, &entry{
+		tr.addEntry(e, entry{
 			sf: sf, bw: tr.hopBW(l, 0), pw: traffic.Weight(l), routeID: ri,
 		})
 	}
 }
 
-// activeEdges returns the sorted list of links with at least one queued
-// packet.
+// activeEdges returns the sorted list of links with at least one entry.
 func (tr *remaining) activeEdges() []graph.Edge {
 	if tr.edgesDirty {
+		slices.SortFunc(tr.stateList, func(a, b *linkState) int { return cmpEdge(a.edge, b.edge) })
 		tr.edgeList = tr.edgeList[:0]
-		for e, ls := range tr.links {
-			if len(ls.entries) > 0 {
-				tr.edgeList = append(tr.edgeList, e)
-			}
-		}
-		slices.SortFunc(tr.edgeList, cmpEdge)
-		tr.stateList = tr.stateList[:0]
-		for _, e := range tr.edgeList {
-			tr.stateList = append(tr.stateList, tr.links[e])
+		for _, ls := range tr.stateList {
+			tr.edgeList = append(tr.edgeList, ls.edge)
 		}
 		tr.edgesDirty = false
 	}
@@ -375,29 +447,19 @@ func (tr *remaining) activeEdges() []graph.Edge {
 }
 
 // activeStates returns the link states of activeEdges(), index-aligned with
-// it, so hot loops over the active links skip the per-edge map lookup.
+// it, so hot loops over the active links skip the per-edge lookup.
 func (tr *remaining) activeStates() []*linkState {
 	tr.activeEdges()
 	return tr.stateList
 }
 
-// gValue computes g(i, j, α): the maximum benefit weight of α packets
+// gValueState computes g(i, j, α): the maximum benefit weight of α packets
 // queued on the link (Procedure 2, line 4). Each packet is counted once
 // even if it has entries with several candidate routes on other links.
 // Using the cached summary this is a binary search over the prefix counts:
 // the queue walk it replaces took the top α packets in queue order, which
 // is exactly "all of the first k live entries plus a partial take of entry
 // k+1" for the k the search finds.
-func (tr *remaining) gValue(e graph.Edge, alpha int) int64 {
-	ls := tr.links[e]
-	if ls == nil {
-		return 0
-	}
-	return gValueState(ls, alpha)
-}
-
-// gValueState is gValue for an already-resolved link state (hot loops pair
-// it with activeStates to avoid the map lookup per edge per α).
 func gValueState(ls *linkState, alpha int) int64 {
 	if alpha <= 0 {
 		return 0
@@ -471,7 +533,7 @@ func minInt(a, b int) int {
 // takes precedence over normal advancement (paper §6). Returns packets
 // served.
 func (tr *remaining) serveLink(e graph.Edge, alpha int, backtrackPass bool) int {
-	ls := tr.links[e]
+	ls := tr.state(e)
 	if ls == nil || alpha <= 0 {
 		return 0
 	}
@@ -523,11 +585,18 @@ func (tr *remaining) serveLink(e graph.Edge, alpha int, backtrackPass bool) int 
 			tr.pending -= t
 			continue
 		}
-		key := sfKey{flowID: sf.flow.ID, routeID: en.routeID, pos: newPos}
-		dst := tr.byKey[key]
+		dst := sf.successor(en.routeID)
 		if dst == nil {
-			dst = &subflow{key: key, flow: sf.flow, route: route, count: t, frozen: t}
-			tr.byKey[key] = dst
+			nHomes := 1
+			if tr.backtrack {
+				nHomes = 2
+			}
+			dst = &tr.subflows.take(1)[0]
+			*dst = subflow{
+				key: sfKey{sf.flow.ID, en.routeID, newPos}, flow: sf.flow, route: route,
+				count: t, frozen: t, homes: tr.homes.take(nHomes)[:0], alt: sf.next,
+			}
+			sf.next = dst
 			tr.addCommittedEntry(dst)
 		} else {
 			dst.count += t
@@ -544,15 +613,18 @@ func (tr *remaining) serveLink(e graph.Edge, alpha int, backtrackPass bool) int 
 // advancement with each link's leftover capacity.
 func (tr *remaining) apply(links []graph.Edge, alpha int) {
 	tr.tick++
-	servedBT := make(map[graph.Edge]int, len(links))
-	if tr.backtrack {
-		for _, e := range links {
-			servedBT[e] = tr.serveLink(e, alpha, true)
-		}
-	}
+	bt := tr.btBuf[:0]
 	for _, e := range links {
-		tr.serveLink(e, alpha-servedBT[e], false)
+		n := 0
+		if tr.backtrack {
+			n = tr.serveLink(e, alpha, true)
+		}
+		bt = append(bt, n)
 	}
+	for i, e := range links {
+		tr.serveLink(e, alpha-bt[i], false)
+	}
+	tr.btBuf = bt
 	// Unfreeze arrivals: they may move from the next configuration on.
 	for _, sf := range tr.touched {
 		sf.frozen = 0
@@ -561,20 +633,35 @@ func (tr *remaining) apply(links []graph.Edge, alpha int) {
 	tr.configIdx++
 }
 
+// eachSubflow calls f for every subflow of T^r, drained ones included, by
+// walking each flow's position chain.
+func (tr *remaining) eachSubflow(f func(*subflow)) {
+	for i := range tr.heads {
+		h := &tr.heads[i]
+		f(h)
+		for b := h.next; b != nil; b = b.alt {
+			for sf := b; sf != nil; sf = sf.next {
+				f(sf)
+			}
+		}
+	}
+}
+
 // sanity verifies internal invariants (test hook).
 func (tr *remaining) sanity() error {
+	var err error
 	total := 0
-	for key, sf := range tr.byKey {
+	tr.eachSubflow(func(sf *subflow) {
 		if sf.count < 0 {
-			return fmt.Errorf("core: negative count for %+v", key)
+			err = fmt.Errorf("core: negative count for %+v", sf.key)
 		}
 		if sf.route != nil && sf.key.pos >= len(sf.route)-1 {
-			return fmt.Errorf("core: subflow %+v at/past destination", key)
+			err = fmt.Errorf("core: subflow %+v at/past destination", sf.key)
 		}
 		total += sf.count
+	})
+	if err == nil && total != tr.pending {
+		err = fmt.Errorf("core: pending %d != sum of subflows %d", tr.pending, total)
 	}
-	if total != tr.pending {
-		return fmt.Errorf("core: pending %d != sum of subflows %d", tr.pending, total)
-	}
-	return nil
+	return err
 }

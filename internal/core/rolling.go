@@ -30,16 +30,12 @@ func (s *Scheduler) ResidualLoad() *traffic.Load {
 // of. Online schedulers use this to track per-flow completion across
 // scheduling epochs.
 func (s *Scheduler) ResidualLoadMap() (*traffic.Load, map[int]int) {
-	type rem struct {
-		key sfKey
-		sf  *subflow
-	}
-	var rems []rem
-	for k, sf := range s.tr.byKey {
+	var rems []*subflow
+	s.tr.eachSubflow(func(sf *subflow) {
 		if sf.count > 0 {
-			rems = append(rems, rem{k, sf})
+			rems = append(rems, sf)
 		}
-	}
+	})
 	sort.Slice(rems, func(i, j int) bool {
 		a, b := rems[i].key, rems[j].key
 		if a.flowID != b.flowID {
@@ -53,8 +49,7 @@ func (s *Scheduler) ResidualLoadMap() (*traffic.Load, map[int]int) {
 	out := &traffic.Load{}
 	origin := make(map[int]int)
 	nextID := 0
-	for _, r := range rems {
-		sf := r.sf
+	for _, sf := range rems {
 		var routes []traffic.Route
 		if sf.route == nil {
 			// Still at the source with the route choice open.

@@ -17,7 +17,7 @@ import (
 // naiveGValue is the original gValue: walk the queue in priority order and
 // take the top alpha packets.
 func naiveGValue(tr *remaining, e graph.Edge, alpha int) int64 {
-	ls := tr.links[e]
+	ls := tr.state(e)
 	if ls == nil || alpha <= 0 {
 		return 0
 	}
@@ -42,8 +42,7 @@ func naiveGValue(tr *remaining, e graph.Edge, alpha int) int64 {
 // deduplicated, sorted.
 func naiveCandidateAlphas(tr *remaining, maxAlpha int) []int {
 	seen := make(map[int]bool)
-	for _, e := range tr.activeEdges() {
-		ls := tr.links[e]
+	for _, ls := range tr.activeStates() {
 		c := 0
 		var lastBW int64 = -1
 		for _, en := range ls.entries {
@@ -68,6 +67,27 @@ func naiveCandidateAlphas(tr *remaining, maxAlpha int) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// gValue is gValueState by edge; a link that never held an entry is worth 0.
+func (tr *remaining) gValue(e graph.Edge, alpha int) int64 {
+	ls := tr.state(e)
+	if ls == nil {
+		return 0
+	}
+	return gValueState(ls, alpha)
+}
+
+// lookup finds the subflow with the given key by walking the position
+// chains.
+func (tr *remaining) lookup(key sfKey) *subflow {
+	var found *subflow
+	tr.eachSubflow(func(sf *subflow) {
+		if sf.key == key {
+			found = sf
+		}
+	})
+	return found
 }
 
 // checkSummariesAgainstNaive compares the cached paths against the naive

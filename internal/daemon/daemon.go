@@ -237,12 +237,13 @@ func (s *Server) loop(ctx context.Context) {
 		type planOut struct {
 			plan *engine.Plan
 			err  error
+			dur  time.Duration // PlanNext alone, not the wait for the boundary
 		}
 		start := time.Now()
 		ch := make(chan planOut, 1)
 		go func() {
 			plan, err := s.pipe.PlanNext()
-			ch <- planOut{plan, err}
+			ch <- planOut{plan, err, time.Since(start)}
 		}()
 
 		var out planOut
@@ -279,7 +280,7 @@ func (s *Server) loop(ctx context.Context) {
 		if !overrun {
 			s.overloaded.Store(false)
 		}
-		s.commit(out.plan, time.Since(start), overrun)
+		s.commit(out.plan, out.dur, overrun)
 	}
 	s.drain()
 }

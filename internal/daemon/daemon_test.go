@@ -592,3 +592,36 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("zero window accepted")
 	}
 }
+
+// TestDaemonReportsPlanTimeNotEpochTime pins plan_micros to the planner's
+// own duration: the loop used to take it after sleeping out the rest of the
+// epoch, so every record read one epoch of wall time.
+func TestDaemonReportsPlanTimeNotEpochTime(t *testing.T) {
+	const epoch = 50 * time.Millisecond
+	s, base, shutdown := testServer(t, Options{
+		Fabric:        graph.Complete(5),
+		Core:          core.Options{Window: 50, Delta: 2},
+		EpochDuration: epoch,
+	})
+	defer shutdown()
+	if status, body := postJSON(t, base+"/v1/flows", testFlows(5)); status != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", status, body)
+	}
+	var er epochsResp
+	deadline := time.Now().Add(20 * time.Second)
+	for len(er.Epochs) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d epochs committed", len(er.Epochs))
+		}
+		time.Sleep(epoch / 2)
+		getJSON(t, base+"/v1/epochs", &er)
+	}
+	for _, rec := range er.Epochs {
+		if !rec.Overrun && rec.PlanMicros >= (epoch/2).Microseconds() {
+			t.Errorf("epoch %d: plan_micros %d is not well under the %v epoch", rec.Epoch, rec.PlanMicros, epoch)
+		}
+	}
+	if p50 := s.reg.Duration("octopus_daemon_plan_seconds").Quantile(0.5); p50 >= epoch/2 {
+		t.Errorf("octopus_daemon_plan_seconds p50 %v is not well under the %v epoch", p50, epoch)
+	}
+}

@@ -34,7 +34,7 @@ type Digraph struct {
 	n   int
 	out [][]int // out[i] = sorted list of j with edge (i, j)
 	in  [][]int // in[j] = sorted list of i with edge (i, j)
-	has []bool  // has[i*n+j] reports edge presence
+	ids []int32 // ids[i*n+j] = LinkID(i, j)+1, 0 when the edge is absent
 	m   int     // number of edges
 }
 
@@ -47,7 +47,7 @@ func New(n int) *Digraph {
 		n:   n,
 		out: make([][]int, n),
 		in:  make([][]int, n),
-		has: make([]bool, n*n),
+		ids: make([]int32, n*n),
 	}
 }
 
@@ -66,21 +66,26 @@ func (g *Digraph) AddEdge(from, to int) {
 	if from == to {
 		panic("graph: self-loop")
 	}
-	if g.has[from*g.n+to] {
+	if g.ids[from*g.n+to] != 0 {
 		return
 	}
-	g.has[from*g.n+to] = true
+	g.m++
+	g.ids[from*g.n+to] = int32(g.m)
 	g.out[from] = insertSorted(g.out[from], to)
 	g.in[to] = insertSorted(g.in[to], from)
-	g.m++
 }
 
 // HasEdge reports whether the directed edge (from, to) exists.
-func (g *Digraph) HasEdge(from, to int) bool {
+func (g *Digraph) HasEdge(from, to int) bool { return g.LinkID(from, to) >= 0 }
+
+// LinkID returns the dense id of the edge (from, to), or -1 if it does not
+// exist. Ids are handed out in insertion order, cover [0, M()) and never
+// change, so per-link state can live in a slice indexed by them.
+func (g *Digraph) LinkID(from, to int) int {
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
-		return false
+		return -1
 	}
-	return g.has[from*g.n+to]
+	return int(g.ids[from*g.n+to]) - 1
 }
 
 // Out returns the sorted out-neighbors of node i. The returned slice must
@@ -115,7 +120,7 @@ func (g *Digraph) Clone() *Digraph {
 		c.out[i] = append([]int(nil), g.out[i]...)
 		c.in[i] = append([]int(nil), g.in[i]...)
 	}
-	copy(c.has, g.has)
+	copy(c.ids, g.ids)
 	c.m = g.m
 	return c
 }
@@ -141,20 +146,37 @@ func (g *Digraph) IsRoute(route []int) bool {
 	if len(route) < 2 {
 		return false
 	}
-	seen := make(map[int]bool, len(route))
-	for _, v := range route {
-		if v < 0 || v >= g.n || seen[v] {
+	// HasEdge range-checks both ends of every hop. Real routes are a few
+	// hops, so the repeat check is a scan of the prefix; only routes longer
+	// than any load may carry pay for a set.
+	var seen map[int]bool
+	if len(route) > quadraticRouteLen {
+		seen = map[int]bool{route[0]: true}
+	}
+	for k := 1; k < len(route); k++ {
+		v := route[k]
+		if !g.HasEdge(route[k-1], v) {
 			return false
 		}
-		seen[v] = true
-	}
-	for k := 0; k+1 < len(route); k++ {
-		if !g.HasEdge(route[k], route[k+1]) {
-			return false
+		if seen != nil {
+			if seen[v] {
+				return false
+			}
+			seen[v] = true
+			continue
+		}
+		for _, u := range route[:k] {
+			if u == v {
+				return false
+			}
 		}
 	}
 	return true
 }
+
+// quadraticRouteLen is the longest route (in nodes) IsRoute checks for
+// repeats by scanning; it covers every route traffic.MaxRouteLen admits.
+const quadraticRouteLen = 16
 
 // IsMatching reports whether links form a matching of g: every edge exists
 // and no node appears more than once as a source or as a destination.

@@ -55,9 +55,11 @@ type Options struct {
 	// ψ metric always uses the plain weight.
 	Epsilon64 int
 
-	// SkipValidate skips schedule validation (useful when the caller has
-	// already validated, or intentionally replays a schedule over a larger
-	// fabric, as the RotorNet comparison does).
+	// SkipValidate skips schedule and load validation (useful when the
+	// caller has already validated, or intentionally replays a schedule
+	// over a larger fabric, as the RotorNet comparison does). Run still
+	// fails, with an error, on a chosen route that has a hop outside the
+	// fabric: queues are indexed by link id.
 	SkipValidate bool
 
 	// TrackBuffers records in-network buffering: after every
@@ -228,7 +230,7 @@ type state struct {
 	g          *graph.Digraph
 	eps        int
 	trackFlows bool
-	queues     map[graph.Edge]*linkQueue
+	queues     []linkQueue // indexed by graph.Digraph.LinkID
 	flight     *flight.Recorder
 	red        *traffic.Redundancy
 	// copyDelivered tracks per-copy delivery for grouped flows only, so
@@ -239,7 +241,7 @@ type state struct {
 }
 
 func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error) {
-	st := &state{g: g, eps: opt.Epsilon64, trackFlows: opt.TrackFlows, queues: make(map[graph.Edge]*linkQueue), flight: opt.Flight}
+	st := &state{g: g, eps: opt.Epsilon64, trackFlows: opt.TrackFlows, queues: make([]linkQueue, g.M()), flight: opt.Flight}
 	if opt.TrackFlows {
 		st.res.FlowDelivered = make(map[int]int)
 	}
@@ -247,6 +249,7 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 		st.red = opt.Redundancy
 		st.copyDelivered = make(map[int]int)
 	}
+	initial := make([]group, len(load.Flows)) // one allocation, not one per flow
 	for i := range load.Flows {
 		f := &load.Flows[i]
 		ri := opt.RouteChoice[f.ID]
@@ -254,6 +257,16 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 			return nil, fmt.Errorf("simulate: flow %d route choice %d out of range", f.ID, ri)
 		}
 		r := f.Routes[ri]
+		if opt.SkipValidate { // Load.Validate has not vouched for the hops
+			if len(r) < 2 {
+				return nil, fmt.Errorf("simulate: flow %d route %v has no hop", f.ID, r)
+			}
+			for h := 0; h+1 < len(r); h++ {
+				if g.LinkID(r[h], r[h+1]) < 0 {
+					return nil, fmt.Errorf("simulate: flow %d hop %d (%d->%d) is not a fabric link", f.ID, h, r[h], r[h+1])
+				}
+			}
+		}
 		st.res.TotalPackets += f.Size
 		grp, dup := -1, false
 		if p, ok := st.red.GroupOf(f.ID); ok {
@@ -262,7 +275,7 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 				st.dupTotal += f.Size
 			}
 		}
-		st.enqueue(&group{
+		initial[i] = group{
 			flowID: f.ID,
 			route:  r,
 			wlen:   f.WeightLen(r),
@@ -272,7 +285,8 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 			avail:  0,
 			grp:    grp,
 			dup:    dup,
-		})
+		}
+		st.enqueue(&initial[i])
 	}
 	return st, nil
 }
@@ -282,23 +296,18 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 // final destination are never enqueued.
 func (st *state) enqueue(g *group) {
 	g.prio = traffic.HopWeight(g.wlen, g.pos, st.eps)
-	e := graph.Edge{From: g.route[g.pos], To: g.route[g.pos+1]}
-	q := st.queues[e]
-	if q == nil {
-		q = &linkQueue{}
-		st.queues[e] = q
-	}
-	q.insert(g)
+	st.queues[st.g.LinkID(g.route[g.pos], g.route[g.pos+1])].insert(g)
 }
 
 // serve transmits up to want packets over link e, considering only packets
 // available at or before slot avail. Crossed packets become available again
 // at slot nextAvail. Returns the number of packets transmitted.
 func (st *state) serve(e graph.Edge, want, availBy, nextAvail int) int {
-	q := st.queues[e]
-	if q == nil || want <= 0 {
+	id := st.g.LinkID(e.From, e.To)
+	if id < 0 || want <= 0 {
 		return 0
 	}
+	q := &st.queues[id]
 	served := 0
 	for i := 0; i < len(q.groups) && served < want; i++ {
 		g := q.groups[i]
@@ -530,8 +539,8 @@ func (st *state) finishRedundancy() {
 // destination.
 func (st *state) countStranded() {
 	var stranded []*group
-	for _, q := range st.queues {
-		for _, gr := range q.groups {
+	for i := range st.queues {
+		for _, gr := range st.queues[i].groups {
 			if gr.pos > 0 {
 				st.res.Stranded += gr.count
 				if st.flight != nil && st.flight.Tracks(int64(gr.flowID)) {
@@ -540,7 +549,7 @@ func (st *state) countStranded() {
 			}
 		}
 	}
-	// st.queues is a map: sort so flight journals are reproducible.
+	// Queues are in link-id order: sort so flight journals read by flow.
 	sort.Slice(stranded, func(i, j int) bool {
 		if stranded[i].flowID != stranded[j].flowID {
 			return stranded[i].flowID < stranded[j].flowID
@@ -558,8 +567,8 @@ func (st *state) countStranded() {
 func (st *state) measureBuffers() {
 	perNode := make(map[int]int)
 	total := 0
-	for _, q := range st.queues {
-		for _, g := range q.groups {
+	for i := range st.queues {
+		for _, g := range st.queues[i].groups {
 			if g.count == 0 || g.pos == 0 {
 				continue
 			}

@@ -256,6 +256,13 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Run(g, load, okSch, badChoice); err == nil {
 		t.Fatal("out-of-range route choice accepted")
 	}
+	// Without validation a route off the fabric is an error, not a panic.
+	for _, r := range []traffic.Route{{0, 1, 0}, {0, 7}, {0}} {
+		off := &traffic.Load{Flows: []traffic.Flow{{ID: 1, Size: 1, Src: 0, Dst: 1, Routes: []traffic.Route{r}}}}
+		if _, err := Run(g, off, okSch, Options{SkipValidate: true}); err == nil {
+			t.Fatalf("route %v off the fabric accepted with SkipValidate", r)
+		}
+	}
 }
 
 func TestRouteChoice(t *testing.T) {

@@ -179,13 +179,23 @@ func (l *Load) Clone() *Load {
 // unique flow IDs, positive sizes, at least one route per flow, every route
 // a valid path of g from Src to Dst with at most MaxRouteLen hops.
 func (l *Load) Validate(g *graph.Digraph) error {
-	seen := make(map[int]bool, len(l.Flows))
+	// Strictly ascending IDs (what every generator and codec emits) cannot
+	// repeat; the set is built only from the first out-of-order flow on.
+	var seen map[int]bool
 	for i := range l.Flows {
 		f := &l.Flows[i]
-		if seen[f.ID] {
-			return fmt.Errorf("traffic: duplicate flow ID %d", f.ID)
+		if seen == nil && i > 0 && f.ID <= l.Flows[i-1].ID {
+			seen = make(map[int]bool, len(l.Flows))
+			for j := range l.Flows[:i] {
+				seen[l.Flows[j].ID] = true
+			}
 		}
-		seen[f.ID] = true
+		if seen != nil {
+			if seen[f.ID] {
+				return fmt.Errorf("traffic: duplicate flow ID %d", f.ID)
+			}
+			seen[f.ID] = true
+		}
 		if f.Size <= 0 {
 			return fmt.Errorf("traffic: flow %d has non-positive size %d", f.ID, f.Size)
 		}
@@ -208,14 +218,17 @@ func (l *Load) Validate(g *graph.Digraph) error {
 			if r.Src() != f.Src || r.Dst() != f.Dst {
 				return fmt.Errorf("traffic: flow %d route %v does not connect %d->%d", f.ID, r, f.Src, f.Dst)
 			}
+			if g.IsRoute(r) {
+				continue
+			}
+			// Name the offending hop when there is one; what is left is a
+			// repeated node.
 			for h := 0; h+1 < len(r); h++ {
 				if !g.HasEdge(r[h], r[h+1]) {
 					return fmt.Errorf("traffic: flow %d route %v: hop %d (%d->%d) is not a fabric link", f.ID, r, h, r[h], r[h+1])
 				}
 			}
-			if !g.IsRoute(r) {
-				return fmt.Errorf("traffic: flow %d route %v is not a path of the fabric", f.ID, r)
-			}
+			return fmt.Errorf("traffic: flow %d route %v is not a path of the fabric", f.ID, r)
 		}
 	}
 	return nil
