@@ -126,15 +126,8 @@ type podLoadStats struct {
 }
 
 func matcherName(m core.Matcher) string {
-	switch m {
-	case core.MatcherGreedy:
+	if m == core.MatcherGreedy {
 		return "greedy"
-	case core.MatcherDense:
-		return "dense"
-	case core.MatcherSparse:
-		return "sparse"
-	case core.MatcherWarm:
-		return "warm"
 	}
 	return "exact"
 }

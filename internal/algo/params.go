@@ -108,25 +108,15 @@ func (p Params) rng() *rand.Rand {
 	return rand.New(rand.NewSource(p.Seed))
 }
 
-// ParseMatcher maps a matcher name onto core.Matcher. "exact" auto-selects
-// between the dense and sparse exact paths (bit-identical); "dense" and
-// "sparse" force one of them (A/B modes, still bit-identical); "warm"
-// retains dual potentials across iterations (equal matching weight, but
-// possibly a different equal-weight optimum — see DESIGN.md §13).
+// ParseMatcher maps a matcher name onto core.Matcher.
 func ParseMatcher(s string) (core.Matcher, error) {
 	switch s {
 	case "exact":
 		return core.MatcherExact, nil
 	case "greedy":
 		return core.MatcherGreedy, nil
-	case "dense":
-		return core.MatcherDense, nil
-	case "sparse":
-		return core.MatcherSparse, nil
-	case "warm":
-		return core.MatcherWarm, nil
 	}
-	return 0, fmt.Errorf("unknown matcher %q (want exact, greedy, dense, sparse, or warm)", s)
+	return 0, fmt.Errorf("unknown matcher %q (want exact or greedy)", s)
 }
 
 // ParseSpec resolves an algorithm spec string with the uniform grammar

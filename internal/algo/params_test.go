@@ -84,6 +84,9 @@ func TestParseSpecErrors(t *testing.T) {
 		{"octopus:multihop=maybe", "want a boolean"},
 		{"hybrid:rate=fast", "want a number"},
 		{"octopus:matcher=hungarian", "unknown matcher"},
+		{"octopus:matcher=dense", `unknown matcher "dense" (want exact or greedy)`},
+		{"octopus:matcher=sparse", `unknown matcher "sparse" (want exact or greedy)`},
+		{"octopus:matcher=warm", `unknown matcher "warm" (want exact or greedy)`},
 		{"octopus:color=red", "unknown option"},
 	}
 	for _, tc := range cases {

@@ -20,7 +20,6 @@ import (
 type evalScratch struct {
 	we       []matching.Edge
 	row, col []int64 // length fabric.N(), all-zero between rowColUB calls
-	dirty    []int   // warm-start dirty-node buffer
 	arena    matching.Arena
 }
 
@@ -63,16 +62,6 @@ func (b *best) exceeds(benefit int64, alpha int) bool {
 		return false
 	}
 	return b.benefit*int64(alpha+b.delta) > benefit*int64(b.alpha+b.delta)
-}
-
-// warmEntry is the per-α retained state of the MatcherWarm mode: the dual
-// potentials recorded by the α's previous exact solve plus the remaining-
-// traffic tick at which that solve ran (-1 before the first). Links whose
-// queues changed after `since` determine the dirty-row hint of the next
-// solve.
-type warmEntry struct {
-	ws    matching.WarmState
-	since int64
 }
 
 // alphaEval is the per-α evaluation record of one greedy iteration.
@@ -122,7 +111,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	for i := range evals {
 		evals[i] = alphaEval{}
 	}
-	twoPhase := bipartite && s.opt.Matcher.exact()
+	twoPhase := bipartite && s.opt.Matcher != MatcherGreedy
 
 	// Phase 1: cheap evaluation of every α.
 	if bipartite {
@@ -180,13 +169,6 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	}
 	s.selBuf = sel
 	selected := len(sel)
-	if s.opt.Matcher == MatcherWarm {
-		// Pre-create the per-α warm entries single-threaded so the workers
-		// below only read the map.
-		for _, i := range sel {
-			s.warmFor(alphas[i])
-		}
-	}
 	// Solve in descending upper-bound-ratio order (ascending α on ties) in
 	// fixed-size chunks, tightening an incumbent between chunks: a solve is
 	// skipped once the incumbent's ratio strictly exceeds its upper bound.
@@ -239,7 +221,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		}
 		s.forAlphas(chunk[:k-lo], func(sc *evalScratch, ci int, we []matching.Edge) {
 			i := sel[lo+ci]
-			m, mw := s.exactSolve(sc, alphas[i], we)
+			m, mw := sc.arena.MaxWeightBipartite(s.fabric.N(), we)
 			evals[i].exactLinks = toLinks(m)
 			evals[i].exactW = mw
 		})
@@ -345,67 +327,6 @@ func fillLink(col []int64, stride int, sum *linkSummary, block []int) {
 	}
 }
 
-// warmFor returns the warm-start entry of α, creating it if absent. Callers
-// on parallel paths must pre-create entries single-threaded first (phase 2
-// does); after that the map is only read.
-func (s *Scheduler) warmFor(a int) *warmEntry {
-	e := s.warm[a]
-	if e == nil {
-		if s.warm == nil {
-			s.warm = make(map[int]*warmEntry)
-		}
-		e = &warmEntry{since: -1}
-		s.warm[a] = e
-	}
-	return e
-}
-
-// dirtyNodes lists, deduplicated and ascending, the From-nodes of active
-// links whose queues changed after tick `since` — the warm-start dirty-row
-// hint. Active links are ordered by (From, To) and never leave the active
-// list, so every row whose g-values could differ from the α's previous
-// solve is covered.
-func (s *Scheduler) dirtyNodes(sc *evalScratch, since int64) []int {
-	edges := s.tr.activeEdges()
-	states := s.tr.activeStates()
-	buf := sc.dirty[:0]
-	last := -1
-	for i, ls := range states {
-		if ls.lastTick > since && edges[i].From != last {
-			last = edges[i].From
-			buf = append(buf, last)
-		}
-	}
-	sc.dirty = buf
-	return buf
-}
-
-// exactSolve runs the configured exact matcher on the weighted edges of α.
-// MatcherExact auto-dispatches dense/sparse (bit-identical either way);
-// MatcherDense and MatcherSparse force one path; MatcherWarm retains duals
-// per α across iterations, handing the solver the dirty rows accumulated
-// since that α's previous solve.
-func (s *Scheduler) exactSolve(sc *evalScratch, a int, we []matching.Edge) ([]matching.Edge, int64) {
-	n := s.fabric.N()
-	switch s.opt.Matcher {
-	case MatcherDense:
-		return sc.arena.MaxWeightBipartiteDense(n, we)
-	case MatcherSparse:
-		return sc.arena.MaxWeightBipartiteSparse(n, we)
-	case MatcherWarm:
-		e := s.warmFor(a)
-		var dirty []int
-		if e.since >= 0 {
-			dirty = s.dirtyNodes(sc, e.since)
-		}
-		m, w := sc.arena.MaxWeightBipartiteWarm(n, we, &e.ws, dirty)
-		e.since = s.tr.tick
-		return m, w
-	default:
-		return sc.arena.MaxWeightBipartite(n, we)
-	}
-}
-
 // parallelFor runs f(worker, 0..n-1) across Options.Parallelism workers
 // (Parallelism <= 1 runs inline with worker 0). The remaining-traffic state
 // is read-only during evaluation, so workers share it without
@@ -485,8 +406,8 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best, bipartite bool) {
 				}
 				gm, gw := sc.arena.GreedyBipartite(s.fabric.N(), we)
 				local.consider(toLinks(gm), a, gw)
-				if s.opt.Matcher.exact() {
-					m, w := s.exactSolve(sc, a, we)
+				if s.opt.Matcher != MatcherGreedy {
+					m, w := sc.arena.MaxWeightBipartite(s.fabric.N(), we)
 					local.consider(toLinks(m), a, w)
 				}
 			})
@@ -629,9 +550,7 @@ func (s *Scheduler) evalMultiPort(sc *evalScratch, a int, bst *best) {
 		if s.opt.Matcher == MatcherGreedy {
 			m, w = sc.arena.GreedyBipartite(n, avail)
 		} else {
-			// checkOptions rejects MatcherWarm with Ports > 1, so this only
-			// dispatches the stateless exact variants.
-			m, w = s.exactSolve(sc, a, avail)
+			m, w = sc.arena.MaxWeightBipartite(n, avail)
 		}
 		if w <= 0 {
 			break

@@ -26,14 +26,7 @@ type coreInstruments struct {
 	augmentRounds *obs.Counter
 	arenaGrows    *obs.Counter
 	arenaReuses   *obs.Counter
-
-	denseSolves    *obs.Counter // exact solves taken by the dense matrix path
-	sparseSolves   *obs.Counter // exact solves taken by the sparse CSR path
-	prunedExact    *obs.Counter // phase-2 exact solves skipped by incumbent pruning
-	warmCalls      *obs.Counter
-	warmHits       *obs.Counter
-	warmMisses     *obs.Counter
-	warmRowsReused *obs.Counter
+	prunedExact   *obs.Counter // phase-2 exact solves skipped by incumbent pruning
 
 	tracer *obs.Tracer
 }
@@ -55,14 +48,7 @@ func bindCoreInstruments(o *obs.Observer) coreInstruments {
 		augmentRounds: o.Counter("octopus_match_augment_rounds_total"),
 		arenaGrows:    o.Counter("octopus_match_arena_grows_total"),
 		arenaReuses:   o.Counter("octopus_match_arena_reuses_total"),
-
-		denseSolves:    o.Counter("octopus_match_exact_dense_total"),
-		sparseSolves:   o.Counter("octopus_match_exact_sparse_total"),
-		prunedExact:    o.Counter("octopus_match_exact_pruned_total"),
-		warmCalls:      o.Counter("octopus_match_warm_calls_total"),
-		warmHits:       o.Counter("octopus_match_warm_hits_total"),
-		warmMisses:     o.Counter("octopus_match_warm_misses_total"),
-		warmRowsReused: o.Counter("octopus_match_warm_rows_reused_total"),
+		prunedExact:   o.Counter("octopus_match_exact_pruned_total"),
 
 		tracer: o.Tracer(),
 	}
@@ -111,13 +97,7 @@ func (s *Scheduler) observeDone() {
 	ins.augmentRounds.Add(sum.AugmentRounds)
 	ins.arenaGrows.Add(sum.Grows)
 	ins.arenaReuses.Add(sum.Reuses)
-	ins.denseSolves.Add(sum.DenseSolves)
-	ins.sparseSolves.Add(sum.SparseSolves)
 	ins.prunedExact.Add(s.prunedExact)
-	ins.warmCalls.Add(sum.WarmCalls)
-	ins.warmHits.Add(sum.WarmHits)
-	ins.warmMisses.Add(sum.WarmMisses)
-	ins.warmRowsReused.Add(sum.WarmRowsReused)
 	ins.tracer.Emit("core.done",
 		obs.I("iters", int64(s.iters)),
 		obs.I("psi", s.tr.psi),

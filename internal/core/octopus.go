@@ -30,34 +30,13 @@ import (
 type Matcher int
 
 const (
-	// MatcherExact uses the exact Hungarian matcher (the paper's Octopus),
-	// auto-selecting between the dense matrix path and the sparse CSR path
-	// per instance. The two paths produce bit-identical matchings, so the
-	// automatic choice never changes a schedule.
+	// MatcherExact uses the exact Hungarian matcher (the paper's Octopus);
+	// in bidirectional mode, the general-graph exact matcher.
 	MatcherExact Matcher = iota
 	// MatcherGreedy uses the linear-time greedy 2-approximate matcher
 	// (the paper's Octopus-G).
 	MatcherGreedy
-	// MatcherDense forces the dense exact path (A/B mode for the sparse
-	// solver; schedules are bit-identical to MatcherExact).
-	MatcherDense
-	// MatcherSparse forces the sparse CSR exact path (bit-identical to
-	// MatcherExact as well).
-	MatcherSparse
-	// MatcherWarm uses the exact matcher with per-α warm-started dual
-	// potentials retained across greedy iterations. Every matching still
-	// has exactly maximum weight, but it may be a different equal-weight
-	// optimum than the cold paths pick, so schedules are quality-equal
-	// rather than bit-identical (see matching/warm.go and DESIGN.md §13).
-	// Only the single-port directed mode supports it. In bidirectional
-	// mode the three exact variants all select the general-graph exact
-	// matcher (the bipartite arena is not involved).
-	MatcherWarm
 )
-
-// exact reports whether the matcher is one of the exact variants (anything
-// but the greedy 2-approximation).
-func (m Matcher) exact() bool { return m != MatcherGreedy }
 
 // AlphaSearch selects how the per-iteration α candidates are explored.
 type AlphaSearch int
@@ -144,12 +123,10 @@ type Scheduler struct {
 	evals   []alphaEval
 
 	// The current block of the g(link, α) table (see forAlphas), the
-	// phase-2 solve-set buffer, the per-α warm-start states of MatcherWarm,
-	// and the running count of exact solves skipped by incumbent pruning
-	// (observability only).
+	// phase-2 solve-set buffer, and the running count of exact solves
+	// skipped by incumbent pruning (observability only).
 	gbuf        []int64
 	selBuf      []int
-	warm        map[int]*warmEntry
 	prunedExact int64
 
 	// Pre-bound observability instruments (all nil when opt.Obs is nil)
@@ -241,11 +218,6 @@ func checkOptions(opt *Options, load *traffic.Load, bidirectional bool) error {
 	}
 	if opt.MultiRoute && (opt.Ports > 1 || opt.MultiHop || bidirectional) {
 		return errors.New("core: MultiRoute cannot be combined with Ports>1, MultiHop, or bidirectional fabrics")
-	}
-	if opt.Matcher == MatcherWarm && opt.Ports > 1 {
-		// Multi-port rounds re-solve the same α over shrinking edge sets,
-		// which the warm-start dirty contract cannot express.
-		return errors.New("core: MatcherWarm supports only single-port fabrics")
 	}
 	if bidirectional && opt.Ports > 1 {
 		return errors.New("core: bidirectional fabrics support only Ports=1")

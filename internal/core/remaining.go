@@ -53,12 +53,10 @@ func (sf *subflow) successor(routeID int) *subflow {
 }
 
 // markDirty invalidates the cached summary of every queue holding one of
-// the subflow's entries and stamps the change tick; called whenever the
-// subflow's packet count changes.
+// the subflow's entries; called whenever the subflow's packet count changes.
 func (tr *remaining) markDirty(sf *subflow) {
 	for _, ls := range sf.homes {
 		ls.dirty = true
-		ls.lastTick = tr.tick
 	}
 }
 
@@ -110,11 +108,6 @@ type linkState struct {
 	// (candidateAlphas at the start of each bestConfiguration), so the
 	// parallel evaluation phase only ever reads clean summaries.
 	dirty bool
-	// lastTick is remaining.tick at the queue's most recent content change
-	// (entry inserted or a count changed). The warm-start matcher compares
-	// it against the tick of an α's previous solve to build the dirty-row
-	// hint; unlike dirty it is never cleared.
-	lastTick int64
 }
 
 func (ls *linkState) insert(e *entry) {
@@ -231,13 +224,8 @@ type remaining struct {
 	trace     []servedRecord
 	keepTrace bool
 	configIdx int
-	// tick counts configuration applications for change stamping: it
-	// increments at the start of every apply, and every queue content
-	// change stamps its link's lastTick with the current value (so a
-	// post-apply tick value strictly exceeds every pre-apply stamp).
-	tick    int64
-	touched []*subflow // subflows with frozen packets from the current apply
-	btBuf   []int      // per-link backtrack-pass service of the current apply
+	touched   []*subflow // subflows with frozen packets from the current apply
+	btBuf     []int      // per-link backtrack-pass service of the current apply
 
 	// buildHomes is non-nil only during newRemaining: addEntry records each
 	// entry's queue here (and counts it in buildCount, by link id) instead
@@ -371,7 +359,6 @@ func (tr *remaining) addEntry(e graph.Edge, en entry) {
 		tr.stateList = append(tr.stateList, ls)
 		tr.edgesDirty = true
 	}
-	ls.lastTick = tr.tick
 	p := &tr.entries.take(1)[0]
 	*p = en
 	if tr.buildHomes != nil {
@@ -612,7 +599,6 @@ func (tr *remaining) serveLink(e graph.Edge, alpha int, backtrackPass bool) int 
 // all links first (direct-link delivery takes priority), then normal
 // advancement with each link's leftover capacity.
 func (tr *remaining) apply(links []graph.Edge, alpha int) {
-	tr.tick++
 	bt := tr.btBuf[:0]
 	for _, e := range links {
 		n := 0

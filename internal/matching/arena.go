@@ -26,7 +26,7 @@ type Arena struct {
 	usedTo   []bool
 	outG     []Edge // greedy result backing
 
-	// Exact matcher state shared by the dense and sparse paths.
+	// Exact matcher state.
 	rowID, colID []int // node -> compact index; -1 between calls
 	rows, cols   []int // compact index -> node
 	w            []int64
@@ -34,47 +34,20 @@ type Arena struct {
 	p, way       []int
 	free, path   []int  // unused columns (ascending) / alternating-path columns
 	outX         []Edge // exact result backing
-
-	// Sparse (CSR) exact matcher state; see sparse.go.
-	csrOff, csrCur []int   // row offsets / fill cursors, 0-indexed rows
-	csrCol         []int   // compact 1-indexed column per positive edge
-	csrW           []int64 // weight per positive edge
-	touched        []int   // columns with an exact minv this row
-	retJ           []int   // columns retired this row (negv repair list)
-	negKey         []int64 // free-column generator: -v, sorted (key, col) asc
-	negCol         []int
-	negBufK        []int64 // merge ping-pong for the generator
-	negBufC        []int
-	newKey         []int64 // sorted re-insertions during generator repair
-	newCol         []int
-	touchTick      []int64 // column stamps: touched / retired this row,
-	retireTick     []int64 // adjacent to the current relaxation event
-	adjTick        []int64
-	rowEpoch       int64 // monotone stamp sources (0 never matches)
-	eventEpoch     int64
-
-	// Warm-start exact matcher state; see warm.go.
-	warmDirty []bool // compact 1-indexed rows to (re)insert
 }
 
 // Stats counts arena matcher activity. All fields are monotone totals
 // over the arena's lifetime. This package stays dependency-free:
 // consumers translate these counts into whatever metrics system they use.
 type Stats struct {
-	GreedyCalls    int64 // GreedyBipartite invocations
-	GreedyEdges    int64 // positive-weight edges considered by greedy calls
-	GreedyMatched  int64 // edges emitted by greedy calls
-	ExactCalls     int64 // exact-matcher invocations (dense, sparse, or warm)
-	ExactRows      int64 // compacted rows solved across exact calls
-	AugmentRounds  int64 // shortest-augmenting-path relaxation rounds
-	DenseSolves    int64 // exact calls dispatched to the dense matrix path
-	SparseSolves   int64 // exact calls dispatched to the sparse CSR path
-	WarmCalls      int64 // MaxWeightBipartiteWarm invocations
-	WarmHits       int64 // warm calls that reused retained dual potentials
-	WarmMisses     int64 // warm calls that had to solve cold
-	WarmRowsReused int64 // rows whose assignment and duals were kept verbatim
-	Grows          int64 // calls that grew arena storage
-	Reuses         int64 // calls served entirely from existing storage
+	GreedyCalls   int64 // GreedyBipartite invocations
+	GreedyEdges   int64 // positive-weight edges considered by greedy calls
+	GreedyMatched int64 // edges emitted by greedy calls
+	ExactCalls    int64 // MaxWeightBipartite invocations
+	ExactRows     int64 // compacted rows solved across exact calls
+	AugmentRounds int64 // shortest-augmenting-path relaxation rounds
+	Grows         int64 // calls that grew arena storage
+	Reuses        int64 // calls served entirely from existing storage
 }
 
 // AddTo accumulates s into dst field by field.
@@ -85,12 +58,6 @@ func (s Stats) AddTo(dst *Stats) {
 	dst.ExactCalls += s.ExactCalls
 	dst.ExactRows += s.ExactRows
 	dst.AugmentRounds += s.AugmentRounds
-	dst.DenseSolves += s.DenseSolves
-	dst.SparseSolves += s.SparseSolves
-	dst.WarmCalls += s.WarmCalls
-	dst.WarmHits += s.WarmHits
-	dst.WarmMisses += s.WarmMisses
-	dst.WarmRowsReused += s.WarmRowsReused
 	dst.Grows += s.Grows
 	dst.Reuses += s.Reuses
 }
@@ -114,13 +81,7 @@ func (a *Arena) exactDone(capBefore int) {
 func (a *Arena) exactCap() int {
 	return cap(a.rowID) + cap(a.colID) + cap(a.rows) + cap(a.cols) +
 		cap(a.w) + cap(a.u) + cap(a.v) + cap(a.minv) +
-		cap(a.p) + cap(a.way) + cap(a.free) + cap(a.path) + cap(a.outX) +
-		cap(a.csrOff) + cap(a.csrCur) + cap(a.csrCol) + cap(a.csrW) +
-		cap(a.touched) + cap(a.retJ) +
-		cap(a.negKey) + cap(a.negCol) + cap(a.negBufK) + cap(a.negBufC) +
-		cap(a.newKey) + cap(a.newCol) +
-		cap(a.touchTick) + cap(a.retireTick) + cap(a.adjTick) +
-		cap(a.warmDirty)
+		cap(a.p) + cap(a.way) + cap(a.free) + cap(a.path) + cap(a.outX)
 }
 
 // growBools returns b extended to length >= n; fresh cells are false.
@@ -203,95 +164,13 @@ func (a *Arena) GreedyBipartite(n int, edges []Edge) ([]Edge, int64) {
 	return m, total
 }
 
-// exactMode selects the exact solver implementation.
-type exactMode int
-
-const (
-	modeAuto exactMode = iota
-	modeDense
-	modeSparse
-)
-
-// Sparse dispatch rule: the CSR path is selected automatically when the
-// instance has at least sparseMinRows compacted rows and its positive-edge
-// density is at most 1/sparseDensityDen. Both paths produce bit-identical
-// matchings (sparse.go proves the emulation), so the threshold is purely a
-// performance knob, tuned with BenchmarkExactDenseVsSparse: on random
-// instances the sparse path only beats the dense scan below roughly 2%
-// density (long augmenting paths degrade most sparse rows to dense-style
-// scans well above that), and on the full-contention simulation workload
-// the dense path wins at every measured scale up to n=512. Denser
-// instances than the threshold can still force the CSR path explicitly
-// via MaxWeightBipartiteSparse (matcher=sparse) for A/B runs.
-const (
-	sparseMinRows    = 64
-	sparseDensityDen = 64
-)
-
 // MaxWeightBipartite is the arena-backed variant of the package-level
-// MaxWeightBipartite; see its documentation. It dispatches automatically
-// between the dense-matrix and sparse-CSR solvers by positive-edge density;
-// the two are bit-identical, including tie-breaks. The returned slice is
-// valid until the next call on the arena.
+// MaxWeightBipartite; see its documentation. The returned slice is valid
+// until the next call on the arena.
 func (a *Arena) MaxWeightBipartite(n int, edges []Edge) ([]Edge, int64) {
-	return a.maxWeightExact(n, edges, modeAuto)
-}
-
-// MaxWeightBipartiteDense forces the dense-matrix solver path. Intended for
-// A/B comparison and differential testing; results are identical to
-// MaxWeightBipartite.
-func (a *Arena) MaxWeightBipartiteDense(n int, edges []Edge) ([]Edge, int64) {
-	return a.maxWeightExact(n, edges, modeDense)
-}
-
-// MaxWeightBipartiteSparse forces the sparse-CSR solver path. Intended for
-// A/B comparison and differential testing; results are identical to
-// MaxWeightBipartite.
-func (a *Arena) MaxWeightBipartiteSparse(n int, edges []Edge) ([]Edge, int64) {
-	return a.maxWeightExact(n, edges, modeSparse)
-}
-
-// compactExact maps the active nodes of the positive-weight edges to dense
-// indices in first-appearance order, filling rowID/colID/rows/cols. It
-// returns the compacted row/column counts and the positive-edge count. The
-// caller must invoke restoreIDMaps before returning.
-func (a *Arena) compactExact(n int, edges []Edge) (nr, nc, m int) {
-	a.rowID = growIDs(a.rowID, n)
-	a.colID = growIDs(a.colID, n)
-	rowID, colID := a.rowID, a.colID
-	rows, cols := a.rows[:0], a.cols[:0]
-	for _, e := range edges {
-		if e.Weight <= 0 {
-			continue
-		}
-		m++
-		if rowID[e.From] < 0 {
-			rowID[e.From] = len(rows)
-			rows = append(rows, e.From)
-		}
-		if colID[e.To] < 0 {
-			colID[e.To] = len(cols)
-			cols = append(cols, e.To)
-		}
-	}
-	a.rows, a.cols = rows, cols
-	return len(rows), len(cols), m
-}
-
-// restoreIDMaps resets the node-index maps to -1 for the next call.
-func (a *Arena) restoreIDMaps() {
-	for _, r := range a.rows {
-		a.rowID[r] = -1
-	}
-	for _, c := range a.cols {
-		a.colID[c] = -1
-	}
-}
-
-func (a *Arena) maxWeightExact(n int, edges []Edge, mode exactMode) ([]Edge, int64) {
 	capBefore := a.exactCap()
 	a.Stats.ExactCalls++
-	nr, nc, m := a.compactExact(n, edges)
+	nr, nc := a.compactExact(n, edges)
 	if nr == 0 {
 		a.restoreIDMaps()
 		a.exactDone(capBefore)
@@ -303,24 +182,50 @@ func (a *Arena) maxWeightExact(n int, edges []Edge, mode exactMode) ([]Edge, int
 	if nc < nr {
 		nc = nr
 	}
-	sparse := mode == modeSparse ||
-		(mode == modeAuto && nr >= sparseMinRows && m*sparseDensityDen <= nr*nc)
-	if sparse {
-		a.Stats.SparseSolves++
-		a.Stats.AugmentRounds += a.solveSparse(edges, nr, nc)
-	} else {
-		a.Stats.DenseSolves++
-		a.prepDense(edges, nr, nc)
-		var rounds int64
-		for i := 1; i <= nr; i++ {
-			rounds += a.denseInsertRow(i, nc)
-		}
-		a.Stats.AugmentRounds += rounds
+	a.prepDense(edges, nr, nc)
+	for i := 1; i <= nr; i++ {
+		a.Stats.AugmentRounds += a.denseInsertRow(i, nc)
 	}
 	a.restoreIDMaps()
-	out, total := a.extractExact(nc, sparse)
+	out, total := a.extractExact(nc)
 	a.exactDone(capBefore)
 	return out, total
+}
+
+// compactExact maps the active nodes of the positive-weight edges to dense
+// indices in first-appearance order, filling rowID/colID/rows/cols. It
+// returns the compacted row and column counts. The caller must invoke
+// restoreIDMaps before returning.
+func (a *Arena) compactExact(n int, edges []Edge) (nr, nc int) {
+	a.rowID = growIDs(a.rowID, n)
+	a.colID = growIDs(a.colID, n)
+	rowID, colID := a.rowID, a.colID
+	rows, cols := a.rows[:0], a.cols[:0]
+	for _, e := range edges {
+		if e.Weight <= 0 {
+			continue
+		}
+		if rowID[e.From] < 0 {
+			rowID[e.From] = len(rows)
+			rows = append(rows, e.From)
+		}
+		if colID[e.To] < 0 {
+			colID[e.To] = len(cols)
+			cols = append(cols, e.To)
+		}
+	}
+	a.rows, a.cols = rows, cols
+	return len(rows), len(cols)
+}
+
+// restoreIDMaps resets the node-index maps to -1 for the next call.
+func (a *Arena) restoreIDMaps() {
+	for _, r := range a.rows {
+		a.rowID[r] = -1
+	}
+	for _, c := range a.cols {
+		a.colID[c] = -1
+	}
 }
 
 // prepDense builds the dense weight matrix over the compacted instance and
@@ -336,7 +241,7 @@ func (a *Arena) maxWeightExact(n int, edges []Edge, mode exactMode) ([]Edge, int
 // the tie-breaks select (drifting pinned ψ trajectories), and measured on
 // the full-scale workload it cut augment rounds by only ~21% with no
 // wall-clock gain — full-contention instances keep long augmenting paths
-// regardless of the start. See DESIGN.md §13.
+// regardless of the start. See DESIGN.md §13.3.
 func (a *Arena) prepDense(edges []Edge, nr, nc int) {
 	a.w = growInt64s(a.w, nr*nc)
 	w := a.w
@@ -353,13 +258,8 @@ func (a *Arena) prepDense(edges []Edge, nr, nc int) {
 			w[i*nc+j] = e.Weight
 		}
 	}
-	a.prepDuals(nc)
-}
-
-// prepDuals zeroes the 1-indexed dual/assignment arrays shared by every
-// exact path. p[j] is the row assigned to column j; minimization runs over
-// cost = -weight.
-func (a *Arena) prepDuals(nc int) {
+	// The dual and assignment arrays are 1-indexed. p[j] is the row assigned
+	// to column j; minimization runs over cost = -weight.
 	a.u = growInt64s(a.u, nc+1)
 	a.v = growInt64s(a.v, nc+1)
 	a.p = growInts(a.p, nc+1)
@@ -454,7 +354,7 @@ func (a *Arena) denseInsertRow(i, nc int) int64 {
 
 // extractExact reads the assignment out of p, translating compact indices
 // back to node ids and dropping zero-weight (padding or absent) pairs.
-func (a *Arena) extractExact(nc int, sparse bool) ([]Edge, int64) {
+func (a *Arena) extractExact(nc int) ([]Edge, int64) {
 	m := a.outX[:0]
 	var total int64
 	for j := 1; j <= len(a.cols); j++ {
@@ -462,13 +362,7 @@ func (a *Arena) extractExact(nc int, sparse bool) ([]Edge, int64) {
 		if i == 0 {
 			continue
 		}
-		var wt int64
-		if sparse {
-			wt = a.csrWeight(i, j)
-		} else {
-			wt = a.w[(i-1)*nc+(j-1)]
-		}
-		if wt > 0 {
+		if wt := a.w[(i-1)*nc+(j-1)]; wt > 0 {
 			m = append(m, Edge{From: a.rows[i-1], To: a.cols[j-1], Weight: wt})
 			total += wt
 		}

@@ -113,47 +113,3 @@ func sizeName(n int) string {
 		return "n50"
 	}
 }
-
-// BenchmarkExactDenseVsSparse measures the two exact solver paths on the
-// same instances across edge densities (probability 1/den), to keep the
-// auto-dispatch threshold in maxWeightExact honest. Both paths produce
-// bit-identical results (pinned by TestSparseMatchesDense); this benchmark
-// is only about where each one is faster.
-func BenchmarkExactDenseVsSparse(b *testing.B) {
-	for _, n := range []int{100, 200} {
-		for _, den := range []int{4, 8, 16, 32, 64} {
-			edges := benchBipartite(n, den, 1)
-			name := func(path string) string {
-				return sizeName(n) + "_den" + itoa(den) + "_" + path
-			}
-			b.Run(name("dense"), func(b *testing.B) {
-				var a Arena
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					a.MaxWeightBipartiteDense(n, edges)
-				}
-			})
-			b.Run(name("sparse"), func(b *testing.B) {
-				var a Arena
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					a.MaxWeightBipartiteSparse(n, edges)
-				}
-			})
-		}
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}

@@ -28,12 +28,9 @@ func decodeFuzzInstance(data []byte) (int, []Edge) {
 	return n, edges
 }
 
-// FuzzMaxWeightBipartite pushes random edge lists through the dense,
-// sparse, and warm exact paths, asserting matching validity everywhere,
-// bit-identity between dense and sparse, weight agreement for warm, and —
-// on small instances — agreement with the brute-force oracle. The warm
-// path is exercised twice: a recording call, then a second call with a
-// mutated final row and an honest dirty hint.
+// FuzzMaxWeightBipartite pushes random edge lists through the exact solver,
+// asserting matching validity, the dual certificate of optimality, and — on
+// small instances — agreement with the brute-force oracle.
 func FuzzMaxWeightBipartite(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 1, 9, 0, 1, 0, 9, 0, 2, 3, 1, 0})
@@ -50,47 +47,12 @@ func FuzzMaxWeightBipartite(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, edges := decodeFuzzInstance(data)
 		var a Arena
-		dm, dw := a.MaxWeightBipartiteDense(n, edges)
-		sm, sw := a.MaxWeightBipartiteSparse(n, edges)
-		am, aw := a.MaxWeightBipartite(n, edges)
-		if dw != sw || dw != aw {
-			t.Fatalf("weight disagreement: dense=%d sparse=%d auto=%d", dw, sw, aw)
-		}
-		if len(dm) != len(sm) || len(dm) != len(am) {
-			t.Fatalf("result size disagreement: %d/%d/%d", len(dm), len(sm), len(am))
-		}
-		for i := range dm {
-			if dm[i] != sm[i] || dm[i] != am[i] {
-				t.Fatalf("edge %d: dense %+v sparse %+v auto %+v", i, dm[i], sm[i], am[i])
-			}
-		}
-		checkValidMatching(t, n, edges, dm, dw)
-
-		var ws WarmState
-		if _, ww := a.MaxWeightBipartiteWarm(n, edges, &ws, nil); ww != dw {
-			t.Fatalf("warm cold weight %d != dense %d", ww, dw)
-		}
-		// Mutate row n-1 (replace its outgoing edges), warm-solve with an
-		// honest dirty hint, and cross-check against a cold solve.
-		mutated := edges[:0:0]
-		for _, e := range edges {
-			if e.From != n-1 {
-				mutated = append(mutated, e)
-			}
-		}
-		if n > 1 {
-			mutated = append(mutated, Edge{From: n - 1, To: 0, Weight: int64(len(edges)%7) + 1})
-		}
-		wm, ww := a.MaxWeightBipartiteWarm(n, mutated, &ws, []int{n - 1})
-		_, cw := a.MaxWeightBipartite(n, mutated)
-		if ww != cw {
-			t.Fatalf("warm weight %d != cold %d after mutation", ww, cw)
-		}
-		checkValidMatching(t, n, mutated, wm, ww)
-
+		m, w := a.MaxWeightBipartite(n, edges)
+		checkValidMatching(t, n, edges, m, w)
+		checkCertificate(t, &a, edges, w)
 		if len(edges) <= 10 && n <= 6 {
-			if _, bw := BruteForceBipartite(n, edges); bw != dw {
-				t.Fatalf("oracle weight %d != solver %d (n=%d edges=%v)", bw, dw, n, edges)
+			if _, bw := BruteForceBipartite(n, edges); bw != w {
+				t.Fatalf("oracle weight %d != solver %d (n=%d edges=%v)", bw, w, n, edges)
 			}
 		}
 	})

@@ -10,19 +10,15 @@ const inf = math.MaxInt64 / 4
 // result, so the matching is free to leave nodes unmatched.
 //
 // The implementation is the classic Hungarian algorithm with potentials
-// (Jonker-Volgenant style shortest augmenting paths) over only the nodes
-// incident to a positive-weight edge. Dense instances run on a matrix in
-// O(k^3) time for k active nodes; below the density threshold documented in
-// arena.go the solver switches to a CSR adjacency-list path whose
-// relaxation rounds cost O(deg + touched) instead of O(k), degrading
-// per-row to the dense scan when augmenting paths grow long. Both paths
-// produce bit-identical matchings (sparse.go documents the emulation
-// argument) and stand in for the OR-Tools linear-assignment solver the
-// paper used; all compute the same optimum.
+// (Jonker-Volgenant style shortest augmenting paths, one row insertion at a
+// time from zero duals) on a dense matrix over only the nodes incident to a
+// positive-weight edge: O(k^3) time for k active nodes. It stands in for the
+// OR-Tools linear-assignment solver the paper used; both compute the same
+// optimum. Among equal-weight optima the result is fixed by the input: rows
+// and columns are numbered in first-appearance order and every comparison
+// keeps the lower-numbered column on ties (DESIGN.md §13.1).
 // Hot-path callers should prefer Arena.MaxWeightBipartite, which holds the
-// implementation and recycles the matrices and potential arrays across
-// calls; Arena.MaxWeightBipartiteWarm additionally retains dual potentials
-// between calls (see warm.go).
+// implementation and recycles the matrix and potential arrays across calls.
 func MaxWeightBipartite(n int, edges []Edge) ([]Edge, int64) {
 	var a Arena
 	return a.MaxWeightBipartite(n, edges)

@@ -11,7 +11,7 @@ import (
 func TestLogRoundTrip(t *testing.T) {
 	r := New(Config{Sample: 1, SLOEpochs: 4})
 	r.Admit(3, 0, 10, 1, 2)
-	r.Planned(3, 1, 2, MatcherSparse, 10)
+	r.Planned(3, 1, 2, MatcherGreedy, 10)
 	r.Hop(3, 1, 1, 3, 10)
 	r.Delivered(3, 2, 10)
 	r.Dropped(9, 2, 4)

@@ -576,24 +576,13 @@ func min64(a, b uint64) uint64 {
 const (
 	MatcherExact int64 = iota
 	MatcherGreedy
-	MatcherDense
-	MatcherSparse
-	MatcherWarm
 )
 
 // MatcherCode maps a matcher spec string to its wire code (exact = 0 is
 // the default for unknown strings, matching the registry default).
 func MatcherCode(m string) int64 {
-	switch m {
-	case "greedy":
+	if m == "greedy" {
 		return MatcherGreedy
-	case "dense":
-		return MatcherDense
-	case "sparse":
-		return MatcherSparse
-	case "warm":
-		return MatcherWarm
-	default:
-		return MatcherExact
 	}
+	return MatcherExact
 }

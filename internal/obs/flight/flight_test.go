@@ -49,7 +49,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 func TestLifecycleChain(t *testing.T) {
 	r := New(Config{SLOEpochs: 4})
 	r.Admit(7, 0, 20, 2, 9)
-	r.Planned(7, 1, 3, MatcherWarm, 20)
+	r.Planned(7, 1, 3, MatcherGreedy, 20)
 	r.Hop(7, 1, 1, 3, 20)
 	r.Delivered(7, 2, 8)
 	r.Delivered(7, 3, 12) // reaches size 20 → auto-completion
@@ -70,8 +70,8 @@ func TestLifecycleChain(t *testing.T) {
 	if evs[0].A != 20 || evs[0].B != 2 || evs[0].C != 9 {
 		t.Fatalf("admitted payload = %+v", evs[0])
 	}
-	if evs[1].B != MatcherWarm {
-		t.Fatalf("planned matcher = %d, want warm", evs[1].B)
+	if evs[1].B != MatcherGreedy {
+		t.Fatalf("planned matcher = %d, want greedy", evs[1].B)
 	}
 	done := evs[len(evs)-1]
 	if done.A != 3 { // admitted epoch 0, completed epoch 3
@@ -269,9 +269,6 @@ func TestMatcherCode(t *testing.T) {
 	cases := map[string]int64{
 		"exact":  MatcherExact,
 		"greedy": MatcherGreedy,
-		"dense":  MatcherDense,
-		"sparse": MatcherSparse,
-		"warm":   MatcherWarm,
 		"":       MatcherExact,
 		"bogus":  MatcherExact,
 	}

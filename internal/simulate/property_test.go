@@ -89,26 +89,102 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Property: multi-hop replay never delivers less than bulk replay of the
-// same schedule (chaining only adds opportunities).
-func TestMultiHopDominatesBulkProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		g, load, sch := randomScenario(seed)
-		if len(load.Flows) == 0 {
-			return true
-		}
-		bulk, err := Run(g, load, sch, Options{})
-		if err != nil {
-			return false
-		}
-		multi, err := Run(g, load, sch, Options{MultiHop: true})
-		if err != nil {
-			return false
-		}
-		return multi.Hops >= bulk.Hops && multi.Psi >= bulk.Psi
+// configGain replays configurations [0, k) of sch on a fresh state in the
+// prefix mode, then configuration k in the last mode, with Run's slot
+// accounting (no window, no faults), and returns the hops and ψ that
+// configuration k moved.
+func configGain(t *testing.T, g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, k int, prefixMulti, lastMulti bool) (int, int64) {
+	t.Helper()
+	st, err := newState(g, load, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	slot := 0
+	var hops0 int
+	var psi0 int64
+	for i, cfg := range sch.Configs[:k+1] {
+		slot += sch.Delta
+		hops0, psi0 = st.res.Hops, st.res.Psi
+		if multi := (i < k && prefixMulti) || (i == k && lastMulti); multi {
+			st.runMultiHop(cfg.Links, slot, cfg.Alpha, nil)
+		} else {
+			for _, e := range cfg.Links {
+				st.serve(e, cfg.Alpha, slot, slot+cfg.Alpha)
+			}
+		}
+		slot += cfg.Alpha
+	}
+	return st.res.Hops - hops0, st.res.Psi - psi0
+}
+
+// multiHopDominatesPerConfig reports whether, from every state a bulk or a
+// multi-hop replay of a schedule prefix reaches, the next configuration
+// moves at least as many hops and as much ψ in multi-hop mode as in bulk
+// mode.
+func multiHopDominatesPerConfig(t *testing.T, seed int64) bool {
+	g, load, sch := randomScenario(seed)
+	if len(load.Flows) == 0 {
+		return true
+	}
+	for k := range sch.Configs {
+		for _, prefixMulti := range []bool{false, true} {
+			bh, bp := configGain(t, g, load, sch, k, prefixMulti, false)
+			mh, mp := configGain(t, g, load, sch, k, prefixMulti, true)
+			if mh < bh || mp < bp {
+				t.Logf("seed %d config %d (multi-hop prefix %v): bulk %d hops ψ %d, multi-hop %d hops ψ %d",
+					seed, k, prefixMulti, bh, bp, mh, mp)
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Property: from the same state, one configuration never moves fewer hops
+// or less ψ in multi-hop mode than in bulk mode. Every packet is available
+// when a configuration starts, so in multi-hop mode a link with Q waiting
+// packets serves one of them in each of its first min(α, Q) slots, which is
+// all bulk mode serves, and the packet it serves in slot s weighs at least
+// as much as the s-th heaviest of the Q (chained arrivals can only displace
+// lighter ones; with ε = 0 queue priority is the ψ weight).
+//
+// The claim does not extend to a whole schedule, which is what this test
+// asserted until PR 13: the two replays reach different states after the
+// first configuration, and about one random scenario in 3000 ends with bulk
+// ahead (see the counterexample test below). A one-off search of 200 000
+// seeds (0 … 99 999, and 100 000 int64s drawn from math/rand seeded 2026)
+// found no violation of the per-configuration claim and 65 of the
+// whole-schedule one; on every one of them configGain summed over a schedule
+// equalled Run's totals in both modes.
+func TestMultiHopDominatesBulkProperty(t *testing.T) {
+	f := func(seed int64) bool { return multiHopDominatesPerConfig(t, seed) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bulkWinsSeed is a scenario whose whole-schedule bulk replay moves more
+// hops than its multi-hop replay: a packet that chains ahead in an early
+// configuration takes a later link's slot from a heavier one (ROADMAP item F).
+const bulkWinsSeed = -1043701294343279386
+
+// TestMultiHopDominatesBulkCounterexample pins that scenario: the
+// per-configuration property holds on it, the whole-schedule one does not.
+func TestMultiHopDominatesBulkCounterexample(t *testing.T) {
+	if !multiHopDominatesPerConfig(t, bulkWinsSeed) {
+		t.Fatal("per-configuration dominance fails on the counterexample seed")
+	}
+	g, load, sch := randomScenario(bulkWinsSeed)
+	bulk, err := Run(g, load, sch, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := Run(g, load, sch, Options{MultiHop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bulk.Hops != 28 || multi.Hops != 27 {
+		t.Fatalf("bulk %d hops, multi-hop %d hops; want 28 and 27", bulk.Hops, multi.Hops)
 	}
 }
 

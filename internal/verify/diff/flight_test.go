@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"octopus/internal/algo"
-	"octopus/internal/core"
 	"octopus/internal/obs/flight"
 	"octopus/internal/verify"
 )
@@ -15,9 +14,9 @@ import (
 // or sampled — must leave every algorithm's outcome bit-identical to the
 // recorder-free run (same schedule bytes, same claims, same metrics).
 // The sweep covers the paths where a journaling side effect could most
-// plausibly leak into planning: the warm matcher with par=4 workers, and
-// the pod-sharded decomposition with pods>1 (where shard planners run in
-// parallel and the recorder is fed from the merged measurement pass).
+// plausibly leak into planning: par=4 planner workers, and the pod-sharded
+// decomposition with pods>1 (where shard planners run in parallel and the
+// recorder is fed from the merged measurement pass).
 //
 // The roster comes from algo.Registry(), so a newly registered algorithm
 // inherits the flight on/off pin by construction.
@@ -31,8 +30,7 @@ func TestFlightDifferentialEquivalence(t *testing.T) {
 		prep func(p algo.Params, nodes int) algo.Params
 	}{
 		{"default", func(p algo.Params, _ int) algo.Params { return p }},
-		{"warm-par4", func(p algo.Params, _ int) algo.Params {
-			p.Matcher = core.MatcherWarm
+		{"par4", func(p algo.Params, _ int) algo.Params {
 			p.Parallelism = 4
 			return p
 		}},
