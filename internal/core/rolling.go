@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"octopus/internal/graph"
 	"octopus/internal/schedule"
@@ -26,49 +27,45 @@ func (s *Scheduler) ResidualLoad() *traffic.Load {
 }
 
 // ResidualLoadMap is ResidualLoad plus the provenance of each residual
-// flow: a map from new flow ID to the original flow ID it carries packets
-// of. Online schedulers use this to track per-flow completion across
-// scheduling epochs.
-func (s *Scheduler) ResidualLoadMap() (*traffic.Load, map[int]int) {
+// flow: origin[id] is the ID of the original flow that residual flow id
+// carries packets of (residual IDs are dense, so a slice indexes them).
+// The epoch engine uses this to track per-flow delivery and completion
+// across scheduling epochs.
+func (s *Scheduler) ResidualLoadMap() (*traffic.Load, []int) {
 	var rems []*subflow
 	s.tr.eachSubflow(func(sf *subflow) {
 		if sf.count > 0 {
 			rems = append(rems, sf)
 		}
 	})
-	sort.Slice(rems, func(i, j int) bool {
-		a, b := rems[i].key, rems[j].key
-		if a.flowID != b.flowID {
-			return a.flowID < b.flowID
-		}
-		if a.routeID != b.routeID {
-			return a.routeID < b.routeID
-		}
-		return a.pos < b.pos
+	slices.SortFunc(rems, func(a, b *subflow) int {
+		return cmp.Or(
+			cmp.Compare(a.key.flowID, b.key.flowID),
+			cmp.Compare(a.key.routeID, b.key.routeID),
+			cmp.Compare(a.key.pos, b.key.pos),
+		)
 	})
-	out := &traffic.Load{}
-	origin := make(map[int]int)
-	nextID := 0
-	for _, sf := range rems {
+	out := &traffic.Load{Flows: slices.Grow([]traffic.Flow(nil), len(rems))}
+	origin := make([]int, 0, len(rems))
+	for id, sf := range rems {
 		var routes []traffic.Route
 		if sf.route == nil {
 			// Still at the source with the route choice open.
-			for _, rt := range sf.flow.Routes {
-				routes = append(routes, append(traffic.Route(nil), rt...))
+			routes = make([]traffic.Route, len(sf.flow.Routes))
+			for i, rt := range sf.flow.Routes {
+				routes[i] = slices.Clone(rt)
 			}
 		} else {
-			suffix := sf.route[sf.key.pos:]
-			routes = []traffic.Route{append(traffic.Route(nil), suffix...)}
+			routes = []traffic.Route{slices.Clone(sf.route[sf.key.pos:])}
 		}
 		out.Flows = append(out.Flows, traffic.Flow{
-			ID:     nextID,
+			ID:     id,
 			Size:   sf.count,
 			Src:    routes[0].Src(),
 			Dst:    sf.flow.Dst,
 			Routes: routes,
 		})
-		origin[nextID] = sf.flow.ID
-		nextID++
+		origin = append(origin, sf.flow.ID)
 	}
 	return out, origin
 }

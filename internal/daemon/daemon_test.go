@@ -316,6 +316,8 @@ func TestDaemonAPI(t *testing.T) {
 			"octopus_daemon_plan_overruns_total",
 			"octopus_daemon_queued_packets",
 			"octopus_online_epochs_total",
+			"octopus_engine_live_flows",
+			"octopus_engine_conservation_violations_total 0\n",
 		} {
 			if !strings.Contains(string(body), want) {
 				t.Errorf("metrics missing %s", want)

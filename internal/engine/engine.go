@@ -77,9 +77,9 @@ type Config struct {
 	// repaired/requeued, delivered/completed, dropped, cancelled) for
 	// tracked flows, keyed by arrival flow IDs. Epoch fields are pipeline
 	// epochs: boundary events carry the epoch being planned, delivery and
-	// completion events carry epoch+1 (matching Completion()). nil
-	// disables recording; the recorder is strictly read-only — schedules
-	// and totals are bit-identical either way.
+	// completion events carry epoch+1 (the completion epoch the batch
+	// drivers report). nil disables recording; the recorder is strictly
+	// read-only — schedules and totals are bit-identical either way.
 	Flight *flight.Recorder
 }
 
@@ -107,32 +107,35 @@ type Pipeline struct {
 	// mu guards the submission side: the arrival queue, the cancellation
 	// requests, and the submission totals. Everything below it is
 	// committed epoch state owned by the driver goroutine.
-	mu              sync.Mutex
-	queue           []Arrival
-	nextArrival     int
-	queuedPkts      int
+	mu          sync.Mutex
+	queue       []Arrival
+	nextArrival int
+	queuedPkts  int
+	// seen holds every arrival ID ever submitted (Submit's lifetime
+	// duplicate-ID contract); the value is true while the arrival is still
+	// queued. Looked up by ID only, never iterated or copied.
 	seen            map[int]bool
-	cancelled       map[int]bool
+	cancelled       map[int]bool // cancellations not yet applied
 	submitted       int
 	uniqueSubmitted int
 
-	// Committed epoch state: the backlog carried between epochs and the
-	// provenance maps tying renumbered backlog flows to their arrivals.
-	epoch       int
-	backlog     *traffic.Load
-	origin      map[int]int // backlog flow ID -> arrival flow ID
-	arrivalSrc  map[int]int // arrival flow ID -> original source node
-	outstanding map[int]int // arrival flow ID -> undelivered packets
-	deliveredBy map[int]int // arrival flow ID -> delivered packets so far
-	members     map[int][]int
-	uniquePrev  int
-	nextID      int
-	completion  map[int]int
-	delivered   int
-	dropped     int
-	cancelledP  int
-	survived    int
-	psi         int64
+	// Committed epoch state: the backlog carried between epochs, the slot
+	// table of the arrivals it still holds packets of, and origin tying
+	// each (renumbered) backlog flow to its arrival's slot. Backlog flow
+	// IDs are always below len(origin).
+	epoch      int
+	backlog    *traffic.Load
+	origin     []int32
+	tab        flowTable
+	groups     map[int]int32 // redundancy group primary ID -> index into groupBest
+	groupBest  []int         // per group, the most any one copy has delivered
+	unique     int
+	delivered  int
+	dropped    int
+	cancelledP int
+	survived   int
+	psi        int64
+	violations int // commits that left Totals' conservation identity broken
 }
 
 // New returns a Pipeline over fabric g. The trace, when present, is
@@ -145,17 +148,18 @@ func New(g *graph.Digraph, cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{
-		g:           g,
-		cfg:         cfg,
-		backlog:     &traffic.Load{},
-		seen:        make(map[int]bool),
-		cancelled:   make(map[int]bool),
-		origin:      make(map[int]int),
-		arrivalSrc:  make(map[int]int),
-		outstanding: make(map[int]int),
-		deliveredBy: make(map[int]int),
-		members:     cfg.Red.Members(),
-		completion:  make(map[int]int),
+		g:         g,
+		cfg:       cfg,
+		backlog:   &traffic.Load{},
+		seen:      make(map[int]bool),
+		cancelled: make(map[int]bool),
+	}
+	if members := cfg.Red.Members(); len(members) > 0 {
+		p.groups = make(map[int]int32, len(members))
+		for primary := range members {
+			p.groups[primary] = int32(len(p.groups))
+		}
+		p.groupBest = make([]int, len(p.groups))
 	}
 	if cfg.Repair {
 		p.cur = cfg.Trace.Cursor()
@@ -174,7 +178,7 @@ func (p *Pipeline) Submit(f traffic.Flow, at int) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.seen[f.ID] {
+	if _, dup := p.seen[f.ID]; dup {
 		return fmt.Errorf("engine: duplicate arrival flow ID %d", f.ID)
 	}
 	p.seen[f.ID] = true
@@ -199,12 +203,13 @@ func (p *Pipeline) SubmitAll(arrivals []Arrival) error {
 
 // Cancel asks the pipeline to discard arrival id — whether still queued or
 // already admitted into the backlog — at the next committed boundary.
-// Returns false for an ID that was never submitted. Cancelling an already
-// delivered flow is a harmless no-op.
+// Returns false for an ID that was never submitted. Cancelling a flow that
+// has already left the pipeline (delivered, dropped or cancelled) is a
+// harmless no-op: the request is forgotten at the next commit.
 func (p *Pipeline) Cancel(id int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.seen[id] {
+	if _, ok := p.seen[id]; !ok {
 		return false
 	}
 	p.cancelled[id] = true
@@ -256,16 +261,14 @@ func (p *Pipeline) Totals() Totals {
 	t.Dropped = p.dropped
 	t.Cancelled = p.cancelledP
 	t.SurvivedRedundant = p.survived
-	t.UniqueDelivered = p.uniquePrev
+	t.UniqueDelivered = p.unique
 	t.Psi = p.psi
 	return t
 }
 
-// Completion returns the map from arrival flow IDs to the 1-based epoch in
-// which the flow's last packet was delivered. The map is the pipeline's
-// own bookkeeping — callers take ownership only once the run is over.
-// Driver-side.
-func (p *Pipeline) Completion() map[int]int { return p.completion }
+// LiveFlows returns the number of arrivals with packets still in the
+// backlog — the occupied slots of the flow table. Driver-side.
+func (p *Pipeline) LiveFlows() int { return len(p.tab.slots) - len(p.tab.free) }
 
 // ReloadFabric swaps the fabric under the pipeline at an epoch boundary.
 // Must be called by the driver between Commit and the next PlanNext, and
@@ -288,7 +291,7 @@ func (p *Pipeline) ReloadFabric(g *graph.Digraph) error {
 	}
 	for i := range p.backlog.Flows {
 		f := &p.backlog.Flows[i]
-		if err := check(p.origin[f.ID], f.Src, f.Dst); err != nil {
+		if err := check(p.tab.slots[p.origin[f.ID]].id, f.Src, f.Dst); err != nil {
 			return err
 		}
 	}

@@ -214,14 +214,19 @@ func TestCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	completed := map[int]bool{}
 	step := func() *Plan {
 		t.Helper()
 		plan, err := p.PlanNext()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Commit(plan); err != nil {
+		stat, err := p.Commit(plan)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, id := range stat.Completed {
+			completed[id] = true
 		}
 		return plan
 	}
@@ -255,8 +260,11 @@ func TestCancel(t *testing.T) {
 	if got := tot.Delivered + tot.Dropped + tot.Cancelled + tot.SurvivedRedundant; got != tot.Submitted {
 		t.Fatalf("packets not conserved: delivered+dropped+cancelled+survived = %d, submitted %d", got, tot.Submitted)
 	}
-	if _, done := p.Completion()[2]; done {
-		t.Fatal("cancelled flow must not appear completed")
+	if !completed[1] || completed[2] || completed[3] {
+		t.Fatalf("completed = %v, want flow 1 only (2 and 3 were cancelled)", completed)
+	}
+	if p.LiveFlows() != 0 {
+		t.Fatalf("%d slots still live after the drain", p.LiveFlows())
 	}
 	// Flow 3 was cancelled while still queued: all 5 packets discarded.
 	if tot.Cancelled < 5 {
@@ -408,5 +416,127 @@ func TestDrainedThenResume(t *testing.T) {
 	}
 	if p.Totals().Delivered != 4 {
 		t.Fatalf("delivery after resume: %+v", p.Totals())
+	}
+}
+
+// TestStaleCancellationsAreForgotten: a cancellation is dropped at the
+// commit that applies it or finds its flow already gone, so requests naming
+// delivered flows do not pile up; one naming an arrival still queued for a
+// later boundary is kept until that boundary, and then applied.
+func TestStaleCancellationsAreForgotten(t *testing.T) {
+	const window = 10
+	p, err := New(graph.Complete(4), Config{Core: core.Options{Window: window, Delta: 1}, Repair: true, Reactive: true, Audit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() *FaultEpochStat {
+		t.Helper()
+		plan, err := p.PlanNext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stat, err := p.Commit(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stat
+	}
+	pendingCancels := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.cancelled)
+	}
+	// A churn of small flows, each delivered within its epoch and cancelled
+	// only afterwards.
+	for id := 0; id < 50; id++ {
+		f := traffic.Flow{ID: id, Src: id % 4, Dst: (id + 1) % 4, Size: 3, Routes: []traffic.Route{{id % 4, (id + 1) % 4}}}
+		if err := p.Submit(f, p.Boundary()); err != nil {
+			t.Fatal(err)
+		}
+		if id > 0 && !p.Cancel(id-1) {
+			t.Fatalf("cancel of delivered flow %d refused", id-1)
+		}
+		if stat := step(); stat.Cancelled != 0 || stat.Backlog != 0 {
+			t.Fatalf("flow %d: stat %+v, want everything delivered and nothing cancelled", id, stat.EpochStat)
+		}
+		if n := pendingCancels(); n != 0 {
+			t.Fatalf("after flow %d: %d stale cancellation requests kept", id, n)
+		}
+	}
+	if !p.Cancel(7) || p.Cancel(1000) {
+		t.Fatal("Cancel must accept a delivered flow's ID and refuse an unknown one")
+	}
+
+	// Flow 100 arrives three epochs from now; its cancellation must wait.
+	late := traffic.Flow{ID: 100, Src: 0, Dst: 1, Size: 5, Routes: []traffic.Route{{0, 1}}}
+	if err := p.Submit(late, p.Boundary()+3*window); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Cancel(100) {
+		t.Fatal("cancel of a queued flow refused")
+	}
+	for i := 0; i < 3; i++ {
+		if stat := step(); stat.Cancelled != 0 {
+			t.Fatalf("epoch %d: cancelled %d packets before the arrival was due", stat.Epoch, stat.Cancelled)
+		}
+		if n := pendingCancels(); n != 1 {
+			t.Fatalf("cancellation of the queued arrival dropped early (%d pending)", n)
+		}
+	}
+	if stat := step(); stat.Cancelled != late.Size || stat.Arrived != 0 {
+		t.Fatalf("due epoch: stat %+v, want the arrival cancelled on admission", stat.EpochStat)
+	}
+	if n := pendingCancels(); n != 0 || !p.Done() || p.LiveFlows() != 0 {
+		t.Fatalf("after the drain: %d requests pending, done %v, %d live", n, p.Done(), p.LiveFlows())
+	}
+	tot := p.Totals()
+	if tot.Submitted != tot.Delivered+tot.Cancelled || tot.Cancelled != late.Size || p.violations != 0 {
+		t.Fatalf("totals %+v (%d conservation violations)", tot, p.violations)
+	}
+}
+
+// TestKeepPlansFabricAcrossFailure: the healthy epochs' stats carry the
+// pipeline's own fabric (no per-epoch copy), the degraded ones a snapshot
+// without the failed link — each the fabric its plan verifies against.
+func TestKeepPlansFabricAcrossFailure(t *testing.T) {
+	const window = 6
+	g := graph.Complete(4)
+	tr := &fault.Trace{Events: []fault.Event{
+		{At: 2 * window, Kind: fault.LinkDown, From: 0, To: 1},
+		{At: 4 * window, Kind: fault.LinkUp, From: 0, To: 1},
+	}}
+	p, err := New(g, Config{Core: core.Options{Window: window, Delta: 1}, Trace: tr, Repair: true, Reactive: true, Audit: true, KeepPlans: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Submit(traffic.Flow{ID: 1, Src: 0, Dst: 1, Size: 40, Routes: []traffic.Route{{0, 1}}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	rerouted := 0
+	for e := 0; e < 6; e++ {
+		plan, err := p.PlanNext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stat, err := p.Commit(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rerouted += stat.Rerouted
+		degraded := e >= 2 && e < 4
+		switch {
+		case stat.Fabric == nil || stat.Load == nil || stat.Plan == nil:
+			t.Fatalf("epoch %d: KeepPlans stat incomplete: %+v", e, stat)
+		case !degraded && stat.Fabric != g:
+			t.Fatalf("epoch %d: healthy epoch carries a copy of the fabric", e)
+		case degraded && (stat.Fabric == g || stat.Fabric.HasEdge(0, 1) || stat.FailedLinks != 1):
+			t.Fatalf("epoch %d: degraded epoch's fabric still has the failed link (failed links %d)", e, stat.FailedLinks)
+		}
+		if _, err := verify.Schedule(stat.Fabric, stat.Load, stat.Plan.Schedule, verify.Options{Window: window}); err != nil {
+			t.Fatalf("epoch %d: plan does not verify against the stat's fabric: %v", e, err)
+		}
+	}
+	if rerouted == 0 {
+		t.Fatal("the failure never forced a reroute")
 	}
 }

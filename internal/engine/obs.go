@@ -50,3 +50,18 @@ func observeRepair(o *obs.Observer, stat *FaultEpochStat) {
 		obs.I("dropped", int64(stat.Dropped)),
 	)
 }
+
+// observeState publishes, after every commit, how many flows are live and
+// whether the commit left the packet accounting conserved (see Totals).
+func observeState(o *obs.Observer, live int, conserved bool) {
+	if !o.Enabled() {
+		return
+	}
+	o.Gauge("octopus_engine_live_flows").Set(int64(live))
+	violations := o.Counter("octopus_engine_conservation_violations_total")
+	if conserved {
+		violations.Add(0) // registers the counter, so a healthy run reads 0
+	} else {
+		violations.Inc()
+	}
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"octopus/internal/core"
 	"octopus/internal/graph"
@@ -16,6 +17,11 @@ type EpochStat struct {
 	Offered   int // packets scheduled this epoch (arrivals + backlog)
 	Delivered int
 	Backlog   int // packets carried into the next epoch
+
+	// Completed lists the arrival flow IDs whose last packet was delivered
+	// in this epoch (their completion epoch is Epoch+1). Flows that lost
+	// packets to unreachability or cancellation never appear.
+	Completed []int
 
 	// Plan and Load are the epoch's scheduler result and the exact load it
 	// scheduled (nil unless Config.KeepPlans).
@@ -105,23 +111,41 @@ type Plan struct {
 	Record bool
 	Stat   FaultEpochStat
 
-	// Planning-side snapshots consumed by Commit.
-	nDue         int         // queue entries consumed (admitted or cancelled)
-	admitted     []admission // admissions in queue order
-	cancelledNow []int       // arrival IDs whose cancellation this plan applies
-	work         *traffic.Load
-	originView   map[int]int
-	srcView      map[int]int
-	nextID       int
-	fabric       *graph.Digraph
-	sched        *core.Result
-	pending      map[int]int
-	residual     *traffic.Load
-	remap        map[int]int
-	committed    bool
+	// Planning-side snapshots consumed by Commit. A plan never copies the
+	// committed flow table: it is an overlay over it. Work-flow IDs below
+	// base are committed backlog flows, resolved through Pipeline.origin;
+	// ID base+k is admitted[k], which gets its slot at Commit.
+	nDue      int           // queue entries consumed (admitted or cancelled)
+	cancels   map[int]bool  // the cancellation requests pending at planning time
+	cancelled []int32       // slots of the live flows this plan cancels
+	unqueued  []int         // arrivals this plan cancels while still queued
+	base      int           // len(Pipeline.origin) at planning time
+	admitted  []admission   // admissions in queue order
+	lost      []loss        // packets repair gave up on, per work flow
+	work      *traffic.Load // the load planned: backlog − cancelled + admitted, repaired
+	fabric    *graph.Digraph
+	sched     *core.Result
+	residual  *traffic.Load // the next backlog, IDs dense from 0
+	remap     []int         // residual flow ID -> work flow ID
+	committed bool
 }
 
 type admission struct{ id, size, src, dst int }
+
+// loss is size packets of work flow id that repair dropped as unreachable
+// or discarded as redundant duplicates.
+type loss struct{ id, size int }
+
+// arrivalOf resolves a work-flow ID of plan to the arrival it carries
+// packets of: the arrival's flow ID and the node it entered the network at.
+func (p *Pipeline) arrivalOf(plan *Plan, id int) (arrival, src int) {
+	if id < plan.base {
+		f := &p.tab.slots[p.origin[id]]
+		return f.id, f.src
+	}
+	a := &plan.admitted[id-plan.base]
+	return a.id, a.src
+}
 
 // Result returns the epoch's scheduler result (nil for unscheduled plan
 // kinds). Unlike Stat.Plan it is available without Config.KeepPlans, so a
@@ -134,9 +158,11 @@ func (pl *Plan) Result() *core.Result { return pl.sched }
 // cancellations, advances the failure cursor to the boundary, repairs the
 // merged load against the surviving fabric (repair mode), and runs the
 // Octopus planner on it. The only externally visible effects are the
-// observer's repair/planner events; the flow store, epoch counter, and
-// provenance maps change only in Commit — so a driver may overlap this
-// call with the "execution" of the previously committed epoch.
+// observer's repair/planner events; the backlog, flow table and epoch
+// counter change only in Commit — so a driver may overlap this call with
+// the "execution" of the previously committed epoch. Its cost follows the
+// live load: nothing whose size grows with the flows ever admitted is
+// walked or copied.
 func (p *Pipeline) PlanNext() (*Plan, error) {
 	boundary := p.epoch * p.cfg.Core.Window
 	if p.cur != nil {
@@ -153,71 +179,49 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 	// are immutable until this plan commits.
 	due := p.queue[p.nextArrival:i]
 	drained := i == len(p.queue)
-	var cancelled map[int]bool
+	var cancels map[int]bool
 	if len(p.cancelled) > 0 {
-		cancelled = make(map[int]bool, len(p.cancelled))
-		for id := range p.cancelled {
-			cancelled[id] = true
-		}
+		cancels = maps.Clone(p.cancelled)
 	}
 	p.mu.Unlock()
 
-	plan := &Plan{Epoch: p.epoch, nDue: len(due)}
+	plan := &Plan{Epoch: p.epoch, nDue: len(due), cancels: cancels, base: len(p.origin)}
 	plan.Stat.Epoch = p.epoch
 
-	// Merged provenance views: the committed maps plus this epoch's
-	// admissions. Copy-on-write — the committed maps are shared untouched
-	// when the boundary admits and cancels nothing.
-	originView, srcView := p.origin, p.arrivalSrc
-	if len(due) > 0 || cancelled != nil {
-		originView = make(map[int]int, len(p.origin)+len(due))
-		for k, v := range p.origin {
-			originView[k] = v
-		}
-		srcView = make(map[int]int, len(p.arrivalSrc)+len(due))
-		for k, v := range p.arrivalSrc {
-			srcView[k] = v
-		}
-	}
 	work := &traffic.Load{}
 	if n := len(p.backlog.Flows) + len(due); n > 0 {
 		work.Flows = make([]traffic.Flow, 0, n)
 	}
 	for _, f := range p.backlog.Flows {
-		if cancelled[originView[f.ID]] {
+		if s := p.origin[f.ID]; cancels[p.tab.slots[s].id] {
 			plan.Stat.Cancelled += f.Size
-			plan.cancelledNow = append(plan.cancelledNow, originView[f.ID])
+			plan.cancelled = append(plan.cancelled, s)
 			continue
 		}
 		work.Flows = append(work.Flows, f)
 	}
-	nextID := p.nextID
 	for _, a := range due {
 		f := a.Flow
-		if cancelled[f.ID] {
+		if cancels[f.ID] {
 			plan.Stat.Cancelled += f.Size
-			plan.cancelledNow = append(plan.cancelledNow, f.ID)
+			plan.unqueued = append(plan.unqueued, f.ID)
 			continue
 		}
-		originView[nextID] = f.ID
-		srcView[f.ID] = f.Src
 		plan.admitted = append(plan.admitted, admission{id: f.ID, size: f.Size, src: f.Src, dst: f.Dst})
-		f.ID = nextID
-		nextID++
+		f.ID = plan.base + len(plan.admitted) - 1
 		work.Flows = append(work.Flows, f)
 		plan.Stat.Arrived += f.Size
 	}
-	plan.work, plan.originView, plan.srcView, plan.nextID = work, originView, srcView, nextID
+	plan.work = work
 
-	fabric := p.g
+	plan.fabric = p.g
 	if p.cur != nil {
-		fabric = p.cur.SurvivingOf(p.g)
+		plan.fabric = p.cur.SurvivingOf(p.g)
 		plan.Stat.FailedLinks = p.cur.FailedLinks()
 		plan.Stat.FailedNodes = p.cur.FailedNodes()
 	}
-	plan.fabric = fabric
 	if p.cfg.Repair {
-		repairBacklog(fabric, work, originView, srcView, &plan.Stat, p.cfg.Red, p.cfg.Reactive, p.cfg.Flight, p.epoch)
+		p.repair(plan)
 		observeRepair(p.cfg.Core.Obs, &plan.Stat)
 	}
 
@@ -245,7 +249,7 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 		}
 	}
 
-	s, err := core.New(fabric, work, coreOpt)
+	s, err := core.New(plan.fabric, work, coreOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -254,14 +258,13 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 		return nil, err
 	}
 	if p.cfg.Audit {
-		if err := auditEpoch(fabric, work, sres, coreOpt, p.epoch); err != nil {
+		if err := auditEpoch(plan.fabric, work, sres, coreOpt, p.epoch); err != nil {
 			return nil, err
 		}
 	}
 	plan.Kind = PlanScheduled
 	plan.Record = true
 	plan.sched = sres
-	plan.pending = s.PendingByFlow()
 	plan.residual, plan.remap = s.ResidualLoadMap()
 	return plan, nil
 }
@@ -269,8 +272,10 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 // Commit applies a plan produced by PlanNext: admissions and cancellations
 // become permanent, delivery is accounted against the arrivals, the
 // residual load becomes the next backlog, and the epoch counter advances.
-// The returned stat is the plan's, with the delivery fields completed.
-// Plans must be committed in order; a plan from a stale epoch is rejected.
+// Only the flows the epoch changed are touched, and an arrival's slot is
+// retired as soon as its last packet has left the backlog. The returned
+// stat is the plan's, with the delivery fields completed. Plans must be
+// committed in order; a plan from a stale epoch is rejected.
 func (p *Pipeline) Commit(plan *Plan) (*FaultEpochStat, error) {
 	if plan == nil {
 		return nil, errors.New("engine: Commit of a nil plan")
@@ -286,79 +291,112 @@ func (p *Pipeline) Commit(plan *Plan) (*FaultEpochStat, error) {
 	p.mu.Lock()
 	for _, a := range p.queue[p.nextArrival : p.nextArrival+plan.nDue] {
 		p.queuedPkts -= a.Flow.Size
+		p.seen[a.Flow.ID] = false
 	}
 	p.nextArrival += plan.nDue
-	for _, id := range plan.cancelledNow {
-		delete(p.cancelled, id)
+	// Every request the plan saw is now spent — applied, or naming a flow
+	// that had already left the pipeline — unless its arrival is still
+	// queued for a later boundary.
+	for id := range plan.cancels {
+		if !p.seen[id] {
+			delete(p.cancelled, id)
+		}
 	}
 	p.compactQueueLocked()
+	entered := p.submitted - p.queuedPkts // packets admitted or cancelled so far
 	p.mu.Unlock()
 
 	rec := p.cfg.Flight
 	for _, a := range plan.admitted {
-		p.outstanding[a.id] = a.size
+		group := int32(-1)
+		if primary, ok := p.cfg.Red.GroupOf(a.id); ok {
+			group = p.groups[primary]
+		}
+		p.origin = append(p.origin, p.tab.admit(liveFlow{id: a.id, src: a.src, group: group, outstanding: a.size}))
 		rec.Admit(int64(a.id), plan.Epoch, int64(a.size), int64(a.src), int64(a.dst))
 	}
-	for _, id := range plan.cancelledNow {
-		if rec.Tracks(int64(id)) {
-			rec.Cancelled(int64(id), plan.Epoch, int64(p.outstanding[id]))
+	for _, id := range plan.unqueued {
+		rec.Cancelled(int64(id), plan.Epoch, 0)
+	}
+	for _, s := range plan.cancelled {
+		// An arrival split over several backlog flows is listed once for
+		// each; the first visit retires it.
+		if f := &p.tab.slots[s]; f.outstanding > 0 {
+			rec.Cancelled(int64(f.id), plan.Epoch, int64(f.outstanding+f.lost))
+			p.tab.take(s, f.outstanding)
 		}
-		delete(p.outstanding, id)
+	}
+	for _, l := range plan.lost {
+		s := p.origin[l.id]
+		p.tab.slots[s].lost += l.size
+		p.tab.take(s, l.size)
 	}
 	p.cancelledP += plan.Stat.Cancelled
 	p.dropped += plan.Stat.Dropped
 	p.survived += plan.Stat.SurvivedRedundant
 
 	stat := &plan.Stat
-	if plan.Kind != PlanScheduled {
+	if plan.Kind == PlanScheduled {
+		p.commitSchedule(plan)
+	} else {
 		p.backlog = plan.work
-		p.origin = plan.originView
-		p.arrivalSrc = plan.srcView
-		p.nextID = plan.nextID
-		p.epoch++
-		return stat, nil
 	}
+	p.epoch++
 
-	sres := plan.sched
-	// Per-flow delivery accounting against the arrivals. Flight events use
-	// arrival IDs throughout; deliveries land at epoch+1, the boundary by
-	// which the epoch's transmissions have happened (matching Completion).
+	conserved := entered == p.delivered+p.dropped+p.cancelledP+p.survived+p.tab.held
+	observeState(p.cfg.Core.Obs, p.LiveFlows(), conserved)
+	if !conserved {
+		p.violations++
+	}
+	return stat, nil
+}
+
+// commitSchedule accounts a scheduled plan's deliveries against the
+// arrivals and makes its residual the backlog. Flight events use arrival
+// IDs throughout; deliveries land at epoch+1, the boundary by which the
+// epoch's transmissions have happened.
+func (p *Pipeline) commitSchedule(plan *Plan) {
+	sres, stat, rec := plan.sched, &plan.Stat, p.cfg.Flight
+	// pending[id]: the packets of work flow id the plan left undelivered.
+	pending := make([]int, len(p.origin))
+	origin := make([]int32, len(plan.remap))
+	for id, workID := range plan.remap {
+		pending[workID] += plan.residual.Flows[id].Size
+		origin[id] = p.origin[workID]
+	}
 	nConfigs := int64(len(sres.Schedule.Configs))
 	matcher := int64(p.cfg.Core.Matcher)
+	uniqueBefore := p.unique
 	for i := range plan.work.Flows {
 		f := &plan.work.Flows[i]
-		orig := plan.originView[f.ID]
-		if rec.Tracks(int64(orig)) {
-			rec.Planned(int64(orig), plan.Epoch, nConfigs, matcher, int64(f.Size))
+		s := p.origin[f.ID]
+		fl := &p.tab.slots[s]
+		if rec.Tracks(int64(fl.id)) {
+			rec.Planned(int64(fl.id), plan.Epoch, nConfigs, matcher, int64(f.Size))
 		}
-		delivered := f.Size - plan.pending[f.ID]
+		delivered := f.Size - pending[f.ID]
 		if delivered == 0 {
 			continue
 		}
-		p.outstanding[orig] -= delivered
-		p.deliveredBy[orig] += delivered
-		rec.Delivered(int64(orig), plan.Epoch+1, int64(delivered))
-		if p.outstanding[orig] == 0 {
-			p.completion[orig] = plan.Epoch + 1
-			rec.Completed(int64(orig), plan.Epoch+1)
+		fl.delivered += delivered
+		// Unique delivery counts an ungrouped flow's own packets and each
+		// redundancy group once, by its best copy.
+		if fl.group < 0 {
+			p.unique += delivered
+		} else if best := &p.groupBest[fl.group]; fl.delivered > *best {
+			p.unique += fl.delivered - *best
+			*best = fl.delivered
 		}
-	}
-	newOrigin := make(map[int]int, len(plan.remap))
-	maxNew := -1
-	for newID, oldID := range plan.remap {
-		newOrigin[newID] = plan.originView[oldID]
-		if newID > maxNew {
-			maxNew = newID
+		rec.Delivered(int64(fl.id), plan.Epoch+1, int64(delivered))
+		if p.tab.take(s, delivered) && fl.lost == 0 {
+			stat.Completed = append(stat.Completed, fl.id)
+			rec.Completed(int64(fl.id), plan.Epoch+1)
 		}
 	}
 	p.delivered += sres.Delivered
 	p.psi += sres.Psi
 	stat.Psi = sres.Psi
-	if p.cfg.Repair {
-		uniqueNow := uniqueDelivered(p.deliveredBy, p.cfg.Red, p.members)
-		stat.UniqueDelivered = uniqueNow - p.uniquePrev
-		p.uniquePrev = uniqueNow
-	}
+	stat.UniqueDelivered = p.unique - uniqueBefore
 	stat.Offered = sres.TotalPackets
 	stat.Delivered = sres.Delivered
 	stat.Backlog = sres.Pending
@@ -369,11 +407,7 @@ func (p *Pipeline) Commit(plan *Plan) (*FaultEpochStat, error) {
 		stat.Fabric = plan.fabric
 	}
 	p.backlog = plan.residual
-	p.origin = newOrigin
-	p.arrivalSrc = plan.srcView
-	p.nextID = maxNew + 1
-	p.epoch++
-	return stat, nil
+	p.origin = origin
 }
 
 // compactQueueLocked drops the consumed head of the arrival queue once it

@@ -5,71 +5,82 @@ import (
 
 	"octopus/internal/core"
 	"octopus/internal/graph"
-	"octopus/internal/obs/flight"
 	"octopus/internal/traffic"
 	"octopus/internal/verify"
 )
 
-// repairBacklog rewrites the backlog in place against the surviving fabric:
-// flows keep the candidate routes that survived; flows whose every route
-// died are discarded when a sibling copy of their redundancy group still
-// has a live route (proactive redundancy absorbing the failure), otherwise
-// rerouted onto a BFS shortest surviving path from their current position
-// (reactive repair, when enabled); flows with no surviving path are
-// dropped. Degradation counts accumulate onto stat.
-func repairBacklog(fabric *graph.Digraph, backlog *traffic.Load, origin, arrivalSrc map[int]int, stat *FaultEpochStat, red *traffic.Redundancy, reactive bool, rec *flight.Recorder, epoch int) {
+// repair rewrites the plan's work load in place against its surviving
+// fabric: flows keep the candidate routes that survived; flows whose every
+// route died are discarded when a sibling copy of their redundancy group
+// still has a live route (proactive redundancy absorbing the failure),
+// otherwise rerouted onto a BFS shortest surviving path from their current
+// position (reactive repair, when enabled); flows with no surviving path
+// are dropped. Degradation counts accumulate onto the plan's stat, and the
+// packets given up on are listed in plan.lost for Commit to retire.
+func (p *Pipeline) repair(plan *Plan) {
+	fabric, work, stat := plan.fabric, plan.work, &plan.Stat
+	red, rec := p.cfg.Red, p.cfg.Flight
 	// Pass 1: which redundancy groups still have a copy with a live route.
 	// Computed before any repair, so reroutes never count as redundancy.
 	var groupLive map[int]bool
 	if !red.Empty() {
 		groupLive = make(map[int]bool)
-		for i := range backlog.Flows {
-			f := &backlog.Flows[i]
-			p, ok := red.GroupOf(origin[f.ID])
-			if !ok || groupLive[p] {
+		for i := range work.Flows {
+			f := &work.Flows[i]
+			arrival, _ := p.arrivalOf(plan, f.ID)
+			g, ok := red.GroupOf(arrival)
+			if !ok || groupLive[g] {
 				continue
 			}
 			for _, r := range f.Routes {
 				if fabric.IsRoute(r) {
-					groupLive[p] = true
+					groupLive[g] = true
 					break
 				}
 			}
 		}
 	}
-	kept := backlog.Flows[:0]
-	for i := range backlog.Flows {
-		f := backlog.Flows[i]
-		alive := f.Routes[:0:0]
+	kept := work.Flows[:0]
+	for i := range work.Flows {
+		f := work.Flows[i]
+		nAlive := 0
 		for _, r := range f.Routes {
 			if fabric.IsRoute(r) {
-				alive = append(alive, r)
+				nAlive++
 			}
 		}
 		switch {
-		case len(alive) == len(f.Routes):
+		case nAlive == len(f.Routes):
 			// Fully intact: nothing to do.
-		case len(alive) > 0:
+		case nAlive > 0:
 			// Some candidates died; the survivors carry the flow.
+			alive := make([]traffic.Route, 0, nAlive)
+			for _, r := range f.Routes {
+				if fabric.IsRoute(r) {
+					alive = append(alive, r)
+				}
+			}
 			f.Routes = alive
 		default:
-			orig := int64(origin[f.ID])
-			if p, ok := red.GroupOf(origin[f.ID]); ok && groupLive[p] {
+			arrival, src := p.arrivalOf(plan, f.ID)
+			orig := int64(arrival)
+			if g, ok := red.GroupOf(arrival); ok && groupLive[g] {
 				// A sibling copy survives with a live route: the dead
 				// copy's packets are redundant, not lost.
 				stat.SurvivedRedundant += f.Size
-				rec.Dedup(orig, epoch, int64(f.Size))
+				rec.Dedup(orig, plan.Epoch, int64(f.Size))
+				plan.lost = append(plan.lost, loss{f.ID, f.Size})
 				continue
 			}
-			if !reactive {
-				stat.Dropped += f.Size
-				rec.Dropped(orig, epoch, int64(f.Size))
-				continue
+			var r traffic.Route
+			ok := p.cfg.Reactive
+			if ok {
+				r, ok = traffic.ShortestRoute(fabric, f.Src, f.Dst)
 			}
-			r, ok := traffic.ShortestRoute(fabric, f.Src, f.Dst)
 			if !ok {
 				stat.Dropped += f.Size
-				rec.Dropped(orig, epoch, int64(f.Size))
+				rec.Dropped(orig, plan.Epoch, int64(f.Size))
+				plan.lost = append(plan.lost, loss{f.ID, f.Size})
 				continue
 			}
 			if f.WeightHops > 0 && r.Hops() > f.WeightHops {
@@ -79,37 +90,15 @@ func repairBacklog(fabric *graph.Digraph, backlog *traffic.Load, origin, arrival
 			}
 			f.Routes = []traffic.Route{r}
 			stat.Rerouted += f.Size
-			rec.Repaired(orig, epoch, r.Hops(), int64(f.Size))
-			if f.Src != arrivalSrc[origin[f.ID]] {
+			rec.Repaired(orig, plan.Epoch, r.Hops(), int64(f.Size))
+			if f.Src != src {
 				stat.Stranded += f.Size
-				rec.Requeued(orig, epoch, f.Src, int64(f.Size))
+				rec.Requeued(orig, plan.Epoch, f.Src, int64(f.Size))
 			}
 		}
 		kept = append(kept, f)
 	}
-	backlog.Flows = kept
-}
-
-// uniqueDelivered deduplicates cumulative per-arrival delivery counts:
-// ungrouped flows count their own packets, and each redundancy group counts
-// its best copy once.
-func uniqueDelivered(deliveredBy map[int]int, red *traffic.Redundancy, members map[int][]int) int {
-	unique := 0
-	for id, d := range deliveredBy {
-		if _, ok := red.GroupOf(id); !ok {
-			unique += d
-		}
-	}
-	for _, ids := range members {
-		best := 0
-		for _, id := range ids {
-			if d := deliveredBy[id]; d > best {
-				best = d
-			}
-		}
-		unique += best
-	}
-	return unique
+	work.Flows = kept
 }
 
 // auditEpoch validates the epoch's plan against the fabric it was planned

@@ -83,6 +83,34 @@ func TestCursorEventsPastHorizon(t *testing.T) {
 	}
 }
 
+// TestSurvivingOfSharesTheHealthyFabric: while nothing is down the surviving
+// fabric is g itself, not a copy; from the first failure on it is a fresh
+// snapshot without the failed link, and g is shared again after recovery.
+func TestSurvivingOfSharesTheHealthyFabric(t *testing.T) {
+	g := graph.Complete(4)
+	tr := &Trace{Events: []Event{
+		{At: 5, Kind: LinkDown, From: 0, To: 1},
+		{At: 9, Kind: LinkUp, From: 0, To: 1},
+	}}
+	c := tr.Cursor()
+	c.AdvanceTo(4)
+	if c.SurvivingOf(g) != g {
+		t.Fatal("healthy cursor copied the fabric")
+	}
+	c.AdvanceTo(5)
+	s := c.SurvivingOf(g)
+	if s == g || s.HasEdge(0, 1) || s.M() != g.M()-1 {
+		t.Fatalf("degraded snapshot: same=%v, has 0->1=%v, %d of %d links", s == g, s.HasEdge(0, 1), s.M(), g.M())
+	}
+	if !g.HasEdge(0, 1) {
+		t.Fatal("snapshot mutated the fabric")
+	}
+	c.AdvanceTo(9)
+	if c.SurvivingOf(g) != g {
+		t.Fatal("recovered cursor copied the fabric")
+	}
+}
+
 // Backwards advances (TestCursorBackwardsPanics) and duplicate-event
 // idempotence (TestCursorUnsortedEventsAndIdempotence) are covered in
 // fault_test.go.

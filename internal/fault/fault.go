@@ -227,8 +227,12 @@ func (c *Cursor) FailedLinks() int { return len(c.linkDown) }
 // FailedNodes returns the number of currently failed nodes.
 func (c *Cursor) FailedNodes() int { return len(c.nodeDown) }
 
-// SurvivingOf snapshots the subgraph of g that is usable at the cursor's
-// current slot.
+// SurvivingOf returns the subgraph of g that is usable at the cursor's
+// current slot: g itself while nothing is down, a fresh snapshot otherwise.
+// Callers must treat the result as read-only.
 func (c *Cursor) SurvivingOf(g *graph.Digraph) *graph.Digraph {
+	if c.downs == 0 {
+		return g
+	}
 	return g.Subgraph(c.LinkUsable)
 }

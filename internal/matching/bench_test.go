@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -87,15 +88,25 @@ func BenchmarkGreedyGeneral(b *testing.B) {
 	}
 }
 
+// BenchmarkRadixSortEdges sorts scaled packet weights (multiples of 64, as
+// the planner produces with ε = 0) at the edge counts of the three greedy
+// regimes: an engine-churn epoch, a dense pod fabric, and n=256 complete.
 func BenchmarkRadixSortEdges(b *testing.B) {
-	edges := benchBipartite(200, 2, 1)
-	work := make([]Edge, len(edges))
-	buf := make([]Edge, len(edges))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, edges)
-		radixSortEdges(work, buf)
+	for _, n := range []int{150, 7000, 35000} {
+		rng := rand.New(rand.NewSource(1))
+		edges := make([]Edge, n)
+		for i := range edges {
+			edges[i] = Edge{From: i, To: i, Weight: (1 + rng.Int63n(10000)) * 27720 * 64}
+		}
+		work := make([]Edge, n)
+		buf := make([]Edge, n)
+		b.Run(fmt.Sprintf("edges%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(work, edges)
+				radixSortEdges(work, buf)
+			}
+		})
 	}
 }
 

@@ -11,6 +11,8 @@
 // is always a valid configuration matching of the underlying fabric.
 package matching
 
+import "math/bits"
+
 // Edge is a weighted directed candidate link in a bipartite graph between
 // output ports (From) and input ports (To).
 type Edge struct {
@@ -54,37 +56,56 @@ func GreedyBipartite(n int, edges []Edge) ([]Edge, int64) {
 	return a.GreedyBipartite(n, edges)
 }
 
+// radixSmall is the edge count below which radixSortEdges uses 8-bit
+// digits: under it a pass is dominated by clearing and prefix-summing the
+// buckets, not by moving edges, and 256 buckets cost an eighth of 2048.
+const radixSmall = 1024
+
 // radixSortEdges sorts edges by weight descending using a stable LSD radix
-// sort on the (non-negative) weights, 11 bits per pass. Because the sort is
-// stable, callers that pass edges in (From, To) order get deterministic
-// tie-breaking. This is the "incredibly simple" linear-time path the paper
-// highlights for integer weights bounded by W. buf is caller-owned ping-pong
-// storage with len(buf) == len(edges); its final contents are unspecified.
+// sort on the (non-negative) weights. Because the sort is stable, callers
+// that pass edges in (From, To) order get deterministic tie-breaking. This
+// is the "incredibly simple" linear-time path the paper highlights for
+// integer weights bounded by W. The passes are sized to the input: digits
+// are 8 bits wide below radixSmall edges and 11 from there on, they start
+// at the lowest bit set in any weight (scaled weights share their low zero
+// bits), and a pass whose digit is the same on every edge is skipped — none
+// of which changes the order. buf is caller-owned ping-pong storage with
+// len(buf) == len(edges); its final contents are unspecified.
 func radixSortEdges(edges, buf []Edge) {
-	const bits = 11
-	const buckets = 1 << bits
-	const mask = buckets - 1
 	if len(edges) < 2 {
 		return
 	}
-	var maxW int64
-	for _, e := range edges {
-		if e.Weight > maxW {
-			maxW = e.Weight
-		}
+	// The buckets live on the stack; declaring each array in its own branch
+	// keeps a small sort from zeroing the large one.
+	if len(edges) < radixSmall {
+		var count [1 << 8]int
+		radixPasses(edges, buf, count[:], 8)
+	} else {
+		var count [1 << 11]int
+		radixPasses(edges, buf, count[:], 11)
 	}
+}
+
+// radixPasses is radixSortEdges with the digit width chosen: count has
+// 1<<width zeroed buckets.
+func radixPasses(edges, buf []Edge, count []int, width uint) {
+	var or int64
+	for _, e := range edges {
+		or |= e.Weight
+	}
+	mask := int64(len(count) - 1)
 	src, dst := edges, buf
-	var count [buckets]int
-	for shift := uint(0); maxW>>shift > 0; shift += bits {
-		for i := range count {
-			count[i] = 0
-		}
+	for shift := uint(bits.TrailingZeros64(uint64(or))); or>>shift > 0; shift += width {
 		for _, e := range src {
 			count[(e.Weight>>shift)&mask]++
 		}
+		if count[(src[0].Weight>>shift)&mask] == len(src) {
+			count[(src[0].Weight>>shift)&mask] = 0
+			continue // one digit throughout: the pass would move nothing
+		}
 		// Descending order: bucket for the largest key first.
 		sum := 0
-		for b := buckets - 1; b >= 0; b-- {
+		for b := len(count) - 1; b >= 0; b-- {
 			c := count[b]
 			count[b] = sum
 			sum += c
@@ -94,6 +115,7 @@ func radixSortEdges(edges, buf []Edge) {
 			dst[count[b]] = e
 			count[b]++
 		}
+		clear(count)
 		src, dst = dst, src
 	}
 	// Stability makes each pass preserve the order established by less

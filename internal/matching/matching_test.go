@@ -1,8 +1,10 @@
 package matching
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -126,21 +128,38 @@ func TestGreedyBipartiteDeterministic(t *testing.T) {
 	}
 }
 
+// TestRadixSortEdges pins the input-sized radix sort to the order of a
+// stable comparison sort by weight descending — edge for edge, so ties keep
+// their input order — on both sides of the digit-width switch and on the
+// weight shapes that let it skip passes.
 func TestRadixSortEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(200)
-		edges := make([]Edge, n)
-		for i := range edges {
-			edges[i] = Edge{i, i, rng.Int63n(1 << uint(1+rng.Intn(40)))}
-		}
-		got := append([]Edge(nil), edges...)
-		radixSortEdges(got, make([]Edge, len(got)))
-		want := append([]Edge(nil), edges...)
-		sort.SliceStable(want, func(i, j int) bool { return want[i].Weight > want[j].Weight })
-		for i := range want {
-			if got[i].Weight != want[i].Weight {
-				t.Fatalf("trial %d: radix order wrong at %d", trial, i)
+	// The largest matching weight core.checkOptions admits is below
+	// MaxInt64/4 (Window 1, Delta 0).
+	const maxAdmitted = math.MaxInt64/4 - 1
+	weights := map[string]func() int64{
+		"random":    func() int64 { return rng.Int63n(1 << uint(1+rng.Intn(40))) },
+		"all-equal": func() int64 { return 27720 * 64 },
+		"low-zeros": func() int64 { return rng.Int63n(1<<20) << 6 },
+		"one-digit": func() int64 { return 5<<30 | rng.Int63n(1<<8) },
+		"two-value": func() int64 { return rng.Int63n(2) << 40 },
+		"admitted":  func() int64 { return maxAdmitted - rng.Int63n(1<<30) },
+		"max-int64": func() int64 { return math.MaxInt64 - rng.Int63n(3) },
+		"with-zero": func() int64 { return rng.Int63n(3) },
+	}
+	sizes := []int{0, 1, 2, 3, 150, radixSmall - 1, radixSmall, radixSmall + 1, 7000}
+	for name, weight := range weights {
+		for _, n := range sizes {
+			edges := make([]Edge, n)
+			for i := range edges {
+				edges[i] = Edge{From: i, To: n - i, Weight: weight()}
+			}
+			got := slices.Clone(edges)
+			radixSortEdges(got, make([]Edge, n))
+			want := slices.Clone(edges)
+			slices.SortStableFunc(want, func(a, b Edge) int { return cmp.Compare(b.Weight, a.Weight) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s weights, %d edges: radix order differs from the stable sort", name, n)
 			}
 		}
 	}

@@ -165,7 +165,7 @@ func runFaulty(g *graph.Digraph, arrivals []Arrival, trace *fault.Trace, opt Fau
 		return nil, err
 	}
 
-	res := &FaultResult{Total: total, UniqueTotal: uniqueTotal, Reference: ref}
+	res := &FaultResult{Total: total, UniqueTotal: uniqueTotal, Reference: ref, Completion: make(map[int]int)}
 	maxEpochs := epochCap(opt.MaxEpochs, queue)
 	for epoch := 0; epoch < maxEpochs; epoch++ {
 		plan, err := p.PlanNext()
@@ -182,6 +182,7 @@ func runFaulty(g *graph.Digraph, arrivals []Arrival, trace *fault.Trace, opt Fau
 		if plan.Kind == engine.PlanScheduled {
 			res.Delivered += stat.Delivered
 			res.Psi += stat.Psi
+			recordCompletions(res.Completion, &stat.EpochStat)
 		}
 		if plan.Kind == engine.PlanDrained {
 			// Drained (or dropped) and no more arrivals. A boundary that
@@ -195,7 +196,6 @@ func runFaulty(g *graph.Digraph, arrivals []Arrival, trace *fault.Trace, opt Fau
 		res.Epochs = append(res.Epochs, *stat)
 	}
 	res.UniqueDelivered = p.Totals().UniqueDelivered
-	res.Completion = p.Completion()
 	return res, nil
 }
 

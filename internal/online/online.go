@@ -127,6 +127,14 @@ func epochCap(maxEpochs int, queue []Arrival) int {
 	return maxEpochs
 }
 
+// recordCompletions enters the flows that completed in the epoch into the
+// run's completion map, at the 1-based epoch of their last delivery.
+func recordCompletions(completion map[int]int, stat *EpochStat) {
+	for _, id := range stat.Completed {
+		completion[id] = stat.Epoch + 1
+	}
+}
+
 // Run schedules the arrivals over successive epochs.
 func Run(g *graph.Digraph, arrivals []Arrival, opt Options) (*Result, error) {
 	if opt.Core.Window <= 0 {
@@ -146,7 +154,7 @@ func Run(g *graph.Digraph, arrivals []Arrival, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Total: total}
+	res := &Result{Total: total, Completion: make(map[int]int)}
 	maxEpochs := epochCap(opt.MaxEpochs, queue)
 	for epoch := 0; epoch < maxEpochs; epoch++ {
 		plan, err := p.PlanNext()
@@ -162,7 +170,7 @@ func Run(g *graph.Digraph, arrivals []Arrival, opt Options) (*Result, error) {
 		}
 		res.Delivered += stat.Delivered
 		res.Epochs = append(res.Epochs, stat.EpochStat)
+		recordCompletions(res.Completion, &stat.EpochStat)
 	}
-	res.Completion = p.Completion()
 	return res, nil
 }

@@ -67,6 +67,12 @@ for metric in octopus_daemon_plan_overruns_total octopus_daemon_queued_packets o
   octopus_daemon_plan_seconds octopus_flight_completed_total; do
   grep -q "$metric" "$workdir/metrics.txt" || { echo "/metrics missing $metric"; exit 1; }
 done
+# The engine checks packet conservation at every commit, and with the batch
+# delivered no flow is live: every slot of the flow table has been retired.
+for line in 'octopus_engine_conservation_violations_total 0' 'octopus_engine_live_flows 0'; do
+  grep -qx "$line" "$workdir/metrics.txt" \
+    || { echo "/metrics does not read '$line'"; grep octopus_engine "$workdir/metrics.txt"; exit 1; }
+done
 echo "metrics ok"
 
 # Graceful shutdown: SIGINT must drain and exit 0.
