@@ -30,10 +30,14 @@ type Arena struct {
 	rowID, colID []int // node -> compact index; -1 between calls
 	rows, cols   []int // compact index -> node
 	w            []int64
-	u, v, minv   []int64
+	u, v         []int64
 	p, way       []int
-	free, path   []int  // unused columns (ascending) / alternating-path columns
-	outX         []Edge // exact result backing
+	minv, bmin   []int64 // per column (inf once in the tree); minimum per block of minvBlock
+	path         []int   // tree columns of the current insertion, root first
+	dIn          []int64 // dIn[k]: cumulative delta when path[k] joined the tree
+	posCols      []int32 // positive-weight columns (0-based), row by row
+	posLo, posHi []int32 // compact row i owns posCols[posLo[i]:posHi[i]]
+	outX         []Edge  // exact result backing
 }
 
 // Stats counts arena matcher activity. All fields are monotone totals
@@ -46,6 +50,7 @@ type Stats struct {
 	ExactCalls    int64 // MaxWeightBipartite invocations
 	ExactRows     int64 // compacted rows solved across exact calls
 	AugmentRounds int64 // shortest-augmenting-path relaxation rounds
+	FullScans     int64 // of those, rounds that relaxed a whole row (see insertRow)
 	Grows         int64 // calls that grew arena storage
 	Reuses        int64 // calls served entirely from existing storage
 }
@@ -58,6 +63,7 @@ func (s Stats) AddTo(dst *Stats) {
 	dst.ExactCalls += s.ExactCalls
 	dst.ExactRows += s.ExactRows
 	dst.AugmentRounds += s.AugmentRounds
+	dst.FullScans += s.FullScans
 	dst.Grows += s.Grows
 	dst.Reuses += s.Reuses
 }
@@ -80,8 +86,9 @@ func (a *Arena) exactDone(capBefore int) {
 // exactCap is greedyCap for the exact-matcher buffers.
 func (a *Arena) exactCap() int {
 	return cap(a.rowID) + cap(a.colID) + cap(a.rows) + cap(a.cols) +
-		cap(a.w) + cap(a.u) + cap(a.v) + cap(a.minv) +
-		cap(a.p) + cap(a.way) + cap(a.free) + cap(a.path) + cap(a.outX)
+		cap(a.w) + cap(a.u) + cap(a.v) + cap(a.p) + cap(a.way) +
+		cap(a.minv) + cap(a.bmin) + cap(a.path) + cap(a.dIn) +
+		cap(a.posCols) + cap(a.posLo) + cap(a.posHi) + cap(a.outX)
 }
 
 // growBools returns b extended to length >= n; fresh cells are false.
@@ -100,16 +107,11 @@ func growIDs(ids []int, n int) []int {
 	return ids
 }
 
-func growInts(s []int, n int) []int {
+// grow returns s resized to length n, reallocating only when it must; the
+// cells keep whatever an earlier call left in them.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		s = make([]int, n)
-	}
-	return s[:n]
-}
-
-func growInt64s(s []int64, n int) []int64 {
-	if cap(s) < n {
-		s = make([]int64, n)
+		s = make([]T, n)
 	}
 	return s[:n]
 }
@@ -184,7 +186,7 @@ func (a *Arena) MaxWeightBipartite(n int, edges []Edge) ([]Edge, int64) {
 	}
 	a.prepDense(edges, nr, nc)
 	for i := 1; i <= nr; i++ {
-		a.Stats.AugmentRounds += a.denseInsertRow(i, nc)
+		a.insertRow(i, nc)
 	}
 	a.restoreIDMaps()
 	out, total := a.extractExact(nc)
@@ -193,14 +195,15 @@ func (a *Arena) MaxWeightBipartite(n int, edges []Edge) ([]Edge, int64) {
 }
 
 // compactExact maps the active nodes of the positive-weight edges to dense
-// indices in first-appearance order, filling rowID/colID/rows/cols. It
-// returns the compacted row and column counts. The caller must invoke
-// restoreIDMaps before returning.
+// indices in first-appearance order, filling rowID/colID/rows/cols, and
+// leaves each compact row's positive-edge count (duplicates included) in
+// posHi for prepDense. It returns the compacted row and column counts. The
+// caller must invoke restoreIDMaps before returning.
 func (a *Arena) compactExact(n int, edges []Edge) (nr, nc int) {
 	a.rowID = growIDs(a.rowID, n)
 	a.colID = growIDs(a.colID, n)
 	rowID, colID := a.rowID, a.colID
-	rows, cols := a.rows[:0], a.cols[:0]
+	rows, cols, deg := a.rows[:0], a.cols[:0], a.posHi[:0]
 	for _, e := range edges {
 		if e.Weight <= 0 {
 			continue
@@ -208,13 +211,15 @@ func (a *Arena) compactExact(n int, edges []Edge) (nr, nc int) {
 		if rowID[e.From] < 0 {
 			rowID[e.From] = len(rows)
 			rows = append(rows, e.From)
+			deg = append(deg, 0)
 		}
+		deg[rowID[e.From]]++
 		if colID[e.To] < 0 {
 			colID[e.To] = len(cols)
 			cols = append(cols, e.To)
 		}
 	}
-	a.rows, a.cols = rows, cols
+	a.rows, a.cols, a.posHi = rows, cols, deg
 	return len(rows), len(cols)
 }
 
@@ -228,10 +233,11 @@ func (a *Arena) restoreIDMaps() {
 	}
 }
 
-// prepDense builds the dense weight matrix over the compacted instance and
-// initializes the dual potentials and assignment arrays. Absent pairs have
-// weight 0, equivalent to leaving the row unmatched; duplicate edges keep
-// the max.
+// prepDense builds the dense weight matrix over the compacted instance,
+// lists each row's positive-weight columns (the cells insertRow's short
+// rounds relax) and initializes the dual potentials and assignment arrays.
+// Absent pairs have weight 0, equivalent to leaving the row unmatched;
+// duplicate edges keep the max and are listed once.
 //
 // Zero duals are the only admissible start: the Jonker-Volgenant column
 // reduction (v[j] = min_i cost(i, j)) was tried and rejected. It is
@@ -243,113 +249,179 @@ func (a *Arena) restoreIDMaps() {
 // wall-clock gain — full-contention instances keep long augmenting paths
 // regardless of the start. See DESIGN.md §13.3.
 func (a *Arena) prepDense(edges []Edge, nr, nc int) {
-	a.w = growInt64s(a.w, nr*nc)
+	a.w = grow(a.w, nr*nc)
 	w := a.w
-	for i := range w[:nr*nc] {
-		w[i] = 0
+	clear(w)
+	// Carve posCols into one region per row, sized by compactExact's counts.
+	a.posLo = grow(a.posLo, nr)
+	lo, hi := a.posLo, a.posHi
+	var total int32
+	for i, deg := range hi {
+		lo[i], hi[i] = total, total
+		total += deg
 	}
+	a.posCols = grow(a.posCols, int(total))
+	pos := a.posCols
 	rowID, colID := a.rowID, a.colID
 	for _, e := range edges {
 		if e.Weight <= 0 {
 			continue
 		}
 		i, j := rowID[e.From], colID[e.To]
+		if w[i*nc+j] == 0 {
+			pos[hi[i]] = int32(j)
+			hi[i]++
+		}
 		if e.Weight > w[i*nc+j] {
 			w[i*nc+j] = e.Weight
 		}
 	}
 	// The dual and assignment arrays are 1-indexed. p[j] is the row assigned
 	// to column j; minimization runs over cost = -weight.
-	a.u = growInt64s(a.u, nc+1)
-	a.v = growInt64s(a.v, nc+1)
-	a.p = growInts(a.p, nc+1)
-	a.way = growInts(a.way, nc+1)
-	a.minv = growInt64s(a.minv, nc+1)
-	a.free = growInts(a.free, nc)
-	a.path = growInts(a.path, nc+1)
-	for i := range a.u {
-		a.u[i] = 0
+	a.u = grow(a.u, nc+1)
+	a.v = grow(a.v, nc+1)
+	a.p = grow(a.p, nc+1)
+	a.way = grow(a.way, nc+1)
+	clear(a.u)
+	clear(a.v)
+	clear(a.p)
+	clear(a.way)
+	// minv is padded to whole blocks; the padding counts as tree columns.
+	nb := (nc + minvBlock - 1) / minvBlock
+	a.bmin = grow(a.bmin, nb)
+	a.minv = grow(a.minv, nb*minvBlock)
+	for c := nc; c < len(a.minv); c++ {
+		a.minv[c] = inTree
 	}
-	for j := range a.v {
-		a.v[j] = 0
-		a.p[j] = 0
-		a.way[j] = 0
-	}
+	a.path = grow(a.path, nc+1)
+	a.dIn = grow(a.dIn, nc+1)
 }
 
-// denseInsertRow runs one shortest-augmenting-path row insertion on the
-// dense matrix and returns the relaxation-round count. Two representation
-// tricks keep every comparison (and hence every tie-break and the final
-// assignment) bit-identical to the textbook form:
+const (
+	// minvBlock is the number of columns that share one cell of bmin.
+	minvBlock = 16
+	// inTree is minv of a column that has joined the tree (and of the
+	// padding): below every candidate, so no relaxation touches it, and
+	// skipped when a block minimum is taken.
+	inTree = -inf
+)
+
+// insertRow runs one shortest-augmenting-path insertion of row i on the
+// dense matrix. It makes the comparisons of the textbook loop (used[] marks,
+// minv[j] -= delta after every round; kept as the oracle of
+// exact_ref_test.go) with the same outcomes in the same order, so way, p, u,
+// v and the round count are the textbook's; it only avoids the work around
+// them that cannot change anything. A round takes the row i0 that just joined
+// the tree, relaxes minv against it, and moves the free column of least minv
+// into the tree.
 //
-//  1. The unused columns live in `free`, kept in ascending order, so the
-//     scan visits exactly the columns the textbook loop would, in the
-//     same order, without a used[] branch.
-//  2. Instead of decrementing minv[j] for every unused column after each
-//     round ("minv[j] -= delta"), we accumulate the total delta D and
-//     store minv normalized to the start of the row: a value written at
-//     time t is stored as cur+D_t, and its textbook value now is
-//     stored-D. All comparisons within a round shift both sides by the
-//     same D, so their outcomes are unchanged, and the O(nc) decrement
-//     sweep disappears. (Values are bounded far below inf, so the offset
-//     cannot overflow.)
-func (a *Arena) denseInsertRow(i, nc int) int64 {
-	u, v, p, way, minv, w := a.u, a.v, a.p, a.way, a.minv, a.w
+//   - minv is stored relative to the start of the insertion: with d the sum of
+//     the deltas so far, a candidate is written as cur+d, its textbook value
+//     now is stored-d, and both sides of every comparison shift alike. So
+//     there is no decrement sweep, and a round's delta is its argmin minus d.
+//   - Duals settle once. A scan reads u[i0] — i0 joined this round — and v of
+//     free columns; the textbook's "u[p[j]] += delta, v[j] -= delta" touches
+//     neither before that read. So path[k] records d on joining (dIn[k]) and
+//     receives d_final - dIn[k] after the last round.
+//   - Only cells that can change are relaxed. A candidate is base - w - v[j]
+//     with base = d - u[i0]. Let minBase be the least base scanned so far: that
+//     row was scanned whole and w >= 0, so minv[j] <= minBase - v[j] for every
+//     free j. A row with base >= minBase therefore cannot lower minv where its
+//     weight is 0 (absent pair or padding): it relaxes its positive columns
+//     only, from prepDense's list. A row with a smaller base is scanned whole
+//     (Stats.FullScans) and lowers minBase; the first round always is.
+//   - The argmin goes by blocks. minv is indexed by column — inTree once the
+//     column has joined, which stands in for used[] — and bmin holds the
+//     minimum over the free cells of each minvBlock columns: lowered with a
+//     cell, recomputed for one block when one of its columns joins. The first
+//     block whose minimum is strictly smallest, then the first cell equal to
+//     it, is the lowest-index minimum the textbook's ascending strict-< scan
+//     keeps. (A free column exists in every round since nr <= nc.)
+func (a *Arena) insertRow(i, nc int) {
+	u, p := a.u, a.p
+	v, way := a.v[1:], a.way[1:] // by 0-based column, like w, minv and posCols
+	minv, bmin, w := a.minv, a.bmin, a.w
+	path, dIn := a.path[:1], a.dIn[:1]
 	p[0] = i
-	j0 := 0
-	free := a.free[:0]
-	for j := 1; j <= nc; j++ {
-		free = append(free, j)
-		minv[j] = inf
+	path[0], dIn[0] = 0, 0
+
+	// Round one: row i against every column, d = 0; the tree is empty.
+	wrow := w[(i-1)*nc : i*nc]
+	minBase := -u[i]
+	for b := range bmin {
+		m := int64(inf)
+		for c := b * minvBlock; c < min((b+1)*minvBlock, nc); c++ {
+			cur := minBase - wrow[c] - v[c]
+			minv[c], way[c] = cur, 0
+			m = min(m, cur)
+		}
+		bmin[b] = m
 	}
-	path := a.path[:0]
-	var d int64 = 0 // cumulative delta this row
-	var rounds int64
-	k1 := -1 // position of j0 in free (the previous round's argmin index)
+	rounds, full := 1, 1
+	var d int64
 	for {
-		rounds++
-		if j0 != 0 {
-			// Retire j0 from the free list, preserving order. Its position
-			// is the argmin index recorded by the previous round's scan.
-			free = append(free[:k1], free[k1+1:]...)
-		}
-		path = append(path, j0)
-		i0 := p[j0]
-		deltaN := int64(inf) // normalized: delta + d
-		j1 := 0
-		wrow := w[(i0-1)*nc : i0*nc]
-		ui0 := u[i0]
-		for k, j := range free {
-			cur := -wrow[j-1] - ui0 - v[j] + d
-			mv := minv[j]
-			if cur < mv {
-				mv = cur
-				minv[j] = cur
-				way[j] = j0
-			}
-			if mv < deltaN {
-				deltaN = mv
-				j1 = j
-				k1 = k
+		// Argmin over the free columns, lowest index on ties.
+		b1 := 0
+		d = bmin[0]
+		for b, m := range bmin {
+			if m < d {
+				d, b1 = m, b
 			}
 		}
-		delta := deltaN - d
-		for _, j := range path {
-			u[p[j]] += delta
-			v[j] -= delta
+		blk := minv[b1*minvBlock : (b1+1)*minvBlock]
+		k := 0
+		for blk[k] != d {
+			k++
 		}
-		d = deltaN
-		j0 = j1
+		j0 := b1*minvBlock + k + 1
 		if p[j0] == 0 {
-			break
+			// Settle the duals, then flip the augmenting path.
+			for k, j := range path {
+				u[p[j]] += d - dIn[k]
+				a.v[j] -= d - dIn[k]
+			}
+			for j0 != 0 {
+				j1 := way[j0-1]
+				p[j0] = p[j1]
+				j0 = j1
+			}
+			a.Stats.AugmentRounds += int64(rounds)
+			a.Stats.FullScans += int64(full)
+			return
+		}
+		// Column j0 joins the tree at d.
+		blk[k] = inTree
+		m := int64(inf)
+		for _, x := range blk {
+			if x != inTree {
+				m = min(m, x)
+			}
+		}
+		bmin[b1] = m
+		path, dIn = append(path, j0), append(dIn, d)
+
+		rounds++
+		i0 := p[j0]
+		wrow = w[(i0-1)*nc : i0*nc]
+		base := d - u[i0]
+		if base < minBase {
+			minBase = base
+			full++
+			for c, mv := range minv[:nc] {
+				if cur := base - wrow[c] - v[c]; cur < mv {
+					minv[c], way[c] = cur, j0
+					bmin[c/minvBlock] = min(bmin[c/minvBlock], cur)
+				}
+			}
+			continue
+		}
+		for _, c := range a.posCols[a.posLo[i0-1]:a.posHi[i0-1]] {
+			if cur := base - wrow[c] - v[c]; cur < minv[c] {
+				minv[c], way[c] = cur, j0
+				bmin[c/minvBlock] = min(bmin[c/minvBlock], cur)
+			}
 		}
 	}
-	for j0 != 0 {
-		j1 := way[j0]
-		p[j0] = p[j1]
-		j0 = j1
-	}
-	return rounds
 }
 
 // extractExact reads the assignment out of p, translating compact indices

@@ -53,7 +53,8 @@ func TestArenaStats(t *testing.T) {
 	a.Stats.AddTo(&sum)
 	a.Stats.AddTo(&sum)
 	if sum.ExactCalls != 2*a.Stats.ExactCalls || sum.GreedyEdges != 2*a.Stats.GreedyEdges ||
-		sum.AugmentRounds != 2*a.Stats.AugmentRounds || sum.Grows != 2*a.Stats.Grows {
+		sum.AugmentRounds != 2*a.Stats.AugmentRounds || sum.FullScans != 2*a.Stats.FullScans ||
+		sum.Grows != 2*a.Stats.Grows {
 		t.Fatalf("AddTo not field-complete: %+v vs %+v", sum, a.Stats)
 	}
 }
@@ -86,8 +87,10 @@ func TestArenaStatsDoNotPerturbResults(t *testing.T) {
 
 // TestArenaShrinkThenGrow guards against stale state leaking across
 // instance sizes: a big solve, then a small one, then big again must match
-// a fresh arena at every step (the matrix and the potentials outlive the
-// small call).
+// a fresh arena — and the textbook loop, duals included — at every step. The
+// matrix, the potentials, the block minima and the per-row column lists all
+// outlive the small call; the rectangular steps change the column count, and
+// with it the block layout, while the buffers stay the size of the biggest.
 func TestArenaShrinkThenGrow(t *testing.T) {
 	big := func(seed int64) []Edge {
 		var edges []Edge
@@ -98,6 +101,10 @@ func TestArenaShrinkThenGrow(t *testing.T) {
 			}
 		}
 		return edges
+	}
+	// rect keeps the edges of big(seed) among the first nr rows and nc columns.
+	rect := func(seed int64, nr, nc int) []Edge {
+		return slices.DeleteFunc(big(seed), func(e Edge) bool { return e.From >= nr || e.To >= nc })
 	}
 	small := []Edge{{0, 1, 3}, {1, 0, 2}, {2, 2, 7}}
 
@@ -112,10 +119,15 @@ func TestArenaShrinkThenGrow(t *testing.T) {
 		{"big-2", 64, big(2)},
 		{"small-again", 4, small},
 		{"big-3", 64, big(1)},
+		{"wide-64", 64, rect(3, 20, 64)},
+		{"tall-8", 8, rect(3, 8, 3)},
+		{"tall-64", 64, rect(4, 64, 20)},
+		{"wide-8", 8, rect(4, 3, 8)},
+		{"big-4", 64, big(2)},
 	}
 	for _, st := range steps {
 		var fresh Arena
-		gotM, gotW := a.MaxWeightBipartite(st.n, st.edges)
+		gotM, gotW := solveChecked(t, &a, st.n, st.edges)
 		wantM, wantW := fresh.MaxWeightBipartite(st.n, st.edges)
 		if gotW != wantW || !slices.Equal(gotM, wantM) {
 			t.Fatalf("%s: reused arena diverged: %v/%d vs %v/%d", st.name, gotM, gotW, wantM, wantW)

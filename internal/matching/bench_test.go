@@ -31,6 +31,40 @@ func BenchmarkHungarian(b *testing.B) {
 	}
 }
 
+// BenchmarkExactSolve times the exact solver through one reused Arena on the
+// three shapes it meets: the planner's small-α instance (a sparse support
+// with a handful of distinct weights, so long zero-delta augmenting chains),
+// BenchmarkHungarian's random quarter-density point, and a matrix with every
+// cell positive (where no relaxation can be skipped). rounds/op is the event
+// count: it moves only if a change alters the sequence of augment rounds.
+func BenchmarkExactSolve(b *testing.B) {
+	dense := benchBipartite(256, 1, 1)
+	for i := 0; i < 256; i++ {
+		dense = append(dense, Edge{From: i, To: i, Weight: 1 + int64(i)})
+	}
+	for _, bc := range []struct {
+		name  string
+		n     int
+		edges []Edge
+	}{
+		{"tied-sparse-n256", 256, tiedInstance(rand.New(rand.NewSource(1)), 256, 0.10, []int64{64, 128, 192})},
+		{"random-quarter-n200", 200, benchBipartite(200, 4, 1)},
+		{"dense-n256", 256, dense},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var a Arena
+			a.MaxWeightBipartite(bc.n, bc.edges)
+			rounds := a.Stats.AugmentRounds
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.MaxWeightBipartite(bc.n, bc.edges)
+			}
+			b.ReportMetric(float64(rounds), "rounds/op")
+		})
+	}
+}
+
 func BenchmarkGreedyBipartite(b *testing.B) {
 	for _, n := range []int{50, 100, 200} {
 		edges := benchBipartite(n, 4, 1)

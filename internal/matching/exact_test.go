@@ -73,7 +73,7 @@ func checkValidMatching(t *testing.T, n int, edges, m []Edge, total int64) {
 
 // checkCertificate proves the arena's last MaxWeightBipartite result optimal
 // from the arena's own duals, without a second solver. Signs are
-// denseInsertRow's: rows and columns are 1-indexed, p[j] is the row matched
+// insertRow's: rows and columns are 1-indexed, p[j] is the row matched
 // to column j, cost(i, j) = -weight with absent pairs and padding columns
 // costing 0 (recomputed here from the input, not read from the arena's
 // matrix). Dual feasibility (u[i]+v[j] <= cost(i,j), v <= 0) bounds every
@@ -156,9 +156,7 @@ func TestExactDualCertificate(t *testing.T) {
 			case 2:
 				edges = slices.DeleteFunc(edges, func(e Edge) bool { return e.To >= keep })
 			}
-			m, w := a.MaxWeightBipartite(n, edges)
-			checkValidMatching(t, n, edges, m, w)
-			checkCertificate(t, &a, edges, w)
+			solveChecked(t, &a, n, edges)
 		}
 	})
 	// Every row fights for the same columns at one weight: each insertion
@@ -173,12 +171,9 @@ func TestExactDualCertificate(t *testing.T) {
 			}
 		}
 		var a Arena
-		m, w := a.MaxWeightBipartite(n, edges)
-		if w != int64(10*n/2) {
+		if _, w := solveChecked(t, &a, n, edges); w != int64(10*n/2) {
 			t.Fatalf("weight %d, want %d", w, 10*n/2)
 		}
-		checkValidMatching(t, n, edges, m, w)
-		checkCertificate(t, &a, edges, w)
 	})
 }
 
@@ -191,12 +186,9 @@ func TestExactVsBruteForce(t *testing.T) {
 		n := 1 + rng.Intn(6)
 		edges := randInstance(rng, n, 0.6, 9)
 		_, want := BruteForceBipartite(n, edges)
-		m, w := a.MaxWeightBipartite(n, edges)
-		if w != want {
+		if _, w := solveChecked(t, &a, n, edges); w != want {
 			t.Fatalf("trial %d (n=%d): solver=%d oracle=%d edges=%v", trial, n, w, want, edges)
 		}
-		checkValidMatching(t, n, edges, m, w)
-		checkCertificate(t, &a, edges, w)
 	}
 }
 
@@ -232,9 +224,7 @@ func TestExactMoreRowsThanCols(t *testing.T) {
 		{From: 4, To: 1, Weight: 1},
 	}
 	var a Arena
-	m, w := a.MaxWeightBipartite(8, edges)
-	if w != 9 {
+	if m, w := solveChecked(t, &a, 8, edges); w != 9 {
 		t.Fatalf("expected weight 9, got %d (%v)", w, m)
 	}
-	checkCertificate(t, &a, edges, w)
 }

@@ -29,8 +29,9 @@ func decodeFuzzInstance(data []byte) (int, []Edge) {
 }
 
 // FuzzMaxWeightBipartite pushes random edge lists through the exact solver,
-// asserting matching validity, the dual certificate of optimality, and — on
-// small instances — agreement with the brute-force oracle.
+// asserting matching validity, the dual certificate of optimality, event
+// identity with the textbook loop (solveChecked) and — on small instances —
+// agreement with the brute-force oracle.
 func FuzzMaxWeightBipartite(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 1, 9, 0, 1, 0, 9, 0, 2, 3, 1, 0})
@@ -47,9 +48,7 @@ func FuzzMaxWeightBipartite(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, edges := decodeFuzzInstance(data)
 		var a Arena
-		m, w := a.MaxWeightBipartite(n, edges)
-		checkValidMatching(t, n, edges, m, w)
-		checkCertificate(t, &a, edges, w)
+		_, w := solveChecked(t, &a, n, edges)
 		if len(edges) <= 10 && n <= 6 {
 			if _, bw := BruteForceBipartite(n, edges); bw != w {
 				t.Fatalf("oracle weight %d != solver %d (n=%d edges=%v)", bw, w, n, edges)
