@@ -13,13 +13,14 @@ import (
 
 // evalScratch is the reusable per-worker scratch of the parallel α
 // evaluation: the weighted-edge buffer, the row/column upper-bound arrays
-// (slice-backed, keyed by node index), and the matching arena. One scratch
-// belongs to exactly one worker for the duration of a parallelFor, so no
-// synchronization is needed, and the greedy loop stops allocating on its
-// hot path after the first iteration.
+// (slice-backed, keyed by node index), the multi-port mode's link marks and
+// the matching arena. One scratch belongs to exactly one worker for the
+// duration of a parallelFor, so no synchronization is needed, and the greedy
+// loop stops allocating on its hot path after the first iteration.
 type evalScratch struct {
 	we       []matching.Edge
 	row, col []int64 // length fabric.N(), all-zero between rowColUB calls
+	taken    []bool  // by fabric link id, all-false between evalMultiPort calls
 	arena    matching.Arena
 }
 
@@ -170,8 +171,13 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	s.selBuf = sel
 	selected := len(sel)
 	// Solve in descending upper-bound-ratio order (ascending α on ties) in
-	// fixed-size chunks, tightening an incumbent between chunks: a solve is
-	// skipped once the incumbent's ratio strictly exceeds its upper bound.
+	// chunks of 2, 4, then phase2Chunk, tightening an incumbent between
+	// chunks: a solve is skipped once the incumbent's ratio strictly exceeds
+	// its upper bound. The first chunks are small because the best-bound α's
+	// usually hold the winner, and an iteration rarely selects more than a
+	// handful: with one size of 8 the first chunk was the whole iteration and
+	// nothing was ever pruned. The schedule does not depend on the worker
+	// count, so neither do the counters.
 	// Such a solve satisfies exact(α) <= ub(α) < incumbent <= final best
 	// ratio, so dropping it removes neither the argmax nor any tie the
 	// ascending-α reduction below could prefer — the chosen configuration
@@ -192,11 +198,8 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	})
 	inc := *seed
 	solved := 0
-	for lo := 0; lo < len(sel); lo += phase2Chunk {
-		hi := lo + phase2Chunk
-		if hi > len(sel) {
-			hi = len(sel)
-		}
+	for lo, size := 0, 2; lo < len(sel); size = min(2*size, phase2Chunk) {
+		hi := min(lo+size, len(sel))
 		// Compact the chunk down to the solves the incumbent cannot prune,
 		// using the tighter of the two bounds (strictly, as above).
 		k := lo
@@ -229,6 +232,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 			inc.consider(evals[i].exactLinks, alphas[i], evals[i].exactW)
 		}
 		solved += k - lo
+		lo = hi
 	}
 	s.prunedExact += int64(selected - solved)
 	// Final reduction mirrors the sequential order: for each α ascending,
@@ -241,9 +245,9 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	return bst.links, bst.alpha, bst.benefit
 }
 
-// phase2Chunk is the number of exact solves launched between incumbent
-// updates in phase 2. Smaller chunks prune more aggressively but
-// synchronize more often.
+// phase2Chunk is the largest number of exact solves launched between
+// incumbent updates in phase 2 (the first two chunks are 2 and 4). Smaller
+// chunks prune more aggressively but synchronize more often.
 const phase2Chunk = 8
 
 // gTableEntries caps one block of the g(link, α) table at 8 MiB of int64
@@ -540,7 +544,10 @@ func (s *Scheduler) evalMultiPort(sc *evalScratch, a int, bst *best) {
 		return
 	}
 	n := s.fabric.N()
-	used := make(map[graph.Edge]bool)
+	if sc.taken == nil {
+		sc.taken = make([]bool, s.fabric.M())
+	}
+	taken := sc.taken
 	var links []graph.Edge
 	var total int64
 	avail := we
@@ -557,17 +564,21 @@ func (s *Scheduler) evalMultiPort(sc *evalScratch, a int, bst *best) {
 		}
 		total += w
 		for _, e := range m {
-			ge := graph.Edge{From: e.From, To: e.To}
-			used[ge] = true
-			links = append(links, ge)
+			taken[s.fabric.LinkID(e.From, e.To)] = true
+			links = append(links, graph.Edge{From: e.From, To: e.To})
 		}
-		next := avail[:0:0]
+		// Drop the matched links in place: the matchers copy what they keep,
+		// and we is rebuilt for every α.
+		next := avail[:0]
 		for _, e := range avail {
-			if !used[graph.Edge{From: e.From, To: e.To}] {
+			if !taken[s.fabric.LinkID(e.From, e.To)] {
 				next = append(next, e)
 			}
 		}
 		avail = next
+	}
+	for _, l := range links {
+		taken[s.fabric.LinkID(l.From, l.To)] = false
 	}
 	if total > 0 {
 		sortLinks(links)

@@ -171,3 +171,64 @@ func TestGreedyScheduleIndependentOfParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestPhase2PruningFiresOnSmallSelections: with chunks of 2, 4, 8, … the
+// incumbent prunes inside an iteration that selects no more than 8 α's (one
+// chunk of 8 never could). Every planned configuration must still be the
+// one the definition gives — an ascending-α scan over every candidate,
+// greedy matching then exact matching, first strictly best ratio wins — and
+// the solve and prune counts must not depend on the worker count.
+func TestPhase2PruningFiresOnSmallSelections(t *testing.T) {
+	g, load := randomInstance(t, 3, 48, 5000)
+	type counts struct{ solved, pruned int64 }
+	plan := func(par int) (cfgs []schedule.Configuration, c counts) {
+		s, err := New(g, load, Options{Window: 5000, Delta: 20, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &evalScratch{}
+		for !s.done {
+			maxAlpha := s.opt.Window - s.used - s.opt.Delta
+			want := &best{delta: s.opt.Delta}
+			if maxAlpha > 0 && s.tr.pending > 0 {
+				for _, a := range s.tr.candidateAlphas(maxAlpha) {
+					we := s.weightedEdges(ref, a)
+					m, w := ref.arena.GreedyBipartite(g.N(), we)
+					want.consider(toLinks(m), a, w)
+					m, w = ref.arena.MaxWeightBipartite(g.N(), we)
+					want.consider(toLinks(m), a, w)
+				}
+				sortLinks(want.links)
+			}
+			cfg, ok, err := s.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if len(s.selBuf) > phase2Chunk {
+				t.Fatalf("iteration %d selected %d α's; the instance is meant to stay within one old chunk", s.iters, len(s.selBuf))
+			}
+			if cfg.Alpha != want.alpha || !reflect.DeepEqual(cfg.Links, want.links) {
+				t.Fatalf("par %d, iteration %d: planned α=%d (%d links), the full scan gives α=%d (%d links)",
+					par, s.iters, cfg.Alpha, len(cfg.Links), want.alpha, len(want.links))
+			}
+			cfgs = append(cfgs, cfg)
+		}
+		for _, sc := range s.scratch {
+			c.solved += sc.arena.Stats.ExactCalls
+		}
+		c.pruned = s.prunedExact
+		return cfgs, c
+	}
+	want, wc := plan(1)
+	if wc.pruned == 0 {
+		t.Fatalf("nothing pruned (%d solved): the chunk schedule is not doing its job", wc.solved)
+	}
+	got, gc := plan(4)
+	if !reflect.DeepEqual(got, want) || gc != wc {
+		t.Errorf("Parallelism 4: %d configs, counts %+v; Parallelism 1: %d configs, counts %+v", len(got), gc, len(want), wc)
+	}
+	t.Logf("%d iterations, %d exact solves, %d pruned", len(want), wc.solved, wc.pruned)
+}

@@ -24,6 +24,7 @@ type coreInstruments struct {
 	exactCalls    *obs.Counter
 	exactRows     *obs.Counter
 	augmentRounds *obs.Counter
+	fullScans     *obs.Counter // augment rounds that relaxed a whole row
 	arenaGrows    *obs.Counter
 	arenaReuses   *obs.Counter
 	prunedExact   *obs.Counter // phase-2 exact solves skipped by incumbent pruning
@@ -46,6 +47,7 @@ func bindCoreInstruments(o *obs.Observer) coreInstruments {
 		exactCalls:    o.Counter("octopus_match_exact_calls_total"),
 		exactRows:     o.Counter("octopus_match_exact_rows_total"),
 		augmentRounds: o.Counter("octopus_match_augment_rounds_total"),
+		fullScans:     o.Counter("octopus_match_full_scans_total"),
 		arenaGrows:    o.Counter("octopus_match_arena_grows_total"),
 		arenaReuses:   o.Counter("octopus_match_arena_reuses_total"),
 		prunedExact:   o.Counter("octopus_match_exact_pruned_total"),
@@ -95,6 +97,7 @@ func (s *Scheduler) observeDone() {
 	ins.exactCalls.Add(sum.ExactCalls)
 	ins.exactRows.Add(sum.ExactRows)
 	ins.augmentRounds.Add(sum.AugmentRounds)
+	ins.fullScans.Add(sum.FullScans)
 	ins.arenaGrows.Add(sum.Grows)
 	ins.arenaReuses.Add(sum.Reuses)
 	ins.prunedExact.Add(s.prunedExact)

@@ -268,13 +268,12 @@ func (a *Arena) prepDense(edges []Edge, nr, nc int) {
 			continue
 		}
 		i, j := rowID[e.From], colID[e.To]
-		if w[i*nc+j] == 0 {
+		cell := &w[i*nc+j]
+		if *cell == 0 {
 			pos[hi[i]] = int32(j)
 			hi[i]++
 		}
-		if e.Weight > w[i*nc+j] {
-			w[i*nc+j] = e.Weight
-		}
+		*cell = max(*cell, e.Weight)
 	}
 	// The dual and assignment arrays are 1-indexed. p[j] is the row assigned
 	// to column j; minimization runs over cost = -weight.
@@ -307,13 +306,13 @@ const (
 )
 
 // insertRow runs one shortest-augmenting-path insertion of row i on the
-// dense matrix. It makes the comparisons of the textbook loop (used[] marks,
+// dense matrix. It runs the rounds of the textbook loop (used[] marks,
 // minv[j] -= delta after every round; kept as the oracle of
-// exact_ref_test.go) with the same outcomes in the same order, so way, p, u,
-// v and the round count are the textbook's; it only avoids the work around
-// them that cannot change anything. A round takes the row i0 that just joined
-// the tree, relaxes minv against it, and moves the free column of least minv
-// into the tree.
+// exact_ref_test.go) one for one, and every comparison that decides anything
+// comes out as it does there, so way, p, u, v and the round count are the
+// textbook's; it only avoids the work around them that cannot change
+// anything. A round takes the row i0 that just joined the tree, relaxes minv
+// against it, and moves the free column of least minv into the tree.
 //
 //   - minv is stored relative to the start of the insertion: with d the sum of
 //     the deltas so far, a candidate is written as cur+d, its textbook value
@@ -358,11 +357,10 @@ func (a *Arena) insertRow(i, nc int) {
 		bmin[b] = m
 	}
 	rounds, full := 1, 1
-	var d int64
 	for {
-		// Argmin over the free columns, lowest index on ties.
-		b1 := 0
-		d = bmin[0]
+		// Argmin over the free columns, lowest index on ties; its value is
+		// the cumulative delta d after this round.
+		b1, d := 0, bmin[0]
 		for b, m := range bmin {
 			if m < d {
 				d, b1 = m, b
@@ -376,9 +374,9 @@ func (a *Arena) insertRow(i, nc int) {
 		j0 := b1*minvBlock + k + 1
 		if p[j0] == 0 {
 			// Settle the duals, then flip the augmenting path.
-			for k, j := range path {
-				u[p[j]] += d - dIn[k]
-				a.v[j] -= d - dIn[k]
+			for t, j := range path {
+				u[p[j]] += d - dIn[t]
+				a.v[j] -= d - dIn[t]
 			}
 			for j0 != 0 {
 				j1 := way[j0-1]
