@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"octopus/internal/graph"
-	"octopus/internal/matching"
 	"octopus/internal/obs"
 	"octopus/internal/traffic"
 )
@@ -168,7 +167,7 @@ func BenchmarkWeightedEdgesGreedy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.forAlphas(alphas, func(_ *evalScratch, _ int, we []matching.Edge) { weightedEdgesSink += len(we) })
+		s.forAlphas(alphas, false, func(sc *evalScratch, _ int, col []int64) { weightedEdgesSink += len(sc.weighted(s.glinks, col)) })
 	}
 }
 

@@ -13,15 +13,29 @@ import (
 
 // evalScratch is the reusable per-worker scratch of the parallel α
 // evaluation: the weighted-edge buffer, the row/column upper-bound arrays
-// (slice-backed, keyed by node index), the multi-port mode's link marks and
-// the matching arena. One scratch belongs to exactly one worker for the
-// duration of a parallelFor, so no synchronization is needed, and the greedy
-// loop stops allocating on its hot path after the first iteration.
+// (slice-backed, keyed by node index), the multi-port mode's link marks, the
+// matching arena and the worker's greedy incumbent. One scratch belongs to
+// one worker for the duration of a parallelFor, so no synchronization is
+// needed, and the greedy loop stops allocating after the first iteration.
 type evalScratch struct {
 	we       []matching.Edge
 	row, col []int64 // length fabric.N(), all-zero between rowColUB calls
 	taken    []bool  // by fabric link id, all-false between evalMultiPort calls
 	arena    matching.Arena
+	local    best // see bestConfiguration, phase 1
+}
+
+// weighted returns G' for one g-table column: links[i] weighted col[i], zero
+// weights dropped. It aliases the scratch and is valid until the next call.
+func (sc *evalScratch) weighted(links []matching.Edge, col []int64) []matching.Edge {
+	we := sc.we[:0]
+	for li, g := range col {
+		if g > 0 {
+			we = append(we, matching.Edge{From: links[li].From, To: links[li].To, Weight: g})
+		}
+	}
+	sc.we = we
+	return we
 }
 
 // best tracks the highest benefit-per-unit-cost configuration seen so far
@@ -38,10 +52,7 @@ type best struct {
 // consideration order (ascending α, greedy before exact) makes the choice
 // deterministic.
 func (b *best) consider(links []graph.Edge, alpha int, benefit int64) {
-	if benefit <= 0 {
-		return
-	}
-	if b.benefit == 0 || benefit*int64(b.alpha+b.delta) > b.benefit*int64(alpha+b.delta) {
+	if b.beats(benefit, alpha) {
 		b.links, b.alpha, b.benefit = links, alpha, benefit
 	}
 }
@@ -68,7 +79,8 @@ func (b *best) exceeds(benefit int64, alpha int) bool {
 // alphaEval is the per-α evaluation record of one greedy iteration.
 type alphaEval struct {
 	// Phase-1 candidate: the greedy matching in the single-port bipartite
-	// modes, the mode's only candidate otherwise.
+	// modes (links only where a reduction can pick it, see phase 1), the
+	// mode's only candidate otherwise.
 	links []graph.Edge
 	w     int64
 	// Exact bipartite mode only: matching-weight upper bound and (phase 2)
@@ -114,37 +126,48 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	}
 	twoPhase := bipartite && s.opt.Matcher != MatcherGreedy
 
-	// Phase 1: cheap evaluation of every α.
+	// Phase 1: cheap evaluation of every α. Every greedy weight is recorded,
+	// but a link set is copied out of its arena only when it strictly beats
+	// its worker's incumbent, and only those incumbents reach evals. That
+	// loses nothing: a reduction picks the first α, ascending, whose greedy
+	// ratio is the largest (exact candidates in between do not change which
+	// greedy one can win); every earlier α has a strictly smaller ratio, no
+	// later one a larger, and a worker meets its α's in ascending order — so
+	// the worker that solves that α keeps it, and nothing after displaces it.
 	if bipartite {
-		s.forAlphas(alphas, func(sc *evalScratch, i int, we []matching.Edge) {
-			if len(we) == 0 {
-				return
+		for _, sc := range s.scratch {
+			sc.local.benefit = 0
+		}
+		s.forAlphas(alphas, false, func(sc *evalScratch, i int, col []int64) {
+			m, gw := sc.arena.GreedyColumn(s.fabric.N(), s.glinks, col)
+			evals[i].w = gw
+			if sc.local.beats(gw, alphas[i]) {
+				sc.local.consider(appendLinks(sc.local.links[:0], m), alphas[i], gw)
 			}
-			m, gw := sc.arena.GreedyBipartite(s.fabric.N(), we)
-			evals[i].links, evals[i].w = toLinks(m), gw
 			if twoPhase {
-				evals[i].ub = rowColUB(we, sc.row, sc.col)
+				evals[i].ub = rowColUB(sc.weighted(s.glinks, col), sc.row, sc.col)
 			}
 		})
+		for _, sc := range s.scratch {
+			if i, ok := slices.BinarySearch(alphas, sc.local.alpha); ok && sc.local.benefit > 0 {
+				evals[i].links = slices.Clone(sc.local.links)
+			}
+		}
 	} else {
-		s.parallelFor(len(alphas), func(w, i int) {
+		s.parallelFor(len(alphas), false, func(w, i int) {
 			local := &best{delta: s.opt.Delta}
 			s.evalAlpha(s.scratch[w], alphas[i], local)
 			evals[i].links, evals[i].w = local.links, local.benefit
 		})
 	}
-	if !twoPhase {
-		for i, a := range alphas {
-			bst.consider(evals[i].links, a, evals[i].w)
-		}
-		sortLinks(bst.links)
-		return bst.links, bst.alpha, bst.benefit
-	}
-
-	// Reduce the greedy seeds (ascending α; deterministic).
+	// Reduce the phase-1 candidates (ascending α; deterministic).
 	seed := &best{delta: s.opt.Delta}
 	for i, a := range alphas {
 		seed.consider(evals[i].links, a, evals[i].w)
+	}
+	if !twoPhase {
+		sortLinks(seed.links)
+		return seed.links, seed.alpha, seed.benefit
 	}
 	// Phase 2: exact matchings only where an upper bound can still strictly
 	// beat the best greedy seed. Two admissible bounds apply: the row/column
@@ -222,10 +245,10 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		for ci, i := range sel[lo:k] {
 			chunk[ci] = alphas[i]
 		}
-		s.forAlphas(chunk[:k-lo], func(sc *evalScratch, ci int, we []matching.Edge) {
+		s.forAlphas(chunk[:k-lo], true, func(sc *evalScratch, ci int, col []int64) {
 			i := sel[lo+ci]
-			m, mw := sc.arena.MaxWeightBipartite(s.fabric.N(), we)
-			evals[i].exactLinks = toLinks(m)
+			m, mw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.glinks, col))
+			evals[i].exactLinks = appendLinks(nil, m)
 			evals[i].exactW = mw
 		})
 		for _, i := range sel[lo:k] {
@@ -254,32 +277,35 @@ const phase2Chunk = 8
 // (a fabric with more active links than that gets one-α blocks).
 const gTableEntries = 1 << 20
 
-// forAlphas calls f(scratch, j, we) once for every j in [0, len(as)), we
-// being the weighted graph G' of Procedure 2 for α = as[j]: every active
-// link weighted by g(i, j, α), ordered by (From, To), zero weights dropped.
-// we aliases the scratch and is valid until f returns. as must be
-// ascending; it is cut into blocks of as many α's as the table holds, and
-// the α's of a block are evaluated in parallel.
-func (s *Scheduler) forAlphas(as []int, f func(sc *evalScratch, j int, we []matching.Edge)) {
+// inlineEntries is the number of g-table entries below which starting and
+// joining goroutines costs more than the greedy solves they would share.
+const inlineEntries = 1 << 14
+
+// forAlphas calls f(scratch, j, col) once for every j in [0, len(as)), col
+// being the g-table column of α = as[j]: col[i] = g(s.glinks[i], α) over the
+// active links in (From, To) order, zeros included (sc.weighted(s.glinks,
+// col) is the weighted graph G' of Procedure 2). col is valid until f
+// returns. as must be ascending; it is cut into blocks of as many α's as the
+// table holds, and the α's of a block are evaluated in parallel, every
+// worker taking its share in ascending order — on the calling goroutine
+// when the block is small, unless heavy says f does more per column than a
+// greedy solve or two (an exact solve is worth a goroutine at any size).
+func (s *Scheduler) forAlphas(as []int, heavy bool, f func(sc *evalScratch, j int, col []int64)) {
 	edges, states := s.tr.activeEdges(), s.tr.activeStates()
 	nL := len(states)
 	if nL == 0 {
 		return
 	}
+	s.glinks = s.glinks[:0]
+	for _, e := range edges {
+		s.glinks = append(s.glinks, matching.Edge{From: e.From, To: e.To})
+	}
 	width := max(1, gTableEntries/nL)
 	for lo := 0; lo < len(as); lo += width {
 		block := as[lo:min(lo+width, len(as))]
 		s.fillG(states, block)
-		s.parallelFor(len(block), func(w, j int) {
-			sc := s.scratch[w]
-			we := sc.we[:0]
-			for li, g := range s.gbuf[j*nL : (j+1)*nL] {
-				if g > 0 {
-					we = append(we, matching.Edge{From: edges[li].From, To: edges[li].To, Weight: g})
-				}
-			}
-			sc.we = we
-			f(sc, lo+j, we)
+		s.parallelFor(len(block), !heavy && len(block)*nL < inlineEntries, func(w, j int) {
+			f(s.scratch[w], lo+j, s.gbuf[j*nL:(j+1)*nL])
 		})
 	}
 }
@@ -300,7 +326,7 @@ func (s *Scheduler) fillG(states []*linkState, block []int) {
 	if need := len(block) * nL; cap(s.gbuf) < need {
 		s.gbuf = make([]int64, need)
 	}
-	s.parallelFor((nL+fillLinks-1)/fillLinks, func(_, c int) {
+	s.parallelFor((nL+fillLinks-1)/fillLinks, len(block)*nL < inlineEntries, func(_, c int) {
 		for li := c * fillLinks; li < min((c+1)*fillLinks, nL); li++ {
 			fillLink(s.gbuf[li:], nL, states[li].summary(), block)
 		}
@@ -331,13 +357,13 @@ func fillLink(col []int64, stride int, sum *linkSummary, block []int) {
 	}
 }
 
-// parallelFor runs f(worker, 0..n-1) across Options.Parallelism workers
-// (Parallelism <= 1 runs inline with worker 0). The remaining-traffic state
-// is read-only during evaluation, so workers share it without
-// synchronization; work items are claimed from a lock-free atomic counter.
-// Each worker owns s.scratch[worker] exclusively for the duration of the
-// call.
-func (s *Scheduler) parallelFor(n int, f func(worker, i int)) {
+// parallelFor runs f(worker, 0..n-1) across Options.Parallelism workers, or
+// on the calling goroutine as worker 0 when that is 1 or inline is set. The
+// remaining-traffic state is read-only during evaluation, so workers share
+// it without synchronization; work items are claimed, in ascending order,
+// from a lock-free atomic counter. Each worker owns s.scratch[worker]
+// exclusively for the duration of the call.
+func (s *Scheduler) parallelFor(n int, inline bool, f func(worker, i int)) {
 	workers := s.opt.Parallelism
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -345,7 +371,7 @@ func (s *Scheduler) parallelFor(n int, f func(worker, i int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers < 1 {
+	if workers < 1 || inline {
 		workers = 1
 	}
 	s.ensureScratch(workers)
@@ -379,8 +405,9 @@ func (s *Scheduler) ensureScratch(workers int) {
 	for len(s.scratch) < workers {
 		n := s.fabric.N()
 		s.scratch = append(s.scratch, &evalScratch{
-			row: make([]int64, n),
-			col: make([]int64, n),
+			row:   make([]int64, n),
+			col:   make([]int64, n),
+			local: best{delta: s.opt.Delta},
 		})
 	}
 }
@@ -391,40 +418,38 @@ func (s *Scheduler) ensureScratch(workers int) {
 // of its maxima, not necessarily the global one; §8 observes the loss is
 // minimal in practice.
 func (s *Scheduler) ternarySearch(alphas []int, bst *best, bipartite bool) {
-	type evald struct {
-		links   []graph.Edge
-		benefit int64
-	}
 	s.ensureScratch(1)
-	cache := make(map[int]evald)
-	eval := func(i int) evald {
-		a := alphas[i]
-		if e, ok := cache[a]; ok {
+	evals := s.evals[:0]
+	for range alphas {
+		evals = append(evals, alphaEval{w: -1}) // w < 0: not evaluated yet
+	}
+	s.evals = evals
+	eval := func(i int) *alphaEval {
+		e := &evals[i]
+		if e.w >= 0 {
 			return e
 		}
-		local := &best{delta: s.opt.Delta}
+		e.w = 0
 		if bipartite {
-			s.forAlphas(alphas[i:i+1], func(sc *evalScratch, _ int, we []matching.Edge) {
-				if len(we) == 0 {
-					return
-				}
-				gm, gw := sc.arena.GreedyBipartite(s.fabric.N(), we)
-				local.consider(toLinks(gm), a, gw)
+			s.forAlphas(alphas[i:i+1], false, func(sc *evalScratch, _ int, col []int64) {
+				// Only the better of the two matchings is copied out of the arena.
+				m, w := sc.arena.GreedyColumn(s.fabric.N(), s.glinks, col)
 				if s.opt.Matcher != MatcherGreedy {
-					m, w := sc.arena.MaxWeightBipartite(s.fabric.N(), we)
-					local.consider(toLinks(m), a, w)
+					if xm, xw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.glinks, col)); xw > w {
+						m, w = xm, xw
+					}
 				}
+				e.links, e.w = appendLinks(nil, m), w
 			})
 		} else {
-			s.evalAlpha(s.scratch[0], a, local)
+			local := &best{delta: s.opt.Delta}
+			s.evalAlpha(s.scratch[0], alphas[i], local)
+			e.links, e.w = local.links, local.benefit
 		}
-		e := evald{local.links, local.benefit}
-		cache[a] = e
 		return e
 	}
 	ratioLess := func(i, j int) bool {
-		ei, ej := eval(i), eval(j)
-		return ei.benefit*int64(alphas[j]+s.opt.Delta) < ej.benefit*int64(alphas[i]+s.opt.Delta)
+		return eval(i).w*int64(alphas[j]+s.opt.Delta) < eval(j).w*int64(alphas[i]+s.opt.Delta)
 	}
 	lo, hi := 0, len(alphas)-1
 	for hi-lo > 2 {
@@ -438,7 +463,7 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best, bipartite bool) {
 	}
 	for i := lo; i <= hi; i++ {
 		e := eval(i)
-		bst.consider(e.links, alphas[i], e.benefit)
+		bst.consider(e.links, alphas[i], e.w)
 	}
 }
 
@@ -506,17 +531,14 @@ func rowColUB(we []matching.Edge, row, col []int64) int64 {
 	return rs
 }
 
-// toLinks copies a matching into a link set. The copy is NOT sorted:
-// candidate link sets only feed best.consider (order-insensitive), and
-// bestConfiguration sorts the single winning set before returning, which is
-// cheaper than sorting every candidate.
-func toLinks(m []matching.Edge) []graph.Edge {
-	if len(m) == 0 {
-		return nil
-	}
-	links := make([]graph.Edge, len(m))
-	for i, e := range m {
-		links[i] = graph.Edge{From: e.From, To: e.To}
+// appendLinks appends a matching to a link set (nil stays nil under an
+// empty one). The links are NOT sorted: candidate link sets only feed
+// best.consider (order-insensitive), and bestConfiguration sorts the single
+// winning set before returning, which is cheaper than sorting every candidate.
+func appendLinks(links []graph.Edge, m []matching.Edge) []graph.Edge {
+	links = slices.Grow(links, len(m))
+	for _, e := range m {
+		links = append(links, graph.Edge{From: e.From, To: e.To})
 	}
 	return links
 }

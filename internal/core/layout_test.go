@@ -115,7 +115,8 @@ func TestGTableMatchesGValueState(t *testing.T) {
 			t.Fatalf("seed %d: %d α's over %d links do not make full blocks plus a partial one (width %d)", seed, len(as), len(states), width)
 		}
 		seen := make([]bool, len(as))
-		s.forAlphas(as, func(_ *evalScratch, j int, we []matching.Edge) {
+		s.forAlphas(as, false, func(sc *evalScratch, j int, col []int64) {
+			we := sc.weighted(s.glinks, col)
 			seen[j] = true
 			var want []matching.Edge
 			for li, ls := range states {
@@ -194,9 +195,9 @@ func TestPhase2PruningFiresOnSmallSelections(t *testing.T) {
 				for _, a := range s.tr.candidateAlphas(maxAlpha) {
 					we := s.weightedEdges(ref, a)
 					m, w := ref.arena.GreedyBipartite(g.N(), we)
-					want.consider(toLinks(m), a, w)
+					want.consider(appendLinks(nil, m), a, w)
 					m, w = ref.arena.MaxWeightBipartite(g.N(), we)
-					want.consider(toLinks(m), a, w)
+					want.consider(appendLinks(nil, m), a, w)
 				}
 				sortLinks(want.links)
 			}
@@ -231,4 +232,116 @@ func TestPhase2PruningFiresOnSmallSelections(t *testing.T) {
 		t.Errorf("Parallelism 4: %d configs, counts %+v; Parallelism 1: %d configs, counts %+v", len(got), gc, len(want), wc)
 	}
 	t.Logf("%d iterations, %d exact solves, %d pruned", len(want), wc.solved, wc.pruned)
+}
+
+// TestCarriedOrderPlansTheDefinition: the greedy path carries each arena's
+// sorted link order from one α to the next, copies a candidate's links only
+// when it beats its worker's incumbent, and runs small blocks inline. None of
+// that may show: at Parallelism 1, 2 and 8, on an instance whose α's span
+// several g-table blocks, every planned configuration is the one the
+// definition gives — an ascending-α scan with a fresh greedy matching of G'
+// per α, first strictly best ratio wins — and the carried order is what
+// served the solves.
+func TestCarriedOrderPlansTheDefinition(t *testing.T) {
+	g, load := randomQueues(36, 7)
+	var calls, edges int64 // these do not depend on the worker count; re-sorts and moves do
+	for _, par := range []int{1, 2, 8} {
+		s, err := New(g, load, Options{Window: 3000, Delta: 10, Matcher: MatcherGreedy, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &evalScratch{}
+		for i := 0; ; i++ {
+			want := &best{delta: s.opt.Delta}
+			as := s.tr.candidateAlphas(s.opt.Window - s.used - s.opt.Delta)
+			if i == 0 && len(as)*len(s.tr.activeStates()) <= gTableEntries {
+				t.Fatalf("%d α's × %d links fit one table block", len(as), len(s.tr.activeStates()))
+			}
+			for _, a := range as {
+				m, w := matching.GreedyBipartite(g.N(), s.weightedEdges(ref, a))
+				want.consider(appendLinks(nil, m), a, w)
+			}
+			sortLinks(want.links)
+			cfg, ok, err := s.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if cfg.Alpha != want.alpha || !reflect.DeepEqual(cfg.Links, want.links) {
+				t.Fatalf("par %d, step %d: planned α=%d (%d links), the definition gives α=%d (%d links)",
+					par, i, cfg.Alpha, len(cfg.Links), want.alpha, len(want.links))
+			}
+		}
+		var st matching.Stats
+		for _, sc := range s.scratch {
+			sc.arena.Stats.AddTo(&st)
+		}
+		if st.GreedyResorted*2 > st.GreedyCalls {
+			t.Errorf("par %d: %d of %d greedy solves re-sorted; the order is not being carried", par, st.GreedyResorted, st.GreedyCalls)
+		}
+		if par == 1 {
+			calls, edges = st.GreedyCalls, st.GreedyEdges
+		} else if st.GreedyCalls != calls || st.GreedyEdges != edges {
+			t.Errorf("par %d: %d greedy calls over %d edges, par 1: %d over %d", par, st.GreedyCalls, st.GreedyEdges, calls, edges)
+		}
+	}
+}
+
+// churnInstance is one epoch's backlog at the shape of the benchmark's
+// engine-churn workload — a 128-node fabric of out-degree 8, flows of its
+// size mix, window 500 — except that every route is one hop, so that no
+// queue grows while the plan runs: growing a queue's summary allocates by
+// design (linkState.rebuild) and would drown the count below.
+func churnInstance(tb testing.TB, flows int) (*graph.Digraph, *traffic.Load) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	g := graph.RandomPartial(128, 8, rng)
+	load := &traffic.Load{}
+	for len(load.Flows) < flows {
+		src, dst := rng.Intn(128), rng.Intn(128)
+		if !g.HasEdge(src, dst) {
+			continue
+		}
+		size := 1 + rng.Intn(125)
+		if rng.Intn(4) == 0 {
+			size = 250 + rng.Intn(500)
+		}
+		load.Flows = append(load.Flows, traffic.Flow{ID: len(load.Flows), Size: size, Src: src, Dst: dst, Routes: []traffic.Route{{src, dst}}})
+	}
+	return g, load
+}
+
+// TestGreedyStepAllocationCeiling: a greedy-mode iteration at the
+// engine-churn shape solves some seventy matchings and keeps one. It
+// allocates for the configuration it returns, not per candidate α (716
+// link-set copies an epoch, once).
+func TestGreedyStepAllocationCeiling(t *testing.T) {
+	g, load := churnInstance(t, 300)
+	s, err := New(g, load, Options{Window: 500, Delta: 10, Matcher: MatcherGreedy, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 8
+	worst, candidates := 0.0, 0
+	for !s.done {
+		// AllocsPerRun(1, f) runs f twice and counts the second run; the first
+		// Step of all also warms the scratch.
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, _, err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !s.done {
+			worst, candidates = max(worst, allocs), max(candidates, s.lastCandidates)
+		}
+	}
+	if s.iters < 5 || candidates < 50 {
+		t.Fatalf("%d iterations, at most %d candidate α's: the instance is not the engine-churn shape", s.iters, candidates)
+	}
+	if worst > ceiling {
+		t.Fatalf("a greedy Step allocates %v times (up to %d candidate α's), want <= %d", worst, candidates, ceiling)
+	}
+	t.Logf("%d iterations, at most %v allocations per Step, up to %d candidate α's", s.iters, worst, candidates)
 }

@@ -76,3 +76,49 @@ func TestObsReadOnlyAcrossParallelism(t *testing.T) {
 		})
 	}
 }
+
+// TestGreedyOrderMetrics: every greedy solve is either carried or re-sorted,
+// and says so on the registry. At the engine-churn shape every g-table block
+// is small enough to run inline, so one arena sees every column at any
+// Parallelism and all the greedy counters agree between 1 and 4; on a larger
+// instance only calls, edges and matched do (see matching.Stats).
+func TestGreedyOrderMetrics(t *testing.T) {
+	run := func(g *graph.Digraph, load *traffic.Load, window, par int) map[string]int64 {
+		reg := obs.NewRegistry()
+		s, err := New(g, load, Options{Window: window, Delta: 10, Matcher: MatcherGreedy, Parallelism: par, Obs: &obs.Observer{Metrics: reg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make(map[string]int64)
+		for {
+			if _, ok, err := s.Step(); err != nil {
+				t.Fatal(err)
+			} else if !ok {
+				break
+			}
+			m["block"] = max(m["block"], int64(s.lastCandidates*len(s.tr.activeStates())))
+		}
+		for _, k := range []string{"calls", "edges", "matched", "order_carried", "resorted", "order_moves"} {
+			m[k] = reg.Value("octopus_match_greedy_" + k + "_total")
+		}
+		if m["order_carried"]+m["resorted"] != m["calls"] || m["order_carried"] == 0 || m["resorted"] == 0 || m["order_moves"] == 0 {
+			t.Fatalf("par %d: %v; want carried + resorted = calls, and all of them at work", par, m)
+		}
+		return m
+	}
+	g, load := churnInstance(t, 100)
+	one, four := run(g, load, 500, 1), run(g, load, 500, 4)
+	if one["block"] >= inlineEntries {
+		t.Fatalf("a block of %d table entries, want every block inline", one["block"])
+	}
+	if !reflect.DeepEqual(one, four) {
+		t.Errorf("engine-churn shape: counters differ between Parallelism 1 and 4:\n%v\n%v", one, four)
+	}
+	g, load = randomQueues(36, 7)
+	one, four = run(g, load, 3000, 1), run(g, load, 3000, 4)
+	for _, k := range []string{"calls", "edges", "matched"} {
+		if one[k] != four[k] {
+			t.Errorf("greedy %s: %d at Parallelism 1, %d at 4", k, one[k], four[k])
+		}
+	}
+}

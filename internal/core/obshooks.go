@@ -21,6 +21,9 @@ type coreInstruments struct {
 	greedyCalls   *obs.Counter
 	greedyEdges   *obs.Counter
 	greedyMatched *obs.Counter
+	orderCarried  *obs.Counter // greedy calls that repaired the previous order...
+	orderResorted *obs.Counter // ...and those that radix-sorted instead
+	orderMoves    *obs.Counter // insertion moves of the repairs
 	exactCalls    *obs.Counter
 	exactRows     *obs.Counter
 	augmentRounds *obs.Counter
@@ -44,6 +47,9 @@ func bindCoreInstruments(o *obs.Observer) coreInstruments {
 		greedyCalls:   o.Counter("octopus_match_greedy_calls_total"),
 		greedyEdges:   o.Counter("octopus_match_greedy_edges_total"),
 		greedyMatched: o.Counter("octopus_match_greedy_matched_total"),
+		orderCarried:  o.Counter("octopus_match_greedy_order_carried_total"),
+		orderResorted: o.Counter("octopus_match_greedy_resorted_total"),
+		orderMoves:    o.Counter("octopus_match_greedy_order_moves_total"),
 		exactCalls:    o.Counter("octopus_match_exact_calls_total"),
 		exactRows:     o.Counter("octopus_match_exact_rows_total"),
 		augmentRounds: o.Counter("octopus_match_augment_rounds_total"),
@@ -94,6 +100,9 @@ func (s *Scheduler) observeDone() {
 	ins.greedyCalls.Add(sum.GreedyCalls)
 	ins.greedyEdges.Add(sum.GreedyEdges)
 	ins.greedyMatched.Add(sum.GreedyMatched)
+	ins.orderCarried.Add(sum.GreedyCalls - sum.GreedyResorted)
+	ins.orderResorted.Add(sum.GreedyResorted)
+	ins.orderMoves.Add(sum.GreedyMoves)
 	ins.exactCalls.Add(sum.ExactCalls)
 	ins.exactRows.Add(sum.ExactRows)
 	ins.augmentRounds.Add(sum.AugmentRounds)

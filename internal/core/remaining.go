@@ -131,7 +131,8 @@ func (ls *linkState) insert(e *entry) {
 func (ls *linkState) rebuild() {
 	s := &ls.sum
 	if n := len(ls.entries); cap(s.prefC) < n {
-		// Sized once per queue growth, not by append's doubling.
+		// The queue has outgrown the share newRemaining carved for it (or was
+		// created later): sized once per queue growth, not by append's doubling.
 		s.live, s.prefC, s.prefB, s.bws = make([]*entry, 0, n), make([]int, 0, n), make([]int64, 0, n), make([]int64, 0, n)
 	}
 	s.live = s.live[:0]
@@ -259,8 +260,8 @@ func (s *slab[T]) take(n int) []T {
 }
 
 // newRemaining builds T^r = T. Its allocations are O(links), not O(flows):
-// subflows, entries, queue slots and homes of the whole load come from four
-// arrays sized up front.
+// subflows, entries, queue slots, homes and link-summary arrays of the whole
+// load come from arrays sized up front.
 func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, backtrack, keepTrace bool) *remaining {
 	tr := &remaining{
 		g:          g,
@@ -299,9 +300,14 @@ func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, bac
 	// buildHomes.
 	homes := tr.buildHomes
 	slots := make([]*entry, len(homes))
+	// So are the summary arrays of every queue, its share being its initial
+	// length (see linkState.rebuild).
+	live, prefC, prefB, bws := make([]*entry, len(homes)), make([]int, len(homes)), make([]int64, len(homes)), make([]int64, len(homes))
 	for _, ls := range tr.stateList {
 		c := tr.buildCount[g.LinkID(ls.edge.From, ls.edge.To)]
 		ls.entries, slots = slots[:0:c], slots[c:]
+		ls.sum.live, ls.sum.prefC, ls.sum.prefB, ls.sum.bws = live[:0:c], prefC[:0:c], prefB[:0:c], bws[:0:c]
+		live, prefC, prefB, bws = live[c:], prefC[c:], prefB[c:], bws[c:]
 	}
 	for k, ls := range homes {
 		en := &initial[k]

@@ -20,9 +20,9 @@ type Arena struct {
 	Stats Stats
 
 	// Greedy matcher state.
-	pos      []Edge // positive-weight working copy of the input
-	radixBuf []Edge // ping-pong buffer for the radix sort
-	usedFrom []bool // per-node matched marks; all-false between calls
+	ord      []wlink // the last call's positive links in greedy order (see GreedyColumn)
+	ordBuf   []wlink // ping-pong buffer for the radix sort
+	usedFrom []bool  // per-node matched marks; all-false between calls
 	usedTo   []bool
 	outG     []Edge // greedy result backing
 
@@ -44,7 +44,7 @@ type Arena struct {
 // over the arena's lifetime. This package stays dependency-free:
 // consumers translate these counts into whatever metrics system they use.
 type Stats struct {
-	GreedyCalls   int64 // GreedyBipartite invocations
+	GreedyCalls   int64 // GreedyBipartite and GreedyColumn invocations
 	GreedyEdges   int64 // positive-weight edges considered by greedy calls
 	GreedyMatched int64 // edges emitted by greedy calls
 	ExactCalls    int64 // MaxWeightBipartite invocations
@@ -53,6 +53,11 @@ type Stats struct {
 	FullScans     int64 // of those, rounds that relaxed a whole row (see insertRow)
 	Grows         int64 // calls that grew arena storage
 	Reuses        int64 // calls served entirely from existing storage
+
+	// Greedy calls that radix-sorted, and the insertion moves of those that
+	// repaired the arena's previous order; both vary with which arena saw what.
+	GreedyResorted int64
+	GreedyMoves    int64
 }
 
 // AddTo accumulates s into dst field by field.
@@ -60,6 +65,8 @@ func (s Stats) AddTo(dst *Stats) {
 	dst.GreedyCalls += s.GreedyCalls
 	dst.GreedyEdges += s.GreedyEdges
 	dst.GreedyMatched += s.GreedyMatched
+	dst.GreedyResorted += s.GreedyResorted
+	dst.GreedyMoves += s.GreedyMoves
 	dst.ExactCalls += s.ExactCalls
 	dst.ExactRows += s.ExactRows
 	dst.AugmentRounds += s.AugmentRounds
@@ -71,7 +78,7 @@ func (s Stats) AddTo(dst *Stats) {
 // greedyCap sums the capacities of the greedy-side buffers; comparing it
 // before and after a call detects whether the call had to grow storage.
 func (a *Arena) greedyCap() int {
-	return cap(a.pos) + cap(a.radixBuf) + cap(a.usedFrom) + cap(a.usedTo) + cap(a.outG)
+	return cap(a.ord) + cap(a.ordBuf) + cap(a.usedFrom) + cap(a.usedTo) + cap(a.outG)
 }
 
 // exactDone closes out one exact call's grow/reuse accounting.
@@ -119,32 +126,51 @@ func grow[T any](s []T, n int) []T {
 // GreedyBipartite is the arena-backed variant of the package-level
 // GreedyBipartite; see its documentation. The returned slice is valid
 // until the next call on the arena.
-func (a *Arena) GreedyBipartite(n int, edges []Edge) ([]Edge, int64) {
+func (a *Arena) GreedyBipartite(n int, edges []Edge) ([]Edge, int64) { return a.greedy(n, edges, nil) }
+
+// GreedyColumn is GreedyBipartite on links[i] reweighted to col[i] (links'
+// own Weight fields are not read): the same matching, emitted in the same
+// order. It serves a run of columns that order one link list almost alike,
+// such as core's candidate α's: the previous order is repaired, not rebuilt.
+func (a *Arena) GreedyColumn(n int, links []Edge, col []int64) ([]Edge, int64) {
+	return a.greedy(n, links, col)
+}
+
+// greedy takes the positive links by (weight descending, index ascending) —
+// weights from col, or the links' own when col is nil — keeping each whose
+// endpoints are both free. The order is strict and total, so one
+// arrangement satisfies it, however it is reached: by carry, or else by the
+// stable radix sort of the positive links in index order.
+func (a *Arena) greedy(n int, links []Edge, col []int64) ([]Edge, int64) {
 	capBefore := a.greedyCap()
-	pos := a.pos[:0]
-	for _, e := range edges {
-		if e.Weight > 0 {
-			pos = append(pos, e)
+	if col == nil || !a.carry(col) {
+		ord := a.ord[:0]
+		for i, e := range links {
+			if col != nil {
+				e.Weight = col[i]
+			}
+			if e.Weight > 0 {
+				ord = append(ord, wlink{e.Weight, i})
+			}
 		}
+		a.ord, a.ordBuf = ord, grow(a.ordBuf, len(ord))
+		radixSort(ord, a.ordBuf)
+		a.Stats.GreedyResorted++
 	}
-	a.pos = pos
-	if cap(a.radixBuf) < len(pos) {
-		a.radixBuf = make([]Edge, len(pos))
-	}
-	radixSortEdges(pos, a.radixBuf[:len(pos)])
 	a.usedFrom = growBools(a.usedFrom, n)
 	a.usedTo = growBools(a.usedTo, n)
 	usedFrom, usedTo := a.usedFrom, a.usedTo
 	m := a.outG[:0]
 	var total int64
-	for _, e := range pos {
+	for _, o := range a.ord {
+		e := links[o.link]
 		if usedFrom[e.From] || usedTo[e.To] {
 			continue
 		}
 		usedFrom[e.From] = true
 		usedTo[e.To] = true
-		m = append(m, e)
-		total += e.Weight
+		m = append(m, Edge{From: e.From, To: e.To, Weight: o.w})
+		total += o.w
 	}
 	a.outG = m
 	// Restore the all-false invariant: only matched endpoints were set.
@@ -153,7 +179,7 @@ func (a *Arena) GreedyBipartite(n int, edges []Edge) ([]Edge, int64) {
 		usedTo[e.To] = false
 	}
 	a.Stats.GreedyCalls++
-	a.Stats.GreedyEdges += int64(len(pos))
+	a.Stats.GreedyEdges += int64(len(a.ord))
 	a.Stats.GreedyMatched += int64(len(m))
 	if a.greedyCap() > capBefore {
 		a.Stats.Grows++
@@ -164,6 +190,44 @@ func (a *Arena) GreedyBipartite(n int, edges []Edge) ([]Edge, int64) {
 		return nil, 0
 	}
 	return m, total
+}
+
+// moveBudget is the insertion moves carry may make per link it has passed —
+// about what the radix passes cost — on top of half a move per link up front.
+const moveBudget = 4
+
+// carry rewrites the weights of a.ord, the previous call's order, from col
+// and repairs the order by insertion. It reports false, a.ord unspecified,
+// unless a.ord holds exactly col's positive indices (it never repeats one,
+// so equal count and every index positive suffice) and the budget holds.
+func (a *Arena) carry(col []int64) bool {
+	ord := a.ord
+	positive := 0
+	for _, w := range col {
+		if w > 0 {
+			positive++
+		}
+	}
+	if positive != len(ord) {
+		return false
+	}
+	left := len(ord) / 2
+	for k := range ord {
+		l := ord[k].link
+		if l >= len(col) || col[l] <= 0 {
+			return false
+		}
+		x, j := wlink{col[l], l}, k
+		for ; j > 0 && x.before(ord[j-1]); j-- {
+			ord[j] = ord[j-1]
+		}
+		ord[j] = x
+		if left += moveBudget - (k - j); left < 0 {
+			return false
+		}
+	}
+	a.Stats.GreedyMoves += int64(len(ord)/2 + moveBudget*len(ord) - left)
+	return true
 }
 
 // MaxWeightBipartite is the arena-backed variant of the package-level

@@ -54,7 +54,7 @@ func TestArenaStats(t *testing.T) {
 	a.Stats.AddTo(&sum)
 	if sum.ExactCalls != 2*a.Stats.ExactCalls || sum.GreedyEdges != 2*a.Stats.GreedyEdges ||
 		sum.AugmentRounds != 2*a.Stats.AugmentRounds || sum.FullScans != 2*a.Stats.FullScans ||
-		sum.Grows != 2*a.Stats.Grows {
+		sum.Grows != 2*a.Stats.Grows || sum.GreedyResorted != 2*a.Stats.GreedyResorted || sum.GreedyMoves != 2*a.Stats.GreedyMoves {
 		t.Fatalf("AddTo not field-complete: %+v vs %+v", sum, a.Stats)
 	}
 }

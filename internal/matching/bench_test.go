@@ -128,17 +128,17 @@ func BenchmarkGreedyGeneral(b *testing.B) {
 func BenchmarkRadixSortEdges(b *testing.B) {
 	for _, n := range []int{150, 7000, 35000} {
 		rng := rand.New(rand.NewSource(1))
-		edges := make([]Edge, n)
-		for i := range edges {
-			edges[i] = Edge{From: i, To: i, Weight: (1 + rng.Int63n(10000)) * 27720 * 64}
+		links := make([]wlink, n)
+		for i := range links {
+			links[i] = wlink{(1 + rng.Int63n(10000)) * 27720 * 64, i}
 		}
-		work := make([]Edge, n)
-		buf := make([]Edge, n)
+		work := make([]wlink, n)
+		buf := make([]wlink, n)
 		b.Run(fmt.Sprintf("edges%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				copy(work, edges)
-				radixSortEdges(work, buf)
+				copy(work, links)
+				radixSort(work, buf)
 			}
 		})
 	}
@@ -158,3 +158,39 @@ func sizeName(n int) string {
 		return "n50"
 	}
 }
+
+// BenchmarkGreedyAlphaSweep is one greedy iteration of core as the matcher
+// sees it: one link list solved under every candidate α's column, ascending,
+// on one arena (queueColumns models the g-table). The sizes are an
+// engine-churn epoch, the pods-flows fabric and a fig4-exact iteration (few
+// α's, far apart: nothing to carry); moves/op and resorts/op say how the
+// order was reached — per sweep, the insertion moves of the carried solves
+// and the number of solves that radix-sorted instead.
+func BenchmarkGreedyAlphaSweep(b *testing.B) {
+	for _, bc := range []struct {
+		name                                         string
+		n, links, alphas, maxAlpha, entries, maxSize int
+	}{
+		{"churn-151x72", 128, 151, 72, 490, 4, 300},
+		{"pods-35000x55", 1024, 35000, 55, 508, 28, 24},
+		{"fig4-6900x13", 256, 6900, 13, 9980, 8, 1500},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		links := queueLinks(rng, bc.n, bc.links)
+		cols := queueColumns(rng, bc.links, bc.entries, bc.maxSize, ascendingAlphas(rng, bc.alphas, bc.maxAlpha))
+		b.Run(bc.name, func(b *testing.B) {
+			var a Arena
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, col := range cols {
+					_, w := a.GreedyColumn(bc.n, links, col)
+					greedySink += w
+				}
+			}
+			b.ReportMetric(float64(a.Stats.GreedyMoves)/float64(b.N), "moves/op")
+			b.ReportMetric(float64(a.Stats.GreedyResorted)/float64(b.N), "resorts/op")
+		})
+	}
+}
+
+var greedySink int64

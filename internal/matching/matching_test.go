@@ -128,10 +128,10 @@ func TestGreedyBipartiteDeterministic(t *testing.T) {
 	}
 }
 
-// TestRadixSortEdges pins the input-sized radix sort to the order of a
-// stable comparison sort by weight descending — edge for edge, so ties keep
-// their input order — on both sides of the digit-width switch and on the
-// weight shapes that let it skip passes.
+// TestRadixSortEdges pins the input-sized radix sort to the greedy order
+// (weight descending, index ascending among equals — what a stable sort of
+// the index-ordered input gives) on both sides of the digit-width switch and
+// on the weight shapes that let it skip passes.
 func TestRadixSortEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// The largest matching weight core.checkOptions admits is below
@@ -150,26 +150,34 @@ func TestRadixSortEdges(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, 150, radixSmall - 1, radixSmall, radixSmall + 1, 7000}
 	for name, weight := range weights {
 		for _, n := range sizes {
-			edges := make([]Edge, n)
-			for i := range edges {
-				edges[i] = Edge{From: i, To: n - i, Weight: weight()}
+			links := make([]wlink, n)
+			for i := range links {
+				links[i] = wlink{weight(), i}
 			}
-			got := slices.Clone(edges)
-			radixSortEdges(got, make([]Edge, n))
-			want := slices.Clone(edges)
-			slices.SortStableFunc(want, func(a, b Edge) int { return cmp.Compare(b.Weight, a.Weight) })
+			got := slices.Clone(links)
+			radixSort(got, make([]wlink, n))
+			want := slices.Clone(links)
+			slices.SortStableFunc(want, func(a, b wlink) int { return cmp.Compare(b.w, a.w) })
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s weights, %d edges: radix order differs from the stable sort", name, n)
+				t.Fatalf("%s weights, %d links: radix order differs from the stable sort", name, n)
+			}
+			if !slices.IsSortedFunc(got, func(a, b wlink) int {
+				if a.before(b) {
+					return -1
+				}
+				return 1
+			}) {
+				t.Fatalf("%s weights, %d links: radix order is not wlink.before order", name, n)
 			}
 		}
 	}
 }
 
 func TestRadixSortStability(t *testing.T) {
-	edges := []Edge{{0, 0, 7}, {1, 1, 7}, {2, 2, 7}, {3, 3, 9}}
-	radixSortEdges(edges, make([]Edge, len(edges)))
-	if edges[0].From != 3 || edges[1].From != 0 || edges[2].From != 1 || edges[3].From != 2 {
-		t.Fatalf("stability violated: %v", edges)
+	links := []wlink{{7, 0}, {7, 1}, {7, 2}, {9, 3}}
+	radixSort(links, make([]wlink, len(links)))
+	if links[0].link != 3 || links[1].link != 0 || links[2].link != 1 || links[3].link != 2 {
+		t.Fatalf("stability violated: %v", links)
 	}
 }
 
