@@ -167,7 +167,7 @@ func BenchmarkWeightedEdgesGreedy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.forAlphas(alphas, false, func(sc *evalScratch, _ int, col []int64) { weightedEdgesSink += len(sc.weighted(s.glinks, col)) })
+		s.forAlphas(alphas, func(sc *evalScratch, _ int, col []int64) { weightedEdgesSink += len(sc.weighted(s.tr.glinks, col)) })
 	}
 }
 

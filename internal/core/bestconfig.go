@@ -22,7 +22,8 @@ type evalScratch struct {
 	row, col []int64 // length fabric.N(), all-zero between rowColUB calls
 	taken    []bool  // by fabric link id, all-false between evalMultiPort calls
 	arena    matching.Arena
-	local    best // see bestConfiguration, phase 1
+	local    best // see bestConfiguration, phase 1...
+	localAt  int  // ...and its candidate's position in alphas
 }
 
 // weighted returns G' for one g-table column: links[i] weighted col[i], zero
@@ -138,23 +139,24 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		for _, sc := range s.scratch {
 			sc.local.benefit = 0
 		}
-		s.forAlphas(alphas, false, func(sc *evalScratch, i int, col []int64) {
-			m, gw := sc.arena.GreedyColumn(s.fabric.N(), s.glinks, col)
+		s.forAlphas(alphas, func(sc *evalScratch, i int, col []int64) {
+			m, gw := sc.arena.GreedyColumn(s.fabric.N(), s.tr.glinks, col)
 			evals[i].w = gw
 			if sc.local.beats(gw, alphas[i]) {
 				sc.local.consider(appendLinks(sc.local.links[:0], m), alphas[i], gw)
+				sc.localAt = i
 			}
 			if twoPhase {
-				evals[i].ub = rowColUB(sc.weighted(s.glinks, col), sc.row, sc.col)
+				evals[i].ub = rowColUB(sc.weighted(s.tr.glinks, col), sc.row, sc.col)
 			}
 		})
 		for _, sc := range s.scratch {
-			if i, ok := slices.BinarySearch(alphas, sc.local.alpha); ok && sc.local.benefit > 0 {
-				evals[i].links = slices.Clone(sc.local.links)
+			if sc.local.benefit > 0 {
+				evals[sc.localAt].links = slices.Clone(sc.local.links)
 			}
 		}
 	} else {
-		s.parallelFor(len(alphas), false, func(w, i int) {
+		s.parallelFor(len(alphas), func(w, i int) {
 			local := &best{delta: s.opt.Delta}
 			s.evalAlpha(s.scratch[w], alphas[i], local)
 			evals[i].links, evals[i].w = local.links, local.benefit
@@ -245,9 +247,9 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		for ci, i := range sel[lo:k] {
 			chunk[ci] = alphas[i]
 		}
-		s.forAlphas(chunk[:k-lo], true, func(sc *evalScratch, ci int, col []int64) {
+		s.forAlphas(chunk[:k-lo], func(sc *evalScratch, ci int, col []int64) {
 			i := sel[lo+ci]
-			m, mw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.glinks, col))
+			m, mw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.tr.glinks, col))
 			evals[i].exactLinks = appendLinks(nil, m)
 			evals[i].exactW = mw
 		})
@@ -277,34 +279,24 @@ const phase2Chunk = 8
 // (a fabric with more active links than that gets one-α blocks).
 const gTableEntries = 1 << 20
 
-// inlineEntries is the number of g-table entries below which starting and
-// joining goroutines costs more than the greedy solves they would share.
-const inlineEntries = 1 << 14
-
 // forAlphas calls f(scratch, j, col) once for every j in [0, len(as)), col
-// being the g-table column of α = as[j]: col[i] = g(s.glinks[i], α) over the
-// active links in (From, To) order, zeros included (sc.weighted(s.glinks,
-// col) is the weighted graph G' of Procedure 2). col is valid until f
-// returns. as must be ascending; it is cut into blocks of as many α's as the
-// table holds, and the α's of a block are evaluated in parallel, every
-// worker taking its share in ascending order — on the calling goroutine
-// when the block is small, unless heavy says f does more per column than a
-// greedy solve or two (an exact solve is worth a goroutine at any size).
-func (s *Scheduler) forAlphas(as []int, heavy bool, f func(sc *evalScratch, j int, col []int64)) {
-	edges, states := s.tr.activeEdges(), s.tr.activeStates()
+// being the g-table column of α = as[j]: col[i] = g(s.tr.glinks[i], α) over
+// the active links in (From, To) order, zeros included
+// (sc.weighted(s.tr.glinks, col) is the weighted graph G' of Procedure 2).
+// col is valid until f returns. as must be ascending; it is cut into blocks
+// of as many α's as the table holds, and the α's of a block are evaluated in
+// parallel, every worker taking its share in ascending order.
+func (s *Scheduler) forAlphas(as []int, f func(sc *evalScratch, j int, col []int64)) {
+	states := s.tr.activeStates()
 	nL := len(states)
 	if nL == 0 {
 		return
-	}
-	s.glinks = s.glinks[:0]
-	for _, e := range edges {
-		s.glinks = append(s.glinks, matching.Edge{From: e.From, To: e.To})
 	}
 	width := max(1, gTableEntries/nL)
 	for lo := 0; lo < len(as); lo += width {
 		block := as[lo:min(lo+width, len(as))]
 		s.fillG(states, block)
-		s.parallelFor(len(block), !heavy && len(block)*nL < inlineEntries, func(w, j int) {
+		s.parallelFor(len(block), func(w, j int) {
 			f(s.scratch[w], lo+j, s.gbuf[j*nL:(j+1)*nL])
 		})
 	}
@@ -326,7 +318,7 @@ func (s *Scheduler) fillG(states []*linkState, block []int) {
 	if need := len(block) * nL; cap(s.gbuf) < need {
 		s.gbuf = make([]int64, need)
 	}
-	s.parallelFor((nL+fillLinks-1)/fillLinks, len(block)*nL < inlineEntries, func(_, c int) {
+	s.parallelFor((nL+fillLinks-1)/fillLinks, func(_, c int) {
 		for li := c * fillLinks; li < min((c+1)*fillLinks, nL); li++ {
 			fillLink(s.gbuf[li:], nL, states[li].summary(), block)
 		}
@@ -357,13 +349,13 @@ func fillLink(col []int64, stride int, sum *linkSummary, block []int) {
 	}
 }
 
-// parallelFor runs f(worker, 0..n-1) across Options.Parallelism workers, or
-// on the calling goroutine as worker 0 when that is 1 or inline is set. The
-// remaining-traffic state is read-only during evaluation, so workers share
-// it without synchronization; work items are claimed, in ascending order,
-// from a lock-free atomic counter. Each worker owns s.scratch[worker]
-// exclusively for the duration of the call.
-func (s *Scheduler) parallelFor(n int, inline bool, f func(worker, i int)) {
+// parallelFor runs f(worker, 0..n-1) across Options.Parallelism workers
+// (Parallelism <= 1 runs inline with worker 0). The remaining-traffic state
+// is read-only during evaluation, so workers share it without
+// synchronization; work items are claimed, in ascending order, from a
+// lock-free atomic counter. Each worker owns s.scratch[worker] exclusively
+// for the duration of the call.
+func (s *Scheduler) parallelFor(n int, f func(worker, i int)) {
 	workers := s.opt.Parallelism
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -371,7 +363,7 @@ func (s *Scheduler) parallelFor(n int, inline bool, f func(worker, i int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers < 1 || inline {
+	if workers < 1 {
 		workers = 1
 	}
 	s.ensureScratch(workers)
@@ -431,11 +423,11 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best, bipartite bool) {
 		}
 		e.w = 0
 		if bipartite {
-			s.forAlphas(alphas[i:i+1], false, func(sc *evalScratch, _ int, col []int64) {
+			s.forAlphas(alphas[i:i+1], func(sc *evalScratch, _ int, col []int64) {
 				// Only the better of the two matchings is copied out of the arena.
-				m, w := sc.arena.GreedyColumn(s.fabric.N(), s.glinks, col)
+				m, w := sc.arena.GreedyColumn(s.fabric.N(), s.tr.glinks, col)
 				if s.opt.Matcher != MatcherGreedy {
-					if xm, xw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.glinks, col)); xw > w {
+					if xm, xw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.tr.glinks, col)); xw > w {
 						m, w = xm, xw
 					}
 				}

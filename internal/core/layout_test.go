@@ -115,8 +115,8 @@ func TestGTableMatchesGValueState(t *testing.T) {
 			t.Fatalf("seed %d: %d α's over %d links do not make full blocks plus a partial one (width %d)", seed, len(as), len(states), width)
 		}
 		seen := make([]bool, len(as))
-		s.forAlphas(as, false, func(sc *evalScratch, j int, col []int64) {
-			we := sc.weighted(s.glinks, col)
+		s.forAlphas(as, func(sc *evalScratch, j int, col []int64) {
+			we := sc.weighted(s.tr.glinks, col)
 			seen[j] = true
 			var want []matching.Edge
 			for li, ls := range states {
@@ -235,9 +235,8 @@ func TestPhase2PruningFiresOnSmallSelections(t *testing.T) {
 }
 
 // TestCarriedOrderPlansTheDefinition: the greedy path carries each arena's
-// sorted link order from one α to the next, copies a candidate's links only
-// when it beats its worker's incumbent, and runs small blocks inline. None of
-// that may show: at Parallelism 1, 2 and 8, on an instance whose α's span
+// sorted link order from one α to the next and copies a candidate's links
+// only when it beats its worker's incumbent. None of that may show: at Parallelism 1, 2 and 8, on an instance whose α's span
 // several g-table blocks, every planned configuration is the one the
 // definition gives — an ascending-α scan with a fresh greedy matching of G'
 // per α, first strictly best ratio wins — and the carried order is what

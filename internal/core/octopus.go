@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"octopus/internal/graph"
-	"octopus/internal/matching"
 	"octopus/internal/obs"
 	"octopus/internal/schedule"
 	"octopus/internal/traffic"
@@ -127,7 +126,6 @@ type Scheduler struct {
 	// phase-2 solve-set buffer, and the running count of exact solves
 	// skipped by incumbent pruning (observability only).
 	gbuf        []int64
-	glinks      []matching.Edge // the links gbuf's columns are indexed by
 	selBuf      []int
 	prunedExact int64
 

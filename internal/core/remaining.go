@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"octopus/internal/graph"
+	"octopus/internal/matching"
 	"octopus/internal/traffic"
 )
 
@@ -200,9 +201,11 @@ type remaining struct {
 	links []*linkState
 	heads []subflow
 	// stateList holds every non-nil element of links, sorted by edge once
-	// activeEdges has run; edgeList is its edges, index-aligned.
+	// activeEdges has run; edgeList is its edges, index-aligned, and glinks
+	// the same as the matchers take them (what a g-table column is indexed by).
 	stateList  []*linkState
 	edgeList   []graph.Edge
+	glinks     []matching.Edge
 	edgesDirty bool
 
 	// Everything created after construction is carved from slabs; T^r only
@@ -430,9 +433,10 @@ func (tr *remaining) addUncommittedEntries(sf *subflow) {
 func (tr *remaining) activeEdges() []graph.Edge {
 	if tr.edgesDirty {
 		slices.SortFunc(tr.stateList, func(a, b *linkState) int { return cmpEdge(a.edge, b.edge) })
-		tr.edgeList = tr.edgeList[:0]
+		tr.edgeList, tr.glinks = tr.edgeList[:0], tr.glinks[:0]
 		for _, ls := range tr.stateList {
 			tr.edgeList = append(tr.edgeList, ls.edge)
+			tr.glinks = append(tr.glinks, matching.Edge{From: ls.edge.From, To: ls.edge.To})
 		}
 		tr.edgesDirty = false
 	}

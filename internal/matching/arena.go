@@ -8,7 +8,9 @@ package matching
 //
 // An Arena is not safe for concurrent use, and the edge slice returned by
 // its matcher methods aliases arena storage: it is valid only until the
-// next call on the same Arena. The package-level MaxWeightBipartite and
+// next call of the same kind on the same Arena — a greedy result outlives
+// exact calls and an exact result greedy calls, their backing being
+// separate (core's Octopus-B holds both). The package-level MaxWeightBipartite and
 // GreedyBipartite wrappers use a private Arena per call and therefore keep
 // their original allocate-fresh semantics.
 //
@@ -55,7 +57,9 @@ type Stats struct {
 	Reuses        int64 // calls served entirely from existing storage
 
 	// Greedy calls that radix-sorted, and the insertion moves of those that
-	// repaired the arena's previous order; both vary with which arena saw what.
+	// repaired the arena's previous order. Both depend on which arena saw
+	// which call: summed over a pool of arenas they vary with its size, where
+	// GreedyCalls, GreedyEdges and GreedyMatched do not.
 	GreedyResorted int64
 	GreedyMoves    int64
 }
@@ -125,7 +129,7 @@ func grow[T any](s []T, n int) []T {
 
 // GreedyBipartite is the arena-backed variant of the package-level
 // GreedyBipartite; see its documentation. The returned slice is valid
-// until the next call on the arena.
+// until the next greedy call on the arena.
 func (a *Arena) GreedyBipartite(n int, edges []Edge) ([]Edge, int64) { return a.greedy(n, edges, nil) }
 
 // GreedyColumn is GreedyBipartite on links[i] reweighted to col[i] (links'
@@ -232,7 +236,7 @@ func (a *Arena) carry(col []int64) bool {
 
 // MaxWeightBipartite is the arena-backed variant of the package-level
 // MaxWeightBipartite; see its documentation. The returned slice is valid
-// until the next call on the arena.
+// until the next exact call on the arena.
 func (a *Arena) MaxWeightBipartite(n int, edges []Edge) ([]Edge, int64) {
 	capBefore := a.exactCap()
 	a.Stats.ExactCalls++

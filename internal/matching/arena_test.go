@@ -85,6 +85,24 @@ func TestArenaStatsDoNotPerturbResults(t *testing.T) {
 	}
 }
 
+// TestArenaResultsOutliveTheOtherKind: a greedy result survives an exact call
+// on the same arena and an exact result a greedy call (see Arena).
+func TestArenaResultsOutliveTheOtherKind(t *testing.T) {
+	edges := []Edge{{From: 0, To: 2, Weight: 9}, {From: 1, To: 2, Weight: 8}, {From: 1, To: 3, Weight: 7}, {From: 0, To: 3, Weight: 5}}
+	var a Arena
+	gm, _ := a.GreedyBipartite(4, edges)
+	greedy := slices.Clone(gm)
+	xm, _ := a.MaxWeightBipartite(4, edges[1:])
+	if !slices.Equal(gm, greedy) {
+		t.Errorf("greedy result %v changed under an exact call, want %v", gm, greedy)
+	}
+	exact := slices.Clone(xm)
+	a.GreedyColumn(4, edges, []int64{1, 2, 3, 4})
+	if !slices.Equal(xm, exact) {
+		t.Errorf("exact result %v changed under a greedy call, want %v", xm, exact)
+	}
+}
+
 // TestArenaShrinkThenGrow guards against stale state leaking across
 // instance sizes: a big solve, then a small one, then big again must match
 // a fresh arena — and the textbook loop, duals included — at every step. The
