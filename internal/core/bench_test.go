@@ -136,15 +136,33 @@ func BenchmarkGValue(b *testing.B) {
 	}
 }
 
-// BenchmarkNewRemaining measures building T^r for 100k flows on a 16×16
-// pod fabric: per-flow work only, no matching.
+// BenchmarkNewRemaining measures building T^r, per-flow work only, no
+// matching: pods is 100k single-route flows on a 16×16 pod fabric (the
+// instance TestNewBytesPerFlow weighs), octopus+ 10k flows of up to ten
+// routes each with backtracking on. B/op ÷ flows is the layout's cost.
 func BenchmarkNewRemaining(b *testing.B) {
-	g, load := podInstance(b, 16, 16, 100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		newRemaining(g, load, 0, false, false, false)
-	}
+	b.Run("pods", func(b *testing.B) {
+		g, load := podInstance(b, 16, 16, 100_000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			newRemaining(g, load, 0, false, false, false)
+		}
+	})
+	b.Run("octopus+", func(b *testing.B) {
+		g := graph.Complete(64)
+		p := traffic.DefaultSyntheticParams(64, 8000)
+		p.NL, p.NS, p.RouteChoices = 40, 120, 10
+		load, err := traffic.Synthetic(g, p, rand.New(rand.NewSource(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			newRemaining(g, load, 0, true, true, false)
+		}
+	})
 }
 
 var weightedEdgesSink int

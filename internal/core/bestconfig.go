@@ -316,7 +316,9 @@ const fillLinks = 1024
 func (s *Scheduler) fillG(states []*linkState, block []int) {
 	nL := len(states)
 	if need := len(block) * nL; cap(s.gbuf) < need {
-		s.gbuf = make([]int64, need)
+		// Links become active as packets move downstream, so need creeps up
+		// from one iteration to the next: head-room, or every step re-allocates.
+		s.gbuf = make([]int64, need+need/4)
 	}
 	s.parallelFor((nL+fillLinks-1)/fillLinks, func(_, c int) {
 		for li := c * fillLinks; li < min((c+1)*fillLinks, nL); li++ {

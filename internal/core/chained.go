@@ -41,20 +41,21 @@ func (s *Scheduler) evalChain(edges []graph.Edge, alpha int) int64 {
 	for idx, e := range edges {
 		items := carry[:len(carry):len(carry)]
 		if ls := s.tr.state(e); ls != nil {
-			// The summary's live list skips zero-count entries up front; it
-			// is clean here because candidateAlphas rebuilt every active
-			// link's summary before the evaluation phase began.
-			for _, en := range ls.summary().live {
-				if en.backtrack {
+			for _, ei := range ls.entries {
+				en := &s.tr.entries[ei]
+				sf := &s.tr.subflows[en.sf]
+				if sf.count == 0 || en.backtrack() {
 					continue
 				}
+				f := &s.tr.flows[sf.flow]
+				route := f.Routes[sf.routeID]
 				items = append(items, chItem{
-					route:  en.sf.route,
-					wlen:   en.sf.flow.WeightLen(en.sf.route),
-					pos:    en.sf.key.pos,
-					count:  en.sf.count,
+					route:  route,
+					wlen:   f.WeightLen(route),
+					pos:    int(sf.pos),
+					count:  int(sf.count),
 					lag:    0,
-					flowID: en.sf.flow.ID,
+					flowID: f.ID,
 					bw:     en.bw,
 				})
 			}
@@ -203,14 +204,15 @@ func (s *Scheduler) chainedGreedy(alpha int) ([]graph.Edge, int64) {
 // determinism.
 func (s *Scheduler) chainCandidates() []graph.Edge {
 	seen := make(map[graph.Edge]bool)
-	s.tr.eachSubflow(func(sf *subflow) {
-		if sf.count == 0 || sf.route == nil {
-			return
+	for _, sf := range s.tr.subflows {
+		if sf.count == 0 || sf.routeID < 0 {
+			continue
 		}
-		for k := sf.key.pos; k+1 < len(sf.route); k++ {
-			seen[graph.Edge{From: sf.route[k], To: sf.route[k+1]}] = true
+		route := s.tr.flows[sf.flow].Routes[sf.routeID]
+		for k := int(sf.pos); k+1 < len(route); k++ {
+			seen[graph.Edge{From: route[k], To: route[k+1]}] = true
 		}
-	})
+	}
 	cands := make([]graph.Edge, 0, len(seen))
 	for e := range seen {
 		cands = append(cands, e)

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"octopus/internal/graph"
@@ -31,6 +34,115 @@ func TestNewAllocatesPerLinkNotPerFlow(t *testing.T) {
 	})
 	if allocs >= flows/4 {
 		t.Fatalf("core.New allocates %v times for %d flows over %d links, want < %d", allocs, flows, g.M(), flows/4)
+	}
+}
+
+// TestNewBytesPerFlow: T^r in index form costs a single-route flow a 36-byte
+// subflow, a 24-byte entry, a queue slot, a home and three summary cells,
+// with an eighth of head-room on the first three (the pointer form read 210
+// bytes a flow here, 200 of them T^r and the rest per-link state).
+func TestNewBytesPerFlow(t *testing.T) {
+	if s, e := reflect.TypeOf(subflow{}).Size(), reflect.TypeOf(entry{}).Size(); s > 40 || e > 24 {
+		t.Fatalf("subflow is %d bytes and entry %d, want at most 40 and 24", s, e)
+	}
+	const flows = 100_000
+	g, load := podInstance(t, 16, 16, flows)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := newRemaining(g, load, 0, false, false, false)
+	runtime.ReadMemStats(&after)
+	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / flows
+	if perFlow > 120 {
+		t.Fatalf("newRemaining allocates %.1f bytes a flow (%d flows, %d active links), want at most 120", perFlow, flows, len(tr.stateList))
+	}
+	t.Logf("%.1f bytes a flow", perFlow)
+}
+
+// TestRemainingSlabsHoldNoPointers: every array of T^r that grows with the
+// flows or the entries has a pointer-free element type, so the runtime
+// allocates it noscan and the collector never walks it.
+func TestRemainingSlabsHoldNoPointers(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			return true
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	for _, slab := range []struct {
+		owner  any
+		fields []string
+	}{
+		{remaining{}, []string{"subflows", "entries", "homes", "touched"}},
+		{linkState{}, []string{"entries"}},
+		{linkSummary{}, []string{"prefC", "prefB", "bws", "alphas"}},
+	} {
+		ty := reflect.TypeOf(slab.owner)
+		for _, name := range slab.fields {
+			f, ok := ty.FieldByName(name)
+			if !ok || f.Type.Kind() != reflect.Slice {
+				t.Fatalf("%s.%s is not a slice field", ty.Name(), name)
+			}
+			if !pointerFree(f.Type.Elem()) {
+				t.Errorf("%s.%s: element type %s holds a pointer", ty.Name(), name, f.Type.Elem())
+			}
+		}
+	}
+}
+
+// TestIndexWidthsFailClosed: T^r indexes subflows and entries by int32 and
+// counts packets in 32 bits. New refuses what would not fit — a flow size,
+// or a worst-case subflow or entry count, past MaxInt32 — with an error, and
+// plans a load just inside the limit like any other.
+func TestIndexWidthsFailClosed(t *testing.T) {
+	g := graph.Complete(3)
+	opt := Options{Window: 100, Delta: 1, Matcher: MatcherGreedy}
+	load := func(size int) *traffic.Load {
+		return &traffic.Load{Flows: []traffic.Flow{
+			{ID: 1, Size: size, Src: 0, Dst: 2, Routes: []traffic.Route{{0, 1, 2}}},
+			{ID: 2, Size: 7, Src: 1, Dst: 2, Routes: []traffic.Route{{1, 2}}},
+		}}
+	}
+	if _, err := New(g, load(math.MaxInt32+1), opt); err == nil || !strings.Contains(err.Error(), "size") {
+		t.Fatalf("a flow of 2^31 packets: err = %v, want a size error", err)
+	}
+	s, err := New(g, load(math.MaxInt32), opt)
+	if err != nil {
+		t.Fatalf("a flow of 2^31-1 packets: %v", err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What the 64-bit counts planned for this load.
+	if res.Delivered != 87 || res.Pending != math.MaxInt32+7-87 || res.Hops != 174 || res.Psi != 160554240 || len(res.Schedule.Configs) != 13 {
+		t.Fatalf("in-range plan: delivered %d, pending %d, hops %d, ψ %d, %d configurations",
+			res.Delivered, res.Pending, res.Hops, res.Psi, len(res.Schedule.Configs))
+	}
+	// The bounds measure counts, driven to the limit and one past it (a load
+	// that large does not fit a test).
+	for _, c := range []struct {
+		dims loadDims
+		ok   bool
+	}{
+		{loadDims{subflows: math.MaxInt32, entries: math.MaxInt32}, true},
+		{loadDims{subflows: math.MaxInt32 + 1, entries: 1}, false},
+		{loadDims{subflows: 1, entries: math.MaxInt32 + 1}, false},
+	} {
+		if err := c.dims.checkWidths(); (err == nil) != c.ok {
+			t.Errorf("%+v: checkWidths = %v, want ok=%v", c.dims, err, c.ok)
+		}
 	}
 }
 

@@ -222,17 +222,73 @@ func checkOptions(opt *Options, load *traffic.Load, bidirectional bool) error {
 	if bidirectional && opt.Ports > 1 {
 		return errors.New("core: bidirectional fabrics support only Ports=1")
 	}
+	dims, err := measure(load, opt.MultiRoute, opt.MultiRoute && !opt.DisableBacktrack)
+	if err != nil {
+		return err
+	}
+	if err := dims.checkWidths(); err != nil {
+		return err
+	}
 	// Overflow guard: cross-multiplied benefit/cost comparisons must fit
 	// in int64.
-	d := load.MaxHops()
-	if d == 0 {
-		d = 1
-	}
-	maxBW := float64(traffic.WeightScale) * (1 + float64(d)*float64(opt.Epsilon64)/64)
-	if float64(load.TotalPackets())*maxBW >= math.MaxInt64/float64(opt.Window+opt.Delta+1)/2 {
+	maxBW := float64(traffic.WeightScale) * (1 + float64(dims.maxHops)*float64(opt.Epsilon64)/64)
+	if float64(dims.packets)*maxBW >= math.MaxInt64/float64(opt.Window+opt.Delta+1)/2 {
 		return errors.New("core: instance too large for exact integer benefit arithmetic")
 	}
 	return nil
+}
+
+// loadDims is what New needs to know of a load before building T^r: 𝒟 (at
+// least 1), the packet total, and the most subflows and queue entries the
+// plan can ever hold. T^r indexes both by int32, so New refuses a load whose
+// bounds pass MaxInt32; they are counted in full here — one subflow per
+// (flow, route in use, position short of the destination), one entry per
+// subflow plus its backtrack entry — so that nothing needs checking, and
+// nothing can wrap, while the plan runs.
+type loadDims struct {
+	maxHops           int
+	packets           int64
+	subflows, entries int64
+}
+
+func (d loadDims) checkWidths() error {
+	if d.subflows > math.MaxInt32 || d.entries > math.MaxInt32 {
+		return fmt.Errorf("core: load needs up to %d subflows and %d queue entries, more than the %d a plan can index",
+			d.subflows, d.entries, math.MaxInt32)
+	}
+	return nil
+}
+
+// measure takes a load's dimensions in one pass. T^r counts packets in 32
+// bits, so a Flow.Size above MaxInt32 is an error (traffic.Store, the stream
+// codec and the daemon cap it there already; a JSON Load does not).
+func measure(load *traffic.Load, multiRoute, backtrack bool) (loadDims, error) {
+	dims := loadDims{maxHops: 1}
+	perHop := int64(1) // entries of a subflow past its source
+	if backtrack {
+		perHop = 2
+	}
+	for i := range load.Flows {
+		f := &load.Flows[i]
+		if f.Size > math.MaxInt32 {
+			return dims, fmt.Errorf("core: flow %d size %d exceeds %d", f.ID, f.Size, math.MaxInt32)
+		}
+		dims.packets += int64(f.Size)
+		dims.subflows++
+		for ri, r := range f.Routes {
+			h := r.Hops()
+			dims.maxHops = max(dims.maxHops, h)
+			if ri > 0 && !multiRoute {
+				continue // only the first route is ever used
+			}
+			dims.entries++
+			if h > 1 {
+				dims.subflows += int64(h - 1)
+				dims.entries += int64(h-1) * perHop
+			}
+		}
+	}
+	return dims, nil
 }
 
 // Done reports whether the greedy loop has terminated.
@@ -249,11 +305,11 @@ func (s *Scheduler) Pending() int { return s.tr.pending }
 // to account per-hop service of the one-hop load.
 func (s *Scheduler) PendingByFlow() map[int]int {
 	m := make(map[int]int)
-	s.tr.eachSubflow(func(sf *subflow) {
+	for _, sf := range s.tr.subflows {
 		if sf.count > 0 {
-			m[sf.flow.ID] += sf.count
+			m[s.tr.flows[sf.flow].ID] += int(sf.count)
 		}
-	})
+	}
 	return m
 }
 

@@ -126,8 +126,8 @@ func TestCommonFirstHopCountedOnce(t *testing.T) {
 	}
 	// Serving commits to the 2-hop route.
 	tr.apply([]graph.Edge{{From: 0, To: 1}}, 10)
-	sf := tr.lookup(sfKey{1, 1, 1})
-	if sf == nil || sf.count != 10 {
+	sf, ok := tr.lookup(sfKey{1, 1, 1})
+	if !ok || sf.count != 10 {
 		t.Fatalf("expected commit to route 1 at pos 1, got %+v", sf)
 	}
 }
@@ -187,7 +187,7 @@ func TestBacktrackPriorityOverAdvancement(t *testing.T) {
 		t.Fatalf("delivered = %d, want all via direct link", tr.delivered)
 	}
 	// No packets advanced to node 2.
-	if sf := tr.lookup(sfKey{1, 0, 2}); sf != nil && sf.count > 0 {
+	if sf, ok := tr.lookup(sfKey{1, 0, 2}); ok && sf.count > 0 {
 		t.Fatalf("packets advanced to pos 2 despite backtrack priority: %d", sf.count)
 	}
 }

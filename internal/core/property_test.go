@@ -243,11 +243,11 @@ func TestQueueOrderProperty(t *testing.T) {
 		}
 		for _, ls := range tr.activeStates() {
 			for i := 1; i < len(ls.entries); i++ {
-				a, b := ls.entries[i-1], ls.entries[i]
+				a, b := tr.entries[ls.entries[i-1]], tr.entries[ls.entries[i]]
 				if a.bw < b.bw {
 					return false
 				}
-				if a.bw == b.bw && a.sf.flow.ID > b.sf.flow.ID {
+				if a.bw == b.bw && tr.key(tr.subflows[a.sf]).flowID > tr.key(tr.subflows[b.sf]).flowID {
 					return false
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"octopus/internal/graph"
 	"octopus/internal/matching"
@@ -21,43 +20,56 @@ type sfKey struct {
 	pos     int
 }
 
-// subflow is a group of identical packets of the remaining traffic.
+// subflow is a group of identical packets of the remaining traffic. It holds
+// indices, not pointers: the collector never scans T^r, and the arrays it
+// lives in can grow (or be written out) without anything to fix up.
 type subflow struct {
-	key   sfKey
-	flow  *traffic.Flow
-	route traffic.Route // nil while uncommitted
-	count int
+	flow    int32 // index into load.Flows
+	routeID int32 // index into the flow's Routes, -1 while uncommitted
+	// pos is the hop the packets wait to take and hops the length of their
+	// route (0 while uncommitted), both at most traffic.MaxRouteLen: serving
+	// a subflow does not have to visit its flow to know a packet has arrived.
+	pos, hops int16
+	count     int32 // at most the flow's Size, which New caps at MaxInt32
 	// frozen is the number of packets that arrived during the
 	// configuration currently being applied; they may not move again until
 	// the next configuration (a packet traverses at most one hop per
 	// configuration in the plan bookkeeping).
-	frozen int
-	// homes are the link queues holding an entry for this subflow. A count
-	// change invalidates exactly these links' cached summaries.
-	homes []*linkState
+	frozen int32
 	// next and alt are the flow's position chain, which stands in for a map
 	// keyed by sfKey. next is the subflow one hop further along the route
-	// (nil until a packet gets there). Only an uncommitted subflow can have
-	// several successors, one per route its packets have committed to: next
-	// is the newest and alt links each to the one created before it.
-	next, alt *subflow
+	// (0 until a packet gets there: index 0 is a flow's initial subflow and
+	// nobody's successor). Only an uncommitted subflow can have several
+	// successors, one per route its packets have committed to: next is the
+	// newest and alt links each to the one created before it.
+	next, alt int32
+	// The subflow's entries are entries[homes : homes+nHomes], and
+	// remaining.homes, index-aligned with entries, names the link each one
+	// queues on. A count change invalidates exactly these links' summaries.
+	homes, nHomes int32
 }
 
-// successor returns the subflow that packets served from sf along route
-// routeID join, or nil if none has been created yet.
-func (sf *subflow) successor(routeID int) *subflow {
-	d := sf.next
-	for d != nil && d.key.routeID != routeID {
-		d = d.alt
+// key returns the subflow's identity as the service trace records it.
+func (tr *remaining) key(sf subflow) sfKey {
+	return sfKey{tr.flows[sf.flow].ID, int(sf.routeID), int(sf.pos)}
+}
+
+// successor returns the subflow that packets served from subflow si along
+// route routeID join, or 0 if none has been created yet.
+func (tr *remaining) successor(si, routeID int32) int32 {
+	d := tr.subflows[si].next
+	for d != 0 && tr.subflows[d].routeID != routeID {
+		d = tr.subflows[d].alt
 	}
 	return d
 }
 
 // markDirty invalidates the cached summary of every queue holding one of
 // the subflow's entries; called whenever the subflow's packet count changes.
-func (tr *remaining) markDirty(sf *subflow) {
-	for _, ls := range sf.homes {
-		ls.dirty = true
+func (tr *remaining) markDirty(si int32) {
+	sf := &tr.subflows[si]
+	for _, id := range tr.homes[sf.homes : sf.homes+sf.nHomes] {
+		tr.links[id].dirty = true
 	}
 }
 
@@ -66,21 +78,23 @@ func (tr *remaining) markDirty(sf *subflow) {
 // backtracking enabled, one on the direct source->destination link. An
 // uncommitted subflow has one entry per distinct candidate first-hop link.
 type entry struct {
-	sf *subflow
 	// bw is the per-packet benefit weight at this link (includes the
 	// Octopus-e ε hop bonus); queues order by bw desc, then flow ID asc.
 	bw int64
 	// pw is the per-packet base ψ weight of the route this entry advances
 	// the packet along (no ε), used for ψ accounting.
 	pw int64
+	sf int32 // index into remaining.subflows
 	// routeID is the route the packet commits to when served through this
-	// entry (meaningful for uncommitted subflows; equals sf.key.routeID
-	// otherwise).
-	routeID int
-	// backtrack marks a direct-link entry that annuls the packet's prior
-	// multi-hop progress when served (Octopus+ §6).
-	backtrack bool
+	// entry (meaningful for uncommitted subflows; equals the subflow's own
+	// otherwise). backtrackRoute marks a direct-link entry that annuls the
+	// packet's prior multi-hop progress when served (Octopus+ §6).
+	routeID int32
 }
+
+const backtrackRoute = -1
+
+func (en entry) backtrack() bool { return en.routeID == backtrackRoute }
 
 // linkSummary caches, per link, everything the greedy loop repeatedly asks
 // of the queue: prefix sums over the live (non-zero-count) entries in queue
@@ -92,17 +106,17 @@ type entry struct {
 // links whose queues changed) yields bit-identical results to the direct
 // per-call walk it replaces.
 type linkSummary struct {
-	live   []*entry // entries with count > 0, queue order
-	prefC  []int    // cumulative packet count over live
-	prefB  []int64  // cumulative benefit (count·bw) over live
-	bws    []int64  // benefit weight of each live entry
-	alphas []int    // Procedure-1 boundaries, ascending, unclamped
+	prefC  []int   // cumulative packet count over the live entries (a queue's total can pass 32 bits)
+	prefB  []int64 // cumulative benefit (count·bw) over the live entries
+	bws    []int64 // benefit weight of each live entry
+	alphas []int   // Procedure-1 boundaries, ascending, unclamped
 }
 
 // linkState is the priority queue of entries for one directed link.
 type linkState struct {
+	tr      *remaining
 	edge    graph.Edge
-	entries []*entry
+	entries []int32 // indices into tr.entries, in priority order
 	sum     linkSummary
 	// dirty marks the summary stale. It is set single-threaded (entry
 	// insertion and count changes during apply) and cleared single-threaded
@@ -111,20 +125,22 @@ type linkState struct {
 	dirty bool
 }
 
-func (ls *linkState) insert(e *entry) {
-	i := sort.Search(len(ls.entries), func(i int) bool {
-		o := ls.entries[i]
-		if o.bw != e.bw {
-			return o.bw < e.bw
-		}
-		if o.sf.flow.ID != e.sf.flow.ID {
-			return o.sf.flow.ID > e.sf.flow.ID
-		}
-		return o.sf.key.pos >= e.sf.key.pos
-	})
-	ls.entries = append(ls.entries, nil)
-	copy(ls.entries[i+1:], ls.entries[i:])
-	ls.entries[i] = e
+// cmpEntries orders entries by (bw desc, flow ID asc, pos asc).
+func (tr *remaining) cmpEntries(a, b int32) int {
+	ea, eb := &tr.entries[a], &tr.entries[b]
+	if ea.bw != eb.bw {
+		return cmp.Compare(eb.bw, ea.bw)
+	}
+	sa, sb := &tr.subflows[ea.sf], &tr.subflows[eb.sf]
+	if c := cmp.Compare(tr.flows[sa.flow].ID, tr.flows[sb.flow].ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(sa.pos, sb.pos)
+}
+
+func (ls *linkState) insert(e int32) {
+	i, _ := slices.BinarySearchFunc(ls.entries, e, ls.tr.cmpEntries) // before its equals, if any
+	ls.entries = slices.Insert(ls.entries, i, e)
 	ls.dirty = true
 }
 
@@ -134,9 +150,8 @@ func (ls *linkState) rebuild() {
 	if n := len(ls.entries); cap(s.prefC) < n {
 		// The queue has outgrown the share newRemaining carved for it (or was
 		// created later): sized once per queue growth, not by append's doubling.
-		s.live, s.prefC, s.prefB, s.bws = make([]*entry, 0, n), make([]int, 0, n), make([]int64, 0, n), make([]int64, 0, n)
+		s.prefC, s.prefB, s.bws = make([]int, 0, n), make([]int64, 0, n), make([]int64, 0, n)
 	}
-	s.live = s.live[:0]
 	s.prefC = s.prefC[:0]
 	s.prefB = s.prefB[:0]
 	s.bws = s.bws[:0]
@@ -144,16 +159,17 @@ func (ls *linkState) rebuild() {
 	c := 0
 	var b int64
 	var lastBW int64 = -1
-	for _, en := range ls.entries {
-		if en.sf.count == 0 {
+	for _, ei := range ls.entries {
+		en := &ls.tr.entries[ei]
+		count := int(ls.tr.subflows[en.sf].count)
+		if count == 0 {
 			continue
 		}
 		if lastBW != -1 && en.bw != lastBW && c > 0 {
 			s.alphas = append(s.alphas, c)
 		}
-		c += en.sf.count
-		b += int64(en.sf.count) * en.bw
-		s.live = append(s.live, en)
+		c += count
+		b += int64(count) * en.bw
 		s.prefC = append(s.prefC, c)
 		s.prefB = append(s.prefB, b)
 		s.bws = append(s.bws, en.bw)
@@ -194,12 +210,18 @@ type servedRecord struct {
 // remaining is the remaining traffic load T^r plus the plan accounting the
 // greedy loop maintains while building a schedule.
 type remaining struct {
-	g *graph.Digraph
+	g     *graph.Digraph
+	flows []traffic.Flow // the load's, which subflow.flow indexes
 	// links is indexed by graph.Digraph.LinkID; nil until the link first
-	// holds an entry. heads[i] is the initial subflow of load.Flows[i], the
-	// root of that flow's position chain (see subflow.next).
+	// holds an entry.
 	links []*linkState
-	heads []subflow
+	// T^r proper: three pointer-free arrays that only grow. subflows[i], for
+	// i < len(flows), is the initial subflow of flows[i] and the root of that
+	// flow's position chain (see subflow.next); homes[k] is the id of the
+	// link entries[k] queues on.
+	subflows []subflow
+	entries  []entry
+	homes    []int32
 	// stateList holds every non-nil element of links, sorted by edge once
 	// activeEdges has run; edgeList is its edges, index-aligned, and glinks
 	// the same as the matchers take them (what a g-table column is indexed by).
@@ -207,13 +229,7 @@ type remaining struct {
 	edgeList   []graph.Edge
 	glinks     []matching.Edge
 	edgesDirty bool
-
-	// Everything created after construction is carved from slabs; T^r only
-	// grows, so nothing is ever handed back.
-	subflows slab[subflow]
-	entries  slab[entry]
-	homes    slab[*linkState]
-	states   slab[linkState]
+	stateSlab  []linkState // link states are carved from chunks, see addEntry
 
 	eps        int  // Octopus-e ε in 1/64 units
 	multiRoute bool // Octopus+ first-hop route choice
@@ -228,13 +244,12 @@ type remaining struct {
 	trace     []servedRecord
 	keepTrace bool
 	configIdx int
-	touched   []*subflow // subflows with frozen packets from the current apply
-	btBuf     []int      // per-link backtrack-pass service of the current apply
+	touched   []int32 // subflows with frozen packets from the current apply
+	btBuf     []int   // per-link backtrack-pass service of the current apply
 
-	// buildHomes is non-nil only during newRemaining: addEntry records each
-	// entry's queue here (and counts it in buildCount, by link id) instead
-	// of inserting, so every queue is carved to size and sorted once.
-	buildHomes []*linkState
+	// buildCount is non-nil only during newRemaining: addEntry counts each
+	// entry here, by link id, instead of inserting it, so every queue is
+	// carved to size and sorted once.
 	buildCount []int32
 	// alphaBuf is the reusable merge buffer of candidateAlphas; the
 	// returned slice aliases it and is valid until the next call.
@@ -244,37 +259,20 @@ type remaining struct {
 	lastRebuilds int
 }
 
-// slabChunk is how many objects a slab allocates at a time once its
-// initial reservation is used up.
+// slabChunk is how many link states are allocated at a time.
 const slabChunk = 64
 
-// slab carves objects out of chunked backing arrays, so n of them cost
-// n/slabChunk allocations instead of n.
-type slab[T any] struct{ free []T }
-
-// take returns n fresh zero elements with no spare capacity.
-func (s *slab[T]) take(n int) []T {
-	if len(s.free) < n {
-		s.free = make([]T, max(n, slabChunk))
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
-}
+// growRoom: T^r is built with 1/growRoom spare capacity for the subflows
+// packets create as they move downstream. Without it the first arrival
+// re-allocates and copies every array (85 MB on a million flows of which a
+// plan moves eleven thousand further); past it append's growth takes over.
+const growRoom = 8
 
 // newRemaining builds T^r = T. Its allocations are O(links), not O(flows):
 // subflows, entries, queue slots, homes and link-summary arrays of the whole
-// load come from arrays sized up front.
+// load come from arrays sized up front. The caller has checked that the
+// load's index widths fit (checkOptions).
 func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, backtrack, keepTrace bool) *remaining {
-	tr := &remaining{
-		g:          g,
-		links:      make([]*linkState, g.M()),
-		heads:      make([]subflow, len(load.Flows)),
-		eps:        eps,
-		multiRoute: multiRoute,
-		backtrack:  backtrack,
-		keepTrace:  keepTrace,
-	}
 	nEntries := len(load.Flows)
 	if multiRoute {
 		nEntries = 0
@@ -282,64 +280,64 @@ func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, bac
 			nEntries += len(load.Flows[i].Routes)
 		}
 	}
-	initial := make([]entry, nEntries)
-	tr.entries.free = initial
-	tr.buildHomes = make([]*linkState, 0, nEntries)
-	tr.buildCount = make([]int32, g.M())
+	tr := &remaining{
+		g:          g,
+		flows:      load.Flows,
+		links:      make([]*linkState, g.M()),
+		subflows:   make([]subflow, len(load.Flows), len(load.Flows)+len(load.Flows)/growRoom),
+		entries:    make([]entry, 0, nEntries+nEntries/growRoom),
+		homes:      make([]int32, 0, nEntries+nEntries/growRoom),
+		eps:        eps,
+		multiRoute: multiRoute,
+		backtrack:  backtrack,
+		keepTrace:  keepTrace,
+		buildCount: make([]int32, g.M()),
+	}
+	ascending := true // flow IDs, in load order
 	for i := range load.Flows {
 		f := &load.Flows[i]
-		sf := &tr.heads[i]
 		tr.pending += f.Size
-		if !tr.multiRoute || len(f.Routes) == 1 {
-			*sf = subflow{key: sfKey{f.ID, 0, 0}, flow: f, route: f.Routes[0], count: f.Size}
-			tr.addCommittedEntry(sf)
-			continue
+		sf := &tr.subflows[i]
+		*sf = subflow{flow: int32(i), count: int32(f.Size), homes: int32(len(tr.homes))}
+		if tr.multiRoute && len(f.Routes) > 1 {
+			sf.routeID = -1
+			tr.addUncommittedEntries(int32(i))
+		} else {
+			sf.hops = int16(f.Routes[0].Hops())
+			tr.addCommittedEntry(int32(i))
 		}
-		*sf = subflow{key: sfKey{f.ID, -1, 0}, flow: f, count: f.Size}
-		tr.addUncommittedEntries(sf)
+		ascending = ascending && (i == 0 || load.Flows[i-1].ID < f.ID)
 	}
-	// Carve every queue to its final size, then deal the entries out. A
-	// subflow's entries are consecutive, so its homes are a window of
-	// buildHomes.
-	homes := tr.buildHomes
-	slots := make([]*entry, len(homes))
-	// So are the summary arrays of every queue, its share being its initial
-	// length (see linkState.rebuild).
-	live, prefC, prefB, bws := make([]*entry, len(homes)), make([]int, len(homes)), make([]int64, len(homes)), make([]int64, len(homes))
+	// Carve every queue, and every queue's summary arrays, to its initial
+	// size (see linkState.rebuild), then deal the entries out.
+	n := len(tr.entries)
+	slots := make([]int32, n)
+	prefC, prefB, bws := make([]int, n), make([]int64, n), make([]int64, n)
 	for _, ls := range tr.stateList {
 		c := tr.buildCount[g.LinkID(ls.edge.From, ls.edge.To)]
 		ls.entries, slots = slots[:0:c], slots[c:]
-		ls.sum.live, ls.sum.prefC, ls.sum.prefB, ls.sum.bws = live[:0:c], prefC[:0:c], prefB[:0:c], bws[:0:c]
-		live, prefC, prefB, bws = live[c:], prefC[c:], prefB[c:], bws[c:]
+		ls.sum.prefC, ls.sum.prefB, ls.sum.bws = prefC[:0:c], prefB[:0:c], bws[:0:c]
+		prefC, prefB, bws = prefC[c:], prefB[c:], bws[c:]
 	}
-	for k, ls := range homes {
-		en := &initial[k]
-		ls.entries = append(ls.entries, en)
-		en.sf.homes = homes[k-len(en.sf.homes) : k+1 : k+1]
+	for k, id := range tr.homes {
+		ls := tr.links[id]
+		ls.entries = append(ls.entries, int32(k))
 	}
-	tr.buildHomes, tr.buildCount = nil, nil
+	tr.buildCount = nil
 	// Sort each queue once. During construction every flow contributes at
 	// most one entry per link, so (bw desc, flow ID asc) is a strict total
 	// order and the batch sort reproduces the incremental-insert order
-	// exactly.
+	// exactly. The entries were dealt out in load order; where that is ID
+	// order too (every generator and codec), only bw is left to sort by and
+	// a comparison reads one array instead of chasing through three.
+	byPriority := tr.cmpEntries
+	if ascending {
+		byPriority = func(a, b int32) int { return cmp.Compare(tr.entries[b].bw, tr.entries[a].bw) }
+	}
 	for _, ls := range tr.stateList {
-		sortEntries(ls.entries)
+		slices.SortStableFunc(ls.entries, byPriority)
 	}
 	return tr
-}
-
-// sortEntries orders a queue by (bw desc, flow ID asc, pos asc), the order
-// linkState.insert maintains incrementally.
-func sortEntries(entries []*entry) {
-	slices.SortStableFunc(entries, func(a, b *entry) int {
-		if a.bw != b.bw {
-			return cmp.Compare(b.bw, a.bw)
-		}
-		if a.sf.flow.ID != b.sf.flow.ID {
-			return cmp.Compare(a.sf.flow.ID, b.sf.flow.ID)
-		}
-		return cmp.Compare(a.sf.key.pos, b.sf.key.pos)
-	})
 }
 
 // hopBW returns the benefit weight of the hop at index pos of an l-hop
@@ -356,56 +354,60 @@ func (tr *remaining) state(e graph.Edge) *linkState {
 	return tr.links[id]
 }
 
-// addEntry queues en on fabric link e and records the queue as a home of
-// the subflow so count changes can invalidate its summary.
+// addEntry queues en on fabric link e and records the link as a home of
+// the subflow so count changes can invalidate its summary. A subflow's
+// entries are added back to back, right after it is created, which is what
+// makes them a window.
 func (tr *remaining) addEntry(e graph.Edge, en entry) {
 	id := tr.g.LinkID(e.From, e.To)
 	ls := tr.links[id]
 	if ls == nil {
-		ls = &tr.states.take(1)[0]
-		ls.edge, ls.dirty = e, true
+		if len(tr.stateSlab) == 0 {
+			tr.stateSlab = make([]linkState, slabChunk)
+		}
+		ls, tr.stateSlab = &tr.stateSlab[0], tr.stateSlab[1:]
+		ls.tr, ls.edge, ls.dirty = tr, e, true
 		tr.links[id] = ls
 		tr.stateList = append(tr.stateList, ls)
 		tr.edgesDirty = true
 	}
-	p := &tr.entries.take(1)[0]
-	*p = en
-	if tr.buildHomes != nil {
-		tr.buildHomes = append(tr.buildHomes, ls)
+	k := int32(len(tr.entries))
+	tr.entries = append(tr.entries, en)
+	tr.homes = append(tr.homes, int32(id))
+	tr.subflows[en.sf].nHomes++
+	if tr.buildCount != nil {
 		tr.buildCount[id]++
 		return
 	}
-	ls.insert(p)
-	p.sf.homes = append(p.sf.homes, ls)
+	ls.insert(k)
 }
 
-// addCommittedEntry queues a committed subflow on its next-hop link and,
+// addCommittedEntry queues committed subflow si on its next-hop link and,
 // when backtracking applies, on the direct source->destination link.
-func (tr *remaining) addCommittedEntry(sf *subflow) {
-	l := sf.flow.WeightLen(sf.route)
-	pos := sf.key.pos
-	e := graph.Edge{From: sf.route[pos], To: sf.route[pos+1]}
-	tr.addEntry(e, entry{
-		sf: sf, bw: tr.hopBW(l, pos), pw: traffic.Weight(l), routeID: sf.key.routeID,
-	})
-	if tr.backtrack && pos > 0 && tr.g.HasEdge(sf.flow.Src, sf.flow.Dst) {
-		direct := graph.Edge{From: sf.flow.Src, To: sf.flow.Dst}
-		tr.addEntry(direct, entry{
-			sf: sf, bw: tr.hopBW(1, 0), pw: traffic.Weight(1), routeID: -1, backtrack: true,
-		})
+func (tr *remaining) addCommittedEntry(si int32) {
+	sf := tr.subflows[si]
+	f := &tr.flows[sf.flow]
+	route := f.Routes[sf.routeID]
+	l, pos := f.WeightLen(route), int(sf.pos)
+	e := graph.Edge{From: route[pos], To: route[pos+1]}
+	tr.addEntry(e, entry{sf: si, bw: tr.hopBW(l, pos), pw: traffic.Weight(l), routeID: sf.routeID})
+	if tr.backtrack && pos > 0 && tr.g.HasEdge(f.Src, f.Dst) {
+		direct := graph.Edge{From: f.Src, To: f.Dst}
+		tr.addEntry(direct, entry{sf: si, bw: tr.hopBW(1, 0), pw: traffic.Weight(1), routeID: backtrackRoute})
 	}
 }
 
-// addUncommittedEntries queues an uncommitted source subflow once on each
+// addUncommittedEntries queues uncommitted source subflow si once on each
 // distinct candidate first-hop link. When several candidate routes share a
 // first hop, the packet is considered only once on that link (paper §6,
 // "Allowing Routes with Common First Hops"); we credit it with the best
 // (shortest-route) weight among them and commit to that route when served.
-func (tr *remaining) addUncommittedEntries(sf *subflow) {
+func (tr *remaining) addUncommittedEntries(si int32) {
+	f := &tr.flows[tr.subflows[si].flow]
 	best := make(map[graph.Edge]int) // link -> route index with max weight
-	for ri, r := range sf.flow.Routes {
+	for ri, r := range f.Routes {
 		e := graph.Edge{From: r[0], To: r[1]}
-		if prev, ok := best[e]; !ok || r.Hops() < sf.flow.Routes[prev].Hops() {
+		if prev, ok := best[e]; !ok || r.Hops() < f.Routes[prev].Hops() {
 			best[e] = ri
 		}
 	}
@@ -414,18 +416,11 @@ func (tr *remaining) addUncommittedEntries(sf *subflow) {
 	for e := range best {
 		links = append(links, e)
 	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].From != links[j].From {
-			return links[i].From < links[j].From
-		}
-		return links[i].To < links[j].To
-	})
+	sortLinks(links)
 	for _, e := range links {
 		ri := best[e]
-		l := sf.flow.WeightLen(sf.flow.Routes[ri])
-		tr.addEntry(e, entry{
-			sf: sf, bw: tr.hopBW(l, 0), pw: traffic.Weight(l), routeID: ri,
-		})
+		l := f.WeightLen(f.Routes[ri])
+		tr.addEntry(e, entry{sf: si, bw: tr.hopBW(l, 0), pw: traffic.Weight(l), routeID: int32(ri)})
 	}
 }
 
@@ -535,32 +530,34 @@ func (tr *remaining) serveLink(e graph.Edge, alpha int, backtrackPass bool) int 
 		return 0
 	}
 	served := 0
-	for _, en := range ls.entries {
+	for _, ei := range ls.entries {
 		if served == alpha {
 			break
 		}
-		if en.backtrack != backtrackPass {
+		// Copies, not pointers: a new successor below grows both arrays.
+		en := tr.entries[ei]
+		if en.backtrack() != backtrackPass {
 			continue
 		}
-		sf := en.sf
-		movable := sf.count - sf.frozen
-		if movable <= 0 {
+		sf := tr.subflows[en.sf]
+		t := minInt(alpha-served, int(sf.count-sf.frozen))
+		if t <= 0 {
 			continue
 		}
-		t := minInt(alpha-served, movable)
-		sf.count -= t
-		tr.markDirty(sf)
+		tr.subflows[en.sf].count -= int32(t)
+		tr.markDirty(en.sf)
 		served += t
 		if tr.keepTrace {
 			tr.trace = append(tr.trace, servedRecord{
-				Config: tr.configIdx, Link: e, Key: sf.key, RouteID: en.routeID,
-				Count: t, Backtrack: en.backtrack,
+				Config: tr.configIdx, Link: e, Key: tr.key(sf), RouteID: int(en.routeID),
+				Count: t, Backtrack: en.backtrack(),
 			})
 		}
-		if en.backtrack {
+		if en.backtrack() {
 			// Annul prior progress; deliver via the direct link.
-			prior := sf.key.pos
-			base := traffic.Weight(sf.flow.WeightLen(sf.route))
+			f := &tr.flows[sf.flow]
+			prior := int(sf.pos)
+			base := traffic.Weight(f.WeightLen(f.Routes[sf.routeID]))
 			tr.psi -= int64(t) * int64(prior) * base
 			tr.hops -= t * prior
 			tr.psi += int64(t) * traffic.Weight(1)
@@ -570,34 +567,29 @@ func (tr *remaining) serveLink(e graph.Edge, alpha int, backtrackPass bool) int 
 			continue
 		}
 		// Normal advancement (committing uncommitted packets if needed).
-		route := sf.route
-		if route == nil {
-			route = sf.flow.Routes[en.routeID]
-		}
 		tr.psi += int64(t) * en.pw
 		tr.hops += t
-		newPos := sf.key.pos + 1
-		if newPos == len(route)-1 {
+		newPos, hops := sf.pos+1, sf.hops
+		if hops == 0 {
+			hops = int16(tr.flows[sf.flow].Routes[en.routeID].Hops())
+		}
+		if newPos == hops {
 			tr.delivered += t
 			tr.pending -= t
 			continue
 		}
-		dst := sf.successor(en.routeID)
-		if dst == nil {
-			nHomes := 1
-			if tr.backtrack {
-				nHomes = 2
-			}
-			dst = &tr.subflows.take(1)[0]
-			*dst = subflow{
-				key: sfKey{sf.flow.ID, en.routeID, newPos}, flow: sf.flow, route: route,
-				count: t, frozen: t, homes: tr.homes.take(nHomes)[:0], alt: sf.next,
-			}
-			sf.next = dst
+		dst := tr.successor(en.sf, en.routeID)
+		if dst == 0 {
+			dst = int32(len(tr.subflows))
+			tr.subflows = append(tr.subflows, subflow{
+				flow: sf.flow, routeID: en.routeID, pos: newPos, hops: hops,
+				count: int32(t), frozen: int32(t), alt: sf.next, homes: int32(len(tr.homes)),
+			})
+			tr.subflows[en.sf].next = dst
 			tr.addCommittedEntry(dst)
 		} else {
-			dst.count += t
-			dst.frozen += t
+			tr.subflows[dst].count += int32(t)
+			tr.subflows[dst].frozen += int32(t)
 			tr.markDirty(dst)
 		}
 		tr.touched = append(tr.touched, dst)
@@ -622,40 +614,26 @@ func (tr *remaining) apply(links []graph.Edge, alpha int) {
 	}
 	tr.btBuf = bt
 	// Unfreeze arrivals: they may move from the next configuration on.
-	for _, sf := range tr.touched {
-		sf.frozen = 0
+	for _, si := range tr.touched {
+		tr.subflows[si].frozen = 0
 	}
 	tr.touched = tr.touched[:0]
 	tr.configIdx++
-}
-
-// eachSubflow calls f for every subflow of T^r, drained ones included, by
-// walking each flow's position chain.
-func (tr *remaining) eachSubflow(f func(*subflow)) {
-	for i := range tr.heads {
-		h := &tr.heads[i]
-		f(h)
-		for b := h.next; b != nil; b = b.alt {
-			for sf := b; sf != nil; sf = sf.next {
-				f(sf)
-			}
-		}
-	}
 }
 
 // sanity verifies internal invariants (test hook).
 func (tr *remaining) sanity() error {
 	var err error
 	total := 0
-	tr.eachSubflow(func(sf *subflow) {
+	for _, sf := range tr.subflows {
 		if sf.count < 0 {
-			err = fmt.Errorf("core: negative count for %+v", sf.key)
+			err = fmt.Errorf("core: negative count for %+v", tr.key(sf))
 		}
-		if sf.route != nil && sf.key.pos >= len(sf.route)-1 {
-			err = fmt.Errorf("core: subflow %+v at/past destination", sf.key)
+		if sf.routeID >= 0 && (sf.pos >= sf.hops || int(sf.hops) != tr.flows[sf.flow].Routes[sf.routeID].Hops()) {
+			err = fmt.Errorf("core: subflow %+v at/past destination", tr.key(sf))
 		}
-		total += sf.count
-	})
+		total += int(sf.count)
+	}
 	if err == nil && total != tr.pending {
 		err = fmt.Errorf("core: pending %d != sum of subflows %d", tr.pending, total)
 	}

@@ -32,40 +32,42 @@ func (s *Scheduler) ResidualLoad() *traffic.Load {
 // The epoch engine uses this to track per-flow delivery and completion
 // across scheduling epochs.
 func (s *Scheduler) ResidualLoadMap() (*traffic.Load, []int) {
-	var rems []*subflow
-	s.tr.eachSubflow(func(sf *subflow) {
+	var rems []subflow
+	for _, sf := range s.tr.subflows {
 		if sf.count > 0 {
 			rems = append(rems, sf)
 		}
-	})
-	slices.SortFunc(rems, func(a, b *subflow) int {
+	}
+	flows := s.tr.flows
+	slices.SortFunc(rems, func(a, b subflow) int {
 		return cmp.Or(
-			cmp.Compare(a.key.flowID, b.key.flowID),
-			cmp.Compare(a.key.routeID, b.key.routeID),
-			cmp.Compare(a.key.pos, b.key.pos),
+			cmp.Compare(flows[a.flow].ID, flows[b.flow].ID),
+			cmp.Compare(a.routeID, b.routeID),
+			cmp.Compare(a.pos, b.pos),
 		)
 	})
 	out := &traffic.Load{Flows: slices.Grow([]traffic.Flow(nil), len(rems))}
 	origin := make([]int, 0, len(rems))
 	for id, sf := range rems {
+		f := &flows[sf.flow]
 		var routes []traffic.Route
-		if sf.route == nil {
+		if sf.routeID < 0 {
 			// Still at the source with the route choice open.
-			routes = make([]traffic.Route, len(sf.flow.Routes))
-			for i, rt := range sf.flow.Routes {
+			routes = make([]traffic.Route, len(f.Routes))
+			for i, rt := range f.Routes {
 				routes[i] = slices.Clone(rt)
 			}
 		} else {
-			routes = []traffic.Route{slices.Clone(sf.route[sf.key.pos:])}
+			routes = []traffic.Route{slices.Clone(f.Routes[sf.routeID][sf.pos:])}
 		}
 		out.Flows = append(out.Flows, traffic.Flow{
 			ID:     id,
-			Size:   sf.count,
+			Size:   int(sf.count),
 			Src:    routes[0].Src(),
-			Dst:    sf.flow.Dst,
+			Dst:    f.Dst,
 			Routes: routes,
 		})
-		origin = append(origin, sf.flow.ID)
+		origin = append(origin, f.ID)
 	}
 	return out, origin
 }

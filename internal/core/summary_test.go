@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"octopus/internal/graph"
+	"octopus/internal/traffic"
 )
 
 // This file pins the incremental link summaries (linkSummary + dirty-set
@@ -23,14 +25,15 @@ func naiveGValue(tr *remaining, e graph.Edge, alpha int) int64 {
 	}
 	var total int64
 	left := alpha
-	for _, en := range ls.entries {
+	for _, ei := range ls.entries {
 		if left == 0 {
 			break
 		}
-		if en.sf.count == 0 {
+		en, count := tr.entries[ei], int(tr.subflows[tr.entries[ei].sf].count)
+		if count == 0 {
 			continue
 		}
-		t := minInt(left, en.sf.count)
+		t := minInt(left, count)
 		total += int64(t) * en.bw
 		left -= t
 	}
@@ -45,14 +48,15 @@ func naiveCandidateAlphas(tr *remaining, maxAlpha int) []int {
 	for _, ls := range tr.activeStates() {
 		c := 0
 		var lastBW int64 = -1
-		for _, en := range ls.entries {
-			if en.sf.count == 0 {
+		for _, ei := range ls.entries {
+			en, count := tr.entries[ei], int(tr.subflows[tr.entries[ei].sf].count)
+			if count == 0 {
 				continue
 			}
 			if lastBW != -1 && en.bw != lastBW && c > 0 {
 				seen[minInt(c, maxAlpha)] = true
 			}
-			c += en.sf.count
+			c += count
 			lastBW = en.bw
 		}
 		if c > 0 {
@@ -78,16 +82,14 @@ func (tr *remaining) gValue(e graph.Edge, alpha int) int64 {
 	return gValueState(ls, alpha)
 }
 
-// lookup finds the subflow with the given key by walking the position
-// chains.
-func (tr *remaining) lookup(key sfKey) *subflow {
-	var found *subflow
-	tr.eachSubflow(func(sf *subflow) {
-		if sf.key == key {
-			found = sf
+// lookup finds the subflow with the given key.
+func (tr *remaining) lookup(key sfKey) (subflow, bool) {
+	for _, sf := range tr.subflows {
+		if tr.key(sf) == key {
+			return sf, true
 		}
-	})
-	return found
+	}
+	return subflow{}, false
 }
 
 // checkSummariesAgainstNaive compares the cached paths against the naive
@@ -162,19 +164,157 @@ func TestSummaryEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// multiRouteLoad is an Octopus+ load on Complete(n): every flow has two to
+// four distinct routes of two to four hops, several sharing a first hop, and
+// a direct source->destination link to backtrack over.
+func multiRouteLoad(seed int64) (*graph.Digraph, *traffic.Load) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 6 + rng.Intn(4)
+	g := graph.Complete(n)
+	load := &traffic.Load{}
+	for len(load.Flows) < 3+rng.Intn(6) {
+		src := rng.Intn(n)
+		dst := (src + 1 + rng.Intn(n-1)) % n
+		var routes []traffic.Route
+		for try := 0; try < 12 && len(routes) < 2+rng.Intn(3); try++ {
+			route, ok := traffic.RandomRoute(g, src, dst, 2+rng.Intn(3), rng)
+			if ok && !slices.ContainsFunc(routes, route.Equal) {
+				routes = append(routes, route)
+			}
+		}
+		if len(routes) < 2 {
+			continue
+		}
+		// Descending IDs now and then: queue order is by ID, not load order.
+		id := 100 + len(load.Flows)
+		if seed%3 == 0 {
+			id = 100 - len(load.Flows)
+		}
+		load.Flows = append(load.Flows, traffic.Flow{ID: id, Size: 5 + rng.Intn(40), Src: src, Dst: dst, Routes: routes})
+	}
+	return g, load
+}
+
+// indexFormCover counts what a run of checkIndexForm calls has seen.
+type indexFormCover struct{ altChains, twoHomes, uncommitted int }
+
+// checkIndexForm verifies the index structure of T^r: entries and homes are
+// index-aligned and every entry sits exactly once in the queue its home
+// names, in (bw desc, flow ID asc, pos asc) order; a subflow's entries are
+// its homes window; every later subflow hangs once off its predecessor's
+// next/alt chain, one hop further along the same flow and route, where
+// successor finds it; and nothing has outgrown the bounds New checked.
+func checkIndexForm(t *testing.T, tr *remaining, load *traffic.Load, cover *indexFormCover) {
+	t.Helper()
+	if len(tr.entries) != len(tr.homes) {
+		t.Fatalf("%d entries, %d homes", len(tr.entries), len(tr.homes))
+	}
+	queued := make([]int, len(tr.entries))
+	for _, ls := range tr.activeStates() {
+		id := tr.g.LinkID(ls.edge.From, ls.edge.To)
+		for i, ei := range ls.entries {
+			queued[ei]++
+			if int(tr.homes[ei]) != id {
+				t.Fatalf("entry %d queues on link %d, its home says %d", ei, id, tr.homes[ei])
+			}
+			if i > 0 && tr.cmpEntries(ls.entries[i-1], ei) > 0 {
+				t.Fatalf("link %v: entries %d and %d out of priority order", ls.edge, ls.entries[i-1], ei)
+			}
+		}
+	}
+	for ei, c := range queued {
+		if c != 1 {
+			t.Fatalf("entry %d is queued %d times", ei, c)
+		}
+	}
+	preds := make([]int, len(tr.subflows))
+	owned := 0
+	for i, sf := range tr.subflows {
+		si := int32(i)
+		for k := sf.homes; k < sf.homes+sf.nHomes; k++ {
+			if tr.entries[k].sf != si {
+				t.Fatalf("subflow %d: entry %d of its window belongs to subflow %d", si, k, tr.entries[k].sf)
+			}
+		}
+		owned += int(sf.nHomes)
+		if sf.nHomes == 2 && sf.routeID >= 0 {
+			cover.twoHomes++
+		}
+		if sf.routeID < 0 && sf.nHomes > 0 {
+			cover.uncommitted++
+		}
+		for d := sf.next; d != 0; d = tr.subflows[d].alt {
+			n := tr.subflows[d]
+			preds[d]++
+			if n.flow != sf.flow || n.pos != sf.pos+1 || (sf.routeID >= 0 && n.routeID != sf.routeID) || n.routeID < 0 {
+				t.Fatalf("subflow %d %+v chains to %d %+v", si, sf, d, n)
+			}
+			if got := tr.successor(si, n.routeID); got != d {
+				t.Fatalf("successor(%d, route %d) = %d, the chain holds %d", si, n.routeID, got, d)
+			}
+			if n.alt != 0 {
+				cover.altChains++
+			}
+		}
+	}
+	if owned != len(tr.entries) {
+		t.Fatalf("homes windows cover %d entries of %d", owned, len(tr.entries))
+	}
+	for i, c := range preds {
+		if want := min(1, max(0, i+1-len(load.Flows))); c != want {
+			t.Fatalf("subflow %d has %d predecessors, want %d", i, c, want)
+		}
+	}
+	dims, err := measure(load, tr.multiRoute, tr.backtrack)
+	if err != nil || int64(len(tr.subflows)) > dims.subflows || int64(len(tr.entries)) > dims.entries {
+		t.Fatalf("%d subflows and %d entries, New checked bounds of %+v (err %v)", len(tr.subflows), len(tr.entries), dims, err)
+	}
+}
+
+// replayCounts is T^r as a map: the packet count of every subflow key after
+// the recorded service trace, by the rules of serveLink.
+func replayCounts(load *traffic.Load, multiRoute bool, trace []servedRecord) map[sfKey]int {
+	counts := make(map[sfKey]int)
+	flows := make(map[int]*traffic.Flow)
+	for i := range load.Flows {
+		f := &load.Flows[i]
+		flows[f.ID] = f
+		if multiRoute && len(f.Routes) > 1 {
+			counts[sfKey{f.ID, -1, 0}] = f.Size
+		} else {
+			counts[sfKey{f.ID, 0, 0}] = f.Size
+		}
+	}
+	for _, rec := range trace {
+		counts[rec.Key] -= rec.Count
+		if next := (sfKey{rec.Key.flowID, rec.RouteID, rec.Key.pos + 1}); !rec.Backtrack && next.pos < flows[next.flowID].Routes[next.routeID].Hops() {
+			counts[next] += rec.Count
+		}
+	}
+	return counts
+}
+
 // TestSummaryEquivalenceRandomServes bypasses the scheduler and applies
 // adversarial random service patterns — arbitrary links, arbitrary α,
 // backtrack and normal passes in random order — so the dirty-set
 // maintenance is tested beyond the matchings the greedy loop would pick.
+// Half the loads are Octopus+ ones with backtracking, so that alt chains,
+// subflows with two homes and uncommitted entries all occur; besides the
+// naive queue walks, the index structure is checked after every round and
+// the final packet counts against a map-keyed replay of the trace.
 func TestSummaryEquivalenceRandomServes(t *testing.T) {
-	for seed := int64(1); seed <= 30; seed++ {
+	var cover indexFormCover
+	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		g, load := randomSmallLoad(seed)
+		multi := seed%2 == 0
+		if multi && seed%4 == 0 {
+			g, load = multiRouteLoad(seed)
+		}
 		if len(load.Flows) == 0 {
 			continue
 		}
-		multi := seed%2 == 0
-		tr := newRemaining(g, load, int(seed%8), multi, multi, false)
+		tr := newRemaining(g, load, int(seed%8), multi, multi, true)
 		for round := 0; round < 25; round++ {
 			edges := tr.activeEdges()
 			if len(edges) == 0 {
@@ -191,6 +331,23 @@ func TestSummaryEquivalenceRandomServes(t *testing.T) {
 			if err := tr.sanity(); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
+			checkIndexForm(t, tr, load, &cover)
 		}
+		want := replayCounts(load, multi, tr.trace)
+		for _, sf := range tr.subflows {
+			key := tr.key(sf)
+			if int(sf.count) != want[key] {
+				t.Fatalf("seed %d: subflow %+v holds %d packets, the trace replay %d", seed, key, sf.count, want[key])
+			}
+			delete(want, key)
+		}
+		for key, c := range want {
+			if c != 0 {
+				t.Fatalf("seed %d: the trace replay leaves %d packets at %+v, T^r has no such subflow", seed, c, key)
+			}
+		}
+	}
+	if cover.altChains == 0 || cover.twoHomes == 0 || cover.uncommitted == 0 {
+		t.Fatalf("the loads never exercised %+v", cover)
 	}
 }

@@ -2,6 +2,10 @@ package traffic
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -63,6 +67,17 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte(`{"flows":[{"id":1,"size":5,"src":0,"dst":2,"routes":[[0,1,2]]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		load, err := ReadAny(bytes.NewReader(data))
+		if bytes.HasPrefix(data, binaryMagic) {
+			// The windowed decoder accepts, and rejects in the same words,
+			// exactly what the byte-at-a-time one did.
+			want, werr := refReadBinary(data[len(binaryMagic):])
+			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+				t.Fatalf("decode error %v, the reference decoder's %v", err, werr)
+			}
+			if err == nil && !reflect.DeepEqual(load.Flows, want) && len(load.Flows)+len(want) > 0 {
+				t.Fatalf("decoded %+v, the reference decoder %+v", load.Flows, want)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -87,6 +102,72 @@ func FuzzStreamDecode(f *testing.F) {
 			t.Fatal("binary round trip changed the load")
 		}
 	})
+}
+
+// refReadBinary is the binary record decoder as it was before it read from a
+// window: binary.ReadUvarint on a byte reader and a fresh Flow per record,
+// followed by the checks Next and Store.Append apply. Kept as the reference
+// FuzzStreamDecode compares against.
+func refReadBinary(body []byte) ([]Flow, error) {
+	br := bytes.NewReader(body)
+	var flows []Flow
+	store := NewStore(0, 0)
+	for {
+		kind, err := br.ReadByte()
+		if err != nil {
+			return nil, errors.New("traffic: flow stream truncated (missing end record)")
+		}
+		switch kind {
+		case recEnd:
+			return flows, nil
+		case recFlow:
+		default:
+			return nil, fmt.Errorf("traffic: flow stream: unknown record type 0x%02x", kind)
+		}
+		u := func(dst *int, max uint64, what string) error {
+			if err != nil {
+				return err
+			}
+			v, rerr := binary.ReadUvarint(br)
+			if rerr != nil {
+				err = fmt.Errorf("traffic: flow stream truncated reading %s", what)
+			} else if v > max {
+				err = fmt.Errorf("traffic: flow stream: %s %d out of range", what, v)
+			} else {
+				*dst = int(v)
+			}
+			return err
+		}
+		var f Flow
+		var flags, nroutes int
+		if u(&f.ID, 1<<31-1, "id") != nil || u(&f.Size, 1<<31-1, "size") != nil ||
+			u(&f.Src, 1<<31-1, "src") != nil || u(&f.Dst, 1<<31-1, "dst") != nil ||
+			u(&f.WeightHops, MaxRouteLen, "weight_hops") != nil || u(&flags, 1, "flags") != nil ||
+			u(&f.Redundant, maxStreamRoutes, "redundant") != nil || u(&nroutes, maxStreamRoutes, "route count") != nil {
+			return nil, err
+		}
+		f.Critical = flags == 1
+		for i := 0; i < nroutes; i++ {
+			var nn int
+			if u(&nn, maxStreamNodes, "route length") != nil {
+				return nil, err
+			}
+			r := make(Route, nn)
+			for j := range r {
+				if u(&r[j], 1<<31-1, "route node") != nil {
+					return nil, err
+				}
+			}
+			f.Routes = append(f.Routes, r)
+		}
+		if err := checkStreamFlow(&f); err != nil {
+			return nil, err
+		}
+		if err := store.Append(&f); err != nil {
+			return nil, err
+		}
+		flows = append(flows, f)
+	}
 }
 
 // FuzzReadDemandCSV checks the CSV parser never panics and only accepts

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // Streaming trace formats: loads far larger than RAM are written one flow
@@ -177,6 +178,11 @@ type StreamReader struct {
 	binary bool
 	inited bool
 	done   bool
+	// The binary decoder reads from win, a peeked window of br's buffer of
+	// which it has consumed used bytes: one Peek and one Discard per refill,
+	// not an interface call per byte.
+	win  []byte
+	used int
 }
 
 // NewStreamReader returns a reader over r. The format is sniffed on the
@@ -216,28 +222,36 @@ func (sr *StreamReader) init() error {
 // flow; any other error means the stream is malformed or truncated. The
 // returned flow passes the same structural checks as ReadJSON.
 func (sr *StreamReader) Next() (Flow, error) {
-	if err := sr.init(); err != nil {
-		return Flow{}, err
-	}
-	if sr.done {
-		return Flow{}, io.EOF
-	}
 	var f Flow
-	var err error
-	if sr.binary {
-		f, err = sr.nextBinary()
-	} else {
-		f, err = sr.nextJSONL()
-	}
-	if err != nil {
-		sr.done = true
-		return Flow{}, err
-	}
-	if err := checkStreamFlow(&f); err != nil {
-		sr.done = true
+	if err := sr.next(&f); err != nil {
 		return Flow{}, err
 	}
 	return f, nil
+}
+
+// next is Next decoding into f, whose Routes backing it overwrites and
+// reuses: for a caller, like ReadStore, that copies the flow out before the
+// next call. On an error f's contents are unspecified.
+func (sr *StreamReader) next(f *Flow) error {
+	if err := sr.init(); err != nil {
+		return err
+	}
+	if sr.done {
+		return io.EOF
+	}
+	var err error
+	if sr.binary {
+		err = sr.nextBinary(f)
+	} else {
+		*f, err = sr.nextJSONL()
+	}
+	if err == nil {
+		err = checkStreamFlow(f)
+	}
+	if err != nil {
+		sr.done = true
+	}
+	return err
 }
 
 func (sr *StreamReader) nextJSONL() (Flow, error) {
@@ -267,24 +281,59 @@ func (sr *StreamReader) nextJSONL() (Flow, error) {
 	}
 }
 
-func (sr *StreamReader) nextBinary() (Flow, error) {
-	kind, err := sr.br.ReadByte()
-	if err != nil {
-		return Flow{}, errors.New("traffic: flow stream truncated (missing end record)")
+// refill hands the consumed bytes back to br and peeks a window of at least
+// n bytes (fewer only at the end of the input), without waiting for more
+// than that to arrive.
+func (sr *StreamReader) refill(n int) {
+	sr.br.Discard(sr.used)
+	sr.br.Peek(n)
+	sr.win, _ = sr.br.Peek(sr.br.Buffered())
+	sr.used = 0
+}
+
+// uvarint decodes one varint off the window; ok is false where
+// binary.ReadUvarint fails: the input ends first, or the value overflows.
+func (sr *StreamReader) uvarint() (v uint64, ok bool) {
+	if sr.used < len(sr.win) && sr.win[sr.used] < 0x80 {
+		sr.used++
+		return uint64(sr.win[sr.used-1]), true
 	}
+	v, n := binary.Uvarint(sr.win[sr.used:])
+	if n == 0 {
+		sr.refill(binary.MaxVarintLen64)
+		v, n = binary.Uvarint(sr.win)
+	}
+	if n <= 0 {
+		return 0, false
+	}
+	sr.used += n
+	return v, true
+}
+
+func (sr *StreamReader) nextBinary(f *Flow) error {
+	if sr.used == len(sr.win) {
+		sr.refill(1)
+	}
+	if len(sr.win) == 0 {
+		return errors.New("traffic: flow stream truncated (missing end record)")
+	}
+	kind := sr.win[sr.used]
+	sr.used++
 	switch kind {
 	case recEnd:
-		return Flow{}, io.EOF
+		sr.refill(0) // leave br just past the stream
+		return io.EOF
 	case recFlow:
 	default:
-		return Flow{}, fmt.Errorf("traffic: flow stream: unknown record type 0x%02x", kind)
+		return fmt.Errorf("traffic: flow stream: unknown record type 0x%02x", kind)
 	}
+	var err error
 	u := func(dst *int, max uint64, what string) error {
 		if err != nil {
 			return err
 		}
-		v, rerr := binary.ReadUvarint(sr.br)
-		if rerr != nil {
+		v, ok := sr.uvarint()
+		if !ok {
 			// Deliberately not io.EOF: running out of bytes mid-record is
 			// truncation, which must surface as corruption, not clean end.
 			err = fmt.Errorf("traffic: flow stream truncated reading %s", what)
@@ -297,7 +346,6 @@ func (sr *StreamReader) nextBinary() (Flow, error) {
 		*dst = int(v)
 		return nil
 	}
-	var f Flow
 	var flags, nroutes int
 	if u(&f.ID, 1<<31-1, "id") != nil ||
 		u(&f.Size, 1<<31-1, "size") != nil ||
@@ -307,24 +355,33 @@ func (sr *StreamReader) nextBinary() (Flow, error) {
 		u(&flags, 1, "flags") != nil ||
 		u(&f.Redundant, maxStreamRoutes, "redundant") != nil ||
 		u(&nroutes, maxStreamRoutes, "route count") != nil {
-		return Flow{}, err
+		return err
 	}
 	f.Critical = flags == 1
-	f.Routes = make([]Route, 0, min(nroutes, 16))
+	routes := f.Routes[:0]
+	if routes == nil {
+		routes = make([]Route, 0, min(nroutes, 16))
+	}
 	for i := 0; i < nroutes; i++ {
 		var nn int
 		if u(&nn, maxStreamNodes, "route length") != nil {
-			return Flow{}, err
+			return err
 		}
-		r := make(Route, nn)
-		for j := 0; j < nn; j++ {
+		if i < cap(routes) {
+			routes = routes[:i+1] // with the node array a previous record left there
+		} else {
+			routes = append(routes, nil)
+		}
+		r := slices.Grow(routes[i][:0], nn)[:nn]
+		for j := range r {
 			if u(&r[j], 1<<31-1, "route node") != nil {
-				return Flow{}, err
+				return err
 			}
 		}
-		f.Routes = append(f.Routes, r)
+		routes[i] = r
 	}
-	return f, nil
+	f.Routes = routes
+	return nil
 }
 
 // checkStreamFlow applies the stream schema invariants to one record: the
@@ -377,8 +434,9 @@ func checkStreamFlow(f *Flow) error {
 func ReadStore(r io.Reader) (*Store, error) {
 	sr := NewStreamReader(r)
 	s := NewStore(0, 0)
+	var f Flow // Append copies it into the columns
 	for {
-		f, err := sr.Next()
+		err := sr.next(&f)
 		if errors.Is(err, io.EOF) {
 			return s, nil
 		}

@@ -1,13 +1,16 @@
 package traffic
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func writeStream(t *testing.T, format StreamFormat, flows []Flow) []byte {
@@ -175,5 +178,98 @@ func TestStreamWriterCloseIdempotent(t *testing.T) {
 	}
 	if err := sw.Write(&f); err == nil {
 		t.Fatal("write after Close accepted")
+	}
+}
+
+// podStream is a binary stream of about the given number of pod-fabric flows
+// (ids and node numbers past one varint byte, routes of one to three hops)
+// and the load it encodes.
+func podStream(tb testing.TB, flows int) ([]byte, *Load) {
+	tb.Helper()
+	pp := DefaultPodParams(16, 16, 512)
+	pp.LargePerPod = flows / 16 / 4
+	pp.SmallPerPod = flows/16 - pp.LargePerPod
+	pp.LargeTotal, pp.SmallTotal = max(pp.LargeTotal, pp.LargePerPod), max(pp.SmallTotal, pp.SmallPerPod)
+	store, err := PodSynthetic(pp, rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	load := store.Materialize(nil)
+	var buf bytes.Buffer
+	sw := NewStreamWriter(&buf, FormatBinary)
+	for i := range load.Flows {
+		if err := sw.Write(&load.Flows[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), load
+}
+
+// TestStreamBinaryWindowBoundaries: the binary decoder takes varints off a
+// peeked window of the bufio buffer and ReadStore decodes every record into
+// one reused flow. Whatever the reads underneath deliver — a byte at a time,
+// so that every multi-byte varint straddles a refill, or 64 KiB blocks with
+// records across their edges — the store must hold exactly the flows
+// written, multi-route records followed by shorter ones included, and a flow
+// Next returned must stay the caller's.
+func TestStreamBinaryWindowBoundaries(t *testing.T) {
+	data, want := podStream(t, 20_000)
+	for name, r := range map[string]io.Reader{
+		"whole":    bytes.NewReader(data),
+		"one-byte": iotest.OneByteReader(bytes.NewReader(data)),
+		"halves":   iotest.HalfReader(bytes.NewReader(data)),
+	} {
+		store, err := ReadStore(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := store.Materialize(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded load differs from the one written", name)
+		}
+	}
+	fix := storeFixtureLoad().Flows
+	store, err := ReadStore(iotest.OneByteReader(bytes.NewReader(writeStream(t, FormatBinary, fix))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Materialize(nil).Flows; !reflect.DeepEqual(got, fix) {
+		t.Fatalf("fixture through a reused flow: got %+v", got)
+	}
+	sr := NewStreamReader(bytes.NewReader(writeStream(t, FormatBinary, fix)))
+	first, err := sr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, fix[0]) {
+		t.Fatalf("a later Next overwrote an earlier result: %+v", first)
+	}
+	// The bytes after the end record are the caller's: ReadStore over a
+	// caller's bufio.Reader leaves it just past the stream.
+	br := bufio.NewReaderSize(bytes.NewReader(append(writeStream(t, FormatBinary, fix), "tail"...)), 1<<16)
+	if _, err := ReadStore(br); err != nil {
+		t.Fatal(err)
+	}
+	if rest, _ := io.ReadAll(br); string(rest) != "tail" {
+		t.Fatalf("after the stream the reader holds %q, want %q", rest, "tail")
+	}
+}
+
+// BenchmarkReadStoreBinary decodes a 100k-flow pod stream into a store:
+// the benchmark's traffic.decode span at a tenth of its size.
+func BenchmarkReadStoreBinary(b *testing.B) {
+	data, _ := podStream(b, 100_000)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadStore(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
