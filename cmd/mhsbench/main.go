@@ -43,17 +43,9 @@ func main() {
 		nodeSweep = flag.String("node-sweep", "", "override Fig4a/5a node sweep (comma-separated)")
 		deltaSw   = flag.String("delta-sweep", "", "override reconfiguration-delay sweep (comma-separated)")
 		timeNodes = flag.String("time-nodes", "", "override Fig10 network-size sweep (comma-separated)")
-
-		jsonOut    = flag.String("json", "", "benchmark mode: write timing/allocation JSON to this file ('-' for stdout) instead of running figures")
-		benchAlgos = flag.String("bench-algos", "octopus,octopus-g", "algorithm specs to time in -json mode (comma-separated, full name[:key=value,...] grammar)")
-		benchNodes = flag.String("bench-nodes", "", "node counts to time in -json mode (comma-separated; default: the scale's n)")
-		benchReps  = flag.Int("bench-reps", 3, "repetitions per point in -json mode (fastest rep is reported)")
-		benchPodsN = flag.Int("bench-pods", 0, "-json mode: bench on a pod fabric with this many pods and the matching pod workload")
-		benchFlows = flag.Int("bench-flows", 0, "-json mode with -bench-pods: scale the workload to about this many flows")
-		baseline   = flag.String("baseline", "", "previous -json output; annotates results with per-point speedups")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		version    = flag.Bool("version", false, "print the version and exit")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		version   = flag.Bool("version", false, "print the version and exit")
 	)
 	flag.Parse()
 
@@ -128,18 +120,6 @@ func main() {
 	}
 	if *timeNodes != "" {
 		sc.TimeNodeSweep = parseInts(*timeNodes)
-	}
-
-	if *jsonOut != "" {
-		var nodesList []int
-		if *benchNodes != "" {
-			nodesList = parseInts(*benchNodes)
-		}
-		pods := benchPods{pods: *benchPodsN, targetFlows: *benchFlows}
-		if err := runBench(sc, *benchAlgos, nodesList, *benchReps, *jsonOut, *baseline, pods); err != nil {
-			fatalf("bench: %v", err)
-		}
-		return
 	}
 
 	var ids []string

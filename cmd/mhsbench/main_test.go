@@ -1,13 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"octopus/internal/experiment"
-)
+import "testing"
 
 func TestParseInts(t *testing.T) {
 	got := parseInts("25, 50,100")
@@ -22,99 +15,5 @@ func TestParseInts(t *testing.T) {
 	}
 	if parseInts("7")[0] != 7 {
 		t.Fatal("single value")
-	}
-}
-
-func TestBenchJSONRoundTrip(t *testing.T) {
-	sc := experiment.Quick()
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	if err := runBench(sc, "octopus,octopus-g", []int{8}, 1, base, "", benchPods{}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc benchFile
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Schema != benchSchema {
-		t.Fatalf("schema %q, want %q", doc.Schema, benchSchema)
-	}
-	if len(doc.Results) != 2 {
-		t.Fatalf("got %d results, want 2", len(doc.Results))
-	}
-	for _, r := range doc.Results {
-		if r.NsPerOp <= 0 || r.PsiPerOp <= 0 || r.DeliveredPerOp <= 0 {
-			t.Fatalf("degenerate result %+v", r)
-		}
-		if r.Nodes != 8 || r.Matcher != "exact" {
-			t.Fatalf("wrong point %+v", r)
-		}
-	}
-	// A second run against the first as baseline must annotate speedups.
-	annotated := filepath.Join(dir, "new.json")
-	if err := runBench(sc, "octopus", []int{8}, 1, annotated, base, benchPods{}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err = os.ReadFile(annotated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc2 benchFile
-	if err := json.Unmarshal(raw, &doc2); err != nil {
-		t.Fatal(err)
-	}
-	if doc2.Results[0].BaselineNs == 0 || doc2.Results[0].Speedup <= 0 {
-		t.Fatalf("baseline not annotated: %+v", doc2.Results[0])
-	}
-	// Determinism of the measured work: ψ must match across runs.
-	if doc2.Results[0].PsiPerOp != doc.Results[0].PsiPerOp {
-		t.Fatalf("psi drifted: %d vs %d", doc2.Results[0].PsiPerOp, doc.Results[0].PsiPerOp)
-	}
-}
-
-func TestBenchPodMode(t *testing.T) {
-	sc := experiment.Quick()
-	sc.Window = 64
-	sc.Delta = 2
-	path := filepath.Join(t.TempDir(), "pods.json")
-	err := runBench(sc, "octopus,octopus-sharded:pods=4,par=2", []int{24}, 1, path, "",
-		benchPods{pods: 4, targetFlows: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc benchFile
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.PodLoad == nil || doc.PodLoad.Flows < 400 || doc.PodLoad.StoreBytes == 0 || doc.PodLoad.PointerBytes == 0 {
-		t.Fatalf("pod_load stats missing or degenerate: %+v", doc.PodLoad)
-	}
-	if len(doc.Results) != 2 {
-		t.Fatalf("got %d results", len(doc.Results))
-	}
-	for _, r := range doc.Results {
-		if r.Pods != 4 || r.Flows != doc.PodLoad.Flows {
-			t.Fatalf("pod annotations missing: %+v", r)
-		}
-		if r.NsPerOp <= 0 || r.HeapPeakBytes == 0 || r.PsiPerOp <= 0 {
-			t.Fatalf("degenerate result %+v", r)
-		}
-	}
-	if doc.Results[1].Algo != "octopus-sharded:pods=4,par=2" || doc.Results[1].Par != 2 {
-		t.Fatalf("spec not carried through: %+v", doc.Results[1])
-	}
-}
-
-func TestBenchUnknownAlgo(t *testing.T) {
-	if err := runBench(experiment.Quick(), "nonesuch", []int{8}, 1, filepath.Join(t.TempDir(), "x.json"), "", benchPods{}); err == nil {
-		t.Fatal("expected error for unknown algorithm")
 	}
 }

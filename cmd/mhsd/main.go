@@ -79,6 +79,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *n < 2 {
 		return fmt.Errorf("need at least 2 nodes, have %d", *n)
 	}
+	// daemon.New reports a single pod for a count that does not divide the
+	// fabric; an operator who asked for a roll-up must not get that silently.
+	if *statusPods < 1 || *n%*statusPods != 0 {
+		return fmt.Errorf("-pods %d does not divide -n %d", *statusPods, *n)
+	}
 
 	var fabric *graph.Digraph
 	if *deg > 0 {

@@ -25,7 +25,6 @@ package algo
 
 import (
 	"fmt"
-	"sort"
 
 	"octopus/internal/core"
 	"octopus/internal/graph"
@@ -240,14 +239,6 @@ func Names() []string {
 	for i, a := range registry {
 		names[i] = a.Name()
 	}
-	return names
-}
-
-// SortedNames returns the registered names in lexical order (for stable
-// error messages independent of display order).
-func SortedNames() []string {
-	names := Names()
-	sort.Strings(names)
 	return names
 }
 

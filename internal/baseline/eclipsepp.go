@@ -3,7 +3,6 @@ package baseline
 import (
 	"sort"
 
-	"octopus/internal/core"
 	"octopus/internal/graph"
 	"octopus/internal/schedule"
 	"octopus/internal/traffic"
@@ -225,19 +224,4 @@ func reverseSteps(s []pathStep) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 		s[i], s[j] = s[j], s[i]
 	}
-}
-
-// EclipseBasedPlusPlus is the paper-faithful Eclipse-Based baseline:
-// Eclipse over the unordered one-hop load, then Eclipse++ time-expanded
-// routing of the original multi-hop traffic over the resulting sequence.
-// (The default EclipseBased uses the packet-level simulator's greedy VOQ
-// replay instead, which keeps every baseline measured by the same
-// simulator; ext-eclipsepp compares the two.)
-func EclipseBasedPlusPlus(g *graph.Digraph, load *traffic.Load, window, delta int, matcher core.Matcher) (*EclipsePlusPlusResult, error) {
-	oh := OneHopLoad(load, false)
-	_, res, err := Eclipse(g, oh.Load, window, delta, matcher)
-	if err != nil {
-		return nil, err
-	}
-	return EclipsePlusPlus(g, load, res.Schedule, window)
 }

@@ -104,7 +104,13 @@ func TestEclipsePlusPlusDominatesReplay(t *testing.T) {
 
 func TestEclipseBasedPlusPlus(t *testing.T) {
 	g, load := synthetic(t, 80, 10, 300)
-	epp, err := EclipseBasedPlusPlus(g, load, 300, 10, core.MatcherExact)
+	// The paper-faithful Eclipse-Based baseline: Eclipse over the unordered
+	// one-hop load, then Eclipse++ routing of the multi-hop traffic over it.
+	_, ecl, err := Eclipse(g, OneHopLoad(load, false).Load, 300, 10, core.MatcherExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epp, err := EclipsePlusPlus(g, load, ecl.Schedule, 300)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,9 +294,6 @@ func measure(load *traffic.Load, multiRoute, backtrack bool) (loadDims, error) {
 // Done reports whether the greedy loop has terminated.
 func (s *Scheduler) Done() bool { return s.done }
 
-// Used returns the window slots consumed so far (Σ (αₖ + Δ)).
-func (s *Scheduler) Used() int { return s.used }
-
 // Pending returns the number of packets the plan has not yet delivered.
 func (s *Scheduler) Pending() int { return s.tr.pending }
 

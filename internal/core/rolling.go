@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"octopus/internal/graph"
-	"octopus/internal/schedule"
 	"octopus/internal/traffic"
 )
 
@@ -116,19 +115,4 @@ func TotalDelivered(ws []WindowResult) int {
 		total += w.Result.Delivered
 	}
 	return total
-}
-
-// CombinedSchedule concatenates the per-window schedules into one sequence
-// (useful for replay/inspection; the reconfiguration delay between windows
-// is already accounted for because every window's schedule begins with its
-// own reconfiguration).
-func CombinedSchedule(ws []WindowResult) *schedule.Schedule {
-	if len(ws) == 0 {
-		return &schedule.Schedule{}
-	}
-	out := &schedule.Schedule{Delta: ws[0].Result.Schedule.Delta}
-	for _, w := range ws {
-		out.Configs = append(out.Configs, w.Result.Schedule.Configs...)
-	}
-	return out
 }

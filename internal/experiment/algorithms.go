@@ -43,13 +43,6 @@ func run(name string, g *graph.Digraph, load *traffic.Load, p algo.Params) (metr
 	}, nil
 }
 
-// AlgorithmNames returns the roster the experiment layer dispatches
-// against — the registry listing, by construction (asserted equal to the
-// other entry points' rosters in the cross-roster test).
-func AlgorithmNames() []string {
-	return algo.Names()
-}
-
 // absUB returns the absolute capacity upper bound as a delivered fraction.
 func absUB(load *traffic.Load, window, n int) float64 {
 	total := load.TotalPackets()

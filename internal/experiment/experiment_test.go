@@ -226,19 +226,8 @@ func TestAveragePointPropagatesErrors(t *testing.T) {
 }
 
 func TestAlgorithmNamesMatchRegistry(t *testing.T) {
-	// The experiment layer dispatches by registry name; its roster IS the
-	// registry listing (the cross-roster equality guarantee).
-	names := AlgorithmNames()
-	reg := algo.Names()
-	if len(names) != len(reg) {
-		t.Fatalf("experiment roster has %d names, registry %d", len(names), len(reg))
-	}
-	for i := range names {
-		if names[i] != reg[i] {
-			t.Errorf("roster[%d] = %q, registry %q", i, names[i], reg[i])
-		}
-	}
-	// Every name the figure runners dispatch must resolve.
+	// The experiment layer keeps no roster of its own: run dispatches by
+	// registry name, so every name the figure runners use must resolve.
 	for _, n := range []string{"octopus", "octopus-g", "octopus-b", "octopus-e",
 		"octopus-plus", "octopus-random", "eclipse-based", "eclipse-pp",
 		"solstice", "rotornet", "maxweight", "ub"} {

@@ -6,11 +6,7 @@
 // the provisioned routes decides whether traffic keeps flowing.
 package fault
 
-import (
-	"math/rand"
-
-	"octopus/internal/graph"
-)
+import "octopus/internal/graph"
 
 // NodeLinksDown returns one LinkDown event at slot at for every fabric link
 // incident to node (incoming and outgoing), in deterministic order:
@@ -54,15 +50,4 @@ func CorrelatedTrace(g *graph.Digraph, nodes []int, start, period, duration int)
 		t.Events = append(t.Events, NodeLinksUp(g, node, down+duration)...)
 	}
 	return t
-}
-
-// RandomCorrelatedTrace draws bursts victim nodes from rng and builds the
-// corresponding CorrelatedTrace. The same (g, bursts, start, period,
-// duration, seed) always yields the same trace.
-func RandomCorrelatedTrace(g *graph.Digraph, bursts, start, period, duration int, rng *rand.Rand) *Trace {
-	nodes := make([]int, bursts)
-	for i := range nodes {
-		nodes[i] = rng.Intn(g.N())
-	}
-	return CorrelatedTrace(g, nodes, start, period, duration)
 }

@@ -28,7 +28,6 @@
 package flight
 
 import (
-	"sort"
 	"sync"
 
 	"octopus/internal/obs"
@@ -533,33 +532,6 @@ func (r *Recorder) Stats() Snapshot {
 		s.OnTimeFraction = float64(r.onTime) / float64(r.completed)
 	}
 	return s
-}
-
-// CompletionQuantile exposes the q-quantile of completion latency in
-// epochs (0 for nil or no completions).
-func (r *Recorder) CompletionQuantile(q float64) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.completion.Quantile(q)
-}
-
-// TrackedIDs returns the IDs of flows with recorded SLO state, sorted.
-// Intended for tests and export tooling, not hot paths.
-func (r *Recorder) TrackedIDs() []int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	ids := make([]int64, 0, len(r.state))
-	for id := range r.state {
-		ids = append(ids, id)
-	}
-	r.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 func min64(a, b uint64) uint64 {

@@ -1,7 +1,6 @@
 package online
 
 import (
-	"errors"
 	"fmt"
 
 	"octopus/internal/engine"
@@ -118,18 +117,20 @@ func RunFaulty(g *graph.Digraph, arrivals []Arrival, trace *fault.Trace, opt Fau
 // dead copies whose group keeps a live copy are discarded instead of
 // repaired, and the Unique* metrics deduplicate delivery per group; with
 // reactive false, epoch-boundary BFS repair is disabled and route-less
-// flows are dropped outright. The loop itself lives in engine.Pipeline;
-// this driver feeds it the sorted arrival batch, stamps each plan's
-// RefDelivered from the reference run, and folds the per-epoch stats into
-// a FaultResult.
+// flows are dropped outright. The epoch state machine and every packet
+// total are engine.Pipeline's; this driver configures it for repair, runs
+// the failure-free reference and hands both to drain.
 func runFaulty(g *graph.Digraph, arrivals []Arrival, trace *fault.Trace, opt FaultOptions, red *traffic.Redundancy, reactive bool) (*FaultResult, error) {
-	if opt.Core.Window <= 0 {
-		return nil, errors.New("online: Core.Window must be positive")
-	}
-	if err := trace.Validate(g); err != nil {
-		return nil, err
-	}
-	total, uniqueTotal, err := validateArrivals(arrivals, red)
+	p, err := start(g, arrivals, engine.Config{
+		Core:      opt.Core,
+		KeepPlans: opt.KeepPlans,
+		Trace:     trace,
+		Repair:    true,
+		Reactive:  reactive,
+		Red:       red,
+		Audit:     true,
+		Flight:    opt.Flight,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -146,57 +147,23 @@ func runFaulty(g *graph.Digraph, arrivals []Arrival, trace *fault.Trace, opt Fau
 			return nil, fmt.Errorf("online: failure-free reference run: %w", err)
 		}
 	}
-
-	queue := sortedQueue(arrivals)
-	p, err := engine.New(g, engine.Config{
-		Core:      opt.Core,
-		KeepPlans: opt.KeepPlans,
-		Trace:     trace,
-		Repair:    true,
-		Reactive:  reactive,
-		Red:       red,
-		Audit:     true,
-		Flight:    opt.Flight,
-	})
+	epochs, completion, err := drain(p, arrivals, opt.MaxEpochs, ref)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.SubmitAll(queue); err != nil {
-		return nil, err
-	}
-
-	res := &FaultResult{Total: total, UniqueTotal: uniqueTotal, Reference: ref, Completion: make(map[int]int)}
-	maxEpochs := epochCap(opt.MaxEpochs, queue)
-	for epoch := 0; epoch < maxEpochs; epoch++ {
-		plan, err := p.PlanNext()
-		if err != nil {
-			return nil, err
-		}
-		plan.Stat.RefDelivered = refDelivered(ref, epoch)
-		stat, err := p.Commit(plan)
-		if err != nil {
-			return nil, err
-		}
-		res.Dropped += stat.Dropped
-		res.SurvivedRedundant += stat.SurvivedRedundant
-		if plan.Kind == engine.PlanScheduled {
-			res.Delivered += stat.Delivered
-			res.Psi += stat.Psi
-			recordCompletions(res.Completion, &stat.EpochStat)
-		}
-		if plan.Kind == engine.PlanDrained {
-			// Drained (or dropped) and no more arrivals. A boundary that
-			// still repaired or gave up on packets is recorded; a plain
-			// empty boundary is not an epoch.
-			if plan.Record {
-				res.Epochs = append(res.Epochs, *stat)
-			}
-			break
-		}
-		res.Epochs = append(res.Epochs, *stat)
-	}
-	res.UniqueDelivered = p.Totals().UniqueDelivered
-	return res, nil
+	t := p.Totals()
+	return &FaultResult{
+		Epochs:            epochs,
+		Delivered:         t.Delivered,
+		Dropped:           t.Dropped,
+		Total:             t.Submitted,
+		Psi:               t.Psi,
+		UniqueDelivered:   t.UniqueDelivered,
+		UniqueTotal:       t.UniqueSubmitted,
+		SurvivedRedundant: t.SurvivedRedundant,
+		Completion:        completion,
+		Reference:         ref,
+	}, nil
 }
 
 func refDelivered(ref *Result, epoch int) int {

@@ -14,8 +14,6 @@
 package online
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"octopus/internal/core"
@@ -85,92 +83,79 @@ func (r *Result) MeanCompletionEpochs(arrivals []Arrival, window int) float64 {
 	return total / float64(count)
 }
 
-// validateArrivals checks the batch drivers' shared preconditions and
-// returns the total and redundancy-deduplicated packet counts.
-func validateArrivals(arrivals []Arrival, red *traffic.Redundancy) (total, uniqueTotal int, err error) {
-	seen := make(map[int]bool, len(arrivals))
-	for _, a := range arrivals {
-		if a.At < 0 {
-			return 0, 0, fmt.Errorf("online: flow %d has negative arrival %d", a.Flow.ID, a.At)
-		}
-		if seen[a.Flow.ID] {
-			return 0, 0, fmt.Errorf("online: duplicate arrival flow ID %d", a.Flow.ID)
-		}
-		seen[a.Flow.ID] = true
-		total += a.Flow.Size
-		if !red.Duplicate(a.Flow.ID) {
-			uniqueTotal += a.Flow.Size
-		}
+// start returns a pipeline over g holding the arrivals, stable-sorted by
+// At — the admission order the engine expects. The engine rejects a
+// non-positive window, a trace that does not fit the fabric, negative
+// arrival slots and duplicate flow IDs.
+func start(g *graph.Digraph, arrivals []Arrival, cfg engine.Config) (*engine.Pipeline, error) {
+	p, err := engine.New(g, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return total, uniqueTotal, nil
-}
-
-// sortedQueue returns the arrivals stable-sorted by At, the admission
-// order the engine expects.
-func sortedQueue(arrivals []Arrival) []Arrival {
 	queue := append([]Arrival(nil), arrivals...)
 	sort.SliceStable(queue, func(i, j int) bool { return queue[i].At < queue[j].At })
-	return queue
-}
-
-// epochCap returns the run's epoch budget: the configured cap, or a safety
-// cap relative to the offered load (one packet-hop per epoch is a gross
-// underestimate of progress, so the load can always drain within it).
-func epochCap(maxEpochs int, queue []Arrival) int {
-	if maxEpochs != 0 {
-		return maxEpochs
-	}
-	maxEpochs = 16
-	for _, a := range queue {
-		maxEpochs += a.Flow.Size * traffic.MaxRouteLen
-	}
-	return maxEpochs
-}
-
-// recordCompletions enters the flows that completed in the epoch into the
-// run's completion map, at the 1-based epoch of their last delivery.
-func recordCompletions(completion map[int]int, stat *EpochStat) {
-	for _, id := range stat.Completed {
-		completion[id] = stat.Epoch + 1
-	}
-}
-
-// Run schedules the arrivals over successive epochs.
-func Run(g *graph.Digraph, arrivals []Arrival, opt Options) (*Result, error) {
-	if opt.Core.Window <= 0 {
-		return nil, errors.New("online: Core.Window must be positive")
-	}
-	total, _, err := validateArrivals(arrivals, nil)
-	if err != nil {
-		return nil, err
-	}
-	queue := sortedQueue(arrivals)
-
-	p, err := engine.New(g, engine.Config{Core: opt.Core, KeepPlans: opt.KeepPlans, Flight: opt.Flight})
-	if err != nil {
-		return nil, err
-	}
 	if err := p.SubmitAll(queue); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
 
-	res := &Result{Total: total, Completion: make(map[int]int)}
-	maxEpochs := epochCap(opt.MaxEpochs, queue)
+// drain is the one epoch loop behind Run, RunFaulty and
+// RunRedundantFaulty: plan, stamp the reference run's delivery (-1 without
+// one), commit, until the pipeline drains or the epoch budget runs out.
+// maxEpochs 0 selects a safety cap relative to the offered load: one
+// packet-hop per epoch is a gross underestimate of progress, so the load
+// can always drain within it. It returns the recorded epochs and the
+// 1-based completion epoch of every flow that finished; the packet totals
+// are the pipeline's own (Pipeline.Totals).
+func drain(p *engine.Pipeline, arrivals []Arrival, maxEpochs int, ref *Result) ([]FaultEpochStat, map[int]int, error) {
+	if maxEpochs == 0 {
+		maxEpochs = 16
+		for _, a := range arrivals {
+			maxEpochs += a.Flow.Size * traffic.MaxRouteLen
+		}
+	}
+	var epochs []FaultEpochStat
+	completion := make(map[int]int)
 	for epoch := 0; epoch < maxEpochs; epoch++ {
 		plan, err := p.PlanNext()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		plan.Stat.RefDelivered = refDelivered(ref, epoch)
 		stat, err := p.Commit(plan)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		// A boundary that found nothing backlogged or queued ends the run;
+		// it is an epoch only if fault repair still did visible work there.
+		if plan.Record {
+			epochs = append(epochs, *stat)
 		}
 		if plan.Kind == engine.PlanDrained {
 			break
 		}
-		res.Delivered += stat.Delivered
-		res.Epochs = append(res.Epochs, stat.EpochStat)
-		recordCompletions(res.Completion, &stat.EpochStat)
+		for _, id := range stat.Completed {
+			completion[id] = stat.Epoch + 1
+		}
+	}
+	return epochs, completion, nil
+}
+
+// Run schedules the arrivals over successive epochs.
+func Run(g *graph.Digraph, arrivals []Arrival, opt Options) (*Result, error) {
+	p, err := start(g, arrivals, engine.Config{Core: opt.Core, KeepPlans: opt.KeepPlans, Flight: opt.Flight})
+	if err != nil {
+		return nil, err
+	}
+	epochs, completion, err := drain(p, arrivals, opt.MaxEpochs, nil)
+	if err != nil {
+		return nil, err
+	}
+	t := p.Totals()
+	res := &Result{Delivered: t.Delivered, Total: t.Submitted, Completion: completion}
+	for i := range epochs {
+		res.Epochs = append(res.Epochs, epochs[i].EpochStat)
 	}
 	return res, nil
 }

@@ -78,26 +78,6 @@ func (s *Store) Bytes() uint64 {
 		4*uint64(cap(s.routeStart)+cap(s.routeOff)+cap(s.nodes))
 }
 
-// MaxNode returns the largest node id referenced by any route or endpoint,
-// or -1 for an empty store.
-func (s *Store) MaxNode() int {
-	maxNode := int32(-1)
-	for _, v := range s.nodes {
-		if v > maxNode {
-			maxNode = v
-		}
-	}
-	for i := range s.srcs {
-		if s.srcs[i] > maxNode {
-			maxNode = s.srcs[i]
-		}
-		if s.dsts[i] > maxNode {
-			maxNode = s.dsts[i]
-		}
-	}
-	return int(maxNode)
-}
-
 // Append adds one flow to the store. It enforces the same structural
 // invariants as ReadJSON: at least one route, no degenerate routes, every
 // route connecting the flow's endpoints, and fields within the int32/int8
@@ -200,21 +180,6 @@ func (s *Store) FlowAt(i int) Flow {
 func (s *Store) Src(i int) int  { return int(s.srcs[i]) }
 func (s *Store) Dst(i int) int  { return int(s.dsts[i]) }
 func (s *Store) Size(i int) int { return int(s.sizes[i]) }
-
-// RouteNodes calls fn for every node of every route of flow i, in route
-// order, without materializing anything.
-func (s *Store) RouteNodes(i int, fn func(node int)) {
-	lo, hi := s.routeStart[i], s.routeStart[i+1]
-	for k := s.routeOff[lo]; k < s.routeOff[hi]; k++ {
-		fn(int(s.nodes[k]))
-	}
-}
-
-// PrimaryHops returns the hop count of flow i's first route.
-func (s *Store) PrimaryHops(i int) int {
-	lo := s.routeStart[i]
-	return int(s.routeOff[lo+1]-s.routeOff[lo]) - 1
-}
 
 // Materialize builds a Load holding the selected flows (all flows when
 // idx is nil, in store order). The result shares three backing arrays —

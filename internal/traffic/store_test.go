@@ -28,9 +28,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if s.TotalPackets() != 15 {
 		t.Fatalf("TotalPackets = %d, want 15", s.TotalPackets())
 	}
-	if s.MaxNode() != 3 {
-		t.Fatalf("MaxNode = %d, want 3", s.MaxNode())
-	}
 	for i := range l.Flows {
 		if got := s.FlowAt(i); !reflect.DeepEqual(got, l.Flows[i]) {
 			t.Fatalf("FlowAt(%d) = %+v, want %+v", i, got, l.Flows[i])
@@ -124,21 +121,6 @@ func TestStoreValidate(t *testing.T) {
 	}
 	if err := s2.Validate(g); err == nil {
 		t.Fatal("off-fabric route accepted")
-	}
-}
-
-func TestStoreRouteNodesAndPrimaryHops(t *testing.T) {
-	s, err := FromLoad(storeFixtureLoad())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []int
-	s.RouteNodes(0, func(v int) { got = append(got, v) })
-	if want := []int{0, 1, 2, 0, 3, 2}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("RouteNodes(0) visited %v, want %v", got, want)
-	}
-	if s.PrimaryHops(0) != 2 || s.PrimaryHops(1) != 1 {
-		t.Fatalf("PrimaryHops = %d, %d", s.PrimaryHops(0), s.PrimaryHops(1))
 	}
 }
 
