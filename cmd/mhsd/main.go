@@ -10,7 +10,7 @@
 //	DELETE /v1/flows/{id}        cancel a submitted flow
 //	GET    /v1/flows/{id}/events per-flow lifecycle journal (flight recorder)
 //	GET    /v1/epochs            recent epoch records + run totals
-//	GET    /v1/status            operational roll-up: epoch, ψ, SLOs, plan p50/p99, per-pod load
+//	GET    /v1/status            operational roll-up: epoch, ψ, SLOs, plan p50/p99
 //	GET    /v1/fabric            current fabric
 //	POST   /v1/fabric            replace the fabric at the next epoch boundary
 //	GET    /metrics              Prometheus text metrics (plus /debug/vars, /debug/pprof)
@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		flightSample = fs.Int("flight-sample", 1, "flight recorder: track one flow in N (1 = every flow)")
 		flightCap    = fs.Int("flight-cap", 1<<16, "flight recorder: ring capacity in events (bounded memory)")
 		sloEpochs    = fs.Int("slo-epochs", 0, "flight recorder: completion SLO in epochs (0 = every completion on time)")
-		statusPods   = fs.Int("pods", 1, "pods for the /v1/status per-pod load roll-up (must divide -n)")
 		version      = fs.Bool("version", false, "print the version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -78,11 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *n < 2 {
 		return fmt.Errorf("need at least 2 nodes, have %d", *n)
-	}
-	// daemon.New reports a single pod for a count that does not divide the
-	// fabric; an operator who asked for a roll-up must not get that silently.
-	if *statusPods < 1 || *n%*statusPods != 0 {
-		return fmt.Errorf("-pods %d does not divide -n %d", *statusPods, *n)
 	}
 
 	var fabric *graph.Digraph
@@ -127,7 +121,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Registry:         reg,
 		Tracer:           tracer,
 		Flight:           recorder,
-		StatusPods:       *statusPods,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		},

@@ -27,10 +27,6 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-window", "0"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	err := run([]string{"-n", "24", "-pods", "5"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-pods 5") || !strings.Contains(err.Error(), "-n 24") {
-		t.Fatalf("-n 24 -pods 5: got %v, want an error naming both values", err)
-	}
 	if err := run([]string{"-trace-out", "/nonexistent-dir/trace.jsonl"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unwritable trace path accepted")
 	}

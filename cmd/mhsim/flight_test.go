@@ -7,11 +7,33 @@ import (
 	"strings"
 	"testing"
 
+	"octopus/internal/obs"
 	"octopus/internal/obs/flight"
 )
 
+// readFlightLog decodes a -flight-out file with the decision-trace decoder
+// (the two journals share one envelope): the sampling denominator of its
+// "flight" record and the flow records after it.
+func readFlightLog(t *testing.T, path string) (sample int64, events []obs.Record) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := obs.DecodeTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[0].Ev != "flight" {
+		t.Fatalf("%s does not start with a flight record", path)
+	}
+	sample, _ = recs[0].Int("sample")
+	return sample, recs[1:]
+}
+
 // TestFlightOut pins the -flight-out surface: the journal decodes with the
-// versioned codec, covers the load's lifecycle, and recording leaves the
+// trace decoder, covers the load's lifecycle, and recording leaves the
 // measured outcome bit-identical (same stdout as a recorder-free run).
 func TestFlightOut(t *testing.T) {
 	args := []string{"-n", "6", "-window", "300", "-algo", "octopus", "-seed", "7"}
@@ -33,24 +55,16 @@ func TestFlightOut(t *testing.T) {
 		t.Fatalf("missing journal summary on stderr: %q", errOut.String())
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
+	sample, events := readFlightLog(t, path)
+	if sample != 1 || len(events) == 0 {
+		t.Fatalf("sample %d with %d events", sample, len(events))
 	}
-	defer f.Close()
-	hdr, events, err := flight.DecodeLog(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Sample != 1 || len(events) == 0 {
-		t.Fatalf("header %+v with %d events", hdr, len(events))
-	}
-	kinds := map[flight.Kind]bool{}
+	kinds := map[string]bool{}
 	for _, e := range events {
-		kinds[e.Kind] = true
+		kinds[e.Ev] = true
 	}
 	for _, want := range []flight.Kind{flight.KindAdmitted, flight.KindHop, flight.KindDelivered} {
-		if !kinds[want] {
+		if !kinds["flow."+want.String()] {
 			t.Fatalf("journal missing %s events (have %v)", want, kinds)
 		}
 	}
@@ -65,22 +79,14 @@ func TestFlightOutSampled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	hdr, events, err := flight.DecodeLog(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Sample != 4 {
-		t.Fatalf("header sample %d, want 4", hdr.Sample)
+	sample, events := readFlightLog(t, path)
+	if sample != 4 {
+		t.Fatalf("header sample %d, want 4", sample)
 	}
 	ref := flight.New(flight.Config{Sample: 4})
 	for _, e := range events {
-		if !ref.Tracks(e.Flow) {
-			t.Fatalf("journal holds unsampled flow %d", e.Flow)
+		if id, ok := e.Int("flow"); !ok || !ref.Tracks(id) {
+			t.Fatalf("journal holds unsampled flow %d (%s, seq %d)", id, e.Ev, e.Seq)
 		}
 	}
 }

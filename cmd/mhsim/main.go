@@ -17,7 +17,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -33,6 +32,7 @@ import (
 	"octopus/internal/algo"
 	"octopus/internal/buildinfo"
 	"octopus/internal/core"
+	"octopus/internal/engine"
 	"octopus/internal/fault"
 	"octopus/internal/graph"
 	"octopus/internal/httpd"
@@ -54,42 +54,27 @@ const serveShutdownGrace = 5 * time.Second
 var serveHold = func(ctx context.Context, addr string) { <-ctx.Done() }
 
 // obsSinks bundles the observability wiring of one mhsim invocation: the
-// metrics registry (for -metrics-out and -serve), the decision tracer (for
-// -trace-out and -gantt), and the buffer -gantt renders from.
+// metrics registry (for -metrics-out and -serve) and the decision tracer
+// (for -trace-out).
 type obsSinks struct {
 	observer  *obs.Observer
 	reg       *obs.Registry
 	tracer    *obs.Tracer
 	traceFile *os.File
-	ganttBuf  *bytes.Buffer
 }
 
-// setup creates the sinks the flags ask for. The gantt chart is rendered
-// from the decision trace, so -gantt attaches an in-memory trace buffer
-// even without -trace-out.
-func (s *obsSinks) setup(metricsOut, traceOut, serveAddr string, gantt bool) error {
+// setup creates the sinks the flags ask for.
+func (s *obsSinks) setup(metricsOut, traceOut, serveAddr string) error {
 	if metricsOut != "" || serveAddr != "" {
 		s.reg = obs.NewRegistry()
 	}
-	var tws []io.Writer
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
 			return fmt.Errorf("decision trace: %w", err)
 		}
 		s.traceFile = f
-		tws = append(tws, f)
-	}
-	if gantt {
-		s.ganttBuf = &bytes.Buffer{}
-		tws = append(tws, s.ganttBuf)
-	}
-	switch len(tws) {
-	case 0:
-	case 1:
-		s.tracer = obs.NewTracer(tws[0])
-	default:
-		s.tracer = obs.NewTracer(io.MultiWriter(tws...))
+		s.tracer = obs.NewTracer(f)
 	}
 	if s.reg != nil || s.tracer != nil {
 		s.observer = &obs.Observer{Metrics: s.reg, Trace: s.tracer}
@@ -146,8 +131,8 @@ func (s *obsSinks) finish(stderr io.Writer, metricsOut, serveAddr string) error 
 
 // emitScheduleTrace records the planned (or replayed) schedule in the
 // decision trace: one "sched" header followed by one "sched.config" per
-// configuration carrying its α and link set. The -gantt chart is rebuilt
-// from exactly these events.
+// configuration carrying its α and link set — enough to rebuild the
+// schedule from the trace alone.
 func emitScheduleTrace(t *obs.Tracer, sch *schedule.Schedule) {
 	if t == nil {
 		return
@@ -165,40 +150,6 @@ func emitScheduleTrace(t *obs.Tracer, sch *schedule.Schedule) {
 			obs.I("alpha", int64(cfg.Alpha)),
 			obs.Pairs("links", pairs))
 	}
-}
-
-// ganttFromTrace decodes the schedule events out of the trace buffer and
-// renders the Gantt chart from them — deliberately consuming the trace
-// rather than the in-memory schedule, so the chart doubles as an end-to-end
-// check that the trace captures the schedule faithfully.
-func ganttFromTrace(w io.Writer, buf *bytes.Buffer, n int) error {
-	recs, err := obs.DecodeTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return fmt.Errorf("gantt: decoding decision trace: %w", err)
-	}
-	var sch schedule.Schedule
-	for _, r := range recs {
-		switch r.Ev {
-		case "sched":
-			d, ok := r.Int("delta")
-			if !ok {
-				return fmt.Errorf("gantt: sched event (seq %d) missing delta", r.Seq)
-			}
-			sch.Delta = int(d)
-		case "sched.config":
-			alpha, okA := r.Int("alpha")
-			pairs, okL := r.IntPairs("links")
-			if !okA || !okL {
-				return fmt.Errorf("gantt: sched.config event (seq %d) missing alpha or links", r.Seq)
-			}
-			links := make([]graph.Edge, len(pairs))
-			for i, p := range pairs {
-				links[i] = graph.Edge{From: p[0], To: p[1]}
-			}
-			sch.Configs = append(sch.Configs, schedule.Configuration{Alpha: int(alpha), Links: links})
-		}
-	}
-	return sch.WriteGantt(w, n)
 }
 
 func main() {
@@ -258,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var sinks obsSinks
-	if err := sinks.setup(*metricsOut, *traceOut, *serveAddr, *gantt); err != nil {
+	if err := sinks.setup(*metricsOut, *traceOut, *serveAddr); err != nil {
 		return err
 	}
 
@@ -400,7 +351,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		if *gantt {
-			if err := ganttFromTrace(stdout, sinks.ganttBuf, g.N()); err != nil {
+			if err := out.Schedule.WriteGantt(stdout, g.N()); err != nil {
 				return err
 			}
 		}
@@ -506,50 +457,63 @@ func arrivalsAt0(load *traffic.Load) []online.Arrival {
 	return arr
 }
 
+// faultConfig is the engine configuration of a fault-tolerant run: the
+// trace replayed with epoch-boundary repair and every plan audited.
+func faultConfig(opt core.Options, faults *fault.Trace, red *traffic.Redundancy, reactive bool) engine.Config {
+	return engine.Config{Core: opt, Trace: faults, Repair: true, Reactive: reactive, Red: red, Audit: true}
+}
+
 // runFaulty drives the fault-tolerant online pipeline and prints the
-// per-epoch degradation report. When the algorithm spec carries redundancy
-// knobs (crit > 0, or the load itself has provisioned Redundant routes),
-// the load is expanded into proactive copies first and the run layers
+// per-epoch degradation report beside a failure-free reference run of the
+// same arrivals. When the algorithm spec carries redundancy knobs
+// (crit > 0, or the load itself has provisioned Redundant routes), the
+// load is expanded into proactive copies first and the run layers
 // redundancy under the reactive repair.
 func runFaulty(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults *fault.Trace, opt core.Options, params algo.Params, maxEpochs int) error {
 	expanded, red := algo.ProvisionRedundant(g, load, params)
-	fopt := online.FaultOptions{Options: online.Options{Core: opt, MaxEpochs: maxEpochs, Flight: params.Flight}}
-	var res *online.FaultResult
-	var err error
-	if red.Empty() {
-		res, err = online.RunFaulty(g, arrivalsAt0(load), faults, fopt)
-	} else {
+	if !red.Empty() {
 		k, crit, stretch := algo.RedundancyKnobs(params)
 		fmt.Fprintf(stdout, "redundancy: k=%d crit=%.2f stretch=%.1f; %d flows expanded to %d copy flows (%d -> %d packets)\n",
 			k, crit, stretch, len(load.Flows), len(expanded.Flows),
 			load.TotalPackets(), expanded.TotalPackets())
-		res, err = online.RunRedundantFaulty(g, arrivalsAt0(expanded), faults, online.RedundantFaultOptions{
-			FaultOptions: fopt, Redundancy: red,
-		})
+		load = expanded
 	}
+	arrivals := arrivalsAt0(load)
+	cfg := faultConfig(opt, faults, red, true)
+	cfg.Flight = params.Flight
+	res, err := online.Run(g, arrivals, cfg, maxEpochs)
 	if err != nil {
 		return err
 	}
-	for _, ep := range res.Epochs {
+	// The reference is a baseline, not part of the observed run: it gets
+	// neither the observer nor the flight recorder.
+	opt.Obs = nil
+	ref, err := online.Run(g, arrivals, engine.Config{Core: opt}, maxEpochs)
+	if err != nil {
+		return fmt.Errorf("failure-free reference run: %w", err)
+	}
+	for i, ep := range res.Epochs {
+		refDelivered := 0
+		if i < len(ref.Epochs) {
+			refDelivered = ref.Epochs[i].Delivered
+		}
 		fmt.Fprintf(stdout, "epoch %3d: %d links, %d nodes down | offered %d delivered %d backlog %d | rerouted %d stranded %d dropped %d | reference %d",
 			ep.Epoch, ep.FailedLinks, ep.FailedNodes,
 			ep.Offered, ep.Delivered, ep.Backlog,
-			ep.Rerouted, ep.Stranded, ep.Dropped, ep.RefDelivered)
+			ep.Rerouted, ep.Stranded, ep.Dropped, refDelivered)
 		if !red.Empty() {
 			fmt.Fprintf(stdout, " | survived %d unique %d", ep.SurvivedRedundant, ep.UniqueDelivered)
 		}
 		fmt.Fprintln(stdout)
 	}
 	fmt.Fprintf(stdout, "degraded: delivered %d/%d (%.2f%%), dropped %d unreachable\n",
-		res.Delivered, res.Total, 100*res.DeliveredFraction(), res.Dropped)
+		res.Delivered, res.Submitted, 100*res.DeliveredFraction(), res.Dropped)
 	if !red.Empty() {
 		fmt.Fprintf(stdout, "redundant: unique delivered %d/%d (%.2f%%), %d packets survived via copies\n",
-			res.UniqueDelivered, res.UniqueTotal, 100*res.UniqueDeliveredFraction(), res.SurvivedRedundant)
+			res.UniqueDelivered, res.UniqueSubmitted, 100*res.UniqueDeliveredFraction(), res.SurvivedRedundant)
 	}
-	if res.Reference != nil {
-		fmt.Fprintf(stdout, "reference: delivered %d/%d failure-free; degradation %.2f%%\n",
-			res.Reference.Delivered, res.Reference.Total, 100*res.Degradation())
-	}
+	fmt.Fprintf(stdout, "reference: delivered %d/%d failure-free; degradation %.2f%%\n",
+		ref.Delivered, ref.Submitted, 100*res.Degradation(ref))
 	return nil
 }
 
@@ -588,23 +552,17 @@ func runShowdown(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults 
 	}
 	k, crit, stretch := algo.RedundancyKnobs(params)
 	expanded, red := algo.ProvisionRedundant(g, load, params)
-	fopt := online.FaultOptions{
-		Options:       online.Options{Core: opt, MaxEpochs: maxEpochs},
-		SkipReference: true,
-	}
 	arm := func(name string, l *traffic.Load, r *traffic.Redundancy, reactive bool) (showdownArm, error) {
-		res, err := online.RunRedundantFaulty(g, arrivalsAt0(l), faults, online.RedundantFaultOptions{
-			FaultOptions: fopt, Redundancy: r, NoReactive: !reactive,
-		})
+		res, err := online.Run(g, arrivalsAt0(l), faultConfig(opt, faults, r, reactive), maxEpochs)
 		if err != nil {
 			return showdownArm{}, fmt.Errorf("%s arm: %w", name, err)
 		}
 		return showdownArm{
 			Arm:               name,
 			Delivered:         res.Delivered,
-			Total:             res.Total,
+			Total:             res.Submitted,
 			UniqueDelivered:   res.UniqueDelivered,
-			UniqueTotal:       res.UniqueTotal,
+			UniqueTotal:       res.UniqueSubmitted,
 			UniqueFraction:    res.UniqueDeliveredFraction(),
 			Dropped:           res.Dropped,
 			SurvivedRedundant: res.SurvivedRedundant,

@@ -380,7 +380,7 @@ func TestFaultsWithRedundantSpec(t *testing.T) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout.String())
 		}
 	}
-	// The same spec with crit unset stays on the classic RunFaulty path.
+	// The same spec with crit unset runs without copies.
 	stdout.Reset()
 	err = run([]string{
 		"-n", "6", "-window", "60", "-delta", "5", "-max-epochs", "4",

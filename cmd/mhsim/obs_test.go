@@ -10,10 +10,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"octopus/internal/graph"
 	"octopus/internal/obs"
+	"octopus/internal/schedule"
 )
 
 // updateTrace regenerates testdata/golden/trace.jsonl from the current
@@ -33,15 +36,17 @@ func TestVersionFlag(t *testing.T) {
 
 // TestMetricsAndTraceOut runs one small scenario with both file sinks and
 // checks the artifacts: the metrics snapshot is Prometheus text carrying the
-// core counters, and the decision trace decodes into the expected event
-// kinds with strictly increasing sequence numbers.
+// core counters, the decision trace decodes into the expected event kinds
+// with strictly increasing sequence numbers, and the schedule rebuilt from
+// its sched / sched.config events is the one -save-schedule wrote.
 func TestMetricsAndTraceOut(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.txt")
 	trace := filepath.Join(dir, "trace.jsonl")
+	saved := filepath.Join(dir, "schedule.json")
 	var out, errOut bytes.Buffer
 	args := []string{"-n", "8", "-window", "120", "-delta", "4", "-seed", "3",
-		"-algo", "octopus", "-metrics-out", metrics, "-trace-out", trace}
+		"-algo", "octopus", "-metrics-out", metrics, "-trace-out", trace, "-save-schedule", saved}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +83,38 @@ func TestMetricsAndTraceOut(t *testing.T) {
 		t.Fatal("empty decision trace")
 	}
 	kinds := map[string]int{}
+	var fromTrace schedule.Schedule
 	for i, r := range recs {
 		if r.Seq != int64(i) {
 			t.Fatalf("record %d has seq %d, want %d", i, r.Seq, i)
 		}
 		kinds[r.Ev]++
+		switch r.Ev {
+		case "sched":
+			d, ok := r.Int("delta")
+			if !ok {
+				t.Fatalf("sched event (seq %d) missing delta", r.Seq)
+			}
+			fromTrace.Delta = int(d)
+		case "sched.config":
+			alpha, okA := r.Int("alpha")
+			pairs, okL := r.IntPairs("links")
+			if !okA || !okL {
+				t.Fatalf("sched.config event (seq %d) missing alpha or links", r.Seq)
+			}
+			links := make([]graph.Edge, len(pairs))
+			for j, p := range pairs {
+				links[j] = graph.Edge{From: p[0], To: p[1]}
+			}
+			fromTrace.Configs = append(fromTrace.Configs, schedule.Configuration{Alpha: int(alpha), Links: links})
+		}
+	}
+	want, err := schedule.LoadFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Configs) == 0 || !reflect.DeepEqual(&fromTrace, want) {
+		t.Fatalf("schedule rebuilt from the trace differs from the saved one:\n%+v\n%+v", fromTrace, want)
 	}
 	for _, want := range []string{"core.iter", "core.done", "sched", "sched.config", "sim.config", "sim.done"} {
 		if kinds[want] == 0 {

@@ -47,18 +47,21 @@ func ExampleMakespan() {
 	// makespan: 30 slots (25 packets + one reconfiguration)
 }
 
-// ExampleRunWindows drains a burst across scheduling windows.
-func ExampleRunWindows() {
+// ExampleScheduleOnline drains a burst across scheduling windows.
+func ExampleScheduleOnline() {
 	g := octopus.Complete(2)
-	load := &octopus.Load{Flows: []octopus.Flow{
-		{ID: 1, Size: 100, Src: 0, Dst: 1, Routes: []octopus.Route{{0, 1}}},
+	burst := []octopus.Arrival{{
+		Flow: octopus.Flow{ID: 1, Size: 100, Src: 0, Dst: 1, Routes: []octopus.Route{{0, 1}}},
+		At:   0,
 	}}
-	ws, err := octopus.RunWindows(g, load, octopus.Options{Window: 45, Delta: 5}, 10)
+	res, err := octopus.ScheduleOnline(g, burst, octopus.PipelineConfig{
+		Core: octopus.Options{Window: 45, Delta: 5},
+	}, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, w := range ws {
-		fmt.Printf("window %d: delivered %d, residual %d\n", i+1, w.Result.Delivered, w.Residual)
+	for i, w := range res.Epochs {
+		fmt.Printf("window %d: delivered %d, residual %d\n", i+1, w.Delivered, w.Backlog)
 	}
 	// Output:
 	// window 1: delivered 40, residual 60

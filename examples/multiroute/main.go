@@ -94,19 +94,19 @@ func main() {
 	burst := octopus.CorrelatedTrace(g, []int{victim}, *window/2, *window, *window)
 	fmt.Printf("\nredundancy: %d of %d flows protected with a disjoint copy; node %d's %d links fail at slot %d\n",
 		marked, len(short.Flows), victim, len(g.Out(victim))+len(g.In(victim)), *window/2)
-	fopt := octopus.FaultOptions{
-		Options:       octopus.OnlineOptions{Core: octopus.Options{Window: *window, Delta: *delta}, MaxEpochs: 6},
-		SkipReference: true,
+	// Repair without Reactive: dead routes are never rebuilt.
+	cfg := octopus.PipelineConfig{
+		Core:   octopus.Options{Window: *window, Delta: *delta},
+		Trace:  burst,
+		Repair: true,
+		Audit:  true,
 	}
-	bare, err := octopus.RunRedundantFaulty(g, arrivals(short), burst, octopus.RedundantFaultOptions{
-		FaultOptions: fopt, NoReactive: true,
-	})
+	bare, err := octopus.ScheduleOnline(g, arrivals(short), cfg, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	protRes, err := octopus.RunRedundantFaulty(g, arrivals(expanded), burst, octopus.RedundantFaultOptions{
-		FaultOptions: fopt, Redundancy: red, NoReactive: true,
-	})
+	cfg.Red = red
+	protRes, err := octopus.ScheduleOnline(g, arrivals(expanded), cfg, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func arrivals(load *octopus.Load) []octopus.Arrival {
 }
 
 // psiRatio is the schedule-effort overhead of the protected run.
-func psiRatio(prot, bare *octopus.FaultResult) float64 {
+func psiRatio(prot, bare *octopus.OnlineResult) float64 {
 	if bare.Psi == 0 {
 		return 1
 	}

@@ -41,15 +41,14 @@ func main() {
 	fmt.Printf("%d flows, %d packets arriving over %d epochs of %d slots\n\n",
 		len(arrivals), load.TotalPackets(), *epochs, *window)
 
-	oct, err := octopus.ScheduleOnline(g, arrivals, octopus.OnlineOptions{
-		Core:      octopus.Options{Window: *window, Delta: *delta},
-		MaxEpochs: horizon / *window,
-	})
+	oct, err := octopus.ScheduleOnline(g, arrivals, octopus.PipelineConfig{
+		Core: octopus.Options{Window: *window, Delta: *delta},
+	}, horizon / *window)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Octopus epochs      : %5.1f%% delivered in %d epochs, mean completion %.1f epochs\n",
-		100*float64(oct.Delivered)/float64(oct.Total), len(oct.Epochs),
+		100*oct.DeliveredFraction(), len(oct.Epochs),
 		oct.MeanCompletionEpochs(arrivals, *window))
 
 	for _, hys := range []int{0, 96} {

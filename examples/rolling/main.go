@@ -37,18 +37,27 @@ func main() {
 	fmt.Printf("burst: %d packets over %d nodes (~%dx one window's per-port capacity)\n\n",
 		load.TotalPackets(), *nodes, *burst)
 
-	ws, err := octopus.RunWindows(g, load, octopus.Options{Window: *window, Delta: *delta}, 100)
+	// The whole burst is known at slot 0; every window after the first
+	// schedules what the one before it left behind.
+	arrivals := make([]octopus.Arrival, len(load.Flows))
+	for i, f := range load.Flows {
+		arrivals[i] = octopus.Arrival{Flow: f}
+	}
+	res, err := octopus.ScheduleOnline(g, arrivals, octopus.PipelineConfig{
+		Core:      octopus.Options{Window: *window, Delta: *delta},
+		KeepPlans: true, // for the per-window configuration counts
+	}, 100)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cum := 0
-	for i, w := range ws {
-		cum += w.Result.Delivered
+	for i, w := range res.Epochs {
+		cum += w.Delivered
 		fmt.Printf("window %2d: offered %6d, delivered %6d (%5.1f%% cumulative), residual %6d, %d configs\n",
-			i+1, w.Offered, w.Result.Delivered,
+			i+1, w.Offered, w.Delivered,
 			100*float64(cum)/float64(load.TotalPackets()),
-			w.Residual, len(w.Result.Schedule.Configs))
+			w.Backlog, len(w.Plan.Schedule.Configs))
 	}
 	fmt.Printf("\nburst fully drained in %d windows (%d slots)\n",
-		len(ws), len(ws)**window)
+		len(res.Epochs), len(res.Epochs)**window)
 }

@@ -1,11 +1,8 @@
 package algo
 
 import (
-	"octopus/internal/core"
 	"octopus/internal/graph"
-	"octopus/internal/simulate"
 	"octopus/internal/traffic"
-	"octopus/internal/verify"
 )
 
 // Defaults for the octopus-redundant proactive-multipath knobs: provision
@@ -52,92 +49,19 @@ func ProvisionRedundant(g *graph.Digraph, load *traffic.Load, p Params) (*traffi
 	return traffic.ExpandRedundant(work)
 }
 
-// redundantAlgo is octopus-redundant: plain Octopus planning over the
-// redundancy-expanded load, measured with per-group deduplicated delivery.
-// The embedded coreAlgo supplies the identity CoreOptions mapping — the
-// fault pipeline provisions the load itself (it has the fabric in hand)
-// and then drives any core scheduler over the expanded flows.
-type redundantAlgo struct {
-	coreAlgo
-}
-
+// octopusRedundantAlgo is octopus-redundant: plain Octopus planning over
+// the redundancy-expanded load, measured with per-group deduplicated
+// delivery. The raw (per-copy) plan is claimed exactly; Delivered counts
+// each group once at its first copy's arrival, Total is the original
+// offered load, ψ includes the duplicate overhead (broken out in the
+// simulate.Result the differential harness replays). With crit=0 the
+// expansion is the identity and the run is bit-identical to plain octopus.
 func octopusRedundantAlgo() Algorithm {
-	return &redundantAlgo{coreAlgo{
+	return &coreAlgo{
 		name: "octopus-redundant",
 		describe: "Octopus over proactively replicated critical flows: crit-fraction largest flows get " +
 			"up to red edge-disjoint route copies (stretch-capped), delivery deduplicated per copy group",
-		prep: passthrough(baseOptions),
-	}}
-}
-
-// Run provisions the redundant copies, plans with the plain Octopus core,
-// claims the raw (per-copy) plan exactly, and reports the deduplicated
-// metrics: Delivered counts each group once at its first copy's arrival,
-// Total is the original offered load, ψ includes the duplicate overhead
-// (broken out in the simulate.Result the differential harness replays).
-// With crit=0 the expansion is the identity and the run is bit-identical
-// to plain octopus.
-func (a *redundantAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome, error) {
-	expanded, red := ProvisionRedundant(g, load, p)
-	opt := baseOptions(p)
-	s, err := core.New(g, expanded, opt)
-	if err != nil {
-		return nil, err
+		prep:      passthrough(baseOptions),
+		provision: ProvisionRedundant,
 	}
-	res, err := s.Run()
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{
-		Algo:     a.name,
-		Fabric:   g,
-		Load:     expanded,
-		Schedule: res.Schedule,
-		Plan: &PlanInfo{
-			Iterations: res.Iterations,
-			Delivered:  res.Delivered,
-			Hops:       res.Hops,
-			Psi:        res.Psi,
-		},
-		Reconfigs: len(res.Schedule.Configs),
-		VerifyOpt: verify.Options{
-			Window:    opt.Window,
-			Ports:     opt.Ports,
-			Epsilon64: opt.Epsilon64,
-			// The claim is the raw per-copy plan: the independent replay
-			// reproduces it packet for packet; deduplication happens on
-			// top of it, never inside it.
-			Claim: &verify.Claim{Delivered: res.Delivered, Hops: res.Hops, Psi: res.Psi},
-		},
-	}
-	if opt.MultiHop {
-		sch, w := res.Schedule, opt.Window
-		out.Extra = func() error {
-			_, err := verify.Schedule(g, expanded, sch, verify.Options{
-				Window: w, Ports: opt.Ports, MultiHop: true,
-			})
-			return err
-		}
-	}
-	sim, err := simulate.Run(g, expanded, res.Schedule, simulate.Options{
-		Window:     opt.Window,
-		MultiHop:   opt.MultiHop,
-		Ports:      opt.Ports,
-		Epsilon64:  opt.Epsilon64,
-		Redundancy: red,
-		Obs:        opt.Obs,
-		Flight:     p.Flight,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Delivered = sim.UniqueDelivered
-	out.Total = sim.UniqueTotal
-	out.Hops = sim.Hops
-	out.Psi = sim.Psi
-	out.ActiveLinkSlots = sim.ActiveLinkSlots
-	out.ConfigsReplayed = sim.Configs
-	out.SlotsUsed = sim.SlotsUsed
-	out.Measured = true
-	return out, nil
 }

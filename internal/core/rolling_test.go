@@ -19,12 +19,15 @@ func TestResidualLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.tr.apply([]graph.Edge{{From: 0, To: 1}}, 4)
-	res := s.ResidualLoad()
+	res, origin := s.ResidualLoadMap()
 	if err := res.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Flows) != 2 {
 		t.Fatalf("residual flows = %+v", res.Flows)
+	}
+	if len(origin) != 2 || origin[0] != 1 || origin[1] != 1 {
+		t.Fatalf("origin = %v, want both residual flows traced to flow 1", origin)
 	}
 	// 6 packets still at the source with the full route, 4 at node 1 with
 	// the suffix.
@@ -55,58 +58,8 @@ func TestResidualLoadUncommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.ResidualLoad()
+	res, _ := s.ResidualLoadMap()
 	if len(res.Flows) != 1 || len(res.Flows[0].Routes) != 2 {
 		t.Fatalf("uncommitted residual = %+v", res.Flows)
-	}
-}
-
-func TestRunWindowsConvergesToFullDelivery(t *testing.T) {
-	g, load := randomInstance(t, 61, 10, 300)
-	opt := Options{Window: 300, Delta: 10}
-	// One window delivers only part of the traffic.
-	s, err := New(g, load, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Pending == 0 {
-		t.Skip("single window already delivers everything")
-	}
-	ws, err := RunWindows(g, load, opt, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := TotalDelivered(ws)
-	if total != load.TotalPackets() {
-		t.Fatalf("rolling windows delivered %d of %d", total, load.TotalPackets())
-	}
-	if last := ws[len(ws)-1]; last.Residual != 0 {
-		t.Fatalf("final residual %d", last.Residual)
-	}
-	// Conservation per window: offered = delivered + residual.
-	for i, w := range ws {
-		if w.Offered != w.Result.Delivered+w.Residual {
-			t.Fatalf("window %d: %d != %d + %d", i, w.Offered, w.Result.Delivered, w.Residual)
-		}
-	}
-	// Every window's schedule is structurally valid.
-	for i, w := range ws {
-		if err := w.Result.Schedule.Validate(g, 0, 1); err != nil {
-			t.Fatalf("window %d: %v", i, err)
-		}
-	}
-	if len(ws[0].Result.Schedule.Configs) == 0 {
-		t.Fatal("first window planned nothing")
-	}
-}
-
-func TestRunWindowsRejectsBadCount(t *testing.T) {
-	g, load := randomInstance(t, 1, 6, 50)
-	if _, err := RunWindows(g, load, Options{Window: 50, Delta: 5}, 0); err == nil {
-		t.Fatal("windows=0 accepted")
 	}
 }

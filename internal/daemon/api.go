@@ -235,7 +235,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ids = append(ids, f.ID)
-		s.recordPodLoad(f.Src, f.Size)
 	}
 	s.reg.Gauge("octopus_daemon_queued_packets").Set(int64(s.pipe.QueuedPackets()))
 	writeJSON(w, http.StatusAccepted, map[string]any{"accepted": ids, "at": at})
@@ -281,19 +280,6 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// recordPodLoad folds one accepted submission into the /v1/status per-pod
-// load roll-up, by source pod. Sized at startup; sources beyond the last
-// pod (possible after a larger-fabric reload) fold into the last one.
-func (s *Server) recordPodLoad(src, size int) {
-	s.mu.Lock()
-	pod := src / s.podSize
-	if pod >= len(s.podLoad) {
-		pod = len(s.podLoad) - 1
-	}
-	s.podLoad[pod] += int64(size)
-	s.mu.Unlock()
-}
-
 // handleFlowEvents serves GET /v1/flows/{id}/events: the flight recorder's
 // retained lifecycle journal for one flow.
 func (s *Server) handleFlowEvents(w http.ResponseWriter, r *http.Request) {
@@ -329,12 +315,11 @@ func (s *Server) handleFlowEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatus serves GET /v1/status: the one-call operational roll-up —
-// epoch progress, totals (ψ, delivered), planning latency percentiles,
-// per-pod submitted load, and the flight recorder's SLO snapshot.
+// epoch progress, totals (ψ, delivered), planning latency percentiles, and
+// the flight recorder's SLO snapshot.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	totals, epochs, backlog := s.totals, s.epochs, s.backlog
-	podLoad := append([]int64(nil), s.podLoad...)
 	s.mu.Unlock()
 	plan := s.reg.Duration("octopus_daemon_plan_seconds")
 	st := map[string]any{
@@ -347,8 +332,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"plan_p50_seconds": plan.Quantile(0.50).Seconds(),
 		"plan_p99_seconds": plan.Quantile(0.99).Seconds(),
 		"plan_overruns":    s.reg.Counter("octopus_daemon_plan_overruns_total").Value(),
-		"pod_size":         s.podSize,
-		"pod_load":         podLoad,
 	}
 	if s.opt.Flight != nil {
 		st["flight"] = s.opt.Flight.Stats()

@@ -74,11 +74,6 @@ type Options struct {
 	// roll-up. nil disables per-flow tracing; scheduling is bit-identical
 	// either way.
 	Flight *flight.Recorder
-	// StatusPods partitions the fabric's contiguous node blocks into this
-	// many pods for the /v1/status per-pod load roll-up only (cumulative
-	// submitted packets by source pod; no scheduling effect). Values that
-	// do not divide the fabric, 0, and 1 all report a single pod.
-	StatusPods int
 	// Logf, when set, receives one line per notable lifecycle event.
 	Logf func(format string, args ...any)
 }
@@ -103,9 +98,6 @@ type Server struct {
 	totals  engine.Totals
 	epochs  int
 	backlog int
-
-	podSize int
-	podLoad []int64 // cumulative submitted packets per source pod (under mu)
 }
 
 type reloadReq struct {
@@ -177,18 +169,12 @@ func New(opt Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	pods := opt.StatusPods
-	if pods < 1 || opt.Fabric.N()%pods != 0 {
-		pods = 1
-	}
 	s := &Server{
 		opt:      opt,
 		pipe:     pipe,
 		reg:      opt.Registry,
 		reloadCh: make(chan reloadReq),
 		done:     make(chan struct{}),
-		podSize:  opt.Fabric.N() / pods,
-		podLoad:  make([]int64, pods),
 	}
 	s.fab.Store(opt.Fabric)
 	// Touch the daemon metrics so a scrape before the first overrun or

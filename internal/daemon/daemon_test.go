@@ -368,8 +368,7 @@ func TestDaemonAPI(t *testing.T) {
 // TestDaemonFlightAndStatus drives a flight-recording daemon through a full
 // flow lifecycle and checks the two new surfaces: GET /v1/flows/{id}/events
 // must journal admitted → planned → delivered → completed in order, and
-// GET /v1/status must roll up the SLO snapshot, plan percentiles, and the
-// per-pod load.
+// GET /v1/status must roll up the SLO snapshot and plan percentiles.
 func TestDaemonFlightAndStatus(t *testing.T) {
 	rec := flight.New(flight.Config{SLOEpochs: 64})
 	_, base, shutdown := testServer(t, Options{
@@ -378,7 +377,6 @@ func TestDaemonFlightAndStatus(t *testing.T) {
 		EpochDuration: 2 * time.Millisecond,
 		Audit:         true,
 		Flight:        rec,
-		StatusPods:    2,
 	})
 	defer shutdown()
 
@@ -443,8 +441,6 @@ func TestDaemonFlightAndStatus(t *testing.T) {
 	var st struct {
 		Epoch          int            `json:"epoch"`
 		PlanP99Seconds float64        `json:"plan_p99_seconds"`
-		PodSize        int            `json:"pod_size"`
-		PodLoad        []int64        `json:"pod_load"`
 		Totals         engine.Totals  `json:"totals"`
 		Flight         map[string]any `json:"flight"`
 	}
@@ -454,9 +450,6 @@ func TestDaemonFlightAndStatus(t *testing.T) {
 	}
 	if st.PlanP99Seconds <= 0 {
 		t.Fatalf("plan p99 not observed: %+v", st)
-	}
-	if st.PodSize != 2 || len(st.PodLoad) != 2 || st.PodLoad[0] != 5 || st.PodLoad[1] != 7 {
-		t.Fatalf("pod load: %+v", st)
 	}
 	if st.Flight == nil {
 		t.Fatal("status missing the flight snapshot")
@@ -492,8 +485,8 @@ func TestDaemonFlightDisabled(t *testing.T) {
 	if _, ok := st["flight"]; ok {
 		t.Fatal("status has a flight section without a recorder")
 	}
-	if _, ok := st["pod_load"]; !ok {
-		t.Fatal("status missing pod_load")
+	if _, ok := st["totals"]; !ok {
+		t.Fatal("status missing totals")
 	}
 }
 

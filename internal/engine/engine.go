@@ -55,9 +55,9 @@ type Config struct {
 
 	// Repair enables the epoch-boundary fault machinery: surviving-fabric
 	// snapshots, route repair of broken flows, delta jitter, and the
-	// redundancy-deduplicated delivery accounting. The fault-tolerant
-	// online drivers and the daemon set it; the plain online loop does
-	// not.
+	// redundancy-deduplicated delivery accounting. Fault-tolerant batch
+	// runs (online.Run under a trace) and the daemon set it; a
+	// failure-free run does not.
 	Repair bool
 
 	// Reactive selects BFS rerouting for flows whose every route died
@@ -77,8 +77,8 @@ type Config struct {
 	// repaired/requeued, delivered/completed, dropped, cancelled) for
 	// tracked flows, keyed by arrival flow IDs. Epoch fields are pipeline
 	// epochs: boundary events carry the epoch being planned, delivery and
-	// completion events carry epoch+1 (the completion epoch the batch
-	// drivers report). nil disables recording; the recorder is strictly
+	// completion events carry epoch+1 (the completion epoch online.Run
+	// reports). nil disables recording; the recorder is strictly
 	// read-only — schedules and totals are bit-identical either way.
 	Flight *flight.Recorder
 }
@@ -170,7 +170,7 @@ func New(g *graph.Digraph, cfg Config) (*Pipeline, error) {
 // Submit queues one flow to be admitted at the first epoch boundary at or
 // after slot at. Arrivals are admitted in submission order, stopping at
 // the first entry not yet due — callers submitting a batch must order it
-// by At (the online drivers stable-sort first; the daemon submits with the
+// by At (online.Run stable-sorts first; the daemon submits with the
 // current boundary as At, which is non-decreasing by construction).
 func (p *Pipeline) Submit(f traffic.Flow, at int) error {
 	if at < 0 {

@@ -52,7 +52,7 @@ type FaultEpochStat struct {
 	// at this boundary but whose redundancy group kept another copy with a
 	// live route: the dead copy is discarded without reroute or drop — the
 	// surviving copy already carries the group's data (always 0 without
-	// redundancy; see online.RunRedundantFaulty).
+	// Config.Red).
 	SurvivedRedundant int
 
 	// UniqueDelivered is the epoch's redundancy-deduplicated delivery: the
@@ -60,12 +60,6 @@ type FaultEpochStat struct {
 	// once, by its best copy) during this epoch. Without redundancy it
 	// mirrors Delivered.
 	UniqueDelivered int
-
-	// RefDelivered is the failure-free reference run's delivery in this
-	// epoch (-1 when the reference was skipped). The engine itself never
-	// sets it; drivers that keep a reference run stamp it between PlanNext
-	// and Commit.
-	RefDelivered int
 
 	// Fabric is the epoch's surviving-fabric snapshot (nil unless
 	// Config.KeepPlans), so each plan can be re-audited independently.
@@ -92,7 +86,7 @@ const (
 	// jitter left no room for even one configuration.
 	PlanJitterSkipped
 	// PlanDrained means nothing is backlogged or queued: the pipeline has
-	// no work now and none pending. Batch drivers stop here; the daemon
+	// no work now and none pending. The batch driver stops here; the daemon
 	// keeps committing drained epochs while it waits for submissions.
 	PlanDrained
 )
@@ -103,9 +97,9 @@ const (
 type Plan struct {
 	Epoch int
 	Kind  PlanKind
-	// Record reports whether the batch drivers append this epoch's stat to
-	// their epoch list, mirroring the recording rules of the monolithic
-	// loops this engine was extracted from: scheduled, idle, and
+	// Record reports whether the batch driver (online.Run) appends this
+	// epoch's stat to its epoch list, mirroring the recording rules of the
+	// monolithic loops this engine was extracted from: scheduled, idle, and
 	// jitter-skipped epochs always record; a drained boundary records only
 	// when fault repair still did visible work there.
 	Record bool

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"octopus/internal/core"
+	"octopus/internal/engine"
 	"octopus/internal/fault"
 	"octopus/internal/graph"
 	"octopus/internal/online"
@@ -68,29 +69,25 @@ func redTraces() ([]*fault.Trace, error) {
 // redArm runs one arm of the showdown: the arrivals (all at slot 0) under
 // one committed failure trace, with or without proactive copies (red) and
 // with or without reactive epoch-boundary repair.
-func redArm(g *graph.Digraph, load *traffic.Load, tr *fault.Trace, mat core.Matcher, red *traffic.Redundancy, reactive bool) (*online.FaultResult, error) {
+func redArm(g *graph.Digraph, load *traffic.Load, tr *fault.Trace, mat core.Matcher, red *traffic.Redundancy, reactive bool) (*online.Result, error) {
 	arrivals := make([]online.Arrival, len(load.Flows))
 	for i, f := range load.Flows {
 		arrivals[i] = online.Arrival{Flow: f, At: 0}
 	}
-	opt := online.RedundantFaultOptions{
-		FaultOptions: online.FaultOptions{
-			Options: online.Options{
-				Core:      core.Options{Window: redEpochW, Delta: redDelta, Matcher: mat},
-				MaxEpochs: redMaxEpochs,
-			},
-			SkipReference: true,
-		},
-		Redundancy: red,
-		NoReactive: !reactive,
-	}
-	return online.RunRedundantFaulty(g, arrivals, tr, opt)
+	return online.Run(g, arrivals, engine.Config{
+		Core:     core.Options{Window: redEpochW, Delta: redDelta, Matcher: mat},
+		Trace:    tr,
+		Repair:   true,
+		Reactive: reactive,
+		Red:      red,
+		Audit:    true,
+	}, redMaxEpochs)
 }
 
 // onTimeFraction is the deduplicated fraction delivered within the first
 // redHorizon epochs.
-func onTimeFraction(res *online.FaultResult) float64 {
-	if res.UniqueTotal == 0 {
+func onTimeFraction(res *online.Result) float64 {
+	if res.UniqueSubmitted == 0 {
 		return 0
 	}
 	onTime := 0
@@ -99,7 +96,7 @@ func onTimeFraction(res *online.FaultResult) float64 {
 			onTime += ep.UniqueDelivered
 		}
 	}
-	return float64(onTime) / float64(res.UniqueTotal)
+	return float64(onTime) / float64(res.UniqueSubmitted)
 }
 
 // ExtRedundancy is the proactive-vs-reactive fault showdown: the same

@@ -2,156 +2,39 @@ package flight
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
+
+	"octopus/internal/obs"
 )
 
-// Version is the flight-log wire version. The header line carries it;
-// decoders reject anything else so format changes are loud, not silent.
-const Version = 1
-
-// maxLine bounds one JSONL line during decode, protecting against
-// pathological input (the journal writes short lines; 1 MiB is generous).
-const maxLine = 1 << 20
-
-// maxDecodeEvents bounds how many events DecodeLog will retain, so a
-// hostile or runaway input cannot exhaust memory. Matches several full
-// default-capacity rings.
-const maxDecodeEvents = 1 << 22
-
-// Header is the first line of a flight log.
-type Header struct {
-	V      int    `json:"v"`
-	Kind   string `json:"kind"`
-	Sample int    `json:"sample"`
-	Events uint64 `json:"events"`
-}
-
-// wireEvent is the per-line JSON shape. Kind travels as its string name
-// so logs are greppable; Seq preserves global ordering across ring wraps.
-type wireEvent struct {
-	Seq   uint64 `json:"seq"`
-	Flow  int64  `json:"flow"`
-	Ev    string `json:"ev"`
-	Epoch int32  `json:"epoch"`
-	A     int64  `json:"a,omitempty"`
-	B     int64  `json:"b,omitempty"`
-	C     int64  `json:"c,omitempty"`
-}
-
-// kindByName inverts kindNames for decode.
-var kindByName = func() map[string]Kind {
-	m := make(map[string]Kind, numKinds)
-	for k, name := range kindNames {
-		m[name] = Kind(k)
-	}
-	return m
-}()
-
-// WriteLog serializes the recorder's retained events as versioned JSONL:
-// one header line, then one line per event, oldest first. The snapshot is
-// taken atomically with respect to concurrent recording.
+// WriteLog serializes the recorder's retained events in the decision
+// trace's JSONL envelope (obs.Tracer: "v", "seq", "ev" on every line, read
+// back by obs.DecodeTrace), so a flight log and a decision trace are two
+// views of one event model and join on "epoch": first a "flight" record
+// carrying the sampling denominator and the number of events ever recorded
+// (more than the lines that follow once the ring has wrapped), then one
+// "flow.<kind>" record per retained event, oldest first, with the flow ID,
+// the epoch and the kind's three arguments (see the Kind constants). The
+// events are one atomic snapshot with respect to concurrent recording.
 func (r *Recorder) WriteLog(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	events := make([]Event, 0, min64(r.seq, uint64(len(r.flows))))
-	r.scanLocked(func(ev Event) { events = append(events, ev) })
-	total := r.seq
-	r.mu.Unlock()
+	events := r.All()
+	total := uint64(0) // the newest event's sequence number counts them all
+	if n := len(events); n > 0 {
+		total = events[n-1].Seq + 1
+	}
 	bw := bufio.NewWriter(w)
-	hdr := Header{V: Version, Kind: "flight", Sample: r.Sample(), Events: total}
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(hdr); err != nil {
+	t := obs.NewTracer(bw)
+	t.Emit("flight", obs.I("sample", int64(r.Sample())), obs.I("events", int64(total)))
+	for _, ev := range events {
+		t.Emit("flow."+ev.Kind.String(),
+			obs.I("flow", ev.Flow), obs.I("epoch", int64(ev.Epoch)),
+			obs.I("a", ev.A), obs.I("b", ev.B), obs.I("c", ev.C))
+	}
+	if err := t.Err(); err != nil {
 		return err
 	}
-	for _, ev := range events {
-		we := wireEvent{
-			Seq:   ev.Seq,
-			Flow:  ev.Flow,
-			Ev:    ev.Kind.String(),
-			Epoch: ev.Epoch,
-			A:     ev.A,
-			B:     ev.B,
-			C:     ev.C,
-		}
-		if err := enc.Encode(we); err != nil {
-			return err
-		}
-	}
 	return bw.Flush()
-}
-
-// DecodeLog parses a flight log produced by WriteLog. It is hardened for
-// hostile input: version and kind are checked, unknown event names and
-// malformed lines are rejected with line numbers, line length and total
-// event count are bounded, and sequence numbers must be strictly
-// increasing (a truncated or spliced log fails loudly).
-func DecodeLog(rd io.Reader) (Header, []Event, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 4096), maxLine)
-	var hdr Header
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return hdr, nil, fmt.Errorf("flight: reading header: %w", err)
-		}
-		return hdr, nil, errors.New("flight: empty log")
-	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return hdr, nil, fmt.Errorf("flight: bad header: %w", err)
-	}
-	if hdr.V != Version {
-		return hdr, nil, fmt.Errorf("flight: unsupported version %d (want %d)", hdr.V, Version)
-	}
-	if hdr.Kind != "flight" {
-		return hdr, nil, fmt.Errorf("flight: not a flight log (kind %q)", hdr.Kind)
-	}
-	if hdr.Sample < 0 {
-		return hdr, nil, fmt.Errorf("flight: negative sample %d", hdr.Sample)
-	}
-	var out []Event
-	line := 1
-	lastSeq := uint64(0)
-	haveSeq := false
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var we wireEvent
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&we); err != nil {
-			return hdr, nil, fmt.Errorf("flight: line %d: %w", line, err)
-		}
-		kind, ok := kindByName[we.Ev]
-		if !ok {
-			return hdr, nil, fmt.Errorf("flight: line %d: unknown event %q", line, we.Ev)
-		}
-		if haveSeq && we.Seq <= lastSeq {
-			return hdr, nil, fmt.Errorf("flight: line %d: sequence %d not increasing (prev %d)", line, we.Seq, lastSeq)
-		}
-		lastSeq, haveSeq = we.Seq, true
-		if len(out) >= maxDecodeEvents {
-			return hdr, nil, fmt.Errorf("flight: more than %d events", maxDecodeEvents)
-		}
-		out = append(out, Event{
-			Seq:   we.Seq,
-			Flow:  we.Flow,
-			Kind:  kind,
-			Epoch: we.Epoch,
-			A:     we.A,
-			B:     we.B,
-			C:     we.C,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return hdr, nil, fmt.Errorf("flight: line %d: %w", line, err)
-	}
-	return hdr, out, nil
 }

@@ -4,7 +4,47 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"octopus/internal/obs"
 )
+
+// decodeLog reads a flight log back through the decision-trace decoder:
+// the "flight" record's sample and events, then the flow records as
+// Events whose Seq is the line's own sequence number.
+func decodeLog(t *testing.T, log []byte) (sample, total int64, evs []Event) {
+	t.Helper()
+	recs, err := obs.DecodeTrace(bytes.NewReader(log))
+	if err != nil {
+		t.Fatalf("decode: %v\n%s", err, log)
+	}
+	if len(recs) == 0 || recs[0].Ev != "flight" {
+		t.Fatalf("log does not start with a flight record:\n%s", log)
+	}
+	sample, _ = recs[0].Int("sample")
+	total, _ = recs[0].Int("events")
+	for _, r := range recs[1:] {
+		name, ok := strings.CutPrefix(r.Ev, "flow.")
+		kind := Kind(0)
+		for kind < numKinds && kind.String() != name {
+			kind++
+		}
+		if !ok || kind == numKinds {
+			t.Fatalf("seq %d: event %q is not a flow event", r.Seq, r.Ev)
+		}
+		get := func(key string) int64 {
+			v, ok := r.Int(key)
+			if !ok {
+				t.Fatalf("seq %d: %s record without integer %q", r.Seq, r.Ev, key)
+			}
+			return v
+		}
+		evs = append(evs, Event{
+			Seq: uint64(r.Seq), Flow: get("flow"), Kind: kind, Epoch: int32(get("epoch")),
+			A: get("a"), B: get("b"), C: get("c"),
+		})
+	}
+	return sample, total, evs
+}
 
 // TestLogRoundTrip writes a journal and decodes it back, checking header
 // and event fidelity.
@@ -19,26 +59,22 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := r.WriteLog(&buf); err != nil {
 		t.Fatal(err)
 	}
-	hdr, evs, err := DecodeLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("decode: %v\n%s", err, buf.String())
-	}
-	if hdr.V != Version || hdr.Kind != "flight" || hdr.Sample != 1 {
-		t.Fatalf("header = %+v", hdr)
-	}
+	sample, total, evs := decodeLog(t, buf.Bytes())
 	orig := r.All()
-	if len(evs) != len(orig) || hdr.Events != uint64(len(orig)) {
-		t.Fatalf("decoded %d events, want %d (header %d)", len(evs), len(orig), hdr.Events)
+	if sample != 1 || len(evs) != len(orig) || total != int64(len(orig)) {
+		t.Fatalf("sample %d, decoded %d events, want %d (header %d)", sample, len(evs), len(orig), total)
 	}
 	for i := range orig {
-		if evs[i] != orig[i] {
-			t.Fatalf("event %d: decoded %+v, want %+v", i, evs[i], orig[i])
+		want := orig[i]
+		want.Seq++ // the header line took sequence number 0
+		if evs[i] != want {
+			t.Fatalf("event %d: decoded %+v, want %+v", i, evs[i], want)
 		}
 	}
 }
 
-// TestLogRoundTripAfterWrap checks that sequence numbers survive a ring
-// wrap: the log starts mid-sequence and still decodes.
+// TestLogRoundTripAfterWrap checks a wrapped ring: the log holds the
+// newest events only and its header still counts every event recorded.
 func TestLogRoundTripAfterWrap(t *testing.T) {
 	r := New(Config{Cap: 4})
 	for i := 0; i < 11; i++ {
@@ -48,55 +84,23 @@ func TestLogRoundTripAfterWrap(t *testing.T) {
 	if err := r.WriteLog(&buf); err != nil {
 		t.Fatal(err)
 	}
-	hdr, evs, err := DecodeLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	_, total, evs := decodeLog(t, buf.Bytes())
+	if total != 11 || len(evs) != 4 {
+		t.Fatalf("header events %d, decoded %d", total, len(evs))
 	}
-	if hdr.Events != 11 || len(evs) != 4 {
-		t.Fatalf("header events %d, decoded %d", hdr.Events, len(evs))
-	}
-	if evs[0].Seq != 7 || evs[3].Seq != 10 {
-		t.Fatalf("seq range [%d,%d], want [7,10]", evs[0].Seq, evs[3].Seq)
+	if evs[0].Flow != 7 || evs[3].Flow != 10 {
+		t.Fatalf("flows [%d,%d], want [7,10]", evs[0].Flow, evs[3].Flow)
 	}
 }
 
-// TestDecodeHostileInputs pins the hardening: each malformed input must
-// error, never panic or silently succeed.
-func TestDecodeHostileInputs(t *testing.T) {
-	cases := map[string]string{
-		"empty":             "",
-		"garbage header":    "not json\n",
-		"wrong version":     `{"v":2,"kind":"flight"}` + "\n",
-		"wrong kind":        `{"v":1,"kind":"trace"}` + "\n",
-		"negative sample":   `{"v":1,"kind":"flight","sample":-3}` + "\n",
-		"unknown event":     `{"v":1,"kind":"flight"}` + "\n" + `{"seq":1,"flow":1,"ev":"teleported","epoch":0}` + "\n",
-		"unknown field":     `{"v":1,"kind":"flight"}` + "\n" + `{"seq":1,"flow":1,"ev":"hop","epoch":0,"zzz":1}` + "\n",
-		"bad event json":    `{"v":1,"kind":"flight"}` + "\n" + "{{{\n",
-		"repeated seq":      `{"v":1,"kind":"flight"}` + "\n" + `{"seq":5,"flow":1,"ev":"hop","epoch":0}` + "\n" + `{"seq":5,"flow":2,"ev":"hop","epoch":0}` + "\n",
-		"decreasing seq":    `{"v":1,"kind":"flight"}` + "\n" + `{"seq":5,"flow":1,"ev":"hop","epoch":0}` + "\n" + `{"seq":4,"flow":2,"ev":"hop","epoch":0}` + "\n",
-		"overlong line":     `{"v":1,"kind":"flight"}` + "\n" + `{"seq":1,"flow":1,"ev":"hop","epoch":0,"a":` + strings.Repeat("1", maxLine+10) + "}\n",
-		"event type string": `{"v":1,"kind":"flight"}` + "\n" + `{"seq":1,"flow":"x","ev":"hop","epoch":0}` + "\n",
-	}
-	for name, in := range cases {
-		if _, _, err := DecodeLog(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: decode accepted hostile input", name)
-		}
-	}
-}
-
-// TestDecodeTolerance: blank lines between events are permitted (some
-// tools add trailing newlines), and an empty event list is a valid log.
+// TestDecodeTolerance: a recorder that journaled nothing still writes a
+// valid log — the flight record alone, counting zero events.
 func TestDecodeTolerance(t *testing.T) {
-	in := `{"v":1,"kind":"flight","sample":4}` + "\n\n" +
-		`{"seq":1,"flow":1,"ev":"admitted","epoch":0,"a":5}` + "\n\n"
-	hdr, evs, err := DecodeLog(strings.NewReader(in))
-	if err != nil {
+	var buf bytes.Buffer
+	if err := New(Config{Sample: 4}).WriteLog(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Sample != 4 || len(evs) != 1 || evs[0].Kind != KindAdmitted || evs[0].A != 5 {
-		t.Fatalf("hdr %+v evs %+v", hdr, evs)
-	}
-	if _, evs, err := DecodeLog(strings.NewReader(`{"v":1,"kind":"flight"}` + "\n")); err != nil || len(evs) != 0 {
-		t.Fatalf("header-only log: evs=%v err=%v", evs, err)
+	if sample, total, evs := decodeLog(t, buf.Bytes()); sample != 4 || total != 0 || len(evs) != 0 {
+		t.Fatalf("empty journal: sample %d, events %d, decoded %v", sample, total, evs)
 	}
 }

@@ -58,12 +58,12 @@ const (
 	// discounted after the primary delivered. C=duplicate packets.
 	KindDedup
 	// KindDelivered: packets reached the destination. A=packets this
-	// event, B=cumulative delivered.
+	// event, B=cumulative delivered since admission (A again for a flow
+	// whose admission was not observed or that has already ended).
 	KindDelivered
 	// KindCompleted: every packet of the flow has been delivered.
-	// A=completion latency in epochs since admission (-1 if the admission
-	// was not observed), B=SLO slack (target - latency, floored at 0),
-	// C=1 if within the SLO target.
+	// A=completion latency in epochs since admission, B=SLO slack
+	// (target - latency, floored at 0), C=1 if within the SLO target.
 	KindCompleted
 	// KindDropped: flow abandoned (unreachable after faults). C=packets
 	// undelivered.
@@ -129,13 +129,14 @@ type Config struct {
 // DefaultCap is the ring capacity when Config.Cap is zero.
 const DefaultCap = 1 << 16
 
-// flowState is the per-tracked-flow aggregate behind the SLO metrics.
-// It exists only for sampled flows, so its size is bounded by the number
-// of live tracked flows, not total events.
+// flowState is the per-tracked-flow aggregate behind the SLO metrics. It
+// is opened by the flow's admission and released by its terminal event —
+// completed, dropped or cancelled — so the map holding it is bounded by
+// the live tracked flows, not by the flows ever admitted. (A copy flow
+// discarded as redundant has no terminal event and keeps its state; only
+// batch runs, whose recorder lives as long as the run, configure copies.)
 type flowState struct {
 	admitEpoch int32
-	admitted   bool
-	done       bool
 	size       int64
 	delivered  int64
 }
@@ -244,14 +245,7 @@ func (r *Recorder) Sample() int {
 // record appends one event to the ring. Caller must have checked Tracks.
 func (r *Recorder) record(flow int64, kind Kind, epoch int, a, b, c int64) {
 	r.mu.Lock()
-	i := int(r.seq % uint64(len(r.flows)))
-	r.flows[i] = flow
-	r.kinds[i] = uint8(kind)
-	r.epoch[i] = int32(epoch)
-	r.a[i] = a
-	r.b[i] = b
-	r.c[i] = c
-	r.seq++
+	r.recordLocked(flow, kind, epoch, a, b, c)
 	r.mu.Unlock()
 	r.mEvents.Inc()
 }
@@ -262,11 +256,8 @@ func (r *Recorder) Admit(flow int64, epoch int, size, src, dst int64) {
 		return
 	}
 	r.mu.Lock()
-	st := r.stateLocked(flow)
-	if !st.admitted {
-		st.admitted = true
-		st.admitEpoch = int32(epoch)
-		st.size = size
+	if r.state[flow] == nil {
+		r.state[flow] = &flowState{admitEpoch: int32(epoch), size: size}
 		r.admitted++
 	}
 	r.recordLocked(flow, KindAdmitted, epoch, size, src, dst)
@@ -334,11 +325,15 @@ func (r *Recorder) Delivered(flow int64, epoch int, n int64) {
 		return
 	}
 	r.mu.Lock()
-	st := r.stateLocked(flow)
-	st.delivered += n
-	r.recordLocked(flow, KindDelivered, epoch, n, st.delivered, 0)
+	st := r.state[flow]
+	total := n
+	if st != nil {
+		st.delivered += n
+		total = st.delivered
+	}
+	r.recordLocked(flow, KindDelivered, epoch, n, total, 0)
 	events := int64(1)
-	if st.admitted && !st.done && st.size > 0 && st.delivered >= st.size {
+	if st != nil && st.size > 0 && st.delivered >= st.size {
 		r.completeLocked(flow, st, epoch)
 		events++
 	}
@@ -347,15 +342,16 @@ func (r *Recorder) Delivered(flow int64, epoch int, n int64) {
 }
 
 // Completed records that every packet of the flow has been delivered.
-// Safe to call alongside Delivered-driven completion: only the first
-// completion per flow counts.
+// Safe to call alongside Delivered-driven completion, as the engine does:
+// the first completion releases the flow's state, and a completion for a
+// flow without one — already ended, or never admitted — is ignored.
 func (r *Recorder) Completed(flow int64, epoch int) {
 	if !r.Tracks(flow) {
 		return
 	}
 	r.mu.Lock()
-	st := r.stateLocked(flow)
-	if st.done {
+	st := r.state[flow]
+	if st == nil {
 		r.mu.Unlock()
 		return
 	}
@@ -364,32 +360,28 @@ func (r *Recorder) Completed(flow int64, epoch int) {
 	r.mEvents.Inc()
 }
 
-// completeLocked stamps the completion event and SLO aggregates.
+// completeLocked stamps the completion event and SLO aggregates and
+// releases the flow's state.
 func (r *Recorder) completeLocked(flow int64, st *flowState, epoch int) {
-	st.done = true
+	delete(r.state, flow)
 	r.completed++
-	latency := int64(-1)
-	if st.admitted {
-		latency = int64(epoch) - int64(st.admitEpoch)
-		if latency < 0 {
-			latency = 0
-		}
+	latency := int64(epoch) - int64(st.admitEpoch)
+	if latency < 0 {
+		latency = 0
 	}
 	slack := int64(0)
 	onTime := int64(1)
-	if r.sloEpochs > 0 && latency >= 0 {
+	if r.sloEpochs > 0 {
 		slack = r.sloEpochs - latency
 		if slack < 0 {
 			slack = 0
 			onTime = 0
 		}
 	}
-	if latency >= 0 {
-		r.completion.Observe(latency)
-		r.mLatency.Observe(latency)
-		r.slack.Observe(slack)
-		r.mSlack.Observe(slack)
-	}
+	r.completion.Observe(latency)
+	r.mLatency.Observe(latency)
+	r.slack.Observe(slack)
+	r.mSlack.Observe(slack)
 	r.onTime += onTime
 	if onTime == 1 {
 		r.mOnTime.Inc()
@@ -402,29 +394,27 @@ func (r *Recorder) completeLocked(flow int64, st *flowState, epoch int) {
 }
 
 // Dropped records the flow abandoned with undelivered packets remaining.
+// It can no longer complete, so its state is released.
 func (r *Recorder) Dropped(flow int64, epoch int, remaining int64) {
-	if !r.Tracks(flow) {
-		return
-	}
-	r.record(flow, KindDropped, epoch, 0, 0, remaining)
+	r.end(flow, KindDropped, epoch, remaining)
 }
 
-// Cancelled records a client cancellation with remaining packets unsent.
+// Cancelled records a client cancellation with remaining packets unsent
+// and releases the flow's state.
 func (r *Recorder) Cancelled(flow int64, epoch int, remaining int64) {
+	r.end(flow, KindCancelled, epoch, remaining)
+}
+
+// end journals a terminal event that is not a completion.
+func (r *Recorder) end(flow int64, kind Kind, epoch int, remaining int64) {
 	if !r.Tracks(flow) {
 		return
 	}
-	r.record(flow, KindCancelled, epoch, 0, 0, remaining)
-}
-
-// stateLocked returns (creating if needed) the SLO state for flow.
-func (r *Recorder) stateLocked(flow int64) *flowState {
-	st := r.state[flow]
-	if st == nil {
-		st = &flowState{}
-		r.state[flow] = st
-	}
-	return st
+	r.mu.Lock()
+	delete(r.state, flow)
+	r.recordLocked(flow, kind, epoch, 0, 0, remaining)
+	r.mu.Unlock()
+	r.mEvents.Inc()
 }
 
 // recordLocked is record without the lock round-trip, for compound
@@ -492,6 +482,8 @@ func (r *Recorder) scanLocked(fn func(Event)) {
 }
 
 // Snapshot is a point-in-time roll-up of the recorder's SLO aggregates.
+// TrackedFlows counts the flows ever tracked, live or ended; a flow is
+// tracked from its admission, so it equals Admitted.
 type Snapshot struct {
 	Sample         int     `json:"sample"`
 	Events         uint64  `json:"events"`
@@ -519,7 +511,7 @@ func (r *Recorder) Stats() Snapshot {
 		Sample:        int(r.sample),
 		Events:        r.seq,
 		Retained:      retained,
-		TrackedFlows:  len(r.state),
+		TrackedFlows:  int(r.admitted),
 		Admitted:      r.admitted,
 		Completed:     r.completed,
 		OnTime:        r.onTime,

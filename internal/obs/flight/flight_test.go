@@ -307,3 +307,48 @@ func BenchmarkTracksSampled(b *testing.B) {
 	}
 	_ = fmt.Sprint(hits)
 }
+
+// TestStateReleasedAtTerminalEvent runs 100 000 flows through a 64-event
+// ring, each to one of its ends — the engine's Delivered-then-Completed
+// pair, a completion that Delivered detects by itself, a drop, a
+// cancellation — and requires that no per-flow state outlives its flow,
+// while the SLO roll-up reads what it read when the state was kept.
+func TestStateReleasedAtTerminalEvent(t *testing.T) {
+	r := New(Config{Cap: 64, SLOEpochs: 4})
+	const n = 100000
+	for id := int64(0); id < n; id++ {
+		e := int(id % 1000)
+		r.Admit(id, e, 4, 0, 1)
+		switch id % 4 {
+		case 0:
+			r.Delivered(id, e+2, 4)
+			r.Completed(id, e+2) // must not count a second completion
+		case 1:
+			r.Delivered(id, e+1, 3)
+			r.Delivered(id, e+6, 1)
+		case 2:
+			r.Delivered(id, e+1, 1)
+			r.Dropped(id, e+1, 2) // the fourth packet sits on a live route
+		case 3:
+			r.Cancelled(id, e, 4)
+		}
+		if len(r.state) != 0 {
+			t.Fatalf("flow %d ended but %d flow states are held", id, len(r.state))
+		}
+	}
+	want := Snapshot{
+		Sample: 1, Events: 3 * n, Retained: 64, TrackedFlows: n, Admitted: n,
+		Completed: n / 2, OnTime: n / 4, OnTimeFraction: 0.5, SLOEpochs: 4,
+		CompletionP50: 3, CompletionP99: 7, SlackP50: 0,
+	}
+	if got := r.Stats(); got != want {
+		t.Fatalf("stats = %+v\nwant    %+v", got, want)
+	}
+	// A flow that lost packets can still deliver the rest; it has no state
+	// to complete against and must not open one.
+	r.Delivered(2, 9, 1)
+	r.Completed(2, 9)
+	if got := r.Stats(); len(r.state) != 0 || got.Completed != n/2 {
+		t.Fatalf("delivery after a drop: %d states, %d completed", len(r.state), got.Completed)
+	}
+}

@@ -18,6 +18,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add(`{"v":2,"seq":0,"ev":"x"}`)
 	f.Add(`{"v":1,"seq":-1,"ev":"x"}`)
 	f.Add(`{"v":1,"seq":0,"ev":""}`)
+	f.Add(`{"v":1,"seq":3,"ev":"flight","sample":1,"events":9}` + "\n" + `{"v":1,"seq":2,"ev":"flow.hop","flow":7,"epoch":1,"a":1,"b":3,"c":4}` + "\n")
 	f.Add("not json at all")
 	f.Add(`{"v":1,"seq":0,"ev":"x","nested":{"a":[1,{"b":null}]}}`)
 
@@ -31,8 +32,8 @@ func FuzzTraceDecode(f *testing.F) {
 			if r.V != TraceVersion {
 				t.Fatalf("record %d: accepted version %d", i, r.V)
 			}
-			if r.Seq < 0 {
-				t.Fatalf("record %d: accepted negative seq %d", i, r.Seq)
+			if r.Seq < 0 || (i > 0 && r.Seq <= recs[i-1].Seq) {
+				t.Fatalf("record %d: accepted seq %d (negative or not increasing)", i, r.Seq)
 			}
 			if r.Ev == "" {
 				t.Fatalf("record %d: accepted empty event kind", i)

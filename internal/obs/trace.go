@@ -191,11 +191,13 @@ func (r *Record) IntPairs(key string) ([][2]int, bool) {
 	return out, true
 }
 
-// DecodeTrace parses a JSONL decision trace. Every line must be a JSON
-// object with an integer "v" equal to TraceVersion, a non-negative integer
-// "seq", and a non-empty string "ev"; blank lines are skipped. Decoding is
-// hardened against hostile input: malformed JSON, wrong versions, and
-// oversized lines yield errors, never panics.
+// DecodeTrace parses a JSONL decision trace (or a flight log, which shares
+// the envelope). Every line must be a JSON object with an integer "v" equal
+// to TraceVersion, a non-negative integer "seq" larger than the line's
+// before it — so a truncated-and-spliced file fails — and a non-empty
+// string "ev"; blank lines are skipped. Decoding is hardened against
+// hostile input: malformed JSON, wrong versions, and oversized lines yield
+// errors, never panics.
 func DecodeTrace(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxTraceLine)
@@ -225,6 +227,9 @@ func DecodeTrace(r io.Reader) ([]Record, error) {
 			return nil, fmt.Errorf("obs: trace line %d: missing or invalid seq", line)
 		}
 		rec.Seq = int64(seq)
+		if n := len(out); n > 0 && rec.Seq <= out[n-1].Seq {
+			return nil, fmt.Errorf("obs: trace line %d: seq %d not above the previous %d", line, rec.Seq, out[n-1].Seq)
+		}
 		ev, ok := m["ev"].(string)
 		if !ok || ev == "" {
 			return nil, fmt.Errorf("obs: trace line %d: missing event kind", line)

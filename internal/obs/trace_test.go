@@ -100,6 +100,8 @@ func TestDecodeTraceRejectsBadInput(t *testing.T) {
 		"float version":   `{"v":1.5,"seq":0,"ev":"x"}` + "\n",
 		"missing seq":     `{"v":1,"ev":"x"}` + "\n",
 		"negative seq":    `{"v":1,"seq":-1,"ev":"x"}` + "\n",
+		"repeated seq":    `{"v":1,"seq":5,"ev":"x"}` + "\n" + `{"v":1,"seq":5,"ev":"y"}` + "\n",
+		"decreasing seq":  `{"v":1,"seq":5,"ev":"x"}` + "\n\n" + `{"v":1,"seq":4,"ev":"y"}` + "\n",
 		"missing ev":      `{"v":1,"seq":0}` + "\n",
 		"empty ev":        `{"v":1,"seq":0,"ev":""}` + "\n",
 		"oversized line":  `{"v":1,"seq":0,"ev":"x","pad":"` + strings.Repeat("a", maxTraceLine+1) + `"}` + "\n",

@@ -70,45 +70,48 @@ func schedFP(t *testing.T, plan *core.Result) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-func goldFromResult(t *testing.T, res *Result) goldRun {
+// goldPlain fingerprints a failure-free run the way the golden file holds
+// one: the plain loop it was captured from reported neither ψ nor the
+// deduplicated counts, so they read zero, and ref_delivered -1.
+func goldPlain(t *testing.T, res *Result) goldRun {
 	t.Helper()
-	g := goldRun{
-		Delivered:    res.Delivered,
-		Total:        res.Total,
-		Completion:   res.Completion,
-		RefDelivered: -1,
-	}
-	for _, ep := range res.Epochs {
-		g.Epochs = append(g.Epochs, goldEpoch{
-			Epoch:        ep.Epoch,
-			Arrived:      ep.Arrived,
-			Offered:      ep.Offered,
-			Delivered:    ep.Delivered,
-			Backlog:      ep.Backlog,
-			RefDelivered: -1,
-			SchedFP:      schedFP(t, ep.Plan),
-		})
+	g := goldFaulty(t, res, nil)
+	g.Psi, g.UniqueDelivered, g.UniqueTotal = 0, 0, 0
+	for i := range g.Epochs {
+		g.Epochs[i].UniqueDelivered = 0
 	}
 	return g
 }
 
-func goldFromFaultResult(t *testing.T, res *FaultResult) goldRun {
+// goldFaulty fingerprints a fault-tolerant run. ref is the failure-free
+// run of the same arrivals, whose per-epoch delivery the golden file holds
+// as ref_delivered (0 past its last epoch); nil reads -1 throughout.
+func goldFaulty(t *testing.T, res, ref *Result) goldRun {
 	t.Helper()
+	refDelivered := func(epoch int) int {
+		switch {
+		case ref == nil:
+			return -1
+		case epoch < len(ref.Epochs):
+			return ref.Epochs[epoch].Delivered
+		}
+		return 0
+	}
 	g := goldRun{
 		Delivered:         res.Delivered,
-		Total:             res.Total,
+		Total:             res.Submitted,
 		Dropped:           res.Dropped,
 		Psi:               res.Psi,
 		UniqueDelivered:   res.UniqueDelivered,
-		UniqueTotal:       res.UniqueTotal,
+		UniqueTotal:       res.UniqueSubmitted,
 		SurvivedRedundant: res.SurvivedRedundant,
 		Completion:        res.Completion,
 		RefDelivered:      -1,
 	}
-	if res.Reference != nil {
-		g.RefDelivered = res.Reference.Delivered
+	if ref != nil {
+		g.RefDelivered = ref.Delivered
 	}
-	for _, ep := range res.Epochs {
+	for i, ep := range res.Epochs {
 		g.Epochs = append(g.Epochs, goldEpoch{
 			Epoch:             ep.Epoch,
 			Arrived:           ep.Arrived,
@@ -122,14 +125,15 @@ func goldFromFaultResult(t *testing.T, res *FaultResult) goldRun {
 			Dropped:           ep.Dropped,
 			SurvivedRedundant: ep.SurvivedRedundant,
 			UniqueDelivered:   ep.UniqueDelivered,
-			RefDelivered:      ep.RefDelivered,
+			RefDelivered:      refDelivered(i),
 			SchedFP:           schedFP(t, ep.Plan),
 		})
 	}
 	return g
 }
 
-// TestEngineExtractionGolden pins Run, RunFaulty, and RunRedundantFaulty
+// TestEngineExtractionGolden pins Run — failure-free, fault-tolerant, and
+// over redundancy-expanded arrivals with and without reactive repair —
 // bit-identical across the internal/engine extraction: every per-epoch
 // stat, every planned schedule (by hash), every completion map, and every
 // run total must match the fingerprints captured from the pre-engine
@@ -148,22 +152,21 @@ func TestEngineExtractionGolden(t *testing.T) {
 			arr = append(arr, Arrival{Flow: f, At: i * inst.Window / 2})
 		}
 		tr := randomTrace(inst.G, rng, 3*inst.Window)
-		opt := Options{
-			Core:      core.Options{Window: inst.Window, Delta: inst.Delta},
-			KeepPlans: true,
-		}
+		cfg := window(inst.Window, inst.Delta)
+		cfg.KeepPlans = true
 
-		plain, err := Run(inst.G, arr, opt)
+		plain, err := Run(inst.G, arr, cfg, 0)
 		if err != nil {
-			t.Fatalf("seed %d: Run: %v", seed, err)
+			t.Fatalf("seed %d: plain: %v", seed, err)
 		}
-		runs[key(seed, "plain")] = goldFromResult(t, plain)
+		runs[key(seed, "plain")] = goldPlain(t, plain)
 
-		faulty, err := RunFaulty(inst.G, arr, tr, FaultOptions{Options: opt})
+		// The failure-free run above is the fault run's reference.
+		res, err := Run(inst.G, arr, faulty(cfg, tr), 0)
 		if err != nil {
-			t.Fatalf("seed %d: RunFaulty: %v", seed, err)
+			t.Fatalf("seed %d: faulty: %v", seed, err)
 		}
-		runs[key(seed, "faulty")] = goldFromFaultResult(t, faulty)
+		runs[key(seed, "faulty")] = goldFaulty(t, res, plain)
 
 		// Redundancy-expanded arrivals over the same trace, with and
 		// without the reactive repair arm.
@@ -174,19 +177,14 @@ func TestEngineExtractionGolden(t *testing.T) {
 		for i, f := range expanded.Flows {
 			rarr = append(rarr, Arrival{Flow: f, At: i * inst.Window / 3})
 		}
-		for _, mode := range []struct {
-			name       string
-			noReactive bool
-		}{{"redundant", false}, {"proactive", true}} {
-			res, err := RunRedundantFaulty(inst.G, rarr, tr, RedundantFaultOptions{
-				FaultOptions: FaultOptions{Options: opt, SkipReference: true},
-				Redundancy:   groups,
-				NoReactive:   mode.noReactive,
-			})
+		for name, reactive := range map[string]bool{"redundant": true, "proactive": false} {
+			rcfg := faulty(cfg, tr)
+			rcfg.Red, rcfg.Reactive = groups, reactive
+			res, err := Run(inst.G, rarr, rcfg, 0)
 			if err != nil {
-				t.Fatalf("seed %d: RunRedundantFaulty (%s): %v", seed, mode.name, err)
+				t.Fatalf("seed %d: %s: %v", seed, name, err)
 			}
-			runs[key(seed, mode.name)] = goldFromFaultResult(t, res)
+			runs[key(seed, name)] = goldFaulty(t, res, nil)
 		}
 	}
 
@@ -227,8 +225,19 @@ func TestEngineExtractionGolden(t *testing.T) {
 func craftedScenarios(t *testing.T) map[string]goldRun {
 	t.Helper()
 	out := map[string]goldRun{}
-	keep := func(w, d int) Options {
-		return Options{Core: core.Options{Window: w, Delta: d}, KeepPlans: true}
+	// withRef runs arr under tr and, as its reference, failure-free.
+	withRef := func(g *graph.Digraph, arr []Arrival, tr *fault.Trace, w, d int) goldRun {
+		cfg := window(w, d)
+		cfg.KeepPlans = true
+		res, err := Run(g, arr, faulty(cfg, tr), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Run(g, arr, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return goldFaulty(t, res, ref)
 	}
 
 	// Reroute around a failed link, with a second flow arriving late.
@@ -241,22 +250,14 @@ func craftedScenarios(t *testing.T) map[string]goldRun {
 		{At: 0, Kind: fault.LinkDown, From: 0, To: 1},
 		{At: 300, Kind: fault.LinkUp, From: 0, To: 1},
 	}}
-	res, err := RunFaulty(g, arr, tr, FaultOptions{Options: keep(200, 5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["reroute"] = goldFromFaultResult(t, res)
+	out["reroute"] = withRef(g, arr, tr, 200, 5)
 
 	// Stranded in-flight requeue: one configuration per window, onward
 	// link dies after the first hop.
 	g = graph.Complete(3)
 	arr = []Arrival{{Flow: traffic.Flow{ID: 9, Size: 5, Src: 0, Dst: 2, Routes: []traffic.Route{{0, 1, 2}}}, At: 0}}
 	tr = &fault.Trace{Events: []fault.Event{{At: 12, Kind: fault.LinkDown, From: 1, To: 2}}}
-	res, err = RunFaulty(g, arr, tr, FaultOptions{Options: keep(12, 5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["stranded"] = goldFromFaultResult(t, res)
+	out["stranded"] = withRef(g, arr, tr, 12, 5)
 
 	// Unreachable destination: node 3 down for the whole run.
 	g = graph.Complete(4)
@@ -265,21 +266,13 @@ func craftedScenarios(t *testing.T) map[string]goldRun {
 		{Flow: traffic.Flow{ID: 2, Size: 4, Src: 1, Dst: 2, Routes: []traffic.Route{{1, 2}}}, At: 0},
 	}
 	tr = &fault.Trace{Events: []fault.Event{{At: 0, Kind: fault.NodeDown, Node: 3}}}
-	res, err = RunFaulty(g, arr, tr, FaultOptions{Options: keep(100, 5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["drop"] = goldFromFaultResult(t, res)
+	out["drop"] = withRef(g, arr, tr, 100, 5)
 
 	// Jitter idles epoch 0; traffic delivers afterwards.
 	g = graph.Complete(3)
 	arr = []Arrival{{Flow: traffic.Flow{ID: 1, Size: 4, Src: 0, Dst: 1, Routes: []traffic.Route{{0, 1}}}, At: 0}}
 	tr = &fault.Trace{DeltaJitter: []int{1000}}
-	res, err = RunFaulty(g, arr, tr, FaultOptions{Options: keep(50, 5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["jitter"] = goldFromFaultResult(t, res)
+	out["jitter"] = withRef(g, arr, tr, 50, 5)
 
 	// Redundant copies absorbing a correlated node burst: two disjoint
 	// copies of a critical flow, the primary's relay node dies at slot 0.
@@ -294,15 +287,13 @@ func craftedScenarios(t *testing.T) map[string]goldRun {
 		rarr = append(rarr, Arrival{Flow: f, At: 0})
 	}
 	tr = fault.CorrelatedTrace(g, []int{1}, 0, 100, 60)
-	res, err = RunRedundantFaulty(g, rarr, tr, RedundantFaultOptions{
-		FaultOptions: FaultOptions{Options: keep(40, 4), SkipReference: true},
-		Redundancy:   groups,
-		NoReactive:   true,
-	})
+	cfg := faulty(window(40, 4), tr)
+	cfg.KeepPlans, cfg.Red, cfg.Reactive = true, groups, false
+	res, err := Run(g, rarr, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["survive"] = goldFromFaultResult(t, res)
+	out["survive"] = goldFaulty(t, res, nil)
 	return out
 }
 

@@ -6,11 +6,24 @@ import (
 	"testing"
 
 	"octopus/internal/core"
+	"octopus/internal/engine"
 	"octopus/internal/fault"
 	"octopus/internal/graph"
 	"octopus/internal/traffic"
 	"octopus/internal/verify"
 )
+
+// window is the failure-free configuration of a run with epochs of w slots.
+func window(w, d int) engine.Config {
+	return engine.Config{Core: core.Options{Window: w, Delta: d}}
+}
+
+// faulty is cfg as mhsim -faults runs it: tr replayed with epoch-boundary
+// reactive repair and every plan audited.
+func faulty(cfg engine.Config, tr *fault.Trace) engine.Config {
+	cfg.Trace, cfg.Repair, cfg.Reactive, cfg.Audit = tr, true, true, true
+	return cfg
+}
 
 // TestEmptyTraceEquivalence is the satellite property: with an empty (or
 // nil) fault trace, the fault-tolerant controller must produce bit-for-bit
@@ -28,19 +41,19 @@ func TestEmptyTraceEquivalence(t *testing.T) {
 			f.Routes = f.Routes[:1]
 			arr = append(arr, Arrival{Flow: f, At: i * inst.Window / 2})
 		}
-		opt := Options{Core: core.Options{Window: inst.Window, Delta: inst.Delta}}
-		want, err := Run(inst.G, arr, opt)
+		cfg := window(inst.Window, inst.Delta)
+		want, err := Run(inst.G, arr, cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, tr := range map[string]*fault.Trace{"nil": nil, "empty": {}} {
-			got, err := RunFaulty(inst.G, arr, tr, FaultOptions{Options: opt})
+			got, err := Run(inst.G, arr, faulty(cfg, tr), 0)
 			if err != nil {
 				t.Fatalf("trial %d (%s trace): %v", trial, name, err)
 			}
-			if got.Delivered != want.Delivered || got.Total != want.Total || got.Dropped != 0 {
-				t.Fatalf("trial %d (%s trace): delivered %d/%d dropped %d, want %d/%d dropped 0",
-					trial, name, got.Delivered, got.Total, got.Dropped, want.Delivered, want.Total)
+			if got.Totals != want.Totals || got.Dropped != 0 {
+				t.Fatalf("trial %d (%s trace): totals %+v, want %+v with nothing dropped",
+					trial, name, got.Totals, want.Totals)
 			}
 			if !reflect.DeepEqual(got.Completion, want.Completion) {
 				t.Fatalf("trial %d (%s trace): completions diverge:\n%v\n%v", trial, name, got.Completion, want.Completion)
@@ -49,9 +62,9 @@ func TestEmptyTraceEquivalence(t *testing.T) {
 				t.Fatalf("trial %d (%s trace): %d epochs vs %d", trial, name, len(got.Epochs), len(want.Epochs))
 			}
 			for i := range got.Epochs {
-				if !reflect.DeepEqual(got.Epochs[i].EpochStat, want.Epochs[i]) {
+				if !reflect.DeepEqual(got.Epochs[i], want.Epochs[i]) {
 					t.Fatalf("trial %d (%s trace) epoch %d stats diverge:\n%+v\n%+v",
-						trial, name, i, got.Epochs[i].EpochStat, want.Epochs[i])
+						trial, name, i, got.Epochs[i], want.Epochs[i])
 				}
 				if got.Epochs[i].Rerouted != 0 || got.Epochs[i].Stranded != 0 || got.Epochs[i].Dropped != 0 {
 					t.Fatalf("trial %d (%s trace) epoch %d reports degradation without faults: %+v",
@@ -71,7 +84,7 @@ func TestRerouteAroundFailedLink(t *testing.T) {
 		At:   0,
 	}}
 	tr := &fault.Trace{Events: []fault.Event{{At: 0, Kind: fault.LinkDown, From: 0, To: 1}}}
-	res, err := RunFaulty(g, arr, tr, FaultOptions{Options: Options{Core: core.Options{Window: 200, Delta: 5}}})
+	res, err := Run(g, arr, faulty(window(200, 5), tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +103,14 @@ func TestRerouteAroundFailedLink(t *testing.T) {
 	if _, ok := res.Completion[1]; !ok {
 		t.Fatal("rerouted flow never completed")
 	}
-	// The reference run should deliver at least as much per epoch.
-	if res.Reference == nil || res.Reference.Delivered != 8 {
-		t.Fatal("reference run missing or wrong")
+	// Everything was rerouted, so nothing is lost against the failure-free
+	// run of the same arrivals.
+	ref, err := Run(g, arr, window(200, 5), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Delivered != 8 || res.Degradation(ref) != 0 {
+		t.Fatalf("reference delivered %d, degradation %f; want 8 and 0", ref.Delivered, res.Degradation(ref))
 	}
 }
 
@@ -108,7 +126,7 @@ func TestStrandedInFlightRequeue(t *testing.T) {
 		At:   0,
 	}}
 	tr := &fault.Trace{Events: []fault.Event{{At: 12, Kind: fault.LinkDown, From: 1, To: 2}}}
-	res, err := RunFaulty(g, arr, tr, FaultOptions{Options: Options{Core: core.Options{Window: 12, Delta: 5}}})
+	res, err := Run(g, arr, faulty(window(12, 5), tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +152,7 @@ func TestDropUnreachable(t *testing.T) {
 		{Flow: traffic.Flow{ID: 2, Size: 4, Src: 1, Dst: 2, Routes: []traffic.Route{{1, 2}}}, At: 0},
 	}
 	tr := &fault.Trace{Events: []fault.Event{{At: 0, Kind: fault.NodeDown, Node: 3}}}
-	res, err := RunFaulty(g, arr, tr, FaultOptions{Options: Options{Core: core.Options{Window: 100, Delta: 5}}})
+	res, err := Run(g, arr, faulty(window(100, 5), tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +171,12 @@ func TestDropUnreachable(t *testing.T) {
 	if res.Epochs[0].FailedNodes != 1 {
 		t.Fatalf("failed nodes %d, want 1", res.Epochs[0].FailedNodes)
 	}
-	if res.Degradation() <= 0 {
-		t.Fatal("degradation should be positive after dropping packets")
+	ref, err := Run(g, arr, window(100, 5), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Degradation(ref); got != 0.6 {
+		t.Fatalf("degradation %f, want 0.6 (6 of the reference's 10 packets dropped)", got)
 	}
 }
 
@@ -175,7 +197,7 @@ func TestRecoveryRestoresRoutes(t *testing.T) {
 		{At: 0, Kind: fault.LinkDown, From: 0, To: 1},
 		{At: 30, Kind: fault.LinkUp, From: 0, To: 1},
 	}}
-	res, err := RunFaulty(g, arr, tr, FaultOptions{Options: Options{Core: core.Options{Window: 30, Delta: 2}}})
+	res, err := Run(g, arr, faulty(window(30, 2), tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +219,7 @@ func TestDeltaJitterIdlesEpoch(t *testing.T) {
 		At:   0,
 	}}
 	tr := &fault.Trace{DeltaJitter: []int{1000}}
-	res, err := RunFaulty(g, arr, tr, FaultOptions{Options: Options{Core: core.Options{Window: 50, Delta: 5}}})
+	res, err := Run(g, arr, faulty(window(50, 5), tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,23 +273,21 @@ func TestFaultyRunsDeterministicAndAudited(t *testing.T) {
 			arr = append(arr, Arrival{Flow: f, At: i * inst.Window / 2})
 		}
 		tr := randomTrace(inst.G, rng, 3*inst.Window)
-		opt := FaultOptions{Options: Options{
-			Core:      core.Options{Window: inst.Window, Delta: inst.Delta},
-			KeepPlans: true,
-		}}
-		run := func() *FaultResult {
-			res, err := RunFaulty(inst.G, arr, tr, opt)
+		cfg := faulty(window(inst.Window, inst.Delta), tr)
+		cfg.KeepPlans = true
+		run := func() *Result {
+			res, err := Run(inst.G, arr, cfg, 0)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			return res
 		}
 		a, b := run(), run()
-		if !reflect.DeepEqual(a.Epochs, b.Epochs) || a.Delivered != b.Delivered || a.Dropped != b.Dropped {
+		if !reflect.DeepEqual(a.Epochs, b.Epochs) || a.Totals != b.Totals {
 			t.Fatalf("trial %d: nondeterministic fault run", trial)
 		}
-		if a.Delivered+a.Dropped > a.Total {
-			t.Fatalf("trial %d: delivered %d + dropped %d exceeds total %d", trial, a.Delivered, a.Dropped, a.Total)
+		if a.Delivered+a.Dropped > a.Submitted {
+			t.Fatalf("trial %d: delivered %d + dropped %d exceeds total %d", trial, a.Delivered, a.Dropped, a.Submitted)
 		}
 		for _, ep := range a.Epochs {
 			if ep.Plan == nil {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"octopus/internal/core"
 	"octopus/internal/graph"
 	"octopus/internal/traffic"
 )
@@ -101,7 +100,7 @@ func TestOctopusEpochsBeatMaxWeightOnKnownLoad(t *testing.T) {
 	for _, f := range load.Flows {
 		arr = append(arr, Arrival{Flow: f, At: 0})
 	}
-	oct, err := Run(g, arr, Options{Core: core.Options{Window: 500, Delta: 20}, MaxEpochs: 1})
+	oct, err := Run(g, arr, window(500, 20), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

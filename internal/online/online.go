@@ -7,55 +7,33 @@
 // load. Older traffic keeps lower flow IDs, so the paper's
 // weight-then-flow-ID priority scheme naturally ages the backlog forward.
 //
-// The epoch state machine itself lives in internal/engine; the Run
-// functions here are thin batch drivers over engine.Pipeline, pinned
-// bit-identical to the pre-extraction monolithic loops by the golden
-// fingerprints in testdata/engine_golden.json.
+// The epoch state machine itself lives in internal/engine; Run is the one
+// batch driver over engine.Pipeline, pinned bit-identical to the
+// pre-extraction monolithic loops by the golden fingerprints in
+// testdata/engine_golden.json.
 package online
 
 import (
 	"sort"
 
-	"octopus/internal/core"
 	"octopus/internal/engine"
 	"octopus/internal/graph"
-	"octopus/internal/obs/flight"
 	"octopus/internal/traffic"
 )
 
 // Arrival is one flow plus the slot at which the controller learns of it.
 type Arrival = engine.Arrival
 
-// Options configures an online run. Core.Window is the epoch length.
-// Core.Obs, when set, additionally receives the online layer's per-epoch
-// metrics and "online.epoch" trace events (the per-epoch planner runs
-// already inherit it through Core).
-type Options struct {
-	Core core.Options
-	// MaxEpochs caps the run (0 = run until every admitted flow is
-	// delivered, with a safety cap relative to the offered load).
-	MaxEpochs int
-	// KeepPlans retains each epoch's scheduled load and plan result on its
-	// EpochStat, so callers (and the verification tests) can audit every
-	// per-epoch schedule independently. Costs memory proportional to the
-	// run; off by default.
-	KeepPlans bool
-	// Flight receives per-flow lifecycle events keyed by arrival flow IDs
-	// (see engine.Config.Flight). nil disables recording; results are
-	// bit-identical either way.
-	Flight *flight.Recorder
-}
-
-// EpochStat summarizes one scheduling epoch.
-type EpochStat = engine.EpochStat
-
-// Result reports an online run.
+// Result reports a batch run: the recorded epochs, the pipeline's packet
+// totals (conserved: Submitted = Delivered + Dropped + SurvivedRedundant +
+// whatever is still backlogged or queued when the run ends) and the
+// completions.
 type Result struct {
-	Epochs    []EpochStat
-	Delivered int
-	Total     int
+	Epochs []engine.FaultEpochStat
+	engine.Totals
 	// Completion maps each arrival's flow ID to the 1-based epoch in
-	// which its last packet was delivered (absent if never completed).
+	// which its last packet was delivered (absent for flows that lost
+	// packets to unreachability or never drained).
 	Completion map[int]int
 }
 
@@ -83,79 +61,110 @@ func (r *Result) MeanCompletionEpochs(arrivals []Arrival, window int) float64 {
 	return total / float64(count)
 }
 
-// start returns a pipeline over g holding the arrivals, stable-sorted by
-// At — the admission order the engine expects. The engine rejects a
-// non-positive window, a trace that does not fit the fabric, negative
-// arrival slots and duplicate flow IDs.
-func start(g *graph.Digraph, arrivals []Arrival, cfg engine.Config) (*engine.Pipeline, error) {
+// DeliveredFraction returns Delivered / Submitted (0 for an empty run).
+func (r *Result) DeliveredFraction() float64 {
+	if r.Submitted == 0 {
+		return 0
+	}
+	return float64(r.Delivered) / float64(r.Submitted)
+}
+
+// UniqueDeliveredFraction returns UniqueDelivered / UniqueSubmitted (0 for
+// an empty run).
+func (r *Result) UniqueDeliveredFraction() float64 {
+	if r.UniqueSubmitted == 0 {
+		return 0
+	}
+	return float64(r.UniqueDelivered) / float64(r.UniqueSubmitted)
+}
+
+// Degradation returns the shortfall of this run relative to ref — the
+// failure-free run of the same arrivals — as a fraction of the reference's
+// delivery: 0 means no loss, 1 means nothing was delivered. Returns 0 when
+// the reference delivered nothing.
+func (r *Result) Degradation(ref *Result) float64 {
+	if ref.Delivered == 0 {
+		return 0
+	}
+	d := float64(ref.Delivered-r.Delivered) / float64(ref.Delivered)
+	if d < 0 {
+		return 0
+	}
+	return d
+}
+
+// Run schedules the arrivals over successive epochs of cfg.Core.Window
+// slots: plan the epoch on the state as it stands, commit, carry the rest
+// forward, until the pipeline drains or maxEpochs epochs have run.
+// maxEpochs 0 selects a safety cap relative to the offered load: one
+// packet-hop per epoch is a gross underestimate of progress, so the load
+// can always drain within it.
+//
+// cfg is the engine's own configuration and selects everything else. With
+// Repair set the fabric degrades and recovers according to cfg.Trace, and
+// at every epoch boundary the controller:
+//
+//  1. snapshots the surviving fabric (links and nodes up at the boundary
+//     slot, per the trace);
+//  2. admits newly arrived flows and merges them with the backlog carried
+//     from previous epochs — in-flight packets continue from their current
+//     positions in the network;
+//  3. repairs traffic broken by failures: with Reactive, a flow all of
+//     whose candidate routes died is rerouted onto a BFS shortest surviving
+//     path from its current position, and flows with no surviving path
+//     (source or destination unreachable) are dropped — the only packets
+//     ever given up on; a dead copy of a cfg.Red group whose sibling still
+//     has a live route is discarded instead (SurvivedRedundant), and
+//     delivery is deduplicated per group into the Unique* totals;
+//  4. plans the epoch with the Octopus scheduler on the surviving fabric,
+//     with the trace's delta jitter for the epoch added to Δ; and
+//  5. with Audit, verifies the plan against the surviving fabric — a
+//     configuration that would activate a failed link fails the run.
+//
+// The run is deterministic given (arrivals, cfg). A caller that wants the
+// failure-free reference runs Run a second time with a plain Config (no
+// Repair, Obs or Flight) and compares; see Result.Degradation. The engine
+// rejects a non-positive window, a trace that does not fit the fabric,
+// negative arrival slots and duplicate flow IDs.
+func Run(g *graph.Digraph, arrivals []Arrival, cfg engine.Config, maxEpochs int) (*Result, error) {
 	p, err := engine.New(g, cfg)
 	if err != nil {
 		return nil, err
 	}
+	// The engine admits in submission order, so submit sorted by At.
 	queue := append([]Arrival(nil), arrivals...)
 	sort.SliceStable(queue, func(i, j int) bool { return queue[i].At < queue[j].At })
 	if err := p.SubmitAll(queue); err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-// drain is the one epoch loop behind Run, RunFaulty and
-// RunRedundantFaulty: plan, stamp the reference run's delivery (-1 without
-// one), commit, until the pipeline drains or the epoch budget runs out.
-// maxEpochs 0 selects a safety cap relative to the offered load: one
-// packet-hop per epoch is a gross underestimate of progress, so the load
-// can always drain within it. It returns the recorded epochs and the
-// 1-based completion epoch of every flow that finished; the packet totals
-// are the pipeline's own (Pipeline.Totals).
-func drain(p *engine.Pipeline, arrivals []Arrival, maxEpochs int, ref *Result) ([]FaultEpochStat, map[int]int, error) {
 	if maxEpochs == 0 {
 		maxEpochs = 16
 		for _, a := range arrivals {
 			maxEpochs += a.Flow.Size * traffic.MaxRouteLen
 		}
 	}
-	var epochs []FaultEpochStat
-	completion := make(map[int]int)
+	res := &Result{Completion: make(map[int]int)}
 	for epoch := 0; epoch < maxEpochs; epoch++ {
 		plan, err := p.PlanNext()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		plan.Stat.RefDelivered = refDelivered(ref, epoch)
 		stat, err := p.Commit(plan)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// A boundary that found nothing backlogged or queued ends the run;
 		// it is an epoch only if fault repair still did visible work there.
 		if plan.Record {
-			epochs = append(epochs, *stat)
+			res.Epochs = append(res.Epochs, *stat)
 		}
 		if plan.Kind == engine.PlanDrained {
 			break
 		}
 		for _, id := range stat.Completed {
-			completion[id] = stat.Epoch + 1
+			res.Completion[id] = stat.Epoch + 1
 		}
 	}
-	return epochs, completion, nil
-}
-
-// Run schedules the arrivals over successive epochs.
-func Run(g *graph.Digraph, arrivals []Arrival, opt Options) (*Result, error) {
-	p, err := start(g, arrivals, engine.Config{Core: opt.Core, KeepPlans: opt.KeepPlans, Flight: opt.Flight})
-	if err != nil {
-		return nil, err
-	}
-	epochs, completion, err := drain(p, arrivals, opt.MaxEpochs, nil)
-	if err != nil {
-		return nil, err
-	}
-	t := p.Totals()
-	res := &Result{Delivered: t.Delivered, Total: t.Submitted, Completion: completion}
-	for i := range epochs {
-		res.Epochs = append(res.Epochs, epochs[i].EpochStat)
-	}
+	res.Totals = p.Totals()
 	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"octopus/internal/core"
 	"octopus/internal/fault"
 	"octopus/internal/graph"
 	"octopus/internal/traffic"
@@ -13,9 +12,8 @@ import (
 )
 
 // TestRedundantFaultyIdentityWhenKOne is the k=1 bit-identity property:
-// with an empty redundancy map and reactive repair on, RunRedundantFaulty
-// must be indistinguishable from RunFaulty on arbitrary instances and
-// failure traces — same struct, bit for bit.
+// an empty redundancy map must be indistinguishable from none on arbitrary
+// instances and failure traces — same struct, bit for bit.
 func TestRedundantFaultyIdentityWhenKOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 12; trial++ {
@@ -37,24 +35,21 @@ func TestRedundantFaultyIdentityWhenKOne(t *testing.T) {
 				{At: 2 * inst.Window, Kind: fault.LinkUp, From: r[0], To: r[1]},
 			}}
 		}
-		opt := FaultOptions{Options: Options{Core: core.Options{Window: inst.Window, Delta: inst.Delta}}}
-		want, err := RunFaulty(inst.G, arr, tr, opt)
+		cfg := faulty(window(inst.Window, inst.Delta), tr)
+		want, err := Run(inst.G, arr, cfg, 0)
 		if err != nil {
-			t.Fatalf("trial %d: RunFaulty: %v", trial, err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for name, red := range map[string]*traffic.Redundancy{"nil": nil, "empty": {}} {
-			got, err := RunRedundantFaulty(inst.G, arr, tr, RedundantFaultOptions{
-				FaultOptions: opt, Redundancy: red,
-			})
-			if err != nil {
-				t.Fatalf("trial %d (%s): RunRedundantFaulty: %v", trial, name, err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("trial %d (%s): k=1 redundant run diverges from RunFaulty:\n%+v\nvs\n%+v",
-					trial, name, got, want)
-			}
+		cfg.Red = &traffic.Redundancy{}
+		got, err := Run(inst.G, arr, cfg, 0)
+		if err != nil {
+			t.Fatalf("trial %d (empty map): %v", trial, err)
 		}
-		if want.UniqueDelivered != want.Delivered || want.UniqueTotal != want.Total {
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("trial %d: k=1 redundant run diverges from the run without a map:\n%+v\nvs\n%+v",
+				trial, got, want)
+		}
+		if want.UniqueDelivered != want.Delivered || want.UniqueSubmitted != want.Submitted {
 			t.Fatalf("trial %d: unique metrics do not mirror raw without redundancy: %+v", trial, want)
 		}
 	}
@@ -67,39 +62,36 @@ func TestRedundantFaultyIdentityWhenKOne(t *testing.T) {
 func TestRedundantCopySurvivesFailure(t *testing.T) {
 	g := graph.Complete(4)
 	tr := &fault.Trace{Events: []fault.Event{{At: 0, Kind: fault.LinkDown, From: 0, To: 3}}}
-	opt := RedundantFaultOptions{
-		FaultOptions: FaultOptions{Options: Options{Core: core.Options{Window: 100, Delta: 5}}},
-		Redundancy:   &traffic.Redundancy{Group: map[int]int{1: 1, 5: 1}},
-		NoReactive:   true,
-	}
+	cfg := faulty(window(100, 5), tr)
+	cfg.Reactive = false
+	cfg.Red = &traffic.Redundancy{Group: map[int]int{1: 1, 5: 1}}
 	arr := []Arrival{
 		{Flow: traffic.Flow{ID: 1, Size: 6, Src: 0, Dst: 3, Routes: []traffic.Route{{0, 3}}}, At: 0},
 		{Flow: traffic.Flow{ID: 5, Size: 6, Src: 0, Dst: 3, Routes: []traffic.Route{{0, 1, 3}}}, At: 0},
 	}
-	res, err := RunRedundantFaulty(g, arr, tr, opt)
+	res, err := Run(g, arr, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SurvivedRedundant != 6 || res.Dropped != 0 {
 		t.Fatalf("survived %d dropped %d, want 6/0", res.SurvivedRedundant, res.Dropped)
 	}
-	if res.UniqueTotal != 6 || res.UniqueDelivered != 6 {
+	if res.UniqueSubmitted != 6 || res.UniqueDelivered != 6 {
 		t.Fatalf("unique %d/%d, want 6/6 (the copy carries the group)",
-			res.UniqueDelivered, res.UniqueTotal)
+			res.UniqueDelivered, res.UniqueSubmitted)
 	}
 	if res.Delivered != 6 {
 		t.Fatalf("raw delivered %d, want 6 (only the copy moves)", res.Delivered)
 	}
 	// Packet conservation over the whole run.
-	if res.Delivered+res.Dropped+res.SurvivedRedundant != res.Total {
+	if res.Delivered+res.Dropped+res.SurvivedRedundant != res.Submitted {
 		t.Fatalf("packets not conserved: %+v", res)
 	}
 
 	// The same flow without a proactive copy, still without reactive
 	// repair, is dropped outright even though the fabric has a detour.
-	bare, err := RunRedundantFaulty(g, arr[:1], tr, RedundantFaultOptions{
-		FaultOptions: opt.FaultOptions, NoReactive: true,
-	})
+	cfg.Red = nil
+	bare, err := Run(g, arr[:1], cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,20 +105,18 @@ func TestRedundantCopySurvivesFailure(t *testing.T) {
 // accounting: two live copies racing the same group count once per epoch.
 func TestRedundantPerEpochUniqueDelivery(t *testing.T) {
 	g := graph.Complete(4)
-	opt := RedundantFaultOptions{
-		FaultOptions: FaultOptions{Options: Options{Core: core.Options{Window: 60, Delta: 5}}},
-		Redundancy:   &traffic.Redundancy{Group: map[int]int{1: 1, 5: 1}},
-	}
+	cfg := faulty(window(60, 5), nil)
+	cfg.Red = &traffic.Redundancy{Group: map[int]int{1: 1, 5: 1}}
 	arr := []Arrival{
 		{Flow: traffic.Flow{ID: 1, Size: 4, Src: 0, Dst: 3, Routes: []traffic.Route{{0, 3}}}, At: 0},
 		{Flow: traffic.Flow{ID: 5, Size: 4, Src: 0, Dst: 3, Routes: []traffic.Route{{0, 1, 3}}}, At: 0},
 	}
-	res, err := RunRedundantFaulty(g, arr, nil, opt)
+	res, err := Run(g, arr, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.UniqueTotal != 4 || res.UniqueDelivered != 4 {
-		t.Fatalf("unique %d/%d, want 4/4", res.UniqueDelivered, res.UniqueTotal)
+	if res.UniqueSubmitted != 4 || res.UniqueDelivered != 4 {
+		t.Fatalf("unique %d/%d, want 4/4", res.UniqueDelivered, res.UniqueSubmitted)
 	}
 	if res.Delivered != 8 {
 		t.Fatalf("raw delivered %d, want 8 (both copies drain failure-free)", res.Delivered)
@@ -158,8 +148,7 @@ func TestFaultEventsBeyondHorizon(t *testing.T) {
 		Flow: traffic.Flow{ID: 1, Size: 5, Src: 0, Dst: 2, Routes: []traffic.Route{{0, 2}}},
 		At:   0,
 	}}
-	opt := FaultOptions{Options: Options{Core: core.Options{Window: 50, Delta: 5}}}
-	want, err := RunFaulty(g, arr, nil, opt)
+	want, err := Run(g, arr, faulty(window(50, 5), nil), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +156,7 @@ func TestFaultEventsBeyondHorizon(t *testing.T) {
 		{At: 1 << 20, Kind: fault.LinkDown, From: 0, To: 2},
 		{At: 1<<20 + 1, Kind: fault.NodeDown, Node: 2},
 	}}
-	got, err := RunFaulty(g, arr, tr, opt)
+	got, err := Run(g, arr, faulty(window(50, 5), tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +178,7 @@ func TestRequeueThenDrop(t *testing.T) {
 		At:   0,
 	}}
 	tr := &fault.Trace{Events: []fault.Event{{At: 12, Kind: fault.NodeDown, Node: 2}}}
-	res, err := RunFaulty(g, arr, tr, FaultOptions{Options: Options{Core: core.Options{Window: 12, Delta: 5}}})
+	res, err := Run(g, arr, faulty(window(12, 5), tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,34 +214,27 @@ func Makespan(g *Network, load *Load, opt Options) (int, *Result, error) {
 	return hybrid.Makespan(g, load, opt)
 }
 
-// WindowResult is the outcome of one window of a rolling run.
-type WindowResult = core.WindowResult
-
-// RunWindows schedules the load across successive windows, carrying
-// undelivered packets (from their current positions) into the next window —
-// the paper's continuous-operation workflow.
-func RunWindows(g *Network, load *Load, opt Options, windows int) ([]WindowResult, error) {
-	return core.RunWindows(g, load, opt, windows)
-}
-
-// TotalDelivered sums the packets delivered across rolling windows.
-func TotalDelivered(ws []WindowResult) int { return core.TotalDelivered(ws) }
-
-// Online-arrival scheduling (the §9 future-work direction; see the online
-// package for details).
+// Epoch scheduling: dynamically arriving flows (the §9 future-work
+// direction) and the paper's §4 continuous operation are one mechanism —
+// plan an epoch on the state as it stands, carry the rest forward.
 type (
 	// Arrival is a flow plus the slot at which the controller learns of it.
 	Arrival = online.Arrival
-	// OnlineOptions configures an online run (Core.Window is the epoch).
-	OnlineOptions = online.Options
-	// OnlineResult reports per-epoch statistics and per-flow completion.
+	// OnlineResult reports per-epoch statistics, the run's packet totals
+	// and per-flow completion.
 	OnlineResult = online.Result
 )
 
-// ScheduleOnline schedules dynamically arriving flows in epochs of one
-// window each, carrying backlog forward between epochs.
-func ScheduleOnline(g *Network, arrivals []Arrival, opt OnlineOptions) (*OnlineResult, error) {
-	return online.Run(g, arrivals, opt)
+// ScheduleOnline is the one batch entry point over the epoch engine: it
+// schedules the arrivals in epochs of cfg.Core.Window slots, carrying
+// undelivered packets (from their current positions) into the next epoch,
+// until everything has left the pipeline or maxEpochs epochs have run
+// (0 = a safety cap relative to the offered load). A burst offered at slot
+// 0 is the paper's rolling-window workflow; cfg.Trace with Repair,
+// Reactive and Audit set replays a failure script with epoch-boundary
+// repair; cfg.Red layers proactive copies under it (see PipelineConfig).
+func ScheduleOnline(g *Network, arrivals []Arrival, cfg PipelineConfig, maxEpochs int) (*OnlineResult, error) {
+	return online.Run(g, arrivals, cfg, maxEpochs)
 }
 
 // Queue-state adaptive scheduling (the related-work baseline [37]).
@@ -307,17 +300,9 @@ type (
 	FaultTrace = fault.Trace
 	// FaultEvent is one failure or recovery event of a trace.
 	FaultEvent = fault.Event
-	// FaultOptions configures a fault-tolerant online run.
-	FaultOptions = online.FaultOptions
-	// FaultResult reports a degraded online run: per-epoch degradation,
-	// drops, and redundancy-deduplicated delivery.
-	FaultResult = online.FaultResult
 	// Redundancy ties the copy flows of an expanded redundant load into
 	// groups that count once at delivery.
 	Redundancy = traffic.Redundancy
-	// RedundantFaultOptions layers proactive copies — and optionally
-	// disables reactive repair — over FaultOptions.
-	RedundantFaultOptions = online.RedundantFaultOptions
 )
 
 // DisjointRoutes extracts up to k pairwise edge-disjoint near-shortest
@@ -356,23 +341,9 @@ func CorrelatedTrace(g *Network, nodes []int, start, period, duration int) *Faul
 	return fault.CorrelatedTrace(g, nodes, start, period, duration)
 }
 
-// RunFaulty schedules the arrivals over successive epochs while the fabric
-// degrades and recovers according to trace, reactively repairing broken
-// flows at each epoch boundary.
-func RunFaulty(g *Network, arrivals []Arrival, trace *FaultTrace, opt FaultOptions) (*FaultResult, error) {
-	return online.RunFaulty(g, arrivals, trace, opt)
-}
-
-// RunRedundantFaulty layers proactive multipath redundancy (an expanded
-// arrival stream plus its Redundancy groups) under the reactive
-// fault-tolerant loop; see RedundantFaultOptions.
-func RunRedundantFaulty(g *Network, arrivals []Arrival, trace *FaultTrace, opt RedundantFaultOptions) (*FaultResult, error) {
-	return online.RunRedundantFaulty(g, arrivals, trace, opt)
-}
-
 // The stepwise engine and the scheduler daemon behind cmd/mhsd (see
-// DESIGN.md §15). The batch entry points above (ScheduleOnline, RunFaulty,
-// RunRedundantFaulty) are thin drivers over the same Pipeline.
+// DESIGN.md §15). ScheduleOnline above is the batch driver over the same
+// Pipeline.
 type (
 	// Pipeline is the mutable epoch state machine: submit and cancel flows
 	// at any time, then alternate PlanNext (compute epoch k+1's

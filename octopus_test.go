@@ -158,7 +158,7 @@ func TestPublicAPIOnline(t *testing.T) {
 		{Flow: Flow{ID: 1, Size: 20, Src: 0, Dst: 1, Routes: []Route{{0, 1}}}, At: 0},
 		{Flow: Flow{ID: 2, Size: 20, Src: 1, Dst: 2, Routes: []Route{{1, 2}}}, At: 120},
 	}
-	res, err := ScheduleOnline(g, arrivals, OnlineOptions{Core: Options{Window: 100, Delta: 10}})
+	res, err := ScheduleOnline(g, arrivals, PipelineConfig{Core: Options{Window: 100, Delta: 10}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,16 @@ func TestPublicAPIRollingWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := RunWindows(g, load, Options{Window: 200, Delta: 10}, 60)
+	burst := make([]Arrival, len(load.Flows))
+	for i, f := range load.Flows {
+		burst[i] = Arrival{Flow: f}
+	}
+	res, err := ScheduleOnline(g, burst, PipelineConfig{Core: Options{Window: 200, Delta: 10}}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if TotalDelivered(ws) != load.TotalPackets() {
-		t.Fatalf("rolling delivered %d of %d", TotalDelivered(ws), load.TotalPackets())
+	if res.Delivered != load.TotalPackets() {
+		t.Fatalf("rolling delivered %d of %d", res.Delivered, load.TotalPackets())
 	}
 }
 

@@ -12,7 +12,7 @@ trap 'kill "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 go build -race -o "$workdir/mhsd" ./cmd/mhsd
 
 "$workdir/mhsd" -addr 127.0.0.1:0 -addr-file "$workdir/addr" \
-  -n 8 -window 200 -delta 10 -epoch 20ms -pods 2 -slo-epochs 64 \
+  -n 8 -window 200 -delta 10 -epoch 20ms -slo-epochs 64 \
   >"$workdir/stdout.log" 2>"$workdir/stderr.log" &
 pid=$!
 
@@ -51,9 +51,9 @@ for ev in admitted planned delivered completed; do
 done
 echo "flight events ok"
 
-# The status roll-up reports SLO compliance, plan latency, per-pod load.
+# The status roll-up reports SLO compliance and plan latency.
 curl -s "http://$addr/v1/status" > "$workdir/status.json"
-for field in on_time_fraction plan_p99_seconds pod_load; do
+for field in on_time_fraction plan_p99_seconds; do
   grep -q "\"$field\"" "$workdir/status.json" \
     || { echo "/v1/status missing $field"; cat "$workdir/status.json"; exit 1; }
 done
