@@ -101,13 +101,13 @@ type alphaEval struct {
 // ascending-α scan considering the greedy then the exact matching of each
 // α. Returns a nil link set with benefit 0 when nothing can be served.
 func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
+	// Materialize lazily-built state before any parallel read-only phase.
+	s.rebuildDirty()
 	alphas := s.tr.candidateAlphas(maxAlpha)
 	s.lastCandidates = len(alphas)
 	if len(alphas) == 0 {
 		return nil, 0, 0
 	}
-	// Materialize lazily-built state before any parallel read-only phase.
-	s.tr.activeEdges()
 
 	// The single-port bipartite modes read G' off the batched g-table.
 	bipartite := s.ufabric == nil && !s.opt.MultiHop && s.opt.Ports == 1
@@ -299,6 +299,37 @@ func (s *Scheduler) forAlphas(as []int, f func(sc *evalScratch, j int, col []int
 		s.parallelFor(len(block), func(w, j int) {
 			f(s.scratch[w], lo+j, s.gbuf[j*nL:(j+1)*nL])
 		})
+	}
+}
+
+// rebuildLinks is the number of dirty links one rebuildDirty work item
+// covers: an iteration that dirtied fewer (the engine's small epochs) rebuilds
+// them inline, without starting a goroutine.
+const rebuildLinks = 256
+
+// rebuildDirty brings the summary of every active link up to date, the
+// per-iteration synchronization point the parallel evaluation phase relies
+// on (see linkState.summary). A summary is a function of its own queue and
+// rebuild writes its own link only, so workers share nothing.
+func (s *Scheduler) rebuildDirty() {
+	states := s.tr.activeStates()
+	if cap(s.dirtyBuf) < len(states) {
+		s.dirtyBuf = make([]*linkState, 0, len(states)+len(states)/4) // links join as packets move on
+	}
+	s.dirtyBuf = s.dirtyBuf[:0]
+	for _, ls := range states {
+		if ls.dirty {
+			s.dirtyBuf = append(s.dirtyBuf, ls)
+		}
+	}
+	s.lastRebuilds = len(s.dirtyBuf)
+	s.parallelFor((len(s.dirtyBuf)+rebuildLinks-1)/rebuildLinks, s.rebuildChunk)
+}
+
+// rebuildItem is rebuildDirty's work item c.
+func (s *Scheduler) rebuildItem(_, c int) {
+	for _, ls := range s.dirtyBuf[c*rebuildLinks : min((c+1)*rebuildLinks, len(s.dirtyBuf))] {
+		ls.rebuild()
 	}
 }
 

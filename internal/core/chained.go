@@ -83,7 +83,7 @@ func (s *Scheduler) evalChain(edges []graph.Edge, alpha int) int64 {
 			if left == 0 {
 				break
 			}
-			take := minInt(left, it.count)
+			take := min(left, it.count)
 			// Latency cap: a packet lag hops deep can cross this link at
 			// most alpha-lag times within the configuration.
 			if cap := alpha - it.lag; take > cap {

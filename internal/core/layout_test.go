@@ -456,3 +456,40 @@ func TestGreedyStepAllocationCeiling(t *testing.T) {
 	}
 	t.Logf("%d iterations, at most %v allocations per Step, up to %d candidate α's", s.iters, worst, candidates)
 }
+
+// TestActiveEdgesMergeEqualsSort: links become active a few at a time, in
+// any order; sorting the newcomers and merging them into the sorted rest
+// leaves the list a fresh sort of all of them, with stateList, edgeList and
+// glinks index-aligned, after every step.
+func TestActiveEdgesMergeEqualsSort(t *testing.T) {
+	g := graph.Complete(24)
+	load := &traffic.Load{Flows: []traffic.Flow{{ID: 1, Size: 1, Src: 0, Dst: 1, Routes: []traffic.Route{{0, 1}}}}}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := newRemaining(g, load, 0, false, false, false)
+		rest := g.Edges()
+		rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+		want := []graph.Edge{{From: 0, To: 1}}
+		for step := 0; len(rest) > 0; step++ {
+			k := min(len(rest), rng.Intn(40)) // sometimes none: the list must not move
+			for _, e := range rest[:k] {
+				if e != want[0] {
+					tr.addEntry(e, entry{bw: 1})
+					want = append(want, e)
+				}
+			}
+			rest = rest[k:]
+			got := tr.activeEdges()
+			sorted := slices.Clone(want)
+			sortLinks(sorted)
+			if !slices.Equal(got, sorted) {
+				t.Fatalf("seed %d step %d: %d links merged to\n %v\na fresh sort gives\n %v", seed, step, k, got, sorted)
+			}
+			for i, ls := range tr.activeStates() {
+				if ls.edge != got[i] || tr.glinks[i] != (matching.Edge{From: got[i].From, To: got[i].To}) || tr.state(got[i]) != ls {
+					t.Fatalf("seed %d step %d: position %d holds %v, state %v, glink %v", seed, step, i, got[i], ls.edge, tr.glinks[i])
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"octopus/internal/graph"
@@ -119,9 +118,10 @@ type linkState struct {
 	entries []int32 // indices into tr.entries, in priority order
 	sum     linkSummary
 	// dirty marks the summary stale. It is set single-threaded (entry
-	// insertion and count changes during apply) and cleared single-threaded
-	// (candidateAlphas at the start of each bestConfiguration), so the
-	// parallel evaluation phase only ever reads clean summaries.
+	// insertion and count changes during apply) and cleared by the link's own
+	// rebuild before any evaluation starts (rebuildDirty at the head of each
+	// bestConfiguration), so the parallel evaluation phase only ever reads
+	// clean summaries.
 	dirty bool
 }
 
@@ -182,7 +182,7 @@ func (ls *linkState) rebuild() {
 }
 
 // summary returns the up-to-date cached summary. Callers on the parallel
-// read-only path rely on candidateAlphas having cleaned every active link
+// read-only path rely on rebuildDirty having cleaned every active link
 // beforehand; the rebuild here only triggers on single-threaded paths
 // (direct test calls, serveLink-free queries).
 func (ls *linkState) summary() *linkSummary {
@@ -225,11 +225,14 @@ type remaining struct {
 	// stateList holds every non-nil element of links, sorted by edge once
 	// activeEdges has run; edgeList is its edges, index-aligned, and glinks
 	// the same as the matchers take them (what a g-table column is indexed by).
+	// Links that became active since are appended to stateList unsorted, so
+	// stateList[:len(edgeList)] is always in order.
 	stateList  []*linkState
 	edgeList   []graph.Edge
 	glinks     []matching.Edge
 	edgesDirty bool
-	stateSlab  []linkState // link states are carved from chunks, see addEntry
+	mergeBuf   []*linkState // activeEdges' copy of the appended links
+	stateSlab  []linkState  // link states are carved from chunks, see addEntry
 
 	eps        int  // Octopus-e ε in 1/64 units
 	multiRoute bool // Octopus+ first-hop route choice
@@ -251,12 +254,11 @@ type remaining struct {
 	// entry here, by link id, instead of inserting it, so every queue is
 	// carved to size and sorted once.
 	buildCount []int32
-	// alphaBuf is the reusable merge buffer of candidateAlphas; the
-	// returned slice aliases it and is valid until the next call.
-	alphaBuf []int
-	// lastRebuilds counts the dirty link summaries the most recent
-	// candidateAlphas call rebuilt (observability only).
-	lastRebuilds int
+	// alphaBuf is the reusable result buffer of candidateAlphas (the returned
+	// slice aliases it and is valid until the next call) and alphaSeen its
+	// marks, all false between calls.
+	alphaBuf  []int
+	alphaSeen []bool
 }
 
 // slabChunk is how many link states are allocated at a time.
@@ -424,10 +426,25 @@ func (tr *remaining) addUncommittedEntries(si int32) {
 	}
 }
 
-// activeEdges returns the sorted list of links with at least one entry.
+// activeEdges returns the sorted list of links with at least one entry. The
+// links that became active since the last call (a few hundred of tens of
+// thousands, an iteration) are sorted on their own and merged into the
+// sorted rest from the back, in place.
 func (tr *remaining) activeEdges() []graph.Edge {
 	if tr.edgesDirty {
-		slices.SortFunc(tr.stateList, func(a, b *linkState) int { return cmpEdge(a.edge, b.edge) })
+		byEdge := func(a, b *linkState) int { return cmpEdge(a.edge, b.edge) }
+		old := len(tr.edgeList)
+		fresh := append(tr.mergeBuf[:0], tr.stateList[old:]...)
+		slices.SortFunc(fresh, byEdge)
+		for i, w := old-1, len(tr.stateList)-1; len(fresh) > 0; w-- {
+			if j := len(fresh) - 1; i < 0 || byEdge(tr.stateList[i], fresh[j]) < 0 {
+				tr.stateList[w], fresh = fresh[j], fresh[:j]
+			} else {
+				tr.stateList[w] = tr.stateList[i]
+				i--
+			}
+		}
+		tr.mergeBuf = fresh
 		tr.edgeList, tr.glinks = tr.edgeList[:0], tr.glinks[:0]
 		for _, ls := range tr.stateList {
 			tr.edgeList = append(tr.edgeList, ls.edge)
@@ -483,40 +500,37 @@ func gValueState(ls *linkState, alpha int) int64 {
 // boundary. Values are clamped to maxAlpha and deduplicated; the result is
 // sorted ascending.
 //
-// The per-link boundary sets are cached in the link summaries; this merge
-// also doubles as the per-iteration synchronization point that rebuilds
-// every dirty summary before the parallel evaluation phase reads them. The
-// returned slice aliases an internal buffer valid until the next call.
+// The per-link boundary sets are cached in the link summaries. They are at
+// most maxAlpha once clamped, so the union is marked in an array of that
+// many cells (of the largest queue's total, where that is less) and read off
+// in order. The returned slice aliases an internal buffer valid until the
+// next call.
 func (tr *remaining) candidateAlphas(maxAlpha int) []int {
-	buf := tr.alphaBuf[:0]
-	rebuilds := 0
-	for _, ls := range tr.activeStates() {
-		if ls.dirty {
-			rebuilds++
-		}
-		s := ls.summary()
-		for _, a := range s.alphas {
-			buf = append(buf, minInt(a, maxAlpha))
+	states, hi := tr.activeStates(), 0
+	for _, ls := range states {
+		if as := ls.summary().alphas; len(as) > 0 {
+			hi = max(hi, min(as[len(as)-1], maxAlpha))
 		}
 	}
-	slices.Sort(buf)
-	// Compact duplicates and drop non-positive values in place.
-	out := buf[:0]
-	for i, a := range buf {
-		if a > 0 && (i == 0 || a != buf[i-1]) {
+	if hi >= len(tr.alphaSeen) {
+		tr.alphaSeen = make([]bool, hi+1)
+	}
+	seen, out := tr.alphaSeen, tr.alphaBuf[:0]
+	if hi > 0 {
+		for _, ls := range states {
+			for _, a := range ls.sum.alphas {
+				seen[min(a, maxAlpha)] = true
+			}
+		}
+	}
+	for a := 1; a <= hi; a++ {
+		if seen[a] {
 			out = append(out, a)
+			seen[a] = false
 		}
 	}
-	tr.alphaBuf = buf
-	tr.lastRebuilds = rebuilds
+	tr.alphaBuf = out
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // serveLink advances up to alpha packets over link e, honoring queue
@@ -540,7 +554,7 @@ func (tr *remaining) serveLink(e graph.Edge, alpha int, backtrackPass bool) int 
 			continue
 		}
 		sf := tr.subflows[en.sf]
-		t := minInt(alpha-served, int(sf.count-sf.frozen))
+		t := min(alpha-served, int(sf.count-sf.frozen))
 		if t <= 0 {
 			continue
 		}
@@ -619,23 +633,4 @@ func (tr *remaining) apply(links []graph.Edge, alpha int) {
 	}
 	tr.touched = tr.touched[:0]
 	tr.configIdx++
-}
-
-// sanity verifies internal invariants (test hook).
-func (tr *remaining) sanity() error {
-	var err error
-	total := 0
-	for _, sf := range tr.subflows {
-		if sf.count < 0 {
-			err = fmt.Errorf("core: negative count for %+v", tr.key(sf))
-		}
-		if sf.routeID >= 0 && (sf.pos >= sf.hops || int(sf.hops) != tr.flows[sf.flow].Routes[sf.routeID].Hops()) {
-			err = fmt.Errorf("core: subflow %+v at/past destination", tr.key(sf))
-		}
-		total += int(sf.count)
-	}
-	if err == nil && total != tr.pending {
-		err = fmt.Errorf("core: pending %d != sum of subflows %d", tr.pending, total)
-	}
-	return err
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -33,7 +35,7 @@ func naiveGValue(tr *remaining, e graph.Edge, alpha int) int64 {
 		if count == 0 {
 			continue
 		}
-		t := minInt(left, count)
+		t := min(left, count)
 		total += int64(t) * en.bw
 		left -= t
 	}
@@ -54,13 +56,13 @@ func naiveCandidateAlphas(tr *remaining, maxAlpha int) []int {
 				continue
 			}
 			if lastBW != -1 && en.bw != lastBW && c > 0 {
-				seen[minInt(c, maxAlpha)] = true
+				seen[min(c, maxAlpha)] = true
 			}
 			c += count
 			lastBW = en.bw
 		}
 		if c > 0 {
-			seen[minInt(c, maxAlpha)] = true
+			seen[min(c, maxAlpha)] = true
 		}
 	}
 	out := make([]int, 0, len(seen))
@@ -350,4 +352,86 @@ func TestSummaryEquivalenceRandomServes(t *testing.T) {
 	if cover.altChains == 0 || cover.twoHomes == 0 || cover.uncommitted == 0 {
 		t.Fatalf("the loads never exercised %+v", cover)
 	}
+}
+
+// TestPrologueParallelEqualsSerial: the head of a greedy iteration — dirty
+// summaries rebuilt rebuildLinks at a time across the workers, then the
+// candidate α's — leaves every summary, the candidate set and the chosen
+// configuration what one worker leaves them (which other tests pin to the
+// queues), on an instance that dirties more links an iteration than one work
+// item holds.
+func TestPrologueParallelEqualsSerial(t *testing.T) {
+	g, load := podInstance(t, 16, 16, 20_000)
+	var ss []*Scheduler
+	for _, par := range []int{1, 2, 8} {
+		s, err := New(g, load, Options{Window: 512, Delta: 4, Matcher: MatcherGreedy, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss = append(ss, s)
+	}
+	var cover indexFormCover
+	serial, split := ss[0], 0
+	for iter := 0; ; iter++ {
+		maxAlpha := serial.opt.Window - serial.used - serial.opt.Delta
+		var alphas []int
+		for _, s := range ss {
+			s.rebuildDirty()
+			if s.lastRebuilds != serial.lastRebuilds {
+				t.Fatalf("iteration %d, Parallelism %d: %d summaries rebuilt, serially %d", iter, s.opt.Parallelism, s.lastRebuilds, serial.lastRebuilds)
+			}
+			for i, ls := range s.tr.activeStates() {
+				if want := serial.tr.stateList[i]; ls.dirty || ls.edge != want.edge || !reflect.DeepEqual(ls.sum, want.sum) {
+					t.Fatalf("iteration %d, Parallelism %d, link %v (dirty %v): summary\n %+v\nserially %v\n %+v",
+						iter, s.opt.Parallelism, ls.edge, ls.dirty, ls.sum, want.edge, want.sum)
+				}
+			}
+			checkIndexForm(t, s.tr, load, &cover)
+			if got := s.tr.candidateAlphas(maxAlpha); s == serial {
+				alphas = slices.Clone(got)
+			} else if !slices.Equal(got, alphas) {
+				t.Fatalf("iteration %d, Parallelism %d: candidate α's %v, serially %v", iter, s.opt.Parallelism, got, alphas)
+			}
+		}
+		if iter > 0 && serial.lastRebuilds > rebuildLinks {
+			split++
+		}
+		want, more, err := serial.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range ss[1:] {
+			cfg, ok, err := s.Step()
+			if err != nil || ok != more || cfg.Alpha != want.Alpha || !slices.Equal(cfg.Links, want.Links) {
+				t.Fatalf("iteration %d, Parallelism %d: configuration α=%d of %d links (ok %v, err %v), serially α=%d of %d",
+					iter, s.opt.Parallelism, cfg.Alpha, len(cfg.Links), ok, err, want.Alpha, len(want.Links))
+			}
+		}
+		if !more || iter == 8 { // every iteration is alike; the race detector makes each dear
+			break
+		}
+	}
+	if split < 3 {
+		t.Fatalf("only %d iterations after the first dirtied more than %d links: the rebuild was never split", split, rebuildLinks)
+	}
+}
+
+// sanity verifies the counting invariants of T^r: no negative count, no
+// subflow at or past its destination, pending equal to what is queued.
+func (tr *remaining) sanity() error {
+	var err error
+	total := 0
+	for _, sf := range tr.subflows {
+		if sf.count < 0 {
+			err = fmt.Errorf("core: negative count for %+v", tr.key(sf))
+		}
+		if sf.routeID >= 0 && (sf.pos >= sf.hops || int(sf.hops) != tr.flows[sf.flow].Routes[sf.routeID].Hops()) {
+			err = fmt.Errorf("core: subflow %+v at/past destination", tr.key(sf))
+		}
+		total += int(sf.count)
+	}
+	if err == nil && total != tr.pending {
+		err = fmt.Errorf("core: pending %d != sum of subflows %d", tr.pending, total)
+	}
+	return err
 }

@@ -178,12 +178,6 @@ func (g *Digraph) IsRoute(route []int) bool {
 // repeats by scanning; it covers every route traffic.MaxRouteLen admits.
 const quadraticRouteLen = 16
 
-// IsMatching reports whether links form a matching of g: every edge exists
-// and no node appears more than once as a source or as a destination.
-func (g *Digraph) IsMatching(links []Edge) bool {
-	return g.IsRegular(links, 1)
-}
-
 // IsRegular reports whether links form a valid r-port configuration of g:
 // every edge exists, no duplicate edges, and every node appears at most r
 // times as a source and at most r times as a destination. (A union of r

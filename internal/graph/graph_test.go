@@ -380,3 +380,26 @@ func TestNormUEdgeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// IsMatching reports whether links form a matching of g: every edge exists
+// and no node appears more than once as a source or as a destination.
+func (g *Digraph) IsMatching(links []Edge) bool {
+	return g.IsRegular(links, 1)
+}
+
+// IsMatching reports whether links form a matching of g: every edge exists
+// and no node is an endpoint of more than one edge.
+func (g *Ugraph) IsMatching(links []UEdge) bool {
+	used := make(map[int]bool, 2*len(links))
+	for _, e := range links {
+		if !g.has[NormUEdge(e.A, e.B)] {
+			return false
+		}
+		if used[e.A] || used[e.B] {
+			return false
+		}
+		used[e.A] = true
+		used[e.B] = true
+	}
+	return true
+}

@@ -80,23 +80,6 @@ func (g *Ugraph) Edges() []UEdge {
 	return es
 }
 
-// IsMatching reports whether links form a matching of g: every edge exists
-// and no node is an endpoint of more than one edge.
-func (g *Ugraph) IsMatching(links []UEdge) bool {
-	used := make(map[int]bool, 2*len(links))
-	for _, e := range links {
-		if !g.has[NormUEdge(e.A, e.B)] {
-			return false
-		}
-		if used[e.A] || used[e.B] {
-			return false
-		}
-		used[e.A] = true
-		used[e.B] = true
-	}
-	return true
-}
-
 // Directed returns the directed view of g: each undirected edge {a, b}
 // becomes the two directed edges (a, b) and (b, a). A matching of g maps to
 // a set of bidirectional active links; the simulate package uses the

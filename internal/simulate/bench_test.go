@@ -33,7 +33,22 @@ func benchScenario(b *testing.B, n, window int) (*graph.Digraph, *traffic.Load, 
 	return g, load, sch
 }
 
+// BenchmarkReplayBulk replays in bulk mode. pods is BenchmarkNewRemaining's
+// shape in internal/core — 100k single-route flows on a 16×16 pod fabric —
+// under a schedule of one configuration, so that building the state is the
+// op: B/op ÷ flows is the layout's cost, allocs/op must not grow with flows.
 func BenchmarkReplayBulk(b *testing.B) {
+	b.Run("pods", func(b *testing.B) {
+		g, load := podInstance(b, 16, 16, 100_000)
+		sch := &schedule.Schedule{Delta: 4, Configs: []schedule.Configuration{{Links: []graph.Edge{g.Edges()[0]}, Alpha: 8}}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(g, load, sch, Options{SkipValidate: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, n := range []int{24, 48} {
 		g, load, sch := benchScenario(b, n, 2000)
 		b.Run(map[int]string{24: "n24", 48: "n48"}[n], func(b *testing.B) {

@@ -15,7 +15,10 @@
 package simulate
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"octopus/internal/fault"
@@ -185,54 +188,45 @@ func (r *Result) DeliveredOfPsi() float64 {
 }
 
 // group is an aggregated set of identical packets: same flow, same route,
-// same current position. Packets in a group are interchangeable.
+// same current position. Packets in a group are interchangeable. It holds
+// indices, not pointers, and fits 32 bytes: the replay state of a load is one
+// array the collector never scans.
 type group struct {
-	flowID int
-	route  traffic.Route
-	wlen   int   // hop count the packet weight derives from
-	weight int64 // per-packet ψ weight of the chosen route
-	prio   int64 // per-packet queueing priority (ε-adjusted hop weight)
-	pos    int   // current node is route[pos]
-	count  int
-	avail  int  // first global slot at which these packets may move
-	grp    int  // redundancy group primary flow ID (-1 when ungrouped)
-	dup    bool // non-primary redundant copy: ψ/hops charged as overhead
+	prio  int64 // per-packet queueing priority (ε-adjusted hop weight)
+	flow  int32 // index into load.Flows, which supplies ID and routes
+	count int32 // at most the flow's Size, which newState caps at MaxInt32
+	avail int32 // first global slot at which these packets may move (Run caps slots)
+	// pos is the hop the packets wait to take, hops the length of their
+	// route and wlen the hop count their ψ weight derives from, all at most
+	// traffic.MaxRouteLen; route indexes the flow's Routes.
+	pos, hops, wlen, route int16
+	dup                    bool // non-primary redundant copy: ψ/hops charged as overhead
+	grouped                bool // in a redundancy group: its deliveries are deduplicated
 }
 
 // linkQueue is the VOQ holding packets at a node whose next hop uses a
 // specific link, ordered by the paper's priority scheme: weight descending,
-// then flow ID ascending.
-type linkQueue struct {
-	groups []*group
-}
+// then flow ID ascending. Its elements index state.groups.
+type linkQueue []int32
 
-func (q *linkQueue) insert(g *group) {
-	i := sort.Search(len(q.groups), func(i int) bool {
-		o := q.groups[i]
-		if o.prio != g.prio {
-			return o.prio < g.prio
-		}
-		return o.flowID >= g.flowID
-	})
-	// Merge with an existing group for the same flow when availability
-	// allows (same avail only, to keep slot semantics exact).
-	if i < len(q.groups) && q.groups[i].flowID == g.flowID && q.groups[i].pos == g.pos && q.groups[i].avail == g.avail {
-		q.groups[i].count += g.count
-		return
-	}
-	q.groups = append(q.groups, nil)
-	copy(q.groups[i+1:], q.groups[i:])
-	q.groups[i] = g
-}
+// growRoom: the group array is built with 1/growRoom spare capacity for the
+// groups packets form as they move downstream, so that the first arrival
+// does not re-allocate and copy the state of the whole load.
+const growRoom = 8
 
 // state is the mutable simulation state.
 type state struct {
 	g          *graph.Digraph
+	flows      []traffic.Flow // the load's, which group.flow indexes
 	eps        int
 	trackFlows bool
-	queues     []linkQueue // indexed by graph.Digraph.LinkID
-	flight     *flight.Recorder
-	red        *traffic.Redundancy
+	// groups[i], for i < len(flows), starts as all of flows[i] at its source;
+	// groups formed downstream take a free slot or are appended.
+	groups []group
+	free   []int32     // drained groups that no queue holds any more
+	queues []linkQueue // indexed by graph.Digraph.LinkID
+	flight *flight.Recorder
+	red    *traffic.Redundancy
 	// copyDelivered tracks per-copy delivery for grouped flows only, so
 	// finishRedundancy can deduplicate per group.
 	copyDelivered map[int]int
@@ -240,8 +234,23 @@ type state struct {
 	res           Result
 }
 
+// id returns the ID of the flow the group's packets belong to.
+func (st *state) id(g *group) int { return st.flows[g.flow].ID }
+
+// route returns the route the group's packets follow.
+func (st *state) route(g *group) traffic.Route { return st.flows[g.flow].Routes[g.route] }
+
+// newState builds the replay state of the whole load. Allocations do not
+// grow with the load: groups and queue slots come from two arrays sized up
+// front, every queue is carved to its size, dealt its groups in load order
+// and sorted once. Index widths fail closed: a size, route or route choice
+// that the fields of a group cannot hold is an error.
 func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error) {
-	st := &state{g: g, eps: opt.Epsilon64, trackFlows: opt.TrackFlows, queues: make([]linkQueue, g.M()), flight: opt.Flight}
+	n := len(load.Flows)
+	st := &state{
+		g: g, flows: load.Flows, eps: opt.Epsilon64, trackFlows: opt.TrackFlows, flight: opt.Flight,
+		groups: make([]group, n, n+n/growRoom), queues: make([]linkQueue, g.M()),
+	}
 	if opt.TrackFlows {
 		st.res.FlowDelivered = make(map[int]int)
 	}
@@ -249,17 +258,22 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 		st.red = opt.Redundancy
 		st.copyDelivered = make(map[int]int)
 	}
-	initial := make([]group, len(load.Flows)) // one allocation, not one per flow
+	perLink := make([]int32, g.M()) // flows whose packets start on each link
+	ascending := true               // flow IDs, in load order
 	for i := range load.Flows {
 		f := &load.Flows[i]
 		ri := opt.RouteChoice[f.ID]
-		if ri < 0 || ri >= len(f.Routes) {
+		if ri < 0 || ri >= len(f.Routes) || ri > math.MaxInt16 {
 			return nil, fmt.Errorf("simulate: flow %d route choice %d out of range", f.ID, ri)
 		}
+		if f.Size < 0 || f.Size > math.MaxInt32 {
+			return nil, fmt.Errorf("simulate: flow %d size %d is outside [0,%d]", f.ID, f.Size, math.MaxInt32)
+		}
 		r := f.Routes[ri]
-		if opt.SkipValidate { // Load.Validate has not vouched for the hops
-			if len(r) < 2 {
-				return nil, fmt.Errorf("simulate: flow %d route %v has no hop", f.ID, r)
+		wl := f.WeightLen(r)
+		if opt.SkipValidate { // Load.Validate has not vouched for the route
+			if r.Hops() < 1 || r.Hops() > wl || wl > traffic.MaxRouteLen {
+				return nil, fmt.Errorf("simulate: flow %d route of %d hops, weight length %d: outside [1,%d]", f.ID, r.Hops(), wl, traffic.MaxRouteLen)
 			}
 			for h := 0; h+1 < len(r); h++ {
 				if g.LinkID(r[h], r[h+1]) < 0 {
@@ -268,35 +282,103 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 			}
 		}
 		st.res.TotalPackets += f.Size
-		grp, dup := -1, false
-		if p, ok := st.red.GroupOf(f.ID); ok {
-			grp, dup = p, p != f.ID
-			if dup {
-				st.dupTotal += f.Size
-			}
+		primary, grouped := st.red.GroupOf(f.ID)
+		dup := grouped && primary != f.ID
+		if dup {
+			st.dupTotal += f.Size
 		}
-		initial[i] = group{
-			flowID: f.ID,
-			route:  r,
-			wlen:   f.WeightLen(r),
-			weight: traffic.Weight(f.WeightLen(r)),
-			pos:    0,
-			count:  f.Size,
-			avail:  0,
-			grp:    grp,
-			dup:    dup,
+		st.groups[i] = group{
+			prio: traffic.HopWeight(wl, 0, st.eps), flow: int32(i), count: int32(f.Size),
+			hops: int16(r.Hops()), wlen: int16(wl), route: int16(ri), dup: dup, grouped: grouped,
 		}
-		st.enqueue(&initial[i])
+		perLink[g.LinkID(r[0], r[1])]++
+		ascending = ascending && (i == 0 || load.Flows[i-1].ID < f.ID)
+	}
+	slots := make([]int32, n)
+	for id, c := range perLink {
+		st.queues[id], slots = slots[:0:c], slots[c:]
+	}
+	for i := range st.groups {
+		r := st.route(&st.groups[i])
+		id := g.LinkID(r[0], r[1])
+		st.queues[id] = append(st.queues[id], int32(i))
+	}
+	for id, q := range st.queues {
+		st.queues[id] = st.sorted(q, ascending)
 	}
 	return st, nil
 }
 
-// enqueue places a group into the VOQ for its next hop, assigning its
-// queueing priority for the upcoming hop. Groups whose position is the
-// final destination are never enqueued.
-func (st *state) enqueue(g *group) {
-	g.prio = traffic.HopWeight(g.wlen, g.pos, st.eps)
-	st.queues[st.g.LinkID(g.route[g.pos], g.route[g.pos+1])].insert(g)
+// sorted puts a queue dealt in load order into priority order and returns
+// it. Where load order is ID order too (every generator and codec), only
+// prio is left to sort by, a comparison reads one array, and a queue of
+// equal weights is in order already. Otherwise the order is (prio desc, ID
+// asc) and flows sharing both (SkipValidate only: IDs repeat) merge into the
+// first of them, which is what inserting them one at a time does.
+func (st *state) sorted(q linkQueue, ascending bool) linkQueue {
+	byPrio := func(a, b int32) int { return cmp.Compare(st.groups[b].prio, st.groups[a].prio) }
+	if ascending {
+		if !slices.IsSortedFunc(q, byPrio) {
+			slices.SortStableFunc(q, byPrio)
+		}
+		return q
+	}
+	slices.SortStableFunc(q, func(a, b int32) int {
+		if c := byPrio(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(st.id(&st.groups[a]), st.id(&st.groups[b]))
+	})
+	out := q[:0]
+	for _, gi := range q {
+		if len(out) > 0 && st.merge(out[len(out)-1], &st.groups[gi]) {
+			st.groups[gi].count = 0
+			st.free = append(st.free, gi)
+			continue
+		}
+		out = append(out, gi)
+	}
+	return out
+}
+
+// merge adds g's packets to the queued group at index into when the two are
+// interchangeable — same priority, flow ID, position and availability (same
+// avail only, to keep slot semantics exact) — and the sum fits its count.
+func (st *state) merge(into int32, g *group) bool {
+	o := &st.groups[into]
+	if o.prio != g.prio || o.pos != g.pos || o.avail != g.avail || st.id(o) != st.id(g) || int64(o.count)+int64(g.count) > math.MaxInt32 {
+		return false
+	}
+	o.count += g.count
+	return true
+}
+
+// enqueue places a group of packets that crossed a hop into the VOQ for its
+// next one, assigning its queueing priority for that hop. Groups whose
+// position is the final destination are never enqueued.
+func (st *state) enqueue(g group) {
+	g.prio = traffic.HopWeight(int(g.wlen), int(g.pos), st.eps)
+	r, fid := st.route(&g), st.id(&g)
+	q := &st.queues[st.g.LinkID(r[g.pos], r[g.pos+1])]
+	i := sort.Search(len(*q), func(i int) bool {
+		o := &st.groups[(*q)[i]]
+		if o.prio != g.prio {
+			return o.prio < g.prio
+		}
+		return st.id(o) >= fid
+	})
+	if i < len(*q) && st.merge((*q)[i], &g) {
+		return
+	}
+	var gi int32
+	if k := len(st.free); k > 0 {
+		gi, st.free = st.free[k-1], st.free[:k-1]
+		st.groups[gi] = g
+	} else {
+		gi = int32(len(st.groups))
+		st.groups = append(st.groups, g)
+	}
+	*q = slices.Insert(*q, i, gi)
 }
 
 // serve transmits up to want packets over link e, considering only packets
@@ -309,60 +391,52 @@ func (st *state) serve(e graph.Edge, want, availBy, nextAvail int) int {
 	}
 	q := &st.queues[id]
 	served := 0
-	for i := 0; i < len(q.groups) && served < want; i++ {
-		g := q.groups[i]
-		if g.avail > availBy || g.count == 0 {
+	for i := 0; i < len(*q) && served < want; i++ {
+		// A copy, not a pointer: enqueue below can grow the array.
+		g := st.groups[(*q)[i]]
+		if int(g.avail) > availBy || g.count == 0 {
 			continue
 		}
-		take := want - served
-		if take > g.count {
-			take = g.count
-		}
-		g.count -= take
+		take := min(want-served, int(g.count))
+		st.groups[(*q)[i]].count -= int32(take)
 		served += take
+		weight := traffic.Weight(int(g.wlen))
 		st.res.Hops += take
-		st.res.Psi += int64(take) * g.weight
+		st.res.Psi += int64(take) * weight
 		if g.dup {
 			st.res.DupHops += take
-			st.res.DupPsi += int64(take) * g.weight
+			st.res.DupPsi += int64(take) * weight
 		}
-		if st.flight != nil && st.flight.Tracks(int64(g.flowID)) {
-			st.flight.Hop(int64(g.flowID), availBy, g.pos+1, len(g.route), int64(take))
+		if st.flight != nil && st.flight.Tracks(int64(st.id(&g))) {
+			st.flight.Hop(int64(st.id(&g)), availBy, int(g.pos)+1, int(g.hops)+1, int64(take))
 		}
-		if g.pos+1 == len(g.route)-1 {
+		if g.pos+1 == g.hops {
 			st.res.Delivered += take
 			if st.trackFlows {
-				st.res.FlowDelivered[g.flowID] += take
+				st.res.FlowDelivered[st.id(&g)] += take
 			}
-			if g.grp >= 0 {
-				st.copyDelivered[g.flowID] += take
+			if g.grouped {
+				st.copyDelivered[st.id(&g)] += take
 			}
 			if st.flight != nil {
-				st.flight.Delivered(int64(g.flowID), availBy, int64(take))
+				st.flight.Delivered(int64(st.id(&g)), availBy, int64(take))
 			}
 		} else {
-			st.enqueue(&group{
-				flowID: g.flowID,
-				route:  g.route,
-				wlen:   g.wlen,
-				weight: g.weight,
-				pos:    g.pos + 1,
-				count:  take,
-				avail:  nextAvail,
-				grp:    g.grp,
-				dup:    g.dup,
-			})
+			g.pos, g.count, g.avail = g.pos+1, int32(take), int32(nextAvail)
+			st.enqueue(g)
 		}
 	}
-	// Compact drained groups occasionally to keep queues small.
+	// Drop drained groups from the queue; their slots are free to reuse.
 	if served > 0 {
-		live := q.groups[:0]
-		for _, g := range q.groups {
-			if g.count > 0 {
-				live = append(live, g)
+		live := (*q)[:0]
+		for _, gi := range *q {
+			if st.groups[gi].count > 0 {
+				live = append(live, gi)
+			} else {
+				st.free = append(st.free, gi)
 			}
 		}
-		q.groups = live
+		*q = live
 	}
 	return served
 }
@@ -415,6 +489,9 @@ func Run(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Optio
 		}
 		if alpha <= 0 {
 			break
+		}
+		if slot > math.MaxInt32 || alpha > math.MaxInt32-slot { // group.avail is 32 bits
+			return nil, fmt.Errorf("simulate: configuration %d ends past slot %d, the last the replay can count", k, math.MaxInt32)
 		}
 		st.res.Configs++
 		st.res.ActiveLinkSlots += int64(alpha) * int64(len(cfg.Links))
@@ -538,12 +615,12 @@ func (st *state) finishRedundancy() {
 // replay ended: undelivered traffic past its source but short of its
 // destination.
 func (st *state) countStranded() {
-	var stranded []*group
-	for i := range st.queues {
-		for _, gr := range st.queues[i].groups {
-			if gr.pos > 0 {
-				st.res.Stranded += gr.count
-				if st.flight != nil && st.flight.Tracks(int64(gr.flowID)) {
+	var stranded []group
+	for _, q := range st.queues {
+		for _, gi := range q {
+			if gr := st.groups[gi]; gr.pos > 0 {
+				st.res.Stranded += int(gr.count)
+				if st.flight != nil && st.flight.Tracks(int64(st.id(&gr))) {
 					stranded = append(stranded, gr)
 				}
 			}
@@ -551,13 +628,14 @@ func (st *state) countStranded() {
 	}
 	// Queues are in link-id order: sort so flight journals read by flow.
 	sort.Slice(stranded, func(i, j int) bool {
-		if stranded[i].flowID != stranded[j].flowID {
-			return stranded[i].flowID < stranded[j].flowID
+		if a, b := st.id(&stranded[i]), st.id(&stranded[j]); a != b {
+			return a < b
 		}
 		return stranded[i].pos < stranded[j].pos
 	})
-	for _, gr := range stranded {
-		st.flight.Stranded(int64(gr.flowID), st.res.SlotsUsed, gr.pos, int64(gr.count))
+	for i := range stranded {
+		gr := &stranded[i]
+		st.flight.Stranded(int64(st.id(gr)), st.res.SlotsUsed, int(gr.pos), int64(gr.count))
 	}
 }
 
@@ -567,13 +645,14 @@ func (st *state) countStranded() {
 func (st *state) measureBuffers() {
 	perNode := make(map[int]int)
 	total := 0
-	for i := range st.queues {
-		for _, g := range st.queues[i].groups {
+	for _, q := range st.queues {
+		for _, gi := range q {
+			g := &st.groups[gi]
 			if g.count == 0 || g.pos == 0 {
 				continue
 			}
-			perNode[g.route[g.pos]] += g.count
-			total += g.count
+			perNode[st.route(g)[g.pos]] += int(g.count)
+			total += int(g.count)
 		}
 	}
 	for _, c := range perNode {
