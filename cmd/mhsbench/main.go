@@ -5,13 +5,13 @@
 // Usage:
 //
 //	mhsbench -fig 4a                 # one figure at quick scale
-//	mhsbench -fig all -scale full    # the paper's full parameters (slow)
+//	mhsbench -fig all -scale full    # the paper's full parameters
 //	mhsbench -fig 8 -out results/    # also write results/fig8.csv
 //
-// The quick scale runs every figure in seconds on a laptop; the full scale
-// matches the paper's n=100, W=10000, Δ=20, 10 instances per point, which
-// takes serious CPU time (the paper parallelized matching computations
-// across a large multi-core machine).
+// The quick scale runs every figure in under a second; the full scale
+// matches the paper's n=100, W=10000, Δ=20, 10 instances per point:
+// seconds to a minute a figure on two cores, nine minutes for Fig 6 and
+// fifty for Fig 10b at n=1000 (results/run_campaign.sh runs them all).
 package main
 
 import (

@@ -16,7 +16,7 @@ type coreInstruments struct {
 	weight     *obs.Histogram // matching weight (benefit) per iteration
 	candidates *obs.Histogram // α-candidate-set size per iteration
 	rebuilds   *obs.Counter   // dirty link-summary rebuilds
-	step       *obs.Timer     // wall time per Step
+	step       *obs.Histogram // wall time per Step, ns
 
 	greedyCalls   *obs.Counter
 	greedyEdges   *obs.Counter
@@ -42,7 +42,7 @@ func bindCoreInstruments(o *obs.Observer) coreInstruments {
 		weight:     o.Histogram("octopus_core_matching_weight"),
 		candidates: o.Histogram("octopus_core_alpha_candidates"),
 		rebuilds:   o.Counter("octopus_core_summary_rebuilds_total"),
-		step:       o.Timer("octopus_core_step_ns"),
+		step:       o.Histogram("octopus_core_step_ns"),
 
 		greedyCalls:   o.Counter("octopus_match_greedy_calls_total"),
 		greedyEdges:   o.Counter("octopus_match_greedy_edges_total"),

@@ -10,7 +10,8 @@ import (
 // ResidualLoadMap exports the remaining traffic after the greedy loop has
 // finished as a fresh load: packets stranded at intermediate nodes become
 // flows whose route is the untraversed suffix of their original route, and
-// packets still at their source keep their original route set. Flow IDs
+// packets still at their source keep their original route set; a flow's
+// WeightHops override is carried, less the hops already served. Flow IDs
 // are reassigned densely in (original flow, position) order, preserving
 // the original relative priority. origin[id] is the ID of the original
 // flow that residual flow id carries packets of (residual IDs are dense,
@@ -41,6 +42,7 @@ func (s *Scheduler) ResidualLoadMap() (*traffic.Load, []int) {
 	for id, sf := range rems {
 		f := &flows[sf.flow]
 		var routes []traffic.Route
+		weightHops := f.WeightHops
 		if sf.routeID < 0 {
 			// Still at the source with the route choice open.
 			routes = make([]traffic.Route, len(f.Routes))
@@ -49,13 +51,19 @@ func (s *Scheduler) ResidualLoadMap() (*traffic.Load, []int) {
 			}
 		} else {
 			routes = []traffic.Route{slices.Clone(f.Routes[sf.routeID][sf.pos:])}
+			if weightHops > 0 {
+				// The override shrinks by the hops already served, so it
+				// still covers the suffix.
+				weightHops -= int(sf.pos)
+			}
 		}
 		out.Flows = append(out.Flows, traffic.Flow{
-			ID:     id,
-			Size:   int(sf.count),
-			Src:    routes[0].Src(),
-			Dst:    f.Dst,
-			Routes: routes,
+			ID:         id,
+			Size:       int(sf.count),
+			Src:        routes[0].Src(),
+			Dst:        f.Dst,
+			Routes:     routes,
+			WeightHops: weightHops,
 		})
 		origin = append(origin, f.ID)
 	}

@@ -329,8 +329,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"queued_packets":   s.pipe.QueuedPackets(),
 		"backlog_packets":  backlog,
 		"totals":           totals,
-		"plan_p50_seconds": plan.Quantile(0.50).Seconds(),
-		"plan_p99_seconds": plan.Quantile(0.99).Seconds(),
+		"plan_p50_seconds": time.Duration(plan.Quantile(0.50)).Seconds(),
+		"plan_p99_seconds": time.Duration(plan.Quantile(0.99)).Seconds(),
 		"plan_overruns":    s.reg.Counter("octopus_daemon_plan_overruns_total").Value(),
 	}
 	if s.opt.Flight != nil {

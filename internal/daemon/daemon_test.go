@@ -616,7 +616,7 @@ func TestDaemonReportsPlanTimeNotEpochTime(t *testing.T) {
 			t.Errorf("epoch %d: plan_micros %d is not well under the %v epoch", rec.Epoch, rec.PlanMicros, epoch)
 		}
 	}
-	if p50 := s.reg.Duration("octopus_daemon_plan_seconds").Quantile(0.5); p50 >= epoch/2 {
+	if p50 := time.Duration(s.reg.Duration("octopus_daemon_plan_seconds").Quantile(0.5)); p50 >= epoch/2 {
 		t.Errorf("octopus_daemon_plan_seconds p50 %v is not well under the %v epoch", p50, epoch)
 	}
 }

@@ -540,3 +540,43 @@ func TestKeepPlansFabricAcrossFailure(t *testing.T) {
 		t.Fatal("the failure never forced a reroute")
 	}
 }
+
+// TestWeightHopsCarriedAcrossEpochs: a flow's weight override belongs to
+// the flow, not to its first epoch. Packets that never left the source
+// must plan at the same weight in every epoch, and a mid-route residual's
+// override shrinks by the hops already served.
+func TestWeightHopsCarriedAcrossEpochs(t *testing.T) {
+	p, err := New(graph.Complete(3), Config{Core: core.Options{Window: 10, Delta: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := traffic.Flow{ID: 1, Src: 0, Dst: 2, Size: 30, Routes: []traffic.Route{{0, 1, 2}}, WeightHops: 6}
+	want := traffic.Weight(f.WeightLen(f.Routes[0]))
+	if err := p.Submit(f, 0); err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 0; epoch < 2; epoch++ {
+		plan, err := p.PlanNext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident := 0
+		for _, w := range plan.work.Flows {
+			if w.Src == f.Src {
+				resident++
+				if got := traffic.Weight(w.WeightLen(w.Routes[0])); got != want {
+					t.Errorf("epoch %d: source-resident packets on %v plan at weight %d, want %d (WeightHops %d)",
+						epoch, w.Routes[0], got, want, w.WeightHops)
+				}
+			} else if w.WeightHops != f.WeightHops-1 {
+				t.Errorf("epoch %d: residual on %v has WeightHops %d, want %d", epoch, w.Routes[0], w.WeightHops, f.WeightHops-1)
+			}
+		}
+		if resident != 1 {
+			t.Fatalf("epoch %d: %d source-resident flows in %+v, want 1", epoch, resident, plan.work.Flows)
+		}
+		if _, err := p.Commit(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

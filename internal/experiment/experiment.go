@@ -1,6 +1,7 @@
 // Package experiment regenerates every table and figure of the paper's
-// evaluation (§8). Each figure has a runner (Fig4a .. Fig10b) producing a
-// Table of averaged series, plus a name-based dispatcher used by
+// evaluation (§8). A figure is a row of one table (figures.go): a sweep,
+// an instance overlay and the series to read off it; one runner turns any
+// row into a Table of averaged series, and Run dispatches by ID for
 // cmd/mhsbench. A Scale selects the paper's full parameters or a reduced
 // quick profile so tests and benchmarks share the same code paths.
 package experiment
@@ -36,9 +37,10 @@ type Scale struct {
 	TimeNodeSweep []int // Fig 10a x-axis: network size for timing
 }
 
-// Full returns the paper's evaluation parameters. A complete run at this
-// scale takes serious CPU time (the paper parallelized matchings across a
-// large multi-core machine); use Quick for smoke runs.
+// Full returns the paper's evaluation parameters. On two cores a figure
+// at this scale takes from seconds to a little over a minute, except
+// Fig 6 (nine minutes) and Fig 10b (n = 1000, some 90 CPU-seconds per
+// instance and point); use Quick for smoke runs.
 func Full() Scale {
 	return Scale{
 		Name:          "full",
@@ -112,7 +114,7 @@ func (t *Table) Render(w io.Writer) error {
 	cells := make([][]string, len(t.Rows))
 	for r, row := range t.Rows {
 		cells[r] = make([]string, len(t.Series)+1)
-		cells[r][0] = trimFloat(row.X)
+		cells[r][0] = fmt.Sprintf("%g", row.X)
 		for c, v := range row.Values {
 			cells[r][c+1] = fmt.Sprintf("%.2f", v)
 		}
@@ -148,7 +150,7 @@ func (t *Table) CSV(w io.Writer) error {
 	}
 	for _, row := range t.Rows {
 		vals := make([]string, len(row.Values)+1)
-		vals[0] = trimFloat(row.X)
+		vals[0] = fmt.Sprintf("%g", row.X)
 		for i, v := range row.Values {
 			vals[i+1] = fmt.Sprintf("%.4f", v)
 		}
@@ -166,53 +168,41 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-func trimFloat(x float64) string {
-	s := fmt.Sprintf("%g", x)
-	return s
-}
-
 // point runs one experiment instance: it receives a seeded RNG and returns
 // one value per series.
 type point func(rng *rand.Rand) ([]float64, error)
 
 // averagePoint runs sc.Instances seeded instances of f (in parallel up to
-// sc.Workers) and averages the per-series results.
+// sc.Workers) and averages the per-series results. The sum runs in
+// instance order, so the mean does not depend on which goroutine finished
+// first (float addition does not commute in the last bit).
 func averagePoint(sc Scale, pointSeed int64, nseries int, f point) ([]float64, error) {
-	sums := make([]float64, nseries)
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, maxInt(1, sc.Workers))
+	vals := make([][]float64, sc.Instances)
+	errs := make([]error, sc.Instances)
+	sem := make(chan struct{}, max(1, sc.Workers))
 	var wg sync.WaitGroup
-	for inst := 0; inst < sc.Instances; inst++ {
+	for inst := range vals {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(inst int) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			rng := rand.New(rand.NewSource(sc.Seed + pointSeed*1000 + int64(inst)))
-			vals, err := f(rng)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-				return
-			}
-			if err == nil {
-				if len(vals) != nseries {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("experiment: point returned %d values, want %d", len(vals), nseries)
-					}
-					return
-				}
-				for i, v := range vals {
-					sums[i] += v
-				}
-			}
-		}(inst)
+			vals[inst], errs[inst] = f(rng)
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	sums := make([]float64, nseries)
+	for inst, v := range vals {
+		if errs[inst] != nil {
+			return nil, errs[inst]
+		}
+		if len(v) != nseries {
+			return nil, fmt.Errorf("experiment: point returned %d values, want %d", len(v), nseries)
+		}
+		for i := range v {
+			sums[i] += v[i]
+		}
 	}
 	for i := range sums {
 		sums[i] /= float64(sc.Instances)
@@ -220,57 +210,31 @@ func averagePoint(sc Scale, pointSeed int64, nseries int, f point) ([]float64, e
 	return sums, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// ids returns the sorted IDs of the figure table's paper figures (ext
+// false) or extensions (ext true).
+func ids(ext bool) []string {
+	var out []string
+	for _, f := range figures {
+		if strings.HasPrefix(f.id, "ext-") == ext {
+			out = append(out, f.id)
+		}
 	}
-	return b
-}
-
-// Runner produces one figure's table at a given scale.
-type Runner func(sc Scale) (*Table, error)
-
-// Runners maps figure IDs to their runners: every table and figure of the
-// paper's evaluation section.
-func Runners() map[string]Runner {
-	return map[string]Runner{
-		"4a":  Fig4a,
-		"4b":  Fig4b,
-		"4c":  Fig4c,
-		"4d":  Fig4d,
-		"5a":  Fig5a,
-		"5b":  Fig5b,
-		"5c":  Fig5c,
-		"5d":  Fig5d,
-		"6":   Fig6,
-		"7a":  Fig7a,
-		"7b":  Fig7b,
-		"8":   Fig8,
-		"9a":  Fig9a,
-		"9b":  Fig9b,
-		"10a": Fig10a,
-		"10b": Fig10b,
-	}
+	sort.Strings(out)
+	return out
 }
 
 // FigureIDs returns the sorted list of available figure IDs.
-func FigureIDs() []string {
-	rs := Runners()
-	ids := make([]string, 0, len(rs))
-	for id := range rs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+func FigureIDs() []string { return ids(false) }
+
+// ExtensionIDs returns the sorted list of extension experiment IDs.
+func ExtensionIDs() []string { return ids(true) }
 
 // Run dispatches a figure or extension experiment by ID.
 func Run(id string, sc Scale) (*Table, error) {
-	if r, ok := Runners()[id]; ok {
-		return r(sc)
-	}
-	if r, ok := Extensions()[id]; ok {
-		return r(sc)
+	for i := range figures {
+		if figures[i].id == id {
+			return figures[i].run(sc)
+		}
 	}
 	return nil, fmt.Errorf("experiment: unknown experiment %q (figures %v, extensions %v)",
 		id, FigureIDs(), ExtensionIDs())

@@ -79,7 +79,7 @@ func TestAllFiguresRunAtTinyScale(t *testing.T) {
 func TestFig4aQualitative(t *testing.T) {
 	sc := tiny()
 	sc.Instances = 3
-	tab, err := Fig4a(sc)
+	tab, err := Run("4a", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFig4aQualitative(t *testing.T) {
 }
 
 func TestFig8Qualitative(t *testing.T) {
-	tab, err := Fig8(tiny())
+	tab, err := Run("8", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFig8Qualitative(t *testing.T) {
 func TestFig10aExactSlowerThanGreedy(t *testing.T) {
 	sc := tiny()
 	sc.TimeNodeSweep = []int{12}
-	tab, err := Fig10a(sc)
+	tab, err := Run("10a", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestFig10aExactSlowerThanGreedy(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	sc := tiny()
-	a, err := Fig4b(sc)
+	a, err := Run("4b", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig4b(sc)
+	b, err := Run("4b", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +226,8 @@ func TestAveragePointPropagatesErrors(t *testing.T) {
 }
 
 func TestAlgorithmNamesMatchRegistry(t *testing.T) {
-	// The experiment layer keeps no roster of its own: run dispatches by
-	// registry name, so every name the figure runners use must resolve.
+	// The experiment layer keeps no roster of its own: the figure table
+	// names algorithms by registry spec, so every name it uses must resolve.
 	for _, n := range []string{"octopus", "octopus-g", "octopus-b", "octopus-e",
 		"octopus-plus", "octopus-random", "eclipse-based", "eclipse-pp",
 		"solstice", "rotornet", "maxweight", "ub"} {

@@ -41,7 +41,7 @@ func TestExtensionsRunAtTinyScale(t *testing.T) {
 func TestExtPortsMonotone(t *testing.T) {
 	sc := tiny()
 	sc.Instances = 2
-	tab, err := ExtPorts(sc)
+	tab, err := Run("ext-ports", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestExtPortsMonotone(t *testing.T) {
 }
 
 func TestExtMakespanAboveLowerBound(t *testing.T) {
-	tab, err := ExtMakespan(tiny())
+	tab, err := Run("ext-makespan", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestExtBacktrackOrdering(t *testing.T) {
 	sc := tiny()
 	sc.Nodes = 10
 	sc.Window = 300
-	tab, err := ExtBacktrack(sc)
+	tab, err := Run("ext-backtrack", sc)
 	if err != nil {
 		t.Fatal(err)
 	}

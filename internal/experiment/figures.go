@@ -1,497 +1,449 @@
 package experiment
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
+	"octopus/internal/algo"
+	"octopus/internal/baseline"
 	"octopus/internal/core"
 	"octopus/internal/graph"
+	"octopus/internal/hybrid"
+	"octopus/internal/simulate"
 	"octopus/internal/traffic"
 )
 
-// The Fig4/Fig5 family compares Octopus, Eclipse-Based, UB and the absolute
-// upper bound across four sweeps (nodes, reconfiguration delay, skew,
-// sparsity), reporting packets delivered (Fig 4) and link utilization
-// (Fig 5).
+// figure describes one experiment as data: a sweep, how each sweep value
+// overlays the scale's default instance, and the series measured on it.
+// Every figure runs through figure.run; internal/algo stays the single
+// source of truth for algorithms and their options, reached through spec
+// strings.
+type figure struct {
+	id, title, xlabel, ylabel string
 
-const (
-	metricDelivered = iota
-	metricUtilization
-	metricDeliveredOfPsi
-)
+	xs     func(Scale) []int            // the sweep
+	at     func(sc Scale, in *instance) // overlays in.x on the instance; nil = the scale's defaults
+	series []series
 
-// sweepCase describes one instance generation for the Fig4/5 family.
-type sweepCase struct {
+	// point, when set, replaces the build-run-pick loop for experiments
+	// that are not "algorithm → metric"; series then only carries labels.
+	point func(sc Scale, in instance, rng *rand.Rand) ([]float64, error)
+}
+
+// series is one column of a figure: an algo.ParseSpec string, in which
+// "%d" stands for the sweep value, and the metric read off its Outcome.
+// bound, set instead, computes the column from the instance alone.
+type series struct {
+	label string
+	spec  string
+	pick  func(*algo.Outcome) float64
+	bound func(in instance, load *traffic.Load) float64
+}
+
+// instance describes the MHS instance of one sweep point: a complete
+// fabric carrying the paper's synthetic load (adjusted by synth) or a
+// trace-like load.
+type instance struct {
+	x      int // the sweep value
 	nodes  int
 	window int
 	delta  int
-	mutate func(*traffic.SyntheticParams)
+	ports  int                            // ports per node (§7); 0 = single-port
+	synth  func(*traffic.SyntheticParams) // nil = the paper's defaults
+	trace  int                            // 1-based index into traceKinds; 0 = synthetic
 }
 
-// runComparison produces the four standard series for one sweep point.
-func runComparison(sc Scale, c sweepCase, metric int) point {
-	return func(rng *rand.Rand) ([]float64, error) {
-		g := graph.Complete(c.nodes)
-		p := traffic.DefaultSyntheticParams(c.nodes, c.window)
-		if c.mutate != nil {
-			c.mutate(&p)
+// traceKinds are the loads standing in for the Facebook (Hadoop, web,
+// database) and Microsoft traces, in Fig 6's x-axis order.
+var traceKinds = []traffic.TraceKind{traffic.FBHadoop, traffic.FBWeb, traffic.FBDatabase, traffic.MSHeatmap}
+
+func (in instance) build(rng *rand.Rand) (*graph.Digraph, *traffic.Load, error) {
+	g := graph.Complete(in.nodes)
+	if in.trace > 0 {
+		load, err := traffic.TraceLike(g, traceKinds[in.trace-1], in.window, traffic.SyntheticParams{}, rng)
+		return g, load, err
+	}
+	p := traffic.DefaultSyntheticParams(in.nodes, in.window)
+	if in.synth != nil {
+		in.synth(&p)
+	}
+	load, err := traffic.Synthetic(g, p, rng)
+	return g, load, err
+}
+
+// specAt returns the series' spec at sweep value x.
+func (s series) specAt(x int) string {
+	return strings.ReplaceAll(s.spec, "%d", strconv.Itoa(x))
+}
+
+// run is the one sweep loop: per sweep value, overlay the instance and
+// average the point over sc.Instances seeded draws.
+func (f *figure) run(sc Scale) (*Table, error) {
+	t := &Table{ID: f.id, Title: f.title, XLabel: f.xlabel, YLabel: f.ylabel}
+	for _, s := range f.series {
+		t.Series = append(t.Series, s.label)
+	}
+	for i, x := range f.xs(sc) {
+		in := instance{x: x, nodes: sc.Nodes, window: sc.Window, delta: sc.Delta}
+		if f.at != nil {
+			f.at(sc, &in)
 		}
-		load, err := traffic.Synthetic(g, p, rng)
-		if err != nil {
-			return nil, err
-		}
-		ap := sc.params()
-		ap.Window, ap.Delta = c.window, c.delta
-		oct, err := run("octopus", g, load, ap)
-		if err != nil {
-			return nil, err
-		}
-		ecl, err := run("eclipse-based", g, load, ap)
-		if err != nil {
-			return nil, err
-		}
-		ub, err := run("ub", g, load, ap)
-		if err != nil {
-			return nil, err
-		}
-		abs := absUB(load, c.window, c.nodes)
-		pick := func(m metrics) float64 {
-			switch metric {
-			case metricUtilization:
-				return m.utilization * 100
-			case metricDeliveredOfPsi:
-				return m.deliveredOfPsi * 100
-			default:
-				return m.delivered * 100
+		vals, err := averagePoint(sc, int64(i)+1, len(f.series), func(rng *rand.Rand) ([]float64, error) {
+			if f.point != nil {
+				return f.point(sc, in, rng)
 			}
-		}
-		vals := []float64{pick(oct), pick(ecl), pick(ub)}
-		if metric == metricDelivered {
-			vals = append(vals, abs*100)
-		}
-		return vals, nil
-	}
-}
-
-func comparisonSeries(metric int) []string {
-	s := []string{"Octopus", "Eclipse-Based", "UB"}
-	if metric == metricDelivered {
-		s = append(s, "AbsoluteUB")
-	}
-	return s
-}
-
-func comparisonTable(sc Scale, id, title, xlabel string, metric int, xs []float64, cases []sweepCase) (*Table, error) {
-	t := &Table{
-		ID: id, Title: title, XLabel: xlabel,
-		YLabel: map[int]string{
-			metricDelivered:      "% packets delivered",
-			metricUtilization:    "% link utilization",
-			metricDeliveredOfPsi: "packets delivered as % of ψ",
-		}[metric],
-		Series: comparisonSeries(metric),
-	}
-	for i, c := range cases {
-		vals, err := averagePoint(sc, int64(i)+1, len(t.Series), runComparison(sc, c, metric))
+			return f.measure(sc, in, rng)
+		})
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, Row{X: xs[i], Values: vals})
+		t.Rows = append(t.Rows, Row{X: float64(x), Values: vals})
 	}
 	return t, nil
 }
 
-func nodeCases(sc Scale) ([]float64, []sweepCase) {
-	var xs []float64
-	var cases []sweepCase
-	for _, n := range sc.NodeSweep {
-		xs = append(xs, float64(n))
-		cases = append(cases, sweepCase{nodes: n, window: sc.Window, delta: sc.Delta})
-	}
-	return xs, cases
-}
-
-func deltaCases(sc Scale) ([]float64, []sweepCase) {
-	var xs []float64
-	var cases []sweepCase
-	for _, d := range sc.DeltaSweep {
-		xs = append(xs, float64(d))
-		cases = append(cases, sweepCase{nodes: sc.Nodes, window: sc.Window, delta: d})
-	}
-	return xs, cases
-}
-
-func skewCases(sc Scale) ([]float64, []sweepCase) {
-	var xs []float64
-	var cases []sweepCase
-	for _, s := range sc.SkewSweep {
-		s := s
-		xs = append(xs, float64(s))
-		cases = append(cases, sweepCase{
-			nodes: sc.Nodes, window: sc.Window, delta: sc.Delta,
-			mutate: func(p *traffic.SyntheticParams) {
-				total := p.CL + p.CS
-				p.CS = total * s / 100
-				p.CL = total - p.CS
-			},
-		})
-	}
-	return xs, cases
-}
-
-func sparsityCases(sc Scale) ([]float64, []sweepCase) {
-	var xs []float64
-	var cases []sweepCase
-	for _, fl := range sc.SparsitySweep {
-		fl := fl
-		xs = append(xs, float64(fl))
-		cases = append(cases, sweepCase{
-			nodes: sc.Nodes, window: sc.Window, delta: sc.Delta,
-			mutate: func(p *traffic.SyntheticParams) {
-				p.NL = maxInt(1, fl/4)
-				p.NS = maxInt(1, fl-fl/4)
-			},
-		})
-	}
-	return xs, cases
-}
-
-// Fig4a: packets delivered (%) for varying number of nodes.
-func Fig4a(sc Scale) (*Table, error) {
-	xs, cases := nodeCases(sc)
-	return comparisonTable(sc, "4a", "Packets delivered for varying number of nodes", "nodes", metricDelivered, xs, cases)
-}
-
-// Fig4b: packets delivered (%) for varying reconfiguration delay.
-func Fig4b(sc Scale) (*Table, error) {
-	xs, cases := deltaCases(sc)
-	return comparisonTable(sc, "4b", "Packets delivered for varying reconfiguration delay", "delta", metricDelivered, xs, cases)
-}
-
-// Fig4c: packets delivered (%) for varying traffic skew (c_S as a
-// percentage of c_S + c_L).
-func Fig4c(sc Scale) (*Table, error) {
-	xs, cases := skewCases(sc)
-	return comparisonTable(sc, "4c", "Packets delivered for varying traffic skew", "cS%", metricDelivered, xs, cases)
-}
-
-// Fig4d: packets delivered (%) for varying traffic sparsity (n_L + n_S).
-func Fig4d(sc Scale) (*Table, error) {
-	xs, cases := sparsityCases(sc)
-	return comparisonTable(sc, "4d", "Packets delivered for varying traffic sparsity", "flows/port", metricDelivered, xs, cases)
-}
-
-// Fig5a-d: link utilization (%) over the same four sweeps.
-func Fig5a(sc Scale) (*Table, error) {
-	xs, cases := nodeCases(sc)
-	return comparisonTable(sc, "5a", "Link utilization for varying number of nodes", "nodes", metricUtilization, xs, cases)
-}
-
-// Fig5b: link utilization (%) for varying reconfiguration delay.
-func Fig5b(sc Scale) (*Table, error) {
-	xs, cases := deltaCases(sc)
-	return comparisonTable(sc, "5b", "Link utilization for varying reconfiguration delay", "delta", metricUtilization, xs, cases)
-}
-
-// Fig5c: link utilization (%) for varying traffic skew.
-func Fig5c(sc Scale) (*Table, error) {
-	xs, cases := skewCases(sc)
-	return comparisonTable(sc, "5c", "Link utilization for varying traffic skew", "cS%", metricUtilization, xs, cases)
-}
-
-// Fig5d: link utilization (%) for varying traffic sparsity.
-func Fig5d(sc Scale) (*Table, error) {
-	xs, cases := sparsityCases(sc)
-	return comparisonTable(sc, "5d", "Link utilization for varying traffic sparsity", "flows/port", metricUtilization, xs, cases)
-}
-
-// Fig6: packets delivered (%) over trace-like loads standing in for the
-// Facebook (Hadoop, web, database) and Microsoft traces.
-func Fig6(sc Scale) (*Table, error) {
-	t := &Table{
-		ID: "6", Title: "Performance over datacenter trace-like loads",
-		XLabel: "trace", YLabel: "% packets delivered",
-		Series: []string{"Octopus", "Eclipse-Based", "UB", "AbsoluteUB"},
-	}
-	kinds := []traffic.TraceKind{traffic.FBHadoop, traffic.FBWeb, traffic.FBDatabase, traffic.MSHeatmap}
-	for i, kind := range kinds {
-		kind := kind
-		vals, err := averagePoint(sc, int64(i)+1, 4, func(rng *rand.Rand) ([]float64, error) {
-			g := graph.Complete(sc.Nodes)
-			load, err := traffic.TraceLike(g, kind, sc.Window, traffic.SyntheticParams{}, rng)
-			if err != nil {
-				return nil, err
-			}
-			ap := sc.params()
-			oct, err := run("octopus", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			ecl, err := run("eclipse-based", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			ub, err := run("ub", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			abs := absUB(load, sc.Window, sc.Nodes)
-			return []float64{oct.delivered * 100, ecl.delivered * 100, ub.delivered * 100, abs * 100}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{X: float64(i + 1), Values: vals})
-	}
-	return t, nil
-}
-
-// Fig7a: packets delivered as a percentage of the objective value ψ, for
-// varying reconfiguration delay.
-func Fig7a(sc Scale) (*Table, error) {
-	xs, cases := deltaCases(sc)
-	return comparisonTable(sc, "7a", "Packets delivered as percentage of ψ vs reconfiguration delay", "delta", metricDeliveredOfPsi, xs, cases)
-}
-
-// Fig7b: Octopus-e vs Octopus vs UB for uniform route lengths 1..3.
-func Fig7b(sc Scale) (*Table, error) {
-	t := &Table{
-		ID: "7b", Title: "Octopus-e for varying average hop count",
-		XLabel: "route hops", YLabel: "% packets delivered",
-		Series: []string{"Octopus", "Octopus-e", "UB"},
-	}
-	for i, hops := range sc.HopSweep {
-		hops := hops
-		vals, err := averagePoint(sc, int64(i)+1, 3, func(rng *rand.Rand) ([]float64, error) {
-			g := graph.Complete(sc.Nodes)
-			p := traffic.DefaultSyntheticParams(sc.Nodes, sc.Window)
-			p.FixedHops = hops
-			load, err := traffic.Synthetic(g, p, rng)
-			if err != nil {
-				return nil, err
-			}
-			ap := sc.params()
-			oct, err := run("octopus", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			// octopus-e defaults the later-hop bonus to eps64=4 (ε = 1/16).
-			octE, err := run("octopus-e", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			ub, err := run("ub", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{oct.delivered * 100, octE.delivered * 100, ub.delivered * 100}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{X: float64(hops), Values: vals})
-	}
-	return t, nil
-}
-
-// Fig8: Octopus vs the traffic-agnostic RotorNet schedule: packets
-// delivered and link utilization for varying reconfiguration delay.
-func Fig8(sc Scale) (*Table, error) {
-	t := &Table{
-		ID: "8", Title: "Octopus vs RotorNet",
-		XLabel: "delta", YLabel: "% (delivered and utilization)",
-		Series: []string{"Octopus del%", "RotorNet del%", "Octopus util%", "RotorNet util%"},
-	}
-	for i, d := range sc.DeltaSweep {
-		d := d
-		vals, err := averagePoint(sc, int64(i)+1, 4, func(rng *rand.Rand) ([]float64, error) {
-			g := graph.Complete(sc.Nodes)
-			load, err := traffic.Synthetic(g, traffic.DefaultSyntheticParams(sc.Nodes, sc.Window), rng)
-			if err != nil {
-				return nil, err
-			}
-			ap := sc.params()
-			ap.Delta = d
-			oct, err := run("octopus", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			rot, err := run("rotornet", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{oct.delivered * 100, rot.delivered * 100, oct.utilization * 100, rot.utilization * 100}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{X: float64(d), Values: vals})
-	}
-	return t, nil
-}
-
-// Fig9a: Octopus-B (binary search over α) vs Octopus for varying
-// reconfiguration delay.
-func Fig9a(sc Scale) (*Table, error) {
-	t := &Table{
-		ID: "9a", Title: "Octopus-B vs Octopus",
-		XLabel: "delta", YLabel: "% packets delivered",
-		Series: []string{"Octopus", "Octopus-B"},
-	}
-	for i, d := range sc.DeltaSweep {
-		d := d
-		vals, err := averagePoint(sc, int64(i)+1, 2, func(rng *rand.Rand) ([]float64, error) {
-			g := graph.Complete(sc.Nodes)
-			load, err := traffic.Synthetic(g, traffic.DefaultSyntheticParams(sc.Nodes, sc.Window), rng)
-			if err != nil {
-				return nil, err
-			}
-			ap := sc.params()
-			ap.Delta = d
-			oct, err := run("octopus", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			octB, err := run("octopus-b", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{oct.delivered * 100, octB.delivered * 100}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{X: float64(d), Values: vals})
-	}
-	return t, nil
-}
-
-// Fig9b: the MHS problem with multiple routes per flow: Octopus+ vs
-// Octopus-random (random route per flow, then plain Octopus), with 10
-// route choices of 1-3 hops per flow.
-func Fig9b(sc Scale) (*Table, error) {
-	t := &Table{
-		ID: "9b", Title: "Octopus+ vs Octopus-random (10 routes per flow)",
-		XLabel: "delta", YLabel: "% packets delivered",
-		Series: []string{"Octopus+", "Octopus-random"},
-	}
-	for i, d := range sc.DeltaSweep {
-		d := d
-		vals, err := averagePoint(sc, int64(i)+1, 2, func(rng *rand.Rand) ([]float64, error) {
-			g := graph.Complete(sc.Nodes)
-			p := traffic.DefaultSyntheticParams(sc.Nodes, sc.Window)
-			p.RouteChoices = 10
-			load, err := traffic.Synthetic(g, p, rng)
-			if err != nil {
-				return nil, err
-			}
-			ap := sc.params()
-			ap.Delta = d
-			plus, err := run("octopus-plus", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			// Octopus-random pins one random route per flow from the shared
-			// instance stream.
-			apR := ap
-			apR.Rng = rng
-			rnd, err := run("octopus-random", g, load, apR)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{plus.delivered * 100, rnd.delivered * 100}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{X: float64(d), Values: vals})
-	}
-	return t, nil
-}
-
-// Fig10a: execution time of a single scheduler iteration for increasing
-// network size, Octopus (exact matching) vs Octopus-G (greedy matching),
-// in microseconds.
-func Fig10a(sc Scale) (*Table, error) {
-	t := &Table{
-		ID: "10a", Title: "Per-iteration execution time vs network size",
-		XLabel: "nodes", YLabel: "microseconds per iteration",
-		Series: []string{"Octopus", "Octopus-G"},
-	}
-	for i, n := range sc.TimeNodeSweep {
-		n := n
-		vals, err := averagePoint(sc, int64(i)+1, 2, func(rng *rand.Rand) ([]float64, error) {
-			g := graph.Complete(n)
-			load, err := traffic.Synthetic(g, traffic.DefaultSyntheticParams(n, sc.Window), rng)
-			if err != nil {
-				return nil, err
-			}
-			exact, err := iterationTime(g, load, core.Options{Window: sc.Window, Delta: sc.Delta, Matcher: core.MatcherExact})
-			if err != nil {
-				return nil, err
-			}
-			greedy, err := iterationTime(g, load, core.Options{Window: sc.Window, Delta: sc.Delta, Matcher: core.MatcherGreedy})
-			if err != nil {
-				return nil, err
-			}
-			return []float64{float64(exact.Microseconds()), float64(greedy.Microseconds())}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{X: float64(n), Values: vals})
-	}
-	return t, nil
-}
-
-// iterationTime measures the wall time of the scheduler's first greedy
-// iteration (the practically significant cost per §4.1: iterations are
-// computed while the previous configuration is being served).
-func iterationTime(g *graph.Digraph, load *traffic.Load, opt core.Options) (time.Duration, error) {
-	s, err := core.New(g, load, opt)
+// measure builds the instance and runs each series' algorithm on it, in
+// series order. rng is the instance stream: the load is drawn from it
+// first, then octopus-random — the only algorithm that draws — pins its
+// routes from it.
+func (f *figure) measure(sc Scale, in instance, rng *rand.Rand) ([]float64, error) {
+	g, load, err := in.build(rng)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	start := time.Now()
-	if _, _, err := s.Step(); err != nil {
-		return 0, err
+	base := algo.Params{Window: in.window, Delta: in.delta, Ports: in.ports, Matcher: sc.Matcher, Rng: rng}
+	outs := make(map[string]*algo.Outcome) // a spec two series share (Fig 8) runs once
+	vals := make([]float64, len(f.series))
+	for i, s := range f.series {
+		if s.bound != nil {
+			vals[i] = s.bound(in, load)
+			continue
+		}
+		spec := s.specAt(in.x)
+		out := outs[spec]
+		if out == nil {
+			a, p, err := algo.ParseSpec(spec, base)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: figure %s: %w", f.id, err)
+			}
+			if out, err = a.Run(g, load, p); err != nil {
+				return nil, err
+			}
+			outs[spec] = out
+		}
+		vals[i] = s.pick(out)
 	}
-	return time.Since(start), nil
+	return vals, nil
 }
 
-// Fig10b: packets delivered for varying reconfiguration delay at the
-// largest sweep size, Octopus vs Octopus-G.
-func Fig10b(sc Scale) (*Table, error) {
-	n := sc.TimeNodeSweep[len(sc.TimeNodeSweep)-1]
-	t := &Table{
-		ID: "10b", Title: "Octopus vs Octopus-G at large scale",
-		XLabel: "delta", YLabel: "% packets delivered",
-		Series: []string{"Octopus", "Octopus-G"},
+// The metrics the figures plot, as percentages.
+func delivered(o *algo.Outcome) float64   { return o.DeliveredFraction() * 100 }
+func utilization(o *algo.Outcome) float64 { return o.Utilization() * 100 }
+func ofPsi(o *algo.Outcome) float64       { return o.DeliveredOfPsi() * 100 }
+
+// absoluteUB is the capacity bound no schedule can beat: each node sends
+// and receives at most one packet per port and slot.
+var absoluteUB = series{label: "AbsoluteUB", bound: func(in instance, load *traffic.Load) float64 {
+	total := load.TotalPackets()
+	if total == 0 {
+		return 0
 	}
-	for i, d := range sc.DeltaSweep {
-		d := d
-		vals, err := averagePoint(sc, int64(i)+1, 2, func(rng *rand.Rand) ([]float64, error) {
-			g := graph.Complete(n)
-			load, err := traffic.Synthetic(g, traffic.DefaultSyntheticParams(n, sc.Window), rng)
-			if err != nil {
-				return nil, err
-			}
-			ap := sc.params()
-			ap.Delta, ap.Matcher = d, core.MatcherExact
-			oct, err := run("octopus", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			gre, err := run("octopus-g", g, load, ap)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{oct.delivered * 100, gre.delivered * 100}, nil
-		})
+	return float64(baseline.AbsoluteUpperBound(load, in.window*max(1, in.ports), in.nodes)) / float64(total) * 100
+}}
+
+// comparison is the Fig 4/5/7a roster: Octopus against the Eclipse-based
+// baseline and the UB bound.
+func comparison(pick func(*algo.Outcome) float64, more ...series) []series {
+	return append([]series{
+		{label: "Octopus", spec: "octopus", pick: pick},
+		{label: "Eclipse-Based", spec: "eclipse-based", pick: pick},
+		{label: "UB", spec: "ub", pick: pick},
+	}, more...)
+}
+
+// labels builds the series of a figure whose values come from figure.point.
+func labels(names ...string) []series {
+	out := make([]series, len(names))
+	for i, n := range names {
+		out[i].label = n
+	}
+	return out
+}
+
+// Sweeps.
+func nodeSweep(sc Scale) []int     { return sc.NodeSweep }
+func deltaSweep(sc Scale) []int    { return sc.DeltaSweep }
+func skewSweep(sc Scale) []int     { return sc.SkewSweep }
+func sparsitySweep(sc Scale) []int { return sc.SparsitySweep }
+func hopSweep(sc Scale) []int      { return sc.HopSweep }
+func timeNodeSweep(sc Scale) []int { return sc.TimeNodeSweep }
+func fixed(xs ...int) func(Scale) []int {
+	return func(Scale) []int { return xs }
+}
+
+// Instance overlays.
+func byNodes(_ Scale, in *instance) { in.nodes = in.x }
+func byDelta(_ Scale, in *instance) { in.delta = in.x }
+
+// bySkew sets c_S to x% of c_S + c_L.
+func bySkew(_ Scale, in *instance) {
+	in.synth = func(p *traffic.SyntheticParams) {
+		total := p.CL + p.CS
+		p.CS = total * in.x / 100
+		p.CL = total - p.CS
+	}
+}
+
+// bySparsity spreads x flows per port over large and small at 1:3.
+func bySparsity(_ Scale, in *instance) {
+	in.synth = func(p *traffic.SyntheticParams) {
+		p.NL = max(1, in.x/4)
+		p.NS = max(1, in.x-in.x/4)
+	}
+}
+
+// byHops forces every flow onto a route of exactly x hops.
+func byHops(_ Scale, in *instance) {
+	in.synth = func(p *traffic.SyntheticParams) { p.FixedHops = in.x }
+}
+
+// tenRoutesByDelta is the §6 multi-route setting: 10 route choices of 1-3
+// hops per flow, swept over Δ.
+func tenRoutesByDelta(_ Scale, in *instance) {
+	in.delta = in.x
+	in.synth = func(p *traffic.SyntheticParams) { p.RouteChoices = 10 }
+}
+
+// figures is the one table: the 16 figures of the paper's §8, then the
+// extensions — ablations of design choices DESIGN.md calls out and the §7
+// variants the paper describes but does not plot.
+var figures = []figure{
+	// Fig 4/5: packets delivered and link utilization over four sweeps
+	// (nodes, reconfiguration delay, skew, sparsity).
+	{id: "4a", title: "Packets delivered for varying number of nodes",
+		xlabel: "nodes", ylabel: "% packets delivered",
+		xs: nodeSweep, at: byNodes, series: comparison(delivered, absoluteUB)},
+	{id: "4b", title: "Packets delivered for varying reconfiguration delay",
+		xlabel: "delta", ylabel: "% packets delivered",
+		xs: deltaSweep, at: byDelta, series: comparison(delivered, absoluteUB)},
+	{id: "4c", title: "Packets delivered for varying traffic skew",
+		xlabel: "cS%", ylabel: "% packets delivered",
+		xs: skewSweep, at: bySkew, series: comparison(delivered, absoluteUB)},
+	{id: "4d", title: "Packets delivered for varying traffic sparsity",
+		xlabel: "flows/port", ylabel: "% packets delivered",
+		xs: sparsitySweep, at: bySparsity, series: comparison(delivered, absoluteUB)},
+	{id: "5a", title: "Link utilization for varying number of nodes",
+		xlabel: "nodes", ylabel: "% link utilization",
+		xs: nodeSweep, at: byNodes, series: comparison(utilization)},
+	{id: "5b", title: "Link utilization for varying reconfiguration delay",
+		xlabel: "delta", ylabel: "% link utilization",
+		xs: deltaSweep, at: byDelta, series: comparison(utilization)},
+	{id: "5c", title: "Link utilization for varying traffic skew",
+		xlabel: "cS%", ylabel: "% link utilization",
+		xs: skewSweep, at: bySkew, series: comparison(utilization)},
+	{id: "5d", title: "Link utilization for varying traffic sparsity",
+		xlabel: "flows/port", ylabel: "% link utilization",
+		xs: sparsitySweep, at: bySparsity, series: comparison(utilization)},
+
+	{id: "6", title: "Performance over datacenter trace-like loads",
+		xlabel: "trace", ylabel: "% packets delivered",
+		xs: fixed(1, 2, 3, 4), at: func(_ Scale, in *instance) { in.trace = in.x },
+		series: comparison(delivered, absoluteUB)},
+
+	{id: "7a", title: "Packets delivered as percentage of ψ vs reconfiguration delay",
+		xlabel: "delta", ylabel: "packets delivered as % of ψ",
+		xs: deltaSweep, at: byDelta, series: comparison(ofPsi)},
+	// octopus-e defaults the later-hop bonus to eps64=4 (ε = 1/16).
+	{id: "7b", title: "Octopus-e for varying average hop count",
+		xlabel: "route hops", ylabel: "% packets delivered",
+		xs: hopSweep, at: byHops, series: []series{
+			{label: "Octopus", spec: "octopus", pick: delivered},
+			{label: "Octopus-e", spec: "octopus-e", pick: delivered},
+			{label: "UB", spec: "ub", pick: delivered},
+		}},
+
+	// Octopus against the traffic-agnostic RotorNet schedule.
+	{id: "8", title: "Octopus vs RotorNet",
+		xlabel: "delta", ylabel: "% (delivered and utilization)",
+		xs: deltaSweep, at: byDelta, series: []series{
+			{label: "Octopus del%", spec: "octopus", pick: delivered},
+			{label: "RotorNet del%", spec: "rotornet", pick: delivered},
+			{label: "Octopus util%", spec: "octopus", pick: utilization},
+			{label: "RotorNet util%", spec: "rotornet", pick: utilization},
+		}},
+
+	// Octopus-B binary-searches α instead of trying every candidate.
+	{id: "9a", title: "Octopus-B vs Octopus",
+		xlabel: "delta", ylabel: "% packets delivered",
+		xs: deltaSweep, at: byDelta, series: []series{
+			{label: "Octopus", spec: "octopus", pick: delivered},
+			{label: "Octopus-B", spec: "octopus-b", pick: delivered},
+		}},
+	// Octopus-random pins one random route per flow, then runs plain Octopus.
+	{id: "9b", title: "Octopus+ vs Octopus-random (10 routes per flow)",
+		xlabel: "delta", ylabel: "% packets delivered",
+		xs: deltaSweep, at: tenRoutesByDelta, series: []series{
+			{label: "Octopus+", spec: "octopus-plus", pick: delivered},
+			{label: "Octopus-random", spec: "octopus-random", pick: delivered},
+		}},
+
+	{id: "10a", title: "Per-iteration execution time vs network size",
+		xlabel: "nodes", ylabel: "microseconds per iteration",
+		xs: timeNodeSweep, at: byNodes,
+		series: labels("Octopus", "Octopus-G"), point: iterationTimes},
+	// Exact against greedy matching at the largest timing size.
+	{id: "10b", title: "Octopus vs Octopus-G at large scale",
+		xlabel: "delta", ylabel: "% packets delivered",
+		xs: deltaSweep,
+		at: func(sc Scale, in *instance) {
+			in.nodes, in.delta = sc.TimeNodeSweep[len(sc.TimeNodeSweep)-1], in.x
+		},
+		series: []series{
+			{label: "Octopus", spec: "octopus:matcher=exact", pick: delivered},
+			{label: "Octopus-G", spec: "octopus-g", pick: delivered},
+		}},
+
+	// Both one-hop-decomposition baselines: Eclipse-Based and a
+	// Solstice-style BvN decomposition.
+	{id: "ext-solstice", title: "Octopus vs one-hop decomposition baselines",
+		xlabel: "delta", ylabel: "% packets delivered",
+		xs: deltaSweep, at: byDelta, series: []series{
+			{label: "Octopus", spec: "octopus", pick: delivered},
+			{label: "Eclipse-Based", spec: "eclipse-based", pick: delivered},
+			{label: "Solstice-Based", spec: "solstice", pick: delivered},
+		}},
+	// Each configuration is a union of up to K edge-disjoint matchings;
+	// the capacity bound scales with the port count.
+	{id: "ext-ports", title: "K ports per node (§7)",
+		xlabel: "ports", ylabel: "% packets delivered",
+		xs: fixed(1, 2, 4), at: func(_ Scale, in *instance) { in.ports = in.x },
+		series: []series{{label: "Octopus", spec: "octopus", pick: delivered}, absoluteUB}},
+	// x is the load intensity: the synthetic load is sized for x% of W.
+	{id: "ext-makespan", title: "Makespan minimization (§7)",
+		xlabel: "load%", ylabel: "slots",
+		xs: fixed(25, 50, 100), at: func(_ Scale, in *instance) { in.window = in.window * in.x / 100 },
+		series: labels("Octopus makespan", "per-port lower bound"), point: makespan},
+	// With the paper's general multi-route loads, backtracking is what
+	// guarantees the approximation bound; this measures what it buys.
+	{id: "ext-backtrack", title: "Octopus+ backtracking ablation (§6)",
+		xlabel: "delta", ylabel: "% packets delivered (plan)",
+		xs: deltaSweep, at: tenRoutesByDelta, series: []series{
+			{label: "Octopus+", spec: "octopus-plus", pick: delivered},
+			{label: "Octopus+ no-backtrack", spec: "octopus-plus:backtrack=false", pick: delivered},
+			{label: "Octopus-random", spec: "octopus-random", pick: delivered},
+		}},
+	// The two realizations of the Eclipse-Based baseline: fixed-route VOQ
+	// replay (the default, measured by the same simulator as everything
+	// else) vs the Eclipse++ time-expanded re-routing of [36].
+	{id: "ext-eclipsepp", title: "Eclipse-Based realizations: VOQ replay vs Eclipse++ re-routing",
+		xlabel: "delta", ylabel: "% packets delivered",
+		xs: deltaSweep, at: byDelta, series: []series{
+			{label: "Octopus", spec: "octopus", pick: delivered},
+			{label: "Eclipse-Based (replay)", spec: "eclipse-based", pick: delivered},
+			{label: "Eclipse-Based (Eclipse++)", spec: "eclipse-pp", pick: delivered},
+		}},
+	{id: "ext-buffers", title: "Peak intermediate buffering vs route length",
+		xlabel: "route hops", ylabel: "packets buffered (peak)",
+		xs: hopSweep, at: byHops,
+		series: labels("max per node", "max total", "delivered%"), point: peakBuffers},
+	// Offline window planning against the queue-state-driven MaxWeight
+	// policy of [37], without and with reconfiguration hysteresis
+	// (maxweight holds each matching for the online default of 10·Δ).
+	{id: "ext-adaptive", title: "Offline window planning vs queue-state MaxWeight",
+		xlabel: "delta", ylabel: "% packets delivered",
+		xs: deltaSweep, at: byDelta, series: []series{
+			{label: "Octopus", spec: "octopus", pick: delivered},
+			{label: "MaxWeight", spec: "maxweight", pick: delivered},
+			{label: "MaxWeight hys=1.5", spec: "maxweight:hys64=96", pick: delivered},
+		}},
+	// ε in 1/64 units on Fig 7b's hardest setting. Plain octopus honors
+	// eps64 directly, so 0 stays the no-bonus baseline (octopus-e would
+	// default 0 to 4).
+	{id: "ext-epsilon", title: "Octopus-e ε sensitivity (uniform 3-hop routes)",
+		xlabel: "eps64", ylabel: "% packets delivered",
+		xs: fixed(0, 2, 4, 8, 16, 32, 64),
+		at: func(sc Scale, in *instance) {
+			hops := sc.HopSweep[len(sc.HopSweep)-1]
+			in.synth = func(p *traffic.SyntheticParams) { p.FixedHops = hops }
+		},
+		series: []series{
+			{label: "Octopus-e", spec: "octopus:eps64=%d", pick: delivered},
+			{label: "UB", spec: "ub", pick: delivered},
+		}},
+	{id: "ext-redundancy", title: "Proactive multipath redundancy vs reactive repair under correlated failures",
+		xlabel: "k", ylabel: "% unique packets delivered (PsiOverhead: ratio)",
+		xs:     fixed(1, 2, 3),
+		series: labels("None", "ReactiveOnly", "ProactiveOnly", "Both", "BothOnTime", "PsiOverhead"), point: redundancyShowdown},
+}
+
+// iterationTimes is Fig 10a: the wall time in microseconds of the
+// scheduler's first greedy iteration (the practically significant cost per
+// §4.1: iterations are computed while the previous configuration is being
+// served), with exact and with greedy matching.
+func iterationTimes(_ Scale, in instance, rng *rand.Rand) ([]float64, error) {
+	g, load, err := in.build(rng)
+	if err != nil {
+		return nil, err
+	}
+	var vals []float64
+	for _, m := range []core.Matcher{core.MatcherExact, core.MatcherGreedy} {
+		s, err := core.New(g, load, core.Options{Window: in.window, Delta: in.delta, Matcher: m})
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, Row{X: float64(d), Values: vals})
+		start := time.Now()
+		if _, _, err := s.Step(); err != nil {
+			return nil, err
+		}
+		vals = append(vals, float64(time.Since(start).Microseconds()))
 	}
-	return t, nil
+	return vals, nil
+}
+
+// makespan solves the §7 makespan-minimization problem and reports the
+// minimal full-service window against a trivial lower bound: the busiest
+// output port must emit its packets one per slot, plus one
+// reconfiguration.
+func makespan(sc Scale, in instance, rng *rand.Rand) ([]float64, error) {
+	g, load, err := in.build(rng)
+	if err != nil {
+		return nil, err
+	}
+	w, _, err := hybrid.Makespan(g, load, core.Options{Delta: in.delta, Matcher: sc.Matcher})
+	if err != nil {
+		return nil, err
+	}
+	perPort := make(map[int]int)
+	lb := 0
+	for _, f := range load.Flows {
+		perPort[f.Src] += f.Size
+		lb = max(lb, perPort[f.Src])
+	}
+	return []float64{float64(w), float64(lb + in.delta)}, nil
+}
+
+// peakBuffers quantifies the in-network buffering multi-hop circuit
+// scheduling requires: the peak per-node and aggregate packets parked at
+// intermediate nodes under an Octopus schedule.
+func peakBuffers(sc Scale, in instance, rng *rand.Rand) ([]float64, error) {
+	g, load, err := in.build(rng)
+	if err != nil {
+		return nil, err
+	}
+	s, err := core.New(g, load, core.Options{Window: in.window, Delta: in.delta, Matcher: sc.Matcher})
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.Run()
+	if err != nil {
+		return nil, err
+	}
+	sim, err := simulate.Run(g, load, res.Schedule, simulate.Options{Window: in.window, TrackBuffers: true})
+	if err != nil {
+		return nil, err
+	}
+	return []float64{float64(sim.MaxNodeBuffer), float64(sim.MaxTotalBuffer), sim.DeliveredFraction() * 100}, nil
 }

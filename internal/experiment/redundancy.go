@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"octopus/internal/core"
 	"octopus/internal/engine"
@@ -36,9 +37,9 @@ const (
 //go:embed testdata/redundancy/trace*.json
 var redTraceFS embed.FS
 
-// redTraces parses the committed correlated-failure traces, sorted by file
-// name so the per-instance choice is deterministic.
-func redTraces() ([]*fault.Trace, error) {
+// redTraces parses the committed correlated-failure traces once, sorted by
+// file name so the per-instance choice is deterministic.
+var redTraces = sync.OnceValues(func() ([]*fault.Trace, error) {
 	entries, err := redTraceFS.ReadDir("testdata/redundancy")
 	if err != nil {
 		return nil, err
@@ -64,7 +65,7 @@ func redTraces() ([]*fault.Trace, error) {
 		return nil, fmt.Errorf("experiment: no committed redundancy traces")
 	}
 	return traces, nil
-}
+})
 
 // redArm runs one arm of the showdown: the arrivals (all at slot 0) under
 // one committed failure trace, with or without proactive copies (red) and
@@ -99,74 +100,59 @@ func onTimeFraction(res *online.Result) float64 {
 	return float64(onTime) / float64(res.UniqueSubmitted)
 }
 
-// ExtRedundancy is the proactive-vs-reactive fault showdown: the same
+// redundancyShowdown is the proactive-vs-reactive fault showdown: the same
 // synthetic load on the same degraded fabric under four protection arms —
 // no protection, reactive repair only, proactive k-disjoint copies only,
-// and both — replayed over committed correlated-failure traces. Rows sweep
-// the copy count k; the last series reports the ψ cost of proactive
-// protection as the overhead of "both" relative to reactive-only. At k=1
-// proactive provisioning is the identity, so the first row doubles as a
-// live check that the arms collapse pairwise.
-func ExtRedundancy(sc Scale) (*Table, error) {
+// and both — replayed over committed correlated-failure traces. The sweep
+// value is the copy count k; the last series reports the ψ cost of
+// proactive protection as the overhead of "both" relative to
+// reactive-only. At k=1 proactive provisioning is the identity, so the
+// first row doubles as a live check that the arms collapse pairwise.
+func redundancyShowdown(sc Scale, in instance, rng *rand.Rand) ([]float64, error) {
 	traces, err := redTraces()
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		ID: "ext-redundancy", Title: "Proactive multipath redundancy vs reactive repair under correlated failures",
-		XLabel: "k", YLabel: "% unique packets delivered (PsiOverhead: ratio)",
-		Series: []string{"None", "ReactiveOnly", "ProactiveOnly", "Both", "BothOnTime", "PsiOverhead"},
+	tr := traces[rng.Intn(len(traces))]
+	g := graph.ChordRing(redNodes, 2, 5)
+	load, err := traffic.Synthetic(g, traffic.DefaultSyntheticParams(redNodes, redLoadWindow), rng)
+	if err != nil {
+		return nil, err
 	}
-	for _, k := range []int{1, 2, 3} {
-		k := k
-		vals, err := averagePoint(sc, int64(k), 6, func(rng *rand.Rand) ([]float64, error) {
-			tr := traces[rng.Intn(len(traces))]
-			g := graph.ChordRing(redNodes, 2, 5)
-			load, err := traffic.Synthetic(g, traffic.DefaultSyntheticParams(redNodes, redLoadWindow), rng)
-			if err != nil {
-				return nil, err
-			}
-			// Provision the proactive arms: largest-half flows get up to k
-			// pairwise edge-disjoint route copies, expanded into per-copy
-			// flows tied together by the redundancy group map.
-			prov := load.Clone()
-			traffic.MarkCritical(prov, redCritFrac)
-			prov = traffic.Redundant(g, prov, k, redStretch)
-			expanded, red := traffic.ExpandRedundant(prov)
+	// Provision the proactive arms: largest-half flows get up to k
+	// pairwise edge-disjoint route copies, expanded into per-copy flows
+	// tied together by the redundancy group map.
+	prov := load.Clone()
+	traffic.MarkCritical(prov, redCritFrac)
+	prov = traffic.Redundant(g, prov, in.x, redStretch)
+	expanded, red := traffic.ExpandRedundant(prov)
 
-			none, err := redArm(g, load, tr, sc.Matcher, nil, false)
-			if err != nil {
-				return nil, err
-			}
-			reactive, err := redArm(g, load, tr, sc.Matcher, nil, true)
-			if err != nil {
-				return nil, err
-			}
-			proactive, err := redArm(g, expanded, tr, sc.Matcher, red, false)
-			if err != nil {
-				return nil, err
-			}
-			both, err := redArm(g, expanded, tr, sc.Matcher, red, true)
-			if err != nil {
-				return nil, err
-			}
-			overhead := 1.0
-			if reactive.Psi > 0 {
-				overhead = float64(both.Psi) / float64(reactive.Psi)
-			}
-			return []float64{
-				none.UniqueDeliveredFraction() * 100,
-				reactive.UniqueDeliveredFraction() * 100,
-				proactive.UniqueDeliveredFraction() * 100,
-				both.UniqueDeliveredFraction() * 100,
-				onTimeFraction(both) * 100,
-				overhead,
-			}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{X: float64(k), Values: vals})
+	none, err := redArm(g, load, tr, sc.Matcher, nil, false)
+	if err != nil {
+		return nil, err
 	}
-	return t, nil
+	reactive, err := redArm(g, load, tr, sc.Matcher, nil, true)
+	if err != nil {
+		return nil, err
+	}
+	proactive, err := redArm(g, expanded, tr, sc.Matcher, red, false)
+	if err != nil {
+		return nil, err
+	}
+	both, err := redArm(g, expanded, tr, sc.Matcher, red, true)
+	if err != nil {
+		return nil, err
+	}
+	overhead := 1.0
+	if reactive.Psi > 0 {
+		overhead = float64(both.Psi) / float64(reactive.Psi)
+	}
+	return []float64{
+		none.UniqueDeliveredFraction() * 100,
+		reactive.UniqueDeliveredFraction() * 100,
+		proactive.UniqueDeliveredFraction() * 100,
+		both.UniqueDeliveredFraction() * 100,
+		onTimeFraction(both) * 100,
+		overhead,
+	}, nil
 }

@@ -10,7 +10,7 @@ import "testing"
 // collapse pairwise.
 func TestExtRedundancyShowdown(t *testing.T) {
 	sc := tiny()
-	tab, err := ExtRedundancy(sc)
+	tab, err := Run("ext-redundancy", sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package obs is the scheduler observability layer: a lightweight,
-// allocation-conscious instrumentation core (counters, gauges, histograms,
-// span timers) plus two sinks — a Prometheus-text / expvar snapshot
-// exporter and a JSONL decision-trace writer.
+// allocation-conscious instrumentation core (counters, gauges, histograms
+// and the spans they time) plus two sinks — a Prometheus-text / expvar
+// snapshot exporter and a JSONL decision-trace writer.
 //
 // The design rule is that instrumentation is free when it is off: every
 // instrument is used through a pointer whose nil value is a valid no-op, so
@@ -98,6 +98,12 @@ type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
+
+	// seconds marks a histogram of nanosecond durations that exports its
+	// bucket bounds and sum as float seconds, so it can honestly carry a
+	// Prometheus `_seconds` name while storage stays integer. Set once, by
+	// Registry.Duration.
+	seconds bool
 }
 
 // Observe records one value.
@@ -178,85 +184,28 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return math.MaxInt64
 }
 
-// Timer is a span timer over a histogram of nanosecond durations. The nil
-// *Timer is a no-op: Start on a nil timer returns a Span whose End does
-// nothing and, critically, never calls time.Now.
-type Timer struct {
-	h Histogram
-}
-
-// Span is one in-flight timed region; obtain it from Timer.Start.
+// Span is one in-flight timed region; obtain it from Histogram.Start.
 type Span struct {
-	t     *Timer
+	h     *Histogram
 	start time.Time
 }
 
-// Start begins a span. On a nil timer this is free: no clock read happens.
-func (t *Timer) Start() Span {
-	if t == nil {
+// Start begins a span whose End observes the elapsed nanoseconds. On a nil
+// histogram this is free: the span's End does nothing and, critically, no
+// clock read happens.
+func (h *Histogram) Start() Span {
+	if h == nil {
 		return Span{}
 	}
-	return Span{t: t, start: time.Now()}
+	return Span{h: h, start: time.Now()}
 }
 
 // End closes the span, recording the elapsed nanoseconds.
 func (s Span) End() {
-	if s.t == nil {
+	if s.h == nil {
 		return
 	}
-	s.t.h.Observe(time.Since(s.start).Nanoseconds())
-}
-
-// Hist exposes the timer's underlying nanosecond histogram (nil for a nil
-// timer).
-func (t *Timer) Hist() *Histogram {
-	if t == nil {
-		return nil
-	}
-	return &t.h
-}
-
-// DurationHistogram records time.Duration observations with nanosecond
-// base-2 buckets but exports itself in seconds, so it can honestly carry a
-// Prometheus `_seconds` metric name: bucket upper bounds and the sum are
-// written as float seconds while storage stays integer and allocation-free.
-// The nil *DurationHistogram is a no-op; all methods are safe for
-// concurrent use.
-type DurationHistogram struct {
-	h Histogram
-}
-
-// Observe records one duration (negative durations clamp to 0).
-func (d *DurationHistogram) Observe(dur time.Duration) {
-	if d == nil {
-		return
-	}
-	d.h.Observe(dur.Nanoseconds())
-}
-
-// Count returns the number of observations (0 for a nil histogram).
-func (d *DurationHistogram) Count() int64 {
-	if d == nil {
-		return 0
-	}
-	return d.h.Count()
-}
-
-// Sum returns the total observed time (0 for a nil histogram).
-func (d *DurationHistogram) Sum() time.Duration {
-	if d == nil {
-		return 0
-	}
-	return time.Duration(d.h.Sum())
-}
-
-// Quantile returns an upper bound on the q-quantile duration (see
-// Histogram.Quantile for the bucket-resolution caveat).
-func (d *DurationHistogram) Quantile(q float64) time.Duration {
-	if d == nil {
-		return 0
-	}
-	return time.Duration(d.h.Quantile(q))
+	s.h.Observe(time.Since(s.start).Nanoseconds())
 }
 
 // metricKind tags registry entries for export.
@@ -266,8 +215,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
-	kindTimer
-	kindDuration
 )
 
 type metric struct {
@@ -276,8 +223,6 @@ type metric struct {
 	c    *Counter
 	g    *Gauge
 	h    *Histogram
-	t    *Timer
-	d    *DurationHistogram
 }
 
 // Registry is a named collection of instruments. Lookup-or-create accessors
@@ -337,39 +282,31 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the histogram registered under name (nil registry →
 // nil).
 func (r *Registry) Histogram(name string) *Histogram {
+	return r.histogram(name, false)
+}
+
+// Duration returns the histogram of nanosecond durations registered under
+// name (nil registry → nil). By Prometheus convention the name should end
+// in `_seconds`; the exporters write its buckets and sum as float seconds.
+func (r *Registry) Duration(name string) *Histogram {
+	return r.histogram(name, true)
+}
+
+func (r *Registry) histogram(name string, seconds bool) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, kindHistogram, func() *metric {
-		return &metric{name: name, kind: kindHistogram, h: &Histogram{}}
+	h := r.lookup(name, kindHistogram, func() *metric {
+		return &metric{name: name, kind: kindHistogram, h: &Histogram{seconds: seconds}}
 	}).h
-}
-
-// Timer returns the span timer registered under name (nil registry → nil).
-// Its histogram is exported under the same name with nanosecond buckets.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
+	if h.seconds != seconds {
+		panic(fmt.Sprintf("obs: metric %q re-registered with a different unit", name))
 	}
-	return r.lookup(name, kindTimer, func() *metric {
-		return &metric{name: name, kind: kindTimer, t: &Timer{}}
-	}).t
-}
-
-// Duration returns the duration histogram registered under name (nil
-// registry → nil). By Prometheus convention the name should end in
-// `_seconds`; the exporters write its buckets and sum as float seconds.
-func (r *Registry) Duration(name string) *DurationHistogram {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, kindDuration, func() *metric {
-		return &metric{name: name, kind: kindDuration, d: &DurationHistogram{}}
-	}).d
+	return h
 }
 
 // Value returns the current value of the counter or gauge registered under
-// name, or a histogram/timer's observation count; 0 when absent or nil.
+// name, or a histogram's observation count; 0 when absent or nil.
 func (r *Registry) Value(name string) int64 {
 	if r == nil {
 		return 0
@@ -387,10 +324,6 @@ func (r *Registry) Value(name string) int64 {
 		return m.g.Value()
 	case kindHistogram:
 		return m.h.Count()
-	case kindTimer:
-		return m.t.Hist().Count()
-	case kindDuration:
-		return m.d.Count()
 	}
 	return 0
 }
@@ -409,8 +342,8 @@ func (r *Registry) sorted() []*metric {
 }
 
 // WritePrometheus writes the registry as Prometheus text exposition format
-// (version 0.0.4): counters and gauges as single samples, histograms and
-// timers as cumulative _bucket/_sum/_count series with base-2 upper bounds.
+// (version 0.0.4): counters and gauges as single samples, histograms as
+// cumulative _bucket/_sum/_count series with base-2 upper bounds.
 // Output is sorted by metric name. A nil registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
@@ -436,20 +369,23 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			buf = append(buf, ' ')
 			buf = strconv.AppendInt(buf, m.g.Value(), 10)
 			buf = append(buf, '\n')
-		case kindHistogram, kindTimer:
-			h := m.h
-			if m.kind == kindTimer {
-				h = m.t.Hist()
-			}
-			buf = appendPromHistogram(buf, m.name, h)
-		case kindDuration:
-			buf = appendPromDurationHistogram(buf, m.name, &m.d.h)
+		case kindHistogram:
+			buf = appendPromHistogram(buf, m.name, m.h)
 		}
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// appendUnit writes v, a bucket bound or the sum, in the unit the histogram
+// exports: the integer itself, or float seconds for a Duration histogram.
+func (h *Histogram) appendUnit(buf []byte, v int64) []byte {
+	if h.seconds {
+		return strconv.AppendFloat(buf, float64(v)/1e9, 'g', -1, 64)
+	}
+	return strconv.AppendInt(buf, v, 10)
 }
 
 // appendPromHistogram renders one histogram in Prometheus text format. The
@@ -467,14 +403,17 @@ func appendPromHistogram(buf []byte, name string, h *Histogram) []byte {
 	var cum int64
 	for i := 0; i <= top; i++ {
 		cum += h.buckets[i].Load()
-		// Bucket i holds values with bit length i: upper bound 2^i - 1.
-		le := int64(math.MaxInt64)
-		if i < 63 {
-			le = (int64(1) << uint(i)) - 1
-		}
 		buf = append(buf, name...)
 		buf = append(buf, `_bucket{le="`...)
-		buf = strconv.AppendInt(buf, le, 10)
+		switch {
+		case i < 63:
+			// Bucket i holds values with bit length i: upper bound 2^i - 1.
+			buf = h.appendUnit(buf, (int64(1)<<uint(i))-1)
+		case h.seconds:
+			buf = strconv.AppendFloat(buf, math.MaxFloat64, 'g', -1, 64)
+		default:
+			buf = strconv.AppendInt(buf, math.MaxInt64, 10)
+		}
 		buf = append(buf, `"} `...)
 		buf = strconv.AppendInt(buf, cum, 10)
 		buf = append(buf, '\n')
@@ -485,47 +424,7 @@ func appendPromHistogram(buf []byte, name string, h *Histogram) []byte {
 	buf = append(buf, '\n')
 	buf = append(buf, name...)
 	buf = append(buf, "_sum "...)
-	buf = strconv.AppendInt(buf, h.Sum(), 10)
-	buf = append(buf, '\n')
-	buf = append(buf, name...)
-	buf = append(buf, "_count "...)
-	buf = strconv.AppendInt(buf, h.Count(), 10)
-	buf = append(buf, '\n')
-	return buf
-}
-
-// appendPromDurationHistogram renders one nanosecond-bucketed histogram as
-// a seconds-scaled Prometheus histogram: le bounds and _sum are float
-// seconds so the `_seconds` naming convention holds.
-func appendPromDurationHistogram(buf []byte, name string, h *Histogram) []byte {
-	buf = append(buf, "# TYPE "...)
-	buf = append(buf, name...)
-	buf = append(buf, " histogram\n"...)
-	top := histBuckets - 1
-	for top > 0 && h.buckets[top].Load() == 0 {
-		top--
-	}
-	var cum int64
-	for i := 0; i <= top; i++ {
-		cum += h.buckets[i].Load()
-		le := math.MaxFloat64
-		if i < 63 {
-			le = float64((int64(1)<<uint(i))-1) / 1e9
-		}
-		buf = append(buf, name...)
-		buf = append(buf, `_bucket{le="`...)
-		buf = strconv.AppendFloat(buf, le, 'g', -1, 64)
-		buf = append(buf, `"} `...)
-		buf = strconv.AppendInt(buf, cum, 10)
-		buf = append(buf, '\n')
-	}
-	buf = append(buf, name...)
-	buf = append(buf, `_bucket{le="+Inf"} `...)
-	buf = strconv.AppendInt(buf, h.Count(), 10)
-	buf = append(buf, '\n')
-	buf = append(buf, name...)
-	buf = append(buf, "_sum "...)
-	buf = strconv.AppendFloat(buf, float64(h.Sum())/1e9, 'g', -1, 64)
+	buf = h.appendUnit(buf, h.Sum())
 	buf = append(buf, '\n')
 	buf = append(buf, name...)
 	buf = append(buf, "_count "...)
@@ -535,9 +434,9 @@ func appendPromDurationHistogram(buf []byte, name string, h *Histogram) []byte {
 }
 
 // WriteVars writes the registry as a JSON object in the style of
-// /debug/vars: counters and gauges as bare numbers, histograms and timers
-// as {"count":..,"sum":..} objects. Keys are sorted. A nil registry writes
-// "{}".
+// /debug/vars: counters and gauges as bare numbers, histograms as
+// {"count":..,"sum":..} objects ("sum_seconds" for a Duration histogram).
+// Keys are sorted. A nil registry writes "{}".
 func (r *Registry) WriteVars(w io.Writer) error {
 	buf := []byte{'{'}
 	if r != nil {
@@ -552,21 +451,15 @@ func (r *Registry) WriteVars(w io.Writer) error {
 				buf = strconv.AppendInt(buf, m.c.Value(), 10)
 			case kindGauge:
 				buf = strconv.AppendInt(buf, m.g.Value(), 10)
-			case kindHistogram, kindTimer:
-				h := m.h
-				if m.kind == kindTimer {
-					h = m.t.Hist()
+			case kindHistogram:
+				buf = append(buf, `{"count":`...)
+				buf = strconv.AppendInt(buf, m.h.Count(), 10)
+				if m.h.seconds {
+					buf = append(buf, `,"sum_seconds":`...)
+				} else {
+					buf = append(buf, `,"sum":`...)
 				}
-				buf = append(buf, `{"count":`...)
-				buf = strconv.AppendInt(buf, h.Count(), 10)
-				buf = append(buf, `,"sum":`...)
-				buf = strconv.AppendInt(buf, h.Sum(), 10)
-				buf = append(buf, '}')
-			case kindDuration:
-				buf = append(buf, `{"count":`...)
-				buf = strconv.AppendInt(buf, m.d.Count(), 10)
-				buf = append(buf, `,"sum_seconds":`...)
-				buf = strconv.AppendFloat(buf, float64(m.d.h.Sum())/1e9, 'g', -1, 64)
+				buf = m.h.appendUnit(buf, m.h.Sum())
 				buf = append(buf, '}')
 			}
 		}

@@ -28,14 +28,13 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
 		t.Fatal("nil histogram observed something")
 	}
-	var tm *Timer
-	sp := tm.Start()
+	sp := h.Start()
 	sp.End()
-	if tm.Hist().Count() != 0 {
-		t.Fatal("nil timer recorded a span")
+	if h.Count() != 0 {
+		t.Fatal("nil histogram recorded a span")
 	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil || r.Timer("x") != nil {
+	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil || r.Duration("x") != nil {
 		t.Fatal("nil registry handed out a live instrument")
 	}
 	if r.Value("x") != 0 {
@@ -57,7 +56,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	o.Counter("x").Inc()
 	o.Gauge("x").Set(1)
 	o.Histogram("x").Observe(1)
-	o.Timer("x").Start().End()
+	o.Histogram("x").Start().End()
 	o.Tracer().Emit("ev", I("k", 1))
 }
 
@@ -120,14 +119,14 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestTimerRecordsSpans(t *testing.T) {
 	r := NewRegistry()
-	tm := r.Timer("step_ns")
+	tm := r.Histogram("step_ns")
 	sp := tm.Start()
 	sp.End()
-	if tm.Hist().Count() != 1 {
-		t.Fatalf("span count = %d", tm.Hist().Count())
+	if tm.Count() != 1 {
+		t.Fatalf("span count = %d", tm.Count())
 	}
 	if r.Value("step_ns") != 1 {
-		t.Fatal("registry Value of a timer is not its span count")
+		t.Fatal("registry Value of a timed histogram is not its span count")
 	}
 }
 
@@ -180,14 +179,22 @@ func TestConcurrentInstruments(t *testing.T) {
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge did not panic")
-		}
-	}()
 	r := NewRegistry()
 	r.Counter("x")
-	r.Gauge("x")
+	r.Histogram("h_ns")
+	for what, again := range map[string]func(){
+		"a counter as a gauge":                func() { r.Gauge("x") },
+		"a histogram as a seconds-export one": func() { r.Duration("h_ns") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("re-registering %s did not panic", what)
+				}
+			}()
+			again()
+		}()
+	}
 }
 
 // TestHistogramQuantile pins the base-2 quantile estimator: the answer is
@@ -232,15 +239,6 @@ func TestHistogramQuantile(t *testing.T) {
 // TestDurationHistogram pins the seconds-scaled export of the duration
 // kind: nanosecond storage, float-second le bounds and sum.
 func TestDurationHistogram(t *testing.T) {
-	var d *DurationHistogram
-	d.Observe(1)
-	if d.Count() != 0 || d.Sum() != 0 || d.Quantile(0.5) != 0 {
-		t.Fatal("nil duration histogram recorded something")
-	}
-	var r *Registry
-	if r.Duration("x") != nil {
-		t.Fatal("nil registry handed out a duration histogram")
-	}
 	reg := NewRegistry()
 	dh := reg.Duration("test_plan_seconds")
 	if dh != reg.Duration("test_plan_seconds") {

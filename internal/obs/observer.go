@@ -43,14 +43,6 @@ func (o *Observer) Histogram(name string) *Histogram {
 	return o.Metrics.Histogram(name)
 }
 
-// Timer returns the named span timer, nil when metrics are off.
-func (o *Observer) Timer(name string) *Timer {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.Timer(name)
-}
-
 // Tracer returns the decision tracer, nil when tracing is off.
 func (o *Observer) Tracer() *Tracer {
 	if o == nil {

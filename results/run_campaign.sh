@@ -1,39 +1,54 @@
 #!/bin/sh
-# Regenerates the EXPERIMENTS.md data set. Near-paper scale: n=100,
-# W=10000, Delta=20 (the paper's defaults), 3 seeded instances per point
-# (paper: 10) to fit a single-core machine; Fig 6 uses 2 instances and
-# Fig 10b substitutes n=200 for the paper's n=1000 (see EXPERIMENTS.md).
+# Regenerates the EXPERIMENTS.md data set at the paper's scale: n=100,
+# W=10000, Delta=20, 10 seeded instances per point, node sweep to n=300,
+# Fig 10a to n=1000 and Fig 10b at n=1000 (mhsbench -scale full). Builds its
+# own mhsbench from the checkout it sits in and writes the CSVs and
+# campaign.log beside itself (or into $OUT). An hour on a 2-vCPU host,
+# most of it Fig 10b; internal/experiment's TestQuickTablesGolden is the
+# sub-second pin of the same code.
 set -e
-BIN=${BIN:-/tmp/mhsbench}
-OUT=${OUT:-/root/repo/results}
+here=$(cd "$(dirname "$0")" && pwd)
+root=$(cd "$here/.." && pwd)
+OUT=${OUT:-$here}
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+(cd "$root" && go build -o "$tmp/mhsbench" ./cmd/mhsbench)
+
+cpus=$(nproc)
+start=$(date +%s)
+commit=$(git -C "$root" rev-parse --short HEAD)
+[ -z "$(git -C "$root" status --porcelain)" ] || commit="$commit+uncommitted"
+{
+  echo "host: $(uname -n), $(uname -srm), $(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo | head -1)"
+  echo "nproc: $cpus  GOMAXPROCS: ${GOMAXPROCS:-$cpus}"
+  echo "go: $(go version)"
+  echo "commit: $commit"
+  echo "started: $(date -u +%Y-%m-%dT%H:%M:%SZ)"
+  echo "wall time per figure:"
+} > "$tmp/head"
+# The log is this header (wall times appended as figures finish) then the
+# tables; it is written on any exit so a failed run shows how far it got.
+trap 'cat "$tmp/head" "$tmp/body" > "$OUT/campaign.log"; rm -rf "$tmp"' EXIT
+
+# run <figure> [mhsbench flags]: one figure at full scale, as many
+# instances in flight as there are CPUs (the mean does not depend on it).
 run() {
-  label=$1
+  fig=$1
   shift
-  echo "=== fig $label ($(date +%H:%M:%S)) ==="
-  "$BIN" -scale full -instances 3 -out "$OUT" "$@"
+  t0=$(date +%s)
+  echo "=== fig $fig ==="
+  "$tmp/mhsbench" -scale full -workers "$cpus" -out "$OUT" -fig "$fig" "$@"
+  echo "  fig $fig: $(($(date +%s) - t0)) s" >> "$tmp/head"
 }
-run 4b -fig 4b
-run 4c -fig 4c
-run 4d -fig 4d
-run 5b -fig 5b
-run 5c -fig 5c
-run 5d -fig 5d
-run 7a -fig 7a
-run 7b -fig 7b
-run 8  -fig 8
-run 9a -fig 9a
-run 9b -fig 9b
-run 4a -fig 4a -node-sweep 25,50,100,200
-run 5a -fig 5a -node-sweep 25,50,100,200
-run 10a -fig 10a -time-nodes 100,200,400
-run ext-solstice -fig ext-solstice
-run ext-ports -fig ext-ports
-run ext-backtrack -fig ext-backtrack
-run ext-makespan -fig ext-makespan
-run ext-eclipsepp -fig ext-eclipsepp
-run ext-buffers -fig ext-buffers
-run ext-adaptive -fig ext-adaptive
-run ext-epsilon -fig ext-epsilon
-"$BIN" -scale full -instances 2 -out "$OUT" -fig 10b -time-nodes 100,200 -delta-sweep 10,20,50,100
-"$BIN" -scale full -instances 2 -out "$OUT" -fig 6
-echo "=== done ($(date +%H:%M:%S)) ==="
+{
+  # Fig 10a is wall-clock: one instance at a time, first, on a quiet machine.
+  run 10a -workers 1
+  # Fig 10b last: at n=1000 its 10 instances of 6 points are 90 CPU-seconds
+  # each, 49 of the campaign's 62 minutes on two cores.
+  for fig in 4b 4c 4d 5b 5c 5d 6 7a 7b 8 9a 9b 4a 5a \
+    ext-solstice ext-ports ext-backtrack ext-makespan ext-eclipsepp \
+    ext-buffers ext-adaptive ext-epsilon ext-redundancy 10b; do
+    run "$fig"
+  done
+} > "$tmp/body" 2>&1
+echo "  total: $(($(date +%s) - start)) s" >> "$tmp/head"
