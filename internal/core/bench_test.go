@@ -23,7 +23,7 @@ func benchInstance(b *testing.B, n, window int) (*graph.Digraph, *traffic.Load) 
 
 // BenchmarkStep measures steady-state greedy iterations (the §4.1
 // practically significant quantity) for both matchers. The scheduler is
-// warmed with one untimed Step so the one-time queue and summary
+// warmed with one untimed Step so the one-time queue and weight-class
 // construction is excluded; when a run completes, a fresh warmed scheduler
 // replaces it outside the timer.
 func BenchmarkStep(b *testing.B) {
@@ -196,7 +196,7 @@ func BenchmarkCandidateAlphas(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.tr.candidateAlphas(5000) // pay the one-time summary build untimed
+	s.tr.candidateAlphas(5000) // size the marks untimed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

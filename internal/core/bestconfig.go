@@ -101,8 +101,7 @@ type alphaEval struct {
 // ascending-α scan considering the greedy then the exact matching of each
 // α. Returns a nil link set with benefit 0 when nothing can be served.
 func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
-	// Materialize lazily-built state before any parallel read-only phase.
-	s.rebuildDirty()
+	s.lastChanged = s.tr.takeChanged()
 	alphas := s.tr.candidateAlphas(maxAlpha)
 	s.lastCandidates = len(alphas)
 	if len(alphas) == 0 {
@@ -302,48 +301,17 @@ func (s *Scheduler) forAlphas(as []int, f func(sc *evalScratch, j int, col []int
 	}
 }
 
-// rebuildLinks is the number of dirty links one rebuildDirty work item
-// covers: an iteration that dirtied fewer (the engine's small epochs) rebuilds
-// them inline, without starting a goroutine.
-const rebuildLinks = 256
-
-// rebuildDirty brings the summary of every active link up to date, the
-// per-iteration synchronization point the parallel evaluation phase relies
-// on (see linkState.summary). A summary is a function of its own queue and
-// rebuild writes its own link only, so workers share nothing.
-func (s *Scheduler) rebuildDirty() {
-	states := s.tr.activeStates()
-	if cap(s.dirtyBuf) < len(states) {
-		s.dirtyBuf = make([]*linkState, 0, len(states)+len(states)/4) // links join as packets move on
-	}
-	s.dirtyBuf = s.dirtyBuf[:0]
-	for _, ls := range states {
-		if ls.dirty {
-			s.dirtyBuf = append(s.dirtyBuf, ls)
-		}
-	}
-	s.lastRebuilds = len(s.dirtyBuf)
-	s.parallelFor((len(s.dirtyBuf)+rebuildLinks-1)/rebuildLinks, s.rebuildChunk)
-}
-
-// rebuildItem is rebuildDirty's work item c.
-func (s *Scheduler) rebuildItem(_, c int) {
-	for _, ls := range s.dirtyBuf[c*rebuildLinks : min((c+1)*rebuildLinks, len(s.dirtyBuf))] {
-		ls.rebuild()
-	}
-}
-
 // fillLinks is the number of links one fillG work item covers.
 const fillLinks = 1024
 
 // fillG sets s.gbuf[j*len(states)+li] = g(states[li], block[j]): per link,
-// one binary search for the block's first α, then a cursor that rolls
-// forward over the summary's prefix arrays as α ascends. Values are exactly
-// gValueState's. A column (one α, every link) is contiguous because that is
-// how forAlphas reads it; the writes of consecutive links land in the same
-// len(block) cache lines. Links are filled in parallel, fillLinks at a time:
-// a link's slots are written by the one worker that holds its range, and
-// every summary is clean (see linkState.summary), so nothing is shared.
+// a cursor that rolls forward over the weight classes as α ascends. Values
+// are exactly gValueState's. A column (one α, every link) is contiguous
+// because that is how forAlphas reads it; the writes of consecutive links
+// land in the same len(block) cache lines. Links are filled in parallel,
+// fillLinks at a time: a link's slots are written by the one worker that
+// holds its range, and the classes are only written by apply, so nothing
+// is shared.
 func (s *Scheduler) fillG(states []*linkState, block []int) {
 	nL := len(states)
 	if need := len(block) * nL; cap(s.gbuf) < need {
@@ -353,32 +321,30 @@ func (s *Scheduler) fillG(states []*linkState, block []int) {
 	}
 	s.parallelFor((nL+fillLinks-1)/fillLinks, func(_, c int) {
 		for li := c * fillLinks; li < min((c+1)*fillLinks, nL); li++ {
-			fillLink(s.gbuf[li:], nL, states[li].summary(), block)
+			fillLink(s.gbuf[li:], nL, states[li].classes, block)
 		}
 	})
 }
 
-// fillLink writes g(link, block[j]) to col[j*stride] for every j.
-func fillLink(col []int64, stride int, sum *linkSummary, block []int) {
-	n := len(sum.prefC)
-	if n == 0 {
+// fillLink writes g(link, block[j]) to col[j*stride] for every j, cs being
+// the link's weight classes and block ascending.
+func fillLink(col []int64, stride int, cs []weightClass, block []int) {
+	if len(cs) == 0 {
 		for j := range block {
 			col[j*stride] = 0
 		}
 		return
 	}
-	prefC, prefB, bws := sum.prefC, sum.prefB[:n], sum.bws[:n]
-	top := prefC[n-1]
-	k, _ := slices.BinarySearch(prefC, block[0])
+	top, k := &cs[len(cs)-1], 0
 	for j, a := range block {
-		if a >= top {
-			col[j*stride] = prefB[n-1]
+		if a >= top.prefC {
+			col[j*stride] = top.prefB
 			continue
 		}
-		for prefC[k] < a {
+		for cs[k].prefC < a {
 			k++
 		}
-		col[j*stride] = prefB[k] - int64(prefC[k]-a)*bws[k]
+		col[j*stride] = cs[k].prefB - int64(cs[k].prefC-a)*cs[k].bw
 	}
 }
 

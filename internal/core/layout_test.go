@@ -38,9 +38,10 @@ func TestNewAllocatesPerLinkNotPerFlow(t *testing.T) {
 }
 
 // TestNewBytesPerFlow: T^r in index form costs a single-route flow a 36-byte
-// subflow, a 24-byte entry, a queue slot, a home and three summary cells,
-// with an eighth of head-room on the first three (the pointer form read 210
-// bytes a flow here, 200 of them T^r and the rest per-link state).
+// subflow, a 24-byte entry, a queue slot and a home, with an eighth of
+// head-room on the first three; the rest is per link: its state and one
+// 32-byte cell per weight class on it (the pointer form read 210 bytes a
+// flow here, and three summary cells a flow 110).
 func TestNewBytesPerFlow(t *testing.T) {
 	if s, e := reflect.TypeOf(subflow{}).Size(), reflect.TypeOf(entry{}).Size(); s > 40 || e > 24 {
 		t.Fatalf("subflow is %d bytes and entry %d, want at most 40 and 24", s, e)
@@ -52,8 +53,8 @@ func TestNewBytesPerFlow(t *testing.T) {
 	tr := newRemaining(g, load, 0, false, false, false)
 	runtime.ReadMemStats(&after)
 	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / flows
-	if perFlow > 120 {
-		t.Fatalf("newRemaining allocates %.1f bytes a flow (%d flows, %d active links), want at most 120", perFlow, flows, len(tr.stateList))
+	if perFlow > 92 {
+		t.Fatalf("newRemaining allocates %.1f bytes a flow (%d flows, %d active links), want at most 92", perFlow, flows, len(tr.stateList))
 	}
 	t.Logf("%.1f bytes a flow", perFlow)
 }
@@ -85,8 +86,7 @@ func TestRemainingSlabsHoldNoPointers(t *testing.T) {
 		fields []string
 	}{
 		{remaining{}, []string{"subflows", "entries", "homes", "touched"}},
-		{linkState{}, []string{"entries"}},
-		{linkSummary{}, []string{"prefC", "prefB", "bws", "alphas"}},
+		{linkState{}, []string{"entries", "classes"}},
 	} {
 		ty := reflect.TypeOf(slab.owner)
 		for _, name := range slab.fields {
@@ -209,12 +209,11 @@ func TestGTableMatchesGValueState(t *testing.T) {
 				t.Fatalf("seed %d: step %d: ok=%v err=%v", seed, i, ok, err)
 			}
 		}
-		s.tr.candidateAlphas(1 << 30) // rebuild the summaries the last apply dirtied
 		edges, states := s.tr.activeEdges(), s.tr.activeStates()
 		top := 0
 		for _, ls := range states {
-			if c := ls.summary().prefC; len(c) > 0 {
-				top = max(top, c[len(c)-1])
+			if cs := ls.classes; len(cs) > 0 {
+				top = max(top, cs[len(cs)-1].prefC)
 			}
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -403,8 +402,9 @@ func TestCarriedOrderPlansTheDefinition(t *testing.T) {
 // churnInstance is one epoch's backlog at the shape of the benchmark's
 // engine-churn workload — a 128-node fabric of out-degree 8, flows of its
 // size mix, window 500 — except that every route is one hop, so that no
-// queue grows while the plan runs: growing a queue's summary allocates by
-// design (linkState.rebuild) and would drown the count below.
+// queue grows while the plan runs: a queue that outgrows its slots, or a
+// link's first entry of a new weight class, allocates by design and would
+// drown the count below.
 func churnInstance(tb testing.TB, flows int) (*graph.Digraph, *traffic.Load) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(1))

@@ -15,7 +15,7 @@ type coreInstruments struct {
 	alpha      *obs.Histogram // chosen α per iteration
 	weight     *obs.Histogram // matching weight (benefit) per iteration
 	candidates *obs.Histogram // α-candidate-set size per iteration
-	rebuilds   *obs.Counter   // dirty link-summary rebuilds
+	rebuilds   *obs.Counter   // active links whose weight classes changed since the last iteration
 	step       *obs.Histogram // wall time per Step, ns
 
 	greedyCalls   *obs.Counter
@@ -70,7 +70,7 @@ func (s *Scheduler) observeIter(alpha int, benefit int64, nlinks int, psiGain in
 	ins.alpha.Observe(int64(alpha))
 	ins.weight.Observe(benefit)
 	ins.candidates.Observe(int64(s.lastCandidates))
-	ins.rebuilds.Add(int64(s.lastRebuilds))
+	ins.rebuilds.Add(int64(s.lastChanged))
 	ins.tracer.Emit("core.iter",
 		obs.I("iter", int64(s.iters)),
 		obs.I("alpha", int64(alpha)),
@@ -80,7 +80,7 @@ func (s *Scheduler) observeIter(alpha int, benefit int64, nlinks int, psiGain in
 		obs.I("delivered", int64(deliveredGain)),
 		obs.I("pending", int64(s.tr.pending)),
 		obs.I("candidates", int64(s.lastCandidates)),
-		obs.I("rebuilds", int64(s.lastRebuilds)),
+		obs.I("rebuilds", int64(s.lastChanged)),
 	)
 }
 

@@ -123,20 +123,18 @@ type Scheduler struct {
 	evals   []alphaEval
 
 	// The current block of the g(link, α) table (see forAlphas), the
-	// phase-2 solve-set buffer, the links rebuildDirty found stale, and the
-	// running count of exact solves skipped by incumbent pruning
-	// (observability only).
-	gbuf         []int64
-	selBuf       []int
-	dirtyBuf     []*linkState
-	rebuildChunk func(worker, c int) // s.rebuildItem, bound once: every iteration hands it to parallelFor
-	prunedExact  int64
+	// phase-2 solve-set buffer, and the running count of exact solves
+	// skipped by incumbent pruning (observability only).
+	gbuf        []int64
+	selBuf      []int
+	prunedExact int64
 
 	// Pre-bound observability instruments (all nil when opt.Obs is nil), and
-	// the current iteration's candidate-set size and rebuilt summaries.
+	// the current iteration's candidate-set size and the links whose classes
+	// the previous one changed.
 	ins            coreInstruments
 	lastCandidates int
-	lastRebuilds   int
+	lastChanged    int
 }
 
 // Result is the outcome of a completed Run: the schedule plus the plan's
@@ -199,7 +197,6 @@ func (s *Scheduler) init() {
 	s.tr = newRemaining(s.fabric, s.load, s.opt.Epsilon64, s.opt.MultiRoute, backtrack, s.opt.KeepTrace)
 	s.out = schedule.Schedule{Delta: s.opt.Delta}
 	s.ins = bindCoreInstruments(s.opt.Obs)
-	s.rebuildChunk = s.rebuildItem
 }
 
 func checkOptions(opt *Options, load *traffic.Load, bidirectional bool) error {

@@ -44,7 +44,7 @@ type subflow struct {
 	next, alt int32
 	// The subflow's entries are entries[homes : homes+nHomes], and
 	// remaining.homes, index-aligned with entries, names the link each one
-	// queues on. A count change invalidates exactly these links' summaries.
+	// queues on. A count change moves exactly these links' weight classes.
 	homes, nHomes int32
 }
 
@@ -63,12 +63,13 @@ func (tr *remaining) successor(si, routeID int32) int32 {
 	return d
 }
 
-// markDirty invalidates the cached summary of every queue holding one of
-// the subflow's entries; called whenever the subflow's packet count changes.
-func (tr *remaining) markDirty(si int32) {
+// addCount changes subflow si's packet count by d and credits d to the
+// weight class of each of its entries, on the links its homes window names.
+func (tr *remaining) addCount(si, d int32) {
 	sf := &tr.subflows[si]
-	for _, id := range tr.homes[sf.homes : sf.homes+sf.nHomes] {
-		tr.links[id].dirty = true
+	sf.count += d
+	for k := sf.homes; k < sf.homes+sf.nHomes; k++ {
+		tr.links[tr.homes[k]].credit(tr.entries[k].bw, int(d))
 	}
 }
 
@@ -95,20 +96,18 @@ const backtrackRoute = -1
 
 func (en entry) backtrack() bool { return en.routeID == backtrackRoute }
 
-// linkSummary caches, per link, everything the greedy loop repeatedly asks
-// of the queue: prefix sums over the live (non-zero-count) entries in queue
-// order, the per-entry benefit weights, and the Procedure-1 α boundaries
-// (unclamped prefix counts at each benefit-weight run boundary plus the
-// total). gValue becomes a binary search over prefC/prefB and
-// candidateAlphas a merge of the cached alphas sets. The summary is a pure
-// function of the queue contents, so rebuilding it lazily (and only for
-// links whose queues changed) yields bit-identical results to the direct
-// per-call walk it replaces.
-type linkSummary struct {
-	prefC  []int   // cumulative packet count over the live entries (a queue's total can pass 32 bits)
-	prefB  []int64 // cumulative benefit (count·bw) over the live entries
-	bws    []int64 // benefit weight of each live entry
-	alphas []int   // Procedure-1 boundaries, ascending, unclamped
+// weightClass is one benefit-weight class of a link's queue: the live
+// packets of every entry of weight bw, and the packets and benefit of this
+// class and every heavier one. The queue serves by bw first, so a class is a
+// contiguous run of it, and everything the greedy loop asks of the queue
+// reads the classes alone: g(l, α) is piecewise linear with its breakpoints
+// at the class ends (gValueState), and the Procedure-1 α boundaries are the
+// prefix counts of the non-empty classes (candidateAlphas).
+type weightClass struct {
+	bw    int64
+	count int   // live packets of the class (a queue's total can pass 32 bits)
+	prefC int   // live packets of this class and every heavier one
+	prefB int64 // their benefit, Σ count·bw
 }
 
 // linkState is the priority queue of entries for one directed link.
@@ -116,13 +115,42 @@ type linkState struct {
 	tr      *remaining
 	edge    graph.Edge
 	entries []int32 // indices into tr.entries, in priority order
-	sum     linkSummary
-	// dirty marks the summary stale. It is set single-threaded (entry
-	// insertion and count changes during apply) and cleared by the link's own
-	// rebuild before any evaluation starts (rebuildDirty at the head of each
-	// bestConfiguration), so the parallel evaluation phase only ever reads
-	// clean summaries.
-	dirty bool
+	// classes holds one cell per benefit weight among the queue's entries,
+	// drained ones included, bw descending. Every packet-count change of an
+	// entry is credited to its class as it happens (credit), so the cells are
+	// always exact: nothing is rebuilt, and the parallel evaluation phase
+	// reads what apply left.
+	classes []weightClass
+	// changed marks a link credited since the last iteration began (the
+	// octopus_core_summary_rebuilds_total count); set single-threaded, by
+	// credit and when the link first holds an entry.
+	changed bool
+}
+
+// credit adds d live packets of weight bw to the link's classes, inserting
+// the class if no entry of that weight has queued here before, and moves the
+// prefixes of the class and every lighter one with them.
+func (ls *linkState) credit(bw int64, d int) {
+	cs := ls.classes
+	i := len(cs) - 1
+	for i >= 0 && cs[i].bw < bw {
+		i--
+	}
+	if i < 0 || cs[i].bw != bw {
+		i++
+		c := weightClass{bw: bw}
+		if i > 0 {
+			c.prefC, c.prefB = cs[i-1].prefC, cs[i-1].prefB
+		}
+		cs = slices.Insert(cs, i, c)
+		ls.classes = cs
+	}
+	cs[i].count += d
+	for j := i; j < len(cs); j++ {
+		cs[j].prefC += d
+		cs[j].prefB += int64(d) * bw
+	}
+	ls.changed = true
 }
 
 // cmpEntries orders entries by (bw desc, flow ID asc, pos asc).
@@ -141,61 +169,13 @@ func (tr *remaining) cmpEntries(a, b int32) int {
 func (ls *linkState) insert(e int32) {
 	i, _ := slices.BinarySearchFunc(ls.entries, e, ls.tr.cmpEntries) // before its equals, if any
 	ls.entries = slices.Insert(ls.entries, i, e)
-	ls.dirty = true
-}
-
-// rebuild recomputes the cached summary from the queue contents.
-func (ls *linkState) rebuild() {
-	s := &ls.sum
-	if n := len(ls.entries); cap(s.prefC) < n {
-		// The queue has outgrown the share newRemaining carved for it (or was
-		// created later): sized once per queue growth, not by append's doubling.
-		s.prefC, s.prefB, s.bws = make([]int, 0, n), make([]int64, 0, n), make([]int64, 0, n)
-	}
-	s.prefC = s.prefC[:0]
-	s.prefB = s.prefB[:0]
-	s.bws = s.bws[:0]
-	s.alphas = s.alphas[:0]
-	c := 0
-	var b int64
-	var lastBW int64 = -1
-	for _, ei := range ls.entries {
-		en := &ls.tr.entries[ei]
-		count := int(ls.tr.subflows[en.sf].count)
-		if count == 0 {
-			continue
-		}
-		if lastBW != -1 && en.bw != lastBW && c > 0 {
-			s.alphas = append(s.alphas, c)
-		}
-		c += count
-		b += int64(count) * en.bw
-		s.prefC = append(s.prefC, c)
-		s.prefB = append(s.prefB, b)
-		s.bws = append(s.bws, en.bw)
-		lastBW = en.bw
-	}
-	if c > 0 {
-		s.alphas = append(s.alphas, c)
-	}
-	ls.dirty = false
-}
-
-// summary returns the up-to-date cached summary. Callers on the parallel
-// read-only path rely on rebuildDirty having cleaned every active link
-// beforehand; the rebuild here only triggers on single-threaded paths
-// (direct test calls, serveLink-free queries).
-func (ls *linkState) summary() *linkSummary {
-	if ls.dirty {
-		ls.rebuild()
-	}
-	return &ls.sum
 }
 
 // Entries are never removed from a queue: a subflow drained now can be
 // refilled later by upstream arrivals of the same flow, and its entry must
-// still be present. Zero-count entries are skipped during iteration; the
-// total number of entries is bounded by the number of subflows (|T|·𝒟).
+// still be present. Zero-count entries are skipped during iteration, and a
+// drained class keeps its cell; the total number of entries is bounded by
+// the number of subflows (|T|·𝒟).
 
 // servedRecord traces one bulk packet movement for plan verification.
 type servedRecord struct {
@@ -252,7 +232,8 @@ type remaining struct {
 
 	// buildCount is non-nil only during newRemaining: addEntry counts each
 	// entry here, by link id, instead of inserting it, so every queue is
-	// carved to size and sorted once.
+	// carved to size and sorted once; the sort then counts each link's
+	// weight classes into it.
 	buildCount []int32
 	// alphaBuf is the reusable result buffer of candidateAlphas (the returned
 	// slice aliases it and is valid until the next call) and alphaSeen its
@@ -271,7 +252,7 @@ const slabChunk = 64
 const growRoom = 8
 
 // newRemaining builds T^r = T. Its allocations are O(links), not O(flows):
-// subflows, entries, queue slots, homes and link-summary arrays of the whole
+// subflows, entries, queue slots, homes and weight classes of the whole
 // load come from arrays sized up front. The caller has checked that the
 // load's index widths fit (checkOptions).
 func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, backtrack, keepTrace bool) *remaining {
@@ -310,35 +291,52 @@ func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, bac
 		}
 		ascending = ascending && (i == 0 || load.Flows[i-1].ID < f.ID)
 	}
-	// Carve every queue, and every queue's summary arrays, to its initial
-	// size (see linkState.rebuild), then deal the entries out.
-	n := len(tr.entries)
-	slots := make([]int32, n)
-	prefC, prefB, bws := make([]int, n), make([]int64, n), make([]int64, n)
+	// Carve every queue to its initial size, then deal the entries out.
+	slots := make([]int32, len(tr.entries))
 	for _, ls := range tr.stateList {
 		c := tr.buildCount[g.LinkID(ls.edge.From, ls.edge.To)]
 		ls.entries, slots = slots[:0:c], slots[c:]
-		ls.sum.prefC, ls.sum.prefB, ls.sum.bws = prefC[:0:c], prefB[:0:c], bws[:0:c]
-		prefC, prefB, bws = prefC[c:], prefB[c:], bws[c:]
 	}
 	for k, id := range tr.homes {
 		ls := tr.links[id]
 		ls.entries = append(ls.entries, int32(k))
 	}
-	tr.buildCount = nil
 	// Sort each queue once. During construction every flow contributes at
 	// most one entry per link, so (bw desc, flow ID asc) is a strict total
 	// order and the batch sort reproduces the incremental-insert order
 	// exactly. The entries were dealt out in load order; where that is ID
 	// order too (every generator and codec), only bw is left to sort by and
-	// a comparison reads one array instead of chasing through three.
+	// a comparison reads one array instead of chasing through three. A sorted
+	// queue's weight classes are its runs of equal bw; buildCount takes their
+	// number.
 	byPriority := tr.cmpEntries
 	if ascending {
 		byPriority = func(a, b int32) int { return cmp.Compare(tr.entries[b].bw, tr.entries[a].bw) }
 	}
+	nClasses := 0
 	for _, ls := range tr.stateList {
 		slices.SortStableFunc(ls.entries, byPriority)
+		c := int32(0)
+		for i, ei := range ls.entries {
+			if i == 0 || tr.entries[ei].bw != tr.entries[ls.entries[i-1]].bw {
+				c++
+			}
+		}
+		tr.buildCount[g.LinkID(ls.edge.From, ls.edge.To)] = c
+		nClasses += int(c)
 	}
+	// Carve every link's classes to that number, and credit each entry's
+	// packets to its class the way every later count change is credited.
+	cells := make([]weightClass, nClasses)
+	for _, ls := range tr.stateList {
+		c := tr.buildCount[g.LinkID(ls.edge.From, ls.edge.To)]
+		ls.classes, cells = cells[:0:c], cells[c:]
+	}
+	for k, id := range tr.homes {
+		en := &tr.entries[k]
+		tr.links[id].credit(en.bw, int(tr.subflows[en.sf].count))
+	}
+	tr.buildCount = nil
 	return tr
 }
 
@@ -356,10 +354,10 @@ func (tr *remaining) state(e graph.Edge) *linkState {
 	return tr.links[id]
 }
 
-// addEntry queues en on fabric link e and records the link as a home of
-// the subflow so count changes can invalidate its summary. A subflow's
-// entries are added back to back, right after it is created, which is what
-// makes them a window.
+// addEntry queues en on fabric link e, credits the subflow's packets to the
+// entry's weight class there, and records the link as a home of the subflow
+// so that count changes reach the class. A subflow's entries are added back
+// to back, right after it is created, which is what makes them a window.
 func (tr *remaining) addEntry(e graph.Edge, en entry) {
 	id := tr.g.LinkID(e.From, e.To)
 	ls := tr.links[id]
@@ -368,7 +366,7 @@ func (tr *remaining) addEntry(e graph.Edge, en entry) {
 			tr.stateSlab = make([]linkState, slabChunk)
 		}
 		ls, tr.stateSlab = &tr.stateSlab[0], tr.stateSlab[1:]
-		ls.tr, ls.edge, ls.dirty = tr, e, true
+		ls.tr, ls.edge, ls.changed = tr, e, true
 		tr.links[id] = ls
 		tr.stateList = append(tr.stateList, ls)
 		tr.edgesDirty = true
@@ -382,6 +380,7 @@ func (tr *remaining) addEntry(e graph.Edge, en entry) {
 		return
 	}
 	ls.insert(k)
+	ls.credit(en.bw, int(tr.subflows[en.sf].count))
 }
 
 // addCommittedEntry queues committed subflow si on its next-hop link and,
@@ -462,54 +461,54 @@ func (tr *remaining) activeStates() []*linkState {
 	return tr.stateList
 }
 
+// takeChanged returns how many links were credited since the last call, and
+// clears their marks.
+func (tr *remaining) takeChanged() int {
+	n := 0
+	for _, ls := range tr.activeStates() {
+		if ls.changed {
+			ls.changed = false
+			n++
+		}
+	}
+	return n
+}
+
 // gValueState computes g(i, j, α): the maximum benefit weight of α packets
 // queued on the link (Procedure 2, line 4). Each packet is counted once
 // even if it has entries with several candidate routes on other links.
-// Using the cached summary this is a binary search over the prefix counts:
-// the queue walk it replaces took the top α packets in queue order, which
-// is exactly "all of the first k live entries plus a partial take of entry
-// k+1" for the k the search finds.
+// The top α packets in queue order are all of the classes heavier than the
+// first class k whose prefix count reaches α, plus a partial take of k; a
+// class found that way is never empty, so drained cells cost nothing.
 func gValueState(ls *linkState, alpha int) int64 {
-	if alpha <= 0 {
+	cs := ls.classes
+	if alpha <= 0 || len(cs) == 0 {
 		return 0
 	}
-	s := ls.summary()
-	n := len(s.prefC)
-	if n == 0 {
-		return 0
+	if top := &cs[len(cs)-1]; alpha >= top.prefC {
+		return top.prefB
 	}
-	if alpha >= s.prefC[n-1] {
-		return s.prefB[n-1]
+	k := 0
+	for cs[k].prefC < alpha {
+		k++
 	}
-	// Inline binary search for the first live entry whose cumulative count
-	// reaches α (sort.Search's closure indirection costs on this path).
-	lo, hi := 0, n-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.prefC[mid] >= alpha {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return s.prefB[lo] - int64(s.prefC[lo]-alpha)*s.bws[lo]
+	return cs[k].prefB - int64(cs[k].prefC-alpha)*cs[k].bw
 }
 
 // candidateAlphas implements Procedure 1 (SetOfAlphas): for every link, the
 // prefix sums of queued packet counts at each benefit-weight class
-// boundary. Values are clamped to maxAlpha and deduplicated; the result is
-// sorted ascending.
+// boundary — the prefix counts of its non-empty classes. Values are clamped
+// to maxAlpha and deduplicated; the result is sorted ascending.
 //
-// The per-link boundary sets are cached in the link summaries. They are at
-// most maxAlpha once clamped, so the union is marked in an array of that
-// many cells (of the largest queue's total, where that is less) and read off
-// in order. The returned slice aliases an internal buffer valid until the
-// next call.
+// Clamped, the boundaries are at most maxAlpha, so the union is marked in
+// an array of that many cells (of the largest queue's total, where that is
+// less) and read off in order. The returned slice aliases an internal
+// buffer valid until the next call.
 func (tr *remaining) candidateAlphas(maxAlpha int) []int {
 	states, hi := tr.activeStates(), 0
 	for _, ls := range states {
-		if as := ls.summary().alphas; len(as) > 0 {
-			hi = max(hi, min(as[len(as)-1], maxAlpha))
+		if n := len(ls.classes); n > 0 {
+			hi = max(hi, min(ls.classes[n-1].prefC, maxAlpha))
 		}
 	}
 	if hi >= len(tr.alphaSeen) {
@@ -518,8 +517,10 @@ func (tr *remaining) candidateAlphas(maxAlpha int) []int {
 	seen, out := tr.alphaSeen, tr.alphaBuf[:0]
 	if hi > 0 {
 		for _, ls := range states {
-			for _, a := range ls.sum.alphas {
-				seen[min(a, maxAlpha)] = true
+			for _, c := range ls.classes {
+				if c.count > 0 {
+					seen[min(c.prefC, maxAlpha)] = true
+				}
 			}
 		}
 	}
@@ -558,8 +559,7 @@ func (tr *remaining) serveLink(e graph.Edge, alpha int, backtrackPass bool) int 
 		if t <= 0 {
 			continue
 		}
-		tr.subflows[en.sf].count -= int32(t)
-		tr.markDirty(en.sf)
+		tr.addCount(en.sf, -int32(t))
 		served += t
 		if tr.keepTrace {
 			tr.trace = append(tr.trace, servedRecord{
@@ -602,9 +602,8 @@ func (tr *remaining) serveLink(e graph.Edge, alpha int, backtrackPass bool) int 
 			tr.subflows[en.sf].next = dst
 			tr.addCommittedEntry(dst)
 		} else {
-			tr.subflows[dst].count += int32(t)
 			tr.subflows[dst].frozen += int32(t)
-			tr.markDirty(dst)
+			tr.addCount(dst, int32(t))
 		}
 		tr.touched = append(tr.touched, dst)
 	}

@@ -214,9 +214,6 @@ func (c *Cursor) LinkUsable(e graph.Edge) bool {
 	return !c.linkDown[e] && !c.nodeDown[e.From] && !c.nodeDown[e.To]
 }
 
-// NodeUsable reports whether node v is up at the cursor's current slot.
-func (c *Cursor) NodeUsable(v int) bool { return !c.nodeDown[v] }
-
 // AnyDown reports whether any link or node is currently failed.
 func (c *Cursor) AnyDown() bool { return c.downs > 0 }
 

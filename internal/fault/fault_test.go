@@ -228,3 +228,6 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// NodeUsable reports whether node v is up at the cursor's current slot.
+func (c *Cursor) NodeUsable(v int) bool { return !c.nodeDown[v] }

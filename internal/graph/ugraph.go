@@ -20,7 +20,6 @@ func NormUEdge(a, b int) UEdge {
 // configurations of such a network are matchings of the Ugraph.
 type Ugraph struct {
 	n   int
-	adj [][]int
 	has map[UEdge]bool
 	m   int
 }
@@ -30,7 +29,7 @@ func NewU(n int) *Ugraph {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Ugraph{n: n, adj: make([][]int, n), has: make(map[UEdge]bool)}
+	return &Ugraph{n: n, has: make(map[UEdge]bool)}
 }
 
 // N returns the number of nodes.
@@ -53,17 +52,11 @@ func (g *Ugraph) AddEdge(a, b int) {
 		return
 	}
 	g.has[e] = true
-	g.adj[a] = insertSorted(g.adj[a], b)
-	g.adj[b] = insertSorted(g.adj[b], a)
 	g.m++
 }
 
 // HasEdge reports whether the undirected edge {a, b} exists.
 func (g *Ugraph) HasEdge(a, b int) bool { return g.has[NormUEdge(a, b)] }
-
-// Adj returns the sorted neighbors of node i. The returned slice must not
-// be modified.
-func (g *Ugraph) Adj(i int) []int { return g.adj[i] }
 
 // Edges returns all edges sorted by (A, B).
 func (g *Ugraph) Edges() []UEdge {
@@ -91,15 +84,4 @@ func (g *Ugraph) Directed() *Digraph {
 		d.AddEdge(e.B, e.A)
 	}
 	return d
-}
-
-// CompleteU returns the complete undirected graph over n nodes.
-func CompleteU(n int) *Ugraph {
-	g := NewU(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
-		}
-	}
-	return g
 }

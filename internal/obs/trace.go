@@ -41,9 +41,6 @@ type Field struct {
 // I is an integer field.
 func I(key string, v int64) Field { return Field{key: key, kind: fInt, i: v} }
 
-// S is a string field.
-func S(key, v string) Field { return Field{key: key, kind: fStr, s: v} }
-
 // Pairs is a field holding a list of integer pairs (rendered as a JSON
 // array of two-element arrays); the schedule events use it for link sets.
 func Pairs(key string, v [][2]int) Field { return Field{key: key, kind: fPairs, pairs: v} }
@@ -160,12 +157,6 @@ func (r *Record) Int(key string) (int64, bool) {
 		return 0, false
 	}
 	return int64(v), true
-}
-
-// Str returns the string payload field key.
-func (r *Record) Str(key string) (string, bool) {
-	s, ok := r.Fields[key].(string)
-	return s, ok
 }
 
 // IntPairs returns the pair-list payload field key (as written by Pairs),

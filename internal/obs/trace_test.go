@@ -147,3 +147,12 @@ func TestRecordAccessorsRejectWrongTypes(t *testing.T) {
 		t.Error("IntPairs accepted string pairs")
 	}
 }
+
+// S is a string field.
+func S(key, v string) Field { return Field{key: key, kind: fStr, s: v} }
+
+// Str returns the string payload field key.
+func (r *Record) Str(key string) (string, bool) {
+	s, ok := r.Fields[key].(string)
+	return s, ok
+}

@@ -186,7 +186,7 @@ type StreamReader struct {
 }
 
 // NewStreamReader returns a reader over r. The format is sniffed on the
-// first Next call.
+// first read.
 func NewStreamReader(r io.Reader) *StreamReader {
 	return &StreamReader{br: bufio.NewReaderSize(r, 1<<16)}
 }
@@ -218,20 +218,12 @@ func (sr *StreamReader) init() error {
 	return nil
 }
 
-// Next decodes the next flow record. It returns io.EOF after the last
-// flow; any other error means the stream is malformed or truncated. The
-// returned flow passes the same structural checks as ReadJSON.
-func (sr *StreamReader) Next() (Flow, error) {
-	var f Flow
-	if err := sr.next(&f); err != nil {
-		return Flow{}, err
-	}
-	return f, nil
-}
-
-// next is Next decoding into f, whose Routes backing it overwrites and
-// reuses: for a caller, like ReadStore, that copies the flow out before the
-// next call. On an error f's contents are unspecified.
+// next decodes the next flow record into f, whose Routes backing it
+// overwrites and reuses: for a caller, like ReadStore, that copies the flow
+// out before the next call. It returns io.EOF after the last flow; any other
+// error means the stream is malformed or truncated, and leaves f's contents
+// unspecified. A flow it returns passes the same structural checks as
+// ReadJSON.
 func (sr *StreamReader) next(f *Flow) error {
 	if err := sr.init(); err != nil {
 		return err
@@ -388,7 +380,7 @@ func (sr *StreamReader) nextBinary(f *Flow) error {
 // ReadJSON structural checks plus the numeric ranges the binary encoding
 // can represent, so both encodings accept exactly the same set of flows
 // and every accepted flow re-encodes losslessly. Enforced on both decode
-// (Next) and encode (Write).
+// (next) and encode (Write).
 func checkStreamFlow(f *Flow) error {
 	if f.ID < 0 || int64(f.ID) > math.MaxInt32 {
 		return fmt.Errorf("traffic: flow id %d out of stream range", f.ID)

@@ -273,3 +273,13 @@ func BenchmarkReadStoreBinary(b *testing.B) {
 		}
 	}
 }
+
+// Next is next into a fresh flow: one record at a time, as the stream tests
+// and the fuzz target read a stream.
+func (sr *StreamReader) Next() (Flow, error) {
+	var f Flow
+	if err := sr.next(&f); err != nil {
+		return Flow{}, err
+	}
+	return f, nil
+}

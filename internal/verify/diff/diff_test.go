@@ -1,7 +1,6 @@
 package diff
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -78,64 +77,6 @@ func TestDifferentialSuite(t *testing.T) {
 	if greedy := delivered["octopus-g"]; float64(greedy) < 0.75*float64(full) {
 		t.Errorf("Octopus-G delivered %d, below 0.75× plain Octopus %d", greedy, full)
 	}
-}
-
-// TestTheorem1AgainstBruteForce checks the paper's approximation guarantee
-// against the true optimum: on every brute-forceable instance, plain
-// Octopus's ψ is at least (1 − 1/e^{1/𝒟})·W/(W+Δ)·OPT(ψ) — and no variant's
-// claimed metrics ever exceed OPT.
-func TestTheorem1AgainstBruteForce(t *testing.T) {
-	trials := 60
-	if testing.Short() {
-		trials = 20
-	}
-	rng := rand.New(rand.NewSource(7))
-	runners := Runners()
-	checked := 0
-	for checked < trials {
-		inst := verify.RandomTinyInstance(rng)
-		if len(inst.Load.Flows) == 0 {
-			continue
-		}
-		checked++
-		opt, err := verify.BruteForce(inst.G, inst.Load, verify.BruteOptions{
-			Window: inst.Window, Delta: inst.Delta,
-		})
-		if err != nil {
-			t.Fatalf("instance %d: %v", checked, err)
-		}
-		for _, r := range runners {
-			if !r.Core {
-				continue
-			}
-			out, err := r.Run(inst)
-			if err != nil {
-				t.Fatalf("instance %d: %s: %v", checked, r.Name, err)
-			}
-			rep, err := out.Check()
-			if err != nil {
-				t.Fatalf("instance %d: %s: %v", checked, r.Name, err)
-			}
-			// Feasible schedules cannot beat the exhaustive optimum (under
-			// the bulk semantics all core plans are claimed in).
-			if rep.Psi > opt.PsiOpt {
-				t.Fatalf("instance %d: %s ψ=%d exceeds OPT(ψ)=%d", checked, r.Name, rep.Psi, opt.PsiOpt)
-			}
-			if rep.Delivered > opt.DeliveredOpt {
-				t.Fatalf("instance %d: %s delivered %d > OPT=%d", checked, r.Name, rep.Delivered, opt.DeliveredOpt)
-			}
-			if r.Name != "octopus" {
-				continue
-			}
-			d := float64(inst.Load.MaxHops())
-			bound := (1 - math.Exp(-1/d)) * float64(inst.Window) / float64(inst.Window+inst.Delta)
-			if float64(rep.Psi) < bound*float64(opt.PsiOpt)-1e-9 {
-				t.Fatalf("instance %d: Octopus ψ=%d below Theorem 1 bound %.3f·OPT(ψ)=%.1f (OPT=%d, 𝒟=%v, W=%d, Δ=%d)",
-					checked, rep.Psi, bound, bound*float64(opt.PsiOpt), opt.PsiOpt, d, inst.Window, inst.Delta)
-			}
-		}
-	}
-	t.Logf("Theorem 1 held on %d brute-forced instances", checked)
 }
 
 // TestRunnersCoverRoster guards the differential suite's coverage claim:
