@@ -124,7 +124,7 @@ func BenchmarkMatchingExact100(b *testing.B) {
 	edges := randomMatchingInstance(100)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		matching.MaxWeightBipartite(100, edges)
+		new(matching.Arena).MaxWeightBipartite(100, edges)
 	}
 }
 

@@ -21,7 +21,6 @@ func TestGoldenOutput(t *testing.T) {
 	}{
 		{"octopus.txt", []string{"-algo", "octopus"}},
 		{"eclipse-based.txt", []string{"-algo", "eclipse-based"}},
-		{"maxweight.txt", []string{"-algo", "maxweight"}},
 		{"ub.txt", []string{"-algo", "ub"}},
 		{"octopus-plus.txt", []string{"-algo", "octopus-plus", "-routes", "4"}},
 		{"rotornet.txt", []string{"-algo", "rotornet"}},

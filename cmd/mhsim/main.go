@@ -3,7 +3,7 @@
 // algorithm, replay it in the packet-level simulator, and print the
 // outcome. Algorithms are dispatched through the internal/algo registry,
 // so every registered algorithm — core Octopus variants, baselines,
-// maxweight, hybrid, UB — is available with a uniform spec grammar.
+// hybrid, UB — is available with a uniform spec grammar.
 //
 // Usage:
 //
@@ -178,7 +178,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		deg        = fs.Int("deg", 0, "partial fabric with this out-degree per node (0 = complete)")
 		podsFabric = fs.Int("pods", 0, "pod-structured fabric with this many pods of n/pods nodes (pairs with octopus-sharded:pods=...)")
 		multihop   = fs.Bool("multihop", false, "allow packets to chain hops within a configuration")
-		hold       = fs.Int("hold", 0, "maxweight: slots to hold each matching (0 = 10·Δ)")
 		verbose    = fs.Bool("v", false, "print the configuration sequence")
 		gantt      = fs.Bool("gantt", false, "print the schedule as an ASCII Gantt chart")
 		saveSched  = fs.String("save-schedule", "", "write the planned schedule to a JSON file")
@@ -220,7 +219,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Delta:        *delta,
 		Ports:        *ports,
 		Seed:         *seed,
-		Hold:         *hold,
 		MultiHop:     *multihop,
 		Obs:          sinks.observer,
 		FlightSample: *flightSmpl,
@@ -363,9 +361,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 
 		switch a.Kind() {
-		case algo.Online:
-			fmt.Fprintf(stdout, "%s: delivered %d/%d (%.2f%%), %d packet-hops, %d reconfigurations\n",
-				out.Algo, out.Delivered, out.Total, 100*out.DeliveredFraction(), out.Hops, out.Reconfigs)
 		case algo.Bound:
 			fmt.Fprintf(stdout, "%s: delivered %d/%d (%.2f%%), utilization %.2f%%\n",
 				strings.ToUpper(out.Algo), out.Delivered, out.Total, 100*out.DeliveredFraction(), 100*out.Utilization())
@@ -447,22 +442,6 @@ func loadSchedule(path string, g *graph.Digraph, ports int) (*schedule.Schedule,
 	return sch, nil
 }
 
-// arrivalsAt0 turns a load into an arrival stream with everything offered
-// at slot 0 (the mhsim fault pipeline's admission model).
-func arrivalsAt0(load *traffic.Load) []online.Arrival {
-	arr := make([]online.Arrival, len(load.Flows))
-	for i, f := range load.Flows {
-		arr[i] = online.Arrival{Flow: f, At: 0}
-	}
-	return arr
-}
-
-// faultConfig is the engine configuration of a fault-tolerant run: the
-// trace replayed with epoch-boundary repair and every plan audited.
-func faultConfig(opt core.Options, faults *fault.Trace, red *traffic.Redundancy, reactive bool) engine.Config {
-	return engine.Config{Core: opt, Trace: faults, Repair: true, Reactive: reactive, Red: red, Audit: true}
-}
-
 // runFaulty drives the fault-tolerant online pipeline and prints the
 // per-epoch degradation report beside a failure-free reference run of the
 // same arrivals. When the algorithm spec carries redundancy knobs
@@ -478,10 +457,15 @@ func runFaulty(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults *f
 			load.TotalPackets(), expanded.TotalPackets())
 		load = expanded
 	}
-	arrivals := arrivalsAt0(load)
-	cfg := faultConfig(opt, faults, red, true)
-	cfg.Flight = params.Flight
-	res, err := online.Run(g, arrivals, cfg, maxEpochs)
+	// Everything is offered at slot 0, replayed against the trace with
+	// epoch-boundary repair and every plan audited.
+	arrivals := make([]online.Arrival, len(load.Flows))
+	for i, f := range load.Flows {
+		arrivals[i] = online.Arrival{Flow: f}
+	}
+	res, err := online.Run(g, arrivals, engine.Config{
+		Core: opt, Trace: faults, Repair: true, Reactive: true, Red: red, Audit: true, Flight: params.Flight,
+	}, maxEpochs)
 	if err != nil {
 		return err
 	}
@@ -552,13 +536,14 @@ func runShowdown(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults 
 	}
 	k, crit, stretch := algo.RedundancyKnobs(params)
 	expanded, red := algo.ProvisionRedundant(g, load, params)
-	arm := func(name string, l *traffic.Load, r *traffic.Redundancy, reactive bool) (showdownArm, error) {
-		res, err := online.Run(g, arrivalsAt0(l), faultConfig(opt, faults, r, reactive), maxEpochs)
-		if err != nil {
-			return showdownArm{}, fmt.Errorf("%s arm: %w", name, err)
-		}
-		return showdownArm{
-			Arm:               name,
+	results, err := online.Showdown(g, load, expanded, red, engine.Config{Core: opt, Trace: faults}, maxEpochs)
+	if err != nil {
+		return err
+	}
+	rep := showdownReport{Redundancy: k, CritFrac: crit, Stretch: stretch}
+	for i, res := range results {
+		rep.Arms = append(rep.Arms, showdownArm{
+			Arm:               [...]string{"none", "reactive", "proactive", "both"}[i],
 			Delivered:         res.Delivered,
 			Total:             res.Submitted,
 			UniqueDelivered:   res.UniqueDelivered,
@@ -568,25 +553,7 @@ func runShowdown(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults 
 			SurvivedRedundant: res.SurvivedRedundant,
 			Psi:               res.Psi,
 			Epochs:            len(res.Epochs),
-		}, nil
-	}
-	rep := showdownReport{Redundancy: k, CritFrac: crit, Stretch: stretch}
-	for _, spec := range []struct {
-		name     string
-		load     *traffic.Load
-		red      *traffic.Redundancy
-		reactive bool
-	}{
-		{"none", load, nil, false},
-		{"reactive", load, nil, true},
-		{"proactive", expanded, red, false},
-		{"both", expanded, red, true},
-	} {
-		a, err := arm(spec.name, spec.load, spec.red, spec.reactive)
-		if err != nil {
-			return err
-		}
-		rep.Arms = append(rep.Arms, a)
+		})
 	}
 	rep.PsiOverhead = 1
 	if reactive, both := rep.Arms[1], rep.Arms[3]; reactive.Psi > 0 {

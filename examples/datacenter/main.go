@@ -1,9 +1,9 @@
 // Datacenter: schedule realistic data-center traffic mixes on a hybrid
 // circuit fabric and compare every algorithm in the registry — Octopus and
-// its variants against the Eclipse-Based, Solstice, and RotorNet baselines,
-// the MaxWeight online policy, and the UB upper bound — over both the
-// synthetic workload and the trace-like loads standing in for the
-// Facebook/Microsoft traces.
+// its variants against the Eclipse and RotorNet baselines, the hybrid
+// circuit/packet scheme, and the UB upper bound — over both the synthetic
+// workload and the trace-like loads standing in for the Facebook/Microsoft
+// traces.
 //
 // The comparison loop is registry-driven: it enumerates
 // octopus.Algorithms() rather than hand-rolling one block per algorithm,

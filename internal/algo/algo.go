@@ -3,21 +3,20 @@
 // repository — cmd/mhsim, cmd/mhsbench, internal/experiment, the
 // differential harness internal/verify/diff, and the public façade.
 //
-// Every scheduling algorithm the paper evaluates (the six Octopus core
-// variants, the baselines, the MaxWeight online policy, the hybrid
-// circuit/packet scheme, and the UB pseudo-algorithm) registers itself
-// here under a stable name. Entry points enumerate Registry() instead of
-// maintaining their own rosters, so adding an algorithm is a one-file
-// change: implement Algorithm, register it in register.go, and the CLIs,
-// the experiment runners, and the differential verification suite pick it
-// up by construction.
+// Every scheduling algorithm the paper evaluates (the Octopus core
+// variants, the baselines, the hybrid circuit/packet scheme, and the UB
+// pseudo-algorithm) registers itself here under a stable name. Entry
+// points enumerate Registry() instead of maintaining their own rosters,
+// so adding an algorithm is a one-file change: implement Algorithm,
+// register it in register.go, and the CLIs, the experiment runners, and
+// the differential verification suite pick it up by construction.
 //
 // An algorithm is selected by a spec string with a uniform grammar,
 //
 //	name[:key=value,...]
 //
-// e.g. "octopus-e:eps64=8" or "maxweight:hold=50,hys64=96"; see ParseSpec
-// for the key set. Running an algorithm yields a uniform *Outcome that
+// e.g. "octopus-e:eps64=8" or "octopus-redundant:red=2,crit=0.5"; see
+// ParseSpec for the key set. Running an algorithm yields a uniform *Outcome that
 // carries the planned schedule (when one exists), the delivered / hops /
 // ψ / reconfiguration metrics every consumer reports, and everything the
 // independent validator needs to re-check the run (Outcome.Verify).
@@ -39,13 +38,10 @@ type Kind int
 
 const (
 	// Offline algorithms plan a configuration schedule for the whole
-	// window up front (Octopus family, Eclipse/Solstice/RotorNet
-	// baselines, hybrid). Outcome.Schedule is set when a circuit schedule
-	// was produced.
+	// window up front (Octopus family, Eclipse/RotorNet baselines,
+	// hybrid). Outcome.Schedule is set when a circuit schedule was
+	// produced.
 	Offline Kind = iota
-	// Online algorithms run closed-loop on instantaneous queue state and
-	// produce no precomputed schedule (MaxWeight).
-	Online
 	// Bound pseudo-algorithms compute an upper bound on achievable
 	// performance rather than a feasible schedule (UB).
 	Bound
@@ -53,14 +49,10 @@ const (
 
 // String returns the lower-case kind name used in listings.
 func (k Kind) String() string {
-	switch k {
-	case Online:
-		return "online"
-	case Bound:
+	if k == Bound {
 		return "bound"
-	default:
-		return "offline"
 	}
+	return "offline"
 }
 
 // Algorithm is one scheduling algorithm under the registry.
@@ -118,8 +110,8 @@ type Outcome struct {
 	Load   *traffic.Load
 
 	// Schedule is the planned configuration sequence; nil for
-	// schedule-free algorithms (maxweight, ub, or hybrid runs fully
-	// absorbed by the packet network).
+	// schedule-free algorithms (ub, or hybrid runs fully absorbed by the
+	// packet network).
 	Schedule *schedule.Schedule
 
 	// Plan is the scheduler's own bookkeeping (nil for baselines whose
@@ -134,7 +126,7 @@ type Outcome struct {
 	Hops            int
 	Psi             int64 // in traffic.WeightScale units; 0 when not tracked
 	ActiveLinkSlots int64 // Σ αₖ·|Mₖ|; utilization denominator
-	Reconfigs       int   // configurations planned, or online reconfigurations
+	Reconfigs       int   // configurations planned
 	ConfigsReplayed int   // configurations the simulator replayed (0 if unmeasured)
 	SlotsUsed       int
 	Measured        bool
@@ -210,7 +202,7 @@ func (o *Outcome) Verify() (*verify.Report, error) {
 
 // registry holds the registered algorithms in registration order, which
 // register.go keeps canonical (core variants, then baselines, then the
-// online/hybrid/bound entries).
+// hybrid and bound entries).
 var registry []Algorithm
 
 // Register adds an algorithm to the registry. It panics on a duplicate or

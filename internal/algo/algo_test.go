@@ -151,7 +151,7 @@ func TestRegistryListing(t *testing.T) {
 			t.Errorf("%s missing from CoreNames()", n)
 		}
 	}
-	for _, n := range []string{"rotornet", "maxweight", "ub", "hybrid", "eclipse", "eclipse-based", "eclipse-pp", "solstice"} {
+	for _, n := range []string{"rotornet", "ub", "hybrid", "eclipse", "eclipse-based", "eclipse-pp"} {
 		if coreSet[n] {
 			t.Errorf("%s wrongly classified as core", n)
 		}

@@ -70,16 +70,6 @@ func eclipseBasedAlgo() Algorithm {
 	}
 }
 
-func solsticeAlgo() Algorithm {
-	return &simAlgo{
-		name:     "solstice",
-		describe: "Solstice-style baseline: Birkhoff-von-Neumann decomposition of the one-hop demand, replayed on the multi-hop load",
-		run: func(g *graph.Digraph, load *traffic.Load, p Params) (*simulate.Result, *schedule.Schedule, error) {
-			return baseline.SolsticeBased(g, load, p.Window, p.Delta)
-		},
-	}
-}
-
 func rotornetAlgo() Algorithm {
 	return &simAlgo{
 		name:     "rotornet",

@@ -39,12 +39,6 @@ type Params struct {
 	// the algorithm default (4 for octopus-e, off for plain octopus).
 	Epsilon64 int
 
-	// Hold and Hysteresis64 configure maxweight: slots to hold each
-	// matching (0 = the online package default of 10·Δ) and the
-	// reconfiguration hysteresis in 1/64 units.
-	Hold         int
-	Hysteresis64 int
-
 	// PacketRate is hybrid's packet-network per-port rate in packets per
 	// slot; 0 selects the default 0.1.
 	PacketRate float64
@@ -124,7 +118,7 @@ func ParseMatcher(s string) (core.Matcher, error) {
 //	name[:key=value,...]
 //
 // against the registry, overlaying any key=value options onto base. Keys:
-// window, delta, ports, seed, eps64, hold, hys64, slots (integers),
+// window, delta, ports, seed, eps64, slots (integers),
 // rate (float), multihop, backtrack, keeptrace (booleans; backtrack=false
 // disables Octopus+ backtracking), and matcher (exact|greedy).
 func ParseSpec(spec string, base Params) (Algorithm, Params, error) {
@@ -152,7 +146,7 @@ func ParseSpec(spec string, base Params) (Algorithm, Params, error) {
 
 // specKeys names every key ParseSpec accepts, for error messages.
 var specKeys = []string{
-	"backtrack", "crit", "delta", "eps64", "hold", "hys64", "keeptrace",
+	"backtrack", "crit", "delta", "eps64", "keeptrace",
 	"matcher", "multihop", "par", "pods", "ports", "rate", "red", "sample",
 	"seed", "slots", "stretch", "window",
 }
@@ -196,10 +190,6 @@ func (p *Params) set(key, val string) error {
 		return parseInt(&p.Pods)
 	case "eps64":
 		return parseInt(&p.Epsilon64)
-	case "hold":
-		return parseInt(&p.Hold)
-	case "hys64":
-		return parseInt(&p.Hysteresis64)
 	case "slots":
 		return parseInt(&p.SlotsPerMatching)
 	case "red":

@@ -32,11 +32,11 @@ func TestParseSpecPlainName(t *testing.T) {
 
 func TestParseSpecOptions(t *testing.T) {
 	base := Params{Window: 100, Delta: 5}
-	a, p, err := ParseSpec("maxweight:hold=50,hys64=96", base)
+	a, p, err := ParseSpec("rotornet:slots=50,delta=7", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Name() != "maxweight" || p.Hold != 50 || p.Hysteresis64 != 96 {
+	if a.Name() != "rotornet" || p.SlotsPerMatching != 50 || p.Delta != 7 {
 		t.Fatalf("got %s, %+v", a.Name(), p)
 	}
 	_, p, err = ParseSpec("octopus-e:eps64=8,window=200,matcher=greedy", base)
@@ -77,6 +77,8 @@ func TestParseSpecErrors(t *testing.T) {
 	}{
 		{"bogus", "unknown algorithm"},
 		{"", "unknown algorithm"},
+		{"maxweight", "unknown algorithm"},
+		{"solstice", "unknown algorithm"},
 		{"octopus:", "malformed option"},
 		{"octopus:eps64", "malformed option"},
 		{"octopus:eps64=", "malformed option"},
@@ -88,6 +90,8 @@ func TestParseSpecErrors(t *testing.T) {
 		{"octopus:matcher=sparse", `unknown matcher "sparse" (want exact or greedy)`},
 		{"octopus:matcher=warm", `unknown matcher "warm" (want exact or greedy)`},
 		{"octopus:color=red", "unknown option"},
+		{"octopus:hold=1", `unknown option "hold"`},
+		{"octopus:hys64=96", `unknown option "hys64"`},
 	}
 	for _, tc := range cases {
 		_, _, err := ParseSpec(tc.spec, base)

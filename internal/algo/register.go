@@ -1,8 +1,8 @@
 package algo
 
 // init registers the full roster in the canonical display order: the
-// Octopus core family, then the baselines, then the online / hybrid /
-// bound entries. Adding an algorithm means implementing Algorithm in one
+// Octopus core family, then the baselines, then the hybrid and bound
+// entries. Adding an algorithm means implementing Algorithm in one
 // file and appending a Register call here — every CLI, experiment runner,
 // and the differential verification suite picks it up from the registry.
 func init() {
@@ -18,9 +18,7 @@ func init() {
 	Register(eclipseAlgo{})
 	Register(eclipseBasedAlgo())
 	Register(eclipsePPAlgo{})
-	Register(solsticeAlgo())
 	Register(rotornetAlgo())
-	Register(maxweightAlgo{})
 	Register(hybridAlgo{})
 	Register(ubAlgo{})
 }

@@ -20,7 +20,7 @@ func TestBaselinesValidateProperty(t *testing.T) {
 		if len(inst.Load.Flows) == 0 {
 			return true
 		}
-		switch which % 4 {
+		switch which % 3 {
 		case 0: // Eclipse over the one-hop decomposition, exact plan claim.
 			oh := OneHopLoad(inst.Load, false)
 			_, res, err := Eclipse(inst.G, oh.Load, inst.Window, inst.Delta, core.MatcherExact)
@@ -38,20 +38,6 @@ func TestBaselinesValidateProperty(t *testing.T) {
 			}
 		case 1:
 			sim, sch, err := EclipseBased(inst.G, inst.Load, inst.Window, inst.Delta, core.MatcherExact)
-			if err != nil {
-				t.Logf("seed %d: %v", seed, err)
-				return false
-			}
-			_, err = verify.Schedule(inst.G, inst.Load, sch, verify.Options{
-				Window: inst.Window,
-				Claim:  &verify.Claim{Delivered: sim.Delivered, Hops: sim.Hops, Psi: sim.Psi},
-			})
-			if err != nil {
-				t.Logf("seed %d: %v", seed, err)
-				return false
-			}
-		case 2:
-			sim, sch, err := SolsticeBased(inst.G, inst.Load, inst.Window, inst.Delta)
 			if err != nil {
 				t.Logf("seed %d: %v", seed, err)
 				return false

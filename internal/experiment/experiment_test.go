@@ -230,7 +230,7 @@ func TestAlgorithmNamesMatchRegistry(t *testing.T) {
 	// names algorithms by registry spec, so every name it uses must resolve.
 	for _, n := range []string{"octopus", "octopus-g", "octopus-b", "octopus-e",
 		"octopus-plus", "octopus-random", "eclipse-based", "eclipse-pp",
-		"solstice", "rotornet", "maxweight", "ub"} {
+		"rotornet", "ub"} {
 		if _, ok := algo.Lookup(n); !ok {
 			t.Errorf("figure-dispatched algorithm %q not in registry", n)
 		}

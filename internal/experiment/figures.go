@@ -306,15 +306,6 @@ var figures = []figure{
 			{label: "Octopus-G", spec: "octopus-g", pick: delivered},
 		}},
 
-	// Both one-hop-decomposition baselines: Eclipse-Based and a
-	// Solstice-style BvN decomposition.
-	{id: "ext-solstice", title: "Octopus vs one-hop decomposition baselines",
-		xlabel: "delta", ylabel: "% packets delivered",
-		xs: deltaSweep, at: byDelta, series: []series{
-			{label: "Octopus", spec: "octopus", pick: delivered},
-			{label: "Eclipse-Based", spec: "eclipse-based", pick: delivered},
-			{label: "Solstice-Based", spec: "solstice", pick: delivered},
-		}},
 	// Each configuration is a union of up to K edge-disjoint matchings;
 	// the capacity bound scales with the port count.
 	{id: "ext-ports", title: "K ports per node (§7)",
@@ -349,16 +340,6 @@ var figures = []figure{
 		xlabel: "route hops", ylabel: "packets buffered (peak)",
 		xs: hopSweep, at: byHops,
 		series: labels("max per node", "max total", "delivered%"), point: peakBuffers},
-	// Offline window planning against the queue-state-driven MaxWeight
-	// policy of [37], without and with reconfiguration hysteresis
-	// (maxweight holds each matching for the online default of 10·Δ).
-	{id: "ext-adaptive", title: "Offline window planning vs queue-state MaxWeight",
-		xlabel: "delta", ylabel: "% packets delivered",
-		xs: deltaSweep, at: byDelta, series: []series{
-			{label: "Octopus", spec: "octopus", pick: delivered},
-			{label: "MaxWeight", spec: "maxweight", pick: delivered},
-			{label: "MaxWeight hys=1.5", spec: "maxweight:hys64=96", pick: delivered},
-		}},
 	// ε in 1/64 units on Fig 7b's hardest setting. Plain octopus honors
 	// eps64 directly, so 0 stays the no-bonus baseline (octopus-e would
 	// default 0 to 4).

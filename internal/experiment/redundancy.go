@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"octopus/internal/algo"
 	"octopus/internal/core"
 	"octopus/internal/engine"
 	"octopus/internal/fault"
@@ -67,24 +68,6 @@ var redTraces = sync.OnceValues(func() ([]*fault.Trace, error) {
 	return traces, nil
 })
 
-// redArm runs one arm of the showdown: the arrivals (all at slot 0) under
-// one committed failure trace, with or without proactive copies (red) and
-// with or without reactive epoch-boundary repair.
-func redArm(g *graph.Digraph, load *traffic.Load, tr *fault.Trace, mat core.Matcher, red *traffic.Redundancy, reactive bool) (*online.Result, error) {
-	arrivals := make([]online.Arrival, len(load.Flows))
-	for i, f := range load.Flows {
-		arrivals[i] = online.Arrival{Flow: f, At: 0}
-	}
-	return online.Run(g, arrivals, engine.Config{
-		Core:     core.Options{Window: redEpochW, Delta: redDelta, Matcher: mat},
-		Trace:    tr,
-		Repair:   true,
-		Reactive: reactive,
-		Red:      red,
-		Audit:    true,
-	}, redMaxEpochs)
-}
-
 // onTimeFraction is the deduplicated fraction delivered within the first
 // redHorizon epochs.
 func onTimeFraction(res *online.Result) float64 {
@@ -122,27 +105,15 @@ func redundancyShowdown(sc Scale, in instance, rng *rand.Rand) ([]float64, error
 	// Provision the proactive arms: largest-half flows get up to k
 	// pairwise edge-disjoint route copies, expanded into per-copy flows
 	// tied together by the redundancy group map.
-	prov := load.Clone()
-	traffic.MarkCritical(prov, redCritFrac)
-	prov = traffic.Redundant(g, prov, in.x, redStretch)
-	expanded, red := traffic.ExpandRedundant(prov)
-
-	none, err := redArm(g, load, tr, sc.Matcher, nil, false)
+	expanded, red := algo.ProvisionRedundant(g, load, algo.Params{Redundancy: in.x, CritFrac: redCritFrac, Stretch: redStretch})
+	arms, err := online.Showdown(g, load, expanded, red, engine.Config{
+		Core:  core.Options{Window: redEpochW, Delta: redDelta, Matcher: sc.Matcher},
+		Trace: tr,
+	}, redMaxEpochs)
 	if err != nil {
 		return nil, err
 	}
-	reactive, err := redArm(g, load, tr, sc.Matcher, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	proactive, err := redArm(g, expanded, tr, sc.Matcher, red, false)
-	if err != nil {
-		return nil, err
-	}
-	both, err := redArm(g, expanded, tr, sc.Matcher, red, true)
-	if err != nil {
-		return nil, err
-	}
+	none, reactive, proactive, both := arms[0], arms[1], arms[2], arms[3]
 	overhead := 1.0
 	if reactive.Psi > 0 {
 		overhead = float64(both.Psi) / float64(reactive.Psi)

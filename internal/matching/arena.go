@@ -1,5 +1,9 @@
 package matching
 
+import "math"
+
+const inf = math.MaxInt64 / 4
+
 // Arena is reusable scratch for the bipartite matchers. The Octopus greedy
 // loop solves thousands of matchings per run; with a per-worker Arena the
 // dense matrix, potentials, radix-sort buffer, and result slices are
@@ -10,9 +14,9 @@ package matching
 // its matcher methods aliases arena storage: it is valid only until the
 // next call of the same kind on the same Arena — a greedy result outlives
 // exact calls and an exact result greedy calls, their backing being
-// separate (core's Octopus-B holds both). The package-level MaxWeightBipartite and
-// GreedyBipartite wrappers use a private Arena per call and therefore keep
-// their original allocate-fresh semantics.
+// separate (core's Octopus-B holds both). The package-level GreedyBipartite
+// wrapper uses a private Arena per call and therefore keeps its
+// allocate-fresh semantics.
 //
 // The zero Arena is ready to use.
 type Arena struct {
@@ -234,9 +238,24 @@ func (a *Arena) carry(col []int64) bool {
 	return true
 }
 
-// MaxWeightBipartite is the arena-backed variant of the package-level
-// MaxWeightBipartite; see its documentation. The returned slice is valid
-// until the next exact call on the arena.
+// MaxWeightBipartite returns an exact maximum-weight matching of the
+// bipartite graph with n output-port nodes and n input-port nodes, together
+// with its total weight. Edges with non-positive weight never appear in the
+// result, so the matching is free to leave nodes unmatched. The returned
+// slice is valid until the next exact call on the arena.
+//
+// The implementation is the classic Hungarian algorithm with potentials
+// (Jonker-Volgenant style shortest augmenting paths, one row insertion at a
+// time from zero duals) on a dense matrix over only the nodes incident to a
+// positive-weight edge: O(k^3) time for k active nodes in the worst case,
+// though a round relaxes only the cells that can change — on sparse or
+// heavily tied instances a row's positive columns — and takes its minimum
+// over blocks of columns (insertRow). It stands in for the OR-Tools
+// linear-assignment solver the paper used; both compute the same optimum.
+// Among equal-weight optima the result is fixed by the input: rows and
+// columns are numbered in first-appearance order and every comparison keeps
+// the lower-numbered column on ties, exactly as the textbook loop would
+// (DESIGN.md §13.1; exact_ref_test.go holds that loop and the comparison).
 func (a *Arena) MaxWeightBipartite(n int, edges []Edge) ([]Edge, int64) {
 	capBefore := a.exactCap()
 	a.Stats.ExactCalls++

@@ -25,7 +25,7 @@ func BenchmarkHungarian(b *testing.B) {
 		b.Run(sizeName(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MaxWeightBipartite(n, edges)
+				new(Arena).MaxWeightBipartite(n, edges)
 			}
 		})
 	}
@@ -72,18 +72,6 @@ func BenchmarkGreedyBipartite(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				GreedyBipartite(n, edges)
-			}
-		})
-	}
-}
-
-func BenchmarkHopcroftKarp(b *testing.B) {
-	for _, n := range []int{100, 400} {
-		edges := benchBipartite(n, 4, 1)
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MaxCardinalityBipartite(n, edges)
 			}
 		})
 	}

@@ -40,24 +40,24 @@ func isBipartiteMatching(n int, m []Edge) bool {
 func TestMaxWeightBipartiteSimple(t *testing.T) {
 	// 2x2: picking the diagonal (5+5) beats the single heavy edge (7).
 	edges := []Edge{{0, 0, 5}, {0, 1, 7}, {1, 1, 5}}
-	m, w := MaxWeightBipartite(2, edges)
+	m, w := new(Arena).MaxWeightBipartite(2, edges)
 	if w != 10 || len(m) != 2 {
 		t.Fatalf("got w=%d m=%v, want 10 with 2 edges", w, m)
 	}
 }
 
 func TestMaxWeightBipartiteEmpty(t *testing.T) {
-	if m, w := MaxWeightBipartite(3, nil); m != nil || w != 0 {
+	if m, w := new(Arena).MaxWeightBipartite(3, nil); m != nil || w != 0 {
 		t.Fatalf("empty instance: got %v %d", m, w)
 	}
-	if m, w := MaxWeightBipartite(3, []Edge{{0, 1, 0}, {1, 2, -4}}); m != nil || w != 0 {
+	if m, w := new(Arena).MaxWeightBipartite(3, []Edge{{0, 1, 0}, {1, 2, -4}}); m != nil || w != 0 {
 		t.Fatalf("non-positive weights: got %v %d", m, w)
 	}
 }
 
 func TestMaxWeightBipartiteDuplicateEdges(t *testing.T) {
 	edges := []Edge{{0, 1, 3}, {0, 1, 9}, {0, 1, 5}}
-	m, w := MaxWeightBipartite(2, edges)
+	m, w := new(Arena).MaxWeightBipartite(2, edges)
 	if w != 9 || len(m) != 1 || m[0].Weight != 9 {
 		t.Fatalf("duplicates: got %v %d", m, w)
 	}
@@ -66,7 +66,7 @@ func TestMaxWeightBipartiteDuplicateEdges(t *testing.T) {
 func TestMaxWeightBipartiteRectangular(t *testing.T) {
 	// More active rows than columns forces column padding.
 	edges := []Edge{{0, 5, 4}, {1, 5, 9}, {2, 5, 2}}
-	m, w := MaxWeightBipartite(6, edges)
+	m, w := new(Arena).MaxWeightBipartite(6, edges)
 	if w != 9 || len(m) != 1 || m[0] != (Edge{1, 5, 9}) {
 		t.Fatalf("got %v %d", m, w)
 	}
@@ -77,7 +77,7 @@ func TestMaxWeightBipartiteMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(5)
 		edges := randBipartite(rng, n, 20)
-		m, w := MaxWeightBipartite(n, edges)
+		m, w := new(Arena).MaxWeightBipartite(n, edges)
 		_, bw := BruteForceBipartite(n, edges)
 		if w != bw {
 			t.Fatalf("trial %d: hungarian=%d brute=%d edges=%v", trial, w, bw, edges)
@@ -97,7 +97,7 @@ func TestGreedyBipartiteHalfApprox(t *testing.T) {
 		n := 2 + rng.Intn(6)
 		edges := randBipartite(rng, n, 50)
 		gm, gw := GreedyBipartite(n, edges)
-		_, ow := MaxWeightBipartite(n, edges)
+		_, ow := new(Arena).MaxWeightBipartite(n, edges)
 		if !isBipartiteMatching(n, gm) {
 			t.Fatalf("greedy produced invalid matching %v", gm)
 		}
@@ -273,7 +273,7 @@ func TestGreedyExactOnDisjointEdges(t *testing.T) {
 			want += w
 		}
 		_, gw := GreedyBipartite(n, edges)
-		_, ow := MaxWeightBipartite(n, edges)
+		_, ow := new(Arena).MaxWeightBipartite(n, edges)
 		return gw == want && ow == want
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -287,10 +287,10 @@ func TestHungarianOrderInvariance(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 3 + rng.Intn(5)
 		edges := randBipartite(rng, n, 40)
-		_, w1 := MaxWeightBipartite(n, edges)
+		_, w1 := new(Arena).MaxWeightBipartite(n, edges)
 		shuffled := append([]Edge(nil), edges...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		_, w2 := MaxWeightBipartite(n, shuffled)
+		_, w2 := new(Arena).MaxWeightBipartite(n, shuffled)
 		if w1 != w2 {
 			t.Fatalf("order-dependent optimum: %d vs %d", w1, w2)
 		}
@@ -316,7 +316,7 @@ func TestHungarianLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 120
 	edges := randBipartite(rng, n, 1000)
-	m, w := MaxWeightBipartite(n, edges)
+	m, w := new(Arena).MaxWeightBipartite(n, edges)
 	if !isBipartiteMatching(n, m) {
 		t.Fatal("invalid matching at n=120")
 	}

@@ -14,6 +14,7 @@
 package online
 
 import (
+	"fmt"
 	"sort"
 
 	"octopus/internal/engine"
@@ -166,5 +167,41 @@ func Run(g *graph.Digraph, arrivals []Arrival, cfg engine.Config, maxEpochs int)
 		}
 	}
 	res.Totals = p.Totals()
+	return res, nil
+}
+
+// Showdown replays a burst offered at slot 0 under the failure trace
+// cfg.Trace once per protection arm — no protection, reactive repair only,
+// proactive copies only, and both — and returns the four results in that
+// order. The unprotected arms run load; the proactive arms run expanded,
+// the caller's redundancy-provisioned copy of it, whose copy groups red
+// ties together. Every arm repairs at epoch boundaries and audits its
+// plans; Showdown sets Repair, Audit, Reactive and Red and keeps the rest
+// of cfg.
+func Showdown(g *graph.Digraph, load, expanded *traffic.Load, red *traffic.Redundancy, cfg engine.Config, maxEpochs int) ([4]*Result, error) {
+	var res [4]*Result
+	cfg.Repair, cfg.Audit = true, true
+	for i, arm := range [4]struct {
+		name     string
+		load     *traffic.Load
+		red      *traffic.Redundancy
+		reactive bool
+	}{
+		{"none", load, nil, false},
+		{"reactive", load, nil, true},
+		{"proactive", expanded, red, false},
+		{"both", expanded, red, true},
+	} {
+		arrivals := make([]Arrival, len(arm.load.Flows))
+		for j, f := range arm.load.Flows {
+			arrivals[j] = Arrival{Flow: f}
+		}
+		cfg.Red, cfg.Reactive = arm.red, arm.reactive
+		r, err := Run(g, arrivals, cfg, maxEpochs)
+		if err != nil {
+			return res, fmt.Errorf("%s arm: %w", arm.name, err)
+		}
+		res[i] = r
+	}
 	return res, nil
 }

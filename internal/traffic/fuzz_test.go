@@ -65,6 +65,8 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte("MHSB1\n\x01\xff\xff\xff\xff\x7f"))
 	f.Add([]byte(`{"format":"mhs-flows/v1"}` + "\n" + `{"id":0,"size":1,"src":0,"dst":1,"routes":[[0,1]]}` + "\n"))
 	f.Add([]byte(`{"flows":[{"id":1,"size":5,"src":0,"dst":2,"routes":[[0,1,2]]}]}`))
+	f.Add(newlineFreeInput())
+	f.Add(oversizedRecordInput())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		load, err := ReadAny(bytes.NewReader(data))
 		if bytes.HasPrefix(data, binaryMagic) {

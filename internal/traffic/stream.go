@@ -64,6 +64,14 @@ const (
 const (
 	maxStreamRoutes = 1 << 16 // routes per flow
 	maxStreamNodes  = MaxRouteLen + 1
+
+	// sniffLen bounds the JSONL header line, newline included.
+	sniffLen = 256
+	// maxJSONLRecord bounds a JSONL record line: the compact JSON of the
+	// widest flow the schema admits — maxStreamRoutes routes of
+	// maxStreamNodes nodes, every number as wide as MaxInt32 — plus room for
+	// the other fields, so JSONL accepts every flow the binary encoding does.
+	maxJSONLRecord = maxStreamRoutes*(maxStreamNodes*len("2147483647,")+len("[],")) + 512
 )
 
 // StreamWriter emits a flow stream in the chosen format. Close (or Flush)
@@ -178,6 +186,10 @@ type StreamReader struct {
 	binary bool
 	inited bool
 	done   bool
+	// The JSONL decoder reads a line into line, the lines read so far
+	// counted in lineNo.
+	line   []byte
+	lineNo int
 	// The binary decoder reads from win, a peeked window of br's buffer of
 	// which it has consumed used bytes: one Peek and one Discard per refill,
 	// not an interface call per byte.
@@ -207,7 +219,10 @@ func (sr *StreamReader) init() error {
 		sr.binary = true
 		return nil
 	}
-	line, err := sr.br.ReadBytes('\n')
+	line, err := sr.readLine(sniffLen)
+	if errors.Is(err, errLongLine) {
+		return fmt.Errorf("%w: header line exceeds %d bytes", ErrNotStream, sniffLen)
+	}
 	if err != nil && len(line) == 0 {
 		return fmt.Errorf("%w: empty input", ErrNotStream)
 	}
@@ -246,9 +261,34 @@ func (sr *StreamReader) next(f *Flow) error {
 	return err
 }
 
+// errLongLine reports a JSONL line longer than the schema admits.
+var errLongLine = errors.New("traffic: flow stream: line too long")
+
+// readLine reads the next line, its newline included, into sr.line. A line
+// longer than limit bytes is an error once limit bytes of it are buffered,
+// so however long it really is, at most limit plus one buffer of input is
+// read.
+func (sr *StreamReader) readLine(limit int) ([]byte, error) {
+	sr.lineNo++
+	sr.line = sr.line[:0]
+	for {
+		frag, err := sr.br.ReadSlice('\n')
+		if len(sr.line)+len(frag) > limit {
+			return nil, fmt.Errorf("%w: line %d exceeds %d bytes", errLongLine, sr.lineNo, limit)
+		}
+		sr.line = append(sr.line, frag...)
+		if err != bufio.ErrBufferFull {
+			return sr.line, err
+		}
+	}
+}
+
 func (sr *StreamReader) nextJSONL() (Flow, error) {
 	for {
-		line, err := sr.br.ReadBytes('\n')
+		line, err := sr.readLine(maxJSONLRecord)
+		if errors.Is(err, errLongLine) {
+			return Flow{}, err
+		}
 		trimmed := bytes.TrimSpace(line)
 		if len(trimmed) == 0 {
 			if err != nil {
@@ -457,7 +497,6 @@ func ReadAny(r io.Reader) (*Load, error) {
 	// A JSONL stream starts with the header object on its own line; the
 	// classic document form starts with {"flows": ...} spanning lines.
 	// Sniff a bounded prefix for the header marker.
-	const sniffLen = 256
 	prefix, _ := br.Peek(sniffLen)
 	if i := bytes.IndexByte(prefix, '\n'); i >= 0 {
 		var h streamHeader

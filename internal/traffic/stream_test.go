@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -133,6 +134,78 @@ func TestStreamHeaderSniff(t *testing.T) {
 		if !errors.Is(err, ErrNotStream) {
 			t.Errorf("input %q: err = %v, want ErrNotStream", bad, err)
 		}
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// The inputs TestStreamLinesAreBounded and FuzzStreamDecode share: 2 MiB
+// without a newline, and a JSONL stream whose second record line is one
+// byte longer than any record the schema admits.
+func newlineFreeInput() []byte { return bytes.Repeat([]byte{'{'}, 2<<20) }
+
+func oversizedRecordInput() []byte {
+	return []byte(`{"format":"mhs-flows/v1"}` + "\n" +
+		`{"id":0,"size":1,"src":0,"dst":1,"routes":[[0,1]]}` + "\n" +
+		strings.Repeat("x", maxJSONLRecord) + "\n")
+}
+
+// TestStreamLinesAreBounded: a JSONL line is read only as far as the
+// longest one the schema admits, so input without newlines costs a buffer
+// of reading, not its whole length, and an oversized record names its line.
+func TestStreamLinesAreBounded(t *testing.T) {
+	in := &countingReader{r: bytes.NewReader(newlineFreeInput())}
+	if _, err := ReadStore(in); !errors.Is(err, ErrNotStream) {
+		t.Fatalf("newline-free input: err = %v, want ErrNotStream", err)
+	}
+	if limit := sniffLen + 1<<16; in.n > limit {
+		t.Errorf("newline-free input: read %d bytes before failing, want at most %d", in.n, limit)
+	}
+	_, err := ReadStore(bytes.NewReader(oversizedRecordInput()))
+	if !errors.Is(err, errLongLine) || !strings.Contains(err.Error(), "line 3 ") {
+		t.Errorf("oversized record: err = %v, want a line-too-long error naming line 3", err)
+	}
+}
+
+// TestStreamJSONLAdmitsWidestRecord: the record-line bound is no tighter
+// than the schema. The widest flow the stream decoder accepts — every
+// number at MaxInt32, maxStreamRoutes routes of maxStreamNodes nodes —
+// round-trips through JSONL.
+func TestStreamJSONLAdmitsWidestRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 10 MB record")
+	}
+	const wide = math.MaxInt32
+	f := Flow{ID: wide, Size: wide, Src: wide, Dst: wide - 1, WeightHops: MaxRouteLen,
+		Critical: true, Redundant: maxStreamRoutes, Routes: make([]Route, maxStreamRoutes)}
+	for i := range f.Routes {
+		r := make(Route, maxStreamNodes)
+		for j := range r {
+			r[j] = wide - 2 - j
+		}
+		r[0], r[len(r)-1] = f.Src, f.Dst
+		f.Routes[i] = r
+	}
+	data := writeStream(t, FormatJSONL, []Flow{f})
+	if line := bytes.IndexByte(data, '\n'); len(data)-line-1 > maxJSONLRecord {
+		t.Fatalf("the widest record is %d bytes, the bound %d", len(data)-line-1, maxJSONLRecord)
+	}
+	got, err := NewStreamReader(bytes.NewReader(data)).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, f) {
+		t.Fatal("the widest record did not round-trip")
 	}
 }
 

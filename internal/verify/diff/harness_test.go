@@ -1,6 +1,6 @@
 // Package diff is the differential verification harness: it runs every
 // algorithm in the internal/algo registry — the Octopus core variants, the
-// baselines, and the schedule-free maxweight/hybrid/UB entries — over
+// baselines, and the schedule-free hybrid/UB entries — over
 // shared random instances and funnels each outcome through its
 // verification recipe (verify.Schedule with the scheduler's own claimed
 // metrics attached, or the schedule-free invariants). A scheduler whose

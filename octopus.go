@@ -237,20 +237,6 @@ func ScheduleOnline(g *Network, arrivals []Arrival, cfg PipelineConfig, maxEpoch
 	return online.Run(g, arrivals, cfg, maxEpochs)
 }
 
-// Queue-state adaptive scheduling (the related-work baseline [37]).
-type (
-	// AdaptiveOptions configures the MaxWeight adaptive policy.
-	AdaptiveOptions = online.AdaptiveOptions
-	// AdaptiveResult reports a MaxWeight adaptive run.
-	AdaptiveResult = online.AdaptiveResult
-)
-
-// MaxWeightAdaptive runs the queue-state-driven MaxWeight policy with
-// fixed hold durations and optional reconfiguration hysteresis.
-func MaxWeightAdaptive(g *Network, arrivals []Arrival, opt AdaptiveOptions) (*AdaptiveResult, error) {
-	return online.MaxWeightAdaptive(g, arrivals, opt)
-}
-
 // The algorithm registry: every scheduler, baseline, and bound behind one
 // uniform interface (see DESIGN.md §10). The specialized entry points above
 // remain for callers who want a variant's native result type; the registry
@@ -258,10 +244,10 @@ func MaxWeightAdaptive(g *Network, arrivals []Arrival, opt AdaptiveOptions) (*Ad
 // differential harness run on.
 type (
 	// Algorithm is one registered algorithm: a name, a one-line
-	// description, a kind (offline / online / bound), and a uniform Run.
+	// description, a kind (offline / bound), and a uniform Run.
 	Algorithm = algo.Algorithm
-	// AlgoKind classifies an algorithm (offline schedule producer, online
-	// policy, or analytic bound).
+	// AlgoKind classifies an algorithm (offline schedule producer or
+	// analytic bound).
 	AlgoKind = algo.Kind
 	// AlgoParams is the shared parameter set accepted by every registered
 	// algorithm; each consumes the fields it understands.
@@ -280,7 +266,7 @@ func AlgorithmNames() []string { return algo.Names() }
 func LookupAlgorithm(name string) (Algorithm, bool) { return algo.Lookup(name) }
 
 // RunAlgorithm parses a "name[:key=value,...]" spec (e.g.
-// "octopus-e:eps64=8" or "maxweight:hold=50"), overlays the spec options on
+// "octopus-e:eps64=8" or "rotornet:slots=50"), overlays the spec options on
 // base, and runs the algorithm on the instance (g, load).
 func RunAlgorithm(spec string, g *Network, load *Load, base AlgoParams) (*AlgoOutcome, error) {
 	a, p, err := algo.ParseSpec(spec, base)

@@ -46,8 +46,8 @@ run() {
   # Fig 10b last: at n=1000 its 10 instances of 6 points are 90 CPU-seconds
   # each, 49 of the campaign's 62 minutes on two cores.
   for fig in 4b 4c 4d 5b 5c 5d 6 7a 7b 8 9a 9b 4a 5a \
-    ext-solstice ext-ports ext-backtrack ext-makespan ext-eclipsepp \
-    ext-buffers ext-adaptive ext-epsilon ext-redundancy 10b; do
+    ext-ports ext-backtrack ext-makespan ext-eclipsepp ext-buffers \
+    ext-epsilon ext-redundancy 10b; do
     run "$fig"
   done
 } > "$tmp/body" 2>&1
