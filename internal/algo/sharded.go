@@ -2,13 +2,12 @@ package algo
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"octopus/internal/core"
 	"octopus/internal/graph"
 	"octopus/internal/obs"
+	"octopus/internal/par"
 	"octopus/internal/schedule"
 	"octopus/internal/simulate"
 	"octopus/internal/traffic"
@@ -255,62 +254,41 @@ func subsetLoad(load *traffic.Load, idx []int) *traffic.Load {
 
 // runShards plans every non-empty pod shard with its own Octopus core
 // instance (own matching arena, own queue summaries) over the pod-local
-// subfabric, fanned out across par workers. Results land in pod order, so
-// the outcome is identical at any parallelism. With timed set each pod's
-// wall-clock plan time lands in the returned planNs slice (pod-indexed);
-// untimed runs never call the clock, so the cold path stays syscall-free.
-func runShards(g *graph.Digraph, load *traffic.Load, shardIdx [][]int, podSize int, opt core.Options, par int, timed bool) ([]*core.Result, []int64, error) {
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+// subfabric, on workers goroutines (0: GOMAXPROCS). Results land in pod
+// order, so the outcome is identical at any parallelism. With timed set,
+// each pod's wall-clock plan time lands in planNs (pod-indexed); untimed
+// runs never call the clock, so the cold path stays syscall-free.
+func runShards(g *graph.Digraph, load *traffic.Load, shardIdx [][]int, podSize int, opt core.Options, workers int, timed bool) ([]*core.Result, []int64, error) {
 	results := make([]*core.Result, len(shardIdx))
 	planNs := make([]int64, len(shardIdx))
 	errs := make([]error, len(shardIdx))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
 	// Per-shard planning must not itself fan out: the shard is the unit of
 	// parallelism here. The shard planners run with the observer detached —
 	// their interleaved emissions would be racy and order-unstable; the
 	// caller emits the per-pod summaries in pod order instead.
 	opt.Parallelism = 1
 	opt.Obs = nil
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pod := range jobs {
-				var start time.Time
-				if timed {
-					start = time.Now()
-				}
-				lo, hi := pod*podSize, (pod+1)*podSize
-				sub := g.Subgraph(func(e graph.Edge) bool {
-					return e.From >= lo && e.From < hi && e.To >= lo && e.To < hi
-				})
-				s, err := core.New(sub, subsetLoad(load, shardIdx[pod]), opt)
-				if err != nil {
-					errs[pod] = err
-					continue
-				}
-				res, err := s.Run()
-				if err != nil {
-					errs[pod] = err
-					continue
-				}
-				results[pod] = res
-				if timed {
-					planNs[pod] = int64(time.Since(start))
-				}
-			}
-		}()
-	}
-	for pod := range shardIdx {
-		if len(shardIdx[pod]) > 0 {
-			jobs <- pod
+	par.For(max(workers, 0), len(shardIdx), func(_, pod int) {
+		if len(shardIdx[pod]) == 0 {
+			return
 		}
-	}
-	close(jobs)
-	wg.Wait()
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
+		lo, hi := pod*podSize, (pod+1)*podSize
+		sub := g.Subgraph(func(e graph.Edge) bool {
+			return e.From >= lo && e.From < hi && e.To >= lo && e.To < hi
+		})
+		s, err := core.New(sub, subsetLoad(load, shardIdx[pod]), opt)
+		if err == nil {
+			results[pod], err = s.Run()
+		}
+		errs[pod] = err
+		if timed {
+			planNs[pod] = int64(time.Since(start))
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err

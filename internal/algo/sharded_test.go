@@ -19,7 +19,7 @@ func podInstance(t *testing.T, pods, podSize, window int, seed int64) (*graph.Di
 		t.Fatal(err)
 	}
 	g := p.Fabric()
-	if err := s.Validate(g); err != nil {
+	if err := s.Materialize(nil).Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	return g, s.Materialize(nil)

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"octopus/internal/graph"
 	"octopus/internal/matching"
+	"octopus/internal/par"
 )
 
 // evalScratch is the reusable per-worker scratch of the parallel α
@@ -348,46 +346,12 @@ func fillLink(col []int64, stride int, cs []weightClass, block []int) {
 	}
 }
 
-// parallelFor runs f(worker, 0..n-1) across Options.Parallelism workers
-// (Parallelism <= 1 runs inline with worker 0). The remaining-traffic state
-// is read-only during evaluation, so workers share it without
-// synchronization; work items are claimed, in ascending order, from a
-// lock-free atomic counter. Each worker owns s.scratch[worker] exclusively
-// for the duration of the call.
+// parallelFor runs f(worker, 0..n-1) on Options.Parallelism workers of the
+// shared pool. T^r is read-only meanwhile, and each worker owns
+// s.scratch[worker] for the duration of the call.
 func (s *Scheduler) parallelFor(n int, f func(worker, i int)) {
-	workers := s.opt.Parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	s.ensureScratch(workers)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	s.ensureScratch(par.Workers(s.opt.Parallelism, n))
+	par.For(s.opt.Parallelism, n, f)
 }
 
 // ensureScratch grows the per-worker scratch pool to at least `workers`

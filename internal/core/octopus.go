@@ -194,7 +194,7 @@ func NewBidirectional(u *graph.Ugraph, load *traffic.Load, opt Options) (*Schedu
 
 func (s *Scheduler) init() {
 	backtrack := s.opt.MultiRoute && !s.opt.DisableBacktrack
-	s.tr = newRemaining(s.fabric, s.load, s.opt.Epsilon64, s.opt.MultiRoute, backtrack, s.opt.KeepTrace)
+	s.tr = buildRemaining(s.fabric, s.load, s.opt.Parallelism, s.opt.Epsilon64, s.opt.MultiRoute, backtrack, s.opt.KeepTrace)
 	s.out = schedule.Schedule{Delta: s.opt.Delta}
 	s.ins = bindCoreInstruments(s.opt.Obs)
 }
@@ -295,9 +295,6 @@ func measure(load *traffic.Load, multiRoute, backtrack bool) (loadDims, error) {
 
 // Done reports whether the greedy loop has terminated.
 func (s *Scheduler) Done() bool { return s.done }
-
-// Pending returns the number of packets the plan has not yet delivered.
-func (s *Scheduler) Pending() int { return s.tr.pending }
 
 // PendingByFlow returns, for each flow ID with undelivered packets, how
 // many of its packets the plan has not delivered. The UB baseline uses this

@@ -6,6 +6,7 @@ import (
 
 	"octopus/internal/graph"
 	"octopus/internal/matching"
+	"octopus/internal/par"
 	"octopus/internal/traffic"
 )
 
@@ -122,8 +123,8 @@ type linkState struct {
 	// reads what apply left.
 	classes []weightClass
 	// changed marks a link credited since the last iteration began (the
-	// octopus_core_summary_rebuilds_total count); set single-threaded, by
-	// credit and when the link first holds an entry.
+	// octopus_core_summary_rebuilds_total count); set by credit and when the
+	// link first holds an entry, by one goroutine at a time.
 	changed bool
 }
 
@@ -230,11 +231,9 @@ type remaining struct {
 	touched   []int32 // subflows with frozen packets from the current apply
 	btBuf     []int   // per-link backtrack-pass service of the current apply
 
-	// buildCount is non-nil only during newRemaining: addEntry counts each
-	// entry here, by link id, instead of inserting it, so every queue is
-	// carved to size and sorted once; the sort then counts each link's
-	// weight classes into it.
-	buildCount []int32
+	// building is set while buildRemaining adds the load's entries, which
+	// addEntry then records without queueing them (buildQueues does).
+	building bool
 	// alphaBuf is the reusable result buffer of candidateAlphas (the returned
 	// slice aliases it and is valid until the next call) and alphaSeen its
 	// marks, all false between calls.
@@ -251,11 +250,11 @@ const slabChunk = 64
 // plan moves eleven thousand further); past it append's growth takes over.
 const growRoom = 8
 
-// newRemaining builds T^r = T. Its allocations are O(links), not O(flows):
-// subflows, entries, queue slots, homes and weight classes of the whole
-// load come from arrays sized up front. The caller has checked that the
-// load's index widths fit (checkOptions).
-func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, backtrack, keepTrace bool) *remaining {
+// buildRemaining builds T^r = T on workers goroutines (0: GOMAXPROCS). Its
+// allocations are O(links), not O(flows): subflows, entries, queue slots,
+// homes and weight classes come from arrays sized up front. The caller has
+// checked that the load's index widths fit (checkOptions).
+func buildRemaining(g *graph.Digraph, load *traffic.Load, workers, eps int, multiRoute, backtrack, keepTrace bool) *remaining {
 	nEntries := len(load.Flows)
 	if multiRoute {
 		nEntries = 0
@@ -274,7 +273,7 @@ func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, bac
 		multiRoute: multiRoute,
 		backtrack:  backtrack,
 		keepTrace:  keepTrace,
-		buildCount: make([]int32, g.M()),
+		building:   true,
 	}
 	ascending := true // flow IDs, in load order
 	for i := range load.Flows {
@@ -291,53 +290,46 @@ func newRemaining(g *graph.Digraph, load *traffic.Load, eps int, multiRoute, bac
 		}
 		ascending = ascending && (i == 0 || load.Flows[i-1].ID < f.ID)
 	}
-	// Carve every queue to its initial size, then deal the entries out.
-	slots := make([]int32, len(tr.entries))
-	for _, ls := range tr.stateList {
-		c := tr.buildCount[g.LinkID(ls.edge.From, ls.edge.To)]
-		ls.entries, slots = slots[:0:c], slots[c:]
-	}
-	for k, id := range tr.homes {
-		ls := tr.links[id]
-		ls.entries = append(ls.entries, int32(k))
-	}
-	// Sort each queue once. During construction every flow contributes at
-	// most one entry per link, so (bw desc, flow ID asc) is a strict total
-	// order and the batch sort reproduces the incremental-insert order
-	// exactly. The entries were dealt out in load order; where that is ID
-	// order too (every generator and codec), only bw is left to sort by and
-	// a comparison reads one array instead of chasing through three. A sorted
-	// queue's weight classes are its runs of equal bw; buildCount takes their
-	// number.
+	tr.building = false
+	tr.buildQueues(workers, ascending)
+	return tr
+}
+
+// buildQueues deals the entries out to their links in load order. Then a
+// worker takes each run of links: it sorts each queue once and counts the
+// run's weight classes, carves their cells out of one array, and credits
+// each entry's packets to its class as every later count change is
+// credited. Every flow queues at most once on a link, so (bw desc, flow ID
+// asc) is a strict order the sort reproduces exactly; where load order is
+// ID order too (every generator and codec), only bw is left to sort by.
+func (tr *remaining) buildQueues(workers int, ascending bool) {
+	b := par.Deal(workers, len(tr.homes), len(tr.links), func(k int) int32 { return tr.homes[k] })
 	byPriority := tr.cmpEntries
 	if ascending {
 		byPriority = func(a, b int32) int { return cmp.Compare(tr.entries[b].bw, tr.entries[a].bw) }
 	}
-	nClasses := 0
-	for _, ls := range tr.stateList {
-		slices.SortStableFunc(ls.entries, byPriority)
-		c := int32(0)
-		for i, ei := range ls.entries {
-			if i == 0 || tr.entries[ei].bw != tr.entries[ls.entries[i-1]].bw {
-				c++
+	b.Each(workers, func(lo, hi int) {
+		n := 0
+		for id := lo; id < hi; id++ {
+			q := b.Of(id)
+			slices.SortStableFunc(q, byPriority)
+			for i, ei := range q {
+				if i == 0 || tr.entries[ei].bw != tr.entries[q[i-1]].bw {
+					n++
+				}
 			}
 		}
-		tr.buildCount[g.LinkID(ls.edge.From, ls.edge.To)] = c
-		nClasses += int(c)
-	}
-	// Carve every link's classes to that number, and credit each entry's
-	// packets to its class the way every later count change is credited.
-	cells := make([]weightClass, nClasses)
-	for _, ls := range tr.stateList {
-		c := tr.buildCount[g.LinkID(ls.edge.From, ls.edge.To)]
-		ls.classes, cells = cells[:0:c], cells[c:]
-	}
-	for k, id := range tr.homes {
-		en := &tr.entries[k]
-		tr.links[id].credit(en.bw, int(tr.subflows[en.sf].count))
-	}
-	tr.buildCount = nil
-	return tr
+		cells := make([]weightClass, n)
+		for id := lo; id < hi; id++ {
+			if ls := tr.links[id]; ls != nil {
+				ls.entries, ls.classes = b.Of(id), cells[:0:len(cells)]
+				for _, ei := range ls.entries {
+					ls.credit(tr.entries[ei].bw, int(tr.subflows[tr.entries[ei].sf].count))
+				}
+				ls.classes, cells = slices.Clip(ls.classes), cells[len(ls.classes):]
+			}
+		}
+	})
 }
 
 // hopBW returns the benefit weight of the hop at index pos of an l-hop
@@ -375,12 +367,10 @@ func (tr *remaining) addEntry(e graph.Edge, en entry) {
 	tr.entries = append(tr.entries, en)
 	tr.homes = append(tr.homes, int32(id))
 	tr.subflows[en.sf].nHomes++
-	if tr.buildCount != nil {
-		tr.buildCount[id]++
-		return
+	if !tr.building {
+		ls.insert(k)
+		ls.credit(en.bw, int(tr.subflows[en.sf].count))
 	}
-	ls.insert(k)
-	ls.credit(en.bw, int(tr.subflows[en.sf].count))
 }
 
 // addCommittedEntry queues committed subflow si on its next-hop link and,
@@ -405,23 +395,19 @@ func (tr *remaining) addCommittedEntry(si int32) {
 // (shortest-route) weight among them and commit to that route when served.
 func (tr *remaining) addUncommittedEntries(si int32) {
 	f := &tr.flows[tr.subflows[si].flow]
-	best := make(map[graph.Edge]int) // link -> route index with max weight
+	firstHop := func(ri int) graph.Edge { return graph.Edge{From: f.Routes[ri][0], To: f.Routes[ri][1]} }
+	var best []int // per first hop, in link order, its shortest route
 	for ri, r := range f.Routes {
-		e := graph.Edge{From: r[0], To: r[1]}
-		if prev, ok := best[e]; !ok || r.Hops() < f.Routes[prev].Hops() {
-			best[e] = ri
+		j, found := slices.BinarySearchFunc(best, firstHop(ri), func(b int, e graph.Edge) int { return cmpEdge(firstHop(b), e) })
+		if !found {
+			best = slices.Insert(best, j, ri)
+		} else if r.Hops() < f.Routes[best[j]].Hops() {
+			best[j] = ri
 		}
 	}
-	// Deterministic order of entry insertion.
-	links := make([]graph.Edge, 0, len(best))
-	for e := range best {
-		links = append(links, e)
-	}
-	sortLinks(links)
-	for _, e := range links {
-		ri := best[e]
+	for _, ri := range best {
 		l := f.WeightLen(f.Routes[ri])
-		tr.addEntry(e, entry{sf: si, bw: tr.hopBW(l, 0), pw: traffic.Weight(l), routeID: int32(ri)})
+		tr.addEntry(firstHop(ri), entry{sf: si, bw: tr.hopBW(l, 0), pw: traffic.Weight(l), routeID: int32(ri)})
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"octopus/internal/core"
+	"octopus/internal/par"
 )
 
 // Scale bundles every experiment parameter so the full paper-scale profile
@@ -179,19 +179,10 @@ type point func(rng *rand.Rand) ([]float64, error)
 func averagePoint(sc Scale, pointSeed int64, nseries int, f point) ([]float64, error) {
 	vals := make([][]float64, sc.Instances)
 	errs := make([]error, sc.Instances)
-	sem := make(chan struct{}, max(1, sc.Workers))
-	var wg sync.WaitGroup
-	for inst := range vals {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(sc.Seed + pointSeed*1000 + int64(inst)))
-			vals[inst], errs[inst] = f(rng)
-		}()
-	}
-	wg.Wait()
+	par.For(max(1, sc.Workers), sc.Instances, func(_, inst int) {
+		rng := rand.New(rand.NewSource(sc.Seed + pointSeed*1000 + int64(inst)))
+		vals[inst], errs[inst] = f(rng)
+	})
 	sums := make([]float64, nseries)
 	for inst, v := range vals {
 		if errs[inst] != nil {

@@ -5,12 +5,14 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"octopus/internal/graph"
+	"octopus/internal/par"
 	"octopus/internal/schedule"
 	"octopus/internal/traffic"
 )
@@ -297,4 +299,61 @@ func TestNewStateBytesPerFlow(t *testing.T) {
 		t.Fatalf("newState allocates %.1f bytes a flow (%d flows, %d links), want at most 48", perFlow, flows, len(st.queues))
 	}
 	t.Logf("%.1f bytes a flow", perFlow)
+}
+
+// TestQueueBuildParallelEqualsSerial: every queue of the replay state is in
+// priority order, and the state built under GOMAXPROCS 2 and 8 — groups, free list and every queue — is the one built
+// under GOMAXPROCS 1, on a pod load that the deal and the per-link sorts cut
+// into several work items: in load order, shuffled, and with repeated IDs
+// that merge.
+func TestQueueBuildParallelEqualsSerial(t *testing.T) {
+	g, load := podInstance(t, 16, 16, 200_000)
+	shuffled := &traffic.Load{Flows: slices.Clone(load.Flows)}
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled.Flows), func(i, j int) {
+		shuffled.Flows[i], shuffled.Flows[j] = shuffled.Flows[j], shuffled.Flows[i]
+	})
+	repeated := &traffic.Load{Flows: slices.Clone(shuffled.Flows)}
+	for i := range repeated.Flows {
+		repeated.Flows[i].ID %= 1000
+	}
+	if len(load.Flows) < 4*par.Item {
+		t.Fatalf("%d flows make fewer than four work items", len(load.Flows))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, l := range map[string]*traffic.Load{"ascending": load, "shuffled": shuffled, "repeated": repeated} {
+		opt := Options{Epsilon64: 8, SkipValidate: name == "repeated"}
+		var serial *state
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			st, err := newState(g, l, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial == nil {
+				serial = st
+				// With IDs unique, (prio desc, ID asc) is strict: the order the
+				// queues must hold, whatever order the deal left them in.
+				for id, q := range st.queues {
+					for i := 1; i < len(q) && name != "repeated"; i++ {
+						a, b := &st.groups[q[i-1]], &st.groups[q[i]]
+						if a.prio < b.prio || a.prio == b.prio && st.id(a) >= st.id(b) {
+							t.Fatalf("%s: link %d queues flow %d before %d", name, id, st.id(a), st.id(b))
+						}
+					}
+				}
+				if name == "repeated" && len(st.free) == 0 {
+					t.Fatal("no flows merged: the repeated-ID case is not exercised")
+				}
+				continue
+			}
+			if !slices.Equal(st.groups, serial.groups) || !slices.Equal(st.free, serial.free) {
+				t.Fatalf("%s, GOMAXPROCS %d: groups or free list differ", name, procs)
+			}
+			for id, q := range st.queues {
+				if !slices.Equal(q, serial.queues[id]) {
+					t.Fatalf("%s, GOMAXPROCS %d: queue of link %d differs", name, procs, id)
+				}
+			}
+		}
+	}
 }

@@ -25,6 +25,7 @@ import (
 	"octopus/internal/graph"
 	"octopus/internal/obs"
 	"octopus/internal/obs/flight"
+	"octopus/internal/par"
 	"octopus/internal/schedule"
 	"octopus/internal/traffic"
 )
@@ -242,9 +243,9 @@ func (st *state) route(g *group) traffic.Route { return st.flows[g.flow].Routes[
 
 // newState builds the replay state of the whole load. Allocations do not
 // grow with the load: groups and queue slots come from two arrays sized up
-// front, every queue is carved to its size, dealt its groups in load order
-// and sorted once. Index widths fail closed: a size, route or route choice
-// that the fields of a group cannot hold is an error.
+// front, every queue is dealt its groups in load order and sorted once, on
+// GOMAXPROCS workers where IDs ascend. Index widths fail closed: a size,
+// route or route choice that the fields of a group cannot hold is an error.
 func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error) {
 	n := len(load.Flows)
 	st := &state{
@@ -258,8 +259,7 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 		st.red = opt.Redundancy
 		st.copyDelivered = make(map[int]int)
 	}
-	perLink := make([]int32, g.M()) // flows whose packets start on each link
-	ascending := true               // flow IDs, in load order
+	ascending := true // flow IDs, in load order
 	for i := range load.Flows {
 		f := &load.Flows[i]
 		ri := opt.RouteChoice[f.ID]
@@ -291,21 +291,21 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 			prio: traffic.HopWeight(wl, 0, st.eps), flow: int32(i), count: int32(f.Size),
 			hops: int16(r.Hops()), wlen: int16(wl), route: int16(ri), dup: dup, grouped: grouped,
 		}
-		perLink[g.LinkID(r[0], r[1])]++
 		ascending = ascending && (i == 0 || load.Flows[i-1].ID < f.ID)
 	}
-	slots := make([]int32, n)
-	for id, c := range perLink {
-		st.queues[id], slots = slots[:0:c], slots[c:]
-	}
-	for i := range st.groups {
+	b := par.Deal(0, n, g.M(), func(i int) int32 {
 		r := st.route(&st.groups[i])
-		id := g.LinkID(r[0], r[1])
-		st.queues[id] = append(st.queues[id], int32(i))
+		return int32(g.LinkID(r[0], r[1]))
+	})
+	workers := 1 // where IDs do not ascend, merges free groups: one goroutine
+	if ascending {
+		workers = 0
 	}
-	for id, q := range st.queues {
-		st.queues[id] = st.sorted(q, ascending)
-	}
+	b.Each(workers, func(lo, hi int) {
+		for id := lo; id < hi; id++ {
+			st.queues[id] = st.sorted(b.Of(id), ascending)
+		}
+	})
 	return st, nil
 }
 

@@ -67,6 +67,7 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte(`{"flows":[{"id":1,"size":5,"src":0,"dst":2,"routes":[[0,1,2]]}]}`))
 	f.Add(newlineFreeInput())
 	f.Add(oversizedRecordInput())
+	f.Add(overRedundantBinary())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		load, err := ReadAny(bytes.NewReader(data))
 		if bytes.HasPrefix(data, binaryMagic) {

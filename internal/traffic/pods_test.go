@@ -14,7 +14,7 @@ func TestPodSyntheticValidAndDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Validate(p.Fabric()); err != nil {
+	if err := s1.Materialize(nil).Validate(p.Fabric()); err != nil {
 		t.Fatalf("generated pod load invalid: %v", err)
 	}
 	wantFlows := (p.LargePerPod + p.SmallPerPod) * p.Pods

@@ -1,18 +1,9 @@
 package traffic
 
-import (
-	"fmt"
-	"math"
-
-	"octopus/internal/graph"
-)
-
 // Store is a columnar (structure-of-arrays) flow store: every flow field
 // lives in a parallel slice and all route node sequences share one arena,
 // so a million-flow load costs a handful of large allocations instead of
-// three small ones per flow. It is the ingest representation for streamed
-// traces and the source the pod-sharded scheduler materializes per-shard
-// loads from.
+// three small ones per flow. It is the ingest representation of streams.
 //
 // Layout: flow i has identity ids[i], size sizes[i], endpoints
 // srcs[i]->dsts[i], and routes routeStart[i]..routeStart[i+1] (exclusive)
@@ -20,13 +11,10 @@ import (
 // Node ids are int32 (a fabric with 2^31 nodes is far past any other
 // limit in this repository).
 type Store struct {
-	ids        []int32
-	sizes      []int32
-	srcs       []int32
-	dsts       []int32
-	weightHops []int8
-	critical   []bool
-	redundant  []int8
+	ids, sizes, srcs, dsts []int32
+	weightHops             []int8
+	critical               []bool
+	redundant              []int8
 
 	routeStart []int32 // len = Len()+1, indexes routeOff
 	routeOff   []int32 // len = routes+1, indexes nodes
@@ -36,11 +24,9 @@ type Store struct {
 // NewStore returns an empty store with capacity hints for flows and total
 // route nodes (0 hints are fine).
 func NewStore(flowHint, nodeHint int) *Store {
-	s := &Store{
-		ids:        make([]int32, 0, flowHint),
-		sizes:      make([]int32, 0, flowHint),
-		srcs:       make([]int32, 0, flowHint),
-		dsts:       make([]int32, 0, flowHint),
+	return &Store{
+		ids: make([]int32, 0, flowHint), sizes: make([]int32, 0, flowHint),
+		srcs: make([]int32, 0, flowHint), dsts: make([]int32, 0, flowHint),
 		weightHops: make([]int8, 0, flowHint),
 		critical:   make([]bool, 0, flowHint),
 		redundant:  make([]int8, 0, flowHint),
@@ -48,7 +34,6 @@ func NewStore(flowHint, nodeHint int) *Store {
 		routeOff:   make([]int32, 1, flowHint+1),
 		nodes:      make([]int32, 0, nodeHint),
 	}
-	return s
 }
 
 // Len returns the number of flows in the store.
@@ -60,15 +45,6 @@ func (s *Store) NumRoutes() int { return len(s.routeOff) - 1 }
 // NumRouteNodes returns the total route node count (the arena length).
 func (s *Store) NumRouteNodes() int { return len(s.nodes) }
 
-// TotalPackets returns the total packet count across all flows.
-func (s *Store) TotalPackets() int64 {
-	var total int64
-	for _, sz := range s.sizes {
-		total += int64(sz)
-	}
-	return total
-}
-
 // Bytes returns the resident size of the store's columns: the capacity of
 // every backing array, in bytes. This is the store's whole variable-size
 // footprint — flows and routes add columns here, nothing else.
@@ -78,49 +54,14 @@ func (s *Store) Bytes() uint64 {
 		4*uint64(cap(s.routeStart)+cap(s.routeOff)+cap(s.nodes))
 }
 
-// Append adds one flow to the store. It enforces the same structural
-// invariants as ReadJSON: at least one route, no degenerate routes, every
-// route connecting the flow's endpoints, and fields within the int32/int8
-// column ranges.
+// Append adds one flow to the store. It enforces the stream schema
+// (checkStreamFlow): the structural invariants of ReadJSON, and fields
+// within the int32/int8 column ranges.
 func (s *Store) Append(f *Flow) error {
-	if len(f.Routes) == 0 {
-		return fmt.Errorf("traffic: flow %d has no routes", f.ID)
+	if err := checkStreamFlow(f); err != nil {
+		return err
 	}
-	if f.ID < 0 || int64(f.ID) > math.MaxInt32 {
-		return fmt.Errorf("traffic: flow id %d out of store range", f.ID)
-	}
-	if f.Size < 0 || int64(f.Size) > math.MaxInt32 {
-		return fmt.Errorf("traffic: flow %d size %d out of store range", f.ID, f.Size)
-	}
-	if f.WeightHops < 0 || f.WeightHops > MaxRouteLen {
-		return fmt.Errorf("traffic: flow %d has invalid WeightHops %d", f.ID, f.WeightHops)
-	}
-	if f.Redundant < 0 || f.Redundant > len(f.Routes) {
-		return fmt.Errorf("traffic: flow %d claims %d redundant routes but has %d", f.ID, f.Redundant, len(f.Routes))
-	}
-	for _, r := range f.Routes {
-		if len(r) < 2 {
-			return fmt.Errorf("traffic: flow %d has a degenerate route", f.ID)
-		}
-		if len(r) > MaxRouteLen+1 {
-			return fmt.Errorf("traffic: flow %d route exceeds %d hops", f.ID, MaxRouteLen)
-		}
-		if r.Src() != f.Src || r.Dst() != f.Dst {
-			return fmt.Errorf("traffic: flow %d route %v does not connect %d->%d", f.ID, r, f.Src, f.Dst)
-		}
-		for _, v := range r {
-			if v < 0 || int64(v) > math.MaxInt32 {
-				return fmt.Errorf("traffic: flow %d route node %d out of store range", f.ID, v)
-			}
-		}
-	}
-	s.ids = append(s.ids, int32(f.ID))
-	s.sizes = append(s.sizes, int32(f.Size))
-	s.srcs = append(s.srcs, int32(f.Src))
-	s.dsts = append(s.dsts, int32(f.Dst))
-	s.weightHops = append(s.weightHops, int8(f.WeightHops))
-	s.critical = append(s.critical, f.Critical)
-	s.redundant = append(s.redundant, int8(f.Redundant))
+	s.appendHeader(f.ID, f.Size, f.Src, f.Dst, f.WeightHops, f.Critical, f.Redundant)
 	for _, r := range f.Routes {
 		for _, v := range r {
 			s.nodes = append(s.nodes, int32(v))
@@ -131,15 +72,45 @@ func (s *Store) Append(f *Flow) error {
 	return nil
 }
 
+// appendHeader appends a flow's fields but its routes to the flow columns.
+func (s *Store) appendHeader(id, size, src, dst, weightHops int, critical bool, redundant int) {
+	s.ids = append(s.ids, int32(id))
+	s.sizes = append(s.sizes, int32(size))
+	s.srcs = append(s.srcs, int32(src))
+	s.dsts = append(s.dsts, int32(dst))
+	s.weightHops = append(s.weightHops, int8(weightHops))
+	s.critical = append(s.critical, critical)
+	s.redundant = append(s.redundant, int8(redundant))
+}
+
+// concat joins the stores, in order, into one with exactly sized columns.
+func concat(parts []*Store) *Store {
+	var flows, routes, nodes int
+	for _, p := range parts {
+		flows, routes, nodes = flows+p.Len(), routes+p.NumRoutes(), nodes+p.NumRouteNodes()
+	}
+	s := NewStore(flows, nodes)
+	if routes != flows {
+		s.routeOff = make([]int32, 1, routes+1)
+	}
+	for _, p := range parts {
+		s.ids, s.sizes, s.srcs, s.dsts = append(s.ids, p.ids...), append(s.sizes, p.sizes...), append(s.srcs, p.srcs...), append(s.dsts, p.dsts...)
+		s.weightHops, s.critical, s.redundant = append(s.weightHops, p.weightHops...), append(s.critical, p.critical...), append(s.redundant, p.redundant...)
+		r0, n0 := int32(s.NumRoutes()), int32(len(s.nodes))
+		for _, r := range p.routeStart[1:] {
+			s.routeStart = append(s.routeStart, r0+r)
+		}
+		for _, n := range p.routeOff[1:] {
+			s.routeOff = append(s.routeOff, n0+n)
+		}
+		s.nodes = append(s.nodes, p.nodes...)
+	}
+	return s
+}
+
 // FromLoad converts a pointer-rich load into a columnar store.
 func FromLoad(l *Load) (*Store, error) {
-	nodeCount := 0
-	for i := range l.Flows {
-		for _, r := range l.Flows[i].Routes {
-			nodeCount += len(r)
-		}
-	}
-	s := NewStore(len(l.Flows), nodeCount)
+	s := NewStore(len(l.Flows), 0)
 	for i := range l.Flows {
 		if err := s.Append(&l.Flows[i]); err != nil {
 			return nil, err
@@ -173,13 +144,6 @@ func (s *Store) FlowAt(i int) Flow {
 	}
 	return f
 }
-
-// Src, Dst and Size expose the endpoint/size columns of flow i without
-// materializing it; the sharded scheduler partitions flows by pod this
-// way.
-func (s *Store) Src(i int) int  { return int(s.srcs[i]) }
-func (s *Store) Dst(i int) int  { return int(s.dsts[i]) }
-func (s *Store) Size(i int) int { return int(s.sizes[i]) }
 
 // Materialize builds a Load holding the selected flows (all flows when
 // idx is nil, in store order). The result shares three backing arrays —
@@ -234,37 +198,4 @@ func (s *Store) Materialize(idx []int) *Load {
 		}
 	}
 	return &Load{Flows: flows}
-}
-
-// Validate checks every stored flow against fabric g, exactly like
-// Load.Validate but without materializing a Load.
-func (s *Store) Validate(g *graph.Digraph) error {
-	// The structural per-flow checks ran in Append; here only fabric
-	// membership and route-path validity remain, plus ID uniqueness.
-	seen := make(map[int32]bool, s.Len())
-	var route []int
-	for i := 0; i < s.Len(); i++ {
-		if seen[s.ids[i]] {
-			return fmt.Errorf("traffic: duplicate flow ID %d", s.ids[i])
-		}
-		seen[s.ids[i]] = true
-		if s.sizes[i] <= 0 {
-			return fmt.Errorf("traffic: flow %d has non-positive size %d", s.ids[i], s.sizes[i])
-		}
-		lo, hi := s.routeStart[i], s.routeStart[i+1]
-		for r := lo; r < hi; r++ {
-			a, b := s.routeOff[r], s.routeOff[r+1]
-			if int(s.weightHops[i]) > 0 && int(b-a)-1 > int(s.weightHops[i]) {
-				return fmt.Errorf("traffic: flow %d route longer than WeightHops %d", s.ids[i], s.weightHops[i])
-			}
-			route = route[:0]
-			for k := a; k < b; k++ {
-				route = append(route, int(s.nodes[k]))
-			}
-			if !g.IsRoute(route) {
-				return fmt.Errorf("traffic: flow %d route %v is not a path of the fabric", s.ids[i], route)
-			}
-		}
-	}
-	return nil
 }

@@ -8,6 +8,24 @@ import (
 	"octopus/internal/graph"
 )
 
+// The Store's test-side API: conversion from a load and column reads.
+
+// TotalPackets returns the total packet count across all flows.
+func (s *Store) TotalPackets() int64 {
+	var total int64
+	for _, sz := range s.sizes {
+		total += int64(sz)
+	}
+	return total
+}
+
+// Src, Dst and Size expose the endpoint/size columns of flow i without
+// materializing it; the sharded scheduler partitions flows by pod this
+// way.
+func (s *Store) Src(i int) int  { return int(s.srcs[i]) }
+func (s *Store) Dst(i int) int  { return int(s.dsts[i]) }
+func (s *Store) Size(i int) int { return int(s.sizes[i]) }
+
 func storeFixtureLoad() *Load {
 	return &Load{Flows: []Flow{
 		{ID: 0, Size: 5, Src: 0, Dst: 2, Routes: []Route{{0, 1, 2}, {0, 3, 2}}, WeightHops: 2, Redundant: 1},
@@ -102,7 +120,7 @@ func TestStoreValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(g); err != nil {
+	if err := s.Materialize(nil).Validate(g); err != nil {
 		t.Fatalf("valid store rejected: %v", err)
 	}
 	// Duplicate ID.
@@ -110,7 +128,7 @@ func TestStoreValidate(t *testing.T) {
 	if err := s.Append(&dup); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(g); err == nil {
+	if err := s.Materialize(nil).Validate(g); err == nil {
 		t.Fatal("duplicate flow ID accepted")
 	}
 	// Route off the fabric.
@@ -119,7 +137,7 @@ func TestStoreValidate(t *testing.T) {
 	if err := s2.Append(&far); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Validate(g); err == nil {
+	if err := s2.Materialize(nil).Validate(g); err == nil {
 		t.Fatal("off-fabric route accepted")
 	}
 }
@@ -134,7 +152,7 @@ func TestStoreAgainstSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(g); err != nil {
+	if err := s.Materialize(nil).Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Materialize(nil); !reflect.DeepEqual(got, l) {

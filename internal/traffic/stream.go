@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 )
 
 // Streaming trace formats: loads far larger than RAM are written one flow
@@ -23,8 +22,8 @@ import (
 //   - JSONL: a header line {"format":"mhs-flows/v1"} followed by one JSON
 //     flow object per line (the same field names as the classic Load
 //     document). Greppable, diffable, compresses well.
-//   - Binary: the magic "MHSB1\n" followed by length-prefixed uvarint flow
-//     records — about 10x smaller and 10x faster to decode than JSONL.
+//   - Binary: the magic "MHSB1\n", flow records — a tag byte and uvarint
+//     fields, no length — and an end tag; about 10x smaller than JSONL.
 //
 // StreamReader auto-detects the encoding, and LoadAnyFile additionally
 // falls back to the classic whole-document JSON load format, so every
@@ -233,28 +232,21 @@ func (sr *StreamReader) init() error {
 	return nil
 }
 
-// next decodes the next flow record into f, whose Routes backing it
-// overwrites and reuses: for a caller, like ReadStore, that copies the flow
-// out before the next call. It returns io.EOF after the last flow; any other
-// error means the stream is malformed or truncated, and leaves f's contents
-// unspecified. A flow it returns passes the same structural checks as
-// ReadJSON.
-func (sr *StreamReader) next(f *Flow) error {
+// next decodes the next flow record onto the end of s's columns, checked by
+// checkStreamFlow. It returns io.EOF after the last flow; any other error
+// means the stream is malformed or truncated, and leaves s unspecified.
+func (sr *StreamReader) next(s *Store) error {
 	if err := sr.init(); err != nil {
 		return err
 	}
 	if sr.done {
 		return io.EOF
 	}
-	var err error
+	next := sr.nextJSONL
 	if sr.binary {
-		err = sr.nextBinary(f)
-	} else {
-		*f, err = sr.nextJSONL()
+		next = sr.nextBinary
 	}
-	if err == nil {
-		err = checkStreamFlow(f)
-	}
+	err := next(s)
 	if err != nil {
 		sr.done = true
 	}
@@ -283,33 +275,33 @@ func (sr *StreamReader) readLine(limit int) ([]byte, error) {
 	}
 }
 
-func (sr *StreamReader) nextJSONL() (Flow, error) {
+func (sr *StreamReader) nextJSONL(s *Store) error {
 	for {
 		line, err := sr.readLine(maxJSONLRecord)
 		if errors.Is(err, errLongLine) {
-			return Flow{}, err
+			return err
 		}
 		trimmed := bytes.TrimSpace(line)
 		if len(trimmed) == 0 {
 			if err != nil {
-				return Flow{}, io.EOF
+				return io.EOF
 			}
 			continue // blank line between records
 		}
 		if err != nil && !errors.Is(err, io.EOF) {
-			return Flow{}, err
+			return err
 		}
 		var f Flow
 		dec := json.NewDecoder(bytes.NewReader(trimmed))
 		dec.DisallowUnknownFields()
 		if jerr := dec.Decode(&f); jerr != nil {
-			return Flow{}, fmt.Errorf("traffic: flow stream: %v", jerr)
+			return fmt.Errorf("traffic: flow stream: %v", jerr)
 		}
 		var extra json.RawMessage
 		if dec.Decode(&extra) != io.EOF {
-			return Flow{}, errors.New("traffic: flow stream: trailing data on record line")
+			return errors.New("traffic: flow stream: trailing data on record line")
 		}
-		return f, nil
+		return s.Append(&f)
 	}
 }
 
@@ -323,26 +315,78 @@ func (sr *StreamReader) refill(n int) {
 	sr.used = 0
 }
 
-// uvarint decodes one varint off the window; ok is false where
-// binary.ReadUvarint fails: the input ends first, or the value overflows.
-func (sr *StreamReader) uvarint() (v uint64, ok bool) {
-	if sr.used < len(sr.win) && sr.win[sr.used] < 0x80 {
-		sr.used++
-		return uint64(sr.win[sr.used-1]), true
-	}
+// field decodes one varint field of at most max off the window into *dst,
+// refilling it as needed, or fails in refReadBinary's words: a varint that
+// overflows or that the input ends in is truncation, not a clean end.
+func (sr *StreamReader) field(dst *int, max uint64, what string) error {
 	v, n := binary.Uvarint(sr.win[sr.used:])
 	if n == 0 {
 		sr.refill(binary.MaxVarintLen64)
 		v, n = binary.Uvarint(sr.win)
 	}
-	if n <= 0 {
-		return 0, false
+	switch {
+	case n <= 0:
+		return fmt.Errorf("traffic: flow stream truncated reading %s", what)
+	case v > max:
+		return fmt.Errorf("traffic: flow stream: %s %d out of range", what, v)
 	}
-	sr.used += n
-	return v, true
+	*dst, sr.used = int(v), sr.used+n
+	return nil
 }
 
-func (sr *StreamReader) nextBinary(f *Flow) error {
+// fieldSpec is a varint field of a binary record (its header, then per route
+// a length and that many nodes): the largest value it may take, its name.
+type fieldSpec struct {
+	max  uint64
+	what string
+}
+
+var (
+	header = [...]fieldSpec{
+		{math.MaxInt32, "id"}, {math.MaxInt32, "size"}, {math.MaxInt32, "src"}, {math.MaxInt32, "dst"},
+		{MaxRouteLen, "weight_hops"}, {1, "flags"}, {maxStreamRoutes, "redundant"}, {maxStreamRoutes, "route count"},
+	}
+	routeNode = [...]fieldSpec{{math.MaxInt32, "route node"}}
+)
+
+// fields decodes len(dst) fields into dst, the k-th as spec[k] or, past
+// its end, as its last. Where the window holds the most bytes they can take
+// and every value is in range, one pass decodes them with no refill check;
+// otherwise field decodes them one at a time.
+func (sr *StreamReader) fields(dst []int, spec []fieldSpec) error {
+	if w := sr.win[sr.used:]; len(w) >= len(dst)*binary.MaxVarintLen64 {
+		p, k := 0, 0
+		for ; k < len(dst); k++ {
+			v, n := uint64(w[p]), 1
+			if b := uint64(w[p+1]); v >= 0x80 && b < 0x80 {
+				v, n = v&0x7f|b<<7, 2
+			} else if v >= 0x80 {
+				v, n = binary.Uvarint(w[p:])
+			}
+			if n <= 0 || v > spec[min(k, len(spec)-1)].max {
+				break
+			}
+			dst[k], p = int(v), p+n
+		}
+		if k == len(dst) {
+			sr.used += p
+			return nil
+		}
+	}
+	for k := range dst {
+		sp := &spec[min(k, len(spec)-1)]
+		if err := sr.field(&dst[k], sp.max, sp.what); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nextBinary decodes one binary record straight onto the end of s's
+// columns, range-checking every field once, as it is read. What
+// checkStreamFlow would reject of the record is reported only once all of it
+// has been read: a truncated record reads as truncated.
+func (sr *StreamReader) nextBinary(s *Store) error {
 	if sr.used == len(sr.win) {
 		sr.refill(1)
 	}
@@ -359,60 +403,36 @@ func (sr *StreamReader) nextBinary(f *Flow) error {
 	default:
 		return fmt.Errorf("traffic: flow stream: unknown record type 0x%02x", kind)
 	}
-	var err error
-	u := func(dst *int, max uint64, what string) error {
-		if err != nil {
-			return err
-		}
-		v, ok := sr.uvarint()
-		if !ok {
-			// Deliberately not io.EOF: running out of bytes mid-record is
-			// truncation, which must surface as corruption, not clean end.
-			err = fmt.Errorf("traffic: flow stream truncated reading %s", what)
-			return err
-		}
-		if v > max {
-			err = fmt.Errorf("traffic: flow stream: %s %d out of range", what, v)
-			return err
-		}
-		*dst = int(v)
-		return nil
-	}
-	var flags, nroutes int
-	if u(&f.ID, 1<<31-1, "id") != nil ||
-		u(&f.Size, 1<<31-1, "size") != nil ||
-		u(&f.Src, 1<<31-1, "src") != nil ||
-		u(&f.Dst, 1<<31-1, "dst") != nil ||
-		u(&f.WeightHops, MaxRouteLen, "weight_hops") != nil ||
-		u(&flags, 1, "flags") != nil ||
-		u(&f.Redundant, maxStreamRoutes, "redundant") != nil ||
-		u(&nroutes, maxStreamRoutes, "route count") != nil {
+	var h [len(header)]int
+	if err := sr.fields(h[:], header[:]); err != nil {
 		return err
 	}
-	f.Critical = flags == 1
-	routes := f.Routes[:0]
-	if routes == nil {
-		routes = make([]Route, 0, min(nroutes, 16))
-	}
-	for i := 0; i < nroutes; i++ {
-		var nn int
-		if u(&nn, maxStreamNodes, "route length") != nil {
+	s.appendHeader(h[0], h[1], h[2], h[3], h[4], h[5] == 1, h[6])
+	// Of checkStreamFlow's checks, only these can fail on fields in range.
+	ok := h[7] > 0 && h[6] <= min(h[7], math.MaxInt8)
+	var r [maxStreamNodes]int
+	for range h[7] {
+		nn := 0 // a route's length fits one byte: read it here, or field fails
+		if w := sr.win[sr.used:]; len(w) > 0 && int(w[0]) <= maxStreamNodes {
+			nn, sr.used = int(w[0]), sr.used+1
+		} else if err := sr.field(&nn, maxStreamNodes, "route length"); err != nil {
 			return err
 		}
-		if i < cap(routes) {
-			routes = routes[:i+1] // with the node array a previous record left there
-		} else {
-			routes = append(routes, nil)
+		if err := sr.fields(r[:nn], routeNode[:]); err != nil {
+			return err
 		}
-		r := slices.Grow(routes[i][:0], nn)[:nn]
-		for j := range r {
-			if u(&r[j], 1<<31-1, "route node") != nil {
-				return err
-			}
+		ok = ok && nn >= 2 && r[0] == h[2] && r[nn-1] == h[3]
+		for _, v := range r[:nn] {
+			s.nodes = append(s.nodes, int32(v))
 		}
-		routes[i] = r
+		s.routeOff = append(s.routeOff, int32(len(s.nodes)))
 	}
-	f.Routes = routes
+	s.routeStart = append(s.routeStart, int32(len(s.routeOff)-1))
+	if !ok { // checkStreamFlow names the fault
+		f := s.FlowAt(s.Len() - 1)
+		f.Redundant = h[6] // which the int8 column may not hold
+		return checkStreamFlow(&f)
+	}
 	return nil
 }
 
@@ -443,6 +463,9 @@ func checkStreamFlow(f *Flow) error {
 	if f.Redundant < 0 || f.Redundant > len(f.Routes) {
 		return fmt.Errorf("traffic: flow %d claims %d redundant routes but has %d", f.ID, f.Redundant, len(f.Routes))
 	}
+	if f.Redundant > math.MaxInt8 {
+		return fmt.Errorf("traffic: flow %d claims %d redundant routes, more than the %d a stream holds", f.ID, f.Redundant, math.MaxInt8)
+	}
 	for _, rt := range f.Routes {
 		if len(rt) < 2 {
 			return fmt.Errorf("traffic: flow %d has a degenerate route", f.ID)
@@ -462,21 +485,22 @@ func checkStreamFlow(f *Flow) error {
 	return nil
 }
 
-// ReadStore consumes an entire flow stream into a columnar store.
+// ReadStore consumes an entire flow stream into a columnar store whose
+// columns are exactly as long as the flows they hold need. The stream is
+// decoded into parts of up to 2^16 flows, which are joined once it ends: no
+// column is copied as it grows.
 func ReadStore(r io.Reader) (*Store, error) {
 	sr := NewStreamReader(r)
-	s := NewStore(0, 0)
-	var f Flow // Append copies it into the columns
-	for {
-		err := sr.next(&f)
-		if errors.Is(err, io.EOF) {
-			return s, nil
-		}
-		if err != nil {
+	var parts []*Store
+	for s, size := NewStore(1<<10, 4<<10), 1<<10; ; {
+		if err := sr.next(s); errors.Is(err, io.EOF) {
+			return concat(append(parts, s)), nil
+		} else if err != nil {
 			return nil, err
 		}
-		if err := s.Append(&f); err != nil {
-			return nil, err
+		if s.Len() == size {
+			parts, size = append(parts, s), min(2*size, 1<<16)
+			s = NewStore(size, 4*size)
 		}
 	}
 }
@@ -486,27 +510,18 @@ func ReadStore(r io.Reader) (*Store, error) {
 // backing), or the classic whole-document JSON load.
 func ReadAny(r io.Reader) (*Load, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	peek, _ := br.Peek(len(binaryMagic))
-	if bytes.Equal(peek, binaryMagic) {
+	// A JSONL stream starts with the header object on its own line; the
+	// classic document form starts with {"flows": ...} spanning lines.
+	// Sniff a bounded prefix for the header marker.
+	prefix, _ := br.Peek(sniffLen)
+	var h streamHeader
+	i := bytes.IndexByte(prefix, '\n')
+	if bytes.HasPrefix(prefix, binaryMagic) || i >= 0 && json.Unmarshal(prefix[:i], &h) == nil && h.Format == jsonlFormatID {
 		s, err := ReadStore(br)
 		if err != nil {
 			return nil, err
 		}
 		return s.Materialize(nil), nil
-	}
-	// A JSONL stream starts with the header object on its own line; the
-	// classic document form starts with {"flows": ...} spanning lines.
-	// Sniff a bounded prefix for the header marker.
-	prefix, _ := br.Peek(sniffLen)
-	if i := bytes.IndexByte(prefix, '\n'); i >= 0 {
-		var h streamHeader
-		if json.Unmarshal(prefix[:i], &h) == nil && h.Format == jsonlFormatID {
-			s, err := ReadStore(br)
-			if err != nil {
-				return nil, err
-			}
-			return s.Materialize(nil), nil
-		}
 	}
 	return ReadJSON(br)
 }

@@ -187,7 +187,7 @@ func TestStreamJSONLAdmitsWidestRecord(t *testing.T) {
 	}
 	const wide = math.MaxInt32
 	f := Flow{ID: wide, Size: wide, Src: wide, Dst: wide - 1, WeightHops: MaxRouteLen,
-		Critical: true, Redundant: maxStreamRoutes, Routes: make([]Route, maxStreamRoutes)}
+		Critical: true, Redundant: math.MaxInt8, Routes: make([]Route, maxStreamRoutes)}
 	for i := range f.Routes {
 		r := make(Route, maxStreamNodes)
 		for j := range r {
@@ -333,6 +333,53 @@ func TestStreamBinaryWindowBoundaries(t *testing.T) {
 	}
 }
 
+// overRedundant is a flow claiming 200 redundant routes, all of them
+// present: more than the store's int8 column holds.
+func overRedundant() Flow {
+	f := Flow{ID: 3, Size: 1, Src: 0, Dst: 1, Redundant: 200}
+	for range f.Redundant {
+		f.Routes = append(f.Routes, Route{0, 1})
+	}
+	return f
+}
+
+// overRedundantBinary is overRedundant as a binary stream, written past
+// the writer's checks.
+func overRedundantBinary() []byte {
+	f := overRedundant()
+	return append(appendBinaryFlow(append([]byte{}, binaryMagic...), &f), recEnd)
+}
+
+// TestStreamRedundantFitsTheStore: a flow whose Redundant the store's int8
+// column cannot hold is refused, in the same words, by the binary and JSONL
+// decoders, the writer and FromLoad, where it used to wrap to -56.
+func TestStreamRedundantFitsTheStore(t *testing.T) {
+	f := overRedundant()
+	const want = "traffic: flow 3 claims 200 redundant routes, more than the 127 a stream holds"
+	line, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonl := `{"format":"mhs-flows/v1"}` + "\n" + string(line) + "\n"
+	_, binErr := ReadStore(bytes.NewReader(overRedundantBinary()))
+	_, jsonlErr := ReadStore(strings.NewReader(jsonl))
+	_, loadErr := FromLoad(&Load{Flows: []Flow{f}})
+	writeErr := NewStreamWriter(io.Discard, FormatBinary).Write(&f)
+	for name, err := range map[string]error{"binary": binErr, "jsonl": jsonlErr, "FromLoad": loadErr, "Write": writeErr} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+	}
+	f.Redundant = math.MaxInt8
+	s, err := FromLoad(&Load{Flows: []Flow{f}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.FlowAt(0).Redundant; got != math.MaxInt8 {
+		t.Fatalf("Redundant %d stored as %d", math.MaxInt8, got)
+	}
+}
+
 // BenchmarkReadStoreBinary decodes a 100k-flow pod stream into a store:
 // the benchmark's traffic.decode span at a tenth of its size.
 func BenchmarkReadStoreBinary(b *testing.B) {
@@ -347,12 +394,12 @@ func BenchmarkReadStoreBinary(b *testing.B) {
 	}
 }
 
-// Next is next into a fresh flow: one record at a time, as the stream tests
-// and the fuzz target read a stream.
+// Next is next into a fresh store, read back as a flow: one record at a
+// time, as the stream tests read a stream.
 func (sr *StreamReader) Next() (Flow, error) {
-	var f Flow
-	if err := sr.next(&f); err != nil {
+	s := NewStore(0, 0)
+	if err := sr.next(s); err != nil {
 		return Flow{}, err
 	}
-	return f, nil
+	return s.FlowAt(0), nil
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"octopus/internal/graph"
+	"octopus/internal/par"
 )
 
 // MaxRouteLen is the maximum supported number of hops in a flow route. The
@@ -177,8 +178,14 @@ func (l *Load) Clone() *Load {
 
 // Validate checks structural invariants of the load against the fabric g:
 // unique flow IDs, positive sizes, at least one route per flow, every route
-// a valid path of g from Src to Dst with at most MaxRouteLen hops.
+// a valid path of g from Src to Dst with at most MaxRouteLen hops. Of
+// several faults it reports the one of the lowest flow.
 func (l *Load) Validate(g *graph.Digraph) error {
+	if len(l.Flows) > par.Item {
+		if err := l.validateAscending(g); err != errDescent {
+			return err
+		}
+	}
 	// Strictly ascending IDs (what every generator and codec emits) cannot
 	// repeat; the set is built only from the first out-of-order flow on.
 	var seen map[int]bool
@@ -196,40 +203,72 @@ func (l *Load) Validate(g *graph.Digraph) error {
 			}
 			seen[f.ID] = true
 		}
-		if f.Size <= 0 {
-			return fmt.Errorf("traffic: flow %d has non-positive size %d", f.ID, f.Size)
+		if err := f.check(g); err != nil {
+			return err
 		}
-		if len(f.Routes) == 0 {
-			return fmt.Errorf("traffic: flow %d has no routes", f.ID)
+	}
+	return nil
+}
+
+// errDescent reports an ID no greater than the one before it.
+var errDescent = errors.New("traffic: flow IDs do not ascend")
+
+// validateAscending is Validate on the shared pool, par.Item flows a work
+// item: the fault of the lowest flow, or errDescent if a descent is lower.
+func (l *Load) validateAscending(g *graph.Digraph) error {
+	errs := make([]error, (len(l.Flows)+par.Item-1)/par.Item)
+	par.For(0, len(errs), func(_, it int) {
+		var err error // not errs[it]: neighbouring items share its cache line
+		for i := it * par.Item; i < min(len(l.Flows), (it+1)*par.Item) && err == nil; i++ {
+			if err = l.Flows[i].check(g); i > 0 && l.Flows[i].ID <= l.Flows[i-1].ID {
+				err = errDescent
+			}
 		}
-		if f.WeightHops < 0 || f.WeightHops > MaxRouteLen {
-			return fmt.Errorf("traffic: flow %d has invalid WeightHops %d", f.ID, f.WeightHops)
+		errs[it] = err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		if f.Redundant < 0 || f.Redundant > len(f.Routes) {
-			return fmt.Errorf("traffic: flow %d claims %d redundant routes but has %d", f.ID, f.Redundant, len(f.Routes))
+	}
+	return nil
+}
+
+// check is Validate on one flow, but for its ID's uniqueness.
+func (f *Flow) check(g *graph.Digraph) error {
+	if f.Size <= 0 {
+		return fmt.Errorf("traffic: flow %d has non-positive size %d", f.ID, f.Size)
+	}
+	if len(f.Routes) == 0 {
+		return fmt.Errorf("traffic: flow %d has no routes", f.ID)
+	}
+	if f.WeightHops < 0 || f.WeightHops > MaxRouteLen {
+		return fmt.Errorf("traffic: flow %d has invalid WeightHops %d", f.ID, f.WeightHops)
+	}
+	if f.Redundant < 0 || f.Redundant > len(f.Routes) {
+		return fmt.Errorf("traffic: flow %d claims %d redundant routes but has %d", f.ID, f.Redundant, len(f.Routes))
+	}
+	for _, r := range f.Routes {
+		if r.Hops() < 1 || r.Hops() > MaxRouteLen {
+			return fmt.Errorf("traffic: flow %d route %v has invalid hop count", f.ID, r)
 		}
-		for _, r := range f.Routes {
-			if r.Hops() < 1 || r.Hops() > MaxRouteLen {
-				return fmt.Errorf("traffic: flow %d route %v has invalid hop count", f.ID, r)
-			}
-			if f.WeightHops > 0 && r.Hops() > f.WeightHops {
-				return fmt.Errorf("traffic: flow %d route %v longer than WeightHops %d", f.ID, r, f.WeightHops)
-			}
-			if r.Src() != f.Src || r.Dst() != f.Dst {
-				return fmt.Errorf("traffic: flow %d route %v does not connect %d->%d", f.ID, r, f.Src, f.Dst)
-			}
-			if g.IsRoute(r) {
-				continue
-			}
-			// Name the offending hop when there is one; what is left is a
-			// repeated node.
-			for h := 0; h+1 < len(r); h++ {
-				if !g.HasEdge(r[h], r[h+1]) {
-					return fmt.Errorf("traffic: flow %d route %v: hop %d (%d->%d) is not a fabric link", f.ID, r, h, r[h], r[h+1])
-				}
-			}
-			return fmt.Errorf("traffic: flow %d route %v is not a path of the fabric", f.ID, r)
+		if f.WeightHops > 0 && r.Hops() > f.WeightHops {
+			return fmt.Errorf("traffic: flow %d route %v longer than WeightHops %d", f.ID, r, f.WeightHops)
 		}
+		if r.Src() != f.Src || r.Dst() != f.Dst {
+			return fmt.Errorf("traffic: flow %d route %v does not connect %d->%d", f.ID, r, f.Src, f.Dst)
+		}
+		if g.IsRoute(r) {
+			continue
+		}
+		// Name the offending hop when there is one; what is left is a
+		// repeated node.
+		for h := 0; h+1 < len(r); h++ {
+			if !g.HasEdge(r[h], r[h+1]) {
+				return fmt.Errorf("traffic: flow %d route %v: hop %d (%d->%d) is not a fabric link", f.ID, r, h, r[h], r[h+1])
+			}
+		}
+		return fmt.Errorf("traffic: flow %d route %v is not a path of the fabric", f.ID, r)
 	}
 	return nil
 }

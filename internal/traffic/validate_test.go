@@ -1,10 +1,12 @@
 package traffic
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"octopus/internal/graph"
+	"octopus/internal/par"
 )
 
 // TestValidateMessages pins the error each kind of bad load fails with. The
@@ -77,6 +79,51 @@ func TestValidateAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Validate allocates %v times on an ascending-ID load, want 0", n)
+	}
+}
+
+// refValidate is Validate as one serial loop with an ID set from the
+// first flow on.
+func refValidate(l *Load, g *graph.Digraph) error {
+	seen := make(map[int]bool)
+	for i := range l.Flows {
+		f := &l.Flows[i]
+		if seen[f.ID] {
+			return fmt.Errorf("traffic: duplicate flow ID %d", f.ID)
+		}
+		seen[f.ID] = true
+		if err := f.check(g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestValidateParallelReportsLowestFault: a load of several work items is
+// checked on the pool, and of faults in several items, or a fault after a
+// descent of the IDs, Validate reports what the serial loop reports first.
+func TestValidateParallelReportsLowestFault(t *testing.T) {
+	g, load := validateLoad(t, 4, 8, 5*par.Item)
+	n := len(load.Flows)
+	for _, c := range []struct {
+		name string
+		mut  func(fs []Flow)
+	}{
+		{"valid", func([]Flow) {}},
+		{"two items' faults", func(fs []Flow) { fs[3*par.Item+5].Size = 0; fs[par.Item+7].Routes = nil }},
+		{"fault and later fault in one item", func(fs []Flow) { fs[n-3].Size = -1; fs[n-2].WeightHops = 99 }},
+		{"descent before a fault", func(fs []Flow) { fs[par.Item].ID = fs[0].ID; fs[2*par.Item].Size = 0 }},
+		{"fault before a descent", func(fs []Flow) { fs[par.Item].Size = 0; fs[4*par.Item].ID = 0 }},
+		{"descent without a duplicate", func(fs []Flow) {
+			fs[2*par.Item+1].ID, fs[2*par.Item+2].ID = fs[2*par.Item+2].ID, fs[2*par.Item+1].ID
+		}},
+	} {
+		l := load.Clone()
+		c.mut(l.Flows)
+		want, got := refValidate(l, g), l.Validate(g)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: got %v, want %v", c.name, got, want)
+		}
 	}
 }
 
