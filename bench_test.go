@@ -132,7 +132,7 @@ func BenchmarkMatchingGreedy100(b *testing.B) {
 	edges := randomMatchingInstance(100)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		matching.GreedyBipartite(100, edges)
+		new(matching.Arena).GreedyBipartite(100, edges)
 	}
 }
 

@@ -144,7 +144,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 				sc.localAt = i
 			}
 			if twoPhase {
-				evals[i].ub = rowColUB(sc.weighted(s.tr.glinks, col), sc.row, sc.col)
+				evals[i].ub = rowColUB(s.tr.glinks, col, sc.row, sc.col)
 			}
 		})
 		for _, sc := range s.scratch {
@@ -455,35 +455,29 @@ func (s *Scheduler) weightedEdges(sc *evalScratch, a int) []matching.Edge {
 	return we
 }
 
-// rowColUB is a cheap upper bound on the maximum-weight matching: the
-// smaller of the row-maxima sum and the column-maxima sum. row and col are
-// caller-owned all-zero arrays indexed by node; they are restored to zero
-// before returning (every weight is positive, so a non-zero cell is both
-// "seen" marker and maximum).
-func rowColUB(we []matching.Edge, row, col []int64) int64 {
-	for _, e := range we {
-		if e.Weight > row[e.From] {
-			row[e.From] = e.Weight
-		}
-		if e.Weight > col[e.To] {
-			col[e.To] = e.Weight
+// rowColUB is a cheap upper bound on the maximum-weight matching of links
+// weighted w (non-positive weights left out): the smaller of the row-maxima
+// sum and the column-maxima sum. rowMax and colMax are caller-owned all-zero
+// arrays indexed by node; they are restored to zero before returning (every
+// counted weight is positive, so a non-zero cell is both "seen" marker and
+// maximum).
+func rowColUB(links []matching.Edge, w []int64, rowMax, colMax []int64) int64 {
+	for i, g := range w {
+		if g > 0 {
+			e := links[i]
+			rowMax[e.From] = max(rowMax[e.From], g)
+			colMax[e.To] = max(colMax[e.To], g)
 		}
 	}
 	var rs, cs int64
-	for _, e := range we {
-		if w := row[e.From]; w != 0 {
-			rs += w
-			row[e.From] = 0
-		}
-		if w := col[e.To]; w != 0 {
-			cs += w
-			col[e.To] = 0
+	for i, g := range w {
+		if g > 0 {
+			e := links[i]
+			rs, rowMax[e.From] = rs+rowMax[e.From], 0
+			cs, colMax[e.To] = cs+colMax[e.To], 0
 		}
 	}
-	if cs < rs {
-		return cs
-	}
-	return rs
+	return min(rs, cs)
 }
 
 // appendLinks appends a matching to a link set (nil stays nil under an

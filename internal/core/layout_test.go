@@ -345,16 +345,16 @@ func TestPhase2PruningFiresOnSmallSelections(t *testing.T) {
 	t.Logf("%d iterations, %d exact solves, %d pruned", len(want), wc.solved, wc.pruned)
 }
 
-// TestCarriedOrderPlansTheDefinition: the greedy path carries each arena's
-// sorted link order from one α to the next and copies a candidate's links
-// only when it beats its worker's incumbent. None of that may show: at Parallelism 1, 2 and 8, on an instance whose α's span
-// several g-table blocks, every planned configuration is the one the
-// definition gives — an ascending-α scan with a fresh greedy matching of G'
-// per α, first strictly best ratio wins — and the carried order is what
-// served the solves.
+// TestCarriedOrderPlansTheDefinition: the greedy path solves every α's
+// column in place, by deferred acceptance, and copies a candidate's links
+// only when it beats its worker's incumbent. None of that may show: at
+// Parallelism 1, 2 and 8, on an instance whose α's span several g-table
+// blocks, every planned configuration is the one the definition gives — an
+// ascending-α scan with a fresh greedy matching of G' per α, first strictly
+// best ratio wins — and the greedy counters do not depend on the worker count.
 func TestCarriedOrderPlansTheDefinition(t *testing.T) {
 	g, load := randomQueues(36, 7)
-	var calls, edges int64 // these do not depend on the worker count; re-sorts and moves do
+	var want1 matching.Stats
 	for _, par := range []int{1, 2, 8} {
 		s, err := New(g, load, Options{Window: 3000, Delta: 10, Matcher: MatcherGreedy, Parallelism: par})
 		if err != nil {
@@ -368,7 +368,7 @@ func TestCarriedOrderPlansTheDefinition(t *testing.T) {
 				t.Fatalf("%d α's × %d links fit one table block", len(as), len(s.tr.activeStates()))
 			}
 			for _, a := range as {
-				m, w := matching.GreedyBipartite(g.N(), s.weightedEdges(ref, a))
+				m, w := ref.arena.GreedyBipartite(g.N(), s.weightedEdges(ref, a))
 				want.consider(appendLinks(nil, m), a, w)
 			}
 			sortLinks(want.links)
@@ -388,13 +388,11 @@ func TestCarriedOrderPlansTheDefinition(t *testing.T) {
 		for _, sc := range s.scratch {
 			sc.arena.Stats.AddTo(&st)
 		}
-		if st.GreedyResorted*2 > st.GreedyCalls {
-			t.Errorf("par %d: %d of %d greedy solves re-sorted; the order is not being carried", par, st.GreedyResorted, st.GreedyCalls)
-		}
+		st.Grows, st.Reuses = 0, 0 // a pool of arenas grows once per worker
 		if par == 1 {
-			calls, edges = st.GreedyCalls, st.GreedyEdges
-		} else if st.GreedyCalls != calls || st.GreedyEdges != edges {
-			t.Errorf("par %d: %d greedy calls over %d edges, par 1: %d over %d", par, st.GreedyCalls, st.GreedyEdges, calls, edges)
+			want1 = st
+		} else if st != want1 {
+			t.Errorf("par %d: greedy stats %+v, par 1: %+v", par, st, want1)
 		}
 	}
 }

@@ -77,11 +77,12 @@ func TestObsReadOnlyAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestGreedyOrderMetrics: every greedy solve is either carried or re-sorted,
-// and says so on the registry. Calls, edges and matched agree between
-// Parallelism 1 and 4; carried, re-sorted and moves depend on which arena saw
-// which column and need not (see matching.Stats).
+// TestGreedyOrderMetrics: the four greedy counters reach the registry, the
+// proposals inside their bound (at most positive links plus From nodes a
+// solve), and all four agree between Parallelism 1 and 4: each solve's counts
+// depend on its column alone, not on which arena saw it (see matching.Stats).
 func TestGreedyOrderMetrics(t *testing.T) {
+	keys := []string{"calls", "edges", "matched", "proposals"}
 	run := func(g *graph.Digraph, load *traffic.Load, window, par int) map[string]int64 {
 		reg := obs.NewRegistry()
 		s, err := New(g, load, Options{Window: window, Delta: 10, Matcher: MatcherGreedy, Parallelism: par, Obs: &obs.Observer{Metrics: reg}})
@@ -92,17 +93,17 @@ func TestGreedyOrderMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := make(map[string]int64)
-		for _, k := range []string{"calls", "edges", "matched", "order_carried", "resorted", "order_moves"} {
+		for _, k := range keys {
 			m[k] = reg.Value("octopus_match_greedy_" + k + "_total")
 		}
-		if m["order_carried"]+m["resorted"] != m["calls"] || m["order_carried"] == 0 || m["resorted"] == 0 || m["order_moves"] == 0 {
-			t.Fatalf("par %d: %v; want carried + resorted = calls, and all of them at work", par, m)
+		if m["proposals"] < m["matched"] || m["proposals"] > m["edges"]+m["calls"]*int64(g.N()) {
+			t.Fatalf("par %d: %v; want matched <= proposals <= edges + calls·n", par, m)
 		}
 		return m
 	}
 	check := func(g *graph.Digraph, load *traffic.Load, window int) {
 		one, four := run(g, load, window, 1), run(g, load, window, 4)
-		for _, k := range []string{"calls", "edges", "matched"} {
+		for _, k := range keys {
 			if one[k] != four[k] {
 				t.Errorf("greedy %s: %d at Parallelism 1, %d at 4", k, one[k], four[k])
 			}

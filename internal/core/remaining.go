@@ -205,7 +205,8 @@ type remaining struct {
 	homes    []int32
 	// stateList holds every non-nil element of links, sorted by edge once
 	// activeEdges has run; edgeList is its edges, index-aligned, and glinks
-	// the same as the matchers take them (what a g-table column is indexed by).
+	// the same as the matchers take them (what a g-table column is indexed by;
+	// grouped by From, so the greedy matcher reads it in place).
 	// Links that became active since are appended to stateList unsorted, so
 	// stateList[:len(edgeList)] is always in order.
 	stateList  []*linkState

@@ -1,22 +1,22 @@
 package matching
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 const inf = math.MaxInt64 / 4
 
 // Arena is reusable scratch for the bipartite matchers. The Octopus greedy
 // loop solves thousands of matchings per run; with a per-worker Arena the
-// dense matrix, potentials, radix-sort buffer, and result slices are
-// allocated once and recycled, so the per-α matchings stop churning the
-// garbage collector.
+// dense matrix, potentials, link ranges and result slices are allocated once
+// and recycled, so the per-α matchings stop churning the garbage collector.
 //
 // An Arena is not safe for concurrent use, and the edge slice returned by
 // its matcher methods aliases arena storage: it is valid only until the
 // next call of the same kind on the same Arena — a greedy result outlives
 // exact calls and an exact result greedy calls, their backing being
-// separate (core's Octopus-B holds both). The package-level GreedyBipartite
-// wrapper uses a private Arena per call and therefore keeps its
-// allocate-fresh semantics.
+// separate (core's Octopus-B holds both).
 //
 // The zero Arena is ready to use.
 type Arena struct {
@@ -26,11 +26,14 @@ type Arena struct {
 	Stats Stats
 
 	// Greedy matcher state.
-	ord      []wlink // the last call's positive links in greedy order (see GreedyColumn)
-	ordBuf   []wlink // ping-pong buffer for the radix sort
-	usedFrom []bool  // per-node matched marks; all-false between calls
-	usedTo   []bool
-	outG     []Edge // greedy result backing
+	wts      []int64    // GreedyBipartite's weights, index-aligned with its links
+	runs     []fromRun  // the call's From nodes, each with its range of links
+	held     []heldLink // per To node; all-zero between calls
+	start    []int      // counting-sort offsets by From node
+	sorted   []Edge     // positive links of a list whose From nodes do not ascend, grouped...
+	sortedW  []int64    // ...their weights...
+	sortedID []int      // ...and their indices in the caller's list
+	outG     []Edge     // greedy result backing
 
 	// Exact matcher state.
 	rowID, colID []int // node -> compact index; -1 between calls
@@ -47,25 +50,21 @@ type Arena struct {
 }
 
 // Stats counts arena matcher activity. All fields are monotone totals
-// over the arena's lifetime. This package stays dependency-free:
+// over the arena's lifetime. Except Grows and Reuses, each depends only on
+// the calls made, not on which arena saw which call, so summed over a pool of
+// arenas they do not vary with its size. This package stays dependency-free:
 // consumers translate these counts into whatever metrics system they use.
 type Stats struct {
-	GreedyCalls   int64 // GreedyBipartite and GreedyColumn invocations
-	GreedyEdges   int64 // positive-weight edges considered by greedy calls
-	GreedyMatched int64 // edges emitted by greedy calls
-	ExactCalls    int64 // MaxWeightBipartite invocations
-	ExactRows     int64 // compacted rows solved across exact calls
-	AugmentRounds int64 // shortest-augmenting-path relaxation rounds
-	FullScans     int64 // of those, rounds that relaxed a whole row (see insertRow)
-	Grows         int64 // calls that grew arena storage
-	Reuses        int64 // calls served entirely from existing storage
-
-	// Greedy calls that radix-sorted, and the insertion moves of those that
-	// repaired the arena's previous order. Both depend on which arena saw
-	// which call: summed over a pool of arenas they vary with its size, where
-	// GreedyCalls, GreedyEdges and GreedyMatched do not.
-	GreedyResorted int64
-	GreedyMoves    int64
+	GreedyCalls     int64 // GreedyBipartite and GreedyColumn invocations
+	GreedyEdges     int64 // positive-weight edges considered by greedy calls
+	GreedyMatched   int64 // edges emitted by greedy calls
+	GreedyProposals int64 // deferred-acceptance proposals of greedy calls
+	ExactCalls      int64 // MaxWeightBipartite invocations
+	ExactRows       int64 // compacted rows solved across exact calls
+	AugmentRounds   int64 // shortest-augmenting-path relaxation rounds
+	FullScans       int64 // of those, rounds that relaxed a whole row (see insertRow)
+	Grows           int64 // calls that grew arena storage
+	Reuses          int64 // calls served entirely from existing storage
 }
 
 // AddTo accumulates s into dst field by field.
@@ -73,8 +72,7 @@ func (s Stats) AddTo(dst *Stats) {
 	dst.GreedyCalls += s.GreedyCalls
 	dst.GreedyEdges += s.GreedyEdges
 	dst.GreedyMatched += s.GreedyMatched
-	dst.GreedyResorted += s.GreedyResorted
-	dst.GreedyMoves += s.GreedyMoves
+	dst.GreedyProposals += s.GreedyProposals
 	dst.ExactCalls += s.ExactCalls
 	dst.ExactRows += s.ExactRows
 	dst.AugmentRounds += s.AugmentRounds
@@ -86,7 +84,8 @@ func (s Stats) AddTo(dst *Stats) {
 // greedyCap sums the capacities of the greedy-side buffers; comparing it
 // before and after a call detects whether the call had to grow storage.
 func (a *Arena) greedyCap() int {
-	return cap(a.ord) + cap(a.ordBuf) + cap(a.usedFrom) + cap(a.usedTo) + cap(a.outG)
+	return cap(a.wts) + cap(a.runs) + cap(a.held) + cap(a.start) +
+		cap(a.sorted) + cap(a.sortedW) + cap(a.sortedID) + cap(a.outG)
 }
 
 // exactDone closes out one exact call's grow/reuse accounting.
@@ -106,12 +105,12 @@ func (a *Arena) exactCap() int {
 		cap(a.posCols) + cap(a.posLo) + cap(a.posHi) + cap(a.outX)
 }
 
-// growBools returns b extended to length >= n; fresh cells are false.
-func growBools(b []bool, n int) []bool {
-	if len(b) < n {
-		b = append(b, make([]bool, n-len(b))...)
+// growZero returns s extended to length >= n; fresh cells are zero.
+func growZero[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
 	}
-	return b
+	return s
 }
 
 // growIDs returns ids extended to length >= n; fresh cells are -1.
@@ -131,64 +130,94 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// GreedyBipartite is the arena-backed variant of the package-level
-// GreedyBipartite; see its documentation. The returned slice is valid
-// until the next greedy call on the arena.
-func (a *Arena) GreedyBipartite(n int, edges []Edge) ([]Edge, int64) { return a.greedy(n, edges, nil) }
+// GreedyBipartite returns the greedy maximal matching of the bipartite graph
+// with n output-port and n input-port nodes: the positive edges taken by
+// weight descending, the lower index first among equals, each kept when both
+// its endpoints are still free. It is a classic 1/2-approximation of the
+// maximum-weight matching [Avis '83] and the matcher behind the Octopus-G
+// variant (paper §8, "Execution Time"). Edges with non-positive weight are
+// ignored; the result lists the kept edges in ascending index. No sort is
+// made (see greedy). The returned slice is valid until the next greedy call
+// on the arena.
+func (a *Arena) GreedyBipartite(n int, edges []Edge) ([]Edge, int64) {
+	a.wts = grow(a.wts, len(edges))
+	for i, e := range edges {
+		a.wts[i] = e.Weight
+	}
+	return a.greedy(n, edges, a.wts)
+}
 
 // GreedyColumn is GreedyBipartite on links[i] reweighted to col[i] (links'
 // own Weight fields are not read): the same matching, emitted in the same
-// order. It serves a run of columns that order one link list almost alike,
-// such as core's candidate α's: the previous order is repaired, not rebuilt.
+// order. core solves one link list, in (From, To) order, under every
+// candidate α's column; a list whose From nodes ascend is read in place.
 func (a *Arena) GreedyColumn(n int, links []Edge, col []int64) ([]Edge, int64) {
 	return a.greedy(n, links, col)
 }
 
-// greedy takes the positive links by (weight descending, index ascending) —
-// weights from col, or the links' own when col is nil — keeping each whose
-// endpoints are both free. The order is strict and total, so one
-// arrangement satisfies it, however it is reached: by carry, or else by the
-// stable radix sort of the positive links in index order.
+// fromRun is one From node's links: positions [lo, hi) of the list greedy
+// scans, and the index of the link the node holds (-1: none).
+type fromRun struct {
+	from, lo, hi, held int
+}
+
+// heldLink is what a To node holds: a link's weight (0: nothing), its index
+// in the caller's list and the run that proposed it.
+type heldLink struct {
+	w         int64
+	link, run int
+}
+
+// greedy is deferred acceptance (Gale–Shapley; the "Suitor" algorithm of
+// Manne and Halappanavar) under one strict order on the links: weight
+// descending, then index ascending, weights from col. Every From node
+// proposes its best positive link whose To node holds nothing better; the
+// To node takes it, and the From node it displaces proposes again over its
+// own links. With every node ranking its links by one global order the
+// stable matching is unique and is the greedy matching, however the
+// proposals interleave. A proposal either is accepted — and a link, once
+// displaced, is never accepted again, since a To node only trades up — or
+// finds nothing and ends its node's turn for good, so there are at most as
+// many proposals as positive links plus From nodes. A proposal scans its
+// node's links, so a node of out-degree d may cost O(d²) at worst; on
+// columns shaped like core's (BenchmarkGreedyAlphaSweep) a node proposes 1.1
+// to 1.4 times.
+//
+// A From node's links are a range of positions: of links itself when its
+// From nodes ascend, as core's (From, To) order does, else of a copy grouped
+// by a stable counting sort. Within a range positions ascend with index, so
+// a scan keeps the first of equal weights. A list is found to need the copy
+// when a From node is below the one before it; the in-place attempt is then
+// undone and not counted, so the proposals counted depend on the list alone.
 func (a *Arena) greedy(n int, links []Edge, col []int64) ([]Edge, int64) {
 	capBefore := a.greedyCap()
-	if col == nil || !a.carry(col) {
-		ord := a.ord[:0]
-		for i, e := range links {
-			if col != nil {
-				e.Weight = col[i]
-			}
-			if e.Weight > 0 {
-				ord = append(ord, wlink{e.Weight, i})
+	a.held = growZero(a.held, n)
+	positive, proposals, grouped := a.accept(links, col, nil)
+	if !grouped {
+		for _, r := range a.runs {
+			if r.held >= 0 {
+				a.held[links[r.held].To] = heldLink{}
 			}
 		}
-		a.ord, a.ordBuf = ord, grow(a.ordBuf, len(ord))
-		radixSort(ord, a.ordBuf)
-		a.Stats.GreedyResorted++
+		a.groupBySort(n, links, col)
+		positive, proposals, _ = a.accept(a.sorted, a.sortedW, a.sortedID)
+		slices.SortFunc(a.runs, func(x, y fromRun) int { return x.held - y.held })
 	}
-	a.usedFrom = growBools(a.usedFrom, n)
-	a.usedTo = growBools(a.usedTo, n)
-	usedFrom, usedTo := a.usedFrom, a.usedTo
 	m := a.outG[:0]
 	var total int64
-	for _, o := range a.ord {
-		e := links[o.link]
-		if usedFrom[e.From] || usedTo[e.To] {
-			continue
+	for _, r := range a.runs {
+		if r.held >= 0 {
+			e := links[r.held]
+			m = append(m, Edge{From: e.From, To: e.To, Weight: col[r.held]})
+			total += col[r.held]
+			a.held[e.To] = heldLink{}
 		}
-		usedFrom[e.From] = true
-		usedTo[e.To] = true
-		m = append(m, Edge{From: e.From, To: e.To, Weight: o.w})
-		total += o.w
 	}
 	a.outG = m
-	// Restore the all-false invariant: only matched endpoints were set.
-	for _, e := range m {
-		usedFrom[e.From] = false
-		usedTo[e.To] = false
-	}
 	a.Stats.GreedyCalls++
-	a.Stats.GreedyEdges += int64(len(a.ord))
+	a.Stats.GreedyEdges += int64(positive)
 	a.Stats.GreedyMatched += int64(len(m))
+	a.Stats.GreedyProposals += proposals
 	if a.greedyCap() > capBefore {
 		a.Stats.Grows++
 	} else {
@@ -200,42 +229,97 @@ func (a *Arena) greedy(n int, links []Edge, col []int64) ([]Edge, int64) {
 	return m, total
 }
 
-// moveBudget is the insertion moves carry may make per link it has passed —
-// about what the radix passes cost — on top of half a move per link up front.
-const moveBudget = 4
+// accept runs deferred acceptance over links, weights from col, ids mapping
+// positions to indices (nil: they are equal). It takes the From runs in
+// order, each as it is found, and returns the positive links and proposals
+// counted. It stops and reports false at a run whose From node is below the
+// previous run's, leaving a.runs and the holdings of the runs so far for the
+// caller to clear.
+func (a *Arena) accept(links []Edge, col []int64, ids []int) (positive int, proposals int64, grouped bool) {
+	held, runs := a.held, a.runs[:0]
+	for lo := 0; lo < len(links); {
+		u := links[lo].From
+		if len(runs) > 0 && u < runs[len(runs)-1].from {
+			a.runs = runs
+			return positive, proposals, false
+		}
+		hi := lo
+		for ; hi < len(links) && links[hi].From == u; hi++ {
+			if col[hi] > 0 {
+				positive++
+			}
+		}
+		runs = append(runs, fromRun{from: u, lo: lo, hi: hi, held: -1})
+		lo = hi
+		for cur := len(runs) - 1; cur >= 0; {
+			proposals++
+			// cur's best link whose To node holds nothing better.
+			best, bw := -1, int64(0)
+			for p := runs[cur].lo; p < runs[cur].hi; p++ {
+				w := col[p]
+				if w <= bw {
+					continue // non-positive, or no better than an earlier position
+				}
+				h := &held[links[p].To]
+				if h.w > w {
+					continue
+				}
+				if h.w == w {
+					id := p
+					if ids != nil {
+						id = ids[p]
+					}
+					if h.link < id {
+						continue
+					}
+				}
+				best, bw = p, w
+			}
+			if best < 0 {
+				break
+			}
+			id := best
+			if ids != nil {
+				id = ids[best]
+			}
+			h := &held[links[best].To]
+			next := -1
+			if h.w > 0 {
+				next = h.run
+				runs[next].held = -1
+			}
+			*h = heldLink{w: bw, link: id, run: cur}
+			runs[cur].held = id
+			cur = next
+		}
+	}
+	a.runs = runs
+	return positive, proposals, true
+}
 
-// carry rewrites the weights of a.ord, the previous call's order, from col
-// and repairs the order by insertion. It reports false, a.ord unspecified,
-// unless a.ord holds exactly col's positive indices (it never repeats one,
-// so equal count and every index positive suffice) and the budget holds.
-func (a *Arena) carry(col []int64) bool {
-	ord := a.ord
-	positive := 0
-	for _, w := range col {
-		if w > 0 {
-			positive++
+// groupBySort copies the positive links of a list whose From nodes do not
+// ascend into sorted, sortedW and sortedID, grouped by From in ascending
+// order and otherwise in index order: a stable counting sort.
+func (a *Arena) groupBySort(n int, links []Edge, col []int64) {
+	start := grow(a.start, n+1)
+	clear(start)
+	for i, e := range links {
+		if col[i] > 0 {
+			start[e.From+1]++
 		}
 	}
-	if positive != len(ord) {
-		return false
+	for u := range n {
+		start[u+1] += start[u]
 	}
-	left := len(ord) / 2
-	for k := range ord {
-		l := ord[k].link
-		if l >= len(col) || col[l] <= 0 {
-			return false
-		}
-		x, j := wlink{col[l], l}, k
-		for ; j > 0 && x.before(ord[j-1]); j-- {
-			ord[j] = ord[j-1]
-		}
-		ord[j] = x
-		if left += moveBudget - (k - j); left < 0 {
-			return false
+	sorted, sortedW, sortedID := grow(a.sorted, start[n]), grow(a.sortedW, start[n]), grow(a.sortedID, start[n])
+	for i, e := range links {
+		if col[i] > 0 {
+			p := start[e.From]
+			start[e.From]++
+			sorted[p], sortedW[p], sortedID[p] = e, col[i], i
 		}
 	}
-	a.Stats.GreedyMoves += int64(len(ord)/2 + moveBudget*len(ord) - left)
-	return true
+	a.start, a.sorted, a.sortedW, a.sortedID = start, sorted, sortedW, sortedID
 }
 
 // MaxWeightBipartite returns an exact maximum-weight matching of the

@@ -1,7 +1,6 @@
 package matching
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -69,9 +68,10 @@ func BenchmarkGreedyBipartite(b *testing.B) {
 	for _, n := range []int{50, 100, 200} {
 		edges := benchBipartite(n, 4, 1)
 		b.Run(sizeName(n), func(b *testing.B) {
+			var a Arena
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				GreedyBipartite(n, edges)
+				a.GreedyBipartite(n, edges)
 			}
 		})
 	}
@@ -110,28 +110,6 @@ func BenchmarkGreedyGeneral(b *testing.B) {
 	}
 }
 
-// BenchmarkRadixSortEdges sorts scaled packet weights (multiples of 64, as
-// the planner produces with ε = 0) at the edge counts of the three greedy
-// regimes: an engine-churn epoch, a dense pod fabric, and n=256 complete.
-func BenchmarkRadixSortEdges(b *testing.B) {
-	for _, n := range []int{150, 7000, 35000} {
-		rng := rand.New(rand.NewSource(1))
-		links := make([]wlink, n)
-		for i := range links {
-			links[i] = wlink{(1 + rng.Int63n(10000)) * 27720 * 64, i}
-		}
-		work := make([]wlink, n)
-		buf := make([]wlink, n)
-		b.Run(fmt.Sprintf("edges%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(work, links)
-				radixSort(work, buf)
-			}
-		})
-	}
-}
-
 func sizeName(n int) string {
 	switch {
 	case n >= 1000:
@@ -151,9 +129,8 @@ func sizeName(n int) string {
 // sees it: one link list solved under every candidate α's column, ascending,
 // on one arena (queueColumns models the g-table). The sizes are an
 // engine-churn epoch, the pods-flows fabric and a fig4-exact iteration (few
-// α's, far apart: nothing to carry); moves/op and resorts/op say how the
-// order was reached — per sweep, the insertion moves of the carried solves
-// and the number of solves that radix-sorted instead.
+// α's, far apart). proposals/op is the deferred-acceptance proposals of one
+// sweep: it depends on the columns alone.
 func BenchmarkGreedyAlphaSweep(b *testing.B) {
 	for _, bc := range []struct {
 		name                                         string
@@ -175,8 +152,7 @@ func BenchmarkGreedyAlphaSweep(b *testing.B) {
 					greedySink += w
 				}
 			}
-			b.ReportMetric(float64(a.Stats.GreedyMoves)/float64(b.N), "moves/op")
-			b.ReportMetric(float64(a.Stats.GreedyResorted)/float64(b.N), "resorts/op")
+			b.ReportMetric(float64(a.Stats.GreedyProposals)/float64(b.N), "proposals/op")
 		})
 	}
 }

@@ -1,10 +1,7 @@
 package matching
 
 import (
-	"cmp"
-	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -96,7 +93,7 @@ func TestGreedyBipartiteHalfApprox(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(6)
 		edges := randBipartite(rng, n, 50)
-		gm, gw := GreedyBipartite(n, edges)
+		gm, gw := new(Arena).GreedyBipartite(n, edges)
 		_, ow := new(Arena).MaxWeightBipartite(n, edges)
 		if !isBipartiteMatching(n, gm) {
 			t.Fatalf("greedy produced invalid matching %v", gm)
@@ -112,8 +109,8 @@ func TestGreedyBipartiteHalfApprox(t *testing.T) {
 
 func TestGreedyBipartiteDeterministic(t *testing.T) {
 	edges := []Edge{{0, 0, 5}, {0, 1, 5}, {1, 0, 5}, {1, 1, 5}}
-	m1, _ := GreedyBipartite(2, edges)
-	m2, _ := GreedyBipartite(2, append([]Edge(nil), edges...))
+	m1, _ := new(Arena).GreedyBipartite(2, edges)
+	m2, _ := new(Arena).GreedyBipartite(2, append([]Edge(nil), edges...))
 	if len(m1) != len(m2) {
 		t.Fatal("nondeterministic size")
 	}
@@ -122,62 +119,9 @@ func TestGreedyBipartiteDeterministic(t *testing.T) {
 			t.Fatalf("nondeterministic result: %v vs %v", m1, m2)
 		}
 	}
-	// Stable radix + (From,To) input order: ties resolve to (0,0) first.
+	// Among equal weights the lower index goes first: (0,0), then (1,1).
 	if m1[0] != (Edge{0, 0, 5}) || m1[1] != (Edge{1, 1, 5}) {
 		t.Fatalf("unexpected tie-break: %v", m1)
-	}
-}
-
-// TestRadixSortEdges pins the input-sized radix sort to the greedy order
-// (weight descending, index ascending among equals — what a stable sort of
-// the index-ordered input gives) on both sides of the digit-width switch and
-// on the weight shapes that let it skip passes.
-func TestRadixSortEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// The largest matching weight core.checkOptions admits is below
-	// MaxInt64/4 (Window 1, Delta 0).
-	const maxAdmitted = math.MaxInt64/4 - 1
-	weights := map[string]func() int64{
-		"random":    func() int64 { return rng.Int63n(1 << uint(1+rng.Intn(40))) },
-		"all-equal": func() int64 { return 27720 * 64 },
-		"low-zeros": func() int64 { return rng.Int63n(1<<20) << 6 },
-		"one-digit": func() int64 { return 5<<30 | rng.Int63n(1<<8) },
-		"two-value": func() int64 { return rng.Int63n(2) << 40 },
-		"admitted":  func() int64 { return maxAdmitted - rng.Int63n(1<<30) },
-		"max-int64": func() int64 { return math.MaxInt64 - rng.Int63n(3) },
-		"with-zero": func() int64 { return rng.Int63n(3) },
-	}
-	sizes := []int{0, 1, 2, 3, 150, radixSmall - 1, radixSmall, radixSmall + 1, 7000}
-	for name, weight := range weights {
-		for _, n := range sizes {
-			links := make([]wlink, n)
-			for i := range links {
-				links[i] = wlink{weight(), i}
-			}
-			got := slices.Clone(links)
-			radixSort(got, make([]wlink, n))
-			want := slices.Clone(links)
-			slices.SortStableFunc(want, func(a, b wlink) int { return cmp.Compare(b.w, a.w) })
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s weights, %d links: radix order differs from the stable sort", name, n)
-			}
-			if !slices.IsSortedFunc(got, func(a, b wlink) int {
-				if a.before(b) {
-					return -1
-				}
-				return 1
-			}) {
-				t.Fatalf("%s weights, %d links: radix order is not wlink.before order", name, n)
-			}
-		}
-	}
-}
-
-func TestRadixSortStability(t *testing.T) {
-	links := []wlink{{7, 0}, {7, 1}, {7, 2}, {9, 3}}
-	radixSort(links, make([]wlink, len(links)))
-	if links[0].link != 3 || links[1].link != 0 || links[2].link != 1 || links[3].link != 2 {
-		t.Fatalf("stability violated: %v", links)
 	}
 }
 
@@ -272,7 +216,7 @@ func TestGreedyExactOnDisjointEdges(t *testing.T) {
 			edges = append(edges, Edge{i, j, w})
 			want += w
 		}
-		_, gw := GreedyBipartite(n, edges)
+		_, gw := new(Arena).GreedyBipartite(n, edges)
 		_, ow := new(Arena).MaxWeightBipartite(n, edges)
 		return gw == want && ow == want
 	}
@@ -320,7 +264,7 @@ func TestHungarianLarge(t *testing.T) {
 	if !isBipartiteMatching(n, m) {
 		t.Fatal("invalid matching at n=120")
 	}
-	_, gw := GreedyBipartite(n, edges)
+	_, gw := new(Arena).GreedyBipartite(n, edges)
 	if gw > w {
 		t.Fatalf("greedy %d beat exact %d", gw, w)
 	}
