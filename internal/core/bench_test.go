@@ -204,21 +204,49 @@ func BenchmarkCandidateAlphas(b *testing.B) {
 	}
 }
 
-// BenchmarkApply measures remaining-traffic application throughput.
+// BenchmarkApply measures remaining-traffic application throughput. n50
+// applies one configuration of 50 links to a synthetic load on a complete
+// graph; pods applies, to a freshly built T^r, every configuration a greedy
+// plan of BenchmarkNewRemaining's pod instance chose — Step's apply over the
+// whole plan, building excluded.
 func BenchmarkApply(b *testing.B) {
-	g, load := benchInstance(b, 50, 5000)
-	links := make([]graph.Edge, 0, 50)
-	for i := 0; i < 50; i++ {
-		links = append(links, graph.Edge{From: i, To: (i + 1) % 50})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tr := newRemaining(g, load, 0, false, false, false)
-		b.StartTimer()
-		tr.apply(links, 100)
-	}
+	b.Run("n50", func(b *testing.B) {
+		g, load := benchInstance(b, 50, 5000)
+		links := make([]graph.Edge, 0, 50)
+		for i := 0; i < 50; i++ {
+			links = append(links, graph.Edge{From: i, To: (i + 1) % 50})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			tr := newRemaining(g, load, 0, false, false, false)
+			b.StartTimer()
+			tr.apply(links, 100)
+		}
+	})
+	b.Run("pods", func(b *testing.B) {
+		g, load := podInstance(b, 16, 16, 100_000)
+		s, err := New(g, load, Options{Window: 512, Delta: 4, Matcher: MatcherGreedy})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			tr := newRemaining(g, load, 0, false, false, false)
+			b.StartTimer()
+			for _, cfg := range res.Schedule.Configs {
+				tr.apply(cfg.Links, cfg.Alpha)
+			}
+		}
+		b.ReportMetric(float64(len(res.Schedule.Configs)), "configs/op")
+	})
 }
 
 // BenchmarkFullRun measures a complete Octopus run at a moderate scale.

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"octopus/internal/graph"
 	"octopus/internal/matching"
@@ -579,12 +579,7 @@ func (s *Scheduler) evalBidirectional(a int, bst *best) {
 	for e, w := range sum {
 		ue = append(ue, matching.UEdge{A: e.A, B: e.B, Weight: w})
 	}
-	sort.Slice(ue, func(i, j int) bool {
-		if ue[i].A != ue[j].A {
-			return ue[i].A < ue[j].A
-		}
-		return ue[i].B < ue[j].B
-	})
+	slices.SortFunc(ue, func(a, b matching.UEdge) int { return cmp.Or(a.A-b.A, a.B-b.B) })
 	n := s.fabric.N()
 	var m []matching.UEdge
 	var w int64

@@ -16,7 +16,8 @@ type coreInstruments struct {
 	weight     *obs.Histogram // matching weight (benefit) per iteration
 	candidates *obs.Histogram // α-candidate-set size per iteration
 	rebuilds   *obs.Counter   // active links whose weight classes changed since the last iteration
-	step       *obs.Histogram // wall time per Step, ns
+	step       *obs.Histogram // wall time choosing each configuration (bestConfiguration), ns
+	apply      *obs.Histogram // wall time applying it to T^r, ns
 
 	greedyCalls   *obs.Counter
 	greedyEdges   *obs.Counter
@@ -41,6 +42,7 @@ func bindCoreInstruments(o *obs.Observer) coreInstruments {
 		candidates: o.Histogram("octopus_core_alpha_candidates"),
 		rebuilds:   o.Counter("octopus_core_summary_rebuilds_total"),
 		step:       o.Histogram("octopus_core_step_ns"),
+		apply:      o.Histogram("octopus_core_apply_ns"),
 
 		greedyCalls:   o.Counter("octopus_match_greedy_calls_total"),
 		greedyEdges:   o.Counter("octopus_match_greedy_edges_total"),

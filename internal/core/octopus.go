@@ -332,7 +332,9 @@ func (s *Scheduler) Step() (cfg schedule.Configuration, ok bool, err error) {
 		return schedule.Configuration{}, false, nil
 	}
 	psi0, delivered0 := s.tr.psi, s.tr.delivered
+	sp = s.ins.apply.Start()
 	s.tr.apply(links, alpha)
+	sp.End()
 	cfg = schedule.Configuration{Links: links, Alpha: alpha}
 	s.out.Configs = append(s.out.Configs, cfg)
 	s.used += alpha + s.opt.Delta

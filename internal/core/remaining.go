@@ -196,10 +196,11 @@ type remaining struct {
 	// links is indexed by graph.Digraph.LinkID; nil until the link first
 	// holds an entry.
 	links []*linkState
-	// T^r proper: three pointer-free arrays that only grow. subflows[i], for
-	// i < len(flows), is the initial subflow of flows[i] and the root of that
-	// flow's position chain (see subflow.next); homes[k] is the id of the
-	// link entries[k] queues on.
+	// T^r proper: three pointer-free arrays that only grow. Below
+	// len(flows), subflows holds the initial subflows, one a flow and each
+	// the root of its flow's position chain (see subflow.next), in serve
+	// order (buildRemaining); homes[k] is the id of the link entries[k]
+	// queues on.
 	subflows []subflow
 	entries  []entry
 	homes    []int32
@@ -214,7 +215,7 @@ type remaining struct {
 	glinks     []matching.Edge
 	edgesDirty bool
 	mergeBuf   []*linkState // activeEdges' copy of the appended links
-	stateSlab  []linkState  // link states are carved from chunks, see addEntry
+	stateSlab  []linkState  // link states are carved from it, see open
 
 	eps        int  // Octopus-e ε in 1/64 units
 	multiRoute bool // Octopus+ first-hop route choice
@@ -232,9 +233,6 @@ type remaining struct {
 	touched   []int32 // subflows with frozen packets from the current apply
 	btBuf     []int   // per-link backtrack-pass service of the current apply
 
-	// building is set while buildRemaining adds the load's entries, which
-	// addEntry then records without queueing them (buildQueues does).
-	building bool
 	// alphaBuf is the reusable result buffer of candidateAlphas (the returned
 	// slice aliases it and is valid until the next call) and alphaSeen its
 	// marks, all false between calls.
@@ -251,69 +249,134 @@ const slabChunk = 64
 // plan moves eleven thousand further); past it append's growth takes over.
 const growRoom = 8
 
-// buildRemaining builds T^r = T on workers goroutines (0: GOMAXPROCS). Its
-// allocations are O(links), not O(flows): subflows, entries, queue slots,
-// homes and weight classes come from arrays sized up front. The caller has
-// checked that the load's index widths fit (checkOptions).
+// buildRemaining builds T^r = T on workers goroutines (0: GOMAXPROCS) in
+// serve order: initial subflow i and its entries take the place of the
+// subflow's first entry in the queues — links by id, each queue by priority
+// — so that every queue of the load is a run of consecutive indices, which
+// apply and the class pass read front to back. An Octopus+ subflow's
+// entries, one per first hop, stay one window at its first entry's place.
+// Its allocations are O(links), not O(flows): subflows, entries, queue
+// slots, homes and weight classes come from arrays sized up front. The
+// caller has checked that the load's index widths fit (checkOptions).
 func buildRemaining(g *graph.Digraph, load *traffic.Load, workers, eps int, multiRoute, backtrack, keepTrace bool) *remaining {
-	nEntries := len(load.Flows)
-	if multiRoute {
-		nEntries = 0
-		for i := range load.Flows {
-			nEntries += len(load.Flows[i].Routes)
+	flows, n := load.Flows, len(load.Flows)
+	tr := &remaining{g: g, flows: flows, links: make([]*linkState, g.M()), eps: eps, multiRoute: multiRoute, backtrack: backtrack, keepTrace: keepTrace}
+	// A first entry's bw is WeightScale/l for the weight length l of its
+	// route: l numbers the classes of a queue. An uncommitted subflow has an
+	// entry per distinct first hop, at most one a route.
+	nEntries, classes, ascending := 0, 1, true
+	for i := range flows {
+		f := &flows[i]
+		routes := f.Routes[:1]
+		if tr.uncommitted(f) {
+			routes = f.Routes
+		}
+		for _, r := range routes {
+			nEntries, classes = nEntries+1, max(classes, f.WeightLen(r))
+		}
+		tr.pending, ascending = tr.pending+f.Size, ascending && (i == 0 || flows[i-1].ID < f.ID)
+	}
+	tr.subflows = make([]subflow, n, n+n/growRoom)
+	tr.entries, tr.homes = make([]entry, nEntries, nEntries+nEntries/growRoom), make([]int32, nEntries, nEntries+nEntries/growRoom)
+	// Place each initial subflow by the (link, class) of its first entry.
+	start := par.Place(workers, n, g.M()*classes, func(i int) int32 {
+		f := &flows[i]
+		e, ri := graph.Edge{From: f.Routes[0][0], To: f.Routes[0][1]}, 0
+		if tr.uncommitted(f) {
+			e, ri = nextHop(f, graph.Edge{From: -1})
+		}
+		return int32(g.LinkID(e.From, e.To)*classes + f.WeightLen(f.Routes[ri]) - 1)
+	}, func(i int, si int32) {
+		tr.subflows[si] = subflow{flow: int32(i), count: int32(flows[i].Size), routeID: -1}
+		if !tr.uncommitted(&flows[i]) {
+			tr.subflows[si].routeID, tr.subflows[si].hops = 0, int16(flows[i].Routes[0].Hops())
+		}
+	})
+	// Then lay out their entries in that order, one window a subflow. Within
+	// a class a queue serves by flow ID: load order, where IDs ascend (every
+	// generator and codec). A committed subflow's one entry is its key's.
+	at := int32(0)
+	for k := range len(start) - 1 {
+		sfs := tr.subflows[start[k]:start[k+1]]
+		if !ascending {
+			slices.SortStableFunc(sfs, func(x, y subflow) int { return cmp.Compare(flows[x.flow].ID, flows[y.flow].ID) })
+		}
+		for j := range sfs {
+			si, sf := start[k]+int32(j), &sfs[j]
+			if sf.homes = at; sf.routeID >= 0 {
+				l := k%classes + 1
+				tr.entries[at], tr.homes[at] = entry{sf: si, bw: tr.hopBW(l, 0), pw: traffic.Weight(l)}, int32(k/classes)
+				sf.nHomes, at = 1, at+1
+				continue
+			}
+			f := &flows[sf.flow]
+			for e, ri := nextHop(f, graph.Edge{From: -1}); ri >= 0; e, ri = nextHop(f, e) {
+				l := f.WeightLen(f.Routes[ri])
+				tr.entries[at], tr.homes[at] = entry{sf: si, bw: tr.hopBW(l, 0), pw: traffic.Weight(l), routeID: int32(ri)}, int32(g.LinkID(e.From, e.To))
+				sf.nHomes, at = sf.nHomes+1, at+1
+			}
 		}
 	}
-	tr := &remaining{
-		g:          g,
-		flows:      load.Flows,
-		links:      make([]*linkState, g.M()),
-		subflows:   make([]subflow, len(load.Flows), len(load.Flows)+len(load.Flows)/growRoom),
-		entries:    make([]entry, 0, nEntries+nEntries/growRoom),
-		homes:      make([]int32, 0, nEntries+nEntries/growRoom),
-		eps:        eps,
-		multiRoute: multiRoute,
-		backtrack:  backtrack,
-		keepTrace:  keepTrace,
-		building:   true,
-	}
-	ascending := true // flow IDs, in load order
-	for i := range load.Flows {
-		f := &load.Flows[i]
-		tr.pending += f.Size
-		sf := &tr.subflows[i]
-		*sf = subflow{flow: int32(i), count: int32(f.Size), homes: int32(len(tr.homes))}
-		if tr.multiRoute && len(f.Routes) > 1 {
-			sf.routeID = -1
-			tr.addUncommittedEntries(int32(i))
-		} else {
-			sf.hops = int16(f.Routes[0].Hops())
-			tr.addCommittedEntry(int32(i))
-		}
-		ascending = ascending && (i == 0 || load.Flows[i-1].ID < f.ID)
-	}
-	tr.building = false
-	tr.buildQueues(workers, ascending)
+	tr.entries, tr.homes = tr.entries[:at], tr.homes[:at]
+	tr.buildQueues(workers)
 	return tr
 }
 
-// buildQueues deals the entries out to their links in load order. Then a
-// worker takes each run of links: it sorts each queue once and counts the
-// run's weight classes, carves their cells out of one array, and credits
-// each entry's packets to its class as every later count change is
-// credited. Every flow queues at most once on a link, so (bw desc, flow ID
-// asc) is a strict order the sort reproduces exactly; where load order is
-// ID order too (every generator and codec), only bw is left to sort by.
-func (tr *remaining) buildQueues(workers int, ascending bool) {
-	b := par.Deal(workers, len(tr.homes), len(tr.links), func(k int) int32 { return tr.homes[k] })
-	byPriority := tr.cmpEntries
-	if ascending {
-		byPriority = func(a, b int32) int { return cmp.Compare(tr.entries[b].bw, tr.entries[a].bw) }
+// uncommitted reports whether f's initial subflow leaves the route choice
+// open (Octopus+).
+func (tr *remaining) uncommitted(f *traffic.Flow) bool { return tr.multiRoute && len(f.Routes) > 1 }
+
+// nextHop returns the first hop of f's routes that follows prev in edge
+// order, and the shortest route through it (the first of equals); ri is -1
+// past the last. An uncommitted subflow queues once on each distinct first
+// hop: when several candidate routes share one, the packet is considered
+// only once on that link (paper §6, "Allowing Routes with Common First
+// Hops"), with the best (shortest-route) weight among them, committing to
+// that route when served.
+func nextHop(f *traffic.Flow, prev graph.Edge) (e graph.Edge, ri int) {
+	ri = -1
+	for rj, r := range f.Routes {
+		h := graph.Edge{From: r[0], To: r[1]}
+		if c := cmpEdge(h, e); cmpEdge(h, prev) > 0 && (ri < 0 || c < 0 || c == 0 && r.Hops() < f.Routes[ri].Hops()) {
+			e, ri = h, rj
+		}
 	}
+	return e, ri
+}
+
+// buildQueues deals the entries out to their links and gives each link that
+// holds one its state, in edge order from one slab. Then a worker takes each
+// run of links: it counts the run's weight classes, carves their cells out
+// of one array, and credits each entry's packets to its class as every later
+// count change is credited. Entries are numbered in serve order, so a queue
+// is in priority order as dealt unless some subflow queues on several links
+// (Octopus+): then each queue is sorted once. Every flow queues at most once
+// on a link, so (bw desc, flow ID asc) is a strict order.
+func (tr *remaining) buildQueues(workers int) {
+	g := tr.g
+	b := par.Deal(workers, len(tr.homes), g.M(), func(k int) int32 { return tr.homes[k] })
+	active := 0 // links holding an entry: their states come from one slab, in edge order
+	for id := range g.M() {
+		active += min(1, len(b.Of(id)))
+	}
+	tr.stateSlab, tr.stateList = make([]linkState, active), make([]*linkState, 0, active+active/growRoom)
+	tr.edgeList, tr.glinks = make([]graph.Edge, 0, cap(tr.stateList)), make([]matching.Edge, 0, cap(tr.stateList))
+	for i := range g.N() {
+		for _, j := range g.Out(i) {
+			if len(b.Of(g.LinkID(i, j))) > 0 {
+				tr.open(graph.Edge{From: i, To: j})
+				tr.edgeList, tr.glinks = append(tr.edgeList, graph.Edge{From: i, To: j}), append(tr.glinks, matching.Edge{From: i, To: j})
+			}
+		}
+	}
+	tr.edgesDirty = false // activeEdges' lists are these, in order
 	b.Each(workers, func(lo, hi int) {
 		n := 0
 		for id := lo; id < hi; id++ {
 			q := b.Of(id)
-			slices.SortStableFunc(q, byPriority)
+			if len(tr.entries) > len(tr.subflows) {
+				slices.SortStableFunc(q, tr.cmpEntries)
+			}
 			for i, ei := range q {
 				if i == 0 || tr.entries[ei].bw != tr.entries[q[i-1]].bw {
 					n++
@@ -347,31 +410,33 @@ func (tr *remaining) state(e graph.Edge) *linkState {
 	return tr.links[id]
 }
 
+// open returns the queue of fabric link e, carving its state from the slab
+// when the link first holds an entry.
+func (tr *remaining) open(e graph.Edge) *linkState {
+	id := tr.g.LinkID(e.From, e.To)
+	if tr.links[id] == nil {
+		if len(tr.stateSlab) == 0 {
+			tr.stateSlab = make([]linkState, slabChunk)
+		}
+		tr.links[id], tr.stateSlab = &tr.stateSlab[0], tr.stateSlab[1:]
+		*tr.links[id] = linkState{tr: tr, edge: e, changed: true}
+		tr.stateList, tr.edgesDirty = append(tr.stateList, tr.links[id]), true
+	}
+	return tr.links[id]
+}
+
 // addEntry queues en on fabric link e, credits the subflow's packets to the
 // entry's weight class there, and records the link as a home of the subflow
 // so that count changes reach the class. A subflow's entries are added back
 // to back, right after it is created, which is what makes them a window.
 func (tr *remaining) addEntry(e graph.Edge, en entry) {
-	id := tr.g.LinkID(e.From, e.To)
-	ls := tr.links[id]
-	if ls == nil {
-		if len(tr.stateSlab) == 0 {
-			tr.stateSlab = make([]linkState, slabChunk)
-		}
-		ls, tr.stateSlab = &tr.stateSlab[0], tr.stateSlab[1:]
-		ls.tr, ls.edge, ls.changed = tr, e, true
-		tr.links[id] = ls
-		tr.stateList = append(tr.stateList, ls)
-		tr.edgesDirty = true
-	}
+	ls := tr.open(e)
 	k := int32(len(tr.entries))
 	tr.entries = append(tr.entries, en)
-	tr.homes = append(tr.homes, int32(id))
+	tr.homes = append(tr.homes, int32(tr.g.LinkID(e.From, e.To)))
 	tr.subflows[en.sf].nHomes++
-	if !tr.building {
-		ls.insert(k)
-		ls.credit(en.bw, int(tr.subflows[en.sf].count))
-	}
+	ls.insert(k)
+	ls.credit(en.bw, int(tr.subflows[en.sf].count))
 }
 
 // addCommittedEntry queues committed subflow si on its next-hop link and,
@@ -386,29 +451,6 @@ func (tr *remaining) addCommittedEntry(si int32) {
 	if tr.backtrack && pos > 0 && tr.g.HasEdge(f.Src, f.Dst) {
 		direct := graph.Edge{From: f.Src, To: f.Dst}
 		tr.addEntry(direct, entry{sf: si, bw: tr.hopBW(1, 0), pw: traffic.Weight(1), routeID: backtrackRoute})
-	}
-}
-
-// addUncommittedEntries queues uncommitted source subflow si once on each
-// distinct candidate first-hop link. When several candidate routes share a
-// first hop, the packet is considered only once on that link (paper §6,
-// "Allowing Routes with Common First Hops"); we credit it with the best
-// (shortest-route) weight among them and commit to that route when served.
-func (tr *remaining) addUncommittedEntries(si int32) {
-	f := &tr.flows[tr.subflows[si].flow]
-	firstHop := func(ri int) graph.Edge { return graph.Edge{From: f.Routes[ri][0], To: f.Routes[ri][1]} }
-	var best []int // per first hop, in link order, its shortest route
-	for ri, r := range f.Routes {
-		j, found := slices.BinarySearchFunc(best, firstHop(ri), func(b int, e graph.Edge) int { return cmpEdge(firstHop(b), e) })
-		if !found {
-			best = slices.Insert(best, j, ri)
-		} else if r.Hops() < f.Routes[best[j]].Hops() {
-			best[j] = ri
-		}
-	}
-	for _, ri := range best {
-		l := f.WeightLen(f.Routes[ri])
-		tr.addEntry(firstHop(ri), entry{sf: si, bw: tr.hopBW(l, 0), pw: traffic.Weight(l), routeID: int32(ri)})
 	}
 }
 

@@ -11,7 +11,11 @@
 // decomposition always follows the smallest-numbered available edge.
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // unreachable is the Bellman-Ford infinity; hop counts never approach it.
 const unreachable = int(1e9)
@@ -168,16 +172,6 @@ func decompose(used map[Edge]bool, src, dst, count, maxHops int) [][]int {
 			paths = append(paths, seq)
 		}
 	}
-	sort.Slice(paths, func(i, j int) bool {
-		if len(paths[i]) != len(paths[j]) {
-			return len(paths[i]) < len(paths[j])
-		}
-		for x := range paths[i] {
-			if paths[i][x] != paths[j][x] {
-				return paths[i][x] < paths[j][x]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(paths, func(a, b []int) int { return cmp.Or(len(a)-len(b), slices.Compare(a, b)) })
 	return paths
 }

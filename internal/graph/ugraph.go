@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // UEdge is an undirected edge between nodes A and B, stored with A < B.
 type UEdge struct {
@@ -64,12 +67,7 @@ func (g *Ugraph) Edges() []UEdge {
 	for e := range g.has {
 		es = append(es, e)
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].A != es[j].A {
-			return es[i].A < es[j].A
-		}
-		return es[i].B < es[j].B
-	})
+	slices.SortFunc(es, func(a, b UEdge) int { return cmp.Or(a.A-b.A, a.B-b.B) })
 	return es
 }
 

@@ -9,8 +9,10 @@
 package hybrid
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"octopus/internal/core"
@@ -83,13 +85,7 @@ func Schedule(g *graph.Digraph, load *traffic.Load, opt core.Options, packetRate
 	residual := &traffic.Load{}
 	for _, i := range order {
 		f := load.Flows[i]
-		take := f.Size
-		if take > outLeft[f.Src] {
-			take = outLeft[f.Src]
-		}
-		if take > inLeft[f.Dst] {
-			take = inLeft[f.Dst]
-		}
+		take := min(f.Size, outLeft[f.Src], inLeft[f.Dst])
 		if take > 0 {
 			outLeft[f.Src] -= take
 			inLeft[f.Dst] -= take
@@ -119,12 +115,8 @@ func Schedule(g *graph.Digraph, load *traffic.Load, opt core.Options, packetRate
 }
 
 func sortByFlowSize(load *traffic.Load, order []int) {
-	sort.Slice(order, func(a, b int) bool {
-		fa, fb := &load.Flows[order[a]], &load.Flows[order[b]]
-		if fa.Size != fb.Size {
-			return fa.Size < fb.Size
-		}
-		return fa.ID < fb.ID
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(load.Flows[a].Size, load.Flows[b].Size), cmp.Compare(load.Flows[a].ID, load.Flows[b].ID))
 	})
 }
 

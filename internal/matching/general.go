@@ -1,6 +1,9 @@
 package matching
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // GreedyGeneral returns a greedy maximal matching of a general undirected
 // graph: repeatedly take the heaviest remaining edge with both endpoints
@@ -15,15 +18,7 @@ func GreedyGeneral(n int, edges []UEdge) ([]UEdge, int64) {
 			pos = append(pos, e)
 		}
 	}
-	sort.Slice(pos, func(i, j int) bool {
-		if pos[i].Weight != pos[j].Weight {
-			return pos[i].Weight > pos[j].Weight
-		}
-		if pos[i].A != pos[j].A {
-			return pos[i].A < pos[j].A
-		}
-		return pos[i].B < pos[j].B
-	})
+	slices.SortFunc(pos, func(a, b UEdge) int { return cmp.Or(cmp.Compare(b.Weight, a.Weight), a.A-b.A, a.B-b.B) })
 	used := make([]bool, n)
 	var m []UEdge
 	var total int64

@@ -54,11 +54,21 @@ type Buckets struct{ Order, Start []int32 }
 func (b Buckets) Of(k int) []int32 { return b.Order[b.Start[k]:b.Start[k+1]:b.Start[k+1]] }
 
 // Deal sorts the indices 0..n-1 into keys buckets by key(i) in [0, keys):
-// a stable counting sort whose counting and placing passes cut the indices
-// into one run a worker, which its result does not depend on; at most Item
-// indices are one run. key is called twice per index, concurrently.
+// Place, writing each index into its slot.
 func Deal(workers, n, keys int, key func(i int) int32) Buckets {
-	b := Buckets{Order: make([]int32, n), Start: make([]int32, keys+1)}
+	b := Buckets{Order: make([]int32, n)}
+	b.Start = Place(workers, n, keys, key, func(i int, slot int32) { b.Order[slot] = int32(i) })
+	return b
+}
+
+// Place is the stable counting sort under Deal, for a caller that keeps the
+// order itself: put(i, slot) is called once for every i in [0, n) with i's
+// place in the stable order of 0..n-1 by key(i) in [0, keys). The counting
+// and placing passes cut the indices into one run a worker, which no result
+// depends on; at most Item indices are one run. key is called twice per
+// index and put once, concurrently. start[k] is key k's first slot, and
+// start[keys] = n.
+func Place(workers, n, keys int, key func(i int) int32, put func(i int, slot int32)) (start []int32) {
 	items := Workers(workers, (n+Item-1)/Item)
 	size := (n + items - 1) / items
 	// at[it*keys+k] counts item it's indices of key k, then is where they go.
@@ -69,23 +79,24 @@ func Deal(workers, n, keys int, key func(i int) int32) Buckets {
 			for i := it * size; i < min(n, (it+1)*size); i++ {
 				k := key(i)
 				if place {
-					b.Order[c[k]] = int32(i)
+					put(i, c[k])
 				}
 				c[k]++
 			}
 		})
 	}
 	pass(false)
+	start = make([]int32, keys+1)
 	pos := int32(0)
 	for k := 0; k < keys; k++ {
-		b.Start[k] = pos
+		start[k] = pos
 		for it := k; it < len(at); it += keys {
 			at[it], pos = pos, pos+at[it]
 		}
 	}
-	b.Start[keys] = pos
+	start[keys] = pos
 	pass(true)
-	return b
+	return start
 }
 
 // Each calls f(lo, hi) once a work item: the keys [lo, hi) whose buckets

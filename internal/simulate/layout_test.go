@@ -357,3 +357,43 @@ func TestQueueBuildParallelEqualsSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestQueuesAreRunsInServeOrder: the replay state is built in serve order.
+// Each flow's group takes its place in its first hop's queue, queues in link
+// id order, so that every queue is a run of consecutive group indices and the
+// runs follow one another — whether flow IDs ascend in load order, are
+// shuffled, or flows choose among several routes.
+func TestQueuesAreRunsInServeOrder(t *testing.T) {
+	g, load := podInstance(t, 8, 8, 20_000)
+	shuffled := &traffic.Load{Flows: slices.Clone(load.Flows)}
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(shuffled.Flows), func(i, j int) { shuffled.Flows[i], shuffled.Flows[j] = shuffled.Flows[j], shuffled.Flows[i] })
+	mg := graph.Complete(7)
+	multi, choice := layoutLoad(rng, mg, 2_000), map[int]int{}
+	for _, f := range multi.Flows {
+		choice[f.ID] = rng.Intn(len(f.Routes))
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Digraph
+		load *traffic.Load
+		opt  Options
+	}{{"ascending", g, load, Options{}}, {"shuffled", g, shuffled, Options{Epsilon64: 8}}, {"multi-route", mg, multi, Options{RouteChoice: choice}}} {
+		st, err := newState(c.g, c.load, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := int32(0)
+		for id, q := range st.queues {
+			for _, gi := range q {
+				if gi != next {
+					t.Fatalf("%s: link %d queues groups %v, not a run from %d", c.name, id, q, next)
+				}
+				next++
+			}
+		}
+		if int(next) != len(c.load.Flows) {
+			t.Fatalf("%s: %d groups queued for %d flows", c.name, next, len(c.load.Flows))
+		}
+	}
+}

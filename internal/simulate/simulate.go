@@ -221,8 +221,9 @@ type state struct {
 	flows      []traffic.Flow // the load's, which group.flow indexes
 	eps        int
 	trackFlows bool
-	// groups[i], for i < len(flows), starts as all of flows[i] at its source;
-	// groups formed downstream take a free slot or are appended.
+	// Below len(flows), groups starts as the flows at their sources, one
+	// group a flow in serve order (newState); groups formed downstream take
+	// a free slot or are appended.
 	groups []group
 	free   []int32     // drained groups that no queue holds any more
 	queues []linkQueue // indexed by graph.Digraph.LinkID
@@ -241,11 +242,13 @@ func (st *state) id(g *group) int { return st.flows[g.flow].ID }
 // route returns the route the group's packets follow.
 func (st *state) route(g *group) traffic.Route { return st.flows[g.flow].Routes[g.route] }
 
-// newState builds the replay state of the whole load. Allocations do not
-// grow with the load: groups and queue slots come from two arrays sized up
-// front, every queue is dealt its groups in load order and sorted once, on
-// GOMAXPROCS workers where IDs ascend. Index widths fail closed: a size,
-// route or route choice that the fields of a group cannot hold is an error.
+// newState builds the replay state of the whole load in serve order: each
+// flow's group takes its place in its first hop's queue, queues in link id
+// order, so that every queue is a run of consecutive groups that serve reads
+// front to back. Allocations do not grow with the load: groups and queue
+// slots come from two arrays sized up front. Index widths fail closed: a
+// size, route or route choice that the fields of a group cannot hold is an
+// error.
 func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error) {
 	n := len(load.Flows)
 	st := &state{
@@ -259,7 +262,9 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 		st.red = opt.Redundancy
 		st.copyDelivered = make(map[int]int)
 	}
-	ascending := true // flow IDs, in load order
+	// A group's prio is Weight(wl) for the weight length wl of its route, so
+	// wl orders the classes of a queue.
+	ascending, classes := true, 1 // flow IDs, in load order
 	for i := range load.Flows {
 		f := &load.Flows[i]
 		ri := opt.RouteChoice[f.ID]
@@ -282,52 +287,48 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 			}
 		}
 		st.res.TotalPackets += f.Size
-		primary, grouped := st.red.GroupOf(f.ID)
-		dup := grouped && primary != f.ID
-		if dup {
+		if st.red.Duplicate(f.ID) {
 			st.dupTotal += f.Size
 		}
-		st.groups[i] = group{
+		ascending, classes = ascending && (i == 0 || load.Flows[i-1].ID < f.ID), max(classes, wl)
+	}
+	start := par.Place(0, n, g.M()*classes, func(i int) int32 {
+		f := &load.Flows[i]
+		r := f.Routes[opt.RouteChoice[f.ID]]
+		return int32(g.LinkID(r[0], r[1])*classes + f.WeightLen(r) - 1)
+	}, func(i int, slot int32) {
+		f := &load.Flows[i]
+		ri := opt.RouteChoice[f.ID]
+		r := f.Routes[ri]
+		wl := f.WeightLen(r)
+		primary, grouped := st.red.GroupOf(f.ID)
+		st.groups[slot] = group{
 			prio: traffic.HopWeight(wl, 0, st.eps), flow: int32(i), count: int32(f.Size),
-			hops: int16(r.Hops()), wlen: int16(wl), route: int16(ri), dup: dup, grouped: grouped,
-		}
-		ascending = ascending && (i == 0 || load.Flows[i-1].ID < f.ID)
-	}
-	b := par.Deal(0, n, g.M(), func(i int) int32 {
-		r := st.route(&st.groups[i])
-		return int32(g.LinkID(r[0], r[1]))
-	})
-	workers := 1 // where IDs do not ascend, merges free groups: one goroutine
-	if ascending {
-		workers = 0
-	}
-	b.Each(workers, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
-			st.queues[id] = st.sorted(b.Of(id), ascending)
+			hops: int16(r.Hops()), wlen: int16(wl), route: int16(ri), dup: grouped && primary != f.ID, grouped: grouped,
 		}
 	})
+	slots := make([]int32, n)
+	for i := range slots {
+		slots[i] = int32(i)
+	}
+	for id := range st.queues { // a link's classes, heaviest first
+		lo, hi := start[id*classes], start[(id+1)*classes]
+		st.queues[id] = st.sorted(slots[lo:hi:hi], ascending)
+	}
 	return st, nil
 }
 
-// sorted puts a queue dealt in load order into priority order and returns
-// it. Where load order is ID order too (every generator and codec), only
-// prio is left to sort by, a comparison reads one array, and a queue of
-// equal weights is in order already. Otherwise the order is (prio desc, ID
-// asc) and flows sharing both (SkipValidate only: IDs repeat) merge into the
-// first of them, which is what inserting them one at a time does.
+// sorted returns a queue whose groups were placed by class, in load order
+// within one: its priority order where load order is ID order too (every
+// generator and codec). Otherwise it sorts them by (prio desc, ID asc), and
+// flows sharing both (SkipValidate only: IDs repeat) merge into the first of
+// them, which is what inserting them one at a time does.
 func (st *state) sorted(q linkQueue, ascending bool) linkQueue {
-	byPrio := func(a, b int32) int { return cmp.Compare(st.groups[b].prio, st.groups[a].prio) }
-	if ascending {
-		if !slices.IsSortedFunc(q, byPrio) {
-			slices.SortStableFunc(q, byPrio)
-		}
+	if ascending || len(q) == 0 {
 		return q
 	}
-	slices.SortStableFunc(q, func(a, b int32) int {
-		if c := byPrio(a, b); c != 0 {
-			return c
-		}
-		return cmp.Compare(st.id(&st.groups[a]), st.id(&st.groups[b]))
+	slices.SortStableFunc(st.groups[q[0]:int(q[0])+len(q)], func(a, b group) int {
+		return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(st.id(&a), st.id(&b)))
 	})
 	out := q[:0]
 	for _, gi := range q {
@@ -445,10 +446,7 @@ func (st *state) serve(e graph.Edge, want, availBy, nextAvail int) int {
 // result. The load must have fixed routes (see Options.RouteChoice for
 // multi-route loads).
 func Run(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Options) (*Result, error) {
-	ports := opt.Ports
-	if ports < 1 {
-		ports = 1
-	}
+	ports := max(opt.Ports, 1)
 	if !opt.SkipValidate {
 		// Structural validation only: the replay loop itself enforces the
 		// window by truncating, so an over-long schedule is not an error.
@@ -555,10 +553,7 @@ func (st *state) runBulkFaulty(links []graph.Edge, start, alpha int, cur *fault.
 	up := make([]int, len(links))
 	for seg := start; seg < end; {
 		cur.AdvanceTo(seg)
-		segEnd := end
-		if nc := cur.NextChange(); nc < segEnd {
-			segEnd = nc
-		}
+		segEnd := min(end, cur.NextChange())
 		if cur.AnyDown() {
 			for i, e := range links {
 				if cur.LinkUsable(e) {
@@ -596,17 +591,13 @@ func (st *state) finishRedundancy() {
 	}
 	sort.Ints(grps)
 	for _, grp := range grps {
-		sum, max := 0, 0
+		sum, most := 0, 0
 		for _, id := range members[grp] {
-			d := st.copyDelivered[id]
-			sum += d
-			if d > max {
-				max = d
-			}
+			sum, most = sum+st.copyDelivered[id], max(most, st.copyDelivered[id])
 		}
-		st.res.UniqueDelivered -= sum - max
-		if st.flight != nil && sum > max {
-			st.flight.Dedup(int64(grp), st.res.SlotsUsed, int64(sum-max))
+		st.res.UniqueDelivered -= sum - most
+		if st.flight != nil && sum > most {
+			st.flight.Dedup(int64(grp), st.res.SlotsUsed, int64(sum-most))
 		}
 	}
 }
@@ -656,13 +647,9 @@ func (st *state) measureBuffers() {
 		}
 	}
 	for _, c := range perNode {
-		if c > st.res.MaxNodeBuffer {
-			st.res.MaxNodeBuffer = c
-		}
+		st.res.MaxNodeBuffer = max(st.res.MaxNodeBuffer, c)
 	}
-	if total > st.res.MaxTotalBuffer {
-		st.res.MaxTotalBuffer = total
-	}
+	st.res.MaxTotalBuffer = max(st.res.MaxTotalBuffer, total)
 }
 
 // runMultiHop replays one configuration slot by slot, letting packets chain
@@ -670,13 +657,8 @@ func (st *state) measureBuffers() {
 // fault cursor, links that are down at a slot serve nothing that slot and
 // the lost slot is accounted.
 func (st *state) runMultiHop(links []graph.Edge, start, alpha int, cur *fault.Cursor) {
-	es := append([]graph.Edge(nil), links...)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
-		}
-		return es[i].To < es[j].To
-	})
+	es := slices.Clone(links)
+	slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Or(a.From-b.From, a.To-b.To) })
 	for s := 0; s < alpha; s++ {
 		now := start + s
 		anyDown := false

@@ -33,16 +33,8 @@ type SyntheticParams struct {
 // network: at n=100, 4 large and 12 small flows per port with a 70/30 split
 // of window-sized per-port traffic; the flow counts scale linearly with n.
 func DefaultSyntheticParams(n, window int) SyntheticParams {
-	nl := 4 * n / 100
-	ns := 12 * n / 100
-	if nl < 1 {
-		nl = 1
-	}
-	if ns < 1 {
-		ns = 1
-	}
 	return SyntheticParams{
-		NL: nl, NS: ns,
+		NL: max(1, 4*n/100), NS: max(1, 12*n/100),
 		CL: window * 7 / 10, CS: window * 3 / 10,
 		MinHops: 1, MaxHops: 3,
 	}
@@ -90,21 +82,13 @@ func Synthetic(g *graph.Digraph, p SyntheticParams, rng *rand.Rand) (*Load, erro
 
 // sampleRoutes draws the candidate route set for one flow.
 func sampleRoutes(g *graph.Digraph, src, dst, flowIdx int, p SyntheticParams, rng *rand.Rand) ([]Route, error) {
-	choices := p.RouteChoices
-	if choices < 1 {
-		choices = 1
-	}
+	choices := max(1, p.RouteChoices)
 	hopsFor := func(i int) int {
 		if p.FixedHops > 0 {
 			return p.FixedHops
 		}
-		lo, hi := p.MinHops, p.MaxHops
-		if lo < 1 {
-			lo = 1
-		}
-		if hi < lo {
-			hi = lo
-		}
+		lo := max(1, p.MinHops)
+		hi := max(lo, p.MaxHops)
 		return lo + (flowIdx+i)%(hi-lo+1)
 	}
 	var routes []Route

@@ -131,9 +131,7 @@ func (l *Load) MaxHops() int {
 	d := 0
 	for i := range l.Flows {
 		for _, r := range l.Flows[i].Routes {
-			if r.Hops() > d {
-				d = r.Hops()
-			}
+			d = max(d, r.Hops())
 		}
 	}
 	return d

@@ -18,7 +18,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"octopus/internal/graph"
@@ -99,10 +101,7 @@ type Report struct {
 //
 // On success it returns the replayed measurements.
 func Schedule(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Options) (*Report, error) {
-	ports := opt.Ports
-	if ports < 1 {
-		ports = 1
-	}
+	ports := max(opt.Ports, 1)
 	if sch.Delta < 0 {
 		return nil, fmt.Errorf("verify: negative reconfiguration delay %d", sch.Delta)
 	}
@@ -303,10 +302,7 @@ func (st *replayState) serve(e graph.Edge, want, availBy, nextAvail int) int {
 		if served == want {
 			break
 		}
-		take := want - served
-		if take > g.count {
-			take = g.count
-		}
+		take := min(want-served, g.count)
 		g.count -= take
 		served += take
 		st.rep.Hops += take
@@ -370,13 +366,8 @@ func replay(load *traffic.Load, sch *schedule.Schedule, opt Options) *Report {
 		}
 		st.rep.Configs++
 		if opt.MultiHop {
-			links := append([]graph.Edge(nil), cfg.Links...)
-			sort.Slice(links, func(i, j int) bool {
-				if links[i].From != links[j].From {
-					return links[i].From < links[j].From
-				}
-				return links[i].To < links[j].To
-			})
+			links := slices.Clone(cfg.Links)
+			slices.SortFunc(links, func(a, b graph.Edge) int { return cmp.Or(a.From-b.From, a.To-b.To) })
 			for s := 0; s < alpha; s++ {
 				moved := 0
 				for _, e := range links {
