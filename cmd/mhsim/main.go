@@ -189,8 +189,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		listAlgos  = fs.Bool("list-algos", false, "print the algorithm registry (name, kind, description; tab-separated) and exit")
 		metricsOut = fs.String("metrics-out", "", "write a Prometheus-text metrics snapshot to this file at exit")
 		traceOut   = fs.String("trace-out", "", "write the JSONL decision trace to this file")
-		flightOut  = fs.String("flight-out", "", "write the per-flow lifecycle journal (flight recorder) as JSONL to this file")
-		flightSmpl = fs.Int("flight-sample", 0, "flight recorder: track one flow in N (0 or 1 = every flow; the spec key sample=N overrides)")
+		flightOut  = fs.String("flight-out", "", "write the per-flow lifecycle journal (flight recorder) as JSONL to this file (the spec key sample=N tracks one flow in N)")
 		serveAddr  = fs.String("serve", "", "serve /metrics, /debug/vars, and /debug/pprof on this address after the run, until interrupted")
 		version    = fs.Bool("version", false, "print the version and exit")
 	)
@@ -215,13 +214,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Resolve the algorithm spec and reject unsupported flag combinations
 	// before any generation or planning work.
 	a, params, err := algo.ParseSpec(*algoSpec, algo.Params{
-		Window:       *window,
-		Delta:        *delta,
-		Ports:        *ports,
-		Seed:         *seed,
-		MultiHop:     *multihop,
-		Obs:          sinks.observer,
-		FlightSample: *flightSmpl,
+		Window:   *window,
+		Delta:    *delta,
+		Ports:    *ports,
+		Seed:     *seed,
+		MultiHop: *multihop,
+		Obs:      sinks.observer,
 	})
 	if err != nil {
 		return err

@@ -10,12 +10,13 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"octopus/internal/core"
+	"octopus/internal/engine"
 	"octopus/internal/graph"
 	"octopus/internal/obs"
+	"octopus/internal/strictjson"
 	"octopus/internal/traffic"
 )
 
@@ -49,22 +50,17 @@ func decodeFlowRequests(data []byte) ([]FlowRequest, error) {
 	if len(trimmed) == 0 {
 		return nil, errors.New("empty request body")
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var reqs []FlowRequest
 	if trimmed[0] == '[' {
-		if err := dec.Decode(&reqs); err != nil {
+		if err := strictjson.Decode(bytes.NewReader(trimmed), &reqs); err != nil {
 			return nil, fmt.Errorf("invalid flow batch: %w", err)
 		}
 	} else {
 		var one FlowRequest
-		if err := dec.Decode(&one); err != nil {
+		if err := strictjson.Decode(bytes.NewReader(trimmed), &one); err != nil {
 			return nil, fmt.Errorf("invalid flow: %w", err)
 		}
 		reqs = []FlowRequest{one}
-	}
-	if dec.More() {
-		return nil, errors.New("trailing data after the flow request")
 	}
 	if len(reqs) == 0 {
 		return nil, errors.New("empty flow batch")
@@ -73,6 +69,16 @@ func decodeFlowRequests(data []byte) ([]FlowRequest, error) {
 		return nil, fmt.Errorf("batch of %d exceeds the %d-flow limit", len(reqs), maxBatch)
 	}
 	return reqs, nil
+}
+
+// decodeFabricRequest parses a POST /v1/fabric body, with unknown fields
+// and trailing data rejected. It is covered by FuzzFabricRequest.
+func decodeFabricRequest(data []byte) (FabricRequest, error) {
+	var req FabricRequest
+	if err := strictjson.Decode(bytes.NewReader(data), &req); err != nil {
+		return FabricRequest{}, fmt.Errorf("invalid fabric: %w", err)
+	}
+	return req, nil
 }
 
 // buildFlow validates one request against the fabric and materializes the
@@ -355,11 +361,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req FabricRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid fabric: %w", err))
+	req, err := decodeFabricRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	g, err := buildFabric(req)
@@ -384,7 +388,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	select {
 	case err := <-rr.reply:
 		if err != nil {
-			if strings.Contains(err.Error(), "cannot host") {
+			if errors.Is(err, engine.ErrFabricTooSmall) {
 				writeError(w, http.StatusConflict, err)
 			} else {
 				writeError(w, http.StatusBadRequest, err)

@@ -362,6 +362,15 @@ func TestDaemonAPI(t *testing.T) {
 		if status != http.StatusConflict {
 			t.Fatalf("shrink under live flow: %d %s", status, body)
 		}
+		// A second value after the fabric is a malformed body, not a reload.
+		resp, err := http.Post(base+"/v1/fabric", "application/json", strings.NewReader(`{"n":6,"complete":true} {"n":99}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("fabric body with trailing data: %d", resp.StatusCode)
+		}
 	})
 }
 

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"octopus/internal/core"
@@ -54,6 +55,41 @@ func FuzzFlowRequest(f *testing.F) {
 			if len(flow.Routes) == 0 {
 				t.Fatal("validated flow has no routes")
 			}
+		}
+	})
+}
+
+// FuzzFabricRequest hammers the POST /v1/fabric body decoder: it must never
+// panic, anything it accepts must re-marshal and decode back to the same
+// request, and a small accepted request must build a fabric or be refused
+// without panicking.
+func FuzzFabricRequest(f *testing.F) {
+	f.Add([]byte(`{"n":3,"complete":true}`))
+	f.Add([]byte(`{"n":4,"edges":[[0,1],[1,2],[2,3],[3,0]]}`))
+	f.Add([]byte(`{"n":3,"complete":true} {"n":99}`))
+	f.Add([]byte(`{"n":3,"complete":true}}`))
+	f.Add([]byte(`{"n":4,"edges":[[0,9]]}`))
+	f.Add([]byte(`{"n":-1,"edges":[[0,0,0]]}`))
+	f.Add([]byte(`{"unknown":1}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeFabricRequest(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request does not re-marshal: %v", err)
+		}
+		back, err := decodeFabricRequest(again)
+		if err != nil || back.N != req.N || back.Complete != req.Complete || !slices.Equal(back.Edges, req.Edges) {
+			t.Fatalf("round trip of %+v gave %+v, %v", req, back, err)
+		}
+		if req.N > 64 {
+			return // a complete fabric that large is slow to build, not a decode fault
+		}
+		if g, err := buildFabric(req); err == nil && g.N() != req.N {
+			t.Fatalf("fabric for %+v has %d nodes", req, g.N())
 		}
 	})
 }

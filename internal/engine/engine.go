@@ -270,11 +270,16 @@ func (p *Pipeline) Totals() Totals {
 // backlog — the occupied slots of the flow table. Driver-side.
 func (p *Pipeline) LiveFlows() int { return len(p.tab.slots) - len(p.tab.free) }
 
+// ErrFabricTooSmall reports a reload onto a fabric without the nodes a
+// live flow's endpoints need.
+var ErrFabricTooSmall = errors.New("fabric too small for a live flow")
+
 // ReloadFabric swaps the fabric under the pipeline at an epoch boundary.
 // Must be called by the driver between Commit and the next PlanNext, and
 // only in repair mode: flows whose routes the new fabric breaks are
 // repaired (or dropped as unreachable) at the next planned boundary.
-// Fabrics that cannot host an active flow's endpoints are rejected.
+// Fabrics that cannot host an active flow's endpoints are rejected with
+// ErrFabricTooSmall.
 func (p *Pipeline) ReloadFabric(g *graph.Digraph) error {
 	if !p.cfg.Repair {
 		return errors.New("engine: fabric reload requires repair mode")
@@ -284,8 +289,8 @@ func (p *Pipeline) ReloadFabric(g *graph.Digraph) error {
 	}
 	check := func(id, src, dst int) error {
 		if src >= g.N() || dst >= g.N() {
-			return fmt.Errorf("engine: fabric with %d nodes cannot host flow %d (%d->%d)",
-				g.N(), id, src, dst)
+			return fmt.Errorf("engine: %w: %d nodes cannot host flow %d (%d->%d)",
+				ErrFabricTooSmall, g.N(), id, src, dst)
 		}
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math/rand"
 	"strings"
 	"sync"
@@ -313,8 +314,8 @@ func TestReloadFabric(t *testing.T) {
 	if p.BacklogPackets() == 0 {
 		t.Fatal("expected mid-flow backlog before the reload")
 	}
-	if err := p.ReloadFabric(graph.Complete(1)); err == nil {
-		t.Fatal("reload onto a fabric that cannot host the flow should fail")
+	if err := p.ReloadFabric(graph.Complete(1)); !errors.Is(err, ErrFabricTooSmall) {
+		t.Fatalf("reload onto a fabric that cannot host the flow: %v, want ErrFabricTooSmall", err)
 	}
 	if p.Fabric() != g {
 		t.Fatal("failed reload must leave the fabric unchanged")

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+
+	"octopus/internal/strictjson"
 )
 
 // jsonTrace is the serialized form of a Trace.
@@ -52,15 +53,16 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(js)
 }
 
-// ReadJSON parses a failure trace from JSON and checks every structural
-// invariant that does not require a fabric: known event kinds, non-negative
-// slots, non-negative node and port indexes, no self-loop links, and
-// non-negative jitter. Fabric validation (links exist, nodes in range) is
+// ReadJSON parses a failure trace from one JSON object (unknown keys and
+// trailing data are errors) and checks every structural invariant that
+// does not require a fabric: known event kinds, non-negative slots,
+// non-negative node and port indexes, no self-loop links, and non-negative
+// jitter. Fabric validation (links exist, nodes in range) is
 // the caller's job via Validate. Untrusted input never panics: it either
 // decodes to a structurally valid trace or returns an error.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var js jsonTrace
-	if err := json.NewDecoder(r).Decode(&js); err != nil {
+	if err := strictjson.Decode(r, &js); err != nil {
 		return nil, fmt.Errorf("fault: decoding trace: %w", err)
 	}
 	t := &Trace{DeltaJitter: js.DeltaJitter}
@@ -98,24 +100,7 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 }
 
 // SaveFile writes the trace to a JSON file.
-func (t *Trace) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (t *Trace) SaveFile(path string) error { return strictjson.WriteFile(path, t.WriteJSON) }
 
 // LoadFile reads a failure trace from a JSON file.
-func LoadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSON(f)
-}
+func LoadFile(path string) (*Trace, error) { return strictjson.ReadFile(path, ReadJSON) }

@@ -24,17 +24,15 @@ type fieldKind uint8
 
 const (
 	fInt fieldKind = iota
-	fStr
 	fPairs
 )
 
-// Field is one key/value pair of a trace record. Construct fields with I,
-// S, or Pairs; the zero Field is invalid.
+// Field is one key/value pair of a trace record. Construct fields with I
+// or Pairs; the zero Field is invalid.
 type Field struct {
 	key   string
 	kind  fieldKind
 	i     int64
-	s     string
 	pairs [][2]int
 }
 
@@ -94,8 +92,6 @@ func (t *Tracer) Emit(event string, fields ...Field) {
 		switch f.kind {
 		case fInt:
 			buf = strconv.AppendInt(buf, f.i, 10)
-		case fStr:
-			buf = strconv.AppendQuote(buf, f.s)
 		case fPairs:
 			buf = append(buf, '[')
 			for j, p := range f.pairs {

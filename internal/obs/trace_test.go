@@ -11,7 +11,7 @@ func TestTracerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.Emit("core.iter", I("iter", 0), I("alpha", 40), I("benefit", -3))
-	tr.Emit("sched.config", I("idx", 1), S("algo", "octopus"), Pairs("links", [][2]int{{0, 1}, {2, 3}}))
+	tr.Emit("sched.config", I("idx", 1), Pairs("links", [][2]int{{0, 1}, {2, 3}}))
 	tr.Emit("empty")
 	if tr.Events() != 3 {
 		t.Fatalf("events = %d", tr.Events())
@@ -41,9 +41,6 @@ func TestTracerRoundTrip(t *testing.T) {
 	if v, ok := recs[0].Int("benefit"); !ok || v != -3 {
 		t.Fatalf("benefit = %d,%v", v, ok)
 	}
-	if s, ok := recs[1].Str("algo"); !ok || s != "octopus" {
-		t.Fatalf("algo = %q,%v", s, ok)
-	}
 	links, ok := recs[1].IntPairs("links")
 	if !ok || len(links) != 2 || links[0] != [2]int{0, 1} || links[1] != [2]int{2, 3} {
 		t.Fatalf("links = %v,%v", links, ok)
@@ -56,7 +53,7 @@ func TestTracerRoundTrip(t *testing.T) {
 func TestTracerEscapesStrings(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.Emit(`ev"with\quotes`, S("s", "line\nbreak\t\"quoted\""))
+	tr.Emit(`ev"with\quotes`)
 	raw := buf.String()
 	recs, err := DecodeTrace(&buf)
 	if err != nil {
@@ -64,9 +61,6 @@ func TestTracerEscapesStrings(t *testing.T) {
 	}
 	if recs[0].Ev != `ev"with\quotes` {
 		t.Fatalf("ev = %q", recs[0].Ev)
-	}
-	if s, _ := recs[0].Str("s"); s != "line\nbreak\t\"quoted\"" {
-		t.Fatalf("s = %q", s)
 	}
 	// One record must still be exactly one line.
 	if n := strings.Count(raw, "\n"); n != 1 {
@@ -125,7 +119,7 @@ func TestDecodeTraceSkipsBlankLines(t *testing.T) {
 }
 
 func TestRecordAccessorsRejectWrongTypes(t *testing.T) {
-	in := `{"v":1,"seq":0,"ev":"x","f":1.5,"s":3,"p":[[1],[2,3]],"q":[["a","b"]]}` + "\n"
+	in := `{"v":1,"seq":0,"ev":"x","f":1.5,"p":[[1],[2,3]],"q":[["a","b"]]}` + "\n"
 	recs, err := DecodeTrace(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
@@ -137,22 +131,10 @@ func TestRecordAccessorsRejectWrongTypes(t *testing.T) {
 	if _, ok := r.Int("absent"); ok {
 		t.Error("Int accepted an absent key")
 	}
-	if _, ok := r.Str("s"); ok {
-		t.Error("Str accepted a number")
-	}
 	if _, ok := r.IntPairs("p"); ok {
 		t.Error("IntPairs accepted a one-element pair")
 	}
 	if _, ok := r.IntPairs("q"); ok {
 		t.Error("IntPairs accepted string pairs")
 	}
-}
-
-// S is a string field.
-func S(key, v string) Field { return Field{key: key, kind: fStr, s: v} }
-
-// Str returns the string payload field key.
-func (r *Record) Str(key string) (string, bool) {
-	s, ok := r.Fields[key].(string)
-	return s, ok
 }

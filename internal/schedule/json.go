@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"octopus/internal/graph"
+	"octopus/internal/strictjson"
 )
 
 // jsonSchedule is the serialized form of a Schedule: flat link arrays keep
@@ -39,12 +39,13 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 	return enc.Encode(js)
 }
 
-// ReadJSON parses a schedule from JSON and checks structural sanity
-// (positive durations, matching From/To lengths). Fabric validation is the
+// ReadJSON parses a schedule from one JSON object (unknown keys and
+// trailing data are errors) and checks structural sanity (positive
+// durations, matching From/To lengths). Fabric validation is the
 // caller's job via Validate.
 func ReadJSON(r io.Reader) (*Schedule, error) {
 	var js jsonSchedule
-	if err := json.NewDecoder(r).Decode(&js); err != nil {
+	if err := strictjson.Decode(r, &js); err != nil {
 		return nil, fmt.Errorf("schedule: decoding: %w", err)
 	}
 	if js.Delta < 0 {
@@ -68,24 +69,7 @@ func ReadJSON(r io.Reader) (*Schedule, error) {
 }
 
 // SaveFile writes the schedule to a JSON file.
-func (s *Schedule) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (s *Schedule) SaveFile(path string) error { return strictjson.WriteFile(path, s.WriteJSON) }
 
 // LoadFile reads a schedule from a JSON file.
-func LoadFile(path string) (*Schedule, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSON(f)
-}
+func LoadFile(path string) (*Schedule, error) { return strictjson.ReadFile(path, ReadJSON) }

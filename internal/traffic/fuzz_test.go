@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,8 +42,8 @@ func FuzzReadJSON(f *testing.F) {
 
 // FuzzStreamDecode checks the streaming trace decoder (both the JSONL and
 // binary encodings, plus the classic-document fallback of ReadAny) never
-// panics on hostile input, and that every stream it accepts re-encodes to
-// binary and decodes back identically.
+// panics on hostile input, and that every load it accepts, in any of the
+// three encodings, re-encodes to binary and decodes back identically.
 func FuzzStreamDecode(f *testing.F) {
 	seedFlows := []Flow{
 		{ID: 0, Size: 5, Src: 0, Dst: 2, Routes: []Route{{0, 1, 2}, {0, 3, 2}}, WeightHops: 2, Redundant: 1},
@@ -65,6 +66,7 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte("MHSB1\n\x01\xff\xff\xff\xff\x7f"))
 	f.Add([]byte(`{"format":"mhs-flows/v1"}` + "\n" + `{"id":0,"size":1,"src":0,"dst":1,"routes":[[0,1]]}` + "\n"))
 	f.Add([]byte(`{"flows":[{"id":1,"size":5,"src":0,"dst":2,"routes":[[0,1,2]]}]}`))
+	f.Add([]byte(`{"flows":[{"id":1,"size":-5,"src":0,"dst":2,"routes":[[0,2]]}]}`))
 	f.Add(newlineFreeInput())
 	f.Add(oversizedRecordInput())
 	f.Add(overRedundantBinary())
@@ -88,10 +90,7 @@ func FuzzStreamDecode(f *testing.F) {
 		sw := NewStreamWriter(&buf, FormatBinary)
 		for i := range load.Flows {
 			if werr := sw.Write(&load.Flows[i]); werr != nil {
-				// Accepted-but-unwritable flows exist only for the classic
-				// document path (its checks are looser than the stream's,
-				// e.g. negative sizes); streams themselves must re-encode.
-				return
+				t.Fatalf("accepted flow %+v does not re-encode: %v", load.Flows[i], werr)
 			}
 		}
 		if err := sw.Close(); err != nil {
@@ -174,13 +173,16 @@ func refReadBinary(body []byte) ([]Flow, error) {
 }
 
 // FuzzReadDemandCSV checks the CSV parser never panics and only accepts
-// square matrices of finite non-NaN values.
+// square matrices of finite non-negative values.
 func FuzzReadDemandCSV(f *testing.F) {
 	f.Add("0,1\n2,0")
 	f.Add("# comment\n1,2,3\n4,5,6\n7,8,9\n")
 	f.Add("")
 	f.Add("1,x\n2,3")
 	f.Add("1e309,0\n0,0")
+	f.Add("NaN,1\n1,0")
+	f.Add("0,-3\n1,0")
+	f.Add("0,Inf\n1,0")
 	f.Fuzz(func(t *testing.T, data string) {
 		m, err := ReadDemandCSV(strings.NewReader(data))
 		if err != nil {
@@ -192,6 +194,11 @@ func FuzzReadDemandCSV(f *testing.F) {
 		for _, row := range m {
 			if len(row) != len(m) {
 				t.Fatal("accepted a non-square matrix")
+			}
+			for _, v := range row {
+				if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted demand %v", v)
+				}
 			}
 		}
 	})

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+
+	"octopus/internal/strictjson"
 )
 
 // WriteJSON serializes the load as indented JSON.
@@ -14,51 +15,23 @@ func (l *Load) WriteJSON(w io.Writer) error {
 	return enc.Encode(l)
 }
 
-// ReadJSON parses a load from JSON. The result is structurally checked
-// (every flow has at least one route with matching endpoints); fabric
-// validation against a specific graph is the caller's job via Validate.
+// ReadJSON parses a load from one JSON document (unknown keys and trailing
+// data are errors). Every flow is held to the stream schema
+// (checkStreamFlow), so the document, JSONL and binary encodings accept the
+// same flows; fabric validation against a specific graph is the caller's
+// job via Validate.
 func ReadJSON(r io.Reader) (*Load, error) {
 	var l Load
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&l); err != nil {
+	if err := strictjson.Decode(r, &l); err != nil {
 		return nil, fmt.Errorf("traffic: decoding load: %w", err)
 	}
 	for i := range l.Flows {
-		f := &l.Flows[i]
-		if len(f.Routes) == 0 {
-			return nil, fmt.Errorf("traffic: flow %d has no routes", f.ID)
-		}
-		for _, rt := range f.Routes {
-			if len(rt) < 2 {
-				return nil, fmt.Errorf("traffic: flow %d has a degenerate route", f.ID)
-			}
-			if rt.Src() != f.Src || rt.Dst() != f.Dst {
-				return nil, fmt.Errorf("traffic: flow %d route %v does not connect %d->%d", f.ID, rt, f.Src, f.Dst)
-			}
+		if err := checkStreamFlow(&l.Flows[i]); err != nil {
+			return nil, err
 		}
 	}
 	return &l, nil
 }
 
 // SaveFile writes the load to a JSON file.
-func (l *Load) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := l.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a load from a JSON file.
-func LoadFile(path string) (*Load, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSON(f)
-}
+func (l *Load) SaveFile(path string) error { return strictjson.WriteFile(path, l.WriteJSON) }

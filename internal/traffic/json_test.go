@@ -56,6 +56,7 @@ func TestReadJSONRejectsMalformed(t *testing.T) {
 		`{"flows":[{"id":1,"size":5,"src":0,"dst":2,"routes":[[0]]}]}`,     // degenerate route
 		`{"flows":[{"id":1,"size":5,"src":0,"dst":2,"routes":[[0,1]]}]}`,   // wrong dst
 		`{"flows":[{"id":1,"size":5,"src":1,"dst":2,"routes":[[0,1,2]]}]}`, // wrong src
+		`{"flows":[{"id":1,"size":-5,"src":0,"dst":2,"routes":[[0,2]]}]}`,  // negative size, as no stream holds
 	}
 	for i, c := range cases {
 		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
@@ -77,14 +78,14 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := load.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := LoadAnyFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.TotalPackets() != 3 {
 		t.Fatalf("got %+v", got)
 	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := LoadAnyFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

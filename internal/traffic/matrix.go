@@ -69,8 +69,8 @@ func FromDemandMatrix(g *graph.Digraph, demand [][]float64, window int, p Synthe
 }
 
 // ReadDemandCSV parses a square demand matrix from CSV: one row per line,
-// comma-separated non-negative numbers, '#'-prefixed comment lines and
-// blank lines ignored.
+// comma-separated finite non-negative numbers, '#'-prefixed comment lines
+// and blank lines ignored.
 func ReadDemandCSV(r io.Reader) ([][]float64, error) {
 	var matrix [][]float64
 	sc := bufio.NewScanner(r)
@@ -88,6 +88,9 @@ func ReadDemandCSV(r io.Reader) ([][]float64, error) {
 			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 			if err != nil {
 				return nil, fmt.Errorf("traffic: line %d column %d: %w", line, i+1, err)
+			}
+			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("traffic: line %d column %d: demand %v is not a finite non-negative number", line, i+1, v)
 			}
 			row[i] = v
 		}

@@ -85,6 +85,9 @@ func TestReadDemandCSV(t *testing.T) {
 		"1,2\n3",       // ragged
 		"1,x\n3,4",     // non-numeric
 		"1,2,3\n4,5,6", // non-square
+		"NaN,1\n1,0",   // not a number
+		"0,-3\n1,0",    // negative
+		"0,Inf\n1,0",   // infinite
 	}
 	for i, c := range bad {
 		if _, err := ReadDemandCSV(strings.NewReader(c)); err == nil {

@@ -54,9 +54,9 @@ func (s *Store) Bytes() uint64 {
 		4*uint64(cap(s.routeStart)+cap(s.routeOff)+cap(s.nodes))
 }
 
-// Append adds one flow to the store. It enforces the stream schema
-// (checkStreamFlow): the structural invariants of ReadJSON, and fields
-// within the int32/int8 column ranges.
+// Append adds one flow to the store. It enforces the flow schema
+// (checkStreamFlow), which keeps every field within the int32/int8 column
+// ranges.
 func (s *Store) Append(f *Flow) error {
 	if err := checkStreamFlow(f); err != nil {
 		return err

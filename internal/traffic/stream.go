@@ -9,7 +9,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
+
+	"octopus/internal/strictjson"
 )
 
 // Streaming trace formats: loads far larger than RAM are written one flow
@@ -27,8 +28,8 @@ import (
 //
 // StreamReader auto-detects the encoding, and LoadAnyFile additionally
 // falls back to the classic whole-document JSON load format, so every
-// consumer (mhsim -load, mhsbench, mhsgen -stats) accepts all three
-// transparently.
+// consumer (mhsim -load, mhsgen -stats) accepts all three transparently.
+// All three hold each flow to one schema, checkStreamFlow.
 
 // StreamFormat selects a streaming trace encoding.
 type StreamFormat int
@@ -226,7 +227,7 @@ func (sr *StreamReader) init() error {
 		return fmt.Errorf("%w: empty input", ErrNotStream)
 	}
 	var h streamHeader
-	if jerr := json.Unmarshal(line, &h); jerr != nil || h.Format != jsonlFormatID {
+	if jerr := strictjson.Decode(bytes.NewReader(line), &h); jerr != nil || h.Format != jsonlFormatID {
 		return fmt.Errorf("%w: unrecognized header", ErrNotStream)
 	}
 	return nil
@@ -292,14 +293,8 @@ func (sr *StreamReader) nextJSONL(s *Store) error {
 			return err
 		}
 		var f Flow
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		dec.DisallowUnknownFields()
-		if jerr := dec.Decode(&f); jerr != nil {
+		if jerr := strictjson.Decode(bytes.NewReader(trimmed), &f); jerr != nil {
 			return fmt.Errorf("traffic: flow stream: %v", jerr)
-		}
-		var extra json.RawMessage
-		if dec.Decode(&extra) != io.EOF {
-			return errors.New("traffic: flow stream: trailing data on record line")
 		}
 		return s.Append(&f)
 	}
@@ -436,11 +431,12 @@ func (sr *StreamReader) nextBinary(s *Store) error {
 	return nil
 }
 
-// checkStreamFlow applies the stream schema invariants to one record: the
-// ReadJSON structural checks plus the numeric ranges the binary encoding
-// can represent, so both encodings accept exactly the same set of flows
-// and every accepted flow re-encodes losslessly. Enforced on both decode
-// (next) and encode (Write).
+// checkStreamFlow is the one flow schema: the structural checks (routes
+// present, non-degenerate, connecting the flow's endpoints) plus the
+// numeric ranges the binary encoding can represent, so the document, JSONL
+// and binary encodings accept exactly the same set of flows and every
+// accepted flow re-encodes losslessly. Enforced on every decode (ReadJSON,
+// next) and on encode (Write).
 func checkStreamFlow(f *Flow) error {
 	if f.ID < 0 || int64(f.ID) > math.MaxInt32 {
 		return fmt.Errorf("traffic: flow id %d out of stream range", f.ID)
@@ -527,11 +523,4 @@ func ReadAny(r io.Reader) (*Load, error) {
 }
 
 // LoadAnyFile reads a load from a file in any supported encoding.
-func LoadAnyFile(path string) (*Load, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadAny(f)
-}
+func LoadAnyFile(path string) (*Load, error) { return strictjson.ReadFile(path, ReadAny) }

@@ -129,7 +129,8 @@ func TestStreamJSONLRejects(t *testing.T) {
 }
 
 func TestStreamHeaderSniff(t *testing.T) {
-	for _, bad := range []string{"", "{}\n", `{"format":"mhs-flows/v999"}` + "\n", "MHSB2\nxx"} {
+	for _, bad := range []string{"", "{}\n", `{"format":"mhs-flows/v999"}` + "\n", "MHSB2\nxx",
+		`{"format":"mhs-flows/v1","fromat":1}` + "\n", `{"format":"mhs-flows/v1"}}` + "\n"} {
 		_, err := NewStreamReader(strings.NewReader(bad)).Next()
 		if !errors.Is(err, ErrNotStream) {
 			t.Errorf("input %q: err = %v, want ErrNotStream", bad, err)
