@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"octopus/internal/graph"
@@ -134,6 +135,49 @@ func TestBidirectionalExactBeatsOrMatchesGreedy(t *testing.T) {
 	greedy := run(MatcherGreedy)
 	if exact < greedy {
 		t.Fatalf("blossom (%d) below greedy (%d)", exact, greedy)
+	}
+}
+
+// TestBidirectionalPins pins ψ and delivered of bidirectional plans, exact
+// (blossom) and greedy, full and ternary α search, on one fixed instance.
+// Never edit the numbers: a plan that moves them is a different plan.
+func TestBidirectionalPins(t *testing.T) {
+	const n = 14
+	u := graph.NewU(n)
+	for i := range n {
+		for j := i + 1; j < n; j++ {
+			u.AddEdge(i, j)
+		}
+	}
+	p := traffic.DefaultSyntheticParams(n, 800)
+	p.NL, p.NS = 3, 6
+	load, err := traffic.Synthetic(u.Directed(), p, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		opt       Options
+		psi       int64
+		delivered int
+	}{
+		{"exact", Options{}, 8181465600, 3723},
+		{"greedy", Options{Matcher: MatcherGreedy}, 7866270720, 3760},
+		{"exact-b", Options{AlphaSearch: AlphaBinary}, 8181465600, 3723},
+		{"greedy-b", Options{Matcher: MatcherGreedy, AlphaSearch: AlphaBinary}, 7995482880, 3682},
+	} {
+		c.opt.Window, c.opt.Delta = 800, 20
+		s, err := NewBidirectional(u, load, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Psi != c.psi || res.Delivered != c.delivered {
+			t.Errorf("%s: ψ %d, delivered %d; pinned %d, %d", c.name, res.Psi, res.Delivered, c.psi, c.delivered)
+		}
 	}
 }
 
