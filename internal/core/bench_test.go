@@ -108,8 +108,9 @@ func BenchmarkStepObs(b *testing.B) {
 
 var gValueSink int64
 
-// BenchmarkGValue measures g(i, j, α) lookups over every active link of a
-// mid-run queue state, across the α magnitudes the greedy loop probes.
+// BenchmarkGValue measures g(i, j, α) over every active link of a mid-run
+// queue state, across the α magnitudes the greedy loop probes: one g-table
+// block of four α's.
 func BenchmarkGValue(b *testing.B) {
 	g, load := benchInstance(b, 50, 5000)
 	s, err := New(g, load, Options{Window: 5000, Delta: 20})
@@ -126,13 +127,8 @@ func BenchmarkGValue(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var sum int64
-		for _, ls := range states {
-			for _, a := range alphas {
-				sum += gValueState(ls, a)
-			}
-		}
-		gValueSink = sum
+		s.fillG(states, alphas)
+		gValueSink += s.gbuf[0]
 	}
 }
 

@@ -79,7 +79,7 @@ func (b *best) exceeds(benefit int64, alpha int) bool {
 type alphaEval struct {
 	// Phase-1 candidate: the greedy matching in the single-port bipartite
 	// modes (links only where a reduction can pick it, see phase 1), the
-	// mode's only candidate otherwise.
+	// mode's only candidate otherwise (evalAlpha).
 	links []graph.Edge
 	w     int64
 	// Exact bipartite mode only: matching-weight upper bound and (phase 2)
@@ -106,11 +106,10 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		return nil, 0, 0
 	}
 
-	// The single-port bipartite modes read G' off the batched g-table.
 	bipartite := s.ufabric == nil && !s.opt.MultiHop && s.opt.Ports == 1
 	bst := &best{delta: s.opt.Delta}
 	if s.opt.AlphaSearch == AlphaBinary {
-		s.ternarySearch(alphas, bst, bipartite)
+		s.ternarySearch(alphas, bst)
 		sortLinks(bst.links)
 		return bst.links, bst.alpha, bst.benefit
 	}
@@ -153,10 +152,8 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 			}
 		}
 	} else {
-		s.parallelFor(len(alphas), func(w, i int) {
-			local := &best{delta: s.opt.Delta}
-			s.evalAlpha(s.scratch[w], alphas[i], local)
-			evals[i].links, evals[i].w = local.links, local.benefit
+		s.forAlphas(alphas, func(sc *evalScratch, i int, col []int64) {
+			evals[i].links, evals[i].w = s.evalAlpha(sc, alphas[i], col)
 		})
 	}
 	// Reduce the phase-1 candidates (ascending α; deterministic).
@@ -278,8 +275,8 @@ const gTableEntries = 1 << 20
 
 // forAlphas calls f(scratch, j, col) once for every j in [0, len(as)), col
 // being the g-table column of α = as[j]: col[i] = g(s.tr.glinks[i], α) over
-// the active links in (From, To) order, zeros included
-// (sc.weighted(s.tr.glinks, col) is the weighted graph G' of Procedure 2).
+// the active links in (From, To) order, zeros included. It is the one source
+// of G': sc.weighted(s.tr.glinks, col) is the weighted graph of Procedure 2.
 // col is valid until f returns. as must be ascending; it is cut into blocks
 // of as many α's as the table holds, and the α's of a block are evaluated in
 // parallel, every worker taking its share in ascending order.
@@ -303,13 +300,12 @@ func (s *Scheduler) forAlphas(as []int, f func(sc *evalScratch, j int, col []int
 const fillLinks = 1024
 
 // fillG sets s.gbuf[j*len(states)+li] = g(states[li], block[j]): per link,
-// a cursor that rolls forward over the weight classes as α ascends. Values
-// are exactly gValueState's. A column (one α, every link) is contiguous
-// because that is how forAlphas reads it; the writes of consecutive links
-// land in the same len(block) cache lines. Links are filled in parallel,
-// fillLinks at a time: a link's slots are written by the one worker that
-// holds its range, and the classes are only written by apply, so nothing
-// is shared.
+// a cursor that rolls forward over the weight classes as α ascends. A column
+// (one α, every link) is contiguous because that is how forAlphas reads it;
+// the writes of consecutive links land in the same len(block) cache lines.
+// Links are filled in parallel, fillLinks at a time: a link's slots are
+// written by the one worker that holds its range, and the classes are only
+// written by apply, so nothing is shared.
 func (s *Scheduler) fillG(states []*linkState, block []int) {
 	nL := len(states)
 	if need := len(block) * nL; cap(s.gbuf) < need {
@@ -325,7 +321,11 @@ func (s *Scheduler) fillG(states []*linkState, block []int) {
 }
 
 // fillLink writes g(link, block[j]) to col[j*stride] for every j, cs being
-// the link's weight classes and block ascending.
+// the link's weight classes and block ascending. g(l, α) is the benefit of
+// the top α packets of l's queue (Procedure 2, line 4), each packet counted
+// once even if it has entries on other links: every class heavier than the
+// first class k whose prefix count reaches α, plus a partial take of k. A
+// class found that way is never empty, so drained cells cost nothing.
 func fillLink(col []int64, stride int, cs []weightClass, block []int) {
 	if len(cs) == 0 {
 		for j := range block {
@@ -372,8 +372,7 @@ func (s *Scheduler) ensureScratch(workers int) {
 // paper's Octopus-B). The function need not be unimodal, so this finds one
 // of its maxima, not necessarily the global one; §8 observes the loss is
 // minimal in practice.
-func (s *Scheduler) ternarySearch(alphas []int, bst *best, bipartite bool) {
-	s.ensureScratch(1)
+func (s *Scheduler) ternarySearch(alphas []int, bst *best) {
 	evals := s.evals[:0]
 	for range alphas {
 		evals = append(evals, alphaEval{w: -1}) // w < 0: not evaluated yet
@@ -385,22 +384,9 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best, bipartite bool) {
 			return e
 		}
 		e.w = 0
-		if bipartite {
-			s.forAlphas(alphas[i:i+1], func(sc *evalScratch, _ int, col []int64) {
-				// Only the better of the two matchings is copied out of the arena.
-				m, w := sc.arena.GreedyColumn(s.fabric.N(), s.tr.glinks, col)
-				if s.opt.Matcher != MatcherGreedy {
-					if xm, xw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.tr.glinks, col)); xw > w {
-						m, w = xm, xw
-					}
-				}
-				e.links, e.w = appendLinks(nil, m), w
-			})
-		} else {
-			local := &best{delta: s.opt.Delta}
-			s.evalAlpha(s.scratch[0], alphas[i], local)
-			e.links, e.w = local.links, local.benefit
-		}
+		s.forAlphas(alphas[i:i+1], func(sc *evalScratch, _ int, col []int64) {
+			e.links, e.w = s.evalAlpha(sc, alphas[i], col)
+		})
 		return e
 	}
 	ratioLess := func(i, j int) bool {
@@ -422,37 +408,29 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best, bipartite bool) {
 	}
 }
 
-// evalAlpha fully evaluates the best configuration for one α in the modes
-// that do not go through forAlphas (bidirectional, chained, multi-port) and
-// feeds it to bst. It only reads the remaining-traffic state, plus the
-// caller's exclusively-owned scratch.
-func (s *Scheduler) evalAlpha(sc *evalScratch, a int, bst *best) {
+// evalAlpha returns the best configuration for α and its benefit, col being
+// α's g-table column (see forAlphas): every mode but the single-port
+// bipartite phase 1 evaluates an α here. The chained benefit is a chain
+// estimate, not g, so that mode leaves col unread. It only reads T^r, plus
+// the caller's exclusively-owned scratch.
+func (s *Scheduler) evalAlpha(sc *evalScratch, a int, col []int64) ([]graph.Edge, int64) {
 	switch {
 	case s.ufabric != nil:
-		s.evalBidirectional(a, bst)
+		return s.evalBidirectional(col)
 	case s.opt.MultiHop:
-		links, benefit := s.chainedGreedy(a)
-		bst.consider(links, a, benefit)
-	default:
-		s.evalMultiPort(sc, a, bst)
+		return s.chainedGreedy(a)
+	case s.opt.Ports > 1:
+		return s.evalMultiPort(sc, col)
 	}
-}
-
-// weightedEdges builds G' for one α link by link, for the multi-port mode
-// (the single-port modes batch it, see forAlphas). The result is ordered by
-// (From, To) and aliases the scratch buffer — it is valid until the next
-// call with the same scratch.
-func (s *Scheduler) weightedEdges(sc *evalScratch, a int) []matching.Edge {
-	we := sc.we[:0]
-	edges := s.tr.activeEdges()
-	states := s.tr.activeStates()
-	for i, e := range edges {
-		if w := gValueState(states[i], a); w > 0 {
-			we = append(we, matching.Edge{From: e.From, To: e.To, Weight: w})
+	// One port: the better of the greedy and exact matchings, greedy on ties.
+	// Only that one is copied out of the arena.
+	m, w := sc.arena.GreedyColumn(s.fabric.N(), s.tr.glinks, col)
+	if s.opt.Matcher != MatcherGreedy {
+		if xm, xw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.tr.glinks, col)); xw > w {
+			m, w = xm, xw
 		}
 	}
-	sc.we = we
-	return we
+	return appendLinks(nil, m), w
 }
 
 // rowColUB is a cheap upper bound on the maximum-weight matching of links
@@ -509,10 +487,10 @@ func cmpEdge(a, b graph.Edge) int {
 // per node). Committed subflows queue on exactly one link, so matchings
 // over disjoint edge sets serve disjoint packet sets and benefits add
 // exactly; no weight recomputation is needed between the r rounds.
-func (s *Scheduler) evalMultiPort(sc *evalScratch, a int, bst *best) {
-	we := s.weightedEdges(sc, a)
-	if len(we) == 0 {
-		return
+func (s *Scheduler) evalMultiPort(sc *evalScratch, col []int64) ([]graph.Edge, int64) {
+	avail := sc.weighted(s.tr.glinks, col)
+	if len(avail) == 0 {
+		return nil, 0
 	}
 	n := s.fabric.N()
 	if sc.taken == nil {
@@ -521,7 +499,6 @@ func (s *Scheduler) evalMultiPort(sc *evalScratch, a int, bst *best) {
 	taken := sc.taken
 	var links []graph.Edge
 	var total int64
-	avail := we
 	for r := 0; r < s.opt.Ports; r++ {
 		var m []matching.Edge
 		var w int64
@@ -539,7 +516,7 @@ func (s *Scheduler) evalMultiPort(sc *evalScratch, a int, bst *best) {
 			links = append(links, graph.Edge{From: e.From, To: e.To})
 		}
 		// Drop the matched links in place: the matchers copy what they keep,
-		// and we is rebuilt for every α.
+		// and the list is rebuilt for every column.
 		next := avail[:0]
 		for _, e := range avail {
 			if !taken[s.fabric.LinkID(e.From, e.To)] {
@@ -551,10 +528,7 @@ func (s *Scheduler) evalMultiPort(sc *evalScratch, a int, bst *best) {
 	for _, l := range links {
 		taken[s.fabric.LinkID(l.From, l.To)] = false
 	}
-	if total > 0 {
-		sortLinks(links)
-		bst.consider(links, a, total)
-	}
+	return links, total
 }
 
 // evalBidirectional handles the undirected fabric of §7: the weight of an
@@ -563,17 +537,16 @@ func (s *Scheduler) evalMultiPort(sc *evalScratch, a int, bst *best) {
 // blossom algorithm (the general-graph matcher the paper's §7 calls for)
 // with MatcherExact, or the greedy matcher plus a local-improvement pass
 // with MatcherGreedy.
-func (s *Scheduler) evalBidirectional(a int, bst *best) {
+func (s *Scheduler) evalBidirectional(col []int64) ([]graph.Edge, int64) {
 	sum := make(map[graph.UEdge]int64)
-	edges := s.tr.activeEdges()
-	states := s.tr.activeStates()
-	for i, e := range edges {
-		if w := gValueState(states[i], a); w > 0 {
-			sum[graph.NormUEdge(e.From, e.To)] += w
+	for li, g := range col {
+		if g > 0 {
+			e := s.tr.glinks[li]
+			sum[graph.NormUEdge(e.From, e.To)] += g
 		}
 	}
 	if len(sum) == 0 {
-		return
+		return nil, 0
 	}
 	ue := make([]matching.UEdge, 0, len(sum))
 	for e, w := range sum {
@@ -589,13 +562,9 @@ func (s *Scheduler) evalBidirectional(a int, bst *best) {
 	} else {
 		m, w = matching.MaxWeightGeneral(n, ue)
 	}
-	if w <= 0 {
-		return
-	}
 	links := make([]graph.Edge, 0, 2*len(m))
 	for _, e := range m {
 		links = append(links, graph.Edge{From: e.A, To: e.B}, graph.Edge{From: e.B, To: e.A})
 	}
-	sortLinks(links)
-	bst.consider(links, a, w)
+	return links, w
 }

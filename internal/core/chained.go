@@ -194,7 +194,6 @@ func (s *Scheduler) chainedGreedy(alpha int) ([]graph.Edge, int64) {
 		links = append(links, bestEdge)
 		total += bestGain
 	}
-	sortLinks(links)
 	return links, total
 }
 

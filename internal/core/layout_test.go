@@ -16,8 +16,8 @@ import (
 )
 
 // This file pins the flat remaining-traffic layout: what core.New may
-// allocate, and that the blocked g(link, α) table is gValueState laid out
-// differently.
+// allocate, and that the blocked g(link, α) table is the queue walk's
+// g(link, α) laid out differently.
 
 // TestNewAllocatesPerLinkNotPerFlow: subflows, entries, queue slots and
 // homes of the initial load come from slabs, so building T^r costs a few
@@ -192,12 +192,12 @@ func randomQueues(n int, seed int64) (*graph.Digraph, *traffic.Load) {
 	return g, load
 }
 
-// TestGTableMatchesGValueState feeds forAlphas more (link, α) pairs than one
+// TestGTableMatchesQueueWalk feeds forAlphas more (link, α) pairs than one
 // block of the table holds — several full blocks and a partial last one, α's
 // from 1 to past every queue's total — on queues a few configurations into
 // a run (drained entries, downstream arrivals), and checks every weighted
-// edge list against one gValueState call per link.
-func TestGTableMatchesGValueState(t *testing.T) {
+// edge list against each link's queue walk (naiveGValue).
+func TestGTableMatchesQueueWalk(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		g, load := randomQueues(36, seed)
 		s, err := New(g, load, Options{Window: 3000, Delta: 10, Matcher: MatcherGreedy, Parallelism: 2})
@@ -209,12 +209,11 @@ func TestGTableMatchesGValueState(t *testing.T) {
 				t.Fatalf("seed %d: step %d: ok=%v err=%v", seed, i, ok, err)
 			}
 		}
-		edges, states := s.tr.activeEdges(), s.tr.activeStates()
-		top := 0
-		for _, ls := range states {
-			if cs := ls.classes; len(cs) > 0 {
-				top = max(top, cs[len(cs)-1].prefC)
-			}
+		states := s.tr.activeStates()
+		top, walks := 0, make([][]int64, len(states))
+		for li, ls := range states {
+			walks[li] = naiveGValue(s.tr, ls)
+			top = max(top, len(walks[li])-1)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		var as []int
@@ -231,12 +230,12 @@ func TestGTableMatchesGValueState(t *testing.T) {
 			seen[j] = true
 			var want []matching.Edge
 			for li, ls := range states {
-				if w := gValueState(ls, as[j]); w > 0 {
-					want = append(want, matching.Edge{From: edges[li].From, To: edges[li].To, Weight: w})
+				if w := walks[li][min(as[j], len(walks[li])-1)]; w > 0 {
+					want = append(want, matching.Edge{From: ls.edge.From, To: ls.edge.To, Weight: w})
 				}
 			}
 			if !reflect.DeepEqual(we, want) {
-				t.Errorf("seed %d: G' for α=%d (index %d) differs from gValueState", seed, as[j], j)
+				t.Errorf("seed %d: G' for α=%d (index %d) differs from the queue walks", seed, as[j], j)
 			}
 		})
 		for j, ok := range seen {
@@ -245,6 +244,20 @@ func TestGTableMatchesGValueState(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gPrime is G' for one α computed link by link, fillLink on a one-α block
+// per link: the definition forAlphas batches (fillLink itself is held to
+// the queue walks by the summary tests).
+func gPrime(tr *remaining, a int) []matching.Edge {
+	var we []matching.Edge
+	for _, ls := range tr.activeStates() {
+		var g [1]int64
+		if fillLink(g[:], 1, ls.classes, []int{a}); g[0] > 0 {
+			we = append(we, matching.Edge{From: ls.edge.From, To: ls.edge.To, Weight: g[0]})
+		}
+	}
+	return we
 }
 
 // TestGreedyScheduleIndependentOfParallelism: the α's of a table block are
@@ -304,7 +317,7 @@ func TestPhase2PruningFiresOnSmallSelections(t *testing.T) {
 			want := &best{delta: s.opt.Delta}
 			if maxAlpha > 0 && s.tr.pending > 0 {
 				for _, a := range s.tr.candidateAlphas(maxAlpha) {
-					we := s.weightedEdges(ref, a)
+					we := gPrime(s.tr, a)
 					m, w := ref.arena.GreedyBipartite(g.N(), we)
 					want.consider(appendLinks(nil, m), a, w)
 					m, w = ref.arena.MaxWeightBipartite(g.N(), we)
@@ -368,7 +381,7 @@ func TestCarriedOrderPlansTheDefinition(t *testing.T) {
 				t.Fatalf("%d α's × %d links fit one table block", len(as), len(s.tr.activeStates()))
 			}
 			for _, a := range as {
-				m, w := ref.arena.GreedyBipartite(g.N(), s.weightedEdges(ref, a))
+				m, w := ref.arena.GreedyBipartite(g.N(), gPrime(s.tr, a))
 				want.consider(appendLinks(nil, m), a, w)
 			}
 			sortLinks(want.links)
@@ -455,11 +468,11 @@ func TestGreedyStepAllocationCeiling(t *testing.T) {
 	t.Logf("%d iterations, at most %v allocations per Step, up to %d candidate α's", s.iters, worst, candidates)
 }
 
-// TestActiveEdgesMergeEqualsSort: links become active a few at a time, in
+// TestActiveStatesMergeEqualsSort: links become active a few at a time, in
 // any order; sorting the newcomers and merging them into the sorted rest
-// leaves the list a fresh sort of all of them, with stateList, edgeList and
-// glinks index-aligned, after every step.
-func TestActiveEdgesMergeEqualsSort(t *testing.T) {
+// leaves the list a fresh sort of all of them, with stateList and glinks
+// index-aligned, after every step.
+func TestActiveStatesMergeEqualsSort(t *testing.T) {
 	g := graph.Complete(24)
 	load := &traffic.Load{Flows: []traffic.Flow{{ID: 1, Size: 1, Src: 0, Dst: 1, Routes: []traffic.Route{{0, 1}}}}}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -477,15 +490,15 @@ func TestActiveEdgesMergeEqualsSort(t *testing.T) {
 				}
 			}
 			rest = rest[k:]
-			got := tr.activeEdges()
+			states := tr.activeStates()
 			sorted := slices.Clone(want)
 			sortLinks(sorted)
-			if !slices.Equal(got, sorted) {
-				t.Fatalf("seed %d step %d: %d links merged to\n %v\na fresh sort gives\n %v", seed, step, k, got, sorted)
+			if len(states) != len(sorted) || len(tr.glinks) != len(sorted) {
+				t.Fatalf("seed %d step %d: %d states and %d glinks for %d links", seed, step, len(states), len(tr.glinks), len(sorted))
 			}
-			for i, ls := range tr.activeStates() {
-				if ls.edge != got[i] || tr.glinks[i] != (matching.Edge{From: got[i].From, To: got[i].To}) || tr.state(got[i]) != ls {
-					t.Fatalf("seed %d step %d: position %d holds %v, state %v, glink %v", seed, step, i, got[i], ls.edge, tr.glinks[i])
+			for i, e := range sorted {
+				if states[i].edge != e || tr.glinks[i] != (matching.Edge{From: e.From, To: e.To}) || tr.state(e) != states[i] {
+					t.Fatalf("seed %d step %d: position %d of a fresh sort holds %v, the merge state %v, glink %v", seed, step, i, e, states[i].edge, tr.glinks[i])
 				}
 			}
 		}

@@ -68,7 +68,8 @@ type Options struct {
 	// matching, and the matching is built greedily edge-by-edge. Plan
 	// bookkeeping still advances packets one hop per configuration (a
 	// conservative lower bound); replay the schedule with
-	// simulate.Options.MultiHop to measure the chained delivery.
+	// simulate.Options.MultiHop to measure the chained delivery. It plans
+	// one matching a configuration, so it requires Ports <= 1.
 	MultiHop bool
 
 	// Ports is the number of input and output ports per node (§7);
@@ -223,6 +224,9 @@ func checkOptions(opt *Options, load *traffic.Load, bidirectional bool) error {
 	}
 	if bidirectional && opt.Ports > 1 {
 		return errors.New("core: bidirectional fabrics support only Ports=1")
+	}
+	if opt.MultiHop && opt.Ports > 1 {
+		return errors.New("core: MultiHop supports only Ports=1")
 	}
 	dims, err := measure(load, opt.MultiRoute, opt.MultiRoute && !opt.DisableBacktrack)
 	if err != nil {

@@ -162,15 +162,21 @@ func TestAlphaCandidatesCoverExhaustiveSearch(t *testing.T) {
 		// Advance a couple of iterations so T^r is nontrivial.
 		s.Step()
 		const maxAlpha = 80
-		s.ensureScratch(1)
-		bestCand := &best{delta: s.opt.Delta}
-		for _, a := range s.tr.candidateAlphas(maxAlpha) {
-			s.evalAlpha(s.scratch[0], a, bestCand)
+		bestOf := func(as []int) *best {
+			ws := make([]int64, len(as))
+			s.forAlphas(as, func(sc *evalScratch, j int, col []int64) { _, ws[j] = s.evalAlpha(sc, as[j], col) })
+			b := &best{delta: s.opt.Delta}
+			for j, a := range as {
+				b.consider(nil, a, ws[j])
+			}
+			return b
 		}
-		bestAll := &best{delta: s.opt.Delta}
+		bestCand := bestOf(s.tr.candidateAlphas(maxAlpha))
+		var all []int
 		for a := 1; a <= maxAlpha; a++ {
-			s.evalAlpha(s.scratch[0], a, bestAll)
+			all = append(all, a)
 		}
+		bestAll := bestOf(all)
 		if bestAll.benefit*int64(bestCand.alpha+s.opt.Delta) > bestCand.benefit*int64(bestAll.alpha+s.opt.Delta) {
 			t.Fatalf("seed %d: exhaustive ratio (%d/%d) beats candidate ratio (%d/%d)",
 				seed, bestAll.benefit, bestAll.alpha+s.opt.Delta, bestCand.benefit, bestCand.alpha+s.opt.Delta)
@@ -327,6 +333,7 @@ func TestOptionValidation(t *testing.T) {
 		{Window: 100, Epsilon64: -1},
 		{Window: 100, MultiRoute: true, Ports: 2},
 		{Window: 100, MultiRoute: true, MultiHop: true},
+		{Window: 100, MultiHop: true, Ports: 2}, // chaining plans one matching a configuration
 	}
 	for i, opt := range cases {
 		if _, err := New(g, load, opt); err == nil {

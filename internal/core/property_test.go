@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -181,46 +182,48 @@ func TestValidatedClaimsProperty(t *testing.T) {
 }
 
 // Property: the scheduler is deterministic, including under parallel α
-// evaluation.
+// evaluation, in every mode: each reads its G' off one g-table block that
+// several workers share.
 func TestParallelDeterminismProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		g, load := randomSmallLoad(seed)
-		if len(load.Flows) == 0 {
-			return true
-		}
-		run := func(par int) *Result {
-			s, err := New(g, load, Options{Window: 200, Delta: 6, Parallelism: par})
-			if err != nil {
-				return nil
-			}
-			res, err := s.Run()
-			if err != nil {
-				return nil
-			}
-			return res
-		}
-		a, b := run(1), run(4)
-		if a == nil || b == nil {
-			return false
-		}
-		if a.Psi != b.Psi || a.Delivered != b.Delivered || len(a.Schedule.Configs) != len(b.Schedule.Configs) {
-			return false
-		}
-		for i := range a.Schedule.Configs {
-			ca, cb := a.Schedule.Configs[i], b.Schedule.Configs[i]
-			if ca.Alpha != cb.Alpha || len(ca.Links) != len(cb.Links) {
-				return false
-			}
-			for j := range ca.Links {
-				if ca.Links[j] != cb.Links[j] {
+	for _, mode := range []struct {
+		name string
+		opt  Options
+	}{
+		{"exact", Options{}},
+		{"binary", Options{AlphaSearch: AlphaBinary}},
+		{"ports2", Options{Ports: 2}},
+		{"multihop", Options{MultiHop: true}},
+		{"greedy", Options{Matcher: MatcherGreedy}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				g, load := randomSmallLoad(seed)
+				if len(load.Flows) == 0 {
+					return true
+				}
+				run := func(par int) *Result {
+					opt := mode.opt
+					opt.Window, opt.Delta, opt.Parallelism = 200, 6, par
+					s, err := New(g, load, opt)
+					if err != nil {
+						return nil
+					}
+					res, err := s.Run()
+					if err != nil {
+						return nil
+					}
+					return res
+				}
+				a, b := run(1), run(4)
+				if a == nil || b == nil {
 					return false
 				}
+				return a.Psi == b.Psi && a.Delivered == b.Delivered && reflect.DeepEqual(a.Schedule.Configs, b.Schedule.Configs)
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

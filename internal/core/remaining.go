@@ -102,7 +102,7 @@ func (en entry) backtrack() bool { return en.routeID == backtrackRoute }
 // class and every heavier one. The queue serves by bw first, so a class is a
 // contiguous run of it, and everything the greedy loop asks of the queue
 // reads the classes alone: g(l, α) is piecewise linear with its breakpoints
-// at the class ends (gValueState), and the Procedure-1 α boundaries are the
+// at the class ends (fillLink), and the Procedure-1 α boundaries are the
 // prefix counts of the non-empty classes (candidateAlphas).
 type weightClass struct {
 	bw    int64
@@ -205,17 +205,15 @@ type remaining struct {
 	entries  []entry
 	homes    []int32
 	// stateList holds every non-nil element of links, sorted by edge once
-	// activeEdges has run; edgeList is its edges, index-aligned, and glinks
-	// the same as the matchers take them (what a g-table column is indexed by;
-	// grouped by From, so the greedy matcher reads it in place).
-	// Links that became active since are appended to stateList unsorted, so
-	// stateList[:len(edgeList)] is always in order.
-	stateList  []*linkState
-	edgeList   []graph.Edge
-	glinks     []matching.Edge
-	edgesDirty bool
-	mergeBuf   []*linkState // activeEdges' copy of the appended links
-	stateSlab  []linkState  // link states are carved from it, see open
+	// activeStates has run, and glinks their edges, index-aligned, as the
+	// matchers take them (what a g-table column is indexed by; grouped by
+	// From, so the greedy matcher reads it in place). Links that became
+	// active since are appended to stateList unsorted, so
+	// stateList[:len(glinks)] is always in order.
+	stateList []*linkState
+	glinks    []matching.Edge
+	mergeBuf  []*linkState // activeStates' copy of the appended links
+	stateSlab []linkState  // link states are carved from it, see open
 
 	eps        int  // Octopus-e ε in 1/64 units
 	multiRoute bool // Octopus+ first-hop route choice
@@ -360,16 +358,15 @@ func (tr *remaining) buildQueues(workers int) {
 		active += min(1, len(b.Of(id)))
 	}
 	tr.stateSlab, tr.stateList = make([]linkState, active), make([]*linkState, 0, active+active/growRoom)
-	tr.edgeList, tr.glinks = make([]graph.Edge, 0, cap(tr.stateList)), make([]matching.Edge, 0, cap(tr.stateList))
+	tr.glinks = make([]matching.Edge, 0, cap(tr.stateList))
 	for i := range g.N() {
 		for _, j := range g.Out(i) {
 			if len(b.Of(g.LinkID(i, j))) > 0 {
 				tr.open(graph.Edge{From: i, To: j})
-				tr.edgeList, tr.glinks = append(tr.edgeList, graph.Edge{From: i, To: j}), append(tr.glinks, matching.Edge{From: i, To: j})
+				tr.glinks = append(tr.glinks, matching.Edge{From: i, To: j}) // opened in order: nothing to merge
 			}
 		}
 	}
-	tr.edgesDirty = false // activeEdges' lists are these, in order
 	b.Each(workers, func(lo, hi int) {
 		n := 0
 		for id := lo; id < hi; id++ {
@@ -420,7 +417,7 @@ func (tr *remaining) open(e graph.Edge) *linkState {
 		}
 		tr.links[id], tr.stateSlab = &tr.stateSlab[0], tr.stateSlab[1:]
 		*tr.links[id] = linkState{tr: tr, edge: e, changed: true}
-		tr.stateList, tr.edgesDirty = append(tr.stateList, tr.links[id]), true
+		tr.stateList = append(tr.stateList, tr.links[id])
 	}
 	return tr.links[id]
 }
@@ -454,14 +451,14 @@ func (tr *remaining) addCommittedEntry(si int32) {
 	}
 }
 
-// activeEdges returns the sorted list of links with at least one entry. The
-// links that became active since the last call (a few hundred of tens of
+// activeStates returns the states of the links with at least one entry,
+// sorted by edge, and leaves tr.glinks index-aligned with them. The links
+// that became active since the last call (a few hundred of tens of
 // thousands, an iteration) are sorted on their own and merged into the
 // sorted rest from the back, in place.
-func (tr *remaining) activeEdges() []graph.Edge {
-	if tr.edgesDirty {
+func (tr *remaining) activeStates() []*linkState {
+	if old := len(tr.glinks); old < len(tr.stateList) {
 		byEdge := func(a, b *linkState) int { return cmpEdge(a.edge, b.edge) }
-		old := len(tr.edgeList)
 		fresh := append(tr.mergeBuf[:0], tr.stateList[old:]...)
 		slices.SortFunc(fresh, byEdge)
 		for i, w := old-1, len(tr.stateList)-1; len(fresh) > 0; w-- {
@@ -473,20 +470,11 @@ func (tr *remaining) activeEdges() []graph.Edge {
 			}
 		}
 		tr.mergeBuf = fresh
-		tr.edgeList, tr.glinks = tr.edgeList[:0], tr.glinks[:0]
+		tr.glinks = tr.glinks[:0]
 		for _, ls := range tr.stateList {
-			tr.edgeList = append(tr.edgeList, ls.edge)
 			tr.glinks = append(tr.glinks, matching.Edge{From: ls.edge.From, To: ls.edge.To})
 		}
-		tr.edgesDirty = false
 	}
-	return tr.edgeList
-}
-
-// activeStates returns the link states of activeEdges(), index-aligned with
-// it, so hot loops over the active links skip the per-edge lookup.
-func (tr *remaining) activeStates() []*linkState {
-	tr.activeEdges()
 	return tr.stateList
 }
 
@@ -501,27 +489,6 @@ func (tr *remaining) takeChanged() int {
 		}
 	}
 	return n
-}
-
-// gValueState computes g(i, j, α): the maximum benefit weight of α packets
-// queued on the link (Procedure 2, line 4). Each packet is counted once
-// even if it has entries with several candidate routes on other links.
-// The top α packets in queue order are all of the classes heavier than the
-// first class k whose prefix count reaches α, plus a partial take of k; a
-// class found that way is never empty, so drained cells cost nothing.
-func gValueState(ls *linkState, alpha int) int64 {
-	cs := ls.classes
-	if alpha <= 0 || len(cs) == 0 {
-		return 0
-	}
-	if top := &cs[len(cs)-1]; alpha >= top.prefC {
-		return top.prefB
-	}
-	k := 0
-	for cs[k].prefC < alpha {
-		k++
-	}
-	return cs[k].prefB - int64(cs[k].prefC-alpha)*cs[k].bw
 }
 
 // candidateAlphas implements Procedure 1 (SetOfAlphas): for every link, the

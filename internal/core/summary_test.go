@@ -73,13 +73,15 @@ func naiveCandidateAlphas(tr *remaining, maxAlpha int) []int {
 	return out
 }
 
-// gValue is gValueState by edge; a link that never held an entry is worth 0.
+// gValue is g(e, α) by the queue walk; a link that never held an entry is
+// worth 0.
 func (tr *remaining) gValue(e graph.Edge, alpha int) int64 {
 	ls := tr.state(e)
-	if ls == nil {
+	if ls == nil || alpha <= 0 {
 		return 0
 	}
-	return gValueState(ls, alpha)
+	walk := naiveGValue(tr, ls)
+	return walk[min(alpha, len(walk)-1)]
 }
 
 // lookup finds the subflow with the given key.
@@ -126,9 +128,8 @@ func classAlphas(ls *linkState) []int {
 }
 
 // classMismatch compares one link's weight classes with the per-entry
-// queue walks: the cells themselves, g(l, α) by gValueState and by fillLink
-// for every α from 0 to one past the queue's total, and the link's α
-// boundaries.
+// queue walks: the cells themselves, g(l, α) by fillLink for every α from 0
+// to one past the queue's total, and the link's α boundaries.
 func classMismatch(tr *remaining, ls *linkState) error {
 	want := naiveClasses(tr, ls)
 	if !slices.Equal(ls.classes, want) {
@@ -145,8 +146,8 @@ func classMismatch(tr *remaining, ls *linkState) error {
 	fillLink(col, 1, ls.classes, block)
 	walk := naiveGValue(tr, ls)
 	for _, a := range block {
-		if g, w := gValueState(ls, a), walk[min(a, len(walk)-1)]; g != w || col[a] != w {
-			return fmt.Errorf("link %v: g(α=%d) is %d, fillLink %d, the queue walk %d", ls.edge, a, g, col[a], w)
+		if w := walk[min(a, len(walk)-1)]; col[a] != w {
+			return fmt.Errorf("link %v: g(α=%d) is %d by fillLink, the queue walk %d", ls.edge, a, col[a], w)
 		}
 	}
 	if got, want := classAlphas(ls), naiveLinkAlphas(tr, ls); !slices.Equal(got, want) {
@@ -371,13 +372,13 @@ func TestSummaryEquivalenceRandomServes(t *testing.T) {
 		}
 		tr := newRemaining(g, load, int(seed%8), multi, multi, true)
 		for round := 0; round < 25; round++ {
-			edges := tr.activeEdges()
-			if len(edges) == 0 {
+			active := tr.activeStates()
+			if len(active) == 0 {
 				break
 			}
 			links := make([]graph.Edge, 0, 3)
 			for i := 0; i < 1+rng.Intn(3); i++ {
-				links = append(links, edges[rng.Intn(len(edges))])
+				links = append(links, active[rng.Intn(len(active))].edge)
 			}
 			classes := make(map[*linkState]int)
 			for _, ls := range tr.activeStates() {
@@ -457,9 +458,9 @@ func FuzzClassSummary(f *testing.F) {
 			op, x, y := ops[i], int(ops[i+1]), int(ops[i+2])
 			switch op % 3 {
 			case 0: // serve up to y+1 packets on one or two active links
-				active := tr.activeEdges()
-				links := []graph.Edge{active[x%len(active)]}
-				if e := active[(x+y)%len(active)]; op&4 != 0 && e != links[0] {
+				active := tr.activeStates()
+				links := []graph.Edge{active[x%len(active)].edge}
+				if e := active[(x+y)%len(active)].edge; op&4 != 0 && e != links[0] {
 					links = append(links, e)
 				}
 				tr.apply(links, 1+y)

@@ -3,7 +3,10 @@ package experiment
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,6 +125,45 @@ func TestFig10aExactSlowerThanGreedy(t *testing.T) {
 	exact, greedy := tab.Rows[0].Values[0], tab.Rows[0].Values[1]
 	if exact <= 0 || greedy <= 0 {
 		t.Fatalf("non-positive timings: %f %f", exact, greedy)
+	}
+}
+
+// TestFig9aOctopusBWithinPointTwo asserts the claim of EXPERIMENTS.md §9a
+// over the paper-scale results/fig9a.csv: Octopus-B delivers within 0.2
+// points of Octopus at every Δ (the largest gap is 0.184, at Δ = 100). A
+// copy with any one Octopus-B value moved 0.3 points away from Octopus
+// must fail the predicate.
+func TestFig9aOctopusBWithinPointTwo(t *testing.T) {
+	within := func(rows [][]float64) error {
+		for _, row := range rows {
+			if gap := math.Abs(row[1] - row[2]); gap > 0.2 {
+				return fmt.Errorf("Δ=%v: Octopus %.4f, Octopus-B %.4f, %.4f points apart", row[0], row[1], row[2], gap)
+			}
+		}
+		return nil
+	}
+	rows := readResults(t, "9a")
+	for _, row := range rows {
+		if len(row) != 3 {
+			t.Fatalf("fig9a.csv row %v: want delta, Octopus, Octopus-B", row)
+		}
+	}
+	if err := within(rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		broken := make([][]float64, len(rows))
+		for j := range rows {
+			broken[j] = slices.Clone(rows[j])
+		}
+		if row[2] >= row[1] {
+			broken[i][2] += 0.3
+		} else {
+			broken[i][2] -= 0.3
+		}
+		if within(broken) == nil {
+			t.Errorf("Δ=%v: Octopus-B moved 0.3 points and the predicate still holds", row[0])
+		}
 	}
 }
 
