@@ -29,10 +29,10 @@ import (
 	"octopus/internal/buildinfo"
 	"octopus/internal/core"
 	"octopus/internal/daemon"
-	"octopus/internal/graph"
 	"octopus/internal/httpd"
 	"octopus/internal/obs"
 	"octopus/internal/obs/flight"
+	"octopus/internal/traffic"
 )
 
 func main() {
@@ -79,11 +79,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("need at least 2 nodes, have %d", *n)
 	}
 
-	var fabric *graph.Digraph
-	if *deg > 0 {
-		fabric = graph.RandomPartial(*n, *deg, rand.New(rand.NewSource(*seed)))
-	} else {
-		fabric = graph.Complete(*n)
+	fabric, err := traffic.Scenario{N: *n, Deg: *deg}.Fabric(rand.New(rand.NewSource(*seed)))
+	if err != nil {
+		return err
 	}
 
 	var tracer *obs.Tracer

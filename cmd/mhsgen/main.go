@@ -12,7 +12,9 @@
 // The classic json format builds the whole load in memory; the jsonl and
 // bin flow-stream formats write one record at a time, so -pods loads far
 // larger than RAM stream straight to the output (use -out - for stdout).
-// -stats accepts all three encodings.
+// -stats accepts all three encodings. The generation flags mhsim shares
+// (-n, -window, -seed, -trace, -routes, -fixed-hops, -pods) build the same
+// load in both commands: each hands them to one traffic.Scenario.
 package main
 
 import (
@@ -22,153 +24,73 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 
 	"octopus/internal/buildinfo"
-	"octopus/internal/graph"
 	"octopus/internal/traffic"
 )
 
-// genConfig collects the generation flags; buildLoad turns it into a load.
-type genConfig struct {
-	n          int
-	window     int
-	seed       int64
-	trace      string
-	routes     int
-	fixedHops  int
-	skew       int
-	flows      int
-	pods       int       // >0: pod-structured load over n nodes
-	interFrac  float64   // -pods mode: fraction of flows crossing pods
-	interLinks int       // -pods mode: links per ordered pod pair (0 = default)
-	matrix     io.Reader // non-nil: build from a CSV demand matrix
-}
-
-// podParams resolves the -pods flags into generator parameters.
-func podParams(cfg genConfig) (traffic.PodParams, error) {
-	podSize, err := graph.PodDims(cfg.n, cfg.pods)
-	if err != nil {
-		return traffic.PodParams{}, err
-	}
-	p := traffic.DefaultPodParams(cfg.pods, podSize, cfg.window)
-	p.InterFrac = cfg.interFrac
-	if cfg.interLinks > 0 {
-		p.InterLinks = min(cfg.interLinks, podSize)
-	}
-	return p, nil
-}
-
-// buildLoad generates the traffic load described by cfg and returns it with
-// the complete fabric it was generated over.
-func buildLoad(cfg genConfig) (*graph.Digraph, *traffic.Load, error) {
-	rng := rand.New(rand.NewSource(cfg.seed))
-	if cfg.pods > 0 {
-		p, err := podParams(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := traffic.PodSynthetic(p, rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p.Fabric(), s.Materialize(nil), nil
-	}
-	if cfg.matrix != nil {
-		m, err := traffic.ReadDemandCSV(cfg.matrix)
-		if err != nil {
-			return nil, nil, err
-		}
-		g := graph.Complete(len(m))
-		load, err := traffic.FromDemandMatrix(g, m, cfg.window, traffic.SyntheticParams{RouteChoices: cfg.routes, FixedHops: cfg.fixedHops}, rng)
-		return g, load, err
-	}
-	g := graph.Complete(cfg.n)
-	if cfg.trace != "" {
-		kinds := map[string]traffic.TraceKind{
-			"fb-hadoop": traffic.FBHadoop,
-			"fb-web":    traffic.FBWeb,
-			"fb-db":     traffic.FBDatabase,
-			"ms":        traffic.MSHeatmap,
-		}
-		kind, ok := kinds[cfg.trace]
-		if !ok {
-			return nil, nil, fmt.Errorf("unknown trace %q", cfg.trace)
-		}
-		load, err := traffic.TraceLike(g, kind, cfg.window, traffic.SyntheticParams{RouteChoices: cfg.routes, FixedHops: cfg.fixedHops, MinHops: 1, MaxHops: 3}, rng)
-		return g, load, err
-	}
-	p := traffic.DefaultSyntheticParams(cfg.n, cfg.window)
-	p.RouteChoices = cfg.routes
-	p.FixedHops = cfg.fixedHops
-	p.NL = max(1, cfg.flows/4)
-	p.NS = max(1, cfg.flows-cfg.flows/4)
-	total := p.CL + p.CS
-	p.CS = total * cfg.skew / 100
-	p.CL = total - p.CS
-	load, err := traffic.Synthetic(g, p, rng)
-	return g, load, err
-}
-
 func main() {
-	var (
-		n          = flag.Int("n", 100, "number of network nodes")
-		window     = flag.Int("window", 10000, "window W (sets per-port traffic and trace scaling)")
-		seed       = flag.Int64("seed", 1, "RNG seed")
-		trace      = flag.String("trace", "", "trace-like load: fb-hadoop, fb-web, fb-db, ms (default: synthetic)")
-		routes     = flag.Int("routes", 1, "candidate routes per flow")
-		fixedHops  = flag.Int("fixed-hops", 0, "force every route to this many hops")
-		skew       = flag.Int("skew", 30, "c_S as percent of per-port traffic (synthetic)")
-		flows      = flag.Int("flows", 16, "flows per port, 1:3 large:small ratio (synthetic)")
-		pods       = flag.Int("pods", 0, "generate a pod-structured load over this many pods of n/pods nodes")
-		interpod   = flag.Float64("interpod", 0.3, "fraction of flows crossing pods (-pods mode)")
-		interlinks = flag.Int("interlinks", 0, "inter-pod links per ordered pod pair (0 = min(4, pod size))")
-		format     = flag.String("format", "json", "output encoding: json (classic document), jsonl or bin (flow streams)")
-		matrix     = flag.String("matrix", "", "build the load from a CSV demand matrix instead of generating")
-		out        = flag.String("out", "", "output path (default or \"-\": stdout)")
-		stats      = flag.String("stats", "", "print statistics of an existing load file (any encoding) and exit")
-		version    = flag.Bool("version", false, "print the version and exit")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "mhsgen: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// run is the whole command behind a testable seam: it parses args with its
+// own FlagSet and writes only to the given writers (and the -out file).
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mhsgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		n          = fs.Int("n", 100, "number of network nodes")
+		window     = fs.Int("window", 10000, "window W (sets per-port traffic and trace scaling)")
+		seed       = fs.Int64("seed", 1, "RNG seed")
+		trace      = fs.String("trace", "", "trace-like load: "+strings.Join(traffic.TraceNames, ", ")+" (default: synthetic; with -pods, over the pod fabric)")
+		routes     = fs.Int("routes", 1, "candidate routes per flow")
+		fixedHops  = fs.Int("fixed-hops", 0, "force every route to this many hops")
+		skew       = fs.Int("skew", 0, "c_S as percent of per-port traffic (synthetic; 0 = the paper's 30)")
+		flows      = fs.Int("flows", 0, "flows per port, 1:3 large:small ratio (synthetic; 0 = the paper's n-scaled count, 16 at n = 100)")
+		pods       = fs.Int("pods", 0, "generate a pod-structured load over this many pods of n/pods nodes")
+		interpod   = fs.Float64("interpod", traffic.DefaultInterPod, "fraction of flows crossing pods (-pods mode)")
+		interlinks = fs.Int("interlinks", 0, "inter-pod links per ordered pod pair (0 = min(4, pod size))")
+		format     = fs.String("format", "json", "output encoding: json (classic document), jsonl or bin (flow streams)")
+		matrix     = fs.String("matrix", "", "build the load from a CSV demand matrix instead of generating")
+		out        = fs.String("out", "", "output path (default or \"-\": stdout)")
+		stats      = fs.String("stats", "", "print statistics of an existing load file (any encoding) and exit")
+		version    = fs.Bool("version", false, "print the version and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *version {
-		buildinfo.Print(os.Stdout, "mhsgen")
-		return
+		buildinfo.Print(stdout, "mhsgen")
+		return nil
 	}
 	if *stats != "" {
-		printStats(*stats)
-		return
+		return printStats(stdout, *stats)
 	}
 
-	cfg := genConfig{
-		n: *n, window: *window, seed: *seed, trace: *trace,
-		routes: *routes, fixedHops: *fixedHops, skew: *skew, flows: *flows,
-		pods: *pods, interFrac: *interpod, interLinks: *interlinks,
+	sc := traffic.Scenario{
+		N: *n, Window: *window, Pods: *pods, InterPod: *interpod, InterLinks: *interlinks,
+		Trace: *trace, Routes: *routes, FixedHops: *fixedHops, Flows: *flows, Skew: *skew,
 	}
 	sf, streamed, err := parseFormat(*format)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if *matrix != "" {
 		f, err := os.Open(*matrix)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		defer f.Close()
-		cfg.matrix = f
-	}
-	if cfg.pods > 0 && streamed {
-		// The pod generator streams: flows go straight from the generator
-		// to the output without ever materializing the load in memory.
-		if err := emitPodStream(cfg, *out, sf); err != nil {
-			fatalf("%v", err)
+		sc.Matrix, err = traffic.ReadDemandCSV(f)
+		f.Close()
+		if err != nil {
+			return err
 		}
-		return
 	}
-	_, load, err := buildLoad(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	emit(load, *out, sf, streamed)
+	return generate(sc, *seed, *out, sf, streamed, stdout, stderr)
 }
 
 // parseFormat maps the -format flag onto an encoding; streamed reports
@@ -185,81 +107,63 @@ func parseFormat(name string) (traffic.StreamFormat, bool, error) {
 	return 0, false, fmt.Errorf("unknown format %q (want json, jsonl, or bin)", name)
 }
 
-// openOut resolves the -out flag; "" and "-" select stdout.
-func openOut(out string) (io.WriteCloser, bool, error) {
-	if out == "" || out == "-" {
-		return os.Stdout, true, nil
-	}
-	f, err := os.Create(out)
-	return f, false, err
-}
-
-// emitPodStream generates the pod load flow by flow directly into the
-// output stream.
-func emitPodStream(cfg genConfig, out string, sf traffic.StreamFormat) error {
-	p, err := podParams(cfg)
-	if err != nil {
-		return err
-	}
-	w, stdout, err := openOut(out)
-	if err != nil {
-		return err
-	}
-	sw := traffic.NewStreamWriter(w, sf)
-	flows, packets := 0, int64(0)
-	rng := rand.New(rand.NewSource(cfg.seed))
-	err = traffic.PodSyntheticEmit(p, rng, func(f traffic.Flow) error {
-		flows++
-		packets += int64(f.Size)
-		return sw.Write(&f)
-	})
-	if err == nil {
-		err = sw.Close()
-	}
-	if !stdout {
-		if cerr := w.Close(); err == nil {
-			err = cerr
+// generate writes the scenario's load to out ("" or "-": stdout). The
+// flow-stream encodings take it flow by flow, so a pod-synthetic load goes
+// straight from the generator to the output without ever being held in
+// memory; the classic document is built before the output is created.
+func generate(sc traffic.Scenario, seed int64, out string, sf traffic.StreamFormat, streamed bool, stdout, stderr io.Writer) error {
+	rng := rand.New(rand.NewSource(seed))
+	var load *traffic.Load
+	if !streamed {
+		g, err := sc.Fabric(rng)
+		if err != nil {
+			return err
+		}
+		if load, err = sc.Load(g, rng); err != nil {
+			return err
 		}
 	}
-	if err != nil {
-		return err
+	w := stdout
+	var file *os.File
+	if out != "" && out != "-" {
+		f, err := os.Create(out)
+		if err != nil {
+			return err
+		}
+		w, file = f, f
 	}
-	if !stdout {
-		fmt.Fprintf(os.Stderr, "wrote %s: %d flows, %d packets\n", out, flows, packets)
-	}
-	return nil
-}
-
-func emit(load *traffic.Load, out string, sf traffic.StreamFormat, streamed bool) {
-	w, stdout, err := openOut(out)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	flows, packets := 0, 0
+	var err error
 	if streamed {
 		sw := traffic.NewStreamWriter(w, sf)
-		for i := range load.Flows {
-			if err := sw.Write(&load.Flows[i]); err != nil {
-				fatalf("%v", err)
-			}
+		err = sc.Emit(rng, func(f traffic.Flow) error {
+			flows++
+			packets += f.Size
+			return sw.Write(&f)
+		})
+		if err == nil {
+			err = sw.Close()
 		}
-		if err := sw.Close(); err != nil {
-			fatalf("%v", err)
-		}
-	} else if err := load.WriteJSON(w); err != nil {
-		fatalf("%v", err)
+	} else {
+		flows, packets = len(load.Flows), load.TotalPackets()
+		err = load.WriteJSON(w)
 	}
-	if !stdout {
-		if err := w.Close(); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s: %d flows, %d packets\n", out, len(load.Flows), load.TotalPackets())
+	if file == nil {
+		return err
 	}
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		fmt.Fprintf(stderr, "wrote %s: %d flows, %d packets\n", out, flows, packets)
+	}
+	return err
 }
 
-func printStats(path string) {
+func printStats(w io.Writer, path string) error {
 	loadPtr, err := traffic.LoadAnyFile(path)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	load := *loadPtr
 	sizes := make([]int, 0, len(load.Flows))
@@ -284,21 +188,17 @@ func printStats(path string) {
 		i := int(p * float64(len(sizes)-1))
 		return sizes[i]
 	}
-	fmt.Printf("flows:   %d\n", len(load.Flows))
-	fmt.Printf("packets: %d\n", load.TotalPackets())
-	fmt.Printf("nodes:   >= %d\n", maxNode+1)
-	fmt.Printf("hop mix (packets): ")
+	fmt.Fprintf(w, "flows:   %d\n", len(load.Flows))
+	fmt.Fprintf(w, "packets: %d\n", load.TotalPackets())
+	fmt.Fprintf(w, "nodes:   >= %d\n", maxNode+1)
+	fmt.Fprintf(w, "hop mix (packets): ")
 	for h := 1; h <= load.MaxHops(); h++ {
-		fmt.Printf("%d-hop=%d ", h, hops[h])
+		fmt.Fprintf(w, "%d-hop=%d ", h, hops[h])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if len(sizes) > 0 {
-		fmt.Printf("flow size: min=%d p50=%d p90=%d p99=%d max=%d\n",
+		fmt.Fprintf(w, "flow size: min=%d p50=%d p90=%d p99=%d max=%d\n",
 			sizes[0], pct(0.5), pct(0.9), pct(0.99), sizes[len(sizes)-1])
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mhsgen: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

@@ -10,7 +10,7 @@
 //	mhsim -n 100 -window 10000 -delta 20 -algo octopus
 //	mhsim -algo octopus-plus -routes 10
 //	mhsim -algo octopus-e:eps64=8
-//	mhsim -trace fb-hadoop -algo eclipse-based
+//	mhsim -trace fb-web -algo eclipse-based
 //	mhsim -load load.json -algo octopus-g -v
 //	mhsim -algo octopus -faults trace.json
 //	mhsim -list-algos
@@ -170,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		delta      = fs.Int("delta", 20, "reconfiguration delay Δ in time slots")
 		algoSpec   = fs.String("algo", "octopus", "algorithm spec name[:key=value,...]; names: "+strings.Join(algo.Names(), ", "))
 		seed       = fs.Int64("seed", 1, "RNG seed")
-		trace      = fs.String("trace", "", "trace-like load: fb-hadoop, fb-web, fb-db, ms (default: synthetic)")
+		trace      = fs.String("trace", "", "trace-like load: "+strings.Join(traffic.TraceNames, ", ")+" (default: synthetic)")
 		loadPath   = fs.String("load", "", "read the traffic load from a file (JSON document, JSONL or binary flow stream) instead of generating")
 		routes     = fs.Int("routes", 1, "candidate routes per flow (for octopus-plus / octopus-random)")
 		fixedHops  = fs.Int("fixed-hops", 0, "force every route to this many hops")
@@ -249,41 +249,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-redundancy-out needs -redundancy")
 	}
 
+	// One rng, drawn in order: a partial fabric, then the load, then
+	// whatever the algorithm draws (octopus-random's route picks).
 	rng := rand.New(rand.NewSource(*seed))
 	params.Rng = rng
-	var g *graph.Digraph
-	switch {
-	case *podsFabric > 0:
-		if *deg > 0 {
-			return fmt.Errorf("-pods and -deg are mutually exclusive")
-		}
-		podSize, err := graph.PodDims(*n, *podsFabric)
-		if err != nil {
-			return err
-		}
-		g = graph.Pods(*podsFabric, podSize, min(4, podSize))
-	case *deg > 0:
-		g = graph.RandomPartial(*n, *deg, rng)
-	default:
-		g = graph.Complete(*n)
+	sc := traffic.Scenario{
+		N: *n, Window: *window, Deg: *deg, Pods: *podsFabric, InterPod: traffic.DefaultInterPod,
+		Trace: *trace, Routes: *routes, FixedHops: *fixedHops,
 	}
-
+	g, err := sc.Fabric(rng)
+	if err != nil {
+		return err
+	}
 	faults, err := loadFaults(*faultsPath, g)
 	if err != nil {
 		return err
 	}
-
 	var load *traffic.Load
-	if *podsFabric > 0 && *loadPath == "" && *trace == "" {
-		// Pod fabric with no explicit load: generate the matching
-		// pod-structured workload (skewed intra-pod mix, inter-pod flows
-		// over the gateway links).
-		store, perr := traffic.PodSynthetic(traffic.DefaultPodParams(*podsFabric, g.N() / *podsFabric, *window), rng)
-		if perr != nil {
-			return perr
-		}
-		load = store.Materialize(nil)
-	} else if load, err = makeLoad(g, *loadPath, *trace, *n, *window, *routes, *fixedHops, rng); err != nil {
+	if *loadPath != "" {
+		load, err = readLoad(*loadPath, g)
+	} else {
+		load, err = sc.Load(g, rng)
+	}
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "fabric: %d nodes, %d links; load: %d flows, %d packets, max %d hops\n",
@@ -585,34 +573,16 @@ func runShowdown(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults 
 	return nil
 }
 
-func makeLoad(g *graph.Digraph, path, trace string, n, window, routes, fixedHops int, rng *rand.Rand) (*traffic.Load, error) {
-	if path != "" {
-		load, err := traffic.LoadAnyFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("load %s: %w", path, err)
-		}
-		if err := load.Validate(g); err != nil {
-			return nil, fmt.Errorf("load %s does not fit the selected fabric: %w", path, err)
-		}
-		return load, nil
+// readLoad reads a load file (any encoding) and checks it fits the fabric.
+func readLoad(path string, g *graph.Digraph) (*traffic.Load, error) {
+	load, err := traffic.LoadAnyFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("load %s: %w", path, err)
 	}
-	kinds := map[string]traffic.TraceKind{
-		"fb-hadoop": traffic.FBHadoop,
-		"fb-web":    traffic.FBWeb,
-		"fb-db":     traffic.FBDatabase,
-		"ms":        traffic.MSHeatmap,
+	if err := load.Validate(g); err != nil {
+		return nil, fmt.Errorf("load %s does not fit the selected fabric: %w", path, err)
 	}
-	if trace != "" {
-		kind, ok := kinds[trace]
-		if !ok {
-			return nil, fmt.Errorf("unknown trace %q", trace)
-		}
-		return traffic.TraceLike(g, kind, window, traffic.SyntheticParams{}, rng)
-	}
-	p := traffic.DefaultSyntheticParams(n, window)
-	p.RouteChoices = routes
-	p.FixedHops = fixedHops
-	return traffic.Synthetic(g, p, rng)
+	return load, nil
 }
 
 func report(w io.Writer, delivered, total int, frac float64, hops int, util float64, replayed, configs int) {

@@ -18,31 +18,74 @@ import (
 	"octopus/internal/traffic"
 )
 
-func TestMakeLoadSynthetic(t *testing.T) {
-	g := graph.Complete(8)
+// sameInstance runs mhsim with args twice — generating the load in place,
+// and reading sc's load from a file — and requires identical output: the
+// flags build exactly the load sc describes. It returns sc's load.
+func sameInstance(t *testing.T, sc traffic.Scenario, args ...string) *traffic.Load {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
-	load, err := makeLoad(g, "", "", 8, 100, 1, 0, rng)
+	g, err := sc.Fabric(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := load.Validate(g); err != nil {
+	load, err := sc.Load(g, rng)
+	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "load.json")
+	if err := load.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	args = append(args, "-seed", "1", "-delta", "10", "-algo", "octopus-g")
+	var inPlace, fromFile bytes.Buffer
+	if err := run(args, &inPlace, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-load", path), &fromFile, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if inPlace.String() != fromFile.String() {
+		t.Errorf("%v: in place\n%s\nfrom the file of %+v\n%s", args, inPlace.String(), sc, fromFile.String())
+	}
+	return load
 }
 
+// TestMakeLoadSynthetic: the synthetic and pod loads mhsim generates are
+// the scenario's, at the paper's n-scaled flow counts.
+func TestMakeLoadSynthetic(t *testing.T) {
+	sameInstance(t, traffic.Scenario{N: 24, Window: 1000}, "-n", "24", "-window", "1000")
+	sameInstance(t, traffic.Scenario{N: 24, Window: 96, Pods: 4, InterPod: traffic.DefaultInterPod}, "-n", "24", "-window", "96", "-pods", "4")
+}
+
+// TestMakeLoadTraces: every trace-like load, and -routes/-fixed-hops with
+// a trace (which mhsim once dropped), reach the generator.
 func TestMakeLoadTraces(t *testing.T) {
-	g := graph.Complete(8)
-	for _, tr := range []string{"fb-hadoop", "fb-web", "fb-db", "ms"} {
-		rng := rand.New(rand.NewSource(1))
-		load, err := makeLoad(g, "", tr, 8, 100, 1, 0, rng)
-		if err != nil {
-			t.Fatalf("%s: %v", tr, err)
-		}
+	for _, tr := range traffic.TraceNames {
+		load := sameInstance(t, traffic.Scenario{N: 8, Window: 100, Trace: tr}, "-n", "8", "-window", "100", "-trace", tr)
 		if load.TotalPackets() == 0 {
 			t.Fatalf("%s: empty", tr)
 		}
 	}
-	if _, err := makeLoad(g, "", "bogus", 8, 100, 1, 0, rand.New(rand.NewSource(1))); err == nil {
+	sameInstance(t, traffic.Scenario{N: 12, Window: 600, Trace: "ms", FixedHops: 2},
+		"-n", "12", "-window", "600", "-trace", "ms", "-fixed-hops", "2")
+	load := sameInstance(t, traffic.Scenario{N: 12, Window: 600, Trace: "fb-hadoop", Routes: 3, FixedHops: 2},
+		"-n", "12", "-window", "600", "-trace", "fb-hadoop", "-routes", "3", "-fixed-hops", "2")
+	three := 0
+	for _, f := range load.Flows {
+		for _, r := range f.Routes {
+			if r.Hops() != 2 {
+				t.Fatalf("flow %d: route %v is not 2 hops", f.ID, r)
+			}
+		}
+		if len(f.Routes) == 3 {
+			three++
+		}
+	}
+	// Routes are distinct, so a flow may draw fewer than 3.
+	if 2*three < len(load.Flows) {
+		t.Errorf("%d of %d flows have 3 routes", three, len(load.Flows))
+	}
+	if err := run([]string{"-n", "8", "-trace", "bogus"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("bogus trace accepted")
 	}
 }
@@ -56,14 +99,14 @@ func TestMakeLoadFromFile(t *testing.T) {
 	if err := src.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	load, err := makeLoad(g, path, "", 4, 100, 1, 0, rand.New(rand.NewSource(1)))
+	load, err := readLoad(path, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if load.TotalPackets() != 5 {
 		t.Fatalf("got %d packets", load.TotalPackets())
 	}
-	if _, err := makeLoad(g, filepath.Join(t.TempDir(), "nope.json"), "", 4, 100, 1, 0, nil); err == nil {
+	if _, err := readLoad(filepath.Join(t.TempDir(), "nope.json"), g); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	// A load referencing nodes outside the fabric is rejected.
@@ -74,7 +117,7 @@ func TestMakeLoadFromFile(t *testing.T) {
 	if err := big.SaveFile(path2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := makeLoad(g, path2, "", 4, 100, 1, 0, nil); err == nil {
+	if _, err := readLoad(path2, g); err == nil {
 		t.Fatal("out-of-fabric load accepted")
 	}
 }
@@ -272,7 +315,7 @@ func TestMakeLoadRejectsOffFabricRoute(t *testing.T) {
 	if err := bad.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	_, err := makeLoad(g, path, "", 6, 100, 1, 0, nil)
+	_, err := readLoad(path, g)
 	if err == nil {
 		t.Fatal("off-fabric route accepted")
 	}

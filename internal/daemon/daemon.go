@@ -306,7 +306,6 @@ func (s *Server) commit(plan *engine.Plan, planDur time.Duration, overrun bool) 
 	}
 	s.boundary.Store(int64(s.pipe.Boundary()))
 	s.reg.Gauge("octopus_daemon_queued_packets").Set(int64(s.pipe.QueuedPackets()))
-	s.reg.Histogram("octopus_daemon_plan_micros").Observe(planDur.Microseconds())
 	s.reg.Duration("octopus_daemon_plan_seconds").Observe(planDur.Nanoseconds())
 
 	rec := EpochRecord{

@@ -43,34 +43,21 @@ type series struct {
 	bound func(in instance, load *traffic.Load) float64
 }
 
-// instance describes the MHS instance of one sweep point: a complete
-// fabric carrying the paper's synthetic load (adjusted by synth) or a
-// trace-like load.
+// instance is the MHS instance of one sweep point: the scenario the
+// figure's overlay sets up, run at Δ and ports.
 type instance struct {
-	x      int // the sweep value
-	nodes  int
-	window int
-	delta  int
-	ports  int                            // ports per node (§7); 0 = single-port
-	synth  func(*traffic.SyntheticParams) // nil = the paper's defaults
-	trace  int                            // 1-based index into traceKinds; 0 = synthetic
+	traffic.Scenario
+	x     int // the sweep value
+	delta int
+	ports int // ports per node (§7); 0 = single-port
 }
 
-// traceKinds are the loads standing in for the Facebook (Hadoop, web,
-// database) and Microsoft traces, in Fig 6's x-axis order.
-var traceKinds = []traffic.TraceKind{traffic.FBHadoop, traffic.FBWeb, traffic.FBDatabase, traffic.MSHeatmap}
-
 func (in instance) build(rng *rand.Rand) (*graph.Digraph, *traffic.Load, error) {
-	g := graph.Complete(in.nodes)
-	if in.trace > 0 {
-		load, err := traffic.TraceLike(g, traceKinds[in.trace-1], in.window, traffic.SyntheticParams{}, rng)
-		return g, load, err
+	g, err := in.Fabric(rng)
+	if err != nil {
+		return nil, nil, err
 	}
-	p := traffic.DefaultSyntheticParams(in.nodes, in.window)
-	if in.synth != nil {
-		in.synth(&p)
-	}
-	load, err := traffic.Synthetic(g, p, rng)
+	load, err := in.Load(g, rng)
 	return g, load, err
 }
 
@@ -87,7 +74,7 @@ func (f *figure) run(sc Scale) (*Table, error) {
 		t.Series = append(t.Series, s.label)
 	}
 	for i, x := range f.xs(sc) {
-		in := instance{x: x, nodes: sc.Nodes, window: sc.Window, delta: sc.Delta}
+		in := instance{Scenario: traffic.Scenario{N: sc.Nodes, Window: sc.Window}, x: x, delta: sc.Delta}
 		if f.at != nil {
 			f.at(sc, &in)
 		}
@@ -114,7 +101,7 @@ func (f *figure) measure(sc Scale, in instance, rng *rand.Rand) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	base := algo.Params{Window: in.window, Delta: in.delta, Ports: in.ports, Matcher: sc.Matcher, Rng: rng}
+	base := algo.Params{Window: in.Window, Delta: in.delta, Ports: in.ports, Matcher: sc.Matcher, Rng: rng}
 	outs := make(map[string]*algo.Outcome) // a spec two series share (Fig 8) runs once
 	vals := make([]float64, len(f.series))
 	for i, s := range f.series {
@@ -151,7 +138,7 @@ var absoluteUB = series{label: "AbsoluteUB", bound: func(in instance, load *traf
 	if total == 0 {
 		return 0
 	}
-	return float64(baseline.AbsoluteUpperBound(load, in.window*max(1, in.ports), in.nodes)) / float64(total) * 100
+	return float64(baseline.AbsoluteUpperBound(load, in.Window*max(1, in.ports), in.N)) / float64(total) * 100
 }}
 
 // comparison is the Fig 4/5/7a roster: Octopus against the Eclipse-based
@@ -185,37 +172,21 @@ func fixed(xs ...int) func(Scale) []int {
 }
 
 // Instance overlays.
-func byNodes(_ Scale, in *instance) { in.nodes = in.x }
+func byNodes(_ Scale, in *instance) { in.N = in.x }
 func byDelta(_ Scale, in *instance) { in.delta = in.x }
 
 // bySkew sets c_S to x% of c_S + c_L.
-func bySkew(_ Scale, in *instance) {
-	in.synth = func(p *traffic.SyntheticParams) {
-		total := p.CL + p.CS
-		p.CS = total * in.x / 100
-		p.CL = total - p.CS
-	}
-}
+func bySkew(_ Scale, in *instance) { in.Skew = in.x }
 
 // bySparsity spreads x flows per port over large and small at 1:3.
-func bySparsity(_ Scale, in *instance) {
-	in.synth = func(p *traffic.SyntheticParams) {
-		p.NL = max(1, in.x/4)
-		p.NS = max(1, in.x-in.x/4)
-	}
-}
+func bySparsity(_ Scale, in *instance) { in.Flows = in.x }
 
 // byHops forces every flow onto a route of exactly x hops.
-func byHops(_ Scale, in *instance) {
-	in.synth = func(p *traffic.SyntheticParams) { p.FixedHops = in.x }
-}
+func byHops(_ Scale, in *instance) { in.FixedHops = in.x }
 
 // tenRoutesByDelta is the §6 multi-route setting: 10 route choices of 1-3
 // hops per flow, swept over Δ.
-func tenRoutesByDelta(_ Scale, in *instance) {
-	in.delta = in.x
-	in.synth = func(p *traffic.SyntheticParams) { p.RouteChoices = 10 }
-}
+func tenRoutesByDelta(_ Scale, in *instance) { in.delta, in.Routes = in.x, 10 }
 
 // figures is the one table: the 16 figures of the paper's §8, then the
 // extensions — ablations of design choices DESIGN.md calls out and the §7
@@ -250,7 +221,7 @@ var figures = []figure{
 
 	{id: "6", title: "Performance over datacenter trace-like loads",
 		xlabel: "trace", ylabel: "% packets delivered",
-		xs: fixed(1, 2, 3, 4), at: func(_ Scale, in *instance) { in.trace = in.x },
+		xs: fixed(1, 2, 3, 4), at: func(_ Scale, in *instance) { in.Trace = traffic.TraceNames[in.x-1] },
 		series: comparison(delivered, absoluteUB)},
 
 	{id: "7a", title: "Packets delivered as percentage of ψ vs reconfiguration delay",
@@ -299,7 +270,7 @@ var figures = []figure{
 		xlabel: "delta", ylabel: "% packets delivered",
 		xs: deltaSweep,
 		at: func(sc Scale, in *instance) {
-			in.nodes, in.delta = sc.TimeNodeSweep[len(sc.TimeNodeSweep)-1], in.x
+			in.N, in.delta = sc.TimeNodeSweep[len(sc.TimeNodeSweep)-1], in.x
 		},
 		series: []series{
 			{label: "Octopus", spec: "octopus:matcher=exact", pick: delivered},
@@ -315,7 +286,7 @@ var figures = []figure{
 	// x is the load intensity: the synthetic load is sized for x% of W.
 	{id: "ext-makespan", title: "Makespan minimization (§7)",
 		xlabel: "load%", ylabel: "slots",
-		xs: fixed(25, 50, 100), at: func(_ Scale, in *instance) { in.window = in.window * in.x / 100 },
+		xs: fixed(25, 50, 100), at: func(_ Scale, in *instance) { in.Window = in.Window * in.x / 100 },
 		series: labels("Octopus makespan", "per-port lower bound"), point: makespan},
 	// With the paper's general multi-route loads, backtracking is what
 	// guarantees the approximation bound; this measures what it buys.
@@ -346,10 +317,7 @@ var figures = []figure{
 	{id: "ext-epsilon", title: "Octopus-e ε sensitivity (uniform 3-hop routes)",
 		xlabel: "eps64", ylabel: "% packets delivered",
 		xs: fixed(0, 2, 4, 8, 16, 32, 64),
-		at: func(sc Scale, in *instance) {
-			hops := sc.HopSweep[len(sc.HopSweep)-1]
-			in.synth = func(p *traffic.SyntheticParams) { p.FixedHops = hops }
-		},
+		at: func(sc Scale, in *instance) { in.FixedHops = sc.HopSweep[len(sc.HopSweep)-1] },
 		series: []series{
 			{label: "Octopus-e", spec: "octopus:eps64=%d", pick: delivered},
 			{label: "UB", spec: "ub", pick: delivered},
@@ -371,7 +339,7 @@ func iterationTimes(_ Scale, in instance, rng *rand.Rand) ([]float64, error) {
 	}
 	var vals []float64
 	for _, m := range []core.Matcher{core.MatcherExact, core.MatcherGreedy} {
-		s, err := core.New(g, load, core.Options{Window: in.window, Delta: in.delta, Matcher: m})
+		s, err := core.New(g, load, core.Options{Window: in.Window, Delta: in.delta, Matcher: m})
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +382,7 @@ func peakBuffers(sc Scale, in instance, rng *rand.Rand) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := core.New(g, load, core.Options{Window: in.window, Delta: in.delta, Matcher: sc.Matcher})
+	s, err := core.New(g, load, core.Options{Window: in.Window, Delta: in.delta, Matcher: sc.Matcher})
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +390,7 @@ func peakBuffers(sc Scale, in instance, rng *rand.Rand) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := simulate.Run(g, load, res.Schedule, simulate.Options{Window: in.window, TrackBuffers: true})
+	sim, err := simulate.Run(g, load, res.Schedule, simulate.Options{Window: in.Window, TrackBuffers: true})
 	if err != nil {
 		return nil, err
 	}

@@ -35,8 +35,8 @@ func benchScenario(b *testing.B, n, window int) (*graph.Digraph, *traffic.Load, 
 
 // BenchmarkReplayBulk replays in bulk mode. pods is BenchmarkNewRemaining's
 // shape in internal/core — 100k single-route flows on a 16×16 pod fabric —
-// under a schedule of one configuration, so that building the state is the
-// op: B/op ÷ flows is the layout's cost, allocs/op must not grow with flows.
+// under a schedule of one configuration, so that validating the load and
+// building the state is the op: B/op ÷ flows is the layout's cost, allocs/op must not grow with flows.
 func BenchmarkReplayBulk(b *testing.B) {
 	b.Run("pods", func(b *testing.B) {
 		g, load := podInstance(b, 16, 16, 100_000)
@@ -44,7 +44,7 @@ func BenchmarkReplayBulk(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(g, load, sch, Options{SkipValidate: true}); err != nil {
+			if _, err := Run(g, load, sch, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -37,8 +37,7 @@ type refGroup struct {
 // refInsert is the build newState replaced, kept as its oracle: find the
 // group's place by binary search on (prio desc, ID asc), merge with the
 // group already there when the two are interchangeable, shift the rest up
-// otherwise. One departure: it merged on (ID, pos, avail) alone, which under
-// repeated IDs could fold packets into a group of another weight; like the
+// otherwise. One departure: it merged on (ID, pos, avail) alone; like the
 // replay's merge it now wants equal prio too.
 func refInsert(q []refGroup, g refGroup) []refGroup {
 	i := sort.Search(len(q), func(i int) bool {
@@ -62,7 +61,7 @@ func refQueues(g *graph.Digraph, load *traffic.Load, opt Options) [][]refGroup {
 	queues := make([][]refGroup, g.M())
 	for i := range load.Flows {
 		f := &load.Flows[i]
-		r := f.Routes[opt.RouteChoice[f.ID]]
+		r := f.Routes[0]
 		wl := f.WeightLen(r)
 		_, member := opt.Redundancy.GroupOf(f.ID)
 		id := g.LinkID(r[0], r[1])
@@ -116,43 +115,28 @@ func layoutLoad(rng *rand.Rand, g *graph.Digraph, flows int) *traffic.Load {
 
 // TestBulkBuildEqualsIncrementalInsert: count, carve, deal and sort once
 // leaves every queue as inserting the flows one at a time leaves it, whether
-// flow IDs ascend in load order (prio-only sort), are shuffled (full
-// comparator) or repeat (SkipValidate: the merge), with a route choice, an ε
-// and redundancy groups in play.
+// flow IDs ascend in load order (prio-only sort) or are shuffled (full
+// comparator), with multi-route flows, an ε and redundancy groups in play.
 func TestBulkBuildEqualsIncrementalInsert(t *testing.T) {
-	merged := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.Complete(4 + rng.Intn(4))
 		load := layoutLoad(rng, g, 20+rng.Intn(200))
-		opt := Options{Epsilon64: []int{0, 0, 7, 64}[rng.Intn(4)], RouteChoice: map[int]int{}}
-		switch seed % 3 {
-		case 1:
+		opt := Options{Epsilon64: []int{0, 0, 7, 64}[rng.Intn(4)]}
+		if seed%3 == 1 {
 			rng.Shuffle(len(load.Flows), func(i, j int) { load.Flows[i], load.Flows[j] = load.Flows[j], load.Flows[i] })
-		case 2:
-			opt.SkipValidate = true
-			for i := range load.Flows {
-				load.Flows[i].ID = 1 + rng.Intn(len(load.Flows)/3)
-			}
 		}
 		red := &traffic.Redundancy{Group: map[int]int{}}
 		for i := range load.Flows {
-			f := &load.Flows[i]
-			// Flows sharing an ID share the choice, as the ID-keyed map makes them.
-			if ri := rng.Intn(3); ri < len(f.Routes) && !opt.SkipValidate {
-				opt.RouteChoice[f.ID] = ri
-			}
 			if rng.Intn(4) == 0 {
-				red.Group[f.ID] = load.Flows[rng.Intn(i+1)].ID
+				red.Group[load.Flows[i].ID] = load.Flows[rng.Intn(i+1)].ID
 			}
 		}
 		if seed%2 == 0 {
 			opt.Redundancy = red
 		}
-		if !opt.SkipValidate {
-			if err := load.Validate(g); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
+		if err := load.Validate(g); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		st, err := newState(g, load, opt)
 		if err != nil {
@@ -165,18 +149,9 @@ func TestBulkBuildEqualsIncrementalInsert(t *testing.T) {
 				}
 			}
 		}
-		// Every group a merge emptied is free for reuse, and nothing else is.
-		queued := 0
-		for _, q := range st.queues {
-			queued += len(q)
+		if len(st.free) != 0 {
+			t.Fatalf("seed %d: %d groups free before the replay", seed, len(st.free))
 		}
-		if queued+len(st.free) != len(load.Flows) {
-			t.Fatalf("seed %d: %d queued + %d free groups for %d flows", seed, queued, len(st.free), len(load.Flows))
-		}
-		merged += len(st.free)
-	}
-	if merged == 0 {
-		t.Fatal("no seed merged two flows: the repeated-ID case is not exercised")
 	}
 }
 
@@ -226,18 +201,15 @@ func TestReplayIndexWidthsFailClosed(t *testing.T) {
 	if res.TotalPackets != math.MaxInt32+7 || res.Delivered != 47 || res.Hops != 87 || res.Stranded != 0 {
 		t.Fatalf("in-range replay: %+v", res)
 	}
-	for _, skip := range []bool{false, true} {
-		opt := Options{SkipValidate: skip}
-		if _, err := Run(g, load(math.MaxInt32+1, traffic.Route{0, 1, 2}), sch(40), opt); err == nil || !strings.Contains(err.Error(), "size") {
-			t.Errorf("SkipValidate %v, a flow of 2^31 packets: err = %v, want a size error", skip, err)
-		}
-		long := make(traffic.Route, math.MaxInt16+1)
-		for i := range long {
-			long[i] = i % 2
-		}
-		if _, err := Run(g, load(5, long), sch(40), opt); err == nil {
-			t.Errorf("SkipValidate %v: a route of %d nodes replayed", skip, len(long))
-		}
+	if _, err := Run(g, load(math.MaxInt32+1, traffic.Route{0, 1, 2}), sch(40), Options{}); err == nil || !strings.Contains(err.Error(), "size") {
+		t.Errorf("a flow of 2^31 packets: err = %v, want a size error", err)
+	}
+	long := make(traffic.Route, math.MaxInt16+1)
+	for i := range long {
+		long[i] = i % 2
+	}
+	if _, err := Run(g, load(5, long), sch(40), Options{}); err == nil {
+		t.Errorf("a route of %d nodes replayed", len(long))
 	}
 	// Slots: the last one a configuration may end at is MaxInt32.
 	if _, err := Run(g, load(5, traffic.Route{0, 1, 2}), sch(math.MaxInt32-1), Options{}); err == nil || !strings.Contains(err.Error(), "slot") {
@@ -304,24 +276,19 @@ func TestNewStateBytesPerFlow(t *testing.T) {
 // TestQueueBuildParallelEqualsSerial: every queue of the replay state is in
 // priority order, and the state built under GOMAXPROCS 2 and 8 — groups, free list and every queue — is the one built
 // under GOMAXPROCS 1, on a pod load that the deal and the per-link sorts cut
-// into several work items: in load order, shuffled, and with repeated IDs
-// that merge.
+// into several work items: in load order and shuffled.
 func TestQueueBuildParallelEqualsSerial(t *testing.T) {
 	g, load := podInstance(t, 16, 16, 200_000)
 	shuffled := &traffic.Load{Flows: slices.Clone(load.Flows)}
 	rand.New(rand.NewSource(1)).Shuffle(len(shuffled.Flows), func(i, j int) {
 		shuffled.Flows[i], shuffled.Flows[j] = shuffled.Flows[j], shuffled.Flows[i]
 	})
-	repeated := &traffic.Load{Flows: slices.Clone(shuffled.Flows)}
-	for i := range repeated.Flows {
-		repeated.Flows[i].ID %= 1000
-	}
 	if len(load.Flows) < 4*par.Item {
 		t.Fatalf("%d flows make fewer than four work items", len(load.Flows))
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for name, l := range map[string]*traffic.Load{"ascending": load, "shuffled": shuffled, "repeated": repeated} {
-		opt := Options{Epsilon64: 8, SkipValidate: name == "repeated"}
+	for name, l := range map[string]*traffic.Load{"ascending": load, "shuffled": shuffled} {
+		opt := Options{Epsilon64: 8}
 		var serial *state
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
@@ -334,15 +301,12 @@ func TestQueueBuildParallelEqualsSerial(t *testing.T) {
 				// With IDs unique, (prio desc, ID asc) is strict: the order the
 				// queues must hold, whatever order the deal left them in.
 				for id, q := range st.queues {
-					for i := 1; i < len(q) && name != "repeated"; i++ {
+					for i := 1; i < len(q); i++ {
 						a, b := &st.groups[q[i-1]], &st.groups[q[i]]
 						if a.prio < b.prio || a.prio == b.prio && st.id(a) >= st.id(b) {
 							t.Fatalf("%s: link %d queues flow %d before %d", name, id, st.id(a), st.id(b))
 						}
 					}
-				}
-				if name == "repeated" && len(st.free) == 0 {
-					t.Fatal("no flows merged: the repeated-ID case is not exercised")
 				}
 				continue
 			}
@@ -362,23 +326,20 @@ func TestQueueBuildParallelEqualsSerial(t *testing.T) {
 // Each flow's group takes its place in its first hop's queue, queues in link
 // id order, so that every queue is a run of consecutive group indices and the
 // runs follow one another — whether flow IDs ascend in load order, are
-// shuffled, or flows choose among several routes.
+// shuffled, or flows carry several routes.
 func TestQueuesAreRunsInServeOrder(t *testing.T) {
 	g, load := podInstance(t, 8, 8, 20_000)
 	shuffled := &traffic.Load{Flows: slices.Clone(load.Flows)}
 	rng := rand.New(rand.NewSource(1))
 	rng.Shuffle(len(shuffled.Flows), func(i, j int) { shuffled.Flows[i], shuffled.Flows[j] = shuffled.Flows[j], shuffled.Flows[i] })
 	mg := graph.Complete(7)
-	multi, choice := layoutLoad(rng, mg, 2_000), map[int]int{}
-	for _, f := range multi.Flows {
-		choice[f.ID] = rng.Intn(len(f.Routes))
-	}
+	multi := layoutLoad(rng, mg, 2_000)
 	for _, c := range []struct {
 		name string
 		g    *graph.Digraph
 		load *traffic.Load
 		opt  Options
-	}{{"ascending", g, load, Options{}}, {"shuffled", g, shuffled, Options{Epsilon64: 8}}, {"multi-route", mg, multi, Options{RouteChoice: choice}}} {
+	}{{"ascending", g, load, Options{}}, {"shuffled", g, shuffled, Options{Epsilon64: 8}}, {"multi-route", mg, multi, Options{}}} {
 		st, err := newState(c.g, c.load, c.opt)
 		if err != nil {
 			t.Fatal(err)

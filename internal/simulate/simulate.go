@@ -48,23 +48,11 @@ type Options struct {
 	// configuration is truncated to fit).
 	Window int
 
-	// RouteChoice optionally selects which candidate route each flow uses
-	// (by flow ID -> index into Flow.Routes). Flows not present use route
-	// 0. The Octopus-random baseline resolves multi-route loads this way.
-	RouteChoice map[int]int
-
 	// Epsilon64 makes VOQs prioritize packets by the controller-assigned
 	// Octopus-e hop weight (1 + x·ε) instead of the plain packet weight,
 	// matching a scheduler run with the same core.Options.Epsilon64. The
 	// ψ metric always uses the plain weight.
 	Epsilon64 int
-
-	// SkipValidate skips schedule and load validation (useful when the
-	// caller has already validated, or intentionally replays a schedule
-	// over a larger fabric, as the RotorNet comparison does). Run still
-	// fails, with an error, on a chosen route that has a hop outside the
-	// fabric: queues are indexed by link id.
-	SkipValidate bool
 
 	// TrackBuffers records in-network buffering: after every
 	// configuration the simulator measures how many packets sit at
@@ -199,10 +187,10 @@ type group struct {
 	avail int32 // first global slot at which these packets may move (Run caps slots)
 	// pos is the hop the packets wait to take, hops the length of their
 	// route and wlen the hop count their ψ weight derives from, all at most
-	// traffic.MaxRouteLen; route indexes the flow's Routes.
-	pos, hops, wlen, route int16
-	dup                    bool // non-primary redundant copy: ψ/hops charged as overhead
-	grouped                bool // in a redundancy group: its deliveries are deduplicated
+	// traffic.MaxRouteLen.
+	pos, hops, wlen int16
+	dup             bool // non-primary redundant copy: ψ/hops charged as overhead
+	grouped         bool // in a redundancy group: its deliveries are deduplicated
 }
 
 // linkQueue is the VOQ holding packets at a node whose next hop uses a
@@ -239,16 +227,15 @@ type state struct {
 // id returns the ID of the flow the group's packets belong to.
 func (st *state) id(g *group) int { return st.flows[g.flow].ID }
 
-// route returns the route the group's packets follow.
-func (st *state) route(g *group) traffic.Route { return st.flows[g.flow].Routes[g.route] }
+// route returns the route the group's packets follow: the flow's first.
+func (st *state) route(g *group) traffic.Route { return st.flows[g.flow].Routes[0] }
 
 // newState builds the replay state of the whole load in serve order: each
 // flow's group takes its place in its first hop's queue, queues in link id
 // order, so that every queue is a run of consecutive groups that serve reads
 // front to back. Allocations do not grow with the load: groups and queue
 // slots come from two arrays sized up front. Index widths fail closed: a
-// size, route or route choice that the fields of a group cannot hold is an
-// error.
+// size that the count of a group cannot hold is an error.
 func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error) {
 	n := len(load.Flows)
 	st := &state{
@@ -267,25 +254,10 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 	ascending, classes := true, 1 // flow IDs, in load order
 	for i := range load.Flows {
 		f := &load.Flows[i]
-		ri := opt.RouteChoice[f.ID]
-		if ri < 0 || ri >= len(f.Routes) || ri > math.MaxInt16 {
-			return nil, fmt.Errorf("simulate: flow %d route choice %d out of range", f.ID, ri)
-		}
 		if f.Size < 0 || f.Size > math.MaxInt32 {
 			return nil, fmt.Errorf("simulate: flow %d size %d is outside [0,%d]", f.ID, f.Size, math.MaxInt32)
 		}
-		r := f.Routes[ri]
-		wl := f.WeightLen(r)
-		if opt.SkipValidate { // Load.Validate has not vouched for the route
-			if r.Hops() < 1 || r.Hops() > wl || wl > traffic.MaxRouteLen {
-				return nil, fmt.Errorf("simulate: flow %d route of %d hops, weight length %d: outside [1,%d]", f.ID, r.Hops(), wl, traffic.MaxRouteLen)
-			}
-			for h := 0; h+1 < len(r); h++ {
-				if g.LinkID(r[h], r[h+1]) < 0 {
-					return nil, fmt.Errorf("simulate: flow %d hop %d (%d->%d) is not a fabric link", f.ID, h, r[h], r[h+1])
-				}
-			}
-		}
+		wl := f.WeightLen(f.Routes[0])
 		st.res.TotalPackets += f.Size
 		if st.red.Duplicate(f.ID) {
 			st.dupTotal += f.Size
@@ -294,17 +266,16 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 	}
 	start := par.Place(0, n, g.M()*classes, func(i int) int32 {
 		f := &load.Flows[i]
-		r := f.Routes[opt.RouteChoice[f.ID]]
+		r := f.Routes[0]
 		return int32(g.LinkID(r[0], r[1])*classes + f.WeightLen(r) - 1)
 	}, func(i int, slot int32) {
 		f := &load.Flows[i]
-		ri := opt.RouteChoice[f.ID]
-		r := f.Routes[ri]
+		r := f.Routes[0]
 		wl := f.WeightLen(r)
 		primary, grouped := st.red.GroupOf(f.ID)
 		st.groups[slot] = group{
 			prio: traffic.HopWeight(wl, 0, st.eps), flow: int32(i), count: int32(f.Size),
-			hops: int16(r.Hops()), wlen: int16(wl), route: int16(ri), dup: grouped && primary != f.ID, grouped: grouped,
+			hops: int16(r.Hops()), wlen: int16(wl), dup: grouped && primary != f.ID, grouped: grouped,
 		}
 	})
 	slots := make([]int32, n)
@@ -313,33 +284,17 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 	}
 	for id := range st.queues { // a link's classes, heaviest first
 		lo, hi := start[id*classes], start[(id+1)*classes]
-		st.queues[id] = st.sorted(slots[lo:hi:hi], ascending)
+		st.queues[id] = slots[lo:hi:hi]
+		if !ascending && lo < hi {
+			// Within a class the deal kept load order, which is priority order
+			// where IDs ascend (every generator and codec). Otherwise sort by
+			// (prio desc, ID asc); Load.Validate has made the IDs unique.
+			slices.SortFunc(st.groups[lo:hi], func(a, b group) int {
+				return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(st.id(&a), st.id(&b)))
+			})
+		}
 	}
 	return st, nil
-}
-
-// sorted returns a queue whose groups were placed by class, in load order
-// within one: its priority order where load order is ID order too (every
-// generator and codec). Otherwise it sorts them by (prio desc, ID asc), and
-// flows sharing both (SkipValidate only: IDs repeat) merge into the first of
-// them, which is what inserting them one at a time does.
-func (st *state) sorted(q linkQueue, ascending bool) linkQueue {
-	if ascending || len(q) == 0 {
-		return q
-	}
-	slices.SortStableFunc(st.groups[q[0]:int(q[0])+len(q)], func(a, b group) int {
-		return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(st.id(&a), st.id(&b)))
-	})
-	out := q[:0]
-	for _, gi := range q {
-		if len(out) > 0 && st.merge(out[len(out)-1], &st.groups[gi]) {
-			st.groups[gi].count = 0
-			st.free = append(st.free, gi)
-			continue
-		}
-		out = append(out, gi)
-	}
-	return out
 }
 
 // merge adds g's packets to the queued group at index into when the two are
@@ -443,19 +398,16 @@ func (st *state) serve(e graph.Edge, want, availBy, nextAvail int) int {
 }
 
 // Run replays sch over fabric g carrying load and returns the measured
-// result. The load must have fixed routes (see Options.RouteChoice for
-// multi-route loads).
+// result. Every flow's packets follow its first route.
 func Run(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Options) (*Result, error) {
 	ports := max(opt.Ports, 1)
-	if !opt.SkipValidate {
-		// Structural validation only: the replay loop itself enforces the
-		// window by truncating, so an over-long schedule is not an error.
-		if err := sch.Validate(g, 0, ports); err != nil {
-			return nil, err
-		}
-		if err := load.Validate(g); err != nil {
-			return nil, err
-		}
+	// Structural validation only: the replay loop itself enforces the
+	// window by truncating, so an over-long schedule is not an error.
+	if err := sch.Validate(g, 0, ports); err != nil {
+		return nil, err
+	}
+	if err := load.Validate(g); err != nil {
+		return nil, err
 	}
 	st, err := newState(g, load, opt)
 	if err != nil {

@@ -246,25 +246,20 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Run(g, load, bad, Options{}); err == nil {
 		t.Fatal("invalid schedule accepted")
 	}
-	if _, err := Run(g, load, bad, Options{SkipValidate: true}); err != nil {
-		t.Fatal("SkipValidate did not skip")
-	}
-	badChoice := Options{RouteChoice: map[int]int{1: 5}}
 	okSch := &schedule.Schedule{Configs: []schedule.Configuration{
 		{Links: []graph.Edge{{From: 0, To: 1}}, Alpha: 1},
 	}}
-	if _, err := Run(g, load, okSch, badChoice); err == nil {
-		t.Fatal("out-of-range route choice accepted")
-	}
-	// Without validation a route off the fabric is an error, not a panic.
+	// A route off the fabric is an error, not a panic.
 	for _, r := range []traffic.Route{{0, 1, 0}, {0, 7}, {0}} {
 		off := &traffic.Load{Flows: []traffic.Flow{{ID: 1, Size: 1, Src: 0, Dst: 1, Routes: []traffic.Route{r}}}}
-		if _, err := Run(g, off, okSch, Options{SkipValidate: true}); err == nil {
-			t.Fatalf("route %v off the fabric accepted with SkipValidate", r)
+		if _, err := Run(g, off, okSch, Options{}); err == nil {
+			t.Fatalf("route %v off the fabric accepted", r)
 		}
 	}
 }
 
+// TestRouteChoice: the packets of a multi-route flow follow its first
+// route, so a configuration serving only another route carries nothing.
 func TestRouteChoice(t *testing.T) {
 	g := graph.Complete(4)
 	load := &traffic.Load{Flows: []traffic.Flow{
@@ -273,24 +268,22 @@ func TestRouteChoice(t *testing.T) {
 	direct := &schedule.Schedule{Configs: []schedule.Configuration{
 		{Links: []graph.Edge{{From: 0, To: 3}}, Alpha: 10},
 	}}
-	// Default route 0 (via node 1): the direct link carries nothing.
 	res, err := Run(g, load, direct, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered != 0 {
-		t.Fatalf("default route: delivered=%d, want 0", res.Delivered)
+	if res.Delivered != 0 || res.Hops != 0 {
+		t.Fatalf("route 0 runs via node 1: delivered=%d hops=%d, want 0", res.Delivered, res.Hops)
 	}
-	// Choosing route 1 (direct) delivers everything.
-	res, err = Run(g, load, direct, Options{RouteChoice: map[int]int{1: 1}})
-	if err != nil {
+	via := &schedule.Schedule{Configs: []schedule.Configuration{
+		{Links: []graph.Edge{{From: 0, To: 1}}, Alpha: 10},
+		{Links: []graph.Edge{{From: 1, To: 3}}, Alpha: 10},
+	}}
+	if res, err = Run(g, load, via, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered != 10 {
-		t.Fatalf("direct route: delivered=%d, want 10", res.Delivered)
-	}
-	if res.Psi != 10*traffic.WeightScale {
-		t.Fatalf("direct route weight: psi=%d", res.Psi)
+	if res.Delivered != 10 || res.Psi != 20*traffic.Weight(2) {
+		t.Fatalf("route 0: delivered=%d psi=%d, want 10 and %d", res.Delivered, res.Psi, 20*traffic.Weight(2))
 	}
 }
 

@@ -66,7 +66,7 @@ func DefaultPodParams(pods, podSize, window int) PodParams {
 		SmallPerPod: 12 * podSize,
 		LargeTotal:  window * 7 / 10 * podSize,
 		SmallTotal:  window * 3 / 10 * podSize,
-		InterFrac:   0.3,
+		InterFrac:   DefaultInterPod,
 	}
 }
 

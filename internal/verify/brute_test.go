@@ -97,7 +97,7 @@ func BruteForce(g *graph.Digraph, load *traffic.Load, opt BruteOptions) (*BruteR
 	if total := load.TotalPackets(); total > opt.MaxPackets {
 		return nil, fmt.Errorf("verify: %d packets exceed the brute-force envelope of %d", total, opt.MaxPackets)
 	}
-	if err := checkLoad(g, load, nil); err != nil {
+	if err := checkLoad(g, load); err != nil {
 		return nil, err
 	}
 	for i := range load.Flows {

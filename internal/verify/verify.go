@@ -63,16 +63,9 @@ type Options struct {
 	// core option. ψ accounting always uses the plain packet weight.
 	Epsilon64 int
 
-	// RouteChoice selects which candidate route each flow uses (flow ID ->
-	// index into Flow.Routes); absent flows use route 0.
-	RouteChoice map[int]int
-
 	// Claim, when set, requires the replayed delivered/hops/ψ to equal the
-	// scheduler's claim exactly — or to be at least the claim when
-	// ClaimIsLowerBound is set (for plans whose bookkeeping is a
-	// conservative bound, e.g. chained-benefit plans replayed multi-hop).
-	Claim             *Claim
-	ClaimIsLowerBound bool
+	// scheduler's claim exactly.
+	Claim *Claim
 }
 
 // Report is the outcome of a successful validation: the independently
@@ -94,7 +87,7 @@ type Report struct {
 //     link set of g (and, with Options.Undirected, a direction-paired
 //     undirected matching);
 //   - the total cost Σ(αₖ+Δ) fits Options.Window;
-//   - packets advance only along their declared routes with hop causality
+//   - packets advance only along their flow's first route with hop causality
 //     and no link ever carries more than αₖ packets per configuration
 //     (both enforced constructively by the replay);
 //   - the replayed delivered/hops/ψ match Options.Claim.
@@ -105,7 +98,7 @@ func Schedule(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt 
 	if sch.Delta < 0 {
 		return nil, fmt.Errorf("verify: negative reconfiguration delay %d", sch.Delta)
 	}
-	if err := checkLoad(g, load, opt.RouteChoice); err != nil {
+	if err := checkLoad(g, load); err != nil {
 		return nil, err
 	}
 	if err := checkConfigs(g, sch, ports, opt.Undirected); err != nil {
@@ -121,24 +114,16 @@ func Schedule(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt 
 		}
 	}
 	rep := replay(load, sch, opt)
-	if opt.Claim != nil {
-		c := opt.Claim
-		if opt.ClaimIsLowerBound {
-			if rep.Delivered < c.Delivered || rep.Hops < c.Hops || rep.Psi < c.Psi {
-				return nil, fmt.Errorf("verify: replay (%d pkts, %d hops, ψ=%d) below claimed lower bound (%d, %d, %d)",
-					rep.Delivered, rep.Hops, rep.Psi, c.Delivered, c.Hops, c.Psi)
-			}
-		} else if rep.Delivered != c.Delivered || rep.Hops != c.Hops || rep.Psi != c.Psi {
-			return nil, fmt.Errorf("verify: replay (%d pkts, %d hops, ψ=%d) does not match claim (%d, %d, %d)",
-				rep.Delivered, rep.Hops, rep.Psi, c.Delivered, c.Hops, c.Psi)
-		}
+	if c := opt.Claim; c != nil && (rep.Delivered != c.Delivered || rep.Hops != c.Hops || rep.Psi != c.Psi) {
+		return nil, fmt.Errorf("verify: replay (%d pkts, %d hops, ψ=%d) does not match claim (%d, %d, %d)",
+			rep.Delivered, rep.Hops, rep.Psi, c.Delivered, c.Hops, c.Psi)
 	}
 	return rep, nil
 }
 
 // checkLoad re-derives the load invariants without calling
 // traffic.Load.Validate, so a bug there cannot mask a bad load here.
-func checkLoad(g *graph.Digraph, load *traffic.Load, routeChoice map[int]int) error {
+func checkLoad(g *graph.Digraph, load *traffic.Load) error {
 	ids := make(map[int]bool, len(load.Flows))
 	for i := range load.Flows {
 		f := &load.Flows[i]
@@ -151,9 +136,6 @@ func checkLoad(g *graph.Digraph, load *traffic.Load, routeChoice map[int]int) er
 		}
 		if len(f.Routes) == 0 {
 			return fmt.Errorf("verify: flow %d has no routes", f.ID)
-		}
-		if ri := routeChoice[f.ID]; ri < 0 || ri >= len(f.Routes) {
-			return fmt.Errorf("verify: flow %d route choice %d out of range", f.ID, ri)
 		}
 		for _, r := range f.Routes {
 			if len(r) < 2 || len(r)-1 > traffic.MaxRouteLen {
@@ -340,7 +322,7 @@ func replay(load *traffic.Load, sch *schedule.Schedule, opt Options) *Report {
 	st := &replayState{eps: opt.Epsilon64, queues: make(map[graph.Edge][]*vgroup)}
 	for i := range load.Flows {
 		f := &load.Flows[i]
-		r := f.Routes[opt.RouteChoice[f.ID]]
+		r := f.Routes[0]
 		st.enqueue(&vgroup{
 			flowID: f.ID,
 			route:  r,
