@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
+
+	"octopus/internal/core"
 )
 
 func TestVersionFlag(t *testing.T) {
@@ -26,6 +29,9 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-window", "0"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("zero window accepted")
+	}
+	if err := run([]string{"-window", "100", "-delta", "100"}, io.Discard, io.Discard); !errors.Is(err, core.ErrWindowTooSmall) {
+		t.Fatalf("Δ = window: err = %v, want core.ErrWindowTooSmall", err)
 	}
 	if err := run([]string{"-trace-out", "/nonexistent-dir/trace.jsonl"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unwritable trace path accepted")

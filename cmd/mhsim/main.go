@@ -430,9 +430,8 @@ func loadSchedule(path string, g *graph.Digraph, ports int) (*schedule.Schedule,
 
 // runFaulty drives the fault-tolerant online pipeline and prints the
 // per-epoch degradation report beside a failure-free reference run of the
-// same arrivals. When the algorithm spec carries redundancy knobs
-// (crit > 0, or the load itself has provisioned Redundant routes), the
-// load is expanded into proactive copies first and the run layers
+// same arrivals. When the algorithm spec asks for redundancy (crit > 0),
+// the load is expanded into proactive copies first and the run layers
 // redundancy under the reactive repair.
 func runFaulty(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults *fault.Trace, opt core.Options, params algo.Params, maxEpochs int) error {
 	expanded, red := algo.ProvisionRedundant(g, load, params)

@@ -86,14 +86,11 @@ func main() {
 	// knock out every link of one node mid-window and compare against the
 	// unprotected load — with reactive repair disabled, only the provisioned
 	// spatial diversity can save traffic routed through the victim.
-	prot := short.Clone()
-	marked := octopus.MarkCritical(prot, 0.5)
-	prot = octopus.Redundant(g, prot, 2, 2.0)
-	expanded, red := octopus.ExpandRedundant(prot)
+	expanded, red := octopus.ProvisionRedundant(g, short, 2, 0.5, 2.0)
 	victim := rng.Intn(*nodes)
 	burst := octopus.CorrelatedTrace(g, []int{victim}, *window/2, *window, *window)
 	fmt.Printf("\nredundancy: %d of %d flows protected with a disjoint copy; node %d's %d links fail at slot %d\n",
-		marked, len(short.Flows), victim, len(g.Out(victim))+len(g.In(victim)), *window/2)
+		len(red.Members()), len(short.Flows), victim, len(g.Out(victim))+len(g.In(victim)), *window/2)
 	// Repair without Reactive: dead routes are never rebuilt.
 	cfg := octopus.PipelineConfig{
 		Core:   octopus.Options{Window: *window, Delta: *delta},

@@ -29,24 +29,15 @@ func RedundancyKnobs(p Params) (k int, crit, stretch float64) {
 	return k, crit, stretch
 }
 
-// ProvisionRedundant applies the full proactive-redundancy pipeline to a
-// load under p's knobs: mark the top CritFrac fraction of flows critical
-// (largest first), provision each with up to Redundancy pairwise
-// edge-disjoint route copies within the Stretch cap, and expand every
-// provisioned flow into per-copy single-route flows plus the Redundancy
-// group map the simulator and the online fault loop deduplicate with.
-// CritFrac <= 0 skips provisioning, but loads whose flows already carry
-// Redundant routes (e.g. loaded from JSON) still expand. The input load is
-// never modified.
+// ProvisionRedundant is traffic.Provision under p's knobs: the top
+// CritFrac fraction of flows (largest first) get up to Redundancy pairwise
+// edge-disjoint route copies within the Stretch cap, expanded into
+// per-copy single-route flows plus the Redundancy group map the simulator
+// and the online fault loop deduplicate with. CritFrac <= 0 provisions
+// nothing. The input load is never modified.
 func ProvisionRedundant(g *graph.Digraph, load *traffic.Load, p Params) (*traffic.Load, *traffic.Redundancy) {
 	k, crit, stretch := RedundancyKnobs(p)
-	work := load
-	if crit > 0 {
-		work = load.Clone()
-		traffic.MarkCritical(work, crit)
-		work = traffic.Redundant(g, work, k, stretch)
-	}
-	return traffic.ExpandRedundant(work)
+	return traffic.Provision(g, load, k, crit, stretch)
 }
 
 // octopusRedundantAlgo is octopus-redundant: plain Octopus planning over

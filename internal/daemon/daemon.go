@@ -46,8 +46,8 @@ const (
 type Options struct {
 	// Fabric is the initial circuit fabric. Required.
 	Fabric *graph.Digraph
-	// Core configures the per-epoch Octopus planner; Window must be
-	// positive. Core.Obs is overwritten with the daemon's own observer.
+	// Core configures the per-epoch Octopus planner; Window must exceed
+	// Delta, and Delta must be non-negative. Core.Obs is overwritten with the daemon's own observer.
 	Core core.Options
 	// EpochDuration is the wall-clock length of one epoch (default 100ms).
 	// The planning budget per epoch is EpochDuration·(1 + Delta/Window).

@@ -66,7 +66,7 @@ type Config struct {
 	Reactive bool
 
 	// Red ties redundancy-expanded copy flows into groups that count once
-	// at delivery (see traffic.ExpandRedundant).
+	// at delivery (see traffic.Provision).
 	Red *traffic.Redundancy
 
 	// Audit verifies every epoch's plan against the fabric it was planned
@@ -143,6 +143,14 @@ type Pipeline struct {
 func New(g *graph.Digraph, cfg Config) (*Pipeline, error) {
 	if cfg.Core.Window <= 0 {
 		return nil, errors.New("engine: Core.Window must be positive")
+	}
+	if cfg.Core.Delta < 0 {
+		return nil, errors.New("engine: Core.Delta must be non-negative")
+	}
+	if cfg.Core.Delta >= cfg.Core.Window {
+		// Every epoch would plan nothing: in repair mode as a skipped
+		// jitter epoch, forever.
+		return nil, fmt.Errorf("engine: Δ %d leaves no slot of window %d: %w", cfg.Core.Delta, cfg.Core.Window, core.ErrWindowTooSmall)
 	}
 	if err := cfg.Trace.Validate(g); err != nil {
 		return nil, err

@@ -377,6 +377,27 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsWindowWithoutRoom: an engine whose Δ leaves no slot of the
+// window to serve would idle every epoch — in repair mode as a skipped
+// jitter epoch, forever, with its backlog never delivered. New refuses it,
+// as core.New refuses such a window, in both modes.
+func TestNewRejectsWindowWithoutRoom(t *testing.T) {
+	for _, repair := range []bool{false, true} {
+		for _, delta := range []int{100, 101} {
+			_, err := New(graph.Complete(4), Config{Core: core.Options{Window: 100, Delta: delta}, Repair: repair})
+			if !errors.Is(err, core.ErrWindowTooSmall) {
+				t.Errorf("repair=%v Δ=%d: err = %v, want core.ErrWindowTooSmall", repair, delta, err)
+			}
+		}
+		if _, err := New(graph.Complete(4), Config{Core: core.Options{Window: 100, Delta: -1}, Repair: repair}); err == nil {
+			t.Errorf("repair=%v: negative Δ accepted", repair)
+		}
+		if _, err := New(graph.Complete(4), Config{Core: core.Options{Window: 100, Delta: 99}, Repair: repair}); err != nil {
+			t.Errorf("repair=%v Δ=99: %v", repair, err)
+		}
+	}
+}
+
 // TestDrainedThenResume: the daemon's steady state — committing drained
 // epochs while idle, then resuming when traffic arrives, keeps simulated
 // time advancing and schedules correctly.

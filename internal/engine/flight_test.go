@@ -27,8 +27,5 @@ func TestFlightMatcherCodesMirrorCore(t *testing.T) {
 		if int64(p.core) != p.wire || p.flight != p.wire {
 			t.Errorf("matcher %s: core=%d flight=%d, want wire code %d", p.name, int64(p.core), p.flight, p.wire)
 		}
-		if got := flight.MatcherCode(p.name); got != p.wire {
-			t.Errorf("MatcherCode(%q) = %d, want %d", p.name, got, p.wire)
-		}
 	}
 }

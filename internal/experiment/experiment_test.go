@@ -167,6 +167,41 @@ func TestFig9aOctopusBWithinPointTwo(t *testing.T) {
 	}
 }
 
+// TestFig9bOctopusPlusTwiceRandom asserts the claim of EXPERIMENTS.md §9b
+// over the paper-scale results/fig9b.csv: Octopus+ delivers at least twice
+// what Octopus-random does at every Δ (the ratio runs 2.16–2.59). A copy
+// with any one Octopus-random value raised past half of Octopus+ must fail
+// the predicate.
+func TestFig9bOctopusPlusTwiceRandom(t *testing.T) {
+	twice := func(rows [][]float64) error {
+		for _, row := range rows {
+			if row[1] < 2*row[2] {
+				return fmt.Errorf("Δ=%v: Octopus+ %.4f below twice Octopus-random %.4f", row[0], row[1], row[2])
+			}
+		}
+		return nil
+	}
+	rows := readResults(t, "9b")
+	for _, row := range rows {
+		if len(row) != 3 {
+			t.Fatalf("fig9b.csv row %v: want delta, Octopus+, Octopus-random", row)
+		}
+	}
+	if err := twice(rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		broken := make([][]float64, len(rows))
+		for j := range rows {
+			broken[j] = slices.Clone(rows[j])
+		}
+		broken[i][2] = row[1]/2 + 0.01
+		if twice(broken) == nil {
+			t.Errorf("Δ=%v: Octopus-random raised past half of Octopus+ and the predicate still holds", row[0])
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	sc := tiny()
 	a, err := Run("4b", sc)

@@ -267,7 +267,7 @@ func (r *Recorder) Admit(flow int64, epoch int, size, src, dst int64) {
 }
 
 // Planned records that the flow was scheduled into epoch's configuration
-// chain: configs in the schedule, the matcher code (see MatcherCode), and
+// chain: configs in the schedule, the matcher code (MatcherExact or MatcherGreedy), and
 // the flow's pending packets entering the epoch.
 func (r *Recorder) Planned(flow int64, epoch int, configs, matcher, pending int64) {
 	if !r.Tracks(flow) {
@@ -541,12 +541,3 @@ const (
 	MatcherExact int64 = iota
 	MatcherGreedy
 )
-
-// MatcherCode maps a matcher spec string to its wire code (exact = 0 is
-// the default for unknown strings, matching the registry default).
-func MatcherCode(m string) int64 {
-	if m == "greedy" {
-		return MatcherGreedy
-	}
-	return MatcherExact
-}

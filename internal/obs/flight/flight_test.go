@@ -261,21 +261,6 @@ func TestRegistryMirror(t *testing.T) {
 	}
 }
 
-// TestMatcherCode pins the matcher wire codes.
-func TestMatcherCode(t *testing.T) {
-	cases := map[string]int64{
-		"exact":  MatcherExact,
-		"greedy": MatcherGreedy,
-		"":       MatcherExact,
-		"bogus":  MatcherExact,
-	}
-	for in, want := range cases {
-		if got := MatcherCode(in); got != want {
-			t.Fatalf("MatcherCode(%q) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 // TestKindString covers the wire names, including out-of-range.
 func TestKindString(t *testing.T) {
 	for k := Kind(0); k < Kind(numKinds); k++ {

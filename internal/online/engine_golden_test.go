@@ -170,9 +170,7 @@ func TestEngineExtractionGolden(t *testing.T) {
 
 		// Redundancy-expanded arrivals over the same trace, with and
 		// without the reactive repair arm.
-		red := inst.Load.Clone()
-		traffic.MarkCritical(red, 0.5)
-		expanded, groups := traffic.ExpandRedundant(traffic.Redundant(inst.G, red, 2, 2.0))
+		expanded, groups := traffic.Provision(inst.G, inst.Load, 2, 0.5, 2.0)
 		var rarr []Arrival
 		for i, f := range expanded.Flows {
 			rarr = append(rarr, Arrival{Flow: f, At: i * inst.Window / 3})
@@ -278,10 +276,10 @@ func craftedScenarios(t *testing.T) map[string]goldRun {
 	// copies of a critical flow, the primary's relay node dies at slot 0.
 	g = graph.Complete(5)
 	load := &traffic.Load{Flows: []traffic.Flow{
-		{ID: 0, Size: 6, Src: 0, Dst: 4, Routes: []traffic.Route{{0, 1, 4}}, Critical: true},
+		{ID: 0, Size: 6, Src: 0, Dst: 4, Routes: []traffic.Route{{0, 1, 4}}},
 		{ID: 1, Size: 2, Src: 2, Dst: 3, Routes: []traffic.Route{{2, 3}}},
 	}}
-	expanded, groups := traffic.ExpandRedundant(traffic.Redundant(g, load, 2, 3.0))
+	expanded, groups := traffic.Provision(g, load, 2, 0.5, 3.0)
 	var rarr []Arrival
 	for _, f := range expanded.Flows {
 		rarr = append(rarr, Arrival{Flow: f, At: 0})

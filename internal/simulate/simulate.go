@@ -66,7 +66,7 @@ type Options struct {
 	TrackFlows bool
 
 	// Redundancy identifies proactive copy groups in the load (see
-	// traffic.ExpandRedundant): delivery is deduplicated per group — a
+	// traffic.Provision): delivery is deduplicated per group — a
 	// packet counts once, at its first copy's arrival, so a group
 	// contributes max-over-copies delivered packets — into
 	// Result.UniqueDelivered / UniqueTotal, and the ψ and packet-hops spent

@@ -46,8 +46,8 @@ func FuzzReadJSON(f *testing.F) {
 // three encodings, re-encodes to binary and decodes back identically.
 func FuzzStreamDecode(f *testing.F) {
 	seedFlows := []Flow{
-		{ID: 0, Size: 5, Src: 0, Dst: 2, Routes: []Route{{0, 1, 2}, {0, 3, 2}}, WeightHops: 2, Redundant: 1},
-		{ID: 1, Size: 1, Src: 3, Dst: 1, Routes: []Route{{3, 1}}, Critical: true},
+		{ID: 0, Size: 5, Src: 0, Dst: 2, Routes: []Route{{0, 1, 2}, {0, 3, 2}}, WeightHops: 2},
+		{ID: 1, Size: 1, Src: 3, Dst: 1, Routes: []Route{{3, 1}}},
 	}
 	for _, format := range []StreamFormat{FormatJSONL, FormatBinary} {
 		var buf bytes.Buffer
@@ -62,14 +62,14 @@ func FuzzStreamDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	f.Add([]byte("MHSB1\n"))
-	f.Add([]byte("MHSB1\n\x01\xff\xff\xff\xff\x7f"))
+	f.Add(binaryMagic)
+	f.Add(append(append([]byte{}, binaryMagic...), "\x01\xff\xff\xff\xff\x7f"...))
+	f.Add(mhsb1Stream())
 	f.Add([]byte(`{"format":"mhs-flows/v1"}` + "\n" + `{"id":0,"size":1,"src":0,"dst":1,"routes":[[0,1]]}` + "\n"))
 	f.Add([]byte(`{"flows":[{"id":1,"size":5,"src":0,"dst":2,"routes":[[0,1,2]]}]}`))
 	f.Add([]byte(`{"flows":[{"id":1,"size":-5,"src":0,"dst":2,"routes":[[0,2]]}]}`))
 	f.Add(newlineFreeInput())
 	f.Add(oversizedRecordInput())
-	f.Add(overRedundantBinary())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		load, err := ReadAny(bytes.NewReader(data))
 		if bytes.HasPrefix(data, binaryMagic) {
@@ -141,14 +141,12 @@ func refReadBinary(body []byte) ([]Flow, error) {
 			return err
 		}
 		var f Flow
-		var flags, nroutes int
+		var nroutes int
 		if u(&f.ID, 1<<31-1, "id") != nil || u(&f.Size, 1<<31-1, "size") != nil ||
 			u(&f.Src, 1<<31-1, "src") != nil || u(&f.Dst, 1<<31-1, "dst") != nil ||
-			u(&f.WeightHops, MaxRouteLen, "weight_hops") != nil || u(&flags, 1, "flags") != nil ||
-			u(&f.Redundant, maxStreamRoutes, "redundant") != nil || u(&nroutes, maxStreamRoutes, "route count") != nil {
+			u(&f.WeightHops, MaxRouteLen, "weight_hops") != nil || u(&nroutes, maxStreamRoutes, "route count") != nil {
 			return nil, err
 		}
-		f.Critical = flags == 1
 		for i := 0; i < nroutes; i++ {
 			var nn int
 			if u(&nn, maxStreamNodes, "route length") != nil {

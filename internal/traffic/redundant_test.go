@@ -1,45 +1,37 @@
 package traffic
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"octopus/internal/graph"
 )
 
+// TestMarkCritical: Provision protects the ⌈crit·n⌉ largest flows, ties by
+// ascending ID, whatever it was asked before.
 func TestMarkCritical(t *testing.T) {
+	g := graph.Complete(4)
 	l := &Load{Flows: []Flow{
 		{ID: 0, Size: 5, Src: 0, Dst: 1, Routes: []Route{{0, 1}}},
 		{ID: 1, Size: 9, Src: 1, Dst: 2, Routes: []Route{{1, 2}}},
 		{ID: 2, Size: 5, Src: 2, Dst: 3, Routes: []Route{{2, 3}}},
 		{ID: 3, Size: 1, Src: 3, Dst: 0, Routes: []Route{{3, 0}}},
 	}}
-	if got := MarkCritical(l, 0); got != 0 {
-		t.Fatalf("frac=0 marked %d", got)
-	}
-	if got := MarkCritical(l, 0.5); got != 2 {
-		t.Fatalf("frac=0.5 marked %d, want 2", got)
-	}
 	// Largest first, ties by ascending ID: flow 1 (size 9), then flow 0
 	// (size 5, beats flow 2 on ID).
-	want := []bool{true, true, false, false}
-	for i, f := range l.Flows {
-		if f.Critical != want[i] {
-			t.Fatalf("flow %d critical=%v, want %v", f.ID, f.Critical, want[i])
+	for crit, want := range map[float64][]int{0: {}, 0.25: {1}, 0.5: {0, 1}, 1: {0, 1, 2, 3}} {
+		_, red := Provision(g, l, 2, crit, 2)
+		got := []int{}
+		for p := range red.Members() {
+			got = append(got, p)
 		}
-	}
-	if got := MarkCritical(l, 1); got != 4 {
-		t.Fatalf("frac=1 marked %d", got)
-	}
-	// Re-marking with a smaller fraction clears stale flags.
-	if got := MarkCritical(l, 0.25); got != 1 {
-		t.Fatalf("frac=0.25 marked %d", got)
-	}
-	for i, f := range l.Flows {
-		if f.Critical != (i == 1) {
-			t.Fatalf("flow %d critical=%v after re-mark", f.ID, f.Critical)
+		sort.Ints(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("crit=%v protected flows %v, want %v", crit, got, want)
 		}
 	}
 }
@@ -51,9 +43,8 @@ func TestRedundantIdentityWhenKOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	MarkCritical(l, 1)
-	out := Redundant(g, l, 1, 2)
-	if !reflect.DeepEqual(out, l) {
+	out, red := Provision(g, l, 1, 1, 2)
+	if !reflect.DeepEqual(out, l) || !red.Empty() {
 		t.Fatal("k=1 is not the identity transform")
 	}
 }
@@ -61,38 +52,41 @@ func TestRedundantIdentityWhenKOne(t *testing.T) {
 func TestRedundantProvisionsDisjointAlternates(t *testing.T) {
 	g := graph.Complete(6)
 	l := &Load{Flows: []Flow{
-		{ID: 7, Size: 4, Src: 0, Dst: 5, Critical: true, Routes: []Route{{0, 5}}},
+		{ID: 7, Size: 4, Src: 0, Dst: 5, Routes: []Route{{0, 5}}},
 		{ID: 8, Size: 2, Src: 1, Dst: 2, Routes: []Route{{1, 2}}}, // not critical
 	}}
-	out := Redundant(g, l, 3, 2)
+	out, red := Provision(g, l, 3, 0.5, 2)
 	if err := out.Validate(g); err != nil {
 		t.Fatalf("transformed load invalid: %v", err)
 	}
-	f := &out.Flows[0]
-	if f.Redundant != 3 || len(f.Routes) != 3 {
-		t.Fatalf("critical flow got %d routes (Redundant=%d), want 3", len(f.Routes), f.Redundant)
+	if got := red.Members()[7]; !reflect.DeepEqual(got, []int{7, 9, 10}) {
+		t.Fatalf("critical flow got copies %v, want [7 9 10]", got)
 	}
-	if !f.Routes[0].Equal(Route{0, 5}) {
-		t.Fatalf("primary route changed: %v", f.Routes[0])
+	if f := out.Flows[0]; f.ID != 7 || !f.Routes[0].Equal(Route{0, 5}) {
+		t.Fatalf("primary copy changed: %+v", f)
 	}
 	seen := map[graph.Edge]bool{}
-	for _, r := range f.Routes {
+	for _, f := range out.Flows {
+		if _, ok := red.GroupOf(f.ID); !ok {
+			continue
+		}
+		r := f.Routes[0]
 		if r.Hops() > 2 {
 			t.Fatalf("route %v exceeds stretch cap 2×1", r)
 		}
 		for h := 0; h+1 < len(r); h++ {
 			e := graph.Edge{From: r[h], To: r[h+1]}
 			if seen[e] {
-				t.Fatalf("edge %v reused across provisioned routes %v", e, f.Routes)
+				t.Fatalf("edge %v reused across provisioned routes of %+v", e, out.Flows)
 			}
 			seen[e] = true
 		}
 	}
-	if out.Flows[1].Redundant != 0 || len(out.Flows[1].Routes) != 1 {
+	if f := out.Flows[len(out.Flows)-1]; f.ID != 8 || len(f.Routes) != 1 || red.Duplicate(8) {
 		t.Fatal("non-critical flow was touched")
 	}
 	// The input load must be untouched.
-	if len(l.Flows[0].Routes) != 1 {
+	if len(l.Flows) != 2 || len(l.Flows[0].Routes) != 1 {
 		t.Fatal("input load mutated")
 	}
 }
@@ -101,22 +95,21 @@ func TestRedundantRespectsSparseFabric(t *testing.T) {
 	// A directed ring has no alternate: the flow keeps only its primary.
 	g := graph.ChordRing(6)
 	l := &Load{Flows: []Flow{
-		{ID: 0, Size: 1, Src: 0, Dst: 2, Critical: true, Routes: []Route{{0, 1, 2}}},
+		{ID: 0, Size: 1, Src: 0, Dst: 2, Routes: []Route{{0, 1, 2}}},
 	}}
-	out := Redundant(g, l, 3, 0)
-	if len(out.Flows[0].Routes) != 1 || out.Flows[0].Redundant != 0 {
-		t.Fatalf("ring flow got %v (Redundant=%d)", out.Flows[0].Routes, out.Flows[0].Redundant)
+	out, red := Provision(g, l, 3, 1, 0)
+	if len(out.Flows) != 1 || len(out.Flows[0].Routes) != 1 || !red.Empty() {
+		t.Fatalf("ring flow got %+v (groups %v)", out.Flows, red.Group)
 	}
 }
 
 func TestExpandRedundant(t *testing.T) {
 	g := graph.Complete(6)
 	l := &Load{Flows: []Flow{
-		{ID: 0, Size: 4, Src: 0, Dst: 5, Critical: true, Routes: []Route{{0, 5}}},
+		{ID: 0, Size: 4, Src: 0, Dst: 5, Routes: []Route{{0, 5}}},
 		{ID: 1, Size: 2, Src: 1, Dst: 2, Routes: []Route{{1, 2}}},
 	}}
-	prov := Redundant(g, l, 3, 2)
-	exp, red := ExpandRedundant(prov)
+	exp, red := Provision(g, l, 3, 0.5, 2)
 	if err := exp.Validate(g); err != nil {
 		t.Fatalf("expanded load invalid: %v", err)
 	}
@@ -138,15 +131,12 @@ func TestExpandRedundant(t *testing.T) {
 	if red.Duplicate(0) || !red.Duplicate(2) || !red.Duplicate(3) || red.Duplicate(1) {
 		t.Fatalf("duplicate classification wrong: %+v", red.Group)
 	}
-	if got := red.UniqueTotal(exp); got != 6 {
-		t.Fatalf("UniqueTotal = %d, want 6 (copies excluded)", got)
-	}
 	if exp.TotalPackets() != 14 {
 		t.Fatalf("raw total %d, want 14 (4×3 copies + 2)", exp.TotalPackets())
 	}
 
-	// Without redundant flows the expansion is a plain deep clone.
-	plain, red2 := ExpandRedundant(l)
+	// Protecting nothing is a plain deep clone.
+	plain, red2 := Provision(g, l, 3, 0, 2)
 	if !red2.Empty() {
 		t.Fatal("plain load produced groups")
 	}
@@ -155,21 +145,27 @@ func TestExpandRedundant(t *testing.T) {
 	}
 }
 
-func TestRedundantFieldsRoundTripJSON(t *testing.T) {
-	l := &Load{Flows: []Flow{
-		{ID: 3, Size: 2, Src: 0, Dst: 2, Critical: true, Redundant: 2,
-			Routes: []Route{{0, 2}, {0, 1, 2}}},
-	}}
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+// TestRedundantFieldsRejected: redundancy is provisioned, not stored. A
+// load document or JSONL stream still carrying the "critical" or
+// "redundant" flow fields is refused by name, not read without them.
+func TestRedundantFieldsRejected(t *testing.T) {
+	const flow = `{"id":3,"size":2,"src":0,"dst":2,"routes":[[0,2],[0,1,2]]%s}`
+	for _, field := range []string{`,"critical":true`, `,"redundant":2`} {
+		rec := fmt.Sprintf(flow, field)
+		name := strings.Split(field[2:], `"`)[0]
+		for enc, data := range map[string]string{
+			"document": `{"flows":[` + rec + `]}`,
+			"jsonl":    `{"format":"mhs-flows/v1"}` + "\n" + rec + "\n",
+		} {
+			_, err := ReadAny(strings.NewReader(data))
+			if err == nil || !strings.Contains(err.Error(), `unknown field "`+name+`"`) {
+				t.Errorf("%s with %q: err = %v, want an unknown-field error", enc, name, err)
+			}
+		}
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
+	// Without them the same flow reads.
+	if _, err := ReadAny(strings.NewReader(`{"flows":[` + fmt.Sprintf(flow, "") + `]}`)); err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, l) {
-		t.Fatalf("round trip changed the load: %+v vs %+v", got, l)
 	}
 }
 

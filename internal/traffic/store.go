@@ -13,8 +13,6 @@ package traffic
 type Store struct {
 	ids, sizes, srcs, dsts []int32
 	weightHops             []int8
-	critical               []bool
-	redundant              []int8
 
 	routeStart []int32 // len = Len()+1, indexes routeOff
 	routeOff   []int32 // len = routes+1, indexes nodes
@@ -28,8 +26,6 @@ func NewStore(flowHint, nodeHint int) *Store {
 		ids: make([]int32, 0, flowHint), sizes: make([]int32, 0, flowHint),
 		srcs: make([]int32, 0, flowHint), dsts: make([]int32, 0, flowHint),
 		weightHops: make([]int8, 0, flowHint),
-		critical:   make([]bool, 0, flowHint),
-		redundant:  make([]int8, 0, flowHint),
 		routeStart: make([]int32, 1, flowHint+1),
 		routeOff:   make([]int32, 1, flowHint+1),
 		nodes:      make([]int32, 0, nodeHint),
@@ -50,7 +46,7 @@ func (s *Store) NumRouteNodes() int { return len(s.nodes) }
 // footprint — flows and routes add columns here, nothing else.
 func (s *Store) Bytes() uint64 {
 	return 4*uint64(cap(s.ids)+cap(s.sizes)+cap(s.srcs)+cap(s.dsts)) +
-		uint64(cap(s.weightHops)+cap(s.critical)+cap(s.redundant)) +
+		uint64(cap(s.weightHops)) +
 		4*uint64(cap(s.routeStart)+cap(s.routeOff)+cap(s.nodes))
 }
 
@@ -61,7 +57,7 @@ func (s *Store) Append(f *Flow) error {
 	if err := checkStreamFlow(f); err != nil {
 		return err
 	}
-	s.appendHeader(f.ID, f.Size, f.Src, f.Dst, f.WeightHops, f.Critical, f.Redundant)
+	s.appendHeader(f.ID, f.Size, f.Src, f.Dst, f.WeightHops)
 	for _, r := range f.Routes {
 		for _, v := range r {
 			s.nodes = append(s.nodes, int32(v))
@@ -73,14 +69,12 @@ func (s *Store) Append(f *Flow) error {
 }
 
 // appendHeader appends a flow's fields but its routes to the flow columns.
-func (s *Store) appendHeader(id, size, src, dst, weightHops int, critical bool, redundant int) {
+func (s *Store) appendHeader(id, size, src, dst, weightHops int) {
 	s.ids = append(s.ids, int32(id))
 	s.sizes = append(s.sizes, int32(size))
 	s.srcs = append(s.srcs, int32(src))
 	s.dsts = append(s.dsts, int32(dst))
 	s.weightHops = append(s.weightHops, int8(weightHops))
-	s.critical = append(s.critical, critical)
-	s.redundant = append(s.redundant, int8(redundant))
 }
 
 // concat joins the stores, in order, into one with exactly sized columns.
@@ -95,7 +89,7 @@ func concat(parts []*Store) *Store {
 	}
 	for _, p := range parts {
 		s.ids, s.sizes, s.srcs, s.dsts = append(s.ids, p.ids...), append(s.sizes, p.sizes...), append(s.srcs, p.srcs...), append(s.dsts, p.dsts...)
-		s.weightHops, s.critical, s.redundant = append(s.weightHops, p.weightHops...), append(s.critical, p.critical...), append(s.redundant, p.redundant...)
+		s.weightHops = append(s.weightHops, p.weightHops...)
 		r0, n0 := int32(s.NumRoutes()), int32(len(s.nodes))
 		for _, r := range p.routeStart[1:] {
 			s.routeStart = append(s.routeStart, r0+r)
@@ -129,8 +123,6 @@ func (s *Store) FlowAt(i int) Flow {
 		Src:        int(s.srcs[i]),
 		Dst:        int(s.dsts[i]),
 		WeightHops: int(s.weightHops[i]),
-		Critical:   s.critical[i],
-		Redundant:  int(s.redundant[i]),
 	}
 	lo, hi := s.routeStart[i], s.routeStart[i+1]
 	f.Routes = make([]Route, 0, hi-lo)
@@ -193,8 +185,6 @@ func (s *Store) Materialize(idx []int) *Load {
 			Dst:        int(s.dsts[i]),
 			Routes:     routeTab[tabStart:len(routeTab):len(routeTab)],
 			WeightHops: int(s.weightHops[i]),
-			Critical:   s.critical[i],
-			Redundant:  int(s.redundant[i]),
 		}
 	}
 	return &Load{Flows: flows}

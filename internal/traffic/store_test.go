@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"octopus/internal/graph"
 )
@@ -28,10 +29,19 @@ func (s *Store) Size(i int) int { return int(s.sizes[i]) }
 
 func storeFixtureLoad() *Load {
 	return &Load{Flows: []Flow{
-		{ID: 0, Size: 5, Src: 0, Dst: 2, Routes: []Route{{0, 1, 2}, {0, 3, 2}}, WeightHops: 2, Redundant: 1},
-		{ID: 1, Size: 1, Src: 3, Dst: 1, Routes: []Route{{3, 1}}, Critical: true},
+		{ID: 0, Size: 5, Src: 0, Dst: 2, Routes: []Route{{0, 1, 2}, {0, 3, 2}}, WeightHops: 2},
+		{ID: 1, Size: 1, Src: 3, Dst: 1, Routes: []Route{{3, 1}}},
 		{ID: 2, Size: 9, Src: 2, Dst: 0, Routes: []Route{{2, 0}}},
 	}}
+}
+
+// TestFlowIsTheScheduleSchema: a Flow holds the paper's (ID, size, src,
+// dst, routes) and the weight override, nothing else; on 64-bit platforms
+// that is 64 bytes. Redundancy is provisioned (Provision), not stored.
+func TestFlowIsTheScheduleSchema(t *testing.T) {
+	if s := unsafe.Sizeof(Flow{}); unsafe.Sizeof(0) == 8 && s != 64 {
+		t.Fatalf("Flow is %d bytes, want 64", s)
+	}
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -104,7 +114,6 @@ func TestStoreAppendRejects(t *testing.T) {
 		{ID: 0, Size: 1, Src: 0, Dst: 1, Routes: []Route{{0, 2}}},                                        // route misses endpoints
 		{ID: -1, Size: 1, Src: 0, Dst: 1, Routes: []Route{{0, 1}}},                                       // negative id
 		{ID: 0, Size: 1, Src: 0, Dst: 1, Routes: []Route{{0, 1}}, WeightHops: 99},                        // bad weight hops
-		{ID: 0, Size: 1, Src: 0, Dst: 1, Routes: []Route{{0, 1}}, Redundant: 2},                          // redundant > routes
 		{ID: 0, Size: 1, Src: 0, Dst: 1, Routes: []Route{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1}}}, // too long
 	}
 	for i, f := range cases {

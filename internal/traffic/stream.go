@@ -23,7 +23,7 @@ import (
 //   - JSONL: a header line {"format":"mhs-flows/v1"} followed by one JSON
 //     flow object per line (the same field names as the classic Load
 //     document). Greppable, diffable, compresses well.
-//   - Binary: the magic "MHSB1\n", flow records — a tag byte and uvarint
+//   - Binary: the magic "MHSB2\n", flow records — a tag byte and uvarint
 //     fields, no length — and an end tag; about 10x smaller than JSONL.
 //
 // StreamReader auto-detects the encoding, and LoadAnyFile additionally
@@ -50,7 +50,7 @@ type streamHeader struct {
 // binary one. Bump only on incompatible layout changes.
 const jsonlFormatID = "mhs-flows/v1"
 
-var binaryMagic = []byte("MHSB1\n")
+var binaryMagic = []byte("MHSB2\n")
 
 // Binary record framing: each flow record begins with recFlow; recEnd
 // terminates the stream so truncation is detectable.
@@ -163,12 +163,6 @@ func appendBinaryFlow(buf []byte, f *Flow) []byte {
 	buf = binary.AppendUvarint(buf, uint64(f.Src))
 	buf = binary.AppendUvarint(buf, uint64(f.Dst))
 	buf = binary.AppendUvarint(buf, uint64(f.WeightHops))
-	flags := uint64(0)
-	if f.Critical {
-		flags = 1
-	}
-	buf = binary.AppendUvarint(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(f.Redundant))
 	buf = binary.AppendUvarint(buf, uint64(len(f.Routes)))
 	for _, r := range f.Routes {
 		buf = binary.AppendUvarint(buf, uint64(len(r)))
@@ -339,7 +333,7 @@ type fieldSpec struct {
 var (
 	header = [...]fieldSpec{
 		{math.MaxInt32, "id"}, {math.MaxInt32, "size"}, {math.MaxInt32, "src"}, {math.MaxInt32, "dst"},
-		{MaxRouteLen, "weight_hops"}, {1, "flags"}, {maxStreamRoutes, "redundant"}, {maxStreamRoutes, "route count"},
+		{MaxRouteLen, "weight_hops"}, {maxStreamRoutes, "route count"},
 	}
 	routeNode = [...]fieldSpec{{math.MaxInt32, "route node"}}
 )
@@ -402,11 +396,11 @@ func (sr *StreamReader) nextBinary(s *Store) error {
 	if err := sr.fields(h[:], header[:]); err != nil {
 		return err
 	}
-	s.appendHeader(h[0], h[1], h[2], h[3], h[4], h[5] == 1, h[6])
+	s.appendHeader(h[0], h[1], h[2], h[3], h[4])
 	// Of checkStreamFlow's checks, only these can fail on fields in range.
-	ok := h[7] > 0 && h[6] <= min(h[7], math.MaxInt8)
+	ok := h[5] > 0
 	var r [maxStreamNodes]int
-	for range h[7] {
+	for range h[5] {
 		nn := 0 // a route's length fits one byte: read it here, or field fails
 		if w := sr.win[sr.used:]; len(w) > 0 && int(w[0]) <= maxStreamNodes {
 			nn, sr.used = int(w[0]), sr.used+1
@@ -425,7 +419,6 @@ func (sr *StreamReader) nextBinary(s *Store) error {
 	s.routeStart = append(s.routeStart, int32(len(s.routeOff)-1))
 	if !ok { // checkStreamFlow names the fault
 		f := s.FlowAt(s.Len() - 1)
-		f.Redundant = h[6] // which the int8 column may not hold
 		return checkStreamFlow(&f)
 	}
 	return nil
@@ -455,12 +448,6 @@ func checkStreamFlow(f *Flow) error {
 	}
 	if len(f.Routes) > maxStreamRoutes {
 		return fmt.Errorf("traffic: flow %d has %d routes (max %d)", f.ID, len(f.Routes), maxStreamRoutes)
-	}
-	if f.Redundant < 0 || f.Redundant > len(f.Routes) {
-		return fmt.Errorf("traffic: flow %d claims %d redundant routes but has %d", f.ID, f.Redundant, len(f.Routes))
-	}
-	if f.Redundant > math.MaxInt8 {
-		return fmt.Errorf("traffic: flow %d claims %d redundant routes, more than the %d a stream holds", f.ID, f.Redundant, math.MaxInt8)
 	}
 	for _, rt := range f.Routes {
 		if len(rt) < 2 {

@@ -82,15 +82,15 @@ func TestStreamBinaryHostile(t *testing.T) {
 		"huge route count": func() []byte {
 			b := append([]byte{}, binaryMagic...)
 			b = append(b, recFlow)
-			// id,size,src,dst,weightHops,flags,redundant small...
-			b = append(b, 0, 1, 0, 1, 0, 0, 0)
+			// id,size,src,dst,weightHops small...
+			b = append(b, 0, 1, 0, 1, 0)
 			b = append(b, 0xff, 0xff, 0xff, 0xff, 0x7f) // nroutes huge
 			return b
 		}(),
 		"huge route length": func() []byte {
 			b := append([]byte{}, binaryMagic...)
 			b = append(b, recFlow)
-			b = append(b, 0, 1, 0, 1, 0, 0, 0, 1)
+			b = append(b, 0, 1, 0, 1, 0, 1)
 			b = append(b, 0xff, 0xff, 0x7f) // route length huge
 			return b
 		}(),
@@ -129,7 +129,7 @@ func TestStreamJSONLRejects(t *testing.T) {
 }
 
 func TestStreamHeaderSniff(t *testing.T) {
-	for _, bad := range []string{"", "{}\n", `{"format":"mhs-flows/v999"}` + "\n", "MHSB2\nxx",
+	for _, bad := range []string{"", "{}\n", `{"format":"mhs-flows/v999"}` + "\n", "MHSB1\nxx", "MHSB3\nxx",
 		`{"format":"mhs-flows/v1","fromat":1}` + "\n", `{"format":"mhs-flows/v1"}}` + "\n"} {
 		_, err := NewStreamReader(strings.NewReader(bad)).Next()
 		if !errors.Is(err, ErrNotStream) {
@@ -188,7 +188,7 @@ func TestStreamJSONLAdmitsWidestRecord(t *testing.T) {
 	}
 	const wide = math.MaxInt32
 	f := Flow{ID: wide, Size: wide, Src: wide, Dst: wide - 1, WeightHops: MaxRouteLen,
-		Critical: true, Redundant: math.MaxInt8, Routes: make([]Route, maxStreamRoutes)}
+		Routes: make([]Route, maxStreamRoutes)}
 	for i := range f.Routes {
 		r := make(Route, maxStreamNodes)
 		for j := range r {
@@ -334,50 +334,32 @@ func TestStreamBinaryWindowBoundaries(t *testing.T) {
 	}
 }
 
-// overRedundant is a flow claiming 200 redundant routes, all of them
-// present: more than the store's int8 column holds.
-func overRedundant() Flow {
-	f := Flow{ID: 3, Size: 1, Src: 0, Dst: 1, Redundant: 200}
-	for range f.Redundant {
-		f.Routes = append(f.Routes, Route{0, 1})
+// mhsb1Stream is one flow in the binary layout before MHSB2: its magic,
+// then id 1, size 5, 0->2, weight_hops 0, the flags and redundant fields the
+// flow schema has since dropped, and the route [0 1 2].
+func mhsb1Stream() []byte {
+	return []byte("MHSB1\n\x01\x01\x05\x00\x02\x00\x00\x00\x01\x03\x00\x01\x02\x00")
+}
+
+// TestStreamRejectsMHSB1: the binary record layout is positional, so a
+// stream in the layout before MHSB2 is refused by its magic rather than read
+// with its fields shifted.
+func TestStreamRejectsMHSB1(t *testing.T) {
+	if _, err := ReadStore(bytes.NewReader(mhsb1Stream())); !errors.Is(err, ErrNotStream) {
+		t.Errorf("ReadStore: err = %v, want ErrNotStream", err)
 	}
-	return f
-}
-
-// overRedundantBinary is overRedundant as a binary stream, written past
-// the writer's checks.
-func overRedundantBinary() []byte {
-	f := overRedundant()
-	return append(appendBinaryFlow(append([]byte{}, binaryMagic...), &f), recEnd)
-}
-
-// TestStreamRedundantFitsTheStore: a flow whose Redundant the store's int8
-// column cannot hold is refused, in the same words, by the binary and JSONL
-// decoders, the writer and FromLoad, where it used to wrap to -56.
-func TestStreamRedundantFitsTheStore(t *testing.T) {
-	f := overRedundant()
-	const want = "traffic: flow 3 claims 200 redundant routes, more than the 127 a stream holds"
-	line, err := json.Marshal(f)
+	if _, err := ReadAny(bytes.NewReader(mhsb1Stream())); err == nil {
+		t.Error("ReadAny accepted an MHSB1 stream")
+	}
+	// The same flow in the current layout reads.
+	body := mhsb1Stream()[len("MHSB1\n"):]
+	body = append(body[:6:6], body[8:]...) // drop flags and redundant
+	got, err := ReadAny(bytes.NewReader(append(append([]byte{}, binaryMagic...), body...)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonl := `{"format":"mhs-flows/v1"}` + "\n" + string(line) + "\n"
-	_, binErr := ReadStore(bytes.NewReader(overRedundantBinary()))
-	_, jsonlErr := ReadStore(strings.NewReader(jsonl))
-	_, loadErr := FromLoad(&Load{Flows: []Flow{f}})
-	writeErr := NewStreamWriter(io.Discard, FormatBinary).Write(&f)
-	for name, err := range map[string]error{"binary": binErr, "jsonl": jsonlErr, "FromLoad": loadErr, "Write": writeErr} {
-		if err == nil || err.Error() != want {
-			t.Errorf("%s: err = %v, want %q", name, err, want)
-		}
-	}
-	f.Redundant = math.MaxInt8
-	s, err := FromLoad(&Load{Flows: []Flow{f}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.FlowAt(0).Redundant; got != math.MaxInt8 {
-		t.Fatalf("Redundant %d stored as %d", math.MaxInt8, got)
+	if want := []Flow{{ID: 1, Size: 5, Src: 0, Dst: 2, Routes: []Route{{0, 1, 2}}}}; !reflect.DeepEqual(got.Flows, want) {
+		t.Fatalf("current layout read %+v, want %+v", got.Flows, want)
 	}
 }
 

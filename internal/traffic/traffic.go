@@ -87,16 +87,6 @@ type Flow struct {
 	// unordered one-hop decomposition of a flow keeps the original flow's
 	// packet weight. Must be at least the hop count of every route.
 	WeightHops int `json:"weight_hops,omitempty"`
-
-	// Critical marks the flow as eligible for proactive redundancy: the
-	// Redundant transform provisions disjoint alternate routes only for
-	// critical flows (see MarkCritical).
-	Critical bool `json:"critical,omitempty"`
-
-	// Redundant, when > 1, records that the flow's Routes hold that many
-	// pairwise edge-disjoint routes provisioned by the Redundant transform
-	// (primary first). ExpandRedundant turns them into per-copy flows.
-	Redundant int `json:"redundant,omitempty"`
 }
 
 // WeightLen returns the hop count from which packet weights for route r of
@@ -242,9 +232,6 @@ func (f *Flow) check(g *graph.Digraph) error {
 	}
 	if f.WeightHops < 0 || f.WeightHops > MaxRouteLen {
 		return fmt.Errorf("traffic: flow %d has invalid WeightHops %d", f.ID, f.WeightHops)
-	}
-	if f.Redundant < 0 || f.Redundant > len(f.Routes) {
-		return fmt.Errorf("traffic: flow %d claims %d redundant routes but has %d", f.ID, f.Redundant, len(f.Routes))
 	}
 	for _, r := range f.Routes {
 		if r.Hops() < 1 || r.Hops() > MaxRouteLen {

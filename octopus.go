@@ -304,21 +304,15 @@ func DisjointRoutes(g *Network, src, dst, k, maxHops int) []Route {
 	return routes
 }
 
-// MarkCritical marks the frac largest flows of the load Critical (the ones
-// proactive redundancy will protect) and returns how many were marked.
-func MarkCritical(load *Load, frac float64) int { return traffic.MarkCritical(load, frac) }
-
-// Redundant returns a copy of the load in which every Critical flow is
-// provisioned with up to k−1 pairwise edge-disjoint alternates of its
-// primary route, each at most maxStretch times the primary's hop count.
-func Redundant(g *Network, load *Load, k int, maxStretch float64) *Load {
-	return traffic.Redundant(g, load, k, maxStretch)
+// ProvisionRedundant protects the ⌈crit·n⌉ largest flows of the load with
+// up to k−1 pairwise edge-disjoint alternates of their primary routes, each
+// at most maxStretch times the primary's hop count, and splits every
+// protected flow into one single-route copy flow per route. It returns the
+// expanded load and the Redundancy group map the simulator and the fault
+// loop deduplicate with; the input load is never modified.
+func ProvisionRedundant(g *Network, load *Load, k int, crit, maxStretch float64) (*Load, *Redundancy) {
+	return traffic.Provision(g, load, k, crit, maxStretch)
 }
-
-// ExpandRedundant splits every provisioned flow into one single-route copy
-// flow per route plus the Redundancy group map the simulator and the fault
-// loop deduplicate with.
-func ExpandRedundant(load *Load) (*Load, *Redundancy) { return traffic.ExpandRedundant(load) }
 
 // CorrelatedTrace builds a failure trace of correlated bursts: burst i
 // takes down every link incident to nodes[i] at slot start+i*period and
