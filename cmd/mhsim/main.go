@@ -38,7 +38,6 @@ import (
 	"octopus/internal/httpd"
 	"octopus/internal/obs"
 	"octopus/internal/obs/flight"
-	"octopus/internal/online"
 	"octopus/internal/schedule"
 	"octopus/internal/simulate"
 	"octopus/internal/traffic"
@@ -444,11 +443,11 @@ func runFaulty(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults *f
 	}
 	// Everything is offered at slot 0, replayed against the trace with
 	// epoch-boundary repair and every plan audited.
-	arrivals := make([]online.Arrival, len(load.Flows))
+	arrivals := make([]engine.Arrival, len(load.Flows))
 	for i, f := range load.Flows {
-		arrivals[i] = online.Arrival{Flow: f}
+		arrivals[i] = engine.Arrival{Flow: f}
 	}
-	res, err := online.Run(g, arrivals, engine.Config{
+	res, err := engine.Run(g, arrivals, engine.Config{
 		Core: opt, Trace: faults, Repair: true, Reactive: true, Red: red, Audit: true, Flight: params.Flight,
 	}, maxEpochs)
 	if err != nil {
@@ -457,7 +456,7 @@ func runFaulty(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults *f
 	// The reference is a baseline, not part of the observed run: it gets
 	// neither the observer nor the flight recorder.
 	opt.Obs = nil
-	ref, err := online.Run(g, arrivals, engine.Config{Core: opt}, maxEpochs)
+	ref, err := engine.Run(g, arrivals, engine.Config{Core: opt}, maxEpochs)
 	if err != nil {
 		return fmt.Errorf("failure-free reference run: %w", err)
 	}
@@ -521,7 +520,7 @@ func runShowdown(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults 
 	}
 	k, crit, stretch := algo.RedundancyKnobs(params)
 	expanded, red := algo.ProvisionRedundant(g, load, params)
-	results, err := online.Showdown(g, load, expanded, red, engine.Config{Core: opt, Trace: faults}, maxEpochs)
+	results, err := engine.Showdown(g, load, expanded, red, engine.Config{Core: opt, Trace: faults}, maxEpochs)
 	if err != nil {
 		return err
 	}

@@ -118,9 +118,11 @@ func ParseMatcher(s string) (core.Matcher, error) {
 //	name[:key=value,...]
 //
 // against the registry, overlaying any key=value options onto base. Keys:
-// window, delta, ports, seed, eps64, slots (integers),
-// rate (float), multihop, backtrack, keeptrace (booleans; backtrack=false
-// disables Octopus+ backtracking), and matcher (exact|greedy).
+// ports, par, pods, eps64, slots, red (integers), sample (N or 1/N),
+// crit, stretch, rate (numbers), multihop, backtrack, keeptrace (booleans;
+// backtrack=false disables Octopus+ backtracking), and matcher
+// (exact|greedy). The instance — window, Δ, seed — is base's alone: every
+// entry point sets it from its own flags.
 func ParseSpec(spec string, base Params) (Algorithm, Params, error) {
 	name, opts, hasOpts := strings.Cut(spec, ":")
 	a, ok := Lookup(name)
@@ -146,9 +148,8 @@ func ParseSpec(spec string, base Params) (Algorithm, Params, error) {
 
 // specKeys names every key ParseSpec accepts, for error messages.
 var specKeys = []string{
-	"backtrack", "crit", "delta", "eps64", "keeptrace",
-	"matcher", "multihop", "par", "pods", "ports", "rate", "red", "sample",
-	"seed", "slots", "stretch", "window",
+	"backtrack", "crit", "eps64", "keeptrace", "matcher", "multihop",
+	"par", "pods", "ports", "rate", "red", "sample", "slots", "stretch",
 }
 
 // set applies one key=value option to the params.
@@ -178,10 +179,6 @@ func (p *Params) set(key, val string) error {
 		return nil
 	}
 	switch key {
-	case "window":
-		return parseInt(&p.Window)
-	case "delta":
-		return parseInt(&p.Delta)
 	case "ports":
 		return parseInt(&p.Ports)
 	case "par":
@@ -208,13 +205,6 @@ func (p *Params) set(key, val string) error {
 			return err
 		}
 		p.DisableBacktrack = !backtrack
-		return nil
-	case "seed":
-		v, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return fmt.Errorf("option %s=%q: want an integer", key, val)
-		}
-		p.Seed = v
 		return nil
 	case "rate":
 		v, err := strconv.ParseFloat(val, 64)

@@ -32,18 +32,18 @@ func TestParseSpecPlainName(t *testing.T) {
 
 func TestParseSpecOptions(t *testing.T) {
 	base := Params{Window: 100, Delta: 5}
-	a, p, err := ParseSpec("rotornet:slots=50,delta=7", base)
+	a, p, err := ParseSpec("rotornet:slots=50", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Name() != "rotornet" || p.SlotsPerMatching != 50 || p.Delta != 7 {
+	if a.Name() != "rotornet" || p.SlotsPerMatching != 50 || p.Delta != 5 {
 		t.Fatalf("got %s, %+v", a.Name(), p)
 	}
-	_, p, err = ParseSpec("octopus-e:eps64=8,window=200,matcher=greedy", base)
+	_, p, err = ParseSpec("octopus-e:eps64=8,matcher=greedy", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Epsilon64 != 8 || p.Window != 200 || p.Matcher != core.MatcherGreedy {
+	if p.Epsilon64 != 8 || p.Window != 100 || p.Matcher != core.MatcherGreedy {
 		t.Fatalf("got %+v", p)
 	}
 	_, p, err = ParseSpec("octopus-plus:backtrack=false,keeptrace=true", base)
@@ -53,11 +53,11 @@ func TestParseSpecOptions(t *testing.T) {
 	if !p.DisableBacktrack || !p.KeepTrace {
 		t.Fatalf("got %+v", p)
 	}
-	_, p, err = ParseSpec("octopus:multihop=true,seed=7,ports=2", base)
+	_, p, err = ParseSpec("octopus:multihop=true,ports=2", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.MultiHop || p.Seed != 7 || p.Ports != 2 {
+	if !p.MultiHop || p.Ports != 2 {
 		t.Fatalf("got %+v", p)
 	}
 	_, p, err = ParseSpec("hybrid:rate=0.25", base)
@@ -92,6 +92,10 @@ func TestParseSpecErrors(t *testing.T) {
 		{"octopus:color=red", "unknown option"},
 		{"octopus:hold=1", `unknown option "hold"`},
 		{"octopus:hys64=96", `unknown option "hys64"`},
+		// The instance is set once, by the entry point's own flags.
+		{"octopus:window=500", `unknown option "window"`},
+		{"octopus:delta=20", `unknown option "delta"`},
+		{"octopus-random:seed=7", `unknown option "seed"`},
 	}
 	for _, tc := range cases {
 		_, _, err := ParseSpec(tc.spec, base)

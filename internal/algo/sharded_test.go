@@ -108,7 +108,7 @@ func TestOctopusShardedRejections(t *testing.T) {
 }
 
 func TestParseSpecShardedKeys(t *testing.T) {
-	a, p, err := ParseSpec("octopus-sharded:pods=8,par=4,window=256", Params{})
+	a, p, err := ParseSpec("octopus-sharded:pods=8,par=4", Params{Window: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

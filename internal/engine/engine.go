@@ -1,7 +1,9 @@
-// Package engine is the stepwise epoch state machine behind the online
-// schedulers and the mhsd daemon: a mutable flow-state store (arrivals,
+// Package engine is the stepwise epoch state machine behind online
+// scheduling — the paper's generalization to dynamically arriving flows
+// (§9) — and the mhsd daemon: a mutable flow-state store (arrivals,
 // cancellations, backlog carried between epochs) driven by an explicit
-// PlanNext / Commit cycle.
+// PlanNext / Commit cycle. Run is the batch driver over it, pinned by the
+// golden fingerprints in testdata/engine_golden.json.
 //
 // PlanNext computes the next epoch's configuration — admission of due
 // arrivals, fault repair against the surviving fabric, and the Octopus
@@ -56,8 +58,8 @@ type Config struct {
 	// Repair enables the epoch-boundary fault machinery: surviving-fabric
 	// snapshots, route repair of broken flows, delta jitter, and the
 	// redundancy-deduplicated delivery accounting. Fault-tolerant batch
-	// runs (online.Run under a trace) and the daemon set it; a
-	// failure-free run does not.
+	// runs (Run under a trace) and the daemon set it; a failure-free run
+	// does not.
 	Repair bool
 
 	// Reactive selects BFS rerouting for flows whose every route died
@@ -77,7 +79,7 @@ type Config struct {
 	// repaired/requeued, delivered/completed, dropped, cancelled) for
 	// tracked flows, keyed by arrival flow IDs. Epoch fields are pipeline
 	// epochs: boundary events carry the epoch being planned, delivery and
-	// completion events carry epoch+1 (the completion epoch online.Run
+	// completion events carry epoch+1 (the completion epoch Run
 	// reports). nil disables recording; the recorder is strictly
 	// read-only — schedules and totals are bit-identical either way.
 	Flight *flight.Recorder
@@ -178,7 +180,7 @@ func New(g *graph.Digraph, cfg Config) (*Pipeline, error) {
 // Submit queues one flow to be admitted at the first epoch boundary at or
 // after slot at. Arrivals are admitted in submission order, stopping at
 // the first entry not yet due — callers submitting a batch must order it
-// by At (online.Run stable-sorts first; the daemon submits with the
+// by At (Run stable-sorts first; the daemon submits with the
 // current boundary as At, which is non-decreasing by construction).
 func (p *Pipeline) Submit(f traffic.Flow, at int) error {
 	if at < 0 {

@@ -479,7 +479,7 @@ func TestStaleCancellationsAreForgotten(t *testing.T) {
 			t.Fatalf("cancel of delivered flow %d refused", id-1)
 		}
 		if stat := step(); stat.Cancelled != 0 || stat.Backlog != 0 {
-			t.Fatalf("flow %d: stat %+v, want everything delivered and nothing cancelled", id, stat.EpochStat)
+			t.Fatalf("flow %d: stat %+v, want everything delivered and nothing cancelled", id, *stat)
 		}
 		if n := pendingCancels(); n != 0 {
 			t.Fatalf("after flow %d: %d stale cancellation requests kept", id, n)
@@ -506,7 +506,7 @@ func TestStaleCancellationsAreForgotten(t *testing.T) {
 		}
 	}
 	if stat := step(); stat.Cancelled != late.Size || stat.Arrived != 0 {
-		t.Fatalf("due epoch: stat %+v, want the arrival cancelled on admission", stat.EpochStat)
+		t.Fatalf("due epoch: stat %+v, want the arrival cancelled on admission", *stat)
 	}
 	if n := pendingCancels(); n != 0 || !p.Done() || p.LiveFlows() != 0 {
 		t.Fatalf("after the drain: %d requests pending, done %v, %d live", n, p.Done(), p.LiveFlows())

@@ -5,9 +5,8 @@ import "octopus/internal/obs"
 // observeEpoch records one scheduled epoch on the observer: the per-epoch
 // counters, the live queue-depth gauge, and the "online.epoch" trace event.
 // Read-only with respect to the run; a nil observer costs the Enabled check.
-// The metric and event names predate the engine extraction and are kept
-// stable for dashboards.
-func observeEpoch(o *obs.Observer, stat *EpochStat, reconfigs int) {
+// The online_* metric and event names are kept stable for dashboards.
+func observeEpoch(o *obs.Observer, stat *FaultEpochStat, reconfigs int) {
 	if !o.Enabled() {
 		return
 	}

@@ -10,8 +10,9 @@ import (
 	"octopus/internal/traffic"
 )
 
-// EpochStat summarizes one scheduling epoch.
-type EpochStat struct {
+// FaultEpochStat summarizes one scheduling epoch: what it admitted,
+// scheduled and delivered, and its degradation accounting.
+type FaultEpochStat struct {
 	Epoch     int // 0-based epoch index
 	Arrived   int // packets newly admitted at this epoch boundary
 	Offered   int // packets scheduled this epoch (arrivals + backlog)
@@ -27,11 +28,6 @@ type EpochStat struct {
 	// scheduled (nil unless Config.KeepPlans).
 	Plan *core.Result
 	Load *traffic.Load
-}
-
-// FaultEpochStat extends EpochStat with the epoch's degradation accounting.
-type FaultEpochStat struct {
-	EpochStat
 
 	FailedLinks int // links individually down at the boundary snapshot
 	FailedNodes int // nodes down at the boundary snapshot
@@ -86,7 +82,7 @@ const (
 	// jitter left no room for even one configuration.
 	PlanJitterSkipped
 	// PlanDrained means nothing is backlogged or queued: the pipeline has
-	// no work now and none pending. The batch driver stops here; the daemon
+	// no work now and none pending. Run stops here; the daemon
 	// keeps committing drained epochs while it waits for submissions.
 	PlanDrained
 )
@@ -97,13 +93,7 @@ const (
 type Plan struct {
 	Epoch int
 	Kind  PlanKind
-	// Record reports whether the batch driver (online.Run) appends this
-	// epoch's stat to its epoch list, mirroring the recording rules of the
-	// monolithic loops this engine was extracted from: scheduled, idle, and
-	// jitter-skipped epochs always record; a drained boundary records only
-	// when fault repair still did visible work there.
-	Record bool
-	Stat   FaultEpochStat
+	Stat  FaultEpochStat
 
 	// Planning-side snapshots consumed by Commit. A plan never copies the
 	// committed flow table: it is an overlay over it. Work-flow IDs below
@@ -222,10 +212,8 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 	if len(work.Flows) == 0 {
 		if drained {
 			plan.Kind = PlanDrained
-			plan.Record = plan.Stat.Dropped > 0 || plan.Stat.SurvivedRedundant > 0 || plan.Stat.Rerouted > 0
 		} else {
 			plan.Kind = PlanIdle
-			plan.Record = true
 		}
 		return plan, nil
 	}
@@ -238,7 +226,6 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 		if coreOpt.Delta >= coreOpt.Window {
 			plan.Stat.Backlog = work.TotalPackets()
 			plan.Kind = PlanJitterSkipped
-			plan.Record = true
 			return plan, nil
 		}
 	}
@@ -257,7 +244,6 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 		}
 	}
 	plan.Kind = PlanScheduled
-	plan.Record = true
 	plan.sched = sres
 	plan.residual, plan.remap = s.ResidualLoadMap()
 	return plan, nil
@@ -394,7 +380,7 @@ func (p *Pipeline) commitSchedule(plan *Plan) {
 	stat.Offered = sres.TotalPackets
 	stat.Delivered = sres.Delivered
 	stat.Backlog = sres.Pending
-	observeEpoch(p.cfg.Core.Obs, &stat.EpochStat, len(sres.Schedule.Configs))
+	observeEpoch(p.cfg.Core.Obs, stat, len(sres.Schedule.Configs))
 	if p.cfg.KeepPlans {
 		stat.Plan = sres
 		stat.Load = plan.work.Clone()

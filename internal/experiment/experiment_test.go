@@ -115,6 +115,54 @@ func TestFig8Qualitative(t *testing.T) {
 	}
 }
 
+// TestFig8PaperScaleRanges asserts the ranges EXPERIMENTS.md §8 reports
+// over the paper-scale results/fig8.csv, at every Δ: Octopus delivers at
+// least 40 % at a utilization of at least 90 %, RotorNet at most 12 % at a
+// utilization of at most 25 %. A copy with any one of the four values of
+// any row moved just past its bound must fail the predicate.
+func TestFig8PaperScaleRanges(t *testing.T) {
+	inRange := func(rows [][]float64) error {
+		for _, row := range rows {
+			octDel, rotDel, octUtil, rotUtil := row[1], row[2], row[3], row[4]
+			switch {
+			case octDel < 40:
+				return fmt.Errorf("Δ=%v: Octopus delivers %.4f%%, below 40%%", row[0], octDel)
+			case octUtil < 90:
+				return fmt.Errorf("Δ=%v: Octopus utilization %.4f%%, below 90%%", row[0], octUtil)
+			case rotDel > 12:
+				return fmt.Errorf("Δ=%v: RotorNet delivers %.4f%%, above 12%%", row[0], rotDel)
+			case rotUtil > 25:
+				return fmt.Errorf("Δ=%v: RotorNet utilization %.4f%%, above 25%%", row[0], rotUtil)
+			}
+		}
+		return nil
+	}
+	rows := readResults(t, "8")
+	for _, row := range rows {
+		if len(row) != 5 {
+			t.Fatalf("fig8.csv row %v: want delta, Octopus del%%, RotorNet del%%, Octopus util%%, RotorNet util%%", row)
+		}
+	}
+	if err := inRange(rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		for _, m := range []struct {
+			col int
+			to  float64
+		}{{1, 39.9}, {2, 12.1}, {3, 89.9}, {4, 25.1}} {
+			broken := make([][]float64, len(rows))
+			for j := range rows {
+				broken[j] = slices.Clone(rows[j])
+			}
+			broken[i][m.col] = m.to
+			if inRange(broken) == nil {
+				t.Errorf("Δ=%v: column %d set to %.1f and the predicate still holds", row[0], m.col, m.to)
+			}
+		}
+	}
+}
+
 func TestFig10aExactSlowerThanGreedy(t *testing.T) {
 	sc := tiny()
 	sc.TimeNodeSweep = []int{12}
@@ -198,6 +246,56 @@ func TestFig9bOctopusPlusTwiceRandom(t *testing.T) {
 		broken[i][2] = row[1]/2 + 0.01
 		if twice(broken) == nil {
 			t.Errorf("Δ=%v: Octopus-random raised past half of Octopus+ and the predicate still holds", row[0])
+		}
+	}
+}
+
+// TestFig7aOctopusShareOfPsi asserts the claim of EXPERIMENTS.md §7a over
+// the paper-scale results/fig7a.csv, at every Δ: Octopus delivers 80–91 %
+// of its ψ (the CSV reads 81.9–90.1), UB a smaller share than Octopus, and
+// Eclipse-Based a smaller share than UB. A copy with one row moved to
+// break any one of the three must fail the predicate.
+func TestFig7aOctopusShareOfPsi(t *testing.T) {
+	ordered := func(rows [][]float64) error {
+		for _, row := range rows {
+			oct, ecl, ub := row[1], row[2], row[3]
+			switch {
+			case oct < 80 || oct > 91:
+				return fmt.Errorf("Δ=%v: Octopus delivers %.4f%% of ψ, outside [80, 91]", row[0], oct)
+			case ub >= oct:
+				return fmt.Errorf("Δ=%v: UB %.4f not below Octopus %.4f", row[0], ub, oct)
+			case ecl >= ub:
+				return fmt.Errorf("Δ=%v: Eclipse-Based %.4f not below UB %.4f", row[0], ecl, ub)
+			}
+		}
+		return nil
+	}
+	rows := readResults(t, "7a")
+	for _, row := range rows {
+		if len(row) != 4 {
+			t.Fatalf("fig7a.csv row %v: want delta, Octopus, Eclipse-Based, UB", row)
+		}
+	}
+	if err := ordered(rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		for _, m := range []struct {
+			what  string
+			apply func(r []float64)
+		}{
+			{"Octopus raised to 91.5", func(r []float64) { r[1] = 91.5 }},
+			{"UB raised past Octopus", func(r []float64) { r[3] = r[1] + 0.1 }},
+			{"Eclipse-Based raised past UB", func(r []float64) { r[2] = r[3] + 0.1 }},
+		} {
+			broken := make([][]float64, len(rows))
+			for j := range rows {
+				broken[j] = slices.Clone(rows[j])
+			}
+			m.apply(broken[i])
+			if ordered(broken) == nil {
+				t.Errorf("Δ=%v: %s and the predicate still holds", row[0], m.what)
+			}
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"octopus/internal/engine"
 	"octopus/internal/fault"
 	"octopus/internal/graph"
-	"octopus/internal/online"
 	"octopus/internal/traffic"
 )
 
@@ -70,7 +69,7 @@ var redTraces = sync.OnceValues(func() ([]*fault.Trace, error) {
 
 // onTimeFraction is the deduplicated fraction delivered within the first
 // redHorizon epochs.
-func onTimeFraction(res *online.Result) float64 {
+func onTimeFraction(res *engine.RunResult) float64 {
 	if res.UniqueSubmitted == 0 {
 		return 0
 	}
@@ -106,7 +105,7 @@ func redundancyShowdown(sc Scale, in instance, rng *rand.Rand) ([]float64, error
 	// pairwise edge-disjoint route copies, expanded into per-copy flows
 	// tied together by the redundancy group map.
 	expanded, red := algo.ProvisionRedundant(g, load, algo.Params{Redundancy: in.x, CritFrac: redCritFrac, Stretch: redStretch})
-	arms, err := online.Showdown(g, load, expanded, red, engine.Config{
+	arms, err := engine.Showdown(g, load, expanded, red, engine.Config{
 		Core:  core.Options{Window: redEpochW, Delta: redDelta, Matcher: sc.Matcher},
 		Trace: tr,
 	}, redMaxEpochs)

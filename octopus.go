@@ -41,7 +41,6 @@ import (
 	"octopus/internal/fault"
 	"octopus/internal/graph"
 	"octopus/internal/hybrid"
-	"octopus/internal/online"
 	"octopus/internal/schedule"
 	"octopus/internal/simulate"
 	"octopus/internal/traffic"
@@ -219,10 +218,10 @@ func Makespan(g *Network, load *Load, opt Options) (int, *Result, error) {
 // plan an epoch on the state as it stands, carry the rest forward.
 type (
 	// Arrival is a flow plus the slot at which the controller learns of it.
-	Arrival = online.Arrival
+	Arrival = engine.Arrival
 	// OnlineResult reports per-epoch statistics, the run's packet totals
 	// and per-flow completion.
-	OnlineResult = online.Result
+	OnlineResult = engine.RunResult
 )
 
 // ScheduleOnline is the one batch entry point over the epoch engine: it
@@ -234,7 +233,7 @@ type (
 // Reactive and Audit set replays a failure script with epoch-boundary
 // repair; cfg.Red layers proactive copies under it (see PipelineConfig).
 func ScheduleOnline(g *Network, arrivals []Arrival, cfg PipelineConfig, maxEpochs int) (*OnlineResult, error) {
-	return online.Run(g, arrivals, cfg, maxEpochs)
+	return engine.Run(g, arrivals, cfg, maxEpochs)
 }
 
 // The algorithm registry: every scheduler, baseline, and bound behind one
