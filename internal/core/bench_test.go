@@ -181,7 +181,7 @@ func BenchmarkWeightedEdgesGreedy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.forAlphas(alphas, func(sc *evalScratch, _ int, col []int64) { weightedEdgesSink += len(sc.weighted(s.tr.glinks, col)) })
+		s.forAlphas(alphas, len(alphas), func(sc *evalScratch, _ int, _, col []int64) { weightedEdgesSink += len(sc.weighted(s.tr.glinks, col)) })
 	}
 }
 

@@ -114,29 +114,22 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		return bst.links, bst.alpha, bst.benefit
 	}
 
-	if cap(s.evals) < len(alphas) {
-		s.evals = make([]alphaEval, len(alphas))
-	}
-	evals := s.evals[:len(alphas)]
-	for i := range evals {
-		evals[i] = alphaEval{}
-	}
+	evals := slices.Grow(s.evals[:0], len(alphas))[:len(alphas)]
+	clear(evals)
+	s.evals = evals
 	twoPhase := bipartite && s.opt.Matcher != MatcherGreedy
 
-	// Phase 1: cheap evaluation of every α. Every greedy weight is recorded,
-	// but a link set is copied out of its arena only when it strictly beats
-	// its worker's incumbent, and only those incumbents reach evals. That
-	// loses nothing: a reduction picks the first α, ascending, whose greedy
-	// ratio is the largest (exact candidates in between do not change which
-	// greedy one can win); every earlier α has a strictly smaller ratio, no
-	// later one a larger, and a worker meets its α's in ascending order — so
-	// the worker that solves that α keeps it, and nothing after displaces it.
+	// Phase 1: cheap evaluation of every α, a run of α's carrying its greedy
+	// matching (GreedyNext). Every greedy weight is recorded, but a link set
+	// is copied out of its arena only when it strictly beats its worker's
+	// incumbent, which loses nothing since a worker meets its α's in
+	// ascending order (DESIGN.md §4, "Copying one matching").
 	if bipartite {
 		for _, sc := range s.scratch {
 			sc.local.benefit = 0
 		}
-		s.forAlphas(alphas, func(sc *evalScratch, i int, col []int64) {
-			m, gw := sc.arena.GreedyColumn(s.fabric.N(), s.tr.glinks, col)
+		s.forAlphas(alphas, alphaRuns, func(sc *evalScratch, i int, prev, col []int64) {
+			m, gw := sc.arena.GreedyNext(s.fabric.N(), s.tr.glinks, prev, col)
 			evals[i].w = gw
 			if sc.local.beats(gw, alphas[i]) {
 				sc.local.consider(appendLinks(sc.local.links[:0], m), alphas[i], gw)
@@ -152,7 +145,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 			}
 		}
 	} else {
-		s.forAlphas(alphas, func(sc *evalScratch, i int, col []int64) {
+		s.forAlphas(alphas, len(alphas), func(sc *evalScratch, i int, _, col []int64) {
 			evals[i].links, evals[i].w = s.evalAlpha(sc, alphas[i], col)
 		})
 	}
@@ -207,13 +200,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	slices.SortFunc(sel, func(x, y int) int {
 		bx := evals[x].ub * int64(alphas[y]+s.opt.Delta)
 		by := evals[y].ub * int64(alphas[x]+s.opt.Delta)
-		switch {
-		case bx > by:
-			return -1
-		case bx < by:
-			return 1
-		}
-		return alphas[x] - alphas[y]
+		return cmp.Or(cmp.Compare(by, bx), alphas[x]-alphas[y])
 	})
 	inc := *seed
 	solved := 0
@@ -241,7 +228,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		for ci, i := range sel[lo:k] {
 			chunk[ci] = alphas[i]
 		}
-		s.forAlphas(chunk[:k-lo], func(sc *evalScratch, ci int, col []int64) {
+		s.forAlphas(chunk[:k-lo], k-lo, func(sc *evalScratch, ci int, _, col []int64) {
 			i := sel[lo+ci]
 			m, mw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.tr.glinks, col))
 			evals[i].exactLinks = appendLinks(nil, m)
@@ -273,14 +260,16 @@ const phase2Chunk = 8
 // (a fabric with more active links than that gets one-α blocks).
 const gTableEntries = 1 << 20
 
-// forAlphas calls f(scratch, j, col) once for every j in [0, len(as)), col
-// being the g-table column of α = as[j]: col[i] = g(s.tr.glinks[i], α) over
-// the active links in (From, To) order, zeros included. It is the one source
-// of G': sc.weighted(s.tr.glinks, col) is the weighted graph of Procedure 2.
-// col is valid until f returns. as must be ascending; it is cut into blocks
-// of as many α's as the table holds, and the α's of a block are evaluated in
-// parallel, every worker taking its share in ascending order.
-func (s *Scheduler) forAlphas(as []int, f func(sc *evalScratch, j int, col []int64)) {
+// forAlphas calls f(scratch, j, prev, col) once for every j in [0, len(as)),
+// col being the g-table column of α = as[j]: col[i] = g(s.tr.glinks[i], α)
+// over the active links in (From, To) order, zeros included — the one source
+// of G', sc.weighted(s.tr.glinks, col) being Procedure 2's weighted graph. as
+// must ascend; it is cut into blocks of as many α's as the table holds, and a
+// block into min(runs, its size) runs of consecutive α's, evaluated in
+// parallel: a run by one worker in ascending α, a worker's runs in ascending
+// order. prev is the run's previous column (empty at its first α); both are
+// valid until the run ends. The runs do not depend on the worker count.
+func (s *Scheduler) forAlphas(as []int, runs int, f func(sc *evalScratch, j int, prev, col []int64)) {
 	states := s.tr.activeStates()
 	nL := len(states)
 	if nL == 0 {
@@ -290,11 +279,20 @@ func (s *Scheduler) forAlphas(as []int, f func(sc *evalScratch, j int, col []int
 	for lo := 0; lo < len(as); lo += width {
 		block := as[lo:min(lo+width, len(as))]
 		s.fillG(states, block)
-		s.parallelFor(len(block), func(w, j int) {
-			f(s.scratch[w], lo+j, s.gbuf[j*nL:(j+1)*nL])
+		k := min(runs, len(block))
+		s.parallelFor(k, func(w, r int) {
+			first := r * len(block) / k
+			for j := first; j < (r+1)*len(block)/k; j++ {
+				prev := s.gbuf[max(j-1, first)*nL : j*nL] // empty at the run's first α
+				f(s.scratch[w], lo+j, prev, s.gbuf[j*nL:(j+1)*nL])
+			}
 		})
 	}
 }
+
+// alphaRuns is the number of runs phase 1 of the single-port bipartite modes
+// cuts a block into; a run carries its greedy matching from α to α.
+const alphaRuns = 8
 
 // fillLinks is the number of links one fillG work item covers.
 const fillLinks = 1024
@@ -384,7 +382,7 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best) {
 			return e
 		}
 		e.w = 0
-		s.forAlphas(alphas[i:i+1], func(sc *evalScratch, _ int, col []int64) {
+		s.forAlphas(alphas[i:i+1], 1, func(sc *evalScratch, _ int, _, col []int64) {
 			e.links, e.w = s.evalAlpha(sc, alphas[i], col)
 		})
 		return e
@@ -424,7 +422,7 @@ func (s *Scheduler) evalAlpha(sc *evalScratch, a int, col []int64) ([]graph.Edge
 	}
 	// One port: the better of the greedy and exact matchings, greedy on ties.
 	// Only that one is copied out of the arena.
-	m, w := sc.arena.GreedyColumn(s.fabric.N(), s.tr.glinks, col)
+	m, w := sc.arena.GreedyNext(s.fabric.N(), s.tr.glinks, nil, col)
 	if s.opt.Matcher != MatcherGreedy {
 		if xm, xw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.tr.glinks, col)); xw > w {
 			m, w = xm, xw

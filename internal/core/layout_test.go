@@ -196,7 +196,8 @@ func randomQueues(n int, seed int64) (*graph.Digraph, *traffic.Load) {
 // block of the table holds — several full blocks and a partial last one, α's
 // from 1 to past every queue's total — on queues a few configurations into
 // a run (drained entries, downstream arrivals), and checks every weighted
-// edge list against each link's queue walk (naiveGValue).
+// edge list, and every run's previous column, against each link's queue walk
+// (naiveGValue).
 func TestGTableMatchesQueueWalk(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		g, load := randomQueues(36, seed)
@@ -225,9 +226,15 @@ func TestGTableMatchesQueueWalk(t *testing.T) {
 			t.Fatalf("seed %d: %d α's over %d links do not make full blocks plus a partial one (width %d)", seed, len(as), len(states), width)
 		}
 		seen := make([]bool, len(as))
-		s.forAlphas(as, func(sc *evalScratch, j int, col []int64) {
+		s.forAlphas(as, alphaRuns, func(sc *evalScratch, j int, prev, col []int64) {
 			we := sc.weighted(s.tr.glinks, col)
 			seen[j] = true
+			for li := range prev {
+				if prev[li] != walks[li][min(as[j-1], len(walks[li])-1)] {
+					t.Errorf("seed %d: prev for α=%d (index %d) is not the column of α=%d", seed, as[j], j, as[j-1])
+					break
+				}
+			}
 			var want []matching.Edge
 			for li, ls := range states {
 				if w := walks[li][min(as[j], len(walks[li])-1)]; w > 0 {
@@ -359,12 +366,14 @@ func TestPhase2PruningFiresOnSmallSelections(t *testing.T) {
 }
 
 // TestCarriedOrderPlansTheDefinition: the greedy path solves every α's
-// column in place, by deferred acceptance, and copies a candidate's links
-// only when it beats its worker's incumbent. None of that may show: at
-// Parallelism 1, 2 and 8, on an instance whose α's span several g-table
-// blocks, every planned configuration is the one the definition gives — an
-// ascending-α scan with a fresh greedy matching of G' per α, first strictly
-// best ratio wins — and the greedy counters do not depend on the worker count.
+// column in place, by deferred acceptance or by keeping the matching of the
+// α before it in its run, and copies a candidate's links only when it beats
+// its worker's incumbent. None of that may show: at Parallelism 1, 2 and 8,
+// on an instance whose α's span several g-table blocks, every planned
+// configuration is the one the definition gives — an ascending-α scan with a
+// fresh greedy matching of G' per α, first strictly best ratio wins — some
+// matchings are kept, and the greedy counters do not depend on the worker
+// count.
 func TestCarriedOrderPlansTheDefinition(t *testing.T) {
 	g, load := randomQueues(36, 7)
 	var want1 matching.Stats
@@ -402,6 +411,9 @@ func TestCarriedOrderPlansTheDefinition(t *testing.T) {
 			sc.arena.Stats.AddTo(&st)
 		}
 		st.Grows, st.Reuses = 0, 0 // a pool of arenas grows once per worker
+		if st.GreedyKept == 0 {
+			t.Errorf("par %d: no matching kept over %d greedy solves", par, st.GreedyCalls)
+		}
 		if par == 1 {
 			want1 = st
 		} else if st != want1 {

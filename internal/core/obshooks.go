@@ -19,23 +19,25 @@ type coreInstruments struct {
 	step       *obs.Histogram // wall time choosing each configuration (bestConfiguration), ns
 	apply      *obs.Histogram // wall time applying it to T^r, ns
 
-	greedyCalls   *obs.Counter
-	greedyEdges   *obs.Counter
-	greedyMatched *obs.Counter
-	greedyProps   *obs.Counter // deferred-acceptance proposals of the greedy calls
-	exactCalls    *obs.Counter
-	exactRows     *obs.Counter
-	augmentRounds *obs.Counter
-	fullScans     *obs.Counter // augment rounds that relaxed a whole row
-	arenaGrows    *obs.Counter
-	arenaReuses   *obs.Counter
-	prunedExact   *obs.Counter // phase-2 exact solves skipped by incumbent pruning
+	match       [len(matchCounters)]*obs.Counter // matching.Stats, summed over the arenas
+	prunedExact *obs.Counter                     // phase-2 exact solves skipped by incumbent pruning
 
 	tracer *obs.Tracer
 }
 
+// matchCounters names the octopus_match_<name>_total counters, one per
+// matching.Stats field, in matchValues' order.
+var matchCounters = [...]string{"greedy_calls", "greedy_kept", "greedy_edges", "greedy_matched", "greedy_proposals",
+	"exact_calls", "exact_rows", "augment_rounds", "full_scans", "arena_grows", "arena_reuses"}
+
+// matchValues lists st's fields in matchCounters' order.
+func matchValues(st matching.Stats) [len(matchCounters)]int64 {
+	return [...]int64{st.GreedyCalls, st.GreedyKept, st.GreedyEdges, st.GreedyMatched, st.GreedyProposals,
+		st.ExactCalls, st.ExactRows, st.AugmentRounds, st.FullScans, st.Grows, st.Reuses}
+}
+
 func bindCoreInstruments(o *obs.Observer) coreInstruments {
-	return coreInstruments{
+	ins := coreInstruments{
 		iterations: o.Counter("octopus_core_iterations_total"),
 		alpha:      o.Histogram("octopus_core_alpha"),
 		weight:     o.Histogram("octopus_core_matching_weight"),
@@ -44,20 +46,13 @@ func bindCoreInstruments(o *obs.Observer) coreInstruments {
 		step:       o.Histogram("octopus_core_step_ns"),
 		apply:      o.Histogram("octopus_core_apply_ns"),
 
-		greedyCalls:   o.Counter("octopus_match_greedy_calls_total"),
-		greedyEdges:   o.Counter("octopus_match_greedy_edges_total"),
-		greedyMatched: o.Counter("octopus_match_greedy_matched_total"),
-		greedyProps:   o.Counter("octopus_match_greedy_proposals_total"),
-		exactCalls:    o.Counter("octopus_match_exact_calls_total"),
-		exactRows:     o.Counter("octopus_match_exact_rows_total"),
-		augmentRounds: o.Counter("octopus_match_augment_rounds_total"),
-		fullScans:     o.Counter("octopus_match_full_scans_total"),
-		arenaGrows:    o.Counter("octopus_match_arena_grows_total"),
-		arenaReuses:   o.Counter("octopus_match_arena_reuses_total"),
-		prunedExact:   o.Counter("octopus_match_exact_pruned_total"),
-
-		tracer: o.Tracer(),
+		prunedExact: o.Counter("octopus_match_exact_pruned_total"),
+		tracer:      o.Tracer(),
 	}
+	for i, name := range matchCounters {
+		ins.match[i] = o.Counter("octopus_match_" + name + "_total")
+	}
+	return ins
 }
 
 // observeIter records one planned configuration: the greedy decision
@@ -95,16 +90,9 @@ func (s *Scheduler) observeDone() {
 		sc.arena.Stats.AddTo(&sum)
 	}
 	ins := &s.ins
-	ins.greedyCalls.Add(sum.GreedyCalls)
-	ins.greedyEdges.Add(sum.GreedyEdges)
-	ins.greedyMatched.Add(sum.GreedyMatched)
-	ins.greedyProps.Add(sum.GreedyProposals)
-	ins.exactCalls.Add(sum.ExactCalls)
-	ins.exactRows.Add(sum.ExactRows)
-	ins.augmentRounds.Add(sum.AugmentRounds)
-	ins.fullScans.Add(sum.FullScans)
-	ins.arenaGrows.Add(sum.Grows)
-	ins.arenaReuses.Add(sum.Reuses)
+	for i, v := range matchValues(sum) {
+		ins.match[i].Add(v)
+	}
 	ins.prunedExact.Add(s.prunedExact)
 	ins.tracer.Emit("core.done",
 		obs.I("iters", int64(s.iters)),

@@ -164,7 +164,7 @@ func TestAlphaCandidatesCoverExhaustiveSearch(t *testing.T) {
 		const maxAlpha = 80
 		bestOf := func(as []int) *best {
 			ws := make([]int64, len(as))
-			s.forAlphas(as, func(sc *evalScratch, j int, col []int64) { _, ws[j] = s.evalAlpha(sc, as[j], col) })
+			s.forAlphas(as, len(as), func(sc *evalScratch, j int, _, col []int64) { _, ws[j] = s.evalAlpha(sc, as[j], col) })
 			b := &best{delta: s.opt.Delta}
 			for j, a := range as {
 				b.consider(nil, a, ws[j])

@@ -33,7 +33,9 @@ type Arena struct {
 	sorted   []Edge     // positive links of a list whose From nodes do not ascend, grouped...
 	sortedW  []int64    // ...their weights...
 	sortedID []int      // ...and their indices in the caller's list
-	outG     []Edge     // greedy result backing
+	outG     []Edge     // greedy result backing: the last greedy matching, kept for GreedyNext...
+	byFrom   []int      // ...the link each From node holds in it (-1: none)...
+	byTo     []int      // ...and each To node
 
 	// Exact matcher state.
 	rowID, colID []int // node -> compact index; -1 between calls
@@ -55,10 +57,11 @@ type Arena struct {
 // arenas they do not vary with its size. This package stays dependency-free:
 // consumers translate these counts into whatever metrics system they use.
 type Stats struct {
-	GreedyCalls     int64 // GreedyBipartite and GreedyColumn invocations
-	GreedyEdges     int64 // positive-weight edges considered by greedy calls
-	GreedyMatched   int64 // edges emitted by greedy calls
-	GreedyProposals int64 // deferred-acceptance proposals of greedy calls
+	GreedyCalls     int64 // greedy solves: GreedyBipartite calls and GreedyNext's fresh ones
+	GreedyKept      int64 // GreedyNext calls that kept the last matching: no solve, so in none of the three below
+	GreedyEdges     int64 // positive-weight edges considered by greedy solves
+	GreedyMatched   int64 // edges emitted by greedy solves
+	GreedyProposals int64 // deferred-acceptance proposals of greedy solves
 	ExactCalls      int64 // MaxWeightBipartite invocations
 	ExactRows       int64 // compacted rows solved across exact calls
 	AugmentRounds   int64 // shortest-augmenting-path relaxation rounds
@@ -70,6 +73,7 @@ type Stats struct {
 // AddTo accumulates s into dst field by field.
 func (s Stats) AddTo(dst *Stats) {
 	dst.GreedyCalls += s.GreedyCalls
+	dst.GreedyKept += s.GreedyKept
 	dst.GreedyEdges += s.GreedyEdges
 	dst.GreedyMatched += s.GreedyMatched
 	dst.GreedyProposals += s.GreedyProposals
@@ -85,12 +89,14 @@ func (s Stats) AddTo(dst *Stats) {
 // before and after a call detects whether the call had to grow storage.
 func (a *Arena) greedyCap() int {
 	return cap(a.wts) + cap(a.runs) + cap(a.held) + cap(a.start) +
-		cap(a.sorted) + cap(a.sortedW) + cap(a.sortedID) + cap(a.outG)
+		cap(a.sorted) + cap(a.sortedW) + cap(a.sortedID) + cap(a.outG) +
+		cap(a.byFrom) + cap(a.byTo)
 }
 
-// exactDone closes out one exact call's grow/reuse accounting.
-func (a *Arena) exactDone(capBefore int) {
-	if a.exactCap() > capBefore {
+// countGrowth closes out one call's grow/reuse accounting, from the
+// capacities of the call's buffers before and after it.
+func (a *Arena) countGrowth(before, after int) {
+	if after > before {
 		a.Stats.Grows++
 	} else {
 		a.Stats.Reuses++
@@ -105,20 +111,12 @@ func (a *Arena) exactCap() int {
 		cap(a.posCols) + cap(a.posLo) + cap(a.posHi) + cap(a.outX)
 }
 
-// growZero returns s extended to length >= n; fresh cells are zero.
-func growZero[T any](s []T, n int) []T {
-	if len(s) < n {
-		s = append(s, make([]T, n-len(s))...)
+// growFill returns s extended to length >= n; fresh cells are v.
+func growFill[T any](s []T, n int, v T) []T {
+	for len(s) < n {
+		s = append(slices.Grow(s, n-len(s)), v)
 	}
 	return s
-}
-
-// growIDs returns ids extended to length >= n; fresh cells are -1.
-func growIDs(ids []int, n int) []int {
-	for len(ids) < n {
-		ids = append(ids, -1)
-	}
-	return ids
 }
 
 // grow returns s resized to length n, reallocating only when it must; the
@@ -147,12 +145,41 @@ func (a *Arena) GreedyBipartite(n int, edges []Edge) ([]Edge, int64) {
 	return a.greedy(n, edges, a.wts)
 }
 
-// GreedyColumn is GreedyBipartite on links[i] reweighted to col[i] (links'
-// own Weight fields are not read): the same matching, emitted in the same
-// order. core solves one link list, in (From, To) order, under every
-// candidate α's column; a list whose From nodes ascend is read in place.
-func (a *Arena) GreedyColumn(n int, links []Edge, col []int64) ([]Edge, int64) {
-	return a.greedy(n, links, col)
+// GreedyNext is GreedyBipartite on links[i] reweighted to col[i] (links' own
+// Weight fields are not read): the same matching, emitted in the same order.
+// prev is the column the arena's last greedy call solved the same n and links
+// under; core walks its (From, To)-ordered list, read in place, through a run
+// of ascending α's so. If no cell fell and every link that rose is held by the
+// last matching or out-ranked by a link it holds at one of its ends, that
+// matching is still the greedy one (the stability lemma, DESIGN.md §4): it is
+// kept, weights read from col, with no proposal. Otherwise, or if prev is not
+// col's length (as at a run's first α), it is a fresh solve.
+func (a *Arena) GreedyNext(n int, links []Edge, prev, col []int64) ([]Edge, int64) {
+	if len(prev) != len(col) {
+		return a.greedy(n, links, col)
+	}
+	for i, w := range col {
+		if w < prev[i] || w > prev[i] && !covers(a.byFrom[links[i].From], i, col) && !covers(a.byTo[links[i].To], i, col) {
+			return a.greedy(n, links, col)
+		}
+	}
+	var total int64
+	for k, e := range a.outG {
+		a.outG[k].Weight = col[a.byFrom[e.From]]
+		total += a.outG[k].Weight
+	}
+	a.Stats.GreedyKept++
+	a.Stats.Reuses++
+	if len(a.outG) == 0 {
+		return nil, 0
+	}
+	return a.outG, total
+}
+
+// covers reports whether the held link h (-1: none) is link i or precedes it
+// in the greedy order under col: heavier, or as heavy and of lower index.
+func covers(h, i int, col []int64) bool {
+	return h >= 0 && (col[h] > col[i] || col[h] == col[i] && h <= i)
 }
 
 // fromRun is one From node's links: positions [lo, hi) of the list greedy
@@ -172,26 +199,18 @@ type heldLink struct {
 // Manne and Halappanavar) under one strict order on the links: weight
 // descending, then index ascending, weights from col. Every From node
 // proposes its best positive link whose To node holds nothing better; the
-// To node takes it, and the From node it displaces proposes again over its
-// own links. With every node ranking its links by one global order the
-// stable matching is unique and is the greedy matching, however the
-// proposals interleave. A proposal either is accepted — and a link, once
-// displaced, is never accepted again, since a To node only trades up — or
-// finds nothing and ends its node's turn for good, so there are at most as
-// many proposals as positive links plus From nodes. A proposal scans its
-// node's links, so a node of out-degree d may cost O(d²) at worst; on
-// columns shaped like core's (BenchmarkGreedyAlphaSweep) a node proposes 1.1
-// to 1.4 times.
+// To node takes it, and the From node it displaces proposes again. Under one
+// global order the stable matching is unique and is the greedy one, found
+// in at most positive links + From nodes proposals (DESIGN.md §4).
 //
 // A From node's links are a range of positions: of links itself when its
 // From nodes ascend, as core's (From, To) order does, else of a copy grouped
-// by a stable counting sort. Within a range positions ascend with index, so
-// a scan keeps the first of equal weights. A list is found to need the copy
-// when a From node is below the one before it; the in-place attempt is then
-// undone and not counted, so the proposals counted depend on the list alone.
+// by a stable counting sort; the in-place attempt is then undone and not
+// counted. Within a range positions ascend with index, so a scan keeps the
+// first of equal weights. The matching is retained for GreedyNext.
 func (a *Arena) greedy(n int, links []Edge, col []int64) ([]Edge, int64) {
 	capBefore := a.greedyCap()
-	a.held = growZero(a.held, n)
+	a.held = growFill(a.held, n, heldLink{})
 	positive, proposals, grouped := a.accept(links, col, nil)
 	if !grouped {
 		for _, r := range a.runs {
@@ -203,12 +222,17 @@ func (a *Arena) greedy(n int, links []Edge, col []int64) ([]Edge, int64) {
 		positive, proposals, _ = a.accept(a.sorted, a.sortedW, a.sortedID)
 		slices.SortFunc(a.runs, func(x, y fromRun) int { return x.held - y.held })
 	}
+	for _, e := range a.outG {
+		a.byFrom[e.From], a.byTo[e.To] = -1, -1
+	}
+	a.byFrom, a.byTo = growFill(a.byFrom, n, -1), growFill(a.byTo, n, -1)
 	m := a.outG[:0]
 	var total int64
 	for _, r := range a.runs {
 		if r.held >= 0 {
 			e := links[r.held]
 			m = append(m, Edge{From: e.From, To: e.To, Weight: col[r.held]})
+			a.byFrom[e.From], a.byTo[e.To] = r.held, r.held
 			total += col[r.held]
 			a.held[e.To] = heldLink{}
 		}
@@ -218,11 +242,7 @@ func (a *Arena) greedy(n int, links []Edge, col []int64) ([]Edge, int64) {
 	a.Stats.GreedyEdges += int64(positive)
 	a.Stats.GreedyMatched += int64(len(m))
 	a.Stats.GreedyProposals += proposals
-	if a.greedyCap() > capBefore {
-		a.Stats.Grows++
-	} else {
-		a.Stats.Reuses++
-	}
+	a.countGrowth(capBefore, a.greedyCap())
 	if len(m) == 0 {
 		return nil, 0
 	}
@@ -346,7 +366,7 @@ func (a *Arena) MaxWeightBipartite(n int, edges []Edge) ([]Edge, int64) {
 	nr, nc := a.compactExact(n, edges)
 	if nr == 0 {
 		a.restoreIDMaps()
-		a.exactDone(capBefore)
+		a.countGrowth(capBefore, a.exactCap())
 		return nil, 0
 	}
 	a.Stats.ExactRows += int64(nr)
@@ -361,7 +381,7 @@ func (a *Arena) MaxWeightBipartite(n int, edges []Edge) ([]Edge, int64) {
 	}
 	a.restoreIDMaps()
 	out, total := a.extractExact(nc)
-	a.exactDone(capBefore)
+	a.countGrowth(capBefore, a.exactCap())
 	return out, total
 }
 
@@ -371,8 +391,8 @@ func (a *Arena) MaxWeightBipartite(n int, edges []Edge) ([]Edge, int64) {
 // posHi for prepDense. It returns the compacted row and column counts. The
 // caller must invoke restoreIDMaps before returning.
 func (a *Arena) compactExact(n int, edges []Edge) (nr, nc int) {
-	a.rowID = growIDs(a.rowID, n)
-	a.colID = growIDs(a.colID, n)
+	a.rowID = growFill(a.rowID, n, -1)
+	a.colID = growFill(a.colID, n, -1)
 	rowID, colID := a.rowID, a.colID
 	rows, cols, deg := a.rows[:0], a.cols[:0], a.posHi[:0]
 	for _, e := range edges {
@@ -411,14 +431,8 @@ func (a *Arena) restoreIDMaps() {
 // duplicate edges keep the max and are listed once.
 //
 // Zero duals are the only admissible start: the Jonker-Volgenant column
-// reduction (v[j] = min_i cost(i, j)) was tried and rejected. It is
-// correct only on square compacted instances (a pre-reduced column that
-// ends unmatched strands v < 0, which complementary slackness forbids,
-// yielding a suboptimal assignment), it changes which equal-weight optimum
-// the tie-breaks select (drifting pinned ψ trajectories), and measured on
-// the full-scale workload it cut augment rounds by only ~21% with no
-// wall-clock gain — full-contention instances keep long augmenting paths
-// regardless of the start. See DESIGN.md §13.3.
+// reduction is wrong on rectangular instances, moves the tie-breaks and
+// gained nothing measured (DESIGN.md §13.3).
 func (a *Arena) prepDense(edges []Edge, nr, nc int) {
 	a.w = grow(a.w, nr*nc)
 	w := a.w

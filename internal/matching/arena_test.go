@@ -96,7 +96,7 @@ func TestArenaResultsOutliveTheOtherKind(t *testing.T) {
 		t.Errorf("greedy result %v changed under an exact call, want %v", gm, greedy)
 	}
 	exact := slices.Clone(xm)
-	a.GreedyColumn(4, edges, []int64{1, 2, 3, 4})
+	a.GreedyNext(4, edges, nil, []int64{1, 2, 3, 4})
 	if !slices.Equal(xm, exact) {
 		t.Errorf("exact result %v changed under a greedy call, want %v", xm, exact)
 	}

@@ -127,10 +127,12 @@ func sizeName(n int) string {
 
 // BenchmarkGreedyAlphaSweep is one greedy iteration of core as the matcher
 // sees it: one link list solved under every candidate α's column, ascending,
-// on one arena (queueColumns models the g-table). The sizes are an
-// engine-churn epoch, the pods-flows fabric and a fig4-exact iteration (few
-// α's, far apart). proposals/op is the deferred-acceptance proposals of one
-// sweep: it depends on the columns alone.
+// on one arena (queueColumns models the g-table), in sweepRuns runs as core's
+// phase 1 cuts a table block: a run's first column solved afresh, each later
+// one by GreedyNext after the one before. The sizes are an engine-churn
+// epoch, the pods-flows fabric and a fig4-exact iteration (few α's, far
+// apart). proposals/op is the deferred-acceptance proposals of one sweep and
+// kept/op its kept matchings: both depend on the columns alone.
 func BenchmarkGreedyAlphaSweep(b *testing.B) {
 	for _, bc := range []struct {
 		name                                         string
@@ -147,14 +149,22 @@ func BenchmarkGreedyAlphaSweep(b *testing.B) {
 			var a Arena
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, col := range cols {
-					_, w := a.GreedyColumn(bc.n, links, col)
-					greedySink += w
+				for r := range sweepRuns {
+					var prev []int64
+					for _, col := range cols[r*len(cols)/sweepRuns : (r+1)*len(cols)/sweepRuns] {
+						_, w := a.GreedyNext(bc.n, links, prev, col)
+						greedySink += w
+						prev = col
+					}
 				}
 			}
 			b.ReportMetric(float64(a.Stats.GreedyProposals)/float64(b.N), "proposals/op")
+			b.ReportMetric(float64(a.Stats.GreedyKept)/float64(b.N), "kept/op")
 		})
 	}
 }
 
 var greedySink int64
+
+// sweepRuns is core's alphaRuns.
+const sweepRuns = 8

@@ -48,12 +48,13 @@ func refGreedy(n int, links []Edge, col []int64) ([]Edge, int64) {
 	return m, total
 }
 
-// checkColumn solves col on a (whatever a saw before) and fails unless the
-// result is refGreedy's, edge for edge, and the proposals stay in their bound.
-func checkColumn(t *testing.T, a *Arena, n int, links []Edge, col []int64, what string) {
+// checkColumn solves col on a by GreedyNext after prev (nil: a fresh solve,
+// whatever a saw before) and fails unless the result is refGreedy's, edge for
+// edge, and the proposals stay in their bound.
+func checkColumn(t *testing.T, a *Arena, n int, links []Edge, prev, col []int64, what string) {
 	t.Helper()
 	before := a.Stats
-	got, gw := a.GreedyColumn(n, links, col)
+	got, gw := a.GreedyNext(n, links, prev, col)
 	want, ww := refGreedy(n, links, col)
 	if gw != ww || !slices.Equal(got, want) || len(want) == 0 && got != nil {
 		t.Fatalf("%s: the arena gives weight %d, %d edges; the definition gives %d, %d edges\n got %v\nwant %v",
@@ -189,11 +190,72 @@ func TestGreedyColumnEqualsFreshSort(t *testing.T) {
 				}
 			}
 			for _, col := range cols {
-				checkColumn(t, &a, n, links, col, "concave columns")
+				checkColumn(t, &a, n, links, nil, col, "concave columns")
 				checkBipartite(t, &a, n, reweighted(rng, links, col), "shuffled concave columns")
 			}
 		}
 	}
+}
+
+// TestGreedyNextEqualsFreshSort: a run of ascending α's columns, each solved
+// by GreedyNext after the one before, as core's phase 1 walks a run — ties,
+// saturated links, links with no queue at all, and now and then a column in
+// which some links the last matching holds have lost their queue (a fallen
+// cell) — is the definition's at every step. Both ends of the stability check
+// occur: kept matchings and fresh solves on a column that fell nowhere. A
+// column that fell anywhere is always solved afresh.
+func TestGreedyNextEqualsFreshSort(t *testing.T) {
+	var kept, rose, fell int
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(60)
+		var a Arena
+		for seq := 0; seq < 6; seq++ {
+			nLinks := 1 + rng.Intn(min(n*(n-1), 400))
+			links := queueLinks(rng, n, nLinks)
+			index := make(map[[2]int]int, nLinks)
+			for i, l := range links {
+				index[[2]int{l.From, l.To}] = i
+			}
+			cols := queueColumns(rng, nLinks, 4, 200, ascendingAlphas(rng, 2+rng.Intn(40), 500))
+			if seq%3 == 2 {
+				for l := 0; l < nLinks; l += 1 + rng.Intn(5) {
+					for j := range cols {
+						cols[j][l] = 0
+					}
+				}
+			}
+			prev := cols[0]
+			checkColumn(t, &a, n, links, nil, prev, "first column of a run")
+			for _, col := range cols[1:] {
+				fallen := false
+				if held, _ := refGreedy(n, links, prev); len(held) > 0 && rng.Intn(4) == 0 {
+					col = slices.Clone(col)
+					for _, e := range held[:1+rng.Intn(len(held))] {
+						col[index[[2]int{e.From, e.To}]] = 0
+					}
+					fallen = true
+				}
+				before := a.Stats
+				checkColumn(t, &a, n, links, prev, col, "ascending run")
+				switch k := a.Stats.GreedyKept - before.GreedyKept; {
+				case fallen && k > 0:
+					t.Fatalf("seed %d: a column in which held links fell kept the last matching", seed)
+				case fallen:
+					fell++
+				case k > 0:
+					kept++
+				default:
+					rose++
+				}
+				prev = col
+			}
+		}
+	}
+	if kept == 0 || rose == 0 || fell == 0 {
+		t.Fatalf("%d kept, %d solved afresh on a risen column, %d on a fallen one: want each > 0", kept, rose, fell)
+	}
+	t.Logf("%d kept, %d solved afresh on a risen column, %d on a fallen one", kept, rose, fell)
 }
 
 // TestGreedyProposalBound: proposals never exceed positive links plus From
@@ -285,7 +347,7 @@ func TestGreedyOrderAtArithmeticLimit(t *testing.T) {
 		if _, ww := refGreedy(n, links, col); ww <= maxAdmitted/2 || ww > maxAdmitted {
 			t.Fatalf("round %d: reference weight %d; the instance is not at the limit %d", round, ww, int64(maxAdmitted))
 		}
-		checkColumn(t, &a, n, links, col, "at the limit")
+		checkColumn(t, &a, n, links, nil, col, "at the limit")
 		checkBipartite(t, &a, n, reweighted(rng, links, col), "shuffled at the limit")
 		// Move a few links to a neighbouring weight, each past some ten
 		// thousand equals.
@@ -333,8 +395,11 @@ func decodeCarriedFuzz(data []byte) (n int, links []Edge, cols [][]int64, distur
 
 // FuzzGreedyCarriedOrder drives one arena through an arbitrary run of weight
 // columns over one link list, with GreedyBipartite calls in between, and holds
-// every solve to refGreedy and the proposal bound. (The name is that of the
-// sorted order the arena once carried between columns; the seeds keep it.)
+// every solve to refGreedy and the proposal bound. A column right after
+// another one goes through GreedyNext with that one as prev — so every column
+// that dominates its predecessor may keep its matching, and every other one
+// must be solved afresh. (The name is that of the sorted order the arena once
+// carried between columns; the seeds keep it.)
 func FuzzGreedyCarriedOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 0, 1, 1, 2, 9, 9, 8, 9})
@@ -354,14 +419,20 @@ func FuzzGreedyCarriedOrder(f *testing.F) {
 	// column with one positive link.
 	f.Add([]byte{4, 3, 0, 1, 1, 2, 0, 3, 4, 4,
 		1, 2, 3, 1, 1, 0, 3, 1, 3, 3, 3, 7, 1, 1, 3, 1})
+	// Two columns that rise by 0 to 3 a link, then an unrelated one.
+	f.Add([]byte{6, 7, 0, 1, 0, 2, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0,
+		1, 9, 9, 9, 9, 9, 9, 2, 1, 2, 3, 1, 2, 3, 4, 4, 4, 4, 4, 4, 4, 2, 7, 8, 9, 7, 8, 9, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, links, cols, disturb := decodeCarriedFuzz(data)
 		var a Arena
 		for j, col := range cols {
+			var prev []int64
 			if disturb[j] {
 				checkBipartite(t, &a, n, links[:len(links)/2], "fuzzed prefix")
+			} else if j > 0 {
+				prev = cols[j-1]
 			}
-			checkColumn(t, &a, n, links, col, "fuzzed column")
+			checkColumn(t, &a, n, links, prev, col, "fuzzed column")
 		}
 	})
 }
