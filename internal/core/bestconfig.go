@@ -181,7 +181,6 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		}
 	}
 	s.selBuf = sel
-	selected := len(sel)
 	// Solve in descending upper-bound-ratio order (ascending α on ties) in
 	// chunks of 2, 4, then phase2Chunk, tightening an incumbent between
 	// chunks: a solve is skipped once the incumbent's ratio strictly exceeds
@@ -210,11 +209,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		// using the tighter of the two bounds (strictly, as above).
 		k := lo
 		for _, i := range sel[lo:hi] {
-			bound := evals[i].ub
-			if g2 := 2 * evals[i].w; g2 < bound {
-				bound = g2
-			}
-			if !inc.exceeds(bound, alphas[i]) {
+			if !inc.exceeds(min(evals[i].ub, 2*evals[i].w), alphas[i]) {
 				sel[k] = i
 				k++
 			}
@@ -240,7 +235,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		solved += k - lo
 		lo = hi
 	}
-	s.prunedExact += int64(selected - solved)
+	s.prunedExact += int64(len(sel) - solved)
 	// Final reduction mirrors the sequential order: for each α ascending,
 	// greedy first, then the exact matching if computed.
 	for i, a := range alphas {
@@ -356,10 +351,9 @@ func (s *Scheduler) parallelFor(n int, f func(worker, i int)) {
 // entries. Called single-threaded before workers start.
 func (s *Scheduler) ensureScratch(workers int) {
 	for len(s.scratch) < workers {
-		n := s.fabric.N()
 		s.scratch = append(s.scratch, &evalScratch{
-			row:   make([]int64, n),
-			col:   make([]int64, n),
+			row:   make([]int64, s.fabric.N()),
+			col:   make([]int64, s.fabric.N()),
 			local: best{delta: s.opt.Delta},
 		})
 	}
@@ -392,8 +386,7 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best) {
 	}
 	lo, hi := 0, len(alphas)-1
 	for hi-lo > 2 {
-		m1 := lo + (hi-lo)/3
-		m2 := hi - (hi-lo)/3
+		m1, m2 := lo+(hi-lo)/3, hi-(hi-lo)/3
 		if ratioLess(m1, m2) {
 			lo = m1 + 1
 		} else {
@@ -434,9 +427,9 @@ func (s *Scheduler) evalAlpha(sc *evalScratch, a int, col []int64) ([]graph.Edge
 // rowColUB is a cheap upper bound on the maximum-weight matching of links
 // weighted w (non-positive weights left out): the smaller of the row-maxima
 // sum and the column-maxima sum. rowMax and colMax are caller-owned all-zero
-// arrays indexed by node; they are restored to zero before returning (every
-// counted weight is positive, so a non-zero cell is both "seen" marker and
-// maximum).
+// arrays indexed by node, of one length; only positive weights enter them,
+// so the sums read them whole (n cells, not one per link) and clear them for
+// the next call.
 func rowColUB(links []matching.Edge, w []int64, rowMax, colMax []int64) int64 {
 	for i, g := range w {
 		if g > 0 {
@@ -446,12 +439,8 @@ func rowColUB(links []matching.Edge, w []int64, rowMax, colMax []int64) int64 {
 		}
 	}
 	var rs, cs int64
-	for i, g := range w {
-		if g > 0 {
-			e := links[i]
-			rs, rowMax[e.From] = rs+rowMax[e.From], 0
-			cs, colMax[e.To] = cs+colMax[e.To], 0
-		}
+	for v := range rowMax {
+		rs, cs, rowMax[v], colMax[v] = rs+rowMax[v], cs+colMax[v], 0, 0
 	}
 	return min(rs, cs)
 }

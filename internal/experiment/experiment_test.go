@@ -348,6 +348,93 @@ func TestFig10bOctopusGCloseToOctopus(t *testing.T) {
 	}
 }
 
+// TestFig4bOctopusDegradesGentlyWithDelta asserts the claims of
+// EXPERIMENTS.md §4b over the paper-scale results/fig4b.csv (Δ = 1..200, the
+// exact matcher's Δ sweep), one clause at a time: Octopus falls at every
+// step, from 57.0 at Δ = 1 to 42.1 at Δ = 200; Eclipse-Based stays inside
+// 21–24.5 (the CSV reads 21.4–24.0); and Octopus delivers at least 1.9×
+// Eclipse-Based at every Δ (the CSV reads 1.97–2.43). Each clause must fail
+// on a copy mutated against it.
+func TestFig4bOctopusDegradesGentlyWithDelta(t *testing.T) {
+	rows := readResults(t, "4b")
+	for _, row := range rows {
+		if len(row) != 5 {
+			t.Fatalf("fig4b.csv row %v: want delta, Octopus, Eclipse-Based, UB, AbsoluteUB", row)
+		}
+	}
+	if len(rows) < 2 || rows[0][0] != 1 || rows[len(rows)-1][0] != 200 {
+		t.Fatalf("fig4b.csv: want a Δ sweep from 1 to 200, got %v", rows)
+	}
+	clauses := []struct {
+		name      string
+		holds     func(rows [][]float64) error
+		mutations map[string]func(rows [][]float64, i int)
+	}{
+		{"Octopus falls 57.0 → 42.1", func(rows [][]float64) error {
+			if a, b := math.Round(10*rows[0][1])/10, math.Round(10*rows[len(rows)-1][1])/10; a != 57.0 || b != 42.1 {
+				return fmt.Errorf("Octopus runs %.1f → %.1f, want 57.0 → 42.1", a, b)
+			}
+			for i := 1; i < len(rows); i++ {
+				if rows[i][1] >= rows[i-1][1] {
+					return fmt.Errorf("Δ=%v: Octopus %.4f does not fall from %.4f at Δ=%v", rows[i][0], rows[i][1], rows[i-1][1], rows[i-1][0])
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			// The ends move 0.1 off the claim, and stay in order; a row
+			// between them rises to the previous Δ's.
+			"Octopus moved": func(r [][]float64, i int) {
+				switch i {
+				case 0:
+					r[0][1] = 56.9
+				case len(r) - 1:
+					r[i][1] = 42.2
+				default:
+					r[i][1] = r[i-1][1]
+				}
+			},
+		}},
+		{"Eclipse-Based flat inside 21–24.5", func(rows [][]float64) error {
+			for _, row := range rows {
+				if row[2] < 21 || row[2] > 24.5 {
+					return fmt.Errorf("Δ=%v: Eclipse-Based %.4f outside [21, 24.5]", row[0], row[2])
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Eclipse-Based lowered to 20.9": func(r [][]float64, i int) { r[i][2] = 20.9 },
+			"Eclipse-Based raised to 24.6":  func(r [][]float64, i int) { r[i][2] = 24.6 },
+		}},
+		{"Octopus ≥ 1.9× Eclipse-Based", func(rows [][]float64) error {
+			for _, row := range rows {
+				if row[1] < 1.9*row[2] {
+					return fmt.Errorf("Δ=%v: Octopus %.4f below 1.9× Eclipse-Based %.4f", row[0], row[1], row[2])
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Eclipse-Based raised to Octopus/1.89": func(r [][]float64, i int) { r[i][2] = r[i][1] / 1.89 },
+		}},
+	}
+	for _, c := range clauses {
+		if err := c.holds(rows); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for what, mutate := range c.mutations {
+			for i := range rows {
+				broken := make([][]float64, len(rows))
+				for j := range rows {
+					broken[j] = slices.Clone(rows[j])
+				}
+				mutate(broken, i)
+				if c.holds(broken) == nil {
+					t.Errorf("%s: Δ=%v: %s and the clause still holds", c.name, rows[i][0], what)
+				}
+			}
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	sc := tiny()
 	a, err := Run("4b", sc)

@@ -46,7 +46,8 @@ type Arena struct {
 	minv, bmin   []int64 // per column (inf once in the tree); minimum per block of minvBlock
 	path         []int   // tree columns of the current insertion, root first
 	dIn          []int64 // dIn[k]: cumulative delta when path[k] joined the tree
-	posCols      []int32 // positive-weight columns (0-based), row by row
+	posCols      []int32 // positive-weight columns (0-based), row by row...
+	posW         []int64 // ...and their weights, the matrix's max for a duplicate edge
 	posLo, posHi []int32 // compact row i owns posCols[posLo[i]:posHi[i]]
 	outX         []Edge  // exact result backing
 }
@@ -108,7 +109,7 @@ func (a *Arena) exactCap() int {
 	return cap(a.rowID) + cap(a.colID) + cap(a.rows) + cap(a.cols) +
 		cap(a.w) + cap(a.u) + cap(a.v) + cap(a.p) + cap(a.way) +
 		cap(a.minv) + cap(a.bmin) + cap(a.path) + cap(a.dIn) +
-		cap(a.posCols) + cap(a.posLo) + cap(a.posHi) + cap(a.outX)
+		cap(a.posCols) + cap(a.posW) + cap(a.posLo) + cap(a.posHi) + cap(a.outX)
 }
 
 // growFill returns s extended to length >= n; fresh cells are v.
@@ -370,11 +371,7 @@ func (a *Arena) MaxWeightBipartite(n int, edges []Edge) ([]Edge, int64) {
 		return nil, 0
 	}
 	a.Stats.ExactRows += int64(nr)
-	// The shortest-augmenting-path formulation needs nr <= nc. Pad columns
-	// with dummies of weight 0 if necessary.
-	if nc < nr {
-		nc = nr
-	}
+	nc = max(nc, nr) // the formulation needs nr <= nc: pad with weight-0 columns
 	a.prepDense(edges, nr, nc)
 	for i := 1; i <= nr; i++ {
 		a.insertRow(i, nc)
@@ -425,10 +422,10 @@ func (a *Arena) restoreIDMaps() {
 }
 
 // prepDense builds the dense weight matrix over the compacted instance,
-// lists each row's positive-weight columns (the cells insertRow's short
-// rounds relax) and initializes the dual potentials and assignment arrays.
-// Absent pairs have weight 0, equivalent to leaving the row unmatched;
-// duplicate edges keep the max and are listed once.
+// lists each row's positive-weight columns with their weights (the cells
+// insertRow's short rounds relax) and initializes the dual potentials and
+// assignment arrays. Absent pairs have weight 0, equivalent to leaving the
+// row unmatched; duplicate edges keep the max and are listed once.
 //
 // Zero duals are the only admissible start: the Jonker-Volgenant column
 // reduction is wrong on rectangular instances, moves the tie-breaks and
@@ -460,25 +457,28 @@ func (a *Arena) prepDense(edges []Edge, nr, nc int) {
 		}
 		*cell = max(*cell, e.Weight)
 	}
+	// Pack each row's weights beside its columns, duplicates at their max.
+	a.posW = grow(a.posW, int(total))
+	for i := range nr {
+		for k := lo[i]; k < hi[i]; k++ {
+			a.posW[k] = w[i*nc+int(pos[k])]
+		}
+	}
 	// The dual and assignment arrays are 1-indexed. p[j] is the row assigned
 	// to column j; minimization runs over cost = -weight.
-	a.u = grow(a.u, nc+1)
-	a.v = grow(a.v, nc+1)
-	a.p = grow(a.p, nc+1)
-	a.way = grow(a.way, nc+1)
+	a.u, a.v = grow(a.u, nc+1), grow(a.v, nc+1)
+	a.p, a.way = grow(a.p, nc+1), grow(a.way, nc+1)
 	clear(a.u)
 	clear(a.v)
 	clear(a.p)
 	clear(a.way)
 	// minv is padded to whole blocks; the padding counts as tree columns.
 	nb := (nc + minvBlock - 1) / minvBlock
-	a.bmin = grow(a.bmin, nb)
-	a.minv = grow(a.minv, nb*minvBlock)
+	a.bmin, a.minv = grow(a.bmin, nb), grow(a.minv, nb*minvBlock)
 	for c := nc; c < len(a.minv); c++ {
 		a.minv[c] = inTree
 	}
-	a.path = grow(a.path, nc+1)
-	a.dIn = grow(a.dIn, nc+1)
+	a.path, a.dIn = grow(a.path, nc+1), grow(a.dIn, nc+1)
 }
 
 const (
@@ -512,8 +512,9 @@ const (
 //     row was scanned whole and w >= 0, so minv[j] <= minBase - v[j] for every
 //     free j. A row with base >= minBase therefore cannot lower minv where its
 //     weight is 0 (absent pair or padding): it relaxes its positive columns
-//     only, from prepDense's list. A row with a smaller base is scanned whole
-//     (Stats.FullScans) and lowers minBase; the first round always is.
+//     only, prepDense's list and packed weights read in sequence (relaxPacked).
+//     A row with a smaller base is scanned whole (Stats.FullScans) and lowers
+//     minBase; the first round always is.
 //   - The argmin goes by blocks. minv is indexed by column — inTree once the
 //     column has joined, which stands in for used[] — and bmin holds the
 //     minimum over the free cells of each minvBlock columns: lowered with a
@@ -526,8 +527,7 @@ func (a *Arena) insertRow(i, nc int) {
 	v, way := a.v[1:], a.way[1:] // by 0-based column, like w, minv and posCols
 	minv, bmin, w := a.minv, a.bmin, a.w
 	path, dIn := a.path[:1], a.dIn[:1]
-	p[0] = i
-	path[0], dIn[0] = 0, 0
+	p[0], path[0], dIn[0] = i, 0, 0
 
 	// Round one: row i against every column, d = 0; the tree is empty.
 	wrow := w[(i-1)*nc : i*nc]
@@ -585,11 +585,11 @@ func (a *Arena) insertRow(i, nc int) {
 
 		rounds++
 		i0 := p[j0]
-		wrow = w[(i0-1)*nc : i0*nc]
 		base := d - u[i0]
 		if base < minBase {
 			minBase = base
 			full++
+			wrow = w[(i0-1)*nc : i0*nc]
 			for c, mv := range minv[:nc] {
 				if cur := base - wrow[c] - v[c]; cur < mv {
 					minv[c], way[c] = cur, j0
@@ -598,11 +598,22 @@ func (a *Arena) insertRow(i, nc int) {
 			}
 			continue
 		}
-		for _, c := range a.posCols[a.posLo[i0-1]:a.posHi[i0-1]] {
-			if cur := base - wrow[c] - v[c]; cur < minv[c] {
-				minv[c], way[c] = cur, j0
-				bmin[c/minvBlock] = min(bmin[c/minvBlock], cur)
-			}
+		lo, hi := a.posLo[i0-1], a.posHi[i0-1]
+		relaxPacked(a.posCols[lo:hi], a.posW[lo:hi], base, j0, v, minv, bmin, way)
+	}
+}
+
+// relaxPacked is a short round's relaxation over the positive columns cs of
+// the row that joined the tree at base, weights ws. It is kept out of
+// insertRow, whose many live slices would spill its loop to the stack.
+//
+//go:noinline
+func relaxPacked(cs []int32, ws []int64, base int64, j0 int, v, minv, bmin []int64, way []int) {
+	ws, minv, way = ws[:len(cs)], minv[:len(v)], way[:len(v)] // lengths the compiler can match
+	for k, c := range cs {
+		if cur := base - ws[k] - v[c]; cur < minv[c] {
+			minv[c], way[c] = cur, j0
+			bmin[c/minvBlock] = min(bmin[c/minvBlock], cur)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package matching
 
 import (
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 func TestArenaStats(t *testing.T) {
@@ -56,6 +58,33 @@ func TestArenaStats(t *testing.T) {
 		sum.AugmentRounds != 2*a.Stats.AugmentRounds || sum.FullScans != 2*a.Stats.FullScans ||
 		sum.Grows != 2*a.Stats.Grows || sum.GreedyProposals != 2*a.Stats.GreedyProposals {
 		t.Fatalf("AddTo not field-complete: %+v vs %+v", sum, a.Stats)
+	}
+}
+
+// TestArenaCapsCoverEveryBuffer holds Stats.Grows and Stats.Reuses to every
+// buffer of the arena: each slice field of Arena must be summed by exactly
+// one of greedyCap and exactCap, so no buffer can grow without the call
+// being counted as one that grew. Each field in turn gets a capacity of 1000
+// on a zero arena, and exactly one of the two sums must rise by that much.
+func TestArenaCapsCoverEveryBuffer(t *testing.T) {
+	typ := reflect.TypeOf(Arena{})
+	slicesSeen := 0
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			continue
+		}
+		slicesSeen++
+		var a Arena
+		field := reflect.ValueOf(&a).Elem().Field(i)
+		reflect.NewAt(f.Type, unsafe.Pointer(field.UnsafeAddr())).Elem().Set(reflect.MakeSlice(f.Type, 0, 1000))
+		g, x := a.greedyCap(), a.exactCap()
+		if g+x != 1000 {
+			t.Errorf("Arena.%s: greedyCap counts %d and exactCap %d of its capacity 1000, want it in exactly one of them", f.Name, g, x)
+		}
+	}
+	if slicesSeen == 0 {
+		t.Fatal("no slice field found in Arena")
 	}
 }
 

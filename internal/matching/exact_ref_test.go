@@ -187,6 +187,37 @@ func TestExactEventIdentity(t *testing.T) {
 			t.Fatalf("no short round: %+v", s)
 		}
 	})
+	// Duplicate edges: a cell listed two or three times, its heavier copy
+	// first, last or in the middle, the lighter copies of lower weight. A
+	// short round must read the cell's max, so a packed weight taken before
+	// the last copy is folded in breaks identity in one of the three.
+	t.Run("duplicates", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(16))
+		for _, heavyAt := range []string{"first", "last", "middle"} {
+			t.Run(heavyAt, func(t *testing.T) {
+				for _, n := range []int{64, 128} {
+					var edges []Edge
+					for _, e := range tiedInstance(rng, n, 0.10, []int64{64, 128, 192}) {
+						copies, at := 2+rng.Intn(2), 0
+						switch heavyAt {
+						case "last":
+							at = copies - 1
+						case "middle":
+							copies, at = 3, 1
+						}
+						for c := range copies {
+							d := e
+							if c != at {
+								d.Weight = 1 + rng.Int63n(e.Weight-1)
+							}
+							edges = append(edges, d)
+						}
+					}
+					solveChecked(t, &a, n, edges)
+				}
+			})
+		}
+	})
 }
 
 // TestFullScansCounted pins the meaning of Stats.FullScans on the smallest
