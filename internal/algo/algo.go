@@ -126,8 +126,11 @@ type Outcome struct {
 	Hops            int
 	Psi             int64 // in traffic.WeightScale units; 0 when not tracked
 	ActiveLinkSlots int64 // Σ αₖ·|Mₖ|; utilization denominator
-	Reconfigs       int   // configurations planned
-	ConfigsReplayed int   // configurations the simulator replayed (0 if unmeasured)
+	// PacketNetHops is the share of Hops served off the circuit fabric
+	// (hybrid's packet network); it is left out of the utilization.
+	PacketNetHops   int
+	Reconfigs       int // configurations planned
+	ConfigsReplayed int // configurations the simulator replayed (0 if unmeasured)
 	SlotsUsed       int
 	Measured        bool
 
@@ -146,13 +149,13 @@ func (o *Outcome) DeliveredFraction() float64 {
 	return float64(o.Delivered) / float64(o.Total)
 }
 
-// Utilization returns packet-hops per active link-slot (0 if no link was
-// ever active).
+// Utilization returns packet-hops over circuit links per active
+// link-slot (0 if no link was ever active).
 func (o *Outcome) Utilization() float64 {
 	if o.ActiveLinkSlots == 0 {
 		return 0
 	}
-	return float64(o.Hops) / float64(o.ActiveLinkSlots)
+	return float64(o.Hops-o.PacketNetHops) / float64(o.ActiveLinkSlots)
 }
 
 // DeliveredOfPsi returns delivered packets as a fraction of ψ in packet

@@ -38,7 +38,8 @@ func (hybridAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome,
 		Total:     res.TotalPackets,
 		// The packet network is full-bisection: one hop per packet it
 		// absorbs; the circuit hops add on top.
-		Hops: res.PacketDelivered,
+		Hops:          res.PacketDelivered,
+		PacketNetHops: res.PacketDelivered,
 	}
 	if res.Circuit != nil {
 		c := res.Circuit

@@ -365,11 +365,7 @@ func TestFig4bOctopusDegradesGentlyWithDelta(t *testing.T) {
 	if len(rows) < 2 || rows[0][0] != 1 || rows[len(rows)-1][0] != 200 {
 		t.Fatalf("fig4b.csv: want a Δ sweep from 1 to 200, got %v", rows)
 	}
-	clauses := []struct {
-		name      string
-		holds     func(rows [][]float64) error
-		mutations map[string]func(rows [][]float64, i int)
-	}{
+	assertClauses(t, "Δ", rows, []clause{
 		{"Octopus falls 57.0 → 42.1", func(rows [][]float64) error {
 			if a, b := math.Round(10*rows[0][1])/10, math.Round(10*rows[len(rows)-1][1])/10; a != 57.0 || b != 42.1 {
 				return fmt.Errorf("Octopus runs %.1f → %.1f, want 57.0 → 42.1", a, b)
@@ -415,7 +411,143 @@ func TestFig4bOctopusDegradesGentlyWithDelta(t *testing.T) {
 		}, map[string]func([][]float64, int){
 			"Eclipse-Based raised to Octopus/1.89": func(r [][]float64, i int) { r[i][2] = r[i][1] / 1.89 },
 		}},
+	})
+}
+
+// TestFig4dOctopusRisesWithFlowsPerPort asserts the claims of
+// EXPERIMENTS.md §4d over the paper-scale results/fig4d.csv, one clause at
+// a time: Octopus rises at every step, from 44.7 at 4 flows per port to
+// 55.8 at 32; Octopus delivers at least 1.6× Eclipse-Based at every point
+// (the CSV reads 1.66–2.25×); and Octopus stays within 1 point of UB (the
+// CSV's largest gap is 0.93, at 4 flows per port). Each clause must fail
+// on a copy mutated against it.
+func TestFig4dOctopusRisesWithFlowsPerPort(t *testing.T) {
+	rows := readResults(t, "4d")
+	for _, row := range rows {
+		if len(row) != 5 {
+			t.Fatalf("fig4d.csv row %v: want flows/port, Octopus, Eclipse-Based, UB, AbsoluteUB", row)
+		}
 	}
+	if len(rows) < 2 || rows[0][0] != 4 || rows[len(rows)-1][0] != 32 {
+		t.Fatalf("fig4d.csv: want a sweep from 4 to 32 flows per port, got %v", rows)
+	}
+	assertClauses(t, "flows/port", rows, []clause{
+		{"Octopus rises 44.7 → 55.8", func(rows [][]float64) error {
+			if a, b := math.Round(10*rows[0][1])/10, math.Round(10*rows[len(rows)-1][1])/10; a != 44.7 || b != 55.8 {
+				return fmt.Errorf("Octopus runs %.1f → %.1f, want 44.7 → 55.8", a, b)
+			}
+			for i := 1; i < len(rows); i++ {
+				if rows[i][1] <= rows[i-1][1] {
+					return fmt.Errorf("flows/port=%v: Octopus %.4f does not rise from %.4f", rows[i][0], rows[i][1], rows[i-1][1])
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			// The ends move 0.1 off the claim, and stay in order; a row
+			// between them falls to the previous point's.
+			"Octopus moved": func(r [][]float64, i int) {
+				switch i {
+				case 0:
+					r[0][1] = 44.6
+				case len(r) - 1:
+					r[i][1] = 55.9
+				default:
+					r[i][1] = r[i-1][1]
+				}
+			},
+		}},
+		{"Octopus ≥ 1.6× Eclipse-Based", func(rows [][]float64) error {
+			for _, row := range rows {
+				if row[1] < 1.6*row[2] {
+					return fmt.Errorf("flows/port=%v: Octopus %.4f below 1.6× Eclipse-Based %.4f", row[0], row[1], row[2])
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Eclipse-Based raised to Octopus/1.59": func(r [][]float64, i int) { r[i][2] = r[i][1] / 1.59 },
+		}},
+		{"|Octopus − UB| < 1", func(rows [][]float64) error {
+			for _, row := range rows {
+				if gap := math.Abs(row[1] - row[3]); gap >= 1 {
+					return fmt.Errorf("flows/port=%v: Octopus %.4f and UB %.4f are %.4f points apart", row[0], row[1], row[3], gap)
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"UB raised 1.01 above Octopus":  func(r [][]float64, i int) { r[i][3] = r[i][1] + 1.01 },
+			"UB lowered 1.01 below Octopus": func(r [][]float64, i int) { r[i][3] = r[i][1] - 1.01 },
+		}},
+	})
+}
+
+// TestFig7bOctopusEWinsOnUniformHops asserts the claims of EXPERIMENTS.md
+// §7b over the paper-scale results/fig7b.csv (every flow forced to the same
+// route length), one clause at a time: at 1 hop Octopus, Octopus-e and UB
+// all read 97.0; Octopus-e beats Octopus at 2 and 3 hops, by a gap that
+// grows from 12.6 to 13.6 points; and at 3 hops both Octopus and Octopus-e
+// beat UB. Each clause must fail on a copy mutated against it.
+func TestFig7bOctopusEWinsOnUniformHops(t *testing.T) {
+	rows := readResults(t, "7b")
+	if len(rows) != 3 || rows[0][0] != 1 || rows[1][0] != 2 || rows[2][0] != 3 {
+		t.Fatalf("fig7b.csv: want rows for 1, 2 and 3 hops, got %v", rows)
+	}
+	for _, row := range rows {
+		if len(row) != 4 {
+			t.Fatalf("fig7b.csv row %v: want route hops, Octopus, Octopus-e, UB", row)
+		}
+	}
+	assertClauses(t, "hops", rows, []clause{
+		{"all three read 97.0 at 1 hop", func(rows [][]float64) error {
+			for c := 1; c <= 3; c++ {
+				if rows[0][c] != 97 {
+					return fmt.Errorf("column %d reads %.4f at 1 hop, want 97.0", c, rows[0][c])
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Octopus at 1 hop lowered to 96.9":   func(r [][]float64, _ int) { r[0][1] = 96.9 },
+			"Octopus-e at 1 hop lowered to 96.9": func(r [][]float64, _ int) { r[0][2] = 96.9 },
+			"UB at 1 hop lowered to 96.9":        func(r [][]float64, _ int) { r[0][3] = 96.9 },
+		}},
+		{"Octopus-e's lead grows 12.6 → 13.6", func(rows [][]float64) error {
+			gap2, gap3 := rows[1][2]-rows[1][1], rows[2][2]-rows[2][1]
+			if math.Round(10*gap2)/10 != 12.6 || math.Round(10*gap3)/10 != 13.6 {
+				return fmt.Errorf("Octopus-e leads by %.4f at 2 hops and %.4f at 3, want 12.6 and 13.6", gap2, gap3)
+			}
+			if gap3 <= gap2 {
+				return fmt.Errorf("Octopus-e's lead shrinks from %.4f at 2 hops to %.4f at 3", gap2, gap3)
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Octopus-e lowered to Octopus at 2 hops": func(r [][]float64, _ int) { r[1][2] = r[1][1] },
+			"Octopus-e lowered to Octopus at 3 hops": func(r [][]float64, _ int) { r[2][2] = r[2][1] },
+			"Octopus raised 0.1 at 3 hops":           func(r [][]float64, _ int) { r[2][1] += 0.1 },
+		}},
+		{"both above UB at 3 hops", func(rows [][]float64) error {
+			if oct, e, ub := rows[2][1], rows[2][2], rows[2][3]; oct <= ub || e <= ub {
+				return fmt.Errorf("at 3 hops Octopus %.4f and Octopus-e %.4f, UB %.4f", oct, e, ub)
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Octopus lowered to UB at 3 hops":   func(r [][]float64, _ int) { r[2][1] = r[2][3] },
+			"Octopus-e lowered to UB at 3 hops": func(r [][]float64, _ int) { r[2][2] = r[2][3] },
+		}},
+	})
+}
+
+// clause is one claim over a results CSV: holds checks it, and each
+// mutation, applied to a copy at row i, must break it.
+type clause struct {
+	name      string
+	holds     func(rows [][]float64) error
+	mutations map[string]func(rows [][]float64, i int)
+}
+
+// assertClauses requires every clause to hold on rows and to fail on a
+// copy with any one of its mutations applied at any row; x names the
+// CSV's first column in messages.
+func assertClauses(t *testing.T, x string, rows [][]float64, clauses []clause) {
+	t.Helper()
 	for _, c := range clauses {
 		if err := c.holds(rows); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -428,7 +560,7 @@ func TestFig4bOctopusDegradesGentlyWithDelta(t *testing.T) {
 				}
 				mutate(broken, i)
 				if c.holds(broken) == nil {
-					t.Errorf("%s: Δ=%v: %s and the clause still holds", c.name, rows[i][0], what)
+					t.Errorf("%s: %s=%v: %s and the clause still holds", c.name, x, rows[i][0], what)
 				}
 			}
 		}

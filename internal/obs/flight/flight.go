@@ -121,8 +121,8 @@ type Config struct {
 	// (a roadmap item); the SLO is a single operator-set target. 0 means
 	// no target: every completion counts as on time with zero slack.
 	SLOEpochs int
-	// Metrics optionally mirrors the recorder's aggregates into a shared
-	// obs registry (octopus_flight_* metrics). Nil keeps them internal.
+	// Metrics is the obs registry the recorder's aggregates live in
+	// (octopus_flight_* metrics). Nil keeps them in a private registry.
 	Metrics *obs.Registry
 }
 
@@ -157,25 +157,20 @@ type Recorder struct {
 
 	state map[int64]*flowState
 
+	// The SLO aggregates, bound once to the registry's instruments. All
+	// but events change only under mu, so Stats reads them consistently.
 	sloEpochs  int64
-	completion obs.Histogram // epochs from admission to completion
-	slack      obs.Histogram // max(0, SLO - completion)
-	admitted   int64
-	completed  int64
-	onTime     int64
-
-	// Optional registry mirrors (nil-safe).
-	mAdmitted  *obs.Counter
-	mCompleted *obs.Counter
-	mOnTime    *obs.Counter
-	mEvents    *obs.Counter
-	mLatency   *obs.Histogram
-	mSlack     *obs.Histogram
-	mOnTimePct *obs.Gauge
+	admitted   *obs.Counter
+	completed  *obs.Counter
+	onTime     *obs.Counter
+	events     *obs.Counter
+	completion *obs.Histogram // epochs from admission to completion
+	slack      *obs.Histogram // max(0, SLO - completion)
+	onTimePct  *obs.Gauge
 }
 
 // New builds a recorder. The zero Config means: track every flow, 64k
-// ring, no SLO target, no registry mirror.
+// ring, no SLO target, a private registry.
 func New(cfg Config) *Recorder {
 	capN := cfg.Cap
 	if capN <= 0 {
@@ -185,27 +180,28 @@ func New(cfg Config) *Recorder {
 	if cfg.Sample > 1 {
 		sample = uint64(cfg.Sample)
 	}
-	r := &Recorder{
-		sample:    sample,
-		flows:     make([]int64, capN),
-		kinds:     make([]uint8, capN),
-		epoch:     make([]int32, capN),
-		a:         make([]int64, capN),
-		b:         make([]int64, capN),
-		c:         make([]int64, capN),
-		state:     make(map[int64]*flowState),
-		sloEpochs: int64(cfg.SLOEpochs),
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	if reg := cfg.Metrics; reg != nil {
-		r.mAdmitted = reg.Counter("octopus_flight_admitted_total")
-		r.mCompleted = reg.Counter("octopus_flight_completed_total")
-		r.mOnTime = reg.Counter("octopus_flight_ontime_total")
-		r.mEvents = reg.Counter("octopus_flight_events_total")
-		r.mLatency = reg.Histogram("octopus_flight_completion_epochs")
-		r.mSlack = reg.Histogram("octopus_flight_slack_epochs")
-		r.mOnTimePct = reg.Gauge("octopus_flight_ontime_permille")
+	return &Recorder{
+		sample:     sample,
+		flows:      make([]int64, capN),
+		kinds:      make([]uint8, capN),
+		epoch:      make([]int32, capN),
+		a:          make([]int64, capN),
+		b:          make([]int64, capN),
+		c:          make([]int64, capN),
+		state:      make(map[int64]*flowState),
+		sloEpochs:  int64(cfg.SLOEpochs),
+		admitted:   reg.Counter("octopus_flight_admitted_total"),
+		completed:  reg.Counter("octopus_flight_completed_total"),
+		onTime:     reg.Counter("octopus_flight_ontime_total"),
+		events:     reg.Counter("octopus_flight_events_total"),
+		completion: reg.Histogram("octopus_flight_completion_epochs"),
+		slack:      reg.Histogram("octopus_flight_slack_epochs"),
+		onTimePct:  reg.Gauge("octopus_flight_ontime_permille"),
 	}
-	return r
 }
 
 // mix64 is the splitmix64 finalizer (Steele, Lea & Flood 2014): a cheap
@@ -247,7 +243,7 @@ func (r *Recorder) record(flow int64, kind Kind, epoch int, a, b, c int64) {
 	r.mu.Lock()
 	r.recordLocked(flow, kind, epoch, a, b, c)
 	r.mu.Unlock()
-	r.mEvents.Inc()
+	r.events.Inc()
 }
 
 // Admit records admission of a tracked flow and opens its SLO state.
@@ -258,12 +254,11 @@ func (r *Recorder) Admit(flow int64, epoch int, size, src, dst int64) {
 	r.mu.Lock()
 	if r.state[flow] == nil {
 		r.state[flow] = &flowState{admitEpoch: int32(epoch), size: size}
-		r.admitted++
+		r.admitted.Inc()
 	}
 	r.recordLocked(flow, KindAdmitted, epoch, size, src, dst)
 	r.mu.Unlock()
-	r.mEvents.Inc()
-	r.mAdmitted.Inc()
+	r.events.Inc()
 }
 
 // Planned records that the flow was scheduled into epoch's configuration
@@ -338,7 +333,7 @@ func (r *Recorder) Delivered(flow int64, epoch int, n int64) {
 		events++
 	}
 	r.mu.Unlock()
-	r.mEvents.Add(events)
+	r.events.Add(events)
 }
 
 // Completed records that every packet of the flow has been delivered.
@@ -357,14 +352,14 @@ func (r *Recorder) Completed(flow int64, epoch int) {
 	}
 	r.completeLocked(flow, st, epoch)
 	r.mu.Unlock()
-	r.mEvents.Inc()
+	r.events.Inc()
 }
 
 // completeLocked stamps the completion event and SLO aggregates and
 // releases the flow's state.
 func (r *Recorder) completeLocked(flow int64, st *flowState, epoch int) {
 	delete(r.state, flow)
-	r.completed++
+	r.completed.Inc()
 	latency := int64(epoch) - int64(st.admitEpoch)
 	if latency < 0 {
 		latency = 0
@@ -379,17 +374,9 @@ func (r *Recorder) completeLocked(flow int64, st *flowState, epoch int) {
 		}
 	}
 	r.completion.Observe(latency)
-	r.mLatency.Observe(latency)
 	r.slack.Observe(slack)
-	r.mSlack.Observe(slack)
-	r.onTime += onTime
-	if onTime == 1 {
-		r.mOnTime.Inc()
-	}
-	r.mCompleted.Inc()
-	if r.mOnTimePct != nil && r.completed > 0 {
-		r.mOnTimePct.Set(r.onTime * 1000 / r.completed)
-	}
+	r.onTime.Add(onTime)
+	r.onTimePct.Set(r.onTime.Value() * 1000 / r.completed.Value())
 	r.recordLocked(flow, KindCompleted, epoch, latency, slack, onTime)
 }
 
@@ -414,7 +401,7 @@ func (r *Recorder) end(flow int64, kind Kind, epoch int, remaining int64) {
 	delete(r.state, flow)
 	r.recordLocked(flow, kind, epoch, 0, 0, remaining)
 	r.mu.Unlock()
-	r.mEvents.Inc()
+	r.events.Inc()
 }
 
 // recordLocked is record without the lock round-trip, for compound
@@ -455,7 +442,7 @@ func (r *Recorder) All() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, min64(r.seq, uint64(len(r.flows))))
+	out := make([]Event, 0, min(r.seq, uint64(len(r.flows))))
 	r.scanLocked(func(ev Event) { out = append(out, ev) })
 	return out
 }
@@ -506,31 +493,24 @@ func (r *Recorder) Stats() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	retained := int(min64(r.seq, uint64(len(r.flows))))
+	admitted, completed, onTime := r.admitted.Value(), r.completed.Value(), r.onTime.Value()
 	s := Snapshot{
 		Sample:        int(r.sample),
 		Events:        r.seq,
-		Retained:      retained,
-		TrackedFlows:  int(r.admitted),
-		Admitted:      r.admitted,
-		Completed:     r.completed,
-		OnTime:        r.onTime,
+		Retained:      int(min(r.seq, uint64(len(r.flows)))),
+		TrackedFlows:  int(admitted),
+		Admitted:      admitted,
+		Completed:     completed,
+		OnTime:        onTime,
 		SLOEpochs:     r.sloEpochs,
 		CompletionP50: r.completion.Quantile(0.5),
 		CompletionP99: r.completion.Quantile(0.99),
 		SlackP50:      r.slack.Quantile(0.5),
 	}
-	if r.completed > 0 {
-		s.OnTimeFraction = float64(r.onTime) / float64(r.completed)
+	if completed > 0 {
+		s.OnTimeFraction = float64(onTime) / float64(completed)
 	}
 	return s
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Matcher codes carried in KindPlanned.B — a compact stable encoding of

@@ -236,7 +236,7 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestRegistryMirror checks the optional obs.Registry aggregation.
+// TestRegistryMirror checks the aggregates in a caller's obs.Registry.
 func TestRegistryMirror(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := New(Config{SLOEpochs: 10, Metrics: reg})
@@ -258,6 +258,15 @@ func TestRegistryMirror(t *testing.T) {
 	}
 	if got := reg.Value("octopus_flight_completion_epochs"); got != 5 {
 		t.Fatalf("latency histogram count = %d", got)
+	}
+	// Stats reads the registry's instruments: the two agree.
+	st, lat := r.Stats(), reg.Histogram("octopus_flight_completion_epochs")
+	if st.Admitted != reg.Value("octopus_flight_admitted_total") ||
+		st.Completed != reg.Value("octopus_flight_completed_total") ||
+		st.OnTime != reg.Value("octopus_flight_ontime_total") ||
+		st.CompletionP50 != lat.Quantile(0.5) ||
+		st.SlackP50 != reg.Histogram("octopus_flight_slack_epochs").Quantile(0.5) {
+		t.Fatalf("Stats %+v disagrees with the registry", st)
 	}
 }
 
