@@ -26,9 +26,9 @@ func TestGoldenOutput(t *testing.T) {
 		{"rotornet.txt", []string{"-algo", "rotornet"}},
 		{"octopus-g-multihop.txt", []string{"-algo", "octopus-g", "-multihop"}},
 		{"octopus-random.txt", []string{"-algo", "octopus-random", "-routes", "3"}},
-		// The gantt chart is rendered from the decision trace; this file was
-		// captured from the pre-trace renderer, so it also pins that the
-		// trace round-trip reproduces the schedule byte for byte.
+		// The gantt chart is drawn from the schedule; this file was captured
+		// when it was still rendered from the decision trace, so the two
+		// renderings agree byte for byte.
 		{"octopus-gantt.txt", []string{"-algo", "octopus", "-gantt"}},
 	}
 	for _, tc := range cases {

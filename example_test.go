@@ -48,7 +48,7 @@ func ExampleSchedule() {
 	fmt.Printf("delivered: %d/%d packets (%.1f%%), link utilization %.1f%%\n",
 		meas.Delivered, meas.TotalPackets, 100*meas.DeliveredFraction(), 100*meas.Utilization())
 
-	ub, err := octopus.UpperBound(g, load, window, delta)
+	ub, err := octopus.RunAlgorithm("ub", g, load, octopus.AlgoParams{Window: window, Delta: delta})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -178,10 +178,10 @@ func atSlotZero(load *octopus.Load) []octopus.Arrival {
 	return arr
 }
 
-// ExampleHybridSchedule sweeps the packet network's per-port rate (paper
-// §7): the packet network absorbs small flows first and Octopus schedules
-// the rest on the circuit fabric.
-func ExampleHybridSchedule() {
+// ExampleRunAlgorithm_hybrid sweeps the packet network's per-port rate
+// (paper §7): the packet network absorbs small flows first and Octopus
+// schedules the rest on the circuit fabric.
+func ExampleRunAlgorithm_hybrid() {
 	const nodes, window = 16, 800
 	g := octopus.Complete(nodes)
 	load, err := octopus.Synthetic(g, octopus.DefaultSyntheticParams(nodes, window), rand.New(rand.NewSource(5)))
@@ -189,16 +189,19 @@ func ExampleHybridSchedule() {
 		log.Fatal(err)
 	}
 	for _, rate := range []float64{0, 0.05, 0.1, 0.2} {
-		res, err := octopus.HybridSchedule(g, load.Clone(), octopus.Options{Window: window, Delta: 20}, rate)
+		// A zero-rate packet network leaves everything to the circuit
+		// fabric: plain Octopus (the hybrid spec reads rate=0 as its
+		// default, 0.1).
+		spec := fmt.Sprintf("hybrid:rate=%g", rate)
+		if rate == 0 {
+			spec = "octopus"
+		}
+		res, err := octopus.RunAlgorithm(spec, g, load, octopus.AlgoParams{Window: window, Delta: 20})
 		if err != nil {
 			log.Fatal(err)
 		}
-		circuit := 0
-		if res.Circuit != nil {
-			circuit = res.Circuit.Delivered
-		}
 		fmt.Printf("packet rate %.2f: %5.1f%% delivered (%d via packet net, %d via circuit)\n",
-			rate, 100*res.DeliveredFraction(), res.PacketDelivered, circuit)
+			rate, 100*res.DeliveredFraction(), res.PacketNetHops, res.Delivered-res.PacketNetHops)
 	}
 	// Output:
 	// packet rate 0.00:  35.6% delivered (0 via packet net, 4560 via circuit)

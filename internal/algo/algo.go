@@ -28,6 +28,7 @@ import (
 	"octopus/internal/core"
 	"octopus/internal/graph"
 	"octopus/internal/schedule"
+	"octopus/internal/simulate"
 	"octopus/internal/traffic"
 	"octopus/internal/verify"
 )
@@ -139,6 +140,44 @@ type Outcome struct {
 	// checks algorithm-specific invariants beyond schedule validity.
 	VerifyOpt verify.Options
 	Extra     func() error
+}
+
+// claim is the plan's bookkeeping as the claim verify.Schedule holds to
+// an independent replay.
+func (pi *PlanInfo) claim() *verify.Claim {
+	return &verify.Claim{Delivered: pi.Delivered, Hops: pi.Hops, Psi: pi.Psi}
+}
+
+// planned fills o from a plan's own bookkeeping: the Plan, and the
+// authoritative metrics of an outcome no simulator measured.
+func (o *Outcome) planned(res *core.Result) {
+	o.Plan = &PlanInfo{
+		Iterations: res.Iterations,
+		Delivered:  res.Delivered,
+		Hops:       res.Hops,
+		Psi:        res.Psi,
+	}
+	o.Delivered = res.Delivered
+	o.Total = res.TotalPackets
+	o.Hops = res.Hops
+	o.Psi = res.Psi
+	o.ActiveLinkSlots = res.Schedule.ActiveLinkSlots()
+	o.Reconfigs = len(res.Schedule.Configs)
+	o.SlotsUsed = res.Schedule.Cost()
+}
+
+// measured overwrites o's authoritative metrics with the packet-level
+// replay sim. Without redundant copies the deduplicated counts are the raw
+// ones.
+func (o *Outcome) measured(sim *simulate.Result) {
+	o.Delivered = sim.UniqueDelivered
+	o.Total = sim.UniqueTotal
+	o.Hops = sim.Hops
+	o.Psi = sim.Psi
+	o.ActiveLinkSlots = sim.ActiveLinkSlots
+	o.ConfigsReplayed = sim.Configs
+	o.SlotsUsed = sim.SlotsUsed
+	o.Measured = true
 }
 
 // DeliveredFraction returns Delivered / Total (0 for empty loads).

@@ -68,30 +68,18 @@ func (a *coreAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome
 		Fabric:   g,
 		Load:     runLoad,
 		Schedule: res.Schedule,
-		Plan: &PlanInfo{
-			Iterations: res.Iterations,
-			Delivered:  res.Delivered,
-			Hops:       res.Hops,
-			Psi:        res.Psi,
-		},
-		Reconfigs: len(res.Schedule.Configs),
 		VerifyOpt: verify.Options{
 			Window:    opt.Window,
 			Ports:     opt.Ports,
 			Epsilon64: opt.Epsilon64,
 		},
 	}
+	out.planned(res)
 	if opt.MultiRoute {
 		// Octopus+ backtracking revises the plan in ways a forward replay
 		// cannot reproduce: the plan bookkeeping is authoritative, the
 		// schedule is validated structurally, and (with KeepTrace) the
 		// plan's own movement records are audited by VerifyPlan.
-		out.Delivered = res.Delivered
-		out.Total = res.TotalPackets
-		out.Hops = res.Hops
-		out.Psi = res.Psi
-		out.ActiveLinkSlots = res.Schedule.ActiveLinkSlots()
-		out.SlotsUsed = res.Schedule.Cost()
 		if opt.KeepTrace {
 			out.Extra = res.VerifyPlan
 		}
@@ -106,7 +94,7 @@ func (a *coreAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome
 	// may land on either side of the one-hop plan). With redundant copies
 	// the claim is the raw per-copy plan; deduplication happens on top of
 	// it, never inside it.
-	out.VerifyOpt.Claim = &verify.Claim{Delivered: res.Delivered, Hops: res.Hops, Psi: res.Psi}
+	out.VerifyOpt.Claim = out.Plan.claim()
 	if opt.MultiHop {
 		sch, w := res.Schedule, opt.Window
 		out.Extra = func() error {
@@ -128,15 +116,7 @@ func (a *coreAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome
 	if err != nil {
 		return nil, err
 	}
-	// Without copies the deduplicated counts are the raw ones.
-	out.Delivered = sim.UniqueDelivered
-	out.Total = sim.UniqueTotal
-	out.Hops = sim.Hops
-	out.Psi = sim.Psi
-	out.ActiveLinkSlots = sim.ActiveLinkSlots
-	out.ConfigsReplayed = sim.Configs
-	out.SlotsUsed = sim.SlotsUsed
-	out.Measured = true
+	out.measured(sim)
 	return out, nil
 }
 

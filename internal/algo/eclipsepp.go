@@ -1,4 +1,4 @@
-package baseline
+package algo
 
 import (
 	"sort"
@@ -8,7 +8,19 @@ import (
 	"octopus/internal/traffic"
 )
 
-// EclipsePlusPlus routes a multi-hop traffic load over a *given* sequence
+// eppState is Eclipse++'s time-expanded graph with its remaining link
+// capacities.
+type eppState struct {
+	g       *graph.Digraph
+	configs []schedule.Configuration
+	// caps[c][edge] = remaining packets the link may carry in config c.
+	caps []map[graph.Edge]int
+	// out[c][node] = destination of node's active out-link in config c,
+	// or -1 (a matching has at most one out-link per node).
+	out [][]int
+}
+
+// eclipsePlusPlus routes a multi-hop traffic load over a *given* sequence
 // of configurations, in the spirit of the Eclipse++ algorithm of [36]
 // (which the paper's Eclipse-Based baseline builds on): packets may take
 // any path the configuration sequence admits — not just their nominal
@@ -23,45 +35,10 @@ import (
 // of packets along it, until no augmenting path remains. This is the
 // standard greedy multi-commodity routing over a time-expanded graph; the
 // reference algorithm's LP rounding is substituted as documented in
-// DESIGN.md.
-type eppState struct {
-	g       *graph.Digraph
-	configs []schedule.Configuration
-	// caps[c][edge] = remaining packets the link may carry in config c.
-	caps []map[graph.Edge]int
-	// out[c][node] = destination of node's active out-link in config c,
-	// or -1 (a matching has at most one out-link per node).
-	out [][]int
-}
-
-// EclipsePlusPlusResult reports the outcome of Eclipse++ routing.
-type EclipsePlusPlusResult struct {
-	Delivered       int
-	TotalPackets    int
-	Hops            int
-	Psi             int64
-	ActiveLinkSlots int64
-}
-
-// DeliveredFraction returns Delivered / TotalPackets.
-func (r *EclipsePlusPlusResult) DeliveredFraction() float64 {
-	if r.TotalPackets == 0 {
-		return 0
-	}
-	return float64(r.Delivered) / float64(r.TotalPackets)
-}
-
-// Utilization returns packet-hops per active link-slot.
-func (r *EclipsePlusPlusResult) Utilization() float64 {
-	if r.ActiveLinkSlots == 0 {
-		return 0
-	}
-	return float64(r.Hops) / float64(r.ActiveLinkSlots)
-}
-
-// EclipsePlusPlus routes load over sch and returns the delivery outcome.
-// Window truncates the replayed sequence like the simulator does.
-func EclipsePlusPlus(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, window int) (*EclipsePlusPlusResult, error) {
+// DESIGN.md. Window truncates the replayed sequence like the simulator
+// does. The outcome holds the delivered packets, packet-hops and active
+// link-slots.
+func eclipsePlusPlus(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, window int) (*Outcome, error) {
 	if err := sch.Validate(g, 0, 1); err != nil {
 		return nil, err
 	}
@@ -96,7 +73,7 @@ func EclipsePlusPlus(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedul
 		st.out = append(st.out, out)
 	}
 
-	res := &EclipsePlusPlusResult{TotalPackets: load.TotalPackets()}
+	res := &Outcome{Total: load.TotalPackets()}
 	for _, cfg := range st.configs {
 		res.ActiveLinkSlots += int64(cfg.Alpha) * int64(len(cfg.Links))
 	}
@@ -126,7 +103,6 @@ func EclipsePlusPlus(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedul
 			for _, step := range path {
 				st.caps[step.config][step.link] -= bottleneck
 				res.Hops += bottleneck
-				res.Psi += int64(bottleneck) * f.Weight()
 			}
 			res.Delivered += bottleneck
 			remaining -= bottleneck

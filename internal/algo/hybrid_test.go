@@ -1,4 +1,4 @@
-package hybrid
+package algo
 
 import (
 	"math/rand"
@@ -10,35 +10,24 @@ import (
 	"octopus/internal/verify"
 )
 
-func synthetic(t *testing.T, seed int64, n, window int) (*graph.Digraph, *traffic.Load) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.Complete(n)
-	load, err := traffic.Synthetic(g, traffic.DefaultSyntheticParams(n, window), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, load
-}
-
 func TestHybridImprovesOnCircuitOnly(t *testing.T) {
 	g, load := synthetic(t, 1, 10, 300)
-	opt := core.Options{Window: 300, Delta: 10}
-	circuitOnly, err := Schedule(g, load.Clone(), opt, 0)
+	p := Params{Window: 300, Delta: 10}
+	circuitOnly, err := hybridSchedule(g, load.Clone(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := Schedule(g, load.Clone(), opt, 0.1)
+	hybrid, err := hybridSchedule(g, load.Clone(), p, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if circuitOnly.PacketDelivered != 0 {
+	if circuitOnly.PacketNetHops != 0 {
 		t.Fatal("zero-rate packet network served packets")
 	}
-	if hybrid.Delivered() <= circuitOnly.Delivered() {
-		t.Fatalf("hybrid (%d) not above circuit-only (%d)", hybrid.Delivered(), circuitOnly.Delivered())
+	if hybrid.Delivered <= circuitOnly.Delivered {
+		t.Fatalf("hybrid (%d) not above circuit-only (%d)", hybrid.Delivered, circuitOnly.Delivered)
 	}
-	if hybrid.Delivered() > hybrid.TotalPackets {
+	if hybrid.Delivered > hybrid.Total {
 		t.Fatal("delivered more than offered")
 	}
 }
@@ -50,16 +39,16 @@ func TestHybridBudgets(t *testing.T) {
 	load := &traffic.Load{Flows: []traffic.Flow{
 		{ID: 1, Size: 100, Src: 0, Dst: 1, Routes: []traffic.Route{{0, 1}}},
 	}}
-	res, err := Schedule(g, load, core.Options{Window: 200, Delta: 10}, 0.1)
+	res, err := hybridSchedule(g, load, Params{Window: 200, Delta: 10}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PacketDelivered != 20 {
-		t.Fatalf("PacketDelivered = %d, want 20", res.PacketDelivered)
+	if res.PacketNetHops != 20 {
+		t.Fatalf("PacketNetHops = %d, want 20", res.PacketNetHops)
 	}
 	// The remaining 80 fit easily in the circuit window.
-	if res.Delivered() != 100 {
-		t.Fatalf("Delivered = %d, want 100", res.Delivered())
+	if res.Delivered != 100 {
+		t.Fatalf("Delivered = %d, want 100", res.Delivered)
 	}
 }
 
@@ -71,14 +60,14 @@ func TestHybridSmallFlowsFirst(t *testing.T) {
 		{ID: 1, Size: 1000, Src: 0, Dst: 1, Routes: []traffic.Route{{0, 1}}},
 		{ID: 2, Size: 5, Src: 0, Dst: 2, Routes: []traffic.Route{{0, 2}}},
 	}}
-	res, err := Schedule(g, load, core.Options{Window: 100, Delta: 10}, 0.1)
+	res, err := hybridSchedule(g, load, Params{Window: 100, Delta: 10}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Budget = 10 per port: flow 2 (size 5) fully absorbed, then 5 more of
 	// flow 1.
-	if res.PacketDelivered != 10 {
-		t.Fatalf("PacketDelivered = %d, want 10", res.PacketDelivered)
+	if res.PacketNetHops != 10 {
+		t.Fatalf("PacketNetHops = %d, want 10", res.PacketNetHops)
 	}
 }
 
@@ -87,15 +76,15 @@ func TestHybridAbsorbsEverything(t *testing.T) {
 	load := &traffic.Load{Flows: []traffic.Flow{
 		{ID: 1, Size: 5, Src: 0, Dst: 1, Routes: []traffic.Route{{0, 1}}},
 	}}
-	res, err := Schedule(g, load, core.Options{Window: 100, Delta: 10}, 1.0)
+	res, err := hybridSchedule(g, load, Params{Window: 100, Delta: 10}, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Circuit != nil {
+	if res.Schedule != nil || res.Plan != nil {
 		t.Fatal("circuit scheduler ran for fully absorbed load")
 	}
-	if res.Delivered() != 5 || res.DeliveredFraction() != 1 {
-		t.Fatalf("Delivered = %d", res.Delivered())
+	if res.Delivered != 5 || res.DeliveredFraction() != 1 {
+		t.Fatalf("Delivered = %d", res.Delivered)
 	}
 }
 
@@ -104,7 +93,7 @@ func TestHybridRejectsNegativeRate(t *testing.T) {
 	load := &traffic.Load{Flows: []traffic.Flow{
 		{ID: 1, Size: 5, Src: 0, Dst: 1, Routes: []traffic.Route{{0, 1}}},
 	}}
-	if _, err := Schedule(g, load, core.Options{Window: 100, Delta: 10}, -1); err == nil {
+	if _, err := hybridSchedule(g, load, Params{Window: 100, Delta: 10}, -1); err == nil {
 		t.Fatal("negative rate accepted")
 	}
 }
@@ -169,22 +158,23 @@ func TestCircuitScheduleValidates(t *testing.T) {
 			continue
 		}
 		inst = inst.SingleRoute()
-		res, err := Schedule(inst.G, inst.Load.Clone(), core.Options{Window: inst.Window, Delta: inst.Delta}, 0.1)
+		offered := inst.Load.Clone()
+		res, err := hybridSchedule(inst.G, offered, Params{Window: inst.Window, Delta: inst.Delta}, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Circuit == nil {
+		if res.Schedule == nil {
 			continue // packet network absorbed everything
 		}
-		if res.Residual == nil {
+		if res.Load == offered {
 			t.Fatal("circuit result without residual load")
 		}
-		_, err = verify.Schedule(inst.G, res.Residual, res.Circuit.Schedule, verify.Options{
+		_, err = verify.Schedule(inst.G, res.Load, res.Schedule, verify.Options{
 			Window: inst.Window,
 			Claim: &verify.Claim{
-				Delivered: res.Circuit.Delivered,
-				Hops:      res.Circuit.Hops,
-				Psi:       res.Circuit.Psi,
+				Delivered: res.Plan.Delivered,
+				Hops:      res.Plan.Hops,
+				Psi:       res.Plan.Psi,
 			},
 		})
 		if err != nil {

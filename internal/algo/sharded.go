@@ -207,14 +207,7 @@ func (a *shardedAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outc
 	if err != nil {
 		return nil, err
 	}
-	out.Delivered = sim.Delivered
-	out.Total = sim.TotalPackets
-	out.Hops = sim.Hops
-	out.Psi = sim.Psi
-	out.ActiveLinkSlots = sim.ActiveLinkSlots
-	out.ConfigsReplayed = sim.Configs
-	out.SlotsUsed = sim.SlotsUsed
-	out.Measured = true
+	out.measured(sim)
 	return out, nil
 }
 

@@ -535,6 +535,138 @@ func TestFig7bOctopusEWinsOnUniformHops(t *testing.T) {
 	})
 }
 
+// TestFig4cOctopusRisesWithSmallFlowShare asserts the claims of
+// EXPERIMENTS.md §4c over the paper-scale results/fig4c.csv, one clause at
+// a time: Octopus rises 48.6 → 54.1 → 56.7 over cS = 10–50 %; it reads at
+// least 8 points more at 90 % than at 10 % (the CSV reads 8.26); it
+// delivers at least 2.0× Eclipse-Based at every point (the smallest ratio
+// is 2.11, at 10 %); and it stays within 2 points of UB (the largest gap
+// is 1.80, at 10 %). Each clause must fail on a copy mutated against it.
+func TestFig4cOctopusRisesWithSmallFlowShare(t *testing.T) {
+	rows := readResults(t, "4c")
+	for _, row := range rows {
+		if len(row) != 5 {
+			t.Fatalf("fig4c.csv row %v: want cS%%, Octopus, Eclipse-Based, UB, AbsoluteUB", row)
+		}
+	}
+	if len(rows) != 5 || rows[0][0] != 10 || rows[2][0] != 50 || rows[4][0] != 90 {
+		t.Fatalf("fig4c.csv: want cS = 10, 30, 50, 70, 90 %%, got %v", rows)
+	}
+	assertClauses(t, "cS%", rows, []clause{
+		{"Octopus rises 48.6 → 54.1 → 56.7 over 10–50 %", func(rows [][]float64) error {
+			for i, want := range []float64{48.6, 54.1, 56.7} {
+				if got := math.Round(10*rows[i][1]) / 10; got != want {
+					return fmt.Errorf("cS=%v%%: Octopus reads %.1f, want %.1f", rows[i][0], got, want)
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Octopus at 10% moved to 48.5":    func(r [][]float64, _ int) { r[0][1] = 48.5 },
+			"Octopus at 30% lowered to 10%'s": func(r [][]float64, _ int) { r[1][1] = r[0][1] },
+			"Octopus at 50% moved to 56.8":    func(r [][]float64, _ int) { r[2][1] = 56.8 },
+			"Octopus at 50% lowered to 30%'s": func(r [][]float64, _ int) { r[2][1] = r[1][1] },
+		}},
+		{"Octopus ≥ 8 points higher at 90 % than at 10 %", func(rows [][]float64) error {
+			if rise := rows[4][1] - rows[0][1]; rise < 8 {
+				return fmt.Errorf("Octopus rises only %.4f points from 10%% to 90%%", rise)
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Octopus at 90% lowered to 10%'s + 7.9": func(r [][]float64, _ int) { r[4][1] = r[0][1] + 7.9 },
+		}},
+		{"Octopus ≥ 2.0× Eclipse-Based", func(rows [][]float64) error {
+			for _, row := range rows {
+				if row[1] < 2*row[2] {
+					return fmt.Errorf("cS=%v%%: Octopus %.4f below 2× Eclipse-Based %.4f", row[0], row[1], row[2])
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Eclipse-Based raised to Octopus/1.99": func(r [][]float64, i int) { r[i][2] = r[i][1] / 1.99 },
+		}},
+		{"|Octopus − UB| < 2", func(rows [][]float64) error {
+			for _, row := range rows {
+				if gap := math.Abs(row[1] - row[3]); gap >= 2 {
+					return fmt.Errorf("cS=%v%%: Octopus %.4f and UB %.4f are %.4f points apart", row[0], row[1], row[3], gap)
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"UB raised 2.01 above Octopus":  func(r [][]float64, i int) { r[i][3] = r[i][1] + 2.01 },
+			"UB lowered 2.01 below Octopus": func(r [][]float64, i int) { r[i][3] = r[i][1] - 2.01 },
+		}},
+	})
+}
+
+// TestFig5UtilizationBands asserts the claims of EXPERIMENTS.md §5 over the
+// paper-scale results/fig5a.csv–fig5d.csv (link utilization in the four
+// sweeps of Fig 4), one clause at a time and in every sweep: Octopus
+// utilizes at least 93 % (the smallest is 93.46, at Δ = 200); UB at least
+// 99.3 % (smallest 99.33); Eclipse-Based stays inside 58–70 % (it reads
+// 58.86–69.52); and Octopus leads Eclipse-Based by at least 30 points
+// (the smallest lead is 30.48, at n = 25). Each clause must fail on a copy
+// mutated against it.
+func TestFig5UtilizationBands(t *testing.T) {
+	for _, fig := range []struct{ id, x string }{{"5a", "nodes"}, {"5b", "delta"}, {"5c", "cS%"}, {"5d", "flows/port"}} {
+		t.Run(fig.id, func(t *testing.T) {
+			rows := readResults(t, fig.id)
+			if len(rows) < 5 {
+				t.Fatalf("fig%s.csv: want a sweep of at least five points, got %v", fig.id, rows)
+			}
+			for _, row := range rows {
+				if len(row) != 4 {
+					t.Fatalf("fig%s.csv row %v: want %s, Octopus, Eclipse-Based, UB", fig.id, row, fig.x)
+				}
+			}
+			each := func(check func(row []float64) error) func([][]float64) error {
+				return func(rows [][]float64) error {
+					for _, row := range rows {
+						if err := check(row); err != nil {
+							return fmt.Errorf("%s=%v: %v", fig.x, row[0], err)
+						}
+					}
+					return nil
+				}
+			}
+			assertClauses(t, fig.x, rows, []clause{
+				{"Octopus ≥ 93", each(func(row []float64) error {
+					if row[1] < 93 {
+						return fmt.Errorf("Octopus utilizes %.4f%%", row[1])
+					}
+					return nil
+				}), map[string]func([][]float64, int){
+					"Octopus lowered to 92.9": func(r [][]float64, i int) { r[i][1] = 92.9 },
+				}},
+				{"UB ≥ 99.3", each(func(row []float64) error {
+					if row[3] < 99.3 {
+						return fmt.Errorf("UB utilizes %.4f%%", row[3])
+					}
+					return nil
+				}), map[string]func([][]float64, int){
+					"UB lowered to 99.29": func(r [][]float64, i int) { r[i][3] = 99.29 },
+				}},
+				{"Eclipse-Based inside 58–70", each(func(row []float64) error {
+					if row[2] < 58 || row[2] > 70 {
+						return fmt.Errorf("Eclipse-Based utilizes %.4f%%, outside [58, 70]", row[2])
+					}
+					return nil
+				}), map[string]func([][]float64, int){
+					"Eclipse-Based lowered to 57.9": func(r [][]float64, i int) { r[i][2] = 57.9 },
+					"Eclipse-Based raised to 70.1":  func(r [][]float64, i int) { r[i][2] = 70.1 },
+				}},
+				{"Octopus − Eclipse-Based ≥ 30", each(func(row []float64) error {
+					if lead := row[1] - row[2]; lead < 30 {
+						return fmt.Errorf("Octopus %.4f leads Eclipse-Based %.4f by %.4f points", row[1], row[2], lead)
+					}
+					return nil
+				}), map[string]func([][]float64, int){
+					"Eclipse-Based raised to Octopus − 29.9": func(r [][]float64, i int) { r[i][2] = r[i][1] - 29.9 },
+				}},
+			})
+		})
+	}
+}
+
 // clause is one claim over a results CSV: holds checks it, and each
 // mutation, applied to a copy at row i, must break it.
 type clause struct {

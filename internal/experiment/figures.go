@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"octopus/internal/algo"
-	"octopus/internal/baseline"
 	"octopus/internal/core"
 	"octopus/internal/graph"
-	"octopus/internal/hybrid"
 	"octopus/internal/simulate"
 	"octopus/internal/traffic"
 )
@@ -138,7 +136,7 @@ var absoluteUB = series{label: "AbsoluteUB", bound: func(in instance, load *traf
 	if total == 0 {
 		return 0
 	}
-	return float64(baseline.AbsoluteUpperBound(load, in.Window*max(1, in.ports), in.N)) / float64(total) * 100
+	return float64(algo.AbsoluteUpperBound(load, in.Window*max(1, in.ports), in.N)) / float64(total) * 100
 }}
 
 // comparison is the Fig 4/5/7a roster: Octopus against the Eclipse-based
@@ -361,7 +359,7 @@ func makespan(sc Scale, in instance, rng *rand.Rand) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, _, err := hybrid.Makespan(g, load, core.Options{Delta: in.delta, Matcher: sc.Matcher})
+	w, _, err := algo.Makespan(g, load, core.Options{Delta: in.delta, Matcher: sc.Matcher})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,10 @@
 package traffic
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,5 +113,79 @@ func TestDemandCSVEndToEnd(t *testing.T) {
 	}
 	if load.TotalPackets() != 1000+500+250+100 {
 		t.Fatalf("total = %d", load.TotalPackets())
+	}
+}
+
+// refTraceLike is TraceLike as it stood before it became FromDemandMatrix
+// over traceDemand: its own rescale-to-window and per-entry flow loop.
+func refTraceLike(g *graph.Digraph, kind TraceKind, window int, p SyntheticParams, rng *rand.Rand) (*Load, error) {
+	n := g.N()
+	demand := traceDemand(kind, n, rng)
+	var maxD float64
+	for _, row := range demand {
+		for _, d := range row {
+			if d > maxD {
+				maxD = d
+			}
+		}
+	}
+	if maxD == 0 {
+		return nil, fmt.Errorf("traffic: empty %v demand matrix", kind)
+	}
+	scale := float64(window) / maxD
+	if p.MinHops == 0 {
+		p.MinHops, p.MaxHops = 1, 3
+	}
+	load := &Load{}
+	nextID := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			size := int(math.Round(demand[i][j] * scale))
+			if size == 0 || i == j {
+				continue
+			}
+			routes, err := sampleRoutes(g, i, j, nextID, p, rng)
+			if err != nil {
+				return nil, err
+			}
+			load.Flows = append(load.Flows, Flow{
+				ID: nextID, Size: size, Src: i, Dst: j, Routes: routes,
+			})
+			nextID++
+		}
+	}
+	return load, nil
+}
+
+// TestTraceLikeIsFromDemandMatrix holds TraceLike to its former body on
+// 320 cases: four sizes, complete and degree-3 fabrics, every kind, ten
+// seeds, one to three routes. The two agree because traceDemand never
+// sets a diagonal entry and both draw from rng in the same order. Some
+// small FB-3 matrices are empty: both fail there. -short leaves out the
+// 40 cases of n = 100 on the degree-3 fabric.
+func TestTraceLikeIsFromDemandMatrix(t *testing.T) {
+	for _, n := range []int{4, 12, 25, 100} {
+		for _, deg := range []int{0, 3} {
+			if n == 100 && deg > 0 && testing.Short() {
+				continue // route sampling on the sparse fabric: ≈ 6 s
+			}
+			g := graph.Complete(n)
+			if deg > 0 {
+				g = graph.RandomPartial(n, deg, rand.New(rand.NewSource(int64(n))))
+			}
+			for _, kind := range []TraceKind{FBHadoop, FBWeb, FBDatabase, MSHeatmap} {
+				for seed := int64(0); seed < 10; seed++ {
+					p := SyntheticParams{RouteChoices: 1 + int(seed)%3}
+					got, gotErr := TraceLike(g, kind, 500, p, rand.New(rand.NewSource(seed)))
+					want, wantErr := refTraceLike(g, kind, 500, p, rand.New(rand.NewSource(seed)))
+					// TraceLike's empty-matrix error is FromDemandMatrix's,
+					// which does not name the kind: compare errors by presence.
+					if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+						t.Fatalf("n=%d deg=%d %v seed %d: TraceLike differs from its reference (err %v vs %v)",
+							n, deg, kind, seed, gotErr, wantErr)
+					}
+				}
+			}
+		}
 	}
 }

@@ -50,48 +50,13 @@ func (k TraceKind) String() string {
 	}
 }
 
-// TraceLike generates a trace-like load over fabric g. Flow sizes are
-// scaled so the maximum flow equals window; routes are assigned like the
-// synthetic generator (even split over 1..3 hops unless overridden by p's
-// route fields). p's NL/NS/CL/CS fields are ignored.
+// TraceLike generates a trace-like load over fabric g: the kind's demand
+// matrix through FromDemandMatrix. Flow sizes are scaled so the maximum
+// flow equals window; routes are assigned like the synthetic generator
+// (even split over 1..3 hops unless overridden by p's route fields). p's
+// NL/NS/CL/CS fields are ignored.
 func TraceLike(g *graph.Digraph, kind TraceKind, window int, p SyntheticParams, rng *rand.Rand) (*Load, error) {
-	n := g.N()
-	demand := traceDemand(kind, n, rng)
-	// Rescale so the max entry equals the window.
-	var maxD float64
-	for _, row := range demand {
-		for _, d := range row {
-			if d > maxD {
-				maxD = d
-			}
-		}
-	}
-	if maxD == 0 {
-		return nil, fmt.Errorf("traffic: empty %v demand matrix", kind)
-	}
-	scale := float64(window) / maxD
-	if p.MinHops == 0 {
-		p.MinHops, p.MaxHops = 1, 3
-	}
-	load := &Load{}
-	nextID := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			size := int(math.Round(demand[i][j] * scale))
-			if size == 0 || i == j {
-				continue
-			}
-			routes, err := sampleRoutes(g, i, j, nextID, p, rng)
-			if err != nil {
-				return nil, err
-			}
-			load.Flows = append(load.Flows, Flow{
-				ID: nextID, Size: size, Src: i, Dst: j, Routes: routes,
-			})
-			nextID++
-		}
-	}
-	return load, nil
+	return FromDemandMatrix(g, traceDemand(kind, g.N(), rng), window, p, rng)
 }
 
 // traceDemand builds the raw (unscaled) demand matrix for a trace kind.

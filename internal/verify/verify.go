@@ -4,8 +4,8 @@
 // MHS problem, and an exhaustive brute-force reference solver that computes
 // the true optimum on tiny instances.
 //
-// The schedulers in internal/core and internal/baseline each keep their own
-// bookkeeping of what they deliver; verify.Schedule re-derives those
+// The schedulers in internal/core and the baselines of internal/algo each
+// keep their own bookkeeping of what they deliver; verify.Schedule re-derives those
 // numbers from nothing but the schedule itself, using a deliberately
 // simple, separate replay implementation, so no algorithm grades its own
 // homework. verify.BruteForce closes the loop by measuring the gap to

@@ -34,13 +34,11 @@ import (
 	"math/rand"
 
 	"octopus/internal/algo"
-	"octopus/internal/baseline"
 	"octopus/internal/core"
 	"octopus/internal/daemon"
 	"octopus/internal/engine"
 	"octopus/internal/fault"
 	"octopus/internal/graph"
-	"octopus/internal/hybrid"
 	"octopus/internal/schedule"
 	"octopus/internal/simulate"
 	"octopus/internal/traffic"
@@ -90,8 +88,6 @@ type (
 	SimOptions = simulate.Options
 	// SimResult is the simulator's measurement of a schedule.
 	SimResult = simulate.Result
-	// HybridResult is the outcome of hybrid circuit/packet scheduling.
-	HybridResult = hybrid.Result
 )
 
 // Matcher and α-search selectors (paper variants).
@@ -182,35 +178,10 @@ func Measure(g *Network, load *Load, sch *ConfigSchedule, opt SimOptions) (*SimR
 	return simulate.Run(g, load, sch, opt)
 }
 
-// EclipseBased runs the paper's baseline: the one-hop Eclipse scheduler
-// over the unordered hop decomposition, replayed on the multi-hop load.
-func EclipseBased(g *Network, load *Load, window, delta int) (*SimResult, error) {
-	sim, _, err := baseline.EclipseBased(g, load, window, delta, core.MatcherExact)
-	return sim, err
-}
-
-// UpperBound computes the paper's UB upper bound for an MHS instance.
-func UpperBound(g *Network, load *Load, window, delta int) (*baseline.UBResult, error) {
-	return baseline.UpperBound(g, load, window, delta, core.MatcherExact)
-}
-
-// RotorNet measures the traffic-agnostic RotorNet schedule on the load.
-func RotorNet(g *Network, load *Load, window, delta int) (*SimResult, error) {
-	sim, _, err := baseline.RotorNet(g, load, window, delta, 0)
-	return sim, err
-}
-
-// HybridSchedule first absorbs traffic into a packet-switched network with
-// per-port rate packetRate (packets per slot), then runs Octopus on the
-// remainder (paper §7).
-func HybridSchedule(g *Network, load *Load, opt Options, packetRate float64) (*HybridResult, error) {
-	return hybrid.Schedule(g, load, opt, packetRate)
-}
-
 // Makespan returns the smallest window that fully serves the load, by
 // binary search with Octopus as the feasibility oracle (paper §7).
 func Makespan(g *Network, load *Load, opt Options) (int, *Result, error) {
-	return hybrid.Makespan(g, load, opt)
+	return algo.Makespan(g, load, opt)
 }
 
 // Epoch scheduling: dynamically arriving flows (the §9 future-work
@@ -237,10 +208,11 @@ func ScheduleOnline(g *Network, arrivals []Arrival, cfg PipelineConfig, maxEpoch
 }
 
 // The algorithm registry: every scheduler, baseline, and bound behind one
-// uniform interface (see DESIGN.md §10). The specialized entry points above
-// remain for callers who want a variant's native result type; the registry
-// is the uniform comparison pipeline the CLIs, experiments, and the
-// differential harness run on.
+// uniform interface (see DESIGN.md §10). The Octopus entry points above
+// remain for callers who want the core scheduler's native result type; the
+// baselines, the hybrid scheme and UB run only here, through RunAlgorithm.
+// The registry is the uniform comparison pipeline the CLIs, experiments,
+// and the differential harness run on.
 type (
 	// Algorithm is one registered algorithm: a name, a one-line
 	// description, a kind (offline / bound), and a uniform Run.

@@ -46,22 +46,20 @@ func TestPublicAPIBaselinesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ecl, err := EclipseBased(g, load, 400, 10)
-	if err != nil {
-		t.Fatal(err)
+	run := func(spec string) *AlgoOutcome {
+		t.Helper()
+		out, err := RunAlgorithm(spec, g, load, AlgoParams{Window: 400, Delta: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	rot, err := RotorNet(g, load, 400, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ecl, rot := run("eclipse-based"), run("rotornet")
 	if !(meas.Delivered > ecl.Delivered && ecl.Delivered > rot.Delivered) {
 		t.Fatalf("ordering violated: octopus %d, eclipse-based %d, rotornet %d",
 			meas.Delivered, ecl.Delivered, rot.Delivered)
 	}
-	ub, err := UpperBound(g, load, 400, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ub := run("ub")
 	if float64(ub.Delivered) < 0.9*float64(meas.Delivered) {
 		t.Fatalf("UB %d far below Octopus %d", ub.Delivered, meas.Delivered)
 	}
@@ -122,11 +120,11 @@ func TestPublicAPIHybridAndMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := HybridSchedule(g, load.Clone(), Options{Window: 200, Delta: 10}, 0.1)
+	h, err := RunAlgorithm("hybrid:rate=0.1", g, load, AlgoParams{Window: 200, Delta: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Delivered() == 0 || h.PacketDelivered == 0 {
+	if h.Delivered == 0 || h.PacketNetHops == 0 {
 		t.Fatalf("hybrid result %+v", h)
 	}
 	w, res, err := Makespan(g, load, Options{Delta: 5})
