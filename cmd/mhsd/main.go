@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		traceOut     = fs.String("trace-out", "", "write the JSONL decision trace to this file")
 		flightOn     = fs.Bool("flight", true, "record per-flow lifecycle events (GET /v1/flows/{id}/events, /v1/status SLOs)")
 		flightSample = fs.Int("flight-sample", 1, "flight recorder: track one flow in N (1 = every flow)")
-		flightCap    = fs.Int("flight-cap", 1<<16, "flight recorder: ring capacity in events (bounded memory)")
+		flightCap    = fs.Int("flight-cap", 1<<16, "flight recorder: the most events the ring keeps; it grows to this bound as events arrive")
 		sloEpochs    = fs.Int("slo-epochs", 0, "flight recorder: completion SLO in epochs (0 = every completion on time)")
 		version      = fs.Bool("version", false, "print the version and exit")
 	)

@@ -190,8 +190,7 @@ func ExampleRunAlgorithm_hybrid() {
 	}
 	for _, rate := range []float64{0, 0.05, 0.1, 0.2} {
 		// A zero-rate packet network leaves everything to the circuit
-		// fabric: plain Octopus (the hybrid spec reads rate=0 as its
-		// default, 0.1).
+		// fabric: plain Octopus (the hybrid spec refuses rate=0).
 		spec := fmt.Sprintf("hybrid:rate=%g", rate)
 		if rate == 0 {
 			spec = "octopus"

@@ -18,6 +18,12 @@ type eppState struct {
 	// out[c][node] = destination of node's active out-link in config c,
 	// or -1 (a matching has at most one out-link per node).
 	out [][]int
+	// shortestPath's search buffers over the (node, config) states, kept
+	// across searches: prev[s] is the state s was reached from, and each
+	// search unmarks the states the last one queued.
+	prev    []int
+	visited []bool
+	queue   []int
 }
 
 // eclipsePlusPlus routes a multi-hop traffic load over a *given* sequence
@@ -73,6 +79,8 @@ func eclipsePlusPlus(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedul
 		st.out = append(st.out, out)
 	}
 
+	st.prev = make([]int, g.N()*(len(st.configs)+1))
+	st.visited = make([]bool, len(st.prev))
 	res := &Outcome{Total: load.TotalPackets()}
 	for _, cfg := range st.configs {
 		res.ActiveLinkSlots += int64(cfg.Alpha) * int64(len(cfg.Links))
@@ -129,22 +137,17 @@ func (st *eppState) shortestPath(src, dst, want int) ([]pathStep, int) {
 	if nc == 0 {
 		return nil, 0
 	}
-	n := st.g.N()
 	// state = node*(nc+1) + configIndexReached: the packet sits at node
 	// having consumed configs [0, c). BFS over (node, c) with transitions:
 	// wait (c -> c+1) and cross a link of config c (node -> to, c -> c+1).
-	type prevT struct {
-		stateID int
-		step    pathStep
-		hasStep bool
+	prev, visited := st.prev, st.visited
+	for _, s := range st.queue {
+		visited[s] = false
 	}
-	total := n * (nc + 1)
-	prev := make([]prevT, total)
-	visited := make([]bool, total)
 	id := func(node, c int) int { return node*(nc+1) + c }
 	start := id(src, 0)
 	visited[start] = true
-	queue := []int{start}
+	queue := append(st.queue[:0], start)
 	goal := -1
 	for qi := 0; qi < len(queue) && goal < 0; qi++ {
 		cur := queue[qi]
@@ -159,7 +162,7 @@ func (st *eppState) shortestPath(src, dst, want int) ([]pathStep, int) {
 		// Wait through configuration c.
 		if w := id(node, c+1); !visited[w] {
 			visited[w] = true
-			prev[w] = prevT{stateID: cur}
+			prev[w] = cur
 			queue = append(queue, w)
 		}
 		// Cross the node's active link of configuration c, if any.
@@ -168,22 +171,23 @@ func (st *eppState) shortestPath(src, dst, want int) ([]pathStep, int) {
 			if st.caps[c][e] > 0 {
 				if w := id(to, c+1); !visited[w] {
 					visited[w] = true
-					prev[w] = prevT{stateID: cur, step: pathStep{config: c, link: e}, hasStep: true}
+					prev[w] = cur
 					queue = append(queue, w)
 				}
 			}
 		}
 	}
+	st.queue = queue
 	if goal < 0 {
 		return nil, 0
 	}
 	var path []pathStep
 	bottleneck := want
-	for cur := goal; cur != start; cur = prev[cur].stateID {
-		p := prev[cur]
-		if p.hasStep {
-			path = append(path, p.step)
-			if c := st.caps[p.step.config][p.step.link]; c < bottleneck {
+	for cur := goal; cur != start; cur = prev[cur] { // a move to another node crossed a link
+		if from, to := prev[cur]/(nc+1), cur/(nc+1); from != to {
+			step := pathStep{config: prev[cur] % (nc + 1), link: graph.Edge{From: from, To: to}}
+			path = append(path, step)
+			if c := st.caps[step.config][step.link]; c < bottleneck {
 				bottleneck = c
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -45,8 +46,8 @@ func hybrid(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome, error) {
 // exactly against the residual load, which is the outcome's Load; when the
 // packet network absorbs everything the outcome carries no schedule.
 func hybridSchedule(g *graph.Digraph, load *traffic.Load, p Params, rate float64) (*Outcome, error) {
-	if rate < 0 {
-		return nil, errors.New("algo: hybrid: negative packet rate")
+	if !(rate >= 0) || rate*float64(p.Window) >= math.MaxInt64 {
+		return nil, fmt.Errorf("algo: hybrid: packet rate %g: want >= 0 with rate·window within an int", rate)
 	}
 	if err := load.Validate(g); err != nil {
 		return nil, err

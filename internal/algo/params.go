@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -172,8 +173,8 @@ func (p *Params) set(key, val string) error {
 	}
 	parseFloat := func(dst *float64) error {
 		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("option %s=%q: want a number", key, val)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("option %s=%q: want a number (finite)", key, val)
 		}
 		*dst = v
 		return nil
@@ -207,11 +208,12 @@ func (p *Params) set(key, val string) error {
 		p.DisableBacktrack = !backtrack
 		return nil
 	case "rate":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("option %s=%q: want a number", key, val)
+		if err := parseFloat(&p.PacketRate); err != nil {
+			return err
 		}
-		p.PacketRate = v
+		if p.PacketRate <= 0 || p.PacketRate*float64(p.Window) >= math.MaxInt64 {
+			return fmt.Errorf("option %s=%q: want a packet rate > 0 whose budget rate·window fits an int (octopus is the circuit-only plan)", key, val)
+		}
 		return nil
 	case "matcher":
 		m, err := ParseMatcher(val)

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -108,6 +109,49 @@ func TestParseSpecErrors(t *testing.T) {
 	for _, n := range Names() {
 		if !strings.Contains(err.Error(), n) {
 			t.Errorf("error does not list %q: %v", n, err)
+		}
+	}
+}
+
+// TestSpecNumbersFailClosed: a number key takes only finite values, and
+// rate only a positive one whose budget rate·window fits an int. rate=0
+// used to run at the default 0.1, and NaN, ±Inf and 1e300 all planned as
+// if they were a rate. A Go caller's zero PacketRate keeps meaning 0.1.
+func TestSpecNumbersFailClosed(t *testing.T) {
+	base := Params{Window: 200, Delta: 5}
+	for _, tc := range []struct{ spec, want string }{
+		{"hybrid:rate=0", "(octopus is the circuit-only plan)"},
+		{"hybrid:rate=-0.5", "want a packet rate > 0"},
+		{"hybrid:rate=NaN", "want a number (finite)"},
+		{"hybrid:rate=Inf", "want a number (finite)"},
+		{"hybrid:rate=-Inf", "want a number (finite)"},
+		{"hybrid:rate=1e300", "fits an int"},
+		{"hybrid:rate=5e16", "fits an int"}, // 1e19 slots: past MaxInt64
+		{"octopus-redundant:crit=NaN", "want a number (finite)"},
+		{"octopus-redundant:stretch=+Inf", "want a number (finite)"},
+	} {
+		if _, _, err := ParseSpec(tc.spec, base); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %v, want substring %q", tc.spec, err, tc.want)
+		}
+	}
+	if _, p, err := ParseSpec("hybrid:rate=4e16", base); err != nil || p.PacketRate != 4e16 {
+		t.Fatalf("rate 4e16 (budget 8e18, within an int): %+v, %v", p, err)
+	}
+	g, load := synthetic(t, 1, 8, 200)
+	byDefault, err := hybrid(g, load.Clone(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.PacketRate = 0.1
+	explicit, err := hybrid(g, load.Clone(), base)
+	if err != nil || byDefault.Delivered != explicit.Delivered || byDefault.PacketNetHops != explicit.PacketNetHops {
+		t.Fatalf("PacketRate 0 delivered %d (%d packet hops), 0.1 delivered %d (%d): %v",
+			byDefault.Delivered, byDefault.PacketNetHops, explicit.Delivered, explicit.PacketNetHops, err)
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), -1, 1e300} {
+		base.PacketRate = rate
+		if _, err := hybrid(g, load.Clone(), base); err == nil {
+			t.Errorf("Go caller's PacketRate %g planned", rate)
 		}
 	}
 }

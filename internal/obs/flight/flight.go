@@ -4,12 +4,12 @@
 // "what happened to flow 8421?": each tracked flow accumulates a compact
 // event chain — admitted, planned into a configuration, per-hop advance,
 // stranded/requeued/repaired, replicated-copy dedup, delivered, dropped —
-// in a bounded ring so memory stays constant no matter how long the run.
+// in a bounded ring so memory stays bounded no matter how long the run.
 //
-// Storage is columnar (struct-of-arrays, the same layout as the
-// internal/traffic store): parallel slices of flow IDs, event kinds,
-// epochs, and three int64 arguments. A ring of 64k events costs ~1.8 MiB
-// and never grows.
+// The ring is one slice of 40-byte records (flow ID, kind, epoch and three
+// int64 arguments) that grows on demand up to Config.Cap and then
+// overwrites the oldest, so a recorder costs what it holds: a full ring of
+// 64k events 2.5 MiB, one that never fills only its events.
 //
 // At a million flows recording every hop of every flow would dwarf the
 // workload, so the recorder samples deterministically by flow ID: a flow
@@ -113,8 +113,9 @@ type Config struct {
 	// Sample tracks one flow in Sample by deterministic flow-ID hash;
 	// values <= 1 track every flow (exhaustive mode).
 	Sample int
-	// Cap is the ring capacity in events (default 65536). Once full, new
-	// events overwrite the oldest.
+	// Cap is the most events the ring keeps (default 65536). The ring
+	// grows to it as events arrive; once full, new events overwrite the
+	// oldest.
 	Cap int
 	// SLOEpochs is the completion-latency target used for the on-time
 	// fraction and slack histogram. Flows have no per-flow deadlines yet
@@ -126,7 +127,7 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// DefaultCap is the ring capacity when Config.Cap is zero.
+// DefaultCap is the ring's bound when Config.Cap is zero.
 const DefaultCap = 1 << 16
 
 // flowState is the per-tracked-flow aggregate behind the SLO metrics. It
@@ -141,19 +142,23 @@ type flowState struct {
 	delivered  int64
 }
 
+// slot is one retained event; its sequence number is its place in the
+// ring (see scanLocked).
+type slot struct {
+	flow, a, b, c int64
+	epoch         int32
+	kind          Kind
+}
+
 // Recorder is the journal. All methods are safe for concurrent use; the
 // nil *Recorder is a no-op everywhere.
 type Recorder struct {
 	sample uint64 // immutable after New; read lock-free by Tracks
 
-	mu    sync.Mutex
-	seq   uint64 // total events ever recorded; ring index = seq % cap
-	flows []int64
-	kinds []uint8
-	epoch []int32
-	a     []int64
-	b     []int64
-	c     []int64
+	mu   sync.Mutex
+	seq  uint64 // total events ever recorded; ring index = seq % capN
+	capN int    // the most events the ring holds
+	ring []slot // len(ring) = min(seq, capN)
 
 	state map[int64]*flowState
 
@@ -186,12 +191,7 @@ func New(cfg Config) *Recorder {
 	}
 	return &Recorder{
 		sample:     sample,
-		flows:      make([]int64, capN),
-		kinds:      make([]uint8, capN),
-		epoch:      make([]int32, capN),
-		a:          make([]int64, capN),
-		b:          make([]int64, capN),
-		c:          make([]int64, capN),
+		capN:       capN,
 		state:      make(map[int64]*flowState),
 		sloEpochs:  int64(cfg.SLOEpochs),
 		admitted:   reg.Counter("octopus_flight_admitted_total"),
@@ -405,15 +405,19 @@ func (r *Recorder) end(flow int64, kind Kind, epoch int, remaining int64) {
 }
 
 // recordLocked is record without the lock round-trip, for compound
-// operations already holding mu.
+// operations already holding mu. Until the ring holds capN events it
+// appends, doubling its storage but never past capN; then it overwrites
+// the oldest.
 func (r *Recorder) recordLocked(flow int64, kind Kind, epoch int, a, b, c int64) {
-	i := int(r.seq % uint64(len(r.flows)))
-	r.flows[i] = flow
-	r.kinds[i] = uint8(kind)
-	r.epoch[i] = int32(epoch)
-	r.a[i] = a
-	r.b[i] = b
-	r.c[i] = c
+	ev := slot{flow: flow, a: a, b: b, c: c, epoch: int32(epoch), kind: kind}
+	if n := len(r.ring); n == r.capN {
+		r.ring[r.seq%uint64(n)] = ev
+	} else {
+		if n == cap(r.ring) {
+			r.ring = append(make([]slot, 0, min(max(2*n, 64), r.capN)), r.ring...)
+		}
+		r.ring = append(r.ring, ev)
+	}
 	r.seq++
 }
 
@@ -442,29 +446,17 @@ func (r *Recorder) All() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, min(r.seq, uint64(len(r.flows))))
+	out := make([]Event, 0, len(r.ring))
 	r.scanLocked(func(ev Event) { out = append(out, ev) })
 	return out
 }
 
 // scanLocked visits retained events oldest-first under mu.
 func (r *Recorder) scanLocked(fn func(Event)) {
-	capN := uint64(len(r.flows))
-	start := uint64(0)
-	if r.seq > capN {
-		start = r.seq - capN
-	}
-	for s := start; s < r.seq; s++ {
-		i := int(s % capN)
-		fn(Event{
-			Seq:   s,
-			Flow:  r.flows[i],
-			Kind:  Kind(r.kinds[i]),
-			Epoch: r.epoch[i],
-			A:     r.a[i],
-			B:     r.b[i],
-			C:     r.c[i],
-		})
+	n := uint64(len(r.ring))
+	for s := r.seq - n; s < r.seq; s++ {
+		e := &r.ring[s%n]
+		fn(Event{Seq: s, Flow: e.flow, Kind: e.kind, Epoch: e.epoch, A: e.a, B: e.b, C: e.c})
 	}
 }
 
@@ -497,7 +489,7 @@ func (r *Recorder) Stats() Snapshot {
 	s := Snapshot{
 		Sample:        int(r.sample),
 		Events:        r.seq,
-		Retained:      int(min(r.seq, uint64(len(r.flows)))),
+		Retained:      len(r.ring),
 		TrackedFlows:  int(admitted),
 		Admitted:      admitted,
 		Completed:     completed,
