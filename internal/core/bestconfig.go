@@ -106,7 +106,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		return nil, 0, 0
 	}
 
-	bipartite := s.ufabric == nil && !s.opt.MultiHop && s.opt.Ports == 1
+	bipartite := !s.opt.MultiHop && s.opt.Ports == 1
 	bst := &best{delta: s.opt.Delta}
 	if s.opt.AlphaSearch == AlphaBinary {
 		s.ternarySearch(alphas, bst)
@@ -406,8 +406,6 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best) {
 // the caller's exclusively-owned scratch.
 func (s *Scheduler) evalAlpha(sc *evalScratch, a int, col []int64) ([]graph.Edge, int64) {
 	switch {
-	case s.ufabric != nil:
-		return s.evalBidirectional(col)
 	case s.opt.MultiHop:
 		return s.chainedGreedy(a)
 	case s.opt.Ports > 1:
@@ -516,42 +514,4 @@ func (s *Scheduler) evalMultiPort(sc *evalScratch, col []int64) ([]graph.Edge, i
 		taken[s.fabric.LinkID(l.From, l.To)] = false
 	}
 	return links, total
-}
-
-// evalBidirectional handles the undirected fabric of §7: the weight of an
-// undirected link is the sum of its two directions' g values, and the
-// configuration is a matching of the undirected graph — exact via the
-// blossom algorithm (the general-graph matcher the paper's §7 calls for)
-// with MatcherExact, or the greedy matcher plus a local-improvement pass
-// with MatcherGreedy.
-func (s *Scheduler) evalBidirectional(col []int64) ([]graph.Edge, int64) {
-	sum := make(map[graph.UEdge]int64)
-	for li, g := range col {
-		if g > 0 {
-			e := s.tr.glinks[li]
-			sum[graph.NormUEdge(e.From, e.To)] += g
-		}
-	}
-	if len(sum) == 0 {
-		return nil, 0
-	}
-	ue := make([]matching.UEdge, 0, len(sum))
-	for e, w := range sum {
-		ue = append(ue, matching.UEdge{A: e.A, B: e.B, Weight: w})
-	}
-	slices.SortFunc(ue, func(a, b matching.UEdge) int { return cmp.Or(a.A-b.A, a.B-b.B) })
-	n := s.fabric.N()
-	var m []matching.UEdge
-	var w int64
-	if s.opt.Matcher == MatcherGreedy {
-		m, _ = matching.GreedyGeneral(n, ue)
-		m, w = matching.AugmentGeneral(n, ue, m)
-	} else {
-		m, w = matching.MaxWeightGeneral(n, ue)
-	}
-	links := make([]graph.Edge, 0, 2*len(m))
-	for _, e := range m {
-		links = append(links, graph.Edge{From: e.A, To: e.B}, graph.Edge{From: e.B, To: e.A})
-	}
-	return links, w
 }

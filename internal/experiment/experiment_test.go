@@ -98,6 +98,90 @@ func TestFig4aQualitative(t *testing.T) {
 	}
 }
 
+// TestFig4aNodeSweep asserts the claims of EXPERIMENTS.md §4a over the
+// paper-scale results/fig4a.csv (n = 25, 50, 100, 200, 300), one clause at
+// a time: Octopus delivers at least 1.5× Eclipse-Based at every n (the CSV
+// reads 1.67–2.30×); it stays within 1.5 points of UB (the largest gap is
+// 0.87, at n = 25); it rises at every step from 44.6 at n = 25 to 55.6 at
+// n = 200; and at n = 300 both Octopus and UB lie more than 5 points below
+// their n = 200 values (44.6 against 55.6, 43.9 against 55.4). That last
+// clause is the generator's fingerprint §4a names: the bound falls with the
+// scheduler, so the load, not the plan, lost capacity. The generator fix
+// (ROADMAP M) must flip the dip clause on purpose when it re-collects the
+// CSV. Each clause must fail on a copy mutated against it.
+func TestFig4aNodeSweep(t *testing.T) {
+	rows := readResults(t, "4a")
+	nodes := []float64{25, 50, 100, 200, 300}
+	if len(rows) != len(nodes) {
+		t.Fatalf("fig4a.csv: want rows for n = %v, got %v", nodes, rows)
+	}
+	for i, row := range rows {
+		if len(row) != 5 || row[0] != nodes[i] {
+			t.Fatalf("fig4a.csv row %v: want nodes %v, Octopus, Eclipse-Based, UB, AbsoluteUB", row, nodes[i])
+		}
+	}
+	const top, dip = 3, 4 // the rows of n = 200 and n = 300
+	assertClauses(t, "nodes", rows, []clause{
+		{"Octopus ≥ 1.5× Eclipse-Based", func(rows [][]float64) error {
+			for _, row := range rows {
+				if row[1] < 1.5*row[2] {
+					return fmt.Errorf("n=%v: Octopus %.4f below 1.5× Eclipse-Based %.4f", row[0], row[1], row[2])
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Eclipse-Based raised to Octopus/1.49": func(r [][]float64, i int) { r[i][2] = r[i][1] / 1.49 },
+		}},
+		{"|Octopus − UB| ≤ 1.5", func(rows [][]float64) error {
+			for _, row := range rows {
+				if gap := math.Abs(row[1] - row[3]); gap > 1.5 {
+					return fmt.Errorf("n=%v: Octopus %.4f and UB %.4f are %.4f points apart", row[0], row[1], row[3], gap)
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"UB raised 1.51 above Octopus":  func(r [][]float64, i int) { r[i][3] = r[i][1] + 1.51 },
+			"UB lowered 1.51 below Octopus": func(r [][]float64, i int) { r[i][3] = r[i][1] - 1.51 },
+		}},
+		{"Octopus rises from n = 25 to n = 200", func(rows [][]float64) error {
+			for i := 1; i <= top; i++ {
+				if rows[i][1] <= rows[i-1][1] {
+					return fmt.Errorf("n=%v: Octopus %.4f does not rise from %.4f", rows[i][0], rows[i][1], rows[i-1][1])
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			// A row takes its predecessor's value; n = 25 takes n = 50's,
+			// and n = 300's value moves to n = 200 (the dip starts a step
+			// early).
+			"Octopus flattened": func(r [][]float64, i int) {
+				switch i {
+				case 0:
+					r[0][1] = r[1][1]
+				case dip:
+					r[top][1] = r[dip][1]
+				default:
+					r[i][1] = r[i-1][1]
+				}
+			},
+		}},
+		{"Octopus and UB dip by > 5 at n = 300", func(rows [][]float64) error {
+			for _, c := range []struct {
+				name string
+				col  int
+			}{{"Octopus", 1}, {"UB", 3}} {
+				if hi, lo := rows[top][c.col], rows[dip][c.col]; lo >= hi-5 {
+					return fmt.Errorf("%s reads %.4f at n = 300 against %.4f at n = 200, not more than 5 below", c.name, lo, hi)
+				}
+			}
+			return nil
+		}, map[string]func([][]float64, int){
+			"Octopus at n = 300 raised to n = 200's − 5": func(r [][]float64, _ int) { r[dip][1] = r[top][1] - 5 },
+			"UB at n = 300 raised to n = 200's − 5":      func(r [][]float64, _ int) { r[dip][3] = r[top][3] - 5 },
+		}},
+	})
+}
+
 func TestFig8Qualitative(t *testing.T) {
 	tab, err := Run("8", tiny())
 	if err != nil {

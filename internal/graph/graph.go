@@ -6,10 +6,6 @@
 // simultaneously active must form a matching of this graph (at most one
 // active out-edge and one active in-edge per node); the schedule and simulate
 // packages enforce that invariant.
-//
-// Ugraph models the bidirectional-link networks of the paper's §7 (e.g.
-// FireFly-style full-duplex optical links), where configurations are
-// matchings of a general undirected graph.
 package graph
 
 import (

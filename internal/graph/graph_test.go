@@ -271,62 +271,6 @@ func TestEdgesSorted(t *testing.T) {
 	}
 }
 
-func TestUgraphBasics(t *testing.T) {
-	g := NewU(4)
-	g.AddEdge(2, 0)
-	g.AddEdge(0, 2) // same edge
-	g.AddEdge(1, 3)
-	if g.M() != 2 {
-		t.Fatalf("M = %d, want 2", g.M())
-	}
-	if !g.HasEdge(0, 2) || !g.HasEdge(2, 0) {
-		t.Fatal("undirected edge not symmetric")
-	}
-	es := g.Edges()
-	if len(es) != 2 || es[0] != (UEdge{0, 2}) || es[1] != (UEdge{1, 3}) {
-		t.Fatalf("Edges() = %v", es)
-	}
-	mustPanic(t, func() { g.AddEdge(1, 1) })
-	mustPanic(t, func() { g.AddEdge(0, 9) })
-}
-
-func TestUgraphIsMatching(t *testing.T) {
-	g := CompleteU(5)
-	if !g.IsMatching([]UEdge{{0, 1}, {2, 3}}) {
-		t.Fatal("valid matching rejected")
-	}
-	if g.IsMatching([]UEdge{{0, 1}, {1, 2}}) {
-		t.Fatal("shared endpoint accepted")
-	}
-	sparse := NewU(4)
-	sparse.AddEdge(0, 1)
-	if sparse.IsMatching([]UEdge{{2, 3}}) {
-		t.Fatal("nonexistent edge accepted")
-	}
-}
-
-func TestUgraphDirected(t *testing.T) {
-	g := NewU(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	d := g.Directed()
-	if d.M() != 4 {
-		t.Fatalf("directed view M = %d, want 4", d.M())
-	}
-	for _, e := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}} {
-		if !d.HasEdge(e[0], e[1]) {
-			t.Fatalf("missing directed edge %v", e)
-		}
-	}
-}
-
-func TestCompleteU(t *testing.T) {
-	g := CompleteU(5)
-	if g.M() != 10 {
-		t.Fatalf("M = %d, want 10", g.M())
-	}
-}
-
 // Property: Out/In adjacency and the has-bitmap always agree.
 func TestAdjacencyConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -366,48 +310,8 @@ func TestAdjacencyConsistencyProperty(t *testing.T) {
 	}
 }
 
-// Property: NormUEdge is symmetric and canonical.
-func TestNormUEdgeProperty(t *testing.T) {
-	f := func(a, b uint8) bool {
-		e1 := NormUEdge(int(a), int(b))
-		e2 := NormUEdge(int(b), int(a))
-		return e1 == e2 && e1.A <= e1.B
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // IsMatching reports whether links form a matching of g: every edge exists
 // and no node appears more than once as a source or as a destination.
 func (g *Digraph) IsMatching(links []Edge) bool {
 	return g.IsRegular(links, 1)
-}
-
-// IsMatching reports whether links form a matching of g: every edge exists
-// and no node is an endpoint of more than one edge.
-func (g *Ugraph) IsMatching(links []UEdge) bool {
-	used := make(map[int]bool, 2*len(links))
-	for _, e := range links {
-		if !g.has[NormUEdge(e.A, e.B)] {
-			return false
-		}
-		if used[e.A] || used[e.B] {
-			return false
-		}
-		used[e.A] = true
-		used[e.B] = true
-	}
-	return true
-}
-
-// CompleteU returns the complete undirected graph over n nodes.
-func CompleteU(n int) *Ugraph {
-	g := NewU(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
-		}
-	}
-	return g
 }

@@ -77,39 +77,6 @@ func BenchmarkGreedyBipartite(b *testing.B) {
 	}
 }
 
-func benchGeneral(n int, density int, seed int64) []UEdge {
-	rng := rand.New(rand.NewSource(seed))
-	var edges []UEdge
-	for a := 0; a < n; a++ {
-		for c := a + 1; c < n; c++ {
-			if rng.Intn(density) == 0 {
-				edges = append(edges, UEdge{A: a, B: c, Weight: rng.Int63n(1 << 20)})
-			}
-		}
-	}
-	return edges
-}
-
-func BenchmarkBlossom(b *testing.B) {
-	for _, n := range []int{50, 100} {
-		edges := benchGeneral(n, 3, 1)
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MaxWeightGeneral(n, edges)
-			}
-		})
-	}
-}
-
-func BenchmarkGreedyGeneral(b *testing.B) {
-	edges := benchGeneral(100, 3, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		GreedyGeneral(100, edges)
-	}
-}
-
 func sizeName(n int) string {
 	switch {
 	case n >= 1000:

@@ -125,83 +125,6 @@ func TestGreedyBipartiteDeterministic(t *testing.T) {
 	}
 }
 
-func randGeneral(rng *rand.Rand, n, maxW int) []UEdge {
-	var edges []UEdge
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if rng.Intn(2) == 0 {
-				edges = append(edges, UEdge{a, b, int64(rng.Intn(maxW + 1))})
-			}
-		}
-	}
-	return edges
-}
-
-func isGeneralMatching(n int, m []UEdge) bool {
-	used := make([]bool, n)
-	for _, e := range m {
-		if used[e.A] || used[e.B] || e.A == e.B {
-			return false
-		}
-		used[e.A] = true
-		used[e.B] = true
-	}
-	return true
-}
-
-func TestGreedyGeneralHalfApprox(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(8)
-		edges := randGeneral(rng, n, 30)
-		gm, gw := GreedyGeneral(n, edges)
-		_, ow := BruteForceGeneral(n, edges)
-		if !isGeneralMatching(n, gm) {
-			t.Fatalf("invalid greedy matching %v", gm)
-		}
-		if gw > ow || 2*gw < ow {
-			t.Fatalf("greedy %d vs optimum %d out of [ow/2, ow]", gw, ow)
-		}
-	}
-}
-
-func TestAugmentGeneralImproves(t *testing.T) {
-	// Path a-b-c-d with weights 1, 2, 1: greedy takes {b,c}=2; the optimum
-	// {a,b}+{c,d}=2... use weights 3,4,3: greedy takes 4, optimum 6.
-	edges := []UEdge{{0, 1, 3}, {1, 2, 4}, {2, 3, 3}}
-	gm, gw := GreedyGeneral(4, edges)
-	if gw != 4 || len(gm) != 1 {
-		t.Fatalf("greedy got %v %d", gm, gw)
-	}
-	am, aw := AugmentGeneral(4, edges, gm)
-	if aw != 6 || len(am) != 2 {
-		t.Fatalf("augment got %v %d, want weight 6", am, aw)
-	}
-	if !isGeneralMatching(4, am) {
-		t.Fatalf("augmented matching invalid: %v", am)
-	}
-}
-
-func TestAugmentGeneralNeverWorse(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(9)
-		edges := randGeneral(rng, n, 30)
-		gm, gw := GreedyGeneral(n, edges)
-		am, aw := AugmentGeneral(n, edges, gm)
-		_, ow := BruteForceGeneral(n, edges)
-		if aw < gw {
-			t.Fatalf("augment decreased weight: %d < %d", aw, gw)
-		}
-		if aw > ow {
-			t.Fatalf("augment exceeded optimum: %d > %d", aw, ow)
-		}
-		if !isGeneralMatching(n, am) {
-			t.Fatalf("augmented matching invalid: %v", am)
-		}
-	}
-}
-
 // Property: on permutation-structured instances (disjoint positive edges)
 // greedy is exactly optimal.
 func TestGreedyExactOnDisjointEdges(t *testing.T) {
@@ -245,10 +168,7 @@ func TestWeightHelpers(t *testing.T) {
 	if Weight([]Edge{{0, 1, 3}, {1, 2, 4}}) != 7 {
 		t.Fatal("Weight sum wrong")
 	}
-	if UWeight([]UEdge{{0, 1, 3}, {1, 2, 4}}) != 7 {
-		t.Fatal("UWeight sum wrong")
-	}
-	if Weight(nil) != 0 || UWeight(nil) != 0 {
+	if Weight(nil) != 0 {
 		t.Fatal("empty sums nonzero")
 	}
 }

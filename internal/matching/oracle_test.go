@@ -46,50 +46,3 @@ func BruteForceBipartite(n int, edges []Edge) ([]Edge, int64) {
 	rec(0, 0)
 	return bestSet, best
 }
-
-// BruteForceGeneral returns an exact maximum-weight matching of a general
-// undirected graph by exhaustive search over the lowest-indexed free vertex.
-// Exponential; intended as a test oracle for n <= ~12.
-func BruteForceGeneral(n int, edges []UEdge) ([]UEdge, int64) {
-	adj := make([][]UEdge, n)
-	for _, e := range edges {
-		if e.Weight <= 0 {
-			continue
-		}
-		adj[e.A] = append(adj[e.A], e)
-		adj[e.B] = append(adj[e.B], e)
-	}
-	used := make([]bool, n)
-	var best int64
-	var bestSet []UEdge
-	var cur []UEdge
-	var rec func(v int, sum int64)
-	rec = func(v int, sum int64) {
-		for v < n && used[v] {
-			v++
-		}
-		if v == n {
-			if sum > best {
-				best = sum
-				bestSet = append([]UEdge(nil), cur...)
-			}
-			return
-		}
-		used[v] = true
-		rec(v+1, sum) // leave v unmatched
-		for _, e := range adj[v] {
-			u := e.A + e.B - v
-			if u == v || used[u] {
-				continue
-			}
-			used[u] = true
-			cur = append(cur, e)
-			rec(v+1, sum+e.Weight)
-			cur = cur[:len(cur)-1]
-			used[u] = false
-		}
-		used[v] = false
-	}
-	rec(0, 0)
-	return bestSet, best
-}

@@ -47,12 +47,6 @@ type Options struct {
 	// matching of the fabric.
 	Ports int
 
-	// Undirected, when set, additionally requires every configuration to
-	// be a direction-paired matching of the undirected fabric (§7
-	// bidirectional links): each active link must appear in both
-	// directions and the underlying undirected edges must form a matching.
-	Undirected *graph.Ugraph
-
 	// MultiHop replays with the §5 relaxation: a packet that crosses a
 	// link at slot t may cross the next link of its route from slot t+1
 	// within the same configuration.
@@ -84,8 +78,7 @@ type Report struct {
 //   - the load is well-formed: positive sizes, unique IDs, and every route
 //     a duplicate-free path of g connecting the flow's endpoints;
 //   - every configuration has α > 0 and its links form a valid Ports-port
-//     link set of g (and, with Options.Undirected, a direction-paired
-//     undirected matching);
+//     link set of g;
 //   - the total cost Σ(αₖ+Δ) fits Options.Window;
 //   - packets advance only along their flow's first route with hop causality
 //     and no link ever carries more than αₖ packets per configuration
@@ -101,7 +94,7 @@ func Schedule(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt 
 	if err := checkLoad(g, load); err != nil {
 		return nil, err
 	}
-	if err := checkConfigs(g, sch, ports, opt.Undirected); err != nil {
+	if err := checkConfigs(g, sch, ports); err != nil {
 		return nil, err
 	}
 	if opt.Window > 0 {
@@ -167,7 +160,7 @@ func checkLoad(g *graph.Digraph, load *traffic.Load) error {
 
 // checkConfigs re-derives the per-configuration structural invariants
 // without calling graph.IsRegular or schedule.Validate.
-func checkConfigs(g *graph.Digraph, sch *schedule.Schedule, ports int, u *graph.Ugraph) error {
+func checkConfigs(g *graph.Digraph, sch *schedule.Schedule, ports int) error {
 	for k, c := range sch.Configs {
 		if c.Alpha <= 0 {
 			return fmt.Errorf("verify: configuration %d has non-positive duration %d", k, c.Alpha)
@@ -193,42 +186,6 @@ func checkConfigs(g *graph.Digraph, sch *schedule.Schedule, ports int, u *graph.
 				return fmt.Errorf("verify: configuration %d uses %d input ports at node %d (max %d)",
 					k, inDeg[e.To], e.To, ports)
 			}
-		}
-		if u != nil {
-			if err := checkUndirected(u, c.Links, k); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// checkUndirected requires links to be a direction-paired matching of u:
-// every directed link's reverse is also active, and the underlying
-// undirected edges touch each node at most once.
-func checkUndirected(u *graph.Ugraph, links []graph.Edge, k int) error {
-	have := make(map[graph.Edge]bool, len(links))
-	for _, e := range links {
-		have[e] = true
-	}
-	deg := make(map[int]int)
-	seen := make(map[graph.UEdge]bool)
-	for _, e := range links {
-		if !have[graph.Edge{From: e.To, To: e.From}] {
-			return fmt.Errorf("verify: configuration %d activates %v without its reverse direction", k, e)
-		}
-		ue := graph.NormUEdge(e.From, e.To)
-		if seen[ue] {
-			continue
-		}
-		seen[ue] = true
-		if !u.HasEdge(e.From, e.To) {
-			return fmt.Errorf("verify: configuration %d activates absent undirected link %v", k, ue)
-		}
-		deg[e.From]++
-		deg[e.To]++
-		if deg[e.From] > 1 || deg[e.To] > 1 {
-			return fmt.Errorf("verify: configuration %d is not an undirected matching at link %v", k, ue)
 		}
 	}
 	return nil

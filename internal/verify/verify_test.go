@@ -201,36 +201,6 @@ func TestScheduleClaimChecking(t *testing.T) {
 	}
 }
 
-func TestScheduleUndirectedPairing(t *testing.T) {
-	u := graph.NewU(3)
-	u.AddEdge(0, 1)
-	u.AddEdge(1, 2)
-	g := u.Directed()
-	load := &traffic.Load{Flows: []traffic.Flow{
-		{ID: 1, Size: 5, Src: 0, Dst: 1, Routes: []traffic.Route{{0, 1}}},
-	}}
-	paired := &schedule.Schedule{Delta: 1, Configs: []schedule.Configuration{
-		{Links: []graph.Edge{{From: 0, To: 1}, {From: 1, To: 0}}, Alpha: 5},
-	}}
-	if _, err := verify.Schedule(g, load, paired, verify.Options{Undirected: u}); err != nil {
-		t.Fatalf("paired matching rejected: %v", err)
-	}
-	unpaired := &schedule.Schedule{Delta: 1, Configs: []schedule.Configuration{
-		{Links: []graph.Edge{{From: 0, To: 1}}, Alpha: 5},
-	}}
-	if _, err := verify.Schedule(g, load, unpaired, verify.Options{Undirected: u}); err == nil {
-		t.Fatal("unpaired link accepted in bidirectional mode")
-	}
-	// (0,1) and (1,2) share node 1: not an undirected matching even though
-	// the directed degrees are within the 1-port budget per direction.
-	shared := &schedule.Schedule{Delta: 1, Configs: []schedule.Configuration{
-		{Links: []graph.Edge{{From: 0, To: 1}, {From: 1, To: 0}, {From: 1, To: 2}, {From: 2, To: 1}}, Alpha: 5},
-	}}
-	if _, err := verify.Schedule(g, load, shared, verify.Options{Undirected: u}); err == nil {
-		t.Fatal("node-sharing undirected links accepted")
-	}
-}
-
 // Replay must agree with the packet-level simulator on random scenarios in
 // every mode combination — two independent implementations of the same
 // semantics.

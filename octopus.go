@@ -22,9 +22,9 @@
 //
 // Options select the paper's variants: Octopus-B (binary α search),
 // Octopus-G (greedy matching), Octopus-e (ε hop weights), multi-hop
-// chaining, K ports per node, bidirectional fabrics, and Octopus+ joint
-// routing/scheduling. The experiment package regenerates every figure of
-// the paper's evaluation; see DESIGN.md and EXPERIMENTS.md.
+// chaining, K ports per node, and Octopus+ joint routing/scheduling. The
+// experiment package regenerates every figure of the paper's evaluation;
+// see DESIGN.md and EXPERIMENTS.md.
 //
 // This package is a thin façade over the implementation packages under
 // internal/ so downstream users have a single import.
@@ -49,9 +49,6 @@ type (
 	// Network is the directed circuit fabric: an edge (i, j) is a potential
 	// link from node i's output port to node j's input port.
 	Network = graph.Digraph
-	// UNetwork is an undirected fabric with bidirectional (full-duplex)
-	// links (paper §7).
-	UNetwork = graph.Ugraph
 	// Link is one directed potential link.
 	Link = graph.Edge
 	// Route is a flow route: the node sequence from source to destination.
@@ -113,10 +110,6 @@ func New(n int) *Network { return graph.New(n) }
 // n x n crossbar, the implicit topology of prior one-hop work).
 func Complete(n int) *Network { return graph.Complete(n) }
 
-// NewUNetwork returns an empty undirected fabric over n nodes for the
-// bidirectional-link model of §7.
-func NewUNetwork(n int) *UNetwork { return graph.NewU(n) }
-
 // RandomPartial returns a strongly connected partial fabric with
 // approximately deg out-links per node (an FSO-style topology).
 func RandomPartial(n, deg int, rng *rand.Rand) *Network {
@@ -156,16 +149,6 @@ func NewScheduler(g *Network, load *Load, opt Options) (*Scheduler, error) {
 // the paper's Octopus algorithm (or a variant selected by opt).
 func Schedule(g *Network, load *Load, opt Options) (*Result, error) {
 	s, err := core.New(g, load, opt)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
-}
-
-// ScheduleBidirectional plans over an undirected fabric with bidirectional
-// links (paper §7).
-func ScheduleBidirectional(u *UNetwork, load *Load, opt Options) (*Result, error) {
-	s, err := core.NewBidirectional(u, load, opt)
 	if err != nil {
 		return nil, err
 	}

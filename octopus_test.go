@@ -92,27 +92,6 @@ func TestPublicAPIStepwise(t *testing.T) {
 	}
 }
 
-func TestPublicAPIBidirectional(t *testing.T) {
-	u := func() *UNetwork {
-		u := NewUNetwork(6)
-		for i := 0; i < 6; i++ {
-			u.AddEdge(i, (i+1)%6)
-		}
-		return u
-	}()
-	load := &Load{Flows: []Flow{
-		{ID: 1, Size: 20, Src: 0, Dst: 2, Routes: []Route{{0, 1, 2}}},
-		{ID: 2, Size: 20, Src: 2, Dst: 0, Routes: []Route{{2, 1, 0}}},
-	}}
-	res, err := ScheduleBidirectional(u, load, Options{Window: 500, Delta: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != 40 {
-		t.Fatalf("delivered %d, want 40", res.Delivered)
-	}
-}
-
 func TestPublicAPIHybridAndMakespan(t *testing.T) {
 	g := Complete(8)
 	rng := rand.New(rand.NewSource(4))
