@@ -1,7 +1,7 @@
 // Command mhsd is the long-lived multihop scheduler daemon: it loads a
-// fabric, runs the epoch pipeline continuously with double-buffered
-// planning, and serves the flow-submission API plus the observability
-// endpoints over HTTP until interrupted.
+// fabric, runs the epoch pipeline continuously (each epoch planned a
+// measured lead before its boundary), and serves the flow-submission API
+// plus the observability endpoints over HTTP until interrupted.
 //
 // API sketch (see README "Running as a service" for examples):
 //
@@ -10,7 +10,7 @@
 //	DELETE /v1/flows/{id}        cancel a submitted flow
 //	GET    /v1/flows/{id}/events per-flow lifecycle journal (flight recorder)
 //	GET    /v1/epochs            recent epoch records + run totals
-//	GET    /v1/status            operational roll-up: epoch, ψ, SLOs, plan p50/p99
+//	GET    /v1/status            operational roll-up: epoch, ψ, SLOs, plan p50/p99 and lead
 //	GET    /v1/fabric            current fabric
 //	POST   /v1/fabric            replace the fabric at the next epoch boundary
 //	GET    /metrics              Prometheus text metrics (plus /debug/vars, /debug/pprof)

@@ -1,8 +1,8 @@
 // Daemon: drive the scheduler as a long-lived service (DESIGN.md §15).
 // Starts an in-process daemon on an ephemeral port — exactly what cmd/mhsd
 // wraps behind flags — then plays an HTTP client against it: stream flow
-// batches to POST /v1/flows, poll GET /v1/epochs while the double-buffered
-// epoch loop delivers them, and print the delivered/ψ summary.
+// batches to POST /v1/flows, poll GET /v1/epochs while the epoch loop
+// delivers them, and print the delivered/ψ summary.
 package main
 
 import (

@@ -212,16 +212,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	fab := s.fab.Load()
-	flows := make([]traffic.Flow, 0, len(reqs))
+	// One batch is stamped with one boundary and queued under one lock, so
+	// it is admitted as a unit.
+	fab, at := s.fab.Load(), int(s.boundary.Load())
+	batch := make([]engine.Arrival, len(reqs))
+	ids := make([]int, len(reqs))
 	batchPkts := 0
-	for _, req := range reqs {
+	for i, req := range reqs {
 		f, err := s.buildFlow(req, fab)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		flows = append(flows, f)
+		batch[i], ids[i] = engine.Arrival{Flow: f, At: at}, f.ID
 		batchPkts += f.Size
 	}
 	if s.pipe.QueuedPackets()+batchPkts > s.opt.QueueLimit {
@@ -229,18 +232,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("queue limit of %d packets exceeded", s.opt.QueueLimit))
 		return
 	}
-	// One batch is stamped with one boundary so it is admitted as a unit.
-	at := int(s.boundary.Load())
-	ids := make([]int, 0, len(flows))
-	for _, f := range flows {
-		if err := s.pipe.Submit(f, at); err != nil {
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":    err.Error(),
-				"accepted": ids,
-			})
-			return
-		}
-		ids = append(ids, f.ID)
+	if err := s.pipe.SubmitAll(batch); err != nil {
+		var be *engine.BatchError
+		errors.As(err, &be)
+		writeJSON(w, http.StatusConflict, map[string]any{
+			"error":    err.Error(),
+			"accepted": ids[:be.Index],
+		})
+		return
 	}
 	s.reg.Gauge("octopus_daemon_queued_packets").Set(int64(s.pipe.QueuedPackets()))
 	writeJSON(w, http.StatusAccepted, map[string]any{"accepted": ids, "at": at})
@@ -329,15 +328,16 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	plan := s.reg.Duration("octopus_daemon_plan_seconds")
 	st := map[string]any{
-		"epoch":            epochs,
-		"boundary":         s.boundary.Load(),
-		"overloaded":       s.overloaded.Load(),
-		"queued_packets":   s.pipe.QueuedPackets(),
-		"backlog_packets":  backlog,
-		"totals":           totals,
-		"plan_p50_seconds": time.Duration(plan.Quantile(0.50)).Seconds(),
-		"plan_p99_seconds": time.Duration(plan.Quantile(0.99)).Seconds(),
-		"plan_overruns":    s.reg.Counter("octopus_daemon_plan_overruns_total").Value(),
+		"epoch":             epochs,
+		"boundary":          s.boundary.Load(),
+		"overloaded":        s.overloaded.Load(),
+		"queued_packets":    s.pipe.QueuedPackets(),
+		"backlog_packets":   backlog,
+		"totals":            totals,
+		"plan_p50_seconds":  time.Duration(plan.Quantile(0.50)).Seconds(),
+		"plan_p99_seconds":  time.Duration(plan.Quantile(0.99)).Seconds(),
+		"plan_overruns":     s.reg.Counter("octopus_daemon_plan_overruns_total").Value(),
+		"plan_lead_seconds": time.Duration(s.lead.Load()).Seconds(),
 	}
 	if s.opt.Flight != nil {
 		st["flight"] = s.opt.Flight.Stats()
@@ -371,34 +371,23 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The reload is applied by the driver loop at the next epoch boundary;
-	// the response waits for that application so callers see the outcome.
+	// The driver loop applies the reload just before it plans the next
+	// epoch and replies at once; the response waits for that outcome.
 	rr := reloadReq{g: g, reply: make(chan error, 1)}
-	timer := time.NewTimer(reloadWait)
-	defer timer.Stop()
 	select {
 	case s.reloadCh <- rr:
 	case <-s.done:
 		writeError(w, http.StatusServiceUnavailable, errors.New("daemon is shutting down"))
 		return
-	case <-timer.C:
+	case <-time.After(reloadWait):
 		writeError(w, http.StatusServiceUnavailable, errors.New("timed out waiting for an epoch boundary"))
 		return
 	}
-	select {
-	case err := <-rr.reply:
-		if err != nil {
-			if errors.Is(err, engine.ErrFabricTooSmall) {
-				writeError(w, http.StatusConflict, err)
-			} else {
-				writeError(w, http.StatusBadRequest, err)
-			}
-			return
-		}
+	if err := <-rr.reply; errors.Is(err, engine.ErrFabricTooSmall) {
+		writeError(w, http.StatusConflict, err)
+	} else if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+	} else {
 		writeJSON(w, http.StatusOK, map[string]any{"n": g.N(), "links": g.M()})
-	case <-s.done:
-		writeError(w, http.StatusServiceUnavailable, errors.New("daemon is shutting down"))
-	case <-timer.C:
-		writeError(w, http.StatusServiceUnavailable, errors.New("timed out waiting for the reload"))
 	}
 }

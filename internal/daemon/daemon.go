@@ -4,9 +4,10 @@
 // introspection) with the repository's observability endpoints mounted on
 // the same mux.
 //
-// The loop is double-buffered: while the committed epoch k "executes" for
-// one wall epoch, the plan for epoch k+1 is computed on a separate
-// goroutine — the reconfiguration delay Δ is free compute time, so the
+// The loop plans at the last safe moment: while the committed epoch k
+// "executes" for one wall epoch, submissions keep queueing, and the plan
+// for epoch k+1 is taken only a measured lead before the boundary (see
+// planLead). The reconfiguration delay Δ is free compute time, so the
 // planning budget is one epoch plus Δ's share of the next. A plan that
 // overruns the budget stretches the boundary (the schedule stays correct,
 // simulated time just advances late), increments
@@ -19,6 +20,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +42,9 @@ const (
 	reloadWait   = 30 * time.Second
 	serveGrace   = 5 * time.Second
 	maxBodyBytes = 1 << 20
+	// The plan lead's window and guard (planLead; DESIGN §15.3).
+	planWindow = 32
+	planGuard  = 2 * time.Millisecond
 )
 
 // Options configures a daemon Server.
@@ -87,6 +92,7 @@ type Server struct {
 
 	boundary   atomic.Int64 // admission stamp for new submissions
 	overloaded atomic.Bool
+	lead       atomic.Int64 // the current plan lead in nanoseconds
 	autoID     atomic.Int64
 	fab        atomic.Pointer[graph.Digraph]
 
@@ -117,23 +123,21 @@ type EpochRecord struct {
 	Dropped    int    `json:"dropped,omitempty"`
 	Cancelled  int    `json:"cancelled,omitempty"`
 	Psi        int64  `json:"psi"`
-	PlanMicros int64  `json:"plan_micros"`
+	WaitMicros int64  `json:"wait_micros"` // from the previous commit to the snapshot
+	PlanMicros int64  `json:"plan_micros"` // the fabric reload and PlanNext
 	Overrun    bool   `json:"overrun,omitempty"`
 	SchedFP    string `json:"sched_fp,omitempty"`
 }
 
+// kindNames are the /v1/epochs names of the engine's plan kinds.
+var kindNames = [...]string{engine.PlanScheduled: "scheduled", engine.PlanIdle: "idle",
+	engine.PlanJitterSkipped: "jitter-skipped", engine.PlanDrained: "drained"}
+
 func kindName(k engine.PlanKind) string {
-	switch k {
-	case engine.PlanScheduled:
-		return "scheduled"
-	case engine.PlanIdle:
-		return "idle"
-	case engine.PlanJitterSkipped:
-		return "jitter-skipped"
-	case engine.PlanDrained:
-		return "drained"
+	if k < 0 || int(k) >= len(kindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return kindNames[k]
 }
 
 // New builds a Server over opt.Fabric. The pipeline runs in repair mode
@@ -177,12 +181,13 @@ func New(opt Options) (*Server, error) {
 		done:     make(chan struct{}),
 	}
 	s.fab.Store(opt.Fabric)
-	// Touch the daemon metrics so a scrape before the first overrun or
-	// reload still reports them at zero.
+	// Touch the daemon metrics so a scrape before the first epoch, overrun
+	// or reload still reports them at zero.
 	s.reg.Counter("octopus_daemon_plan_overruns_total").Add(0)
 	s.reg.Counter("octopus_daemon_fabric_reloads_total").Add(0)
 	s.reg.Gauge("octopus_daemon_queued_packets").Set(0)
 	s.reg.Duration("octopus_daemon_plan_seconds")
+	s.reg.Duration("octopus_daemon_plan_wait_seconds")
 	return s, nil
 }
 
@@ -193,106 +198,91 @@ func New(opt Options) (*Server, error) {
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	loopCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	loopDone := make(chan struct{})
 	go func() {
-		defer close(loopDone)
 		defer close(s.done)
 		s.loop(loopCtx)
 	}()
 	srv := &http.Server{Handler: s.Handler()}
 	err := httpd.Serve(ctx, srv, ln, serveGrace)
 	cancel()
-	<-loopDone
+	<-s.done
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
 	return nil
 }
 
-// loop is the double-buffered epoch driver: each iteration overlaps the
-// committed epoch's wall-clock "execution" with the planning of the next
-// one, commits the plan, and publishes the epoch record.
+// loop is the epoch driver. The next boundary is one epoch after the last
+// commit: the loop sleeps until planLead before it, applies any pending
+// fabric reload, plans on the admission queue as it stands then, waits for
+// the boundary and commits. Once ctx is done its sleeps return at once, so
+// it fast-forwards until nothing is queued or backlogged, bounded by
+// DrainTimeout — the graceful shutdown that finishes what was accepted.
 func (s *Server) loop(ctx context.Context) {
 	epochDur := s.opt.EpochDuration
 	// Δ's share of the epoch is legitimate planning time on top of the
 	// previous epoch's execution: nothing transmits during reconfiguration.
 	budget := epochDur + epochDur*time.Duration(s.opt.Core.Delta)/time.Duration(s.opt.Core.Window)
-	for ctx.Err() == nil {
-		s.applyReload()
-
-		type planOut struct {
-			plan *engine.Plan
-			err  error
-			dur  time.Duration // PlanNext alone, not the wait for the boundary
-		}
-		start := time.Now()
-		ch := make(chan planOut, 1)
-		go func() {
-			plan, err := s.pipe.PlanNext()
-			ch <- planOut{plan, err, time.Since(start)}
-		}()
-
-		var out planOut
-		overrun := false
-		budgetTimer := time.NewTimer(budget)
-		select {
-		case out = <-ch:
-			// Plan ready inside the budget: let the current epoch finish
-			// executing before the boundary.
-			if remain := epochDur - time.Since(start); remain > 0 {
-				execTimer := time.NewTimer(remain)
-				select {
-				case <-execTimer.C:
-				case <-ctx.Done():
-					execTimer.Stop()
-				}
-			}
-		case <-budgetTimer.C:
-			// Planning overran Δ: the boundary stretches until the plan
-			// lands, and submissions see backpressure meanwhile.
-			overrun = true
-			s.overloaded.Store(true)
-			s.reg.Counter("octopus_daemon_plan_overruns_total").Inc()
-			s.opt.Logf("daemon: epoch %d plan overran the %v budget", s.pipe.Epoch(), budget)
-			out = <-ch
-		case <-ctx.Done():
-			out = <-ch // let the in-flight plan finish; commit, then drain
-		}
-		budgetTimer.Stop()
-		if out.err != nil {
-			s.opt.Logf("daemon: planning failed, stopping: %v", out.err)
-			return
-		}
-		if !overrun {
-			s.overloaded.Store(false)
-		}
-		s.commit(out.plan, out.dur, overrun)
-	}
-	s.drain()
-}
-
-// drain fast-forwards the pipeline (no wall-clock pacing) until nothing is
-// queued or backlogged, bounded by DrainTimeout — the graceful-shutdown
-// path that finishes what the daemon accepted.
-func (s *Server) drain() {
-	deadline := time.Now().Add(s.opt.DrainTimeout)
-	for !s.pipe.Done() {
-		if time.Now().After(deadline) {
+	var recent [planWindow]time.Duration          // the last plan times, a ring
+	committed, drainBy := time.Now(), time.Time{} // drainBy is set once ctx is done
+	for n := 0; ctx.Err() == nil || !s.pipe.Done(); n++ {
+		if ctx.Err() != nil && drainBy.IsZero() {
+			drainBy = time.Now().Add(s.opt.DrainTimeout)
+		} else if ctx.Err() != nil && time.Now().After(drainBy) {
 			s.opt.Logf("daemon: drain timed out with %d packets backlogged", s.pipe.BacklogPackets())
 			return
 		}
+		lead := planLead(epochDur, recent[:min(n, planWindow)])
+		s.lead.Store(int64(lead))
+		boundary := committed.Add(epochDur)
+		sleepUntil(ctx, boundary.Add(-lead))
+		start := time.Now()
+		// A plan that overruns the budget stretches the boundary until it
+		// lands, and submissions see backpressure meanwhile.
+		timer := time.AfterFunc(budget, func() {
+			s.overloaded.Store(true)
+			s.reg.Counter("octopus_daemon_plan_overruns_total").Inc()
+		})
+		s.applyReload()
 		plan, err := s.pipe.PlanNext()
+		dur, overrun := time.Since(start), !timer.Stop()
 		if err != nil {
-			s.opt.Logf("daemon: drain planning failed: %v", err)
+			s.opt.Logf("daemon: planning failed, stopping: %v", err)
 			return
 		}
-		s.commit(plan, 0, false)
+		if overrun {
+			s.opt.Logf("daemon: epoch %d plan took %v, over the %v budget", plan.Epoch, dur, budget)
+		}
+		s.overloaded.Store(overrun)
+		recent[n%planWindow] = dur
+		sleepUntil(ctx, boundary)
+		s.commit(plan, start.Sub(committed), dur, overrun)
+		committed = time.Now()
 	}
 	s.opt.Logf("daemon: drained cleanly at epoch %d", s.pipe.Epoch())
 }
 
+// planLead is how long before the boundary the loop plans: the longest of
+// the recent plan times plus planGuard, at most the whole epoch — which it
+// is until planWindow plans are measured, and while the window holds a
+// plan that overran.
+func planLead(epoch time.Duration, recent []time.Duration) time.Duration {
+	if len(recent) < planWindow {
+		return epoch
+	}
+	return min(epoch, slices.Max(recent)+planGuard)
+}
+
+// sleepUntil waits until t or until ctx is done.
+func sleepUntil(ctx context.Context, t time.Time) {
+	select {
+	case <-time.After(time.Until(t)):
+	case <-ctx.Done():
+	}
+}
+
 // commit applies one plan and publishes its epoch record and gauges.
-func (s *Server) commit(plan *engine.Plan, planDur time.Duration, overrun bool) {
+func (s *Server) commit(plan *engine.Plan, wait, planDur time.Duration, overrun bool) {
 	fp := ""
 	if s.opt.FingerprintPlans {
 		fp = planFingerprint(plan.Result())
@@ -307,6 +297,7 @@ func (s *Server) commit(plan *engine.Plan, planDur time.Duration, overrun bool) 
 	s.boundary.Store(int64(s.pipe.Boundary()))
 	s.reg.Gauge("octopus_daemon_queued_packets").Set(int64(s.pipe.QueuedPackets()))
 	s.reg.Duration("octopus_daemon_plan_seconds").Observe(planDur.Nanoseconds())
+	s.reg.Duration("octopus_daemon_plan_wait_seconds").Observe(wait.Nanoseconds())
 
 	rec := EpochRecord{
 		Epoch:      stat.Epoch,
@@ -319,6 +310,7 @@ func (s *Server) commit(plan *engine.Plan, planDur time.Duration, overrun bool) 
 		Dropped:    stat.Dropped,
 		Cancelled:  stat.Cancelled,
 		Psi:        stat.Psi,
+		WaitMicros: wait.Microseconds(),
 		PlanMicros: planDur.Microseconds(),
 		Overrun:    overrun,
 		SchedFP:    fp,

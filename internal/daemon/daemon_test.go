@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -627,5 +628,126 @@ func TestDaemonReportsPlanTimeNotEpochTime(t *testing.T) {
 	}
 	if p50 := time.Duration(s.reg.Duration("octopus_daemon_plan_seconds").Quantile(0.5)); p50 >= epoch/2 {
 		t.Errorf("octopus_daemon_plan_seconds p50 %v is not well under the %v epoch", p50, epoch)
+	}
+}
+
+func TestPlanLead(t *testing.T) {
+	const epoch = 25 * time.Millisecond
+	full := func(d time.Duration) []time.Duration {
+		w := make([]time.Duration, planWindow)
+		for i := range w {
+			w[i] = time.Duration(i) * time.Microsecond
+		}
+		w[planWindow/2] = d
+		return w
+	}
+	for _, tc := range []struct {
+		name   string
+		recent []time.Duration
+		want   time.Duration
+	}{
+		{"no plan yet", nil, epoch},
+		{"fewer than the window", full(time.Millisecond)[:planWindow-1], epoch},
+		{"longest plus the guard", full(3 * time.Millisecond), 3*time.Millisecond + planGuard},
+		{"capped at the epoch", full(epoch - planGuard/2), epoch},
+		{"an overrun in the window", full(epoch + epoch/10), epoch},
+	} {
+		if got := planLead(epoch, tc.recent); got != tc.want {
+			t.Errorf("%s: planLead = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestMidEpochArrivalMakesTheNextPlan: once planLead has measured its
+// window, the snapshot for epoch k+1 is taken a lead before the boundary,
+// not at the commit of epoch k, so a flow posted just after a commit joins
+// the very next plan instead of waiting an extra epoch.
+func TestMidEpochArrivalMakesTheNextPlan(t *testing.T) {
+	const epoch = 50 * time.Millisecond
+	s, base, shutdown := testServer(t, Options{
+		Fabric:        graph.Complete(5),
+		Core:          core.Options{Window: 50, Delta: 2},
+		EpochDuration: epoch,
+	})
+	defer shutdown()
+	committed := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.epochs
+	}
+	for committed() < planWindow {
+		time.Sleep(epoch / 5)
+	}
+	// Catch a commit as it happens and post at once. Each attempt lets two
+	// commits pass first, so an earlier attempt's flow is never in the
+	// record the next one reads.
+	next, size := -1, 0
+	for attempt := 1; next < 0; attempt++ {
+		if attempt > 5 {
+			t.Fatal("could not post within 10 ms of a commit")
+		}
+		k := committed() + 2
+		for committed() < k {
+			time.Sleep(100 * time.Microsecond)
+		}
+		seen := time.Now()
+		size = 2 + attempt
+		status, body := postJSON(t, base+"/v1/flows", FlowRequest{ID: attempt, Src: 0, Dst: 1, Size: size})
+		if status != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", status, body)
+		}
+		if time.Since(seen) < 10*time.Millisecond && committed() == k {
+			next = k // the record of the epoch planned after commit k
+		}
+	}
+	var er epochsResp
+	deadline := time.Now().Add(20 * time.Second)
+	for committed() <= next+1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the daemon stopped committing")
+		}
+		time.Sleep(epoch / 5)
+	}
+	getJSON(t, base+"/v1/epochs", &er)
+	for _, rec := range er.Epochs {
+		if rec.Epoch == next {
+			if rec.Arrived != size {
+				t.Fatalf("epoch %d admitted %d packets, want the %d posted just after the commit before it", next, rec.Arrived, size)
+			}
+			return
+		}
+	}
+	t.Fatalf("no record of epoch %d in %+v", next, er.Epochs)
+}
+
+// TestBatchConflictListsAcceptedPrefix: a batch is queued as a unit up to
+// its first duplicate ID; the 409 names the flows queued before it, and
+// the flows after it are not queued.
+func TestBatchConflictListsAcceptedPrefix(t *testing.T) {
+	s, err := New(Options{Fabric: graph.Complete(4), Core: core.Options{Window: 50, Delta: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) (code int, out struct {
+		Accepted []int  `json:"accepted"`
+		Error    string `json:"error"`
+	}) {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/flows", strings.NewReader(body)))
+		if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return w.Code, out
+	}
+	if code, out := post(`[{"id":1,"src":0,"dst":1,"size":2},{"id":2,"src":1,"dst":2,"size":2}]`); code != http.StatusAccepted {
+		t.Fatalf("first batch: %d %+v", code, out)
+	}
+	code, out := post(`[{"id":3,"src":0,"dst":1,"size":2},{"id":3,"src":1,"dst":2,"size":2},{"id":4,"src":2,"dst":3,"size":2}]`)
+	if code != http.StatusConflict || len(out.Accepted) != 1 || out.Accepted[0] != 3 ||
+		out.Error != "engine: duplicate arrival flow ID 3" {
+		t.Fatalf("batch with a duplicate: %d %+v", code, out)
+	}
+	if got := s.pipe.QueuedFlows(); got != 3 {
+		t.Fatalf("%d flows queued, want 3", got)
 	}
 }

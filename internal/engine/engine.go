@@ -11,10 +11,10 @@
 // plan epoch k+1 while epoch k still "executes" (the paper's
 // reconfiguration delay Δ is free compute time). Commit applies a plan:
 // delivery accounting, completion tracking, the residual backlog, and the
-// epoch counter advance. Because PlanNext is a pure function of the
-// committed state, a pipelined driver that overlaps planning with
-// execution produces exactly the schedules of a sequential driver — the
-// property the daemon's double-buffered loop and its tests rest on.
+// epoch counter advance. PlanNext is a pure function of the committed
+// state and the arrivals due at its snapshot, so a driver that plans while
+// submissions arrive produces the schedules of a sequential driver given
+// the same admissions — the property the daemon and its tests rest on.
 //
 // Concurrency contract: Submit, SubmitAll, Cancel, QueuedPackets, and
 // QueuedFlows are safe to call from any goroutine at any time (the daemon
@@ -183,11 +183,16 @@ func New(g *graph.Digraph, cfg Config) (*Pipeline, error) {
 // by At (Run stable-sorts first; the daemon submits with the
 // current boundary as At, which is non-decreasing by construction).
 func (p *Pipeline) Submit(f traffic.Flow, at int) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.submitLocked(f, at)
+}
+
+// submitLocked is Submit with p.mu held.
+func (p *Pipeline) submitLocked(f traffic.Flow, at int) error {
 	if at < 0 {
 		return fmt.Errorf("engine: flow %d has negative arrival %d", f.ID, at)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, dup := p.seen[f.ID]; dup {
 		return fmt.Errorf("engine: duplicate arrival flow ID %d", f.ID)
 	}
@@ -201,15 +206,29 @@ func (p *Pipeline) Submit(f traffic.Flow, at int) error {
 	return nil
 }
 
-// SubmitAll submits the arrivals in order, stopping at the first error.
+// SubmitAll submits the arrivals in order under one hold of the submission
+// lock, so no PlanNext snapshot falls inside the batch. It stops at the
+// first error, returned as a *BatchError.
 func (p *Pipeline) SubmitAll(arrivals []Arrival) error {
-	for _, a := range arrivals {
-		if err := p.Submit(a.Flow, a.At); err != nil {
-			return err
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, a := range arrivals {
+		if err := p.submitLocked(a.Flow, a.At); err != nil {
+			return &BatchError{Index: i, Err: err}
 		}
 	}
 	return nil
 }
+
+// BatchError is SubmitAll's error: the arrivals before Index were queued,
+// the one at Index was refused with Err, and none after it was tried.
+type BatchError struct {
+	Index int
+	Err   error
+}
+
+func (e *BatchError) Error() string { return e.Err.Error() }
+func (e *BatchError) Unwrap() error { return e.Err }
 
 // Cancel asks the pipeline to discard arrival id — whether still queued or
 // already admitted into the backlog — at the next committed boundary.

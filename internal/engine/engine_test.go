@@ -602,3 +602,59 @@ func TestWeightHopsCarriedAcrossEpochs(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchAdmittedAtOneBoundary: SubmitAll queues a batch under one hold
+// of the submission lock, so a PlanNext snapshot taken while batches keep
+// arriving sees all of a batch or none of it, and every plan's due count
+// is a multiple of the batch size. Submitted flow by flow, a snapshot can
+// fall inside a batch and split it over two epochs.
+func TestBatchAdmittedAtOneBoundary(t *testing.T) {
+	const batches, size, n = 3000, 8, 6
+	g := graph.Complete(n)
+	p, err := New(g, Config{Core: core.Options{Window: 200, Delta: 2, Matcher: core.MatcherGreedy}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := 0; b < batches; b++ {
+			batch := make([]Arrival, size)
+			for k := range batch {
+				id := b*size + k + 1
+				src, dst := id%n, (id+1+id/n%(n-1))%n
+				r, _ := traffic.ShortestRoute(g, src, dst)
+				batch[k] = Arrival{Flow: traffic.Flow{ID: id, Src: src, Dst: dst, Size: 1, Routes: []traffic.Route{r}}}
+			}
+			if err := p.SubmitAll(batch); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	due, split := 0, 0
+	for submitting := true; submitting || !p.Done(); {
+		select {
+		case <-done:
+			submitting = false
+		default:
+		}
+		plan, err := p.PlanNext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.nDue%size != 0 {
+			split++
+		}
+		due += plan.nDue
+		if _, err := p.Commit(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if split > 0 {
+		t.Errorf("%d of %d plans split a batch", split, p.Epoch())
+	}
+	if due != batches*size {
+		t.Errorf("admitted %d arrivals, submitted %d", due, batches*size)
+	}
+}

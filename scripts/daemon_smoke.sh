@@ -42,6 +42,11 @@ for _ in $(seq 1 200); do
 done
 [ "$delivered" = 1 ] || { echo "daemon never delivered the batch"; cat "$workdir/epochs.json"; exit 1; }
 echo "batch delivered"
+# Each epoch record splits its wall time: commit -> snapshot, then the plan.
+for field in wait_micros plan_micros; do
+  grep -q "\"$field\"" "$workdir/epochs.json" \
+    || { echo "/v1/epochs records missing $field"; cat "$workdir/epochs.json"; exit 1; }
+done
 
 # The flight recorder journals every flow's lifecycle (default -flight).
 curl -s "http://$addr/v1/flows/1/events" > "$workdir/events.json"
@@ -53,7 +58,7 @@ echo "flight events ok"
 
 # The status roll-up reports SLO compliance and plan latency.
 curl -s "http://$addr/v1/status" > "$workdir/status.json"
-for field in on_time_fraction plan_p99_seconds; do
+for field in on_time_fraction plan_p99_seconds plan_lead_seconds; do
   grep -q "\"$field\"" "$workdir/status.json" \
     || { echo "/v1/status missing $field"; cat "$workdir/status.json"; exit 1; }
 done
@@ -64,7 +69,7 @@ echo "status ok"
 # The observability endpoints ride on the same mux.
 curl -s "http://$addr/metrics" > "$workdir/metrics.txt"
 for metric in octopus_daemon_plan_overruns_total octopus_daemon_queued_packets octopus_online_epochs_total \
-  octopus_daemon_plan_seconds octopus_flight_completed_total; do
+  octopus_daemon_plan_seconds octopus_daemon_plan_wait_seconds octopus_flight_completed_total; do
   grep -q "$metric" "$workdir/metrics.txt" || { echo "/metrics missing $metric"; exit 1; }
 done
 # The engine checks packet conservation at every commit, and with the batch
