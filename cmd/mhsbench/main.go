@@ -26,6 +26,7 @@ import (
 	"octopus/internal/algo"
 	"octopus/internal/buildinfo"
 	"octopus/internal/experiment"
+	"octopus/internal/strictjson"
 )
 
 func main() {
@@ -66,13 +67,8 @@ func main() {
 	}
 	if *memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fatalf("memprofile: %v", err)
-			}
-			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := strictjson.WriteFile(*memProf, pprof.WriteHeapProfile); err != nil {
 				fatalf("memprofile: %v", err)
 			}
 		}()
@@ -145,16 +141,8 @@ func main() {
 				fatalf("mkdir: %v", err)
 			}
 			path := filepath.Join(*outDir, "fig"+tab.ID+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				fatalf("create %s: %v", path, err)
-			}
-			if err := tab.CSV(f); err != nil {
-				f.Close()
+			if err := strictjson.WriteFile(path, tab.CSV); err != nil {
 				fatalf("write %s: %v", path, err)
-			}
-			if err := f.Close(); err != nil {
-				fatalf("close %s: %v", path, err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}

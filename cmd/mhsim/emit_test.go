@@ -1,0 +1,286 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"octopus/internal/graph"
+	"octopus/internal/schedule"
+	"octopus/internal/traffic"
+	"octopus/internal/verify"
+)
+
+var update = flag.Bool("update", false, "rewrite the -emit golden files from current generator output")
+
+// goldenArgs is the pinned generation setup for the golden-file test.
+var goldenArgs = []string{"-n", "8", "-window", "300", "-seed", "7", "-routes", "2", "-skew", "30", "-flows", "16"}
+
+// emit runs mhsim -emit - with args and returns what it wrote to stdout.
+func emit(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(slices.Concat(args, []string{"-emit", "-"}), &out, io.Discard); err != nil {
+		t.Fatalf("mhsim %v -emit -: %v", args, err)
+	}
+	return out.Bytes()
+}
+
+// checkGolden compares out with testdata/name, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name string, out []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with go test ./cmd/mhsim -run Golden -update): %v", err)
+	}
+	if !bytes.Equal(out, golden) {
+		t.Fatalf("emitted load drifted from %s (%d vs %d bytes); regenerate deliberately if the change is intended",
+			path, len(out), len(golden))
+	}
+}
+
+// scenarioJSON is the classic document of sc's load at seed 1: what mhsim
+// plans for the flags that describe sc.
+func scenarioJSON(t *testing.T, sc traffic.Scenario) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	g, err := sc.Fabric(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := sc.Load(g, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := load.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenSyntheticLoad pins the generator output: the emitted load must
+// match the checked-in golden JSON byte for byte, survive a ReadJSON
+// round-trip, and be route-feasible on its topology.
+func TestGoldenSyntheticLoad(t *testing.T) {
+	g := graph.Complete(8)
+	out := emit(t, goldenArgs...)
+	checkGolden(t, "golden_synthetic.json", out)
+
+	// Round-trip: parse the emitted JSON back and compare.
+	back, err := traffic.ReadJSON(bytes.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf2 bytes.Buffer
+	if err := back.WriteJSON(&buf2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, buf2.Bytes()) {
+		t.Fatal("JSON round trip is not byte-stable")
+	}
+
+	// Route feasibility on the generation topology, checked by both the
+	// load's own validator and the independent one in internal/verify.
+	if err := back.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verify.Schedule(g, back, &schedule.Schedule{}, verify.Options{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGoldenPodLoad pins the pod-structured generator: the streamed JSONL
+// output for a small pod load must match the checked-in golden file byte
+// for byte, decode back identically through the stream reader, and be
+// route-feasible on the pod fabric.
+func TestGoldenPodLoad(t *testing.T) {
+	pods := []string{"-n", "12", "-window", "64", "-seed", "7", "-pods", "3", "-interpod", "0.3"}
+	out := emit(t, append(pods, "-format", "jsonl")...)
+	checkGolden(t, "golden_pods.jsonl", out)
+
+	// The stream decodes back to the same load the classic document holds.
+	store, err := traffic.ReadStore(bytes.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := store.Materialize(nil).WriteJSON(&stream); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stream.Bytes(), emit(t, pods...)) {
+		t.Fatal("the jsonl stream and the json document hold different loads")
+	}
+	if err := store.Materialize(nil).Validate(graph.Pods(3, 4, 4)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBuildLoadVariants exercises the non-default generator paths: each
+// flag set emits the load mhsim plans for the same flags.
+func TestBuildLoadVariants(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		sc   traffic.Scenario
+	}{
+		// -flows and -skew default to the paper's n-scaled mix.
+		{[]string{"-n", "24", "-window", "1000"}, traffic.Scenario{N: 24, Window: 1000}},
+		{[]string{"-n", "8", "-window", "100", "-trace", "fb-db"}, traffic.Scenario{N: 8, Window: 100, Trace: "fb-db"}},
+		{[]string{"-n", "12", "-window", "600", "-trace", "fb-hadoop", "-routes", "3"},
+			traffic.Scenario{N: 12, Window: 600, Trace: "fb-hadoop", Routes: 3}},
+		{[]string{"-n", "12", "-window", "600", "-trace", "ms", "-fixed-hops", "2"},
+			traffic.Scenario{N: 12, Window: 600, Trace: "ms", FixedHops: 2}},
+		{[]string{"-n", "24", "-window", "96", "-pods", "4"},
+			traffic.Scenario{N: 24, Window: 96, Pods: 4, InterPod: traffic.DefaultInterPod}},
+		// -pods -trace is the trace-like load over the pod fabric.
+		{[]string{"-n", "24", "-window", "96", "-pods", "4", "-trace", "fb-web"},
+			traffic.Scenario{N: 24, Window: 96, Pods: 4, Trace: "fb-web"}},
+		// -deg emits the load over the partial fabric it draws first.
+		{[]string{"-n", "12", "-window", "200", "-deg", "4"}, traffic.Scenario{N: 12, Window: 200, Deg: 4}},
+	} {
+		got := emit(t, tc.args...)
+		if want := scenarioJSON(t, tc.sc); !bytes.Equal(got, want) {
+			t.Errorf("mhsim %v -emit - wrote %d bytes, the scenario's load is %d", tc.args, len(got), len(want))
+		}
+	}
+	if bytes.Equal(emit(t, "-n", "24", "-window", "96", "-pods", "4", "-trace", "fb-web"), emit(t, "-n", "24", "-window", "96", "-pods", "4")) {
+		t.Error("-pods ignored -trace")
+	}
+
+	csv := filepath.Join(t.TempDir(), "m.csv")
+	if err := os.WriteFile(csv, []byte("0,40,10\n5,0,20\n15,25,0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	load, err := traffic.ReadJSON(bytes.NewReader(emit(t, "-matrix", csv)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := load.Validate(graph.Complete(3)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Unknown names and flags that would be dropped are errors.
+	for _, args := range [][]string{
+		{"-trace", "no-such-trace"},
+		{"-matrix", csv, "-trace", "fb-db"},
+		{"-matrix", csv, "-pods", "3"},
+		{"-trace", "fb-db", "-skew", "40"},
+		{"-format", "xml"},
+	} {
+		if err := run(append(args, "-emit", "-"), io.Discard, io.Discard); err == nil {
+			t.Errorf("mhsim %v -emit - accepted", args)
+		}
+	}
+
+	// Generation is deterministic in the seed.
+	if !bytes.Equal(emit(t, goldenArgs...), emit(t, goldenArgs...)) {
+		t.Fatal("same seed produced different loads")
+	}
+}
+
+// TestEmitThenLoadPlansInPlace: a load mhsim -emit writes plans under
+// -load exactly as mhsim plans the same flags in place, in every encoding.
+func TestEmitThenLoadPlansInPlace(t *testing.T) {
+	for _, flags := range []string{
+		"-n 24 -window 1000",
+		"-n 12 -window 600 -trace fb-hadoop -routes 3",
+		"-n 12 -window 600 -trace ms -fixed-hops 2",
+		"-n 24 -window 96 -pods 4",
+	} {
+		args := append(strings.Fields(flags), "-seed", "1")
+		plan := slices.Concat(args, []string{"-delta", "10", "-algo", "octopus-g"})
+		var inPlace bytes.Buffer
+		if err := run(plan, &inPlace, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		for _, format := range []string{"json", "jsonl", "bin"} {
+			path := filepath.Join(t.TempDir(), "load."+format)
+			if err := run(slices.Concat(args, []string{"-emit", path, "-format", format}), io.Discard, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			var fromFile bytes.Buffer
+			if err := run(slices.Concat(plan, []string{"-load", path}), &fromFile, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if fromFile.String() != inPlace.String() {
+				t.Errorf("%s, %s: in place\n%s\nfrom the emitted file\n%s", flags, format, inPlace.String(), fromFile.String())
+			}
+		}
+	}
+}
+
+// TestEmitAndStatsRefuseDroppedFlags: -emit reads only the generation
+// flags and -stats only its file; any other flag is an error, not silently
+// dropped.
+func TestEmitAndStatsRefuseDroppedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		class string
+		args  []string
+		want  string
+	}{
+		{"planning", []string{"-emit", "-", "-algo", "octopus-g", "-delta", "5", "-ports", "2"}, "-emit would ignore -algo -delta -ports"},
+		{"input", []string{"-emit", "-", "-load", "l.json"}, "-emit would ignore -load"},
+		{"replay and faults", []string{"-emit", "-", "-replay", "s.json", "-faults", "f.json"}, "-emit would ignore -faults -replay"},
+		{"output", []string{"-emit", "-", "-v", "-metrics-out", "m.txt"}, "-emit would ignore -metrics-out -v"},
+		{"stats with generation", []string{"-stats", "l.json", "-n", "8"}, "-stats would ignore -n"},
+		{"stats with emit", []string{"-stats", "l.json", "-emit", "-"}, "-stats would ignore -emit"},
+		{"format without emit", []string{"-format", "bin"}, "-format needs -emit"},
+	} {
+		err := run(tc.args, io.Discard, io.Discard)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: mhsim %v: err = %v, want %q", tc.class, tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestStatsAcrossEncodings: -stats reads the same load alike from each of
+// the three encodings -emit writes.
+func TestStatsAcrossEncodings(t *testing.T) {
+	const want = "flows:   128\n" +
+		"packets: 2400\n" +
+		"nodes:   >= 8\n" +
+		"hop mix (packets): 1-hop=818 2-hop=817 3-hop=765 \n" +
+		"flow size: min=7 p50=8 p90=53 p99=53 max=53\n"
+	for _, format := range []string{"json", "jsonl", "bin"} {
+		path := filepath.Join(t.TempDir(), "load."+format)
+		if err := run(append(goldenArgs, "-emit", path, "-format", format), io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"-stats", path}, &out, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != want {
+			t.Errorf("%s: -stats printed\n%s\nwant\n%s", format, out.String(), want)
+		}
+	}
+}
+
+// TestSkewOutOfRangeRejected: c_S above the per-port total would leave
+// c_L negative and write flows of negative size; it is refused before any
+// flow is written, whether mhsim emits or plans.
+func TestSkewOutOfRangeRejected(t *testing.T) {
+	for _, extra := range [][]string{{"-emit", "-"}, {"-algo", "octopus-g"}} {
+		var out bytes.Buffer
+		err := run(append([]string{"-n", "8", "-window", "300", "-skew", "150"}, extra...), &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-skew 150 is not a percentage") {
+			t.Errorf("%v: err = %v, want the -skew range error", extra, err)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: wrote %d bytes before refusing", extra, out.Len())
+		}
+	}
+}

@@ -14,6 +14,12 @@
 //	mhsim -load load.json -algo octopus-g -v
 //	mhsim -algo octopus -faults trace.json
 //	mhsim -list-algos
+//	mhsim -n 1024 -window 10000 -pods 32 -emit pods.mhsb -format bin
+//	mhsim -stats pods.mhsb
+//
+// -emit writes the load the generation flags describe and stops; the same
+// flags then plan it from the file (-load). A -pods load streams to jsonl
+// or bin flow by flow, so it may be larger than RAM.
 package main
 
 import (
@@ -26,6 +32,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,6 +47,7 @@ import (
 	"octopus/internal/obs/flight"
 	"octopus/internal/schedule"
 	"octopus/internal/simulate"
+	"octopus/internal/strictjson"
 	"octopus/internal/traffic"
 )
 
@@ -95,15 +103,7 @@ func (s *obsSinks) finish(stderr io.Writer, metricsOut, serveAddr string) error 
 		fmt.Fprintf(stderr, "wrote %d trace events to %s\n", s.tracer.Events(), s.traceFile.Name())
 	}
 	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return fmt.Errorf("metrics snapshot: %w", err)
-		}
-		if err := s.reg.WritePrometheus(f); err != nil {
-			f.Close()
-			return fmt.Errorf("metrics snapshot: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := strictjson.WriteFile(metricsOut, s.reg.WritePrometheus); err != nil {
 			return fmt.Errorf("metrics snapshot: %w", err)
 		}
 		fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", metricsOut)
@@ -175,7 +175,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fixedHops  = fs.Int("fixed-hops", 0, "force every route to this many hops")
 		ports      = fs.Int("ports", 1, "input/output ports per node")
 		deg        = fs.Int("deg", 0, "partial fabric with this out-degree per node (0 = complete)")
-		podsFabric = fs.Int("pods", 0, "pod-structured fabric with this many pods of n/pods nodes (pairs with octopus-sharded:pods=...)")
+		podsFabric = fs.Int("pods", 0, "pod-structured fabric with this many pods of n/pods nodes (pairs with octopus-sharded:pods=...); without -trace, the pod-synthetic load")
+		interpod   = fs.Float64("interpod", traffic.DefaultInterPod, "fraction of pod-synthetic flows crossing pods")
+		interlinks = fs.Int("interlinks", 0, "links per ordered pod pair (0 = min(4, pod size))")
+		flows      = fs.Int("flows", 0, "synthetic flows per port, 1:3 large:small (0 = the paper's n-scaled count)")
+		skew       = fs.Int("skew", 0, "synthetic c_S as a percent of per-port traffic (0 = the paper's 30)")
+		matrix     = fs.String("matrix", "", "the load of a CSV demand matrix over a complete fabric")
+		emitPath   = fs.String("emit", "", "write the load to this file ('-' for stdout) and exit")
+		format     = fs.String("format", "json", "-emit encoding: json (classic document), jsonl or bin (flow streams)")
+		statsPath  = fs.String("stats", "", "print statistics of a load file (any encoding) and exit")
 		multihop   = fs.Bool("multihop", false, "allow packets to chain hops within a configuration")
 		verbose    = fs.Bool("v", false, "print the configuration sequence")
 		gantt      = fs.Bool("gantt", false, "print the schedule as an ASCII Gantt chart")
@@ -203,6 +211,38 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *listAlgos {
 		listRegistry(stdout)
 		return nil
+	}
+	sc := traffic.Scenario{
+		N: *n, Window: *window, Deg: *deg, Pods: *podsFabric, InterPod: *interpod, InterLinks: *interlinks,
+		Trace: *trace, Routes: *routes, FixedHops: *fixedHops, Flows: *flows, Skew: *skew,
+	}
+	var err error
+	if *matrix != "" {
+		if sc.Matrix, err = strictjson.ReadFile(*matrix, traffic.ReadDemandCSV); err != nil {
+			return fmt.Errorf("demand matrix %s: %w", *matrix, err)
+		}
+	}
+	if *emitPath != "" || *statsPath != "" {
+		mode, keep := "-emit", emitFlags
+		if *statsPath != "" {
+			mode, keep = "-stats", []string{"stats"}
+		}
+		var dropped []string
+		fs.Visit(func(f *flag.Flag) {
+			if !slices.Contains(keep, f.Name) {
+				dropped = append(dropped, "-"+f.Name)
+			}
+		})
+		if dropped != nil {
+			return fmt.Errorf("%s would ignore %s", mode, strings.Join(dropped, " "))
+		}
+		if *statsPath != "" {
+			return printStats(stdout, *statsPath)
+		}
+		return emitLoad(sc, rand.New(rand.NewSource(*seed)), *emitPath, *format, stdout, stderr)
+	}
+	if *format != "json" {
+		return fmt.Errorf("-format needs -emit")
 	}
 
 	var sinks obsSinks
@@ -252,10 +292,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// whatever the algorithm draws (octopus-random's route picks).
 	rng := rand.New(rand.NewSource(*seed))
 	params.Rng = rng
-	sc := traffic.Scenario{
-		N: *n, Window: *window, Deg: *deg, Pods: *podsFabric, InterPod: traffic.DefaultInterPod,
-		Trace: *trace, Routes: *routes, FixedHops: *fixedHops,
-	}
 	g, err := sc.Fabric(rng)
 	if err != nil {
 		return err
@@ -370,15 +406,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if flightRec != nil {
-		f, err := os.Create(*flightOut)
-		if err != nil {
-			return fmt.Errorf("flight journal: %w", err)
-		}
-		if err := flightRec.WriteLog(f); err != nil {
-			f.Close()
-			return fmt.Errorf("flight journal: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := strictjson.WriteFile(*flightOut, flightRec.WriteLog); err != nil {
 			return fmt.Errorf("flight journal: %w", err)
 		}
 		snap := flightRec.Stats()
@@ -567,6 +595,82 @@ func runShowdown(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults 
 		if err := os.WriteFile(outPath, buf, 0o644); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// emitFlags are the flags -emit reads: those that describe the instance.
+var emitFlags = strings.Fields("n window seed trace routes fixed-hops deg pods interpod interlinks flows skew matrix emit format")
+
+// emitLoad writes sc's load to path ("-": stdout) in the named format: the
+// classic document (json), built before the output is created, or a flow
+// stream (jsonl, bin), written as Scenario.Emit hands out each flow.
+func emitLoad(sc traffic.Scenario, rng *rand.Rand, path, format string, stdout, stderr io.Writer) error {
+	var doc traffic.Load
+	sf := traffic.FormatJSONL
+	switch format {
+	case "json":
+		if err := sc.Emit(rng, func(f traffic.Flow) error { doc.Flows = append(doc.Flows, f); return nil }); err != nil {
+			return err
+		}
+	case "bin":
+		sf = traffic.FormatBinary
+	case "jsonl":
+	default:
+		return fmt.Errorf("unknown format %q (want json, jsonl, or bin)", format)
+	}
+	flows, packets := len(doc.Flows), doc.TotalPackets()
+	write := func(w io.Writer) error {
+		if format == "json" {
+			return doc.WriteJSON(w)
+		}
+		sw := traffic.NewStreamWriter(w, sf)
+		if err := sc.Emit(rng, func(f traffic.Flow) error {
+			flows, packets = flows+1, packets+f.Size
+			return sw.Write(&f)
+		}); err != nil {
+			return err
+		}
+		return sw.Close()
+	}
+	if path == "-" {
+		return write(stdout)
+	}
+	if err := strictjson.WriteFile(path, write); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "wrote %s: %d flows, %d packets\n", path, flows, packets)
+	return nil
+}
+
+// printStats summarises a load file of any encoding: flows, packets, the
+// nodes it spans, packets by hop count of the first route, and flow-size
+// percentiles.
+func printStats(w io.Writer, path string) error {
+	load, err := traffic.LoadAnyFile(path)
+	if err != nil {
+		return fmt.Errorf("load %s: %w", path, err)
+	}
+	sizes := make([]int, len(load.Flows))
+	hops := make([]int, load.MaxHops()+1)
+	maxNode := 0
+	for i, f := range load.Flows {
+		sizes[i] = f.Size
+		hops[f.Routes[0].Hops()] += f.Size
+		for _, r := range f.Routes {
+			maxNode = max(maxNode, slices.Max(r))
+		}
+	}
+	slices.Sort(sizes)
+	fmt.Fprintf(w, "flows:   %d\npackets: %d\nnodes:   >= %d\nhop mix (packets): ", len(sizes), load.TotalPackets(), maxNode+1)
+	for h := 1; h < len(hops); h++ {
+		fmt.Fprintf(w, "%d-hop=%d ", h, hops[h])
+	}
+	fmt.Fprintln(w)
+	if len(sizes) > 0 {
+		pct := func(p float64) int { return sizes[int(p*float64(len(sizes)-1))] }
+		fmt.Fprintf(w, "flow size: min=%d p50=%d p90=%d p99=%d max=%d\n",
+			sizes[0], pct(0.5), pct(0.9), pct(0.99), sizes[len(sizes)-1])
 	}
 	return nil
 }

@@ -71,7 +71,7 @@ func DefaultPodParams(pods, podSize, window int) PodParams {
 }
 
 // PodSyntheticEmit generates the pod workload flow by flow, calling emit
-// for each one — the streaming form, used by mhsgen to write loads far
+// for each one — the streaming form, used by mhsim -emit to write loads far
 // larger than RAM directly to a flow stream. Generation is deterministic
 // in rng. Flow IDs are assigned sequentially from 0.
 func PodSyntheticEmit(p PodParams, rng *rand.Rand, emit func(Flow) error) error {

@@ -9,19 +9,19 @@ import (
 	"octopus/internal/graph"
 )
 
-// TraceNames are the names the trace-like loads go by (mhsim and mhsgen
-// -trace), indexed by TraceKind: Fig 6's x-axis order.
+// TraceNames are the names the trace-like loads go by (mhsim -trace),
+// indexed by TraceKind: Fig 6's x-axis order.
 var TraceNames = []string{"fb-hadoop", "fb-web", "fb-db", "ms"}
 
 // DefaultInterPod is the fraction of pod-synthetic flows that cross pods
 // unless a Scenario says otherwise.
 const DefaultInterPod = 0.3
 
-// Scenario is the paper's §8 workload vocabulary in one value: the
-// generation flags mhsim and mhsgen share, the fabric mhsd serves and the
-// instance behind every figure. Fabric and then Load, drawing from one rng,
-// build the instance; the same Scenario and seed build the same instance
-// wherever they are used.
+// Scenario is the paper's §8 workload vocabulary in one value: mhsim's
+// generation flags, the fabric mhsd serves and the instance behind every
+// figure. Fabric and then Load, drawing from one rng, build the instance;
+// the same Scenario and seed build the same instance wherever they are
+// used.
 type Scenario struct {
 	N      int // nodes
 	Window int // W in time slots: scales per-port and trace traffic
@@ -45,9 +45,21 @@ type Scenario struct {
 	Matrix [][]float64
 }
 
-// check rejects flag combinations that would silently drop a flag.
-func (s Scenario) check() error {
+// check rejects out-of-range values and flag combinations that would
+// silently drop a flag. load adds the fields only a load reads, so that a
+// bare fabric (mhsd's) needs no Window.
+func (s Scenario) check(load bool) error {
 	switch {
+	case s.Matrix == nil && s.N < 2:
+		return fmt.Errorf("-n %d: a fabric needs at least 2 nodes", s.N)
+	case s.Deg < 0 || s.InterLinks < 0:
+		return errors.New("-deg and -interlinks must not be negative")
+	case load && s.Window < 1:
+		return fmt.Errorf("-window %d: W must be at least 1 slot", s.Window)
+	case load && (s.Skew < 0 || s.Skew > 100):
+		return fmt.Errorf("-skew %d is not a percentage in [0, 100]", s.Skew)
+	case load && (s.Flows < 0 || s.Routes < 0 || s.FixedHops < 0):
+		return errors.New("-flows, -routes and -fixed-hops must not be negative")
 	case s.Matrix != nil && (s.Trace != "" || s.Pods > 0 || s.Deg > 0):
 		return errors.New("-matrix excludes -trace, -pods and -deg")
 	case s.Pods > 0 && s.Deg > 0:
@@ -63,7 +75,7 @@ func (s Scenario) check() error {
 // Fabric returns the scenario's fabric. Only a partial fabric (Deg > 0)
 // draws from rng.
 func (s Scenario) Fabric(rng *rand.Rand) (*graph.Digraph, error) {
-	if err := s.check(); err != nil {
+	if err := s.check(false); err != nil {
 		return nil, err
 	}
 	switch {
@@ -85,7 +97,7 @@ func (s Scenario) Fabric(rng *rand.Rand) (*graph.Digraph, error) {
 // demand matrix, the trace-like load, the pod-synthetic load, or the
 // paper's synthetic load, in that order of precedence.
 func (s Scenario) Load(g *graph.Digraph, rng *rand.Rand) (*Load, error) {
-	if err := s.check(); err != nil {
+	if err := s.check(true); err != nil {
 		return nil, err
 	}
 	routes := SyntheticParams{RouteChoices: s.Routes, FixedHops: s.FixedHops, MinHops: 1, MaxHops: 3}
@@ -123,7 +135,7 @@ func (s Scenario) Load(g *graph.Digraph, rng *rand.Rand) (*Load, error) {
 // the load, so it may be larger than memory; every other load is built
 // first.
 func (s Scenario) Emit(rng *rand.Rand, emit func(Flow) error) error {
-	if err := s.check(); err != nil {
+	if err := s.check(true); err != nil {
 		return err
 	}
 	if s.Pods > 0 && s.Trace == "" {

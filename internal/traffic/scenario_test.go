@@ -68,3 +68,51 @@ func TestScenarioEmitEqualsLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioRejectsOutOfRange: a value no instance can have is an error,
+// never a panic, a negative flow size or a silently dropped field. Fabric
+// checks what a fabric reads (mhsd builds one with no Window); Load and
+// Emit check everything.
+func TestScenarioRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		sc     Scenario
+		fabric bool // Fabric refuses it too
+		want   string
+	}{
+		{Scenario{N: -4, Window: 100}, true, "at least 2 nodes"},
+		{Scenario{N: 1, Window: 100}, true, "at least 2 nodes"},
+		{Scenario{N: 8, Window: 100, Deg: -1}, true, "must not be negative"},
+		{Scenario{N: 8, Window: 100, Pods: 2, InterLinks: -1}, true, "must not be negative"},
+		{Scenario{N: 8, Window: -10}, false, "-window -10"},
+		{Scenario{N: 8, Window: 0}, false, "-window 0"},
+		{Scenario{N: 8, Window: 300, Skew: 150}, false, "-skew 150"},
+		{Scenario{N: 8, Window: 300, Skew: -5}, false, "-skew -5"},
+		{Scenario{N: 8, Window: 100, Flows: -3}, false, "must not be negative"},
+		{Scenario{N: 8, Window: 100, Routes: -1}, false, "must not be negative"},
+		{Scenario{N: 8, Window: 100, FixedHops: -2}, false, "must not be negative"},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		_, ferr := tc.sc.Fabric(rng)
+		if (ferr != nil) != tc.fabric {
+			t.Errorf("%+v: Fabric err = %v, want refused = %v", tc.sc, ferr, tc.fabric)
+		}
+		_, lerr := tc.sc.Load(nil, rng)
+		eerr := tc.sc.Emit(rng, func(Flow) error { return nil })
+		for _, err := range []error{lerr, eerr} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%+v: err = %v, want %q", tc.sc, err, tc.want)
+			}
+		}
+	}
+	// mhsd's fabric: nodes and a degree, no load fields.
+	if _, err := (Scenario{N: 8, Deg: 3}).Fabric(rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	// The edges of the ranges are instances.
+	for _, sc := range []Scenario{{N: 2, Window: 1}, {N: 8, Window: 300, Skew: 100}} {
+		rng := rand.New(rand.NewSource(1))
+		if err := sc.Emit(rng, func(f Flow) error { return checkStreamFlow(&f) }); err != nil {
+			t.Errorf("%+v: %v", sc, err)
+		}
+	}
+}

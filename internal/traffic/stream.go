@@ -28,7 +28,7 @@ import (
 //
 // StreamReader auto-detects the encoding, and LoadAnyFile additionally
 // falls back to the classic whole-document JSON load format, so every
-// consumer (mhsim -load, mhsgen -stats) accepts all three transparently.
+// consumer (mhsim -load and -stats) accepts all three transparently.
 // All three hold each flow to one schema, checkStreamFlow.
 
 // StreamFormat selects a streaming trace encoding.
