@@ -20,7 +20,7 @@ func reportPsi(b *testing.B, psi int64) {
 
 // benchScale is a reduced experiment scale so every figure benchmark
 // completes quickly while exercising the full code path. Run
-// cmd/mhsbench -scale full to regenerate the paper-scale figures.
+// mhsim -fig all -scale full to regenerate the paper-scale figures.
 func benchScale() experiment.Scale {
 	return experiment.Scale{
 		Name:          "bench",

@@ -179,6 +179,12 @@ func TestBuildLoadVariants(t *testing.T) {
 		{"-matrix", csv, "-pods", "3"},
 		{"-trace", "fb-db", "-skew", "40"},
 		{"-format", "xml"},
+		// -interpod shapes only the pod-synthetic load, -interlinks only
+		// the pod fabric.
+		{"-n", "8", "-window", "100", "-interlinks", "3", "-interpod", "0.9"},
+		{"-n", "8", "-window", "100", "-interpod", "0.9"},
+		{"-n", "8", "-window", "100", "-interlinks", "3"},
+		{"-n", "8", "-window", "100", "-pods", "2", "-trace", "fb-db", "-interpod", "0.9"},
 	} {
 		if err := run(append(args, "-emit", "-"), io.Discard, io.Discard); err == nil {
 			t.Errorf("mhsim %v -emit - accepted", args)
@@ -223,8 +229,9 @@ func TestEmitThenLoadPlansInPlace(t *testing.T) {
 }
 
 // TestEmitAndStatsRefuseDroppedFlags: -emit reads only the generation
-// flags and -stats only its file; any other flag is an error, not silently
-// dropped.
+// flags, -stats only its file and -fig only its scale and overrides; any
+// other flag is an error, not silently dropped, and so is a -fig override
+// out of range or a flag only -emit or -fig reads set beside a plan.
 func TestEmitAndStatsRefuseDroppedFlags(t *testing.T) {
 	for _, tc := range []struct {
 		class string
@@ -238,6 +245,20 @@ func TestEmitAndStatsRefuseDroppedFlags(t *testing.T) {
 		{"stats with generation", []string{"-stats", "l.json", "-n", "8"}, "-stats would ignore -n"},
 		{"stats with emit", []string{"-stats", "l.json", "-emit", "-"}, "-stats would ignore -emit"},
 		{"format without emit", []string{"-format", "bin"}, "-format needs -emit"},
+		{"emit with fig", []string{"-emit", "-", "-fig", "4a"}, "-emit would ignore -fig"},
+		{"fig with planning", []string{"-fig", "4a", "-algo", "octopus-g", "-ports", "2"}, "-fig would ignore -algo -ports"},
+		{"fig with generation and sinks", []string{"-fig", "all", "-pods", "2", "-metrics-out", "m.txt", "-v"}, "-fig would ignore -metrics-out -pods -v"},
+		{"scale without fig", []string{"-scale", "full"}, "-scale needs -fig"},
+		{"sweep without fig", []string{"-n", "8", "-node-sweep", "8,16"}, "-node-sweep needs -fig"},
+		{"matcher without fig", []string{"-matcher", "greedy"}, "-matcher needs -fig"},
+		{"fig n below 1", []string{"-fig", "4a", "-n", "0"}, "-fig: -n 0 must be at least 1"},
+		{"fig window below 1", []string{"-fig", "4a", "-window", "-5"}, "-fig: -window -5 must be at least 1"},
+		{"fig instances below 1", []string{"-fig", "4a", "-instances", "0"}, "-fig: -instances 0 must be at least 1"},
+		{"fig workers below 1", []string{"-fig", "4a", "-workers", "0"}, "-fig: -workers 0 must be at least 1"},
+		{"fig negative delta", []string{"-fig", "4a", "-delta", "-1"}, "-fig: -delta -1 must be at least 0"},
+		{"fig unknown matcher", []string{"-fig", "4a", "-matcher", "fast"}, `unknown matcher "fast" (want exact or greedy)`},
+		{"fig bad sweep", []string{"-fig", "4a", "-node-sweep", "1e3"}, `bad sweep value "1e3" (want a positive integer)`},
+		{"fig unknown scale", []string{"-fig", "4a", "-scale", "huge"}, `unknown scale "huge" (want quick or full)`},
 	} {
 		err := run(tc.args, io.Discard, io.Discard)
 		if err == nil || err.Error() != tc.want {

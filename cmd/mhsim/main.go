@@ -16,33 +16,39 @@
 //	mhsim -list-algos
 //	mhsim -n 1024 -window 10000 -pods 32 -emit pods.mhsb -format bin
 //	mhsim -stats pods.mhsb
+//	mhsim -fig 4a                      # one §8 figure at quick scale
+//	mhsim -fig all -scale full -out results/
 //
 // -emit writes the load the generation flags describe and stops; the same
 // flags then plan it from the file (-load). A -pods load streams to jsonl
-// or bin flow by flow, so it may be larger than RAM.
+// or bin flow by flow, so it may be larger than RAM. -fig regenerates the
+// tables of the paper's evaluation (internal/experiment) and stops: the
+// quick scale runs every figure in under a second, the full scale is the
+// paper's n = 100, W = 10000, Δ = 20, 10 instances per point.
+// -cpuprofile and -memprofile profile any of these runs.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"slices"
+	"strconv"
 	"strings"
-	"time"
 
 	"octopus/internal/algo"
 	"octopus/internal/buildinfo"
 	"octopus/internal/core"
 	"octopus/internal/engine"
+	"octopus/internal/experiment"
 	"octopus/internal/fault"
 	"octopus/internal/graph"
-	"octopus/internal/httpd"
 	"octopus/internal/obs"
 	"octopus/internal/obs/flight"
 	"octopus/internal/schedule"
@@ -51,18 +57,9 @@ import (
 	"octopus/internal/traffic"
 )
 
-// serveShutdownGrace bounds the graceful drain of in-flight requests when
-// -serve is interrupted.
-const serveShutdownGrace = 5 * time.Second
-
-// serveHold blocks while -serve is active, returning once ctx is
-// cancelled (SIGINT/SIGTERM). Tests replace it to probe the endpoints and
-// return immediately instead of waiting for a signal.
-var serveHold = func(ctx context.Context, addr string) { <-ctx.Done() }
-
 // obsSinks bundles the observability wiring of one mhsim invocation: the
-// metrics registry (for -metrics-out and -serve) and the decision tracer
-// (for -trace-out).
+// metrics registry (for -metrics-out) and the decision tracer (for
+// -trace-out).
 type obsSinks struct {
 	observer  *obs.Observer
 	reg       *obs.Registry
@@ -71,8 +68,8 @@ type obsSinks struct {
 }
 
 // setup creates the sinks the flags ask for.
-func (s *obsSinks) setup(metricsOut, traceOut, serveAddr string) error {
-	if metricsOut != "" || serveAddr != "" {
+func (s *obsSinks) setup(metricsOut, traceOut string) error {
+	if metricsOut != "" {
 		s.reg = obs.NewRegistry()
 	}
 	if traceOut != "" {
@@ -90,9 +87,8 @@ func (s *obsSinks) setup(metricsOut, traceOut, serveAddr string) error {
 }
 
 // finish flushes the sinks after the scenario ran: close the trace file,
-// write the metrics snapshot, then serve the introspection endpoints until
-// serveHold returns.
-func (s *obsSinks) finish(stderr io.Writer, metricsOut, serveAddr string) error {
+// then write the metrics snapshot.
+func (s *obsSinks) finish(stderr io.Writer, metricsOut string) error {
 	if err := s.tracer.Err(); err != nil {
 		return fmt.Errorf("decision trace: %w", err)
 	}
@@ -107,23 +103,6 @@ func (s *obsSinks) finish(stderr io.Writer, metricsOut, serveAddr string) error 
 			return fmt.Errorf("metrics snapshot: %w", err)
 		}
 		fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", metricsOut)
-	}
-	if serveAddr != "" {
-		ln, err := net.Listen("tcp", serveAddr)
-		if err != nil {
-			return fmt.Errorf("-serve: %w", err)
-		}
-		fmt.Fprintf(stderr, "serving on http://%s/ (/metrics, /debug/vars, /debug/pprof); interrupt to stop\n", ln.Addr())
-		ctx, stop := httpd.SignalContext(context.Background())
-		defer stop()
-		srv := &http.Server{Handler: obs.Handler(s.reg)}
-		errCh := make(chan error, 1)
-		go func() { errCh <- httpd.Serve(ctx, srv, ln, serveShutdownGrace) }()
-		serveHold(ctx, ln.Addr().String())
-		stop() // unblocks httpd.Serve when the hold returned without a signal
-		if err := <-errCh; err != nil {
-			return fmt.Errorf("-serve: %w", err)
-		}
 	}
 	return nil
 }
@@ -160,15 +139,15 @@ func main() {
 
 // run is the whole command behind a testable seam: it parses args with its
 // own FlagSet and writes only to the given writers.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("mhsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		n          = fs.Int("n", 24, "number of network nodes")
-		window     = fs.Int("window", 1000, "window W in time slots")
-		delta      = fs.Int("delta", 20, "reconfiguration delay Δ in time slots")
+		n          = fs.Int("n", 24, "number of network nodes (with -fig: override the scale's network size)")
+		window     = fs.Int("window", 1000, "window W in time slots (with -fig: override W)")
+		delta      = fs.Int("delta", 20, "reconfiguration delay Δ in time slots (with -fig: override Δ)")
 		algoSpec   = fs.String("algo", "octopus", "algorithm spec name[:key=value,...]; names: "+strings.Join(algo.Names(), ", "))
-		seed       = fs.Int64("seed", 1, "RNG seed")
+		seed       = fs.Int64("seed", 1, "RNG seed (with -fig: override the base seed)")
 		trace      = fs.String("trace", "", "trace-like load: "+strings.Join(traffic.TraceNames, ", ")+" (default: synthetic)")
 		loadPath   = fs.String("load", "", "read the traffic load from a file (JSON document, JSONL or binary flow stream) instead of generating")
 		routes     = fs.Int("routes", 1, "candidate routes per flow (for octopus-plus / octopus-random)")
@@ -184,6 +163,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		emitPath   = fs.String("emit", "", "write the load to this file ('-' for stdout) and exit")
 		format     = fs.String("format", "json", "-emit encoding: json (classic document), jsonl or bin (flow streams)")
 		statsPath  = fs.String("stats", "", "print statistics of a load file (any encoding) and exit")
+		fig        = fs.String("fig", "", "regenerate the paper's §8 tables and exit: figure IDs ("+strings.Join(experiment.FigureIDs(), ", ")+"), extension IDs ("+strings.Join(experiment.ExtensionIDs(), ", ")+"), comma-separated, or 'all' or 'ext'")
+		outDir     = fs.String("out", "", "-fig: directory to write per-figure CSV files (optional)")
 		multihop   = fs.Bool("multihop", false, "allow packets to chain hops within a configuration")
 		verbose    = fs.Bool("v", false, "print the configuration sequence")
 		gantt      = fs.Bool("gantt", false, "print the schedule as an ASCII Gantt chart")
@@ -197,9 +178,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		metricsOut = fs.String("metrics-out", "", "write a Prometheus-text metrics snapshot to this file at exit")
 		traceOut   = fs.String("trace-out", "", "write the JSONL decision trace to this file")
 		flightOut  = fs.String("flight-out", "", "write the per-flow lifecycle journal (flight recorder) as JSONL to this file (the spec key sample=N tracks one flow in N)")
-		serveAddr  = fs.String("serve", "", "serve /metrics, /debug/vars, and /debug/pprof on this address after the run, until interrupted")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf    = fs.String("memprofile", "", "write a heap profile at exit to this file")
 		version    = fs.Bool("version", false, "print the version and exit")
 	)
+	// The rest of -fig's flags; figScale reads them off the FlagSet.
+	fs.String("scale", "quick", "-fig experiment scale: quick or full")
+	fs.Int("instances", 0, "-fig: override instances per point")
+	fs.Int("workers", 0, "-fig: override parallel instances")
+	fs.String("matcher", "", "-fig: override matcher: exact or greedy")
+	fs.String("node-sweep", "", "-fig: override Fig4a/5a node sweep (comma-separated)")
+	fs.String("delta-sweep", "", "-fig: override reconfiguration-delay sweep (comma-separated)")
+	fs.String("time-nodes", "", "-fig: override Fig10 network-size sweep (comma-separated)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -212,41 +202,63 @@ func run(args []string, stdout, stderr io.Writer) error {
 		listRegistry(stdout)
 		return nil
 	}
+	if *cpuProf != "" {
+		f, cerr := os.Create(*cpuProf)
+		if cerr != nil {
+			return cerr
+		}
+		if cerr := pprof.StartCPUProfile(f); cerr != nil {
+			f.Close()
+			return cerr
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	defer func() {
+		if err == nil && *memProf != "" {
+			runtime.GC()
+			err = strictjson.WriteFile(*memProf, pprof.WriteHeapProfile)
+		}
+	}()
+	mode, err := checkMode(fs)
+	if err != nil {
+		return err
+	}
+	if mode == "stats" {
+		return printStats(stdout, *statsPath)
+	}
+	if mode == "fig" {
+		sc, err := figScale(fs)
+		if err != nil {
+			return err
+		}
+		return runFigures(stdout, stderr, *fig, *outDir, sc)
+	}
+
+	// -interpod shapes only the pod-synthetic load; Scenario refuses it
+	// beside any other load.
 	sc := traffic.Scenario{
-		N: *n, Window: *window, Deg: *deg, Pods: *podsFabric, InterPod: *interpod, InterLinks: *interlinks,
+		N: *n, Window: *window, Deg: *deg, Pods: *podsFabric, InterLinks: *interlinks,
 		Trace: *trace, Routes: *routes, FixedHops: *fixedHops, Flows: *flows, Skew: *skew,
 	}
-	var err error
+	if isSet(fs, "interpod") || sc.Pods > 0 && sc.Trace == "" {
+		sc.InterPod = *interpod
+	}
 	if *matrix != "" {
 		if sc.Matrix, err = strictjson.ReadFile(*matrix, traffic.ReadDemandCSV); err != nil {
 			return fmt.Errorf("demand matrix %s: %w", *matrix, err)
 		}
 	}
-	if *emitPath != "" || *statsPath != "" {
-		mode, keep := "-emit", emitFlags
-		if *statsPath != "" {
-			mode, keep = "-stats", []string{"stats"}
-		}
-		var dropped []string
-		fs.Visit(func(f *flag.Flag) {
-			if !slices.Contains(keep, f.Name) {
-				dropped = append(dropped, "-"+f.Name)
-			}
-		})
-		if dropped != nil {
-			return fmt.Errorf("%s would ignore %s", mode, strings.Join(dropped, " "))
-		}
-		if *statsPath != "" {
-			return printStats(stdout, *statsPath)
-		}
+	if mode == "emit" {
 		return emitLoad(sc, rand.New(rand.NewSource(*seed)), *emitPath, *format, stdout, stderr)
-	}
-	if *format != "json" {
-		return fmt.Errorf("-format needs -emit")
 	}
 
 	var sinks obsSinks
-	if err := sinks.setup(*metricsOut, *traceOut, *serveAddr); err != nil {
+	if err := sinks.setup(*metricsOut, *traceOut); err != nil {
 		return err
 	}
 
@@ -317,7 +329,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// The scenario runs behind a closure so every exit path still flushes
-	// the observability sinks (trace file, metrics snapshot, -serve).
+	// the observability sinks (trace file, metrics snapshot).
 	scenario := func() error {
 		if *replay != "" {
 			sch, err := loadSchedule(*replay, g, *ports)
@@ -413,7 +425,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "wrote %d flight events (%d retained, %d flows tracked) to %s\n",
 			snap.Events, snap.Retained, snap.TrackedFlows, *flightOut)
 	}
-	return sinks.finish(stderr, *metricsOut, *serveAddr)
+	return sinks.finish(stderr, *metricsOut)
 }
 
 // listRegistry prints the machine-readable algorithm listing: one
@@ -599,8 +611,139 @@ func runShowdown(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults 
 	return nil
 }
 
-// emitFlags are the flags -emit reads: those that describe the instance.
-var emitFlags = strings.Fields("n window seed trace routes fixed-hops deg pods interpod interlinks flows skew matrix emit format")
+// modes are the commands that stop before planning, in order of
+// precedence: each is on when its flag is non-empty and reads the flags
+// listed, the profiles and its own. only are the flags no other command
+// reads, so a plan refuses them.
+var modes = []struct {
+	name        string
+	reads, only []string
+}{
+	{"stats", nil, nil},
+	{"emit", strings.Fields("n window seed trace routes fixed-hops deg pods interpod interlinks flows skew matrix"), []string{"format"}},
+	{"fig", strings.Fields("n window delta seed"), strings.Fields("scale out instances workers matcher node-sweep delta-sweep time-nodes")},
+}
+
+// checkMode returns the mode the flags select ("" plans a scenario),
+// refusing any flag set on the command line that the mode would ignore.
+func checkMode(fs *flag.FlagSet) (string, error) {
+	for _, m := range modes {
+		if fs.Lookup(m.name).Value.String() == "" {
+			continue
+		}
+		keep, dropped := slices.Concat(m.reads, m.only, []string{m.name, "cpuprofile", "memprofile"}), []string(nil)
+		fs.Visit(func(f *flag.Flag) {
+			if !slices.Contains(keep, f.Name) {
+				dropped = append(dropped, "-"+f.Name)
+			}
+		})
+		if dropped != nil {
+			return "", fmt.Errorf("-%s would ignore %s", m.name, strings.Join(dropped, " "))
+		}
+		return m.name, nil
+	}
+	for _, m := range modes {
+		for _, name := range m.only {
+			if isSet(fs, name) {
+				return "", fmt.Errorf("-%s needs -%s", name, m.name)
+			}
+		}
+	}
+	return "", nil
+}
+
+// isSet reports whether the flag was set on the command line.
+func isSet(fs *flag.FlagSet, name string) (set bool) {
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// figScale is the -scale profile with every override set on the command
+// line applied. A value out of range is refused, never ignored.
+func figScale(fs *flag.FlagSet) (experiment.Scale, error) {
+	var sc experiment.Scale
+	switch name := fs.Lookup("scale").Value.String(); name {
+	case "quick":
+		sc = experiment.Quick()
+	case "full":
+		sc = experiment.Full()
+	default:
+		return sc, fmt.Errorf("unknown scale %q (want quick or full)", name)
+	}
+	ints := map[string]*int{"n": &sc.Nodes, "window": &sc.Window, "delta": &sc.Delta, "instances": &sc.Instances, "workers": &sc.Workers}
+	sweeps := map[string]*[]int{"node-sweep": &sc.NodeSweep, "delta-sweep": &sc.DeltaSweep, "time-nodes": &sc.TimeNodeSweep}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		v := f.Value.(flag.Getter).Get()
+		switch {
+		case err != nil:
+		case ints[f.Name] != nil:
+			least := 1
+			if f.Name == "delta" {
+				least = 0
+			}
+			if v.(int) < least {
+				err = fmt.Errorf("-fig: -%s %d must be at least %d", f.Name, v, least)
+				return
+			}
+			*ints[f.Name] = v.(int)
+		case sweeps[f.Name] != nil:
+			*sweeps[f.Name], err = parseInts(v.(string))
+		case f.Name == "seed":
+			sc.Seed = v.(int64)
+		case f.Name == "matcher":
+			sc.Matcher, err = algo.ParseMatcher(v.(string))
+		}
+	})
+	return sc, err
+}
+
+// parseInts parses a comma-separated sweep of positive integers.
+func parseInts(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("bad sweep value %q (want a positive integer)", part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// runFigures prints the tables of fig (IDs, comma-separated, or "all" or
+// "ext") at scale sc and, with outDir set, writes each as outDir/figID.csv.
+func runFigures(stdout, stderr io.Writer, fig, outDir string, sc experiment.Scale) error {
+	ids := strings.Split(fig, ",")
+	switch fig {
+	case "all":
+		ids = experiment.FigureIDs()
+	case "ext":
+		ids = experiment.ExtensionIDs()
+	}
+	for _, id := range ids {
+		tab, err := experiment.Run(strings.TrimSpace(id), sc)
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", id, err)
+		}
+		if err := tab.Render(stdout); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout)
+		if outDir == "" {
+			continue
+		}
+		if err := os.MkdirAll(outDir, 0o755); err != nil {
+			return err
+		}
+		path := filepath.Join(outDir, "fig"+tab.ID+".csv")
+		if err := strictjson.WriteFile(path, tab.CSV); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "wrote %s\n", path)
+	}
+	return nil
+}
 
 // emitLoad writes sc's load to path ("-": stdout) in the named format: the
 // classic document (json), built before the output is created, or a flow

@@ -2,12 +2,8 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -123,57 +119,6 @@ func TestMetricsAndTraceOut(t *testing.T) {
 	}
 	if kinds["sched.config"] != kinds["sim.config"] {
 		t.Errorf("planned %d configs but simulated %d", kinds["sched.config"], kinds["sim.config"])
-	}
-}
-
-// TestServeEndpoints exercises -serve end to end: run replaces the blocking
-// serveHold seam with a probe that fetches the introspection endpoints from
-// the live server, then returns so the command exits.
-func TestServeEndpoints(t *testing.T) {
-	old := serveHold
-	defer func() { serveHold = old }()
-	bodies := map[string]string{}
-	var probeErr error
-	serveHold = func(_ context.Context, addr string) {
-		for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/cmdline"} {
-			resp, err := http.Get("http://" + addr + path)
-			if err != nil {
-				probeErr = err
-				return
-			}
-			b, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				probeErr = err
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				probeErr = fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-				return
-			}
-			bodies[path] = string(b)
-		}
-	}
-	args := []string{"-n", "8", "-window", "120", "-delta", "4", "-seed", "3",
-		"-algo", "octopus", "-serve", "127.0.0.1:0"}
-	if err := run(args, io.Discard, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if probeErr != nil {
-		t.Fatal(probeErr)
-	}
-	if !strings.Contains(bodies["/metrics"], "octopus_core_iterations_total ") {
-		t.Errorf("/metrics missing core counters:\n%s", bodies["/metrics"])
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(bodies["/debug/vars"]), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["octopus"]; !ok {
-		t.Error("/debug/vars missing the octopus section")
-	}
-	if len(bodies["/debug/pprof/cmdline"]) == 0 {
-		t.Error("/debug/pprof/cmdline returned nothing")
 	}
 }
 

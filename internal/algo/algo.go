@@ -1,6 +1,6 @@
 // Package algo is the unified algorithm registry: one Scheduler-facing
 // interface and result pipeline shared by every entry point in the
-// repository — cmd/mhsim, cmd/mhsbench, internal/experiment, the
+// repository — cmd/mhsim, cmd/mhsd, internal/experiment, the
 // differential harness internal/verify/diff, and the public façade.
 //
 // Every scheduling algorithm the paper evaluates (the Octopus core

@@ -179,23 +179,37 @@ func (p *Params) set(key, val string) error {
 		*dst = v
 		return nil
 	}
+	// A count, factor or fraction out of range would silently fall back
+	// to a default or the identity; 0 keeps meaning the default.
+	count := func(dst *int) error {
+		if err := parseInt(dst); err != nil || *dst >= 0 {
+			return err
+		}
+		return fmt.Errorf("option %s=%q: want an integer >= 0", key, val)
+	}
+	upTo := func(dst *float64, hi float64) error {
+		if err := parseFloat(dst); err != nil || *dst >= 0 && *dst <= hi {
+			return err
+		}
+		return fmt.Errorf("option %s=%q: want a number in [0, %g]", key, val, hi)
+	}
 	switch key {
 	case "ports":
 		return parseInt(&p.Ports)
 	case "par":
-		return parseInt(&p.Parallelism)
+		return count(&p.Parallelism)
 	case "pods":
-		return parseInt(&p.Pods)
+		return count(&p.Pods)
 	case "eps64":
 		return parseInt(&p.Epsilon64)
 	case "slots":
-		return parseInt(&p.SlotsPerMatching)
+		return count(&p.SlotsPerMatching)
 	case "red":
-		return parseInt(&p.Redundancy)
+		return count(&p.Redundancy)
 	case "crit":
-		return parseFloat(&p.CritFrac)
+		return upTo(&p.CritFrac, 1)
 	case "stretch":
-		return parseFloat(&p.Stretch)
+		return upTo(&p.Stretch, math.Inf(1))
 	case "multihop":
 		return parseBool(&p.MultiHop)
 	case "keeptrace":

@@ -117,6 +117,8 @@ func TestParseSpecErrors(t *testing.T) {
 // rate only a positive one whose budget rate·window fits an int. rate=0
 // used to run at the default 0.1, and NaN, ±Inf and 1e300 all planned as
 // if they were a rate. A Go caller's zero PacketRate keeps meaning 0.1.
+// The counts par, pods, slots and red and the factor stretch take no
+// negative value, crit only a fraction in [0, 1]; 0 is still the default.
 func TestSpecNumbersFailClosed(t *testing.T) {
 	base := Params{Window: 200, Delta: 5}
 	for _, tc := range []struct{ spec, want string }{
@@ -129,9 +131,27 @@ func TestSpecNumbersFailClosed(t *testing.T) {
 		{"hybrid:rate=5e16", "fits an int"}, // 1e19 slots: past MaxInt64
 		{"octopus-redundant:crit=NaN", "want a number (finite)"},
 		{"octopus-redundant:stretch=+Inf", "want a number (finite)"},
+		// Out of range: each once fell back to a default or the identity.
+		{"octopus:par=-1", "want an integer >= 0"},
+		{"rotornet:slots=-1", "want an integer >= 0"},
+		{"octopus-redundant:red=-1,crit=0.5", "want an integer >= 0"},
+		{"octopus-redundant:crit=2", "want a number in [0, 1]"},
+		{"octopus-redundant:crit=-1", "want a number in [0, 1]"},
+		{"octopus-redundant:stretch=-1", "want a number in [0, +Inf]"},
+		{"octopus-sharded:pods=-3", "want an integer >= 0"},
 	} {
 		if _, _, err := ParseSpec(tc.spec, base); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q: error %v, want substring %q", tc.spec, err, tc.want)
+		}
+	}
+	// 0 keeps meaning the default, and the benchmark's specs still parse.
+	for _, spec := range []string{
+		"octopus:par=0", "rotornet:slots=0", "octopus-redundant:red=0,crit=0,stretch=0",
+		"octopus-redundant:crit=1", "octopus-sharded:pods=0",
+		"octopus", "octopus:matcher=greedy", "octopus-sharded:matcher=greedy,pods=8",
+	} {
+		if _, _, err := ParseSpec(spec, base); err != nil {
+			t.Errorf("%q: %v", spec, err)
 		}
 	}
 	if _, p, err := ParseSpec("hybrid:rate=4e16", base); err != nil || p.PacketRate != 4e16 {
@@ -162,7 +182,7 @@ func TestSpecNumbersFailClosed(t *testing.T) {
 func TestSpecKeysCoverSetter(t *testing.T) {
 	vals := map[string]string{
 		"matcher": "greedy", "multihop": "true", "backtrack": "false",
-		"keeptrace": "true", "rate": "0.5",
+		"keeptrace": "true", "rate": "0.5", "crit": "0.5",
 	}
 	for _, key := range specKeys {
 		val, ok := vals[key]
@@ -184,4 +204,38 @@ func TestSpecKeysCoverSetter(t *testing.T) {
 			t.Errorf("unknown-key error does not list %s: %v", key, err)
 		}
 	}
+}
+
+// FuzzParseSpec: a spec string comes straight from the command line.
+// ParseSpec must not panic on any input, and every numeric field of a spec
+// it accepts is in its documented range.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"octopus", "octopus:par=4", "octopus-g:matcher=exact", "hybrid:rate=0.5",
+		"octopus-redundant:red=2,crit=0.5,stretch=1.5", "octopus-sharded:pods=8,par=2",
+		"rotornet:slots=3", "octopus:sample=1/64", "octopus-e:eps64=8", "octopus:ports=2,multihop=true",
+		"octopus:crit=2", "hybrid:rate=NaN", "octopus:par=-1", "octopus:=", "nope:x=1", ":",
+	} {
+		f.Add(seed)
+	}
+	base := Params{Window: 200, Delta: 5}
+	f.Fuzz(func(t *testing.T, spec string) {
+		_, p, err := ParseSpec(spec, base)
+		if err != nil {
+			return
+		}
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		switch {
+		case p.Parallelism < 0, p.Pods < 0, p.SlotsPerMatching < 0, p.Redundancy < 0, p.FlightSample < 0:
+			t.Fatalf("%q: negative count in %+v", spec, p)
+		case !finite(p.CritFrac) || p.CritFrac < 0 || p.CritFrac > 1:
+			t.Fatalf("%q: crit %v outside [0, 1]", spec, p.CritFrac)
+		case !finite(p.Stretch) || p.Stretch < 0:
+			t.Fatalf("%q: stretch %v", spec, p.Stretch)
+		case p.PacketRate != 0 && (!finite(p.PacketRate) || p.PacketRate < 0 || p.PacketRate*float64(p.Window) >= math.MaxInt64):
+			t.Fatalf("%q: rate %v", spec, p.PacketRate)
+		case p.Window != base.Window || p.Delta != base.Delta:
+			t.Fatalf("%q: the spec changed the instance: %+v", spec, p)
+		}
+	})
 }

@@ -2,7 +2,7 @@
 // evaluation (§8). A figure is a row of one table (figures.go): a sweep,
 // an instance overlay and the series to read off it; one runner turns any
 // row into a Table of averaged series, and Run dispatches by ID for
-// cmd/mhsbench. A Scale selects the paper's full parameters or a reduced
+// mhsim -fig. A Scale selects the paper's full parameters or a reduced
 // quick profile so tests and benchmarks share the same code paths.
 package experiment
 

@@ -1,8 +1,8 @@
-// Package httpd is the shared HTTP server lifecycle for the repository's
-// long-running binaries: mhsd and `mhsim -serve` both hold an
-// observability (or API) server open until interrupted, and both want the
-// same exit path — a context cancelled by SIGINT/SIGTERM and a graceful
-// drain of in-flight requests instead of a hard exit.
+// Package httpd is the HTTP server lifecycle of the repository's
+// long-running binary, mhsd: its API and observability server stays open
+// until interrupted, and exits through a context cancelled by
+// SIGINT/SIGTERM and a graceful drain of in-flight requests instead of a
+// hard exit.
 package httpd
 
 import (

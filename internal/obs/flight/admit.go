@@ -4,7 +4,7 @@ import "octopus/internal/traffic"
 
 // AdmitLoad records admission events for every tracked flow in a load at
 // the given epoch. This is the traffic-layer entry point for offline
-// drivers (mhsim, mhsbench) whose whole workload is admitted at once;
+// drivers (mhsim) whose whole workload is admitted at once;
 // online drivers admit per batch through the engine instead. A nil
 // recorder or load is a no-op.
 func AdmitLoad(r *Recorder, load *traffic.Load, epoch int) {

@@ -15,8 +15,8 @@ import (
 //	                 memstats, ...) plus the registry under "octopus"
 //	/debug/pprof/*   the standard net/http/pprof endpoints
 //
-// mhsim -serve mounts this handler on a real listener; tests mount it on
-// an httptest server.
+// mhsd's API server (internal/daemon) mounts this handler; tests mount it
+// on an httptest server.
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

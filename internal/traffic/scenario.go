@@ -28,7 +28,7 @@ type Scenario struct {
 
 	Deg        int     // >0: random partial fabric of this out-degree
 	Pods       int     // >0: pod fabric of Pods pods of N/Pods nodes
-	InterPod   float64 // pod-synthetic load: fraction of flows crossing pods
+	InterPod   float64 // pod-synthetic load: fraction of flows crossing pods (0 = none)
 	InterLinks int     // pod fabric: links per ordered pod pair (0 = min(4, pod size))
 
 	Trace     string // one of TraceNames; "" = the synthetic load
@@ -66,6 +66,10 @@ func (s Scenario) check(load bool) error {
 		return errors.New("-pods and -deg are mutually exclusive")
 	case (s.Flows > 0 || s.Skew > 0) && (s.Matrix != nil || s.Trace != "" || s.Pods > 0):
 		return errors.New("-flows and -skew shape only the synthetic load, not -matrix, -trace or -pods")
+	case s.InterLinks > 0 && s.Pods == 0:
+		return errors.New("-interlinks shapes only the pod fabric (-pods)")
+	case s.InterPod != 0 && (s.Pods == 0 || s.Trace != ""):
+		return errors.New("-interpod shapes only the pod-synthetic load (-pods without -trace)")
 	case s.Trace != "" && !slices.Contains(TraceNames, s.Trace):
 		return fmt.Errorf("unknown trace %q (want one of %v)", s.Trace, TraceNames)
 	}

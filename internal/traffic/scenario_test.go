@@ -22,6 +22,9 @@ func TestScenarioRejectsDroppedFlags(t *testing.T) {
 		{Scenario{N: 8, Window: 100, Trace: "fb-web", Skew: 40}, "-flows and -skew"},
 		{Scenario{N: 8, Window: 100, Pods: 2, Flows: 8}, "-flows and -skew"},
 		{Scenario{N: 8, Window: 100, Trace: "fb-nope"}, "unknown trace"},
+		{Scenario{N: 8, Window: 100, InterLinks: 3}, "-interlinks shapes only the pod fabric"},
+		{Scenario{N: 8, Window: 100, InterPod: 0.9}, "-interpod shapes only the pod-synthetic load"},
+		{Scenario{N: 8, Window: 100, Pods: 2, Trace: "fb-db", InterPod: 0.9}, "-interpod shapes only the pod-synthetic load"},
 	} {
 		rng := rand.New(rand.NewSource(1))
 		_, ferr := tc.sc.Fabric(rng)

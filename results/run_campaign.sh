@@ -1,8 +1,8 @@
 #!/bin/sh
 # Regenerates the EXPERIMENTS.md data set at the paper's scale: n=100,
 # W=10000, Delta=20, 10 seeded instances per point, node sweep to n=300,
-# Fig 10a to n=1000 and Fig 10b at n=1000 (mhsbench -scale full). Builds its
-# own mhsbench from the checkout it sits in and writes the CSVs and
+# Fig 10a to n=1000 and Fig 10b at n=1000 (mhsim -fig -scale full). Builds its
+# own mhsim from the checkout it sits in and writes the CSVs and
 # campaign.log beside itself (or into $OUT). An hour on a 2-vCPU host,
 # most of it Fig 10b; internal/experiment's TestQuickTablesGolden is the
 # sub-second pin of the same code.
@@ -12,7 +12,7 @@ root=$(cd "$here/.." && pwd)
 OUT=${OUT:-$here}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-(cd "$root" && go build -o "$tmp/mhsbench" ./cmd/mhsbench)
+(cd "$root" && go build -o "$tmp/mhsim" ./cmd/mhsim)
 
 cpus=$(nproc)
 start=$(date +%s)
@@ -30,14 +30,14 @@ commit=$(git -C "$root" rev-parse --short HEAD)
 # tables; it is written on any exit so a failed run shows how far it got.
 trap 'cat "$tmp/head" "$tmp/body" > "$OUT/campaign.log"; rm -rf "$tmp"' EXIT
 
-# run <figure> [mhsbench flags]: one figure at full scale, as many
+# run <figure> [mhsim -fig flags]: one figure at full scale, as many
 # instances in flight as there are CPUs (the mean does not depend on it).
 run() {
   fig=$1
   shift
   t0=$(date +%s)
   echo "=== fig $fig ==="
-  "$tmp/mhsbench" -scale full -workers "$cpus" -out "$OUT" -fig "$fig" "$@"
+  "$tmp/mhsim" -scale full -workers "$cpus" -out "$OUT" -fig "$fig" "$@"
   echo "  fig $fig: $(($(date +%s) - t0)) s" >> "$tmp/head"
 }
 {
