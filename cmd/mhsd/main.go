@@ -1,7 +1,10 @@
 // Command mhsd is the long-lived multihop scheduler daemon: it loads a
 // fabric, runs the epoch pipeline continuously (each epoch planned a
 // measured lead before its boundary), and serves the flow-submission API
-// plus the observability endpoints over HTTP until interrupted.
+// plus the observability endpoints over HTTP until interrupted. SIGINT or
+// SIGTERM cancels the serving context: daemon.Server.Run stops accepting,
+// lets in-flight requests finish and drains the backlog (bounded by
+// -drain-timeout) before mhsd exits; a second signal kills it at once.
 //
 // API sketch (see README "Running as a service" for examples):
 //
@@ -24,12 +27,13 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"octopus/internal/buildinfo"
 	"octopus/internal/core"
 	"octopus/internal/daemon"
-	"octopus/internal/httpd"
 	"octopus/internal/obs"
 	"octopus/internal/obs/flight"
 	"octopus/internal/traffic"
@@ -127,6 +131,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// SIGINT or SIGTERM starts the graceful drain. Once stop has run, a
+	// second signal kills the process, so a stuck shutdown can still be
+	// interrupted. Registered before -addr-file announces the address.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -137,9 +146,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-
-	ctx, stop := httpd.SignalContext(context.Background())
-	defer stop()
 	fmt.Fprintf(stdout, "mhsd: serving on http://%s (fabric: %d nodes, %d links; window %d, Δ %d, epoch %v)\n",
 		ln.Addr(), fabric.N(), fabric.M(), *window, *delta, *epoch)
 

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"octopus/internal/core"
 )
@@ -35,5 +39,39 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-trace-out", "/nonexistent-dir/trace.jsonl"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unwritable trace path accepted")
+	}
+}
+
+// TestSignalShutdown: SIGINT cancels the serving context, so mhsd drains
+// and returns cleanly instead of dying. The handler is registered before
+// -addr-file announces the address, so the signal cannot arrive unhandled.
+func TestSignalShutdown(t *testing.T) {
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	var stdout bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-n", "4", "-window", "20", "-delta", "2", "-epoch", "10ms"}, &stdout, io.Discard)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, err := os.Stat(addrFile); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("mhsd never wrote its address")
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown on SIGINT: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("mhsd did not stop on SIGINT")
+	}
+	if !strings.Contains(stdout.String(), "mhsd: shutdown complete") {
+		t.Fatalf("stdout %q", stdout.String())
 	}
 }

@@ -293,6 +293,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("algorithm %q does not support -faults (use one of: %s)",
 			a.Name(), strings.Join(algo.CoreNames(), ", "))
 	}
+	if (params.Redundancy != 0 || params.CritFrac != 0 || params.Stretch != 0) && *faultsPath == "" {
+		return fmt.Errorf("algorithm spec %q: red, crit and stretch need -faults: only the fault pipeline provisions copies", *algoSpec)
+	}
 	if *redundancy && *faultsPath == "" {
 		return fmt.Errorf("-redundancy needs -faults: the showdown replays a failure trace")
 	}

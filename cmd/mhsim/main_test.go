@@ -146,7 +146,7 @@ func TestScheduleFlagsWorkForBaselines(t *testing.T) {
 	// Pre-refactor mhsim silently ignored -gantt / -save-schedule / -v for
 	// baseline algorithms; the registry Outcome carries the schedule, so
 	// they now work uniformly for every schedule-producing algorithm.
-	for _, a := range []string{"eclipse-based", "rotornet", "eclipse"} {
+	for _, a := range []string{"eclipse-based", "rotornet", "eclipse-pp"} {
 		path := filepath.Join(t.TempDir(), "sched.json")
 		var out, errw bytes.Buffer
 		err := run([]string{"-n", "6", "-window", "60", "-delta", "4", "-seed", "2",
@@ -335,6 +335,13 @@ func TestRedundancyFlagGating(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "needs -redundancy") {
 		t.Fatalf("-redundancy-out without -redundancy: %v", err)
 	}
+	// The copy knobs are read by the fault pipeline alone.
+	for _, spec := range []string{"octopus:red=2", "octopus-g:crit=0.5", "octopus:stretch=3"} {
+		err = run([]string{"-n", "4", "-algo", spec}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "need -faults") {
+			t.Errorf("%s without -faults: %v", spec, err)
+		}
+	}
 }
 
 // TestRedundancyShowdownEndToEnd drives the full -redundancy pipeline:
@@ -354,7 +361,7 @@ func TestRedundancyShowdownEndToEnd(t *testing.T) {
 	var stdout bytes.Buffer
 	err := run([]string{
 		"-n", "6", "-window", "60", "-delta", "5", "-max-epochs", "4",
-		"-algo", "octopus-redundant:red=2,crit=1",
+		"-algo", "octopus:red=2,crit=1",
 		"-faults", tracePath, "-redundancy", "-redundancy-out", outPath,
 	}, &stdout, io.Discard)
 	if err != nil {
@@ -410,7 +417,7 @@ func TestFaultsWithRedundantSpec(t *testing.T) {
 	var stdout bytes.Buffer
 	err := run([]string{
 		"-n", "6", "-window", "60", "-delta", "5", "-max-epochs", "4",
-		"-algo", "octopus-redundant:red=2,crit=0.5",
+		"-algo", "octopus:red=2,crit=0.5",
 		"-faults", tracePath,
 	}, &stdout, io.Discard)
 	if err != nil {

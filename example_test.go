@@ -394,9 +394,7 @@ func ExampleRunAlgorithm() {
 	// chained             32.9/100.0   42.7/57.3   25.7/63.5   91.9/65.2   51.0/32.6
 	// octopus-plus         43.3/76.3   46.5/48.5   25.3/63.1   18.8/86.9   52.9/29.9
 	// octopus-random      35.0/100.0   41.2/66.2   25.3/63.1   53.9/92.2   49.8/39.7
-	// octopus-redundant   35.0/100.0   41.2/66.2   25.3/63.1   53.9/92.2   49.8/39.7
 	// octopus-sharded     35.0/100.0   41.2/66.2   25.3/63.1   53.9/92.2   49.8/39.7
-	// eclipse              39.8/99.0   57.7/77.8   51.4/66.8   90.2/69.3   71.6/38.4
 	// eclipse-based        17.9/75.6   25.0/54.5   23.7/51.3   12.8/33.0   28.0/21.8
 	// eclipse-pp           29.2/40.9   46.1/64.5   25.7/20.8    12.8/4.7   32.6/11.0
 	// rotornet              6.7/18.5     2.2/4.7     0.0/7.5     0.0/0.0     1.9/3.2

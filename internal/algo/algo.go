@@ -15,7 +15,7 @@
 //
 //	name[:key=value,...]
 //
-// e.g. "octopus-e:eps64=8" or "octopus-redundant:red=2,crit=0.5"; see
+// e.g. "octopus-e:eps64=8" or "octopus-g:ports=2"; see
 // ParseSpec for the key set. Running an algorithm yields a uniform *Outcome that
 // carries the planned schedule (when one exists), the delivered / hops /
 // ψ / reconfiguration metrics every consumer reports, and everything the
@@ -167,11 +167,10 @@ func (o *Outcome) planned(res *core.Result) {
 }
 
 // measured overwrites o's authoritative metrics with the packet-level
-// replay sim. Without redundant copies the deduplicated counts are the raw
-// ones.
+// replay sim.
 func (o *Outcome) measured(sim *simulate.Result) {
-	o.Delivered = sim.UniqueDelivered
-	o.Total = sim.UniqueTotal
+	o.Delivered = sim.Delivered
+	o.Total = sim.TotalPackets
 	o.Hops = sim.Hops
 	o.Psi = sim.Psi
 	o.ActiveLinkSlots = sim.ActiveLinkSlots
@@ -247,18 +246,21 @@ func (o *Outcome) Verify() (*verify.Report, error) {
 // hybrid and bound entries).
 var registry []Algorithm
 
-// Register adds an algorithm to the registry. It panics on a duplicate or
-// empty name; registration happens once, at package init.
-func Register(a Algorithm) {
+// keysOf maps each registered name to the spec keys its algorithm reads.
+var keysOf = map[string][]string{}
+
+// Register adds an algorithm to the registry with the spec keys it reads
+// (see ParseSpec). It panics on a duplicate or empty name; registration
+// happens once, at package init.
+func Register(a Algorithm, keys ...string) {
 	if a.Name() == "" {
 		panic("algo: Register with empty name")
 	}
-	for _, r := range registry {
-		if r.Name() == a.Name() {
-			panic(fmt.Sprintf("algo: duplicate registration of %q", a.Name()))
-		}
+	if _, dup := keysOf[a.Name()]; dup {
+		panic(fmt.Sprintf("algo: duplicate registration of %q", a.Name()))
 	}
 	registry = append(registry, a)
+	keysOf[a.Name()] = keys
 }
 
 // Registry returns every registered algorithm in deterministic canonical

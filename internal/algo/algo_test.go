@@ -53,9 +53,7 @@ func TestRegistryCompleteness(t *testing.T) {
 			if out.Hops < out.Delivered {
 				t.Errorf("delivered %d over %d hops", out.Delivered, out.Hops)
 			}
-			// Eclipse reports against its one-hop decomposition, whose total
-			// exceeds the packet count; everyone else reports the offered load.
-			if a.Name() != "eclipse" && out.Total != offered {
+			if out.Total != offered {
 				t.Errorf("total %d, offered %d", out.Total, offered)
 			}
 			if (a.Kind() == Offline) != (out.Schedule != nil) && a.Name() != "hybrid" {
@@ -91,7 +89,7 @@ func TestRegistryDeterministic(t *testing.T) {
 }
 
 // TestRegistryRunsDoNotMutateLoad guards the Algorithm contract: Run must
-// not modify the caller's load (octopus-random and eclipse resolve clones).
+// not modify the caller's load (octopus-random and the Eclipse baselines resolve clones).
 func TestRegistryRunsDoNotMutateLoad(t *testing.T) {
 	g, load := testInstance(t, 31)
 	pristine := load.Clone()
@@ -146,12 +144,12 @@ func TestRegistryListing(t *testing.T) {
 	for _, n := range CoreNames() {
 		coreSet[n] = true
 	}
-	for _, n := range []string{"octopus", "octopus-g", "octopus-b", "octopus-e", "chained", "octopus-plus", "octopus-random", "octopus-redundant"} {
+	for _, n := range []string{"octopus", "octopus-g", "octopus-b", "octopus-e", "chained", "octopus-plus", "octopus-random"} {
 		if !coreSet[n] {
 			t.Errorf("%s missing from CoreNames()", n)
 		}
 	}
-	for _, n := range []string{"rotornet", "ub", "hybrid", "eclipse", "eclipse-based", "eclipse-pp"} {
+	for _, n := range []string{"rotornet", "ub", "hybrid", "eclipse-based", "eclipse-pp"} {
 		if coreSet[n] {
 			t.Errorf("%s wrongly classified as core", n)
 		}

@@ -68,20 +68,6 @@ func runEclipse(g *graph.Digraph, load *traffic.Load, p Params, weighted bool) (
 	return oh, s, res, nil
 }
 
-// eclipse is the pure one-hop Eclipse scheduler over the unordered hop
-// decomposition: its plan claim is exact for that load (the decomposition
-// is what the outcome carries and is validated against).
-func eclipse(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome, error) {
-	oh, _, res, err := runEclipse(g, load, p, false)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{Fabric: g, Load: oh, Schedule: res.Schedule}
-	out.planned(res)
-	out.VerifyOpt = verify.Options{Window: p.Window, Claim: out.Plan.claim()}
-	return out, nil
-}
-
 // eclipseBased is the multi-hop baseline the paper compares against (§8,
 // "Algorithms Compared"): run Eclipse over T^one to obtain a near-optimal
 // configuration sequence, then route the original multi-hop traffic over

@@ -15,11 +15,6 @@ type coreAlgo struct {
 	name     string
 	describe string
 	prep     func(load *traffic.Load, p Params) (*traffic.Load, core.Options, error)
-	// provision, when set, expands the prepared load into redundant copies
-	// and returns the group map Run measures with. It is not part of prep:
-	// CoreOptions stays the identity, because the fault pipeline provisions
-	// the load itself before driving the variant over the expanded flows.
-	provision func(g *graph.Digraph, load *traffic.Load, p Params) (*traffic.Load, *traffic.Redundancy)
 }
 
 func (a *coreAlgo) Name() string     { return a.name }
@@ -50,10 +45,6 @@ func (a *coreAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome
 	runLoad, opt, err := a.prep(load, p)
 	if err != nil {
 		return nil, err
-	}
-	var red *traffic.Redundancy
-	if a.provision != nil {
-		runLoad, red = a.provision(g, runLoad, p)
 	}
 	s, err := core.New(g, runLoad, opt)
 	if err != nil {
@@ -91,9 +82,7 @@ func (a *coreAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome
 	// bookkeeping, so the bulk claim stays exact; the multi-hop replay the
 	// schedule is designed for is additionally validated, but without a
 	// bound (chained arrivals compete with resident packets, so delivery
-	// may land on either side of the one-hop plan). With redundant copies
-	// the claim is the raw per-copy plan; deduplication happens on top of
-	// it, never inside it.
+	// may land on either side of the one-hop plan).
 	out.VerifyOpt.Claim = out.Plan.claim()
 	if opt.MultiHop {
 		sch, w := res.Schedule, opt.Window
@@ -105,13 +94,12 @@ func (a *coreAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome
 		}
 	}
 	sim, err := simulate.Run(g, runLoad, res.Schedule, simulate.Options{
-		Window:     opt.Window,
-		MultiHop:   opt.MultiHop,
-		Ports:      opt.Ports,
-		Epsilon64:  opt.Epsilon64,
-		Redundancy: red,
-		Obs:        opt.Obs,
-		Flight:     p.Flight,
+		Window:    opt.Window,
+		MultiHop:  opt.MultiHop,
+		Ports:     opt.Ports,
+		Epsilon64: opt.Epsilon64,
+		Obs:       opt.Obs,
+		Flight:    p.Flight,
 	})
 	if err != nil {
 		return nil, err

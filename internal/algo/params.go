@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,13 +53,13 @@ type Params struct {
 	// (the ext-backtrack ablation).
 	DisableBacktrack bool
 
-	// Redundancy, CritFrac and Stretch configure octopus-redundant's
-	// proactive multipath provisioning: the top CritFrac fraction of flows
-	// (largest first) is provisioned with up to Redundancy pairwise
-	// edge-disjoint route copies, alternates capped at Stretch × the
-	// primary hop count. Redundancy 0 selects the default 2, Stretch 0 the
-	// default 2.0; CritFrac 0 (the default) disables provisioning, making
-	// octopus-redundant bit-identical to plain octopus.
+	// Redundancy, CritFrac and Stretch configure the proactive multipath
+	// copies the fault pipeline (mhsim -faults) provisions for a core
+	// planner: the top CritFrac fraction of flows (largest first) is
+	// provisioned with up to Redundancy pairwise edge-disjoint route
+	// copies, alternates capped at Stretch × the primary hop count.
+	// Redundancy 0 selects the default 2, Stretch 0 the default 2.0;
+	// CritFrac 0 (the default) disables provisioning.
 	Redundancy int
 	CritFrac   float64
 	Stretch    float64
@@ -122,8 +123,12 @@ func ParseMatcher(s string) (core.Matcher, error) {
 // ports, par, pods, eps64, slots, red (integers), sample (N or 1/N),
 // crit, stretch, rate (numbers), multihop, backtrack, keeptrace (booleans;
 // backtrack=false disables Octopus+ backtracking), and matcher
-// (exact|greedy). The instance — window, Δ, seed — is base's alone: every
-// entry point sets it from its own flags.
+// (exact|greedy). A key the named algorithm never reads is an error: each
+// entry takes the keys it was registered with, every entry takes sample
+// (the flight recorder's sampling, applied by whoever builds the recorder)
+// and core planners take red, crit and stretch (the copies the fault
+// pipeline provisions). The instance — window, Δ, seed — is base's alone:
+// every entry point sets it from its own flags.
 func ParseSpec(spec string, base Params) (Algorithm, Params, error) {
 	name, opts, hasOpts := strings.Cut(spec, ":")
 	a, ok := Lookup(name)
@@ -134,11 +139,20 @@ func ParseSpec(spec string, base Params) (Algorithm, Params, error) {
 	if !hasOpts {
 		return a, p, nil
 	}
+	reads := append([]string{"sample"}, keysOf[name]...)
+	if IsCore(a) {
+		reads = append(reads, "crit", "red", "stretch")
+	}
 	for _, kv := range strings.Split(opts, ",") {
 		key, val, ok := strings.Cut(kv, "=")
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		if !ok || key == "" || val == "" {
 			return nil, base, fmt.Errorf("algorithm spec %q: malformed option %q (want key=value)", spec, kv)
+		}
+		if slices.Contains(specKeys, key) && !slices.Contains(reads, key) {
+			slices.Sort(reads)
+			return nil, base, fmt.Errorf("algorithm spec %q: %s never reads option %q (it reads: %s)",
+				spec, name, key, strings.Join(reads, ", "))
 		}
 		if err := p.set(key, val); err != nil {
 			return nil, base, fmt.Errorf("algorithm spec %q: %w", spec, err)

@@ -113,6 +113,52 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecRefusesUnreadKeys: a key the named entry never reads is an
+// error that lists the keys it does read. Each of these specs once printed
+// the result of the bare name.
+func TestParseSpecRefusesUnreadKeys(t *testing.T) {
+	base := Params{Window: 200, Delta: 5}
+	for _, tc := range []struct{ spec, reads string }{
+		{"octopus:rate=0.2", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
+		{"octopus:slots=7", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
+		{"octopus:pods=4", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
+		{"octopus:backtrack=false", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
+		{"octopus-g:matcher=exact", "crit, eps64, multihop, par, ports, red, sample, stretch"},
+		{"chained:multihop=false", "crit, eps64, matcher, par, ports, red, sample, stretch"},
+		{"rotornet:multihop=true", "sample, slots"},
+		{"eclipse-based:eps64=64", "matcher, sample"},
+		{"eclipse-pp:ports=2", "matcher, sample"},
+		{"ub:crit=0.5", "matcher, sample"},
+		{"hybrid:red=2", "eps64, matcher, multihop, par, ports, rate, sample"},
+	} {
+		name, opt, _ := strings.Cut(tc.spec, ":")
+		key, _, _ := strings.Cut(opt, "=")
+		want := name + ` never reads option "` + key + `" (it reads: ` + tc.reads + ")"
+		if _, _, err := ParseSpec(tc.spec, base); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want substring %q", tc.spec, err, want)
+		}
+	}
+	// The fault pipeline's copy knobs belong to the core planners alone.
+	for _, a := range Registry() {
+		for _, kv := range []string{"red=2", "crit=0.5", "stretch=1.5"} {
+			if _, _, err := ParseSpec(a.Name()+":"+kv, base); (err == nil) != IsCore(a) {
+				t.Errorf("%s:%s: error %v, core planner %v", a.Name(), kv, err, IsCore(a))
+			}
+		}
+	}
+	// Specs the repository spells out (figures, CI, README, benchmark).
+	for _, spec := range []string{
+		"octopus-e:eps64=8", "octopus-b:matcher=greedy", "octopus-g:ports=2", "octopus:ports=2",
+		"octopus-plus:backtrack=false", "octopus-plus:backtrack=false,keeptrace=true", "rotornet:slots=50",
+		"hybrid:rate=0.25", "hybrid:rate=0.5,matcher=greedy", "octopus-sharded:pods=4,par=2",
+		"octopus:red=2,crit=0.5", "octopus-g:sample=1/64", "ub:matcher=greedy", "eclipse-pp:sample=8",
+	} {
+		if _, _, err := ParseSpec(spec, base); err != nil {
+			t.Errorf("%q: %v", spec, err)
+		}
+	}
+}
+
 // TestSpecNumbersFailClosed: a number key takes only finite values, and
 // rate only a positive one whose budget rate·window fits an int. rate=0
 // used to run at the default 0.1, and NaN, ±Inf and 1e300 all planned as
@@ -129,15 +175,15 @@ func TestSpecNumbersFailClosed(t *testing.T) {
 		{"hybrid:rate=-Inf", "want a number (finite)"},
 		{"hybrid:rate=1e300", "fits an int"},
 		{"hybrid:rate=5e16", "fits an int"}, // 1e19 slots: past MaxInt64
-		{"octopus-redundant:crit=NaN", "want a number (finite)"},
-		{"octopus-redundant:stretch=+Inf", "want a number (finite)"},
+		{"octopus:crit=NaN", "want a number (finite)"},
+		{"octopus:stretch=+Inf", "want a number (finite)"},
 		// Out of range: each once fell back to a default or the identity.
 		{"octopus:par=-1", "want an integer >= 0"},
 		{"rotornet:slots=-1", "want an integer >= 0"},
-		{"octopus-redundant:red=-1,crit=0.5", "want an integer >= 0"},
-		{"octopus-redundant:crit=2", "want a number in [0, 1]"},
-		{"octopus-redundant:crit=-1", "want a number in [0, 1]"},
-		{"octopus-redundant:stretch=-1", "want a number in [0, +Inf]"},
+		{"octopus:red=-1,crit=0.5", "want an integer >= 0"},
+		{"octopus:crit=2", "want a number in [0, 1]"},
+		{"octopus:crit=-1", "want a number in [0, 1]"},
+		{"octopus:stretch=-1", "want a number in [0, +Inf]"},
 		{"octopus-sharded:pods=-3", "want an integer >= 0"},
 	} {
 		if _, _, err := ParseSpec(tc.spec, base); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -146,8 +192,8 @@ func TestSpecNumbersFailClosed(t *testing.T) {
 	}
 	// 0 keeps meaning the default, and the benchmark's specs still parse.
 	for _, spec := range []string{
-		"octopus:par=0", "rotornet:slots=0", "octopus-redundant:red=0,crit=0,stretch=0",
-		"octopus-redundant:crit=1", "octopus-sharded:pods=0",
+		"octopus:par=0", "rotornet:slots=0", "octopus:red=0,crit=0,stretch=0",
+		"octopus:crit=1", "octopus-sharded:pods=0",
 		"octopus", "octopus:matcher=greedy", "octopus-sharded:matcher=greedy,pods=8",
 	} {
 		if _, _, err := ParseSpec(spec, base); err != nil {
@@ -212,7 +258,7 @@ func TestSpecKeysCoverSetter(t *testing.T) {
 func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
 		"octopus", "octopus:par=4", "octopus-g:matcher=exact", "hybrid:rate=0.5",
-		"octopus-redundant:red=2,crit=0.5,stretch=1.5", "octopus-sharded:pods=8,par=2",
+		"octopus:red=2,crit=0.5,stretch=1.5", "octopus-sharded:pods=8,par=2",
 		"rotornet:slots=3", "octopus:sample=1/64", "octopus-e:eps64=8", "octopus:ports=2,multihop=true",
 		"octopus:crit=2", "hybrid:rate=NaN", "octopus:par=-1", "octopus:=", "nope:x=1", ":",
 	} {

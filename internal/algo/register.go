@@ -5,33 +5,40 @@ import (
 	"octopus/internal/traffic"
 )
 
+// baseKeys are the spec keys baseOptions maps onto core.Options: every
+// entry that plans through it reads them.
+var baseKeys = []string{"eps64", "matcher", "multihop", "par", "ports"}
+
 // init registers the full roster in the canonical display order: the
 // Octopus core family, then the baselines, then the hybrid and bound
-// entries. Adding an algorithm means implementing Algorithm in one
-// file and appending a Register call here — every CLI, experiment runner,
-// and the differential verification suite picks it up from the registry.
+// entries, each with the spec keys it reads (ParseSpec refuses the rest).
+// Adding an algorithm means implementing Algorithm in one file and
+// appending a Register call here — every CLI, experiment runner, and the
+// differential verification suite picks it up from the registry.
 func init() {
-	Register(octopusAlgo())
-	Register(octopusGAlgo())
-	Register(octopusBAlgo())
-	Register(octopusEAlgo())
-	Register(chainedAlgo())
-	Register(octopusPlusAlgo())
-	Register(octopusRandomAlgo())
-	Register(octopusRedundantAlgo())
-	Register(octopusShardedAlgo())
-	Register(&funcAlgo{"eclipse", Offline, eclipse,
-		"Eclipse one-hop scheduler over the unordered hop decomposition (plan bookkeeping, not a multi-hop replay)"})
+	Register(octopusAlgo(), baseKeys...)
+	Register(octopusGAlgo(), "eps64", "multihop", "par", "ports") // the matcher is greedy
+	Register(octopusBAlgo(), baseKeys...)
+	Register(octopusEAlgo(), baseKeys...)
+	Register(chainedAlgo(), "eps64", "matcher", "par", "ports") // multihop is on
+	Register(octopusPlusAlgo(), append([]string{"backtrack", "keeptrace"}, baseKeys...)...)
+	Register(octopusRandomAlgo(), baseKeys...)
+	Register(octopusShardedAlgo(), append([]string{"pods"}, baseKeys...)...)
 	Register(&funcAlgo{"eclipse-based", Offline, eclipseBased,
-		"Eclipse-Based baseline (§8): one-hop Eclipse over the hop decomposition, VOQ-replayed on the multi-hop load"})
+		"Eclipse-Based baseline (§8): one-hop Eclipse over the hop decomposition, VOQ-replayed on the multi-hop load"},
+		"matcher")
 	Register(&funcAlgo{"eclipse-pp", Offline, eclipsePP,
-		"Eclipse-Based via Eclipse++ ([36]): time-expanded re-routing of the multi-hop load over the Eclipse sequence"})
+		"Eclipse-Based via Eclipse++ ([36]): time-expanded re-routing of the multi-hop load over the Eclipse sequence"},
+		"matcher")
 	Register(&funcAlgo{"rotornet", Offline, rotorNet,
-		"RotorNet baseline (§8): traffic-agnostic round-robin rotor matchings, replayed on the load"})
+		"RotorNet baseline (§8): traffic-agnostic round-robin rotor matchings, replayed on the load"},
+		"slots")
 	Register(&funcAlgo{"hybrid", Offline, hybrid,
-		"Hybrid circuit/packet scheme (§7): packet network absorbs rate·W per port (rate=0.1), Octopus schedules the rest"})
+		"Hybrid circuit/packet scheme (§7): packet network absorbs rate·W per port (rate=0.1), Octopus schedules the rest"},
+		append([]string{"rate"}, baseKeys...)...)
 	Register(&funcAlgo{"ub", Bound, upperBound,
-		"UB upper bound (§8): Eclipse on the unordered hop decomposition, a packet counts once all hops are served"})
+		"UB upper bound (§8): Eclipse on the unordered hop decomposition, a packet counts once all hops are served"},
+		"matcher")
 }
 
 // funcAlgo registers a run that builds its own *Outcome; Run stamps the

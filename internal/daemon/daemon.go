@@ -14,6 +14,11 @@
 // octopus_daemon_plan_overruns_total, and flips the daemon into an
 // overloaded state in which flow submissions are rejected with 429 until a
 // plan lands inside the budget again — that is the backpressure policy.
+//
+// Server.Run owns the whole lifecycle: it serves the API until its context
+// is cancelled, then shuts the HTTP server down gracefully (in-flight
+// requests get a grace period) and drains the backlog; a listener that
+// fails on its own ends the run with its error.
 package daemon
 
 import (
@@ -30,7 +35,6 @@ import (
 	"octopus/internal/core"
 	"octopus/internal/engine"
 	"octopus/internal/graph"
-	"octopus/internal/httpd"
 	"octopus/internal/obs"
 	"octopus/internal/obs/flight"
 )
@@ -192,9 +196,10 @@ func New(opt Options) (*Server, error) {
 }
 
 // Run serves the API on ln and drives the epoch loop until ctx is
-// cancelled, then shuts the HTTP server down gracefully and drains the
-// in-flight and backlogged epochs (bounded by DrainTimeout). Returns nil
-// on a clean shutdown.
+// cancelled, then shuts the HTTP server down gracefully — in-flight
+// requests get serveGrace to finish before they are closed — and drains
+// the backlogged epochs (bounded by DrainTimeout). Returns nil on a clean
+// shutdown, and the serve error at once if the listener fails on its own.
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	loopCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -203,7 +208,19 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 		s.loop(loopCtx)
 	}()
 	srv := &http.Server{Handler: s.Handler()}
-	err := httpd.Serve(ctx, srv, ln, serveGrace)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served: // the listener failed; nothing to drain
+	case <-ctx.Done():
+		sctx, stop := context.WithTimeout(context.Background(), serveGrace)
+		if err = srv.Shutdown(sctx); err != nil {
+			srv.Close()
+		}
+		stop()
+		<-served // http.ErrServerClosed once Shutdown has begun
+	}
 	cancel()
 	<-s.done
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {

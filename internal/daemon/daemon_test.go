@@ -536,6 +536,47 @@ func TestDaemonDrainsOnShutdown(t *testing.T) {
 	}
 }
 
+// TestRunGracefulShutdown: requests are answered until the context is
+// cancelled, after which Run drains the HTTP server and returns nil and the
+// listener no longer accepts.
+func TestRunGracefulShutdown(t *testing.T) {
+	_, base, shutdown := testServer(t, Options{
+		Fabric: graph.Complete(4),
+		Core:   core.Options{Window: 20, Delta: 2},
+	})
+	var er epochsResp
+	getJSON(t, base+"/v1/epochs", &er)
+	shutdown() // fails the test unless Run returns nil
+	if resp, err := http.Get(base + "/v1/epochs"); err == nil {
+		resp.Body.Close()
+		t.Fatal("server still answering after a clean shutdown")
+	}
+}
+
+// TestRunListenerFailure: a listener that dies on its own ends Run with the
+// serve error instead of hanging until the context is cancelled.
+func TestRunListenerFailure(t *testing.T) {
+	s, err := New(Options{Fabric: graph.Complete(4), Core: core.Options{Window: 20, Delta: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Run(context.Background(), ln) }()
+	ln.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Run returned nil after the listener failed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not notice the dead listener")
+	}
+}
+
 func TestDecodeFlowRequests(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

@@ -122,15 +122,6 @@ func (t *Trace) Validate(g *graph.Digraph) error {
 	return nil
 }
 
-// Surviving returns the subgraph of g that is up at the given slot: every
-// edge except failed links and links incident to failed nodes, considering
-// all events with At <= slot.
-func (t *Trace) Surviving(g *graph.Digraph, slot int) *graph.Digraph {
-	c := t.Cursor()
-	c.AdvanceTo(slot)
-	return c.SurvivingOf(g)
-}
-
 // Cursor returns a new cursor positioned before slot 0. A nil trace yields
 // a cursor over no events.
 func (t *Trace) Cursor() *Cursor {

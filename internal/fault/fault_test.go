@@ -94,6 +94,9 @@ func TestCursorBackwardsPanics(t *testing.T) {
 	c.AdvanceTo(5)
 }
 
+// TestSurviving: the fabric a cursor leaves usable at a slot drops failed
+// links and every link of a failed node, considering all events with
+// At <= slot.
 func TestSurviving(t *testing.T) {
 	g := graph.Complete(4)
 	tr := &Trace{Events: []Event{
@@ -101,7 +104,9 @@ func TestSurviving(t *testing.T) {
 		{At: 0, Kind: NodeDown, Node: 3},
 		{At: 100, Kind: NodeUp, Node: 3},
 	}}
-	s := tr.Surviving(g, 0)
+	c := tr.Cursor()
+	c.AdvanceTo(0)
+	s := c.SurvivingOf(g)
 	if s.HasEdge(0, 1) {
 		t.Fatal("failed link survived")
 	}
@@ -115,12 +120,13 @@ func TestSurviving(t *testing.T) {
 			t.Fatal("link incident to a down node survived")
 		}
 	}
-	if got := tr.Surviving(g, 100).M(); got != g.M()-1 {
+	c.AdvanceTo(100)
+	if got := c.SurvivingOf(g).M(); got != g.M()-1 {
 		t.Fatalf("after node recovery %d links, want %d", got, g.M()-1)
 	}
 	// Nil trace: everything survives.
 	var nilTrace *Trace
-	if nilTrace.Surviving(g, 0).M() != g.M() {
+	if nilTrace.Cursor().SurvivingOf(g).M() != g.M() {
 		t.Fatal("nil trace dropped links")
 	}
 }

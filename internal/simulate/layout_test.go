@@ -24,14 +24,13 @@ import (
 // refGroup is a group as the one-at-a-time build held it: by value, with
 // the flow's ID and route in it.
 type refGroup struct {
-	flowID      int
-	route       traffic.Route
-	wlen        int
-	prio        int64
-	pos         int
-	count       int
-	avail       int
-	dup, member bool
+	flowID int
+	route  traffic.Route
+	wlen   int
+	prio   int64
+	pos    int
+	count  int
+	avail  int
 }
 
 // refInsert is the build newState replaced, kept as its oracle: find the
@@ -63,11 +62,10 @@ func refQueues(g *graph.Digraph, load *traffic.Load, opt Options) [][]refGroup {
 		f := &load.Flows[i]
 		r := f.Routes[0]
 		wl := f.WeightLen(r)
-		_, member := opt.Redundancy.GroupOf(f.ID)
 		id := g.LinkID(r[0], r[1])
 		queues[id] = refInsert(queues[id], refGroup{
 			flowID: f.ID, route: r, wlen: wl, prio: traffic.HopWeight(wl, 0, opt.Epsilon64),
-			count: f.Size, dup: opt.Redundancy.Duplicate(f.ID), member: member,
+			count: f.Size,
 		})
 	}
 	return queues
@@ -85,7 +83,7 @@ func queuesOf(t *testing.T, st *state) [][]refGroup {
 			}
 			queues[id] = append(queues[id], refGroup{
 				flowID: st.id(gr), route: st.route(gr), wlen: int(gr.wlen), prio: gr.prio, pos: int(gr.pos),
-				count: int(gr.count), avail: int(gr.avail), dup: gr.dup, member: gr.grouped,
+				count: int(gr.count), avail: int(gr.avail),
 			})
 		}
 	}
@@ -116,7 +114,7 @@ func layoutLoad(rng *rand.Rand, g *graph.Digraph, flows int) *traffic.Load {
 // TestBulkBuildEqualsIncrementalInsert: count, carve, deal and sort once
 // leaves every queue as inserting the flows one at a time leaves it, whether
 // flow IDs ascend in load order (prio-only sort) or are shuffled (full
-// comparator), with multi-route flows, an ε and redundancy groups in play.
+// comparator), with multi-route flows and an ε in play.
 func TestBulkBuildEqualsIncrementalInsert(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -125,15 +123,6 @@ func TestBulkBuildEqualsIncrementalInsert(t *testing.T) {
 		opt := Options{Epsilon64: []int{0, 0, 7, 64}[rng.Intn(4)]}
 		if seed%3 == 1 {
 			rng.Shuffle(len(load.Flows), func(i, j int) { load.Flows[i], load.Flows[j] = load.Flows[j], load.Flows[i] })
-		}
-		red := &traffic.Redundancy{Group: map[int]int{}}
-		for i := range load.Flows {
-			if rng.Intn(4) == 0 {
-				red.Group[load.Flows[i].ID] = load.Flows[rng.Intn(i+1)].ID
-			}
-		}
-		if seed%2 == 0 {
-			opt.Redundancy = red
 		}
 		if err := load.Validate(g); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

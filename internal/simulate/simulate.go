@@ -65,15 +65,6 @@ type Options struct {
 	// TrackFlows records per-flow delivery counts in Result.FlowDelivered.
 	TrackFlows bool
 
-	// Redundancy identifies proactive copy groups in the load (see
-	// traffic.Provision): delivery is deduplicated per group — a
-	// packet counts once, at its first copy's arrival, so a group
-	// contributes max-over-copies delivered packets — into
-	// Result.UniqueDelivered / UniqueTotal, and the ψ and packet-hops spent
-	// moving non-primary copies are charged to Result.DupPsi / DupHops.
-	// nil (or an empty group map) leaves Unique* mirroring the raw metrics.
-	Redundancy *traffic.Redundancy
-
 	// Faults injects a deterministic failure trace (see internal/fault):
 	// a link that is down — or has a down endpoint — at a slot cannot
 	// carry packets during that slot, so packets wait at their current
@@ -89,7 +80,7 @@ type Options struct {
 	Obs *obs.Observer
 
 	// Flight receives per-flow lifecycle events for tracked flows: hop
-	// advances, deliveries, stranded packets, and redundant-copy dedup.
+	// advances, deliveries and stranded packets.
 	// Epochs in the recorded events are global slot numbers (the replay's
 	// time unit). nil disables recording; like Obs, the recorder is
 	// strictly read-only — the measured Result is identical either way.
@@ -124,29 +115,6 @@ type Result struct {
 	// Stranded counts undelivered packets that ended the replay at an
 	// intermediate node: past their source, short of their destination.
 	Stranded int
-
-	// UniqueDelivered / UniqueTotal are the redundancy-deduplicated
-	// delivery metrics (see Options.Redundancy): duplicate copies do not
-	// add to the offered total, and a copy group counts each packet once,
-	// at its first copy's arrival. They mirror Delivered / TotalPackets
-	// when no redundancy is configured.
-	UniqueDelivered int
-	UniqueTotal     int
-
-	// DupHops and DupPsi are the packet-hops and ψ spent moving
-	// non-primary redundant copies: the overhead the provisioning costs
-	// (always 0 without Options.Redundancy).
-	DupHops int
-	DupPsi  int64
-}
-
-// UniqueDeliveredFraction returns UniqueDelivered / UniqueTotal (0 for
-// empty loads).
-func (r *Result) UniqueDeliveredFraction() float64 {
-	if r.UniqueTotal == 0 {
-		return 0
-	}
-	return float64(r.UniqueDelivered) / float64(r.UniqueTotal)
 }
 
 // DeliveredFraction returns Delivered / TotalPackets (0 for empty loads).
@@ -189,8 +157,6 @@ type group struct {
 	// route and wlen the hop count their ψ weight derives from, all at most
 	// traffic.MaxRouteLen.
 	pos, hops, wlen int16
-	dup             bool // non-primary redundant copy: ψ/hops charged as overhead
-	grouped         bool // in a redundancy group: its deliveries are deduplicated
 }
 
 // linkQueue is the VOQ holding packets at a node whose next hop uses a
@@ -216,12 +182,7 @@ type state struct {
 	free   []int32     // drained groups that no queue holds any more
 	queues []linkQueue // indexed by graph.Digraph.LinkID
 	flight *flight.Recorder
-	red    *traffic.Redundancy
-	// copyDelivered tracks per-copy delivery for grouped flows only, so
-	// finishRedundancy can deduplicate per group.
-	copyDelivered map[int]int
-	dupTotal      int // packets offered by non-primary copies
-	res           Result
+	res    Result
 }
 
 // id returns the ID of the flow the group's packets belong to.
@@ -245,10 +206,6 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 	if opt.TrackFlows {
 		st.res.FlowDelivered = make(map[int]int)
 	}
-	if !opt.Redundancy.Empty() {
-		st.red = opt.Redundancy
-		st.copyDelivered = make(map[int]int)
-	}
 	// A group's prio is Weight(wl) for the weight length wl of its route, so
 	// wl orders the classes of a queue.
 	ascending, classes := true, 1 // flow IDs, in load order
@@ -259,9 +216,6 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 		}
 		wl := f.WeightLen(f.Routes[0])
 		st.res.TotalPackets += f.Size
-		if st.red.Duplicate(f.ID) {
-			st.dupTotal += f.Size
-		}
 		ascending, classes = ascending && (i == 0 || load.Flows[i-1].ID < f.ID), max(classes, wl)
 	}
 	start := par.Place(0, n, g.M()*classes, func(i int) int32 {
@@ -272,10 +226,9 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 		f := &load.Flows[i]
 		r := f.Routes[0]
 		wl := f.WeightLen(r)
-		primary, grouped := st.red.GroupOf(f.ID)
 		st.groups[slot] = group{
 			prio: traffic.HopWeight(wl, 0, st.eps), flow: int32(i), count: int32(f.Size),
-			hops: int16(r.Hops()), wlen: int16(wl), dup: grouped && primary != f.ID, grouped: grouped,
+			hops: int16(r.Hops()), wlen: int16(wl),
 		}
 	})
 	slots := make([]int32, n)
@@ -356,13 +309,8 @@ func (st *state) serve(e graph.Edge, want, availBy, nextAvail int) int {
 		take := min(want-served, int(g.count))
 		st.groups[(*q)[i]].count -= int32(take)
 		served += take
-		weight := traffic.Weight(int(g.wlen))
 		st.res.Hops += take
-		st.res.Psi += int64(take) * weight
-		if g.dup {
-			st.res.DupHops += take
-			st.res.DupPsi += int64(take) * weight
-		}
+		st.res.Psi += int64(take) * traffic.Weight(int(g.wlen))
 		if st.flight != nil && st.flight.Tracks(int64(st.id(&g))) {
 			st.flight.Hop(int64(st.id(&g)), availBy, int(g.pos)+1, int(g.hops)+1, int64(take))
 		}
@@ -370,9 +318,6 @@ func (st *state) serve(e graph.Edge, want, availBy, nextAvail int) int {
 			st.res.Delivered += take
 			if st.trackFlows {
 				st.res.FlowDelivered[st.id(&g)] += take
-			}
-			if g.grouped {
-				st.copyDelivered[st.id(&g)] += take
 			}
 			if st.flight != nil {
 				st.flight.Delivered(int64(st.id(&g)), availBy, int64(take))
@@ -479,7 +424,6 @@ func Run(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Optio
 	}
 	st.res.SlotsUsed = slot
 	st.countStranded()
-	st.finishRedundancy()
 	if opt.Obs.Enabled() {
 		opt.Obs.Gauge("octopus_sim_stranded").Set(int64(st.res.Stranded))
 		tracer.Emit("sim.done",
@@ -522,35 +466,6 @@ func (st *state) runBulkFaulty(links []graph.Edge, start, alpha int, cur *fault.
 	for i, e := range links {
 		st.res.FailedLinkSlots += int64(alpha - up[i])
 		st.serve(e, up[i], start, start+alpha)
-	}
-}
-
-// finishRedundancy fills the deduplicated delivery metrics: without
-// redundancy they mirror the raw ones; with it, duplicate copies leave the
-// offered total and each group counts max-over-copies delivered packets —
-// the packets whose first copy arrived, counted once.
-func (st *state) finishRedundancy() {
-	st.res.UniqueTotal = st.res.TotalPackets - st.dupTotal
-	st.res.UniqueDelivered = st.res.Delivered
-	if st.red.Empty() {
-		return
-	}
-	members := st.red.Members()
-	// Deterministic group order so flight journals are reproducible.
-	grps := make([]int, 0, len(members))
-	for grp := range members {
-		grps = append(grps, grp)
-	}
-	sort.Ints(grps)
-	for _, grp := range grps {
-		sum, most := 0, 0
-		for _, id := range members[grp] {
-			sum, most = sum+st.copyDelivered[id], max(most, st.copyDelivered[id])
-		}
-		st.res.UniqueDelivered -= sum - most
-		if st.flight != nil && sum > most {
-			st.flight.Dedup(int64(grp), st.res.SlotsUsed, int64(sum-most))
-		}
 	}
 }
 

@@ -7,9 +7,9 @@
 // k−1 Bhandari edge-disjoint alternates of its primary route, bounded by a
 // stretch factor, and turns each flow that got one into independent
 // single-route copy flows tied together by a Redundancy group map. The
-// ordinary scheduler plans every copy like any other flow, and the
-// simulator (or the online fault loop) deduplicates delivery per group — a
-// packet counts once, at its first copy's arrival.
+// ordinary scheduler plans every copy like any other flow, and the epoch
+// engine's fault loop (internal/engine, Config.Red) deduplicates delivery
+// per group: a group counts once, by its best copy.
 package traffic
 
 import (

@@ -15,7 +15,7 @@ import (
 // harness-level enforcement of that contract, mirroring the observability
 // on/off suite.
 //
-// Algorithms that take no parallelism (rotornet, hybrid, ub, eclipse,
+// Algorithms that take no parallelism (rotornet, hybrid, ub, eclipse-pp,
 // ...) are covered too: for them both runs are the plain run, so the
 // bit-identity assertion is exact by construction.
 func TestParallelDifferentialEquivalence(t *testing.T) {

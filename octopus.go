@@ -262,8 +262,8 @@ func DisjointRoutes(g *Network, src, dst, k, maxHops int) []Route {
 // up to k−1 pairwise edge-disjoint alternates of their primary routes, each
 // at most maxStretch times the primary's hop count, and splits every
 // protected flow into one single-route copy flow per route. It returns the
-// expanded load and the Redundancy group map the simulator and the fault
-// loop deduplicate with; the input load is never modified.
+// expanded load and the Redundancy group map the epoch engine deduplicates
+// with (PipelineConfig.Red); the input load is never modified.
 func ProvisionRedundant(g *Network, load *Load, k int, crit, maxStretch float64) (*Load, *Redundancy) {
 	return traffic.Provision(g, load, k, crit, maxStretch)
 }
