@@ -229,9 +229,10 @@ func TestEmitThenLoadPlansInPlace(t *testing.T) {
 }
 
 // TestEmitAndStatsRefuseDroppedFlags: -emit reads only the generation
-// flags, -stats only its file and -fig only its scale and overrides; any
-// other flag is an error, not silently dropped, and so is a -fig override
-// out of range or a flag only -emit or -fig reads set beside a plan.
+// flags, -stats only its file, -fig only its scale and overrides and
+// -replay only the load, the fabric, -faults and the sinks; any other flag
+// is an error, not silently dropped, and so is a -fig override out of
+// range or a flag only -emit or -fig reads set beside a plan.
 func TestEmitAndStatsRefuseDroppedFlags(t *testing.T) {
 	for _, tc := range []struct {
 		class string
@@ -259,6 +260,14 @@ func TestEmitAndStatsRefuseDroppedFlags(t *testing.T) {
 		{"fig unknown matcher", []string{"-fig", "4a", "-matcher", "fast"}, `unknown matcher "fast" (want exact or greedy)`},
 		{"fig bad sweep", []string{"-fig", "4a", "-node-sweep", "1e3"}, `bad sweep value "1e3" (want a positive integer)`},
 		{"fig unknown scale", []string{"-fig", "4a", "-scale", "huge"}, `unknown scale "huge" (want quick or full)`},
+		// The schedule is the plan, and it carries its own Δ.
+		{"replay with algo", []string{"-replay", "s.json", "-algo", "octopus-e:eps64=64"}, "-replay would ignore -algo"},
+		{"replay with delta", []string{"-replay", "s.json", "-delta", "5"}, "-replay would ignore -delta"},
+		{"replay with v", []string{"-replay", "s.json", "-v"}, "-replay would ignore -v"},
+		{"replay with gantt", []string{"-replay", "s.json", "-gantt"}, "-replay would ignore -gantt"},
+		{"replay with save-schedule", []string{"-replay", "s.json", "-save-schedule", "t.json"}, "-replay would ignore -save-schedule"},
+		{"replay with max-epochs", []string{"-replay", "s.json", "-faults", "f.json", "-max-epochs", "3"}, "-replay would ignore -max-epochs"},
+		{"replay with showdown", []string{"-replay", "s.json", "-faults", "f.json", "-redundancy", "-redundancy-out", "-"}, "-replay would ignore -redundancy -redundancy-out"},
 	} {
 		err := run(tc.args, io.Discard, io.Discard)
 		if err == nil || err.Error() != tc.want {

@@ -2,8 +2,8 @@
 // generate (or read) a traffic load, plan a schedule with the selected
 // algorithm, replay it in the packet-level simulator, and print the
 // outcome. Algorithms are dispatched through the internal/algo registry,
-// so every registered algorithm — core Octopus variants, baselines,
-// hybrid, UB — is available with a uniform spec grammar.
+// so every registered algorithm — core Octopus variants, baselines, UB —
+// is available with a uniform spec grammar.
 //
 // Usage:
 //
@@ -13,6 +13,8 @@
 //	mhsim -trace fb-web -algo eclipse-based
 //	mhsim -load load.json -algo octopus-g -v
 //	mhsim -algo octopus -faults trace.json
+//	mhsim -n 8 -window 200 -save-schedule s.json
+//	mhsim -n 8 -window 200 -replay s.json
 //	mhsim -list-algos
 //	mhsim -n 1024 -window 10000 -pods 32 -emit pods.mhsb -format bin
 //	mhsim -stats pods.mhsb
@@ -21,10 +23,13 @@
 //
 // -emit writes the load the generation flags describe and stops; the same
 // flags then plan it from the file (-load). A -pods load streams to jsonl
-// or bin flow by flow, so it may be larger than RAM. -fig regenerates the
-// tables of the paper's evaluation (internal/experiment) and stops: the
-// quick scale runs every figure in under a second, the full scale is the
-// paper's n = 100, W = 10000, Δ = 20, 10 instances per point.
+// or bin flow by flow, so it may be larger than RAM. -replay skips
+// planning: it replays a saved schedule, which carries its own Δ, over the
+// same load, and refuses the planner's flags (-algo, -delta, -v, ...).
+// -fig regenerates the tables of the paper's evaluation
+// (internal/experiment) and stops: the quick scale runs every figure in
+// under a second, the full scale is the paper's n = 100, W = 10000,
+// Δ = 20, 10 instances per point.
 // -cpuprofile and -memprofile profile any of these runs.
 package main
 
@@ -284,12 +289,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		params.Flight = flightRec
 	}
 	wantSchedule := *verbose || *gantt || *saveSched != ""
-	if wantSchedule && a.Kind() != algo.Offline && *replay == "" {
+	if wantSchedule && a.Kind() != algo.Offline {
 		return fmt.Errorf("algorithm %q is %s and produces no schedule; -v, -gantt, and -save-schedule need an offline algorithm",
 			a.Name(), a.Kind())
 	}
 	planner, isCore := a.(algo.CorePlanner)
-	if *faultsPath != "" && *replay == "" && !isCore {
+	if *faultsPath != "" && !isCore {
 		return fmt.Errorf("algorithm %q does not support -faults (use one of: %s)",
 			a.Name(), strings.Join(algo.CoreNames(), ", "))
 	}
@@ -334,7 +339,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	// The scenario runs behind a closure so every exit path still flushes
 	// the observability sinks (trace file, metrics snapshot).
 	scenario := func() error {
-		if *replay != "" {
+		if mode == "replay" {
 			sch, err := loadSchedule(*replay, g, *ports)
 			if err != nil {
 				return err
@@ -373,9 +378,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		if wantSchedule && out.Schedule == nil {
-			return fmt.Errorf("algorithm %q produced no schedule on this instance; nothing to print or save", a.Name())
-		}
 		if out.Schedule != nil {
 			emitScheduleTrace(sinks.tracer, out.Schedule)
 		}
@@ -401,7 +403,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			fmt.Fprintf(stdout, "%s: delivered %d/%d (%.2f%%), utilization %.2f%%\n",
 				strings.ToUpper(out.Algo), out.Delivered, out.Total, 100*out.DeliveredFraction(), 100*out.Utilization())
 		default:
-			if out.Plan != nil && out.Schedule != nil {
+			if out.Plan != nil {
 				fmt.Fprintf(stdout, "plan: %d configurations, cost %d/%d slots, %d iterations\n",
 					len(out.Schedule.Configs), out.Schedule.Cost(), *window, out.Plan.Iterations)
 			}
@@ -409,8 +411,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				report(stdout, out.Delivered, out.Total, out.DeliveredFraction(),
 					out.Hops, out.Utilization(), out.ConfigsReplayed, out.Reconfigs)
 			} else {
-				// Plans whose bookkeeping is authoritative (Octopus+, eclipse,
-				// eclipse-pp, hybrid) are reported from it.
+				// Plans whose bookkeeping is authoritative (Octopus+,
+				// eclipse-pp) are reported from it.
 				fmt.Fprintf(stdout, "plan bookkeeping: delivered %d/%d (%.2f%%), %d packet-hops\n",
 					out.Delivered, out.Total, 100*out.DeliveredFraction(), out.Hops)
 			}
@@ -614,17 +616,21 @@ func runShowdown(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults 
 	return nil
 }
 
-// modes are the commands that stop before planning, in order of
-// precedence: each is on when its flag is non-empty and reads the flags
-// listed, the profiles and its own. only are the flags no other command
-// reads, so a plan refuses them.
+// scenarioFlags are the flags traffic.Scenario is built from.
+var scenarioFlags = strings.Fields("n window seed trace routes fixed-hops deg pods interpod interlinks flows skew matrix")
+
+// modes are the commands that do not plan, in order of precedence: each
+// is on when its flag is non-empty and reads the flags listed, the
+// profiles and its own. only are the flags no other command reads, so a
+// plan refuses them.
 var modes = []struct {
 	name        string
 	reads, only []string
 }{
 	{"stats", nil, nil},
-	{"emit", strings.Fields("n window seed trace routes fixed-hops deg pods interpod interlinks flows skew matrix"), []string{"format"}},
+	{"emit", scenarioFlags, []string{"format"}},
 	{"fig", strings.Fields("n window delta seed"), strings.Fields("scale out instances workers matcher node-sweep delta-sweep time-nodes")},
+	{"replay", slices.Concat(scenarioFlags, strings.Fields("load ports multihop faults metrics-out trace-out flight-out")), nil},
 }
 
 // checkMode returns the mode the flags select ("" plans a scenario),

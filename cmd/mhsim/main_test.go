@@ -167,6 +167,37 @@ func TestScheduleFlagsWorkForBaselines(t *testing.T) {
 	}
 }
 
+// TestSaveThenReplayMeasuresThePlan: a schedule saved by a plan and
+// replayed with -replay over the same load measures what the plan
+// measured.
+func TestSaveThenReplayMeasuresThePlan(t *testing.T) {
+	measured := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(append([]string{"-n", "8", "-window", "200", "-seed", "3"}, args...), &out, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "measured: ") {
+				return line
+			}
+		}
+		t.Fatalf("mhsim %v printed no measured line:\n%s", args, out.String())
+		return ""
+	}
+	for _, tc := range []struct{ spec, replay string }{
+		{"octopus", ""},
+		{"chained", "-multihop"},
+		{"octopus:ports=2", "-ports=2"},
+	} {
+		path := filepath.Join(t.TempDir(), "s.json")
+		plan := measured("-delta", "5", "-algo", tc.spec, "-save-schedule", path)
+		if got := measured(append([]string{"-replay", path}, strings.Fields(tc.replay)...)...); got != plan {
+			t.Errorf("%s: plan %q, replay %q", tc.spec, plan, got)
+		}
+	}
+}
+
 func TestFaultsRejectedForNonCoreAlgos(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	tr := &fault.Trace{Events: []fault.Event{{At: 5, Kind: fault.LinkDown, From: 0, To: 1}}}

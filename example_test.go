@@ -178,37 +178,6 @@ func atSlotZero(load *octopus.Load) []octopus.Arrival {
 	return arr
 }
 
-// ExampleRunAlgorithm_hybrid sweeps the packet network's per-port rate
-// (paper §7): the packet network absorbs small flows first and Octopus
-// schedules the rest on the circuit fabric.
-func ExampleRunAlgorithm_hybrid() {
-	const nodes, window = 16, 800
-	g := octopus.Complete(nodes)
-	load, err := octopus.Synthetic(g, octopus.DefaultSyntheticParams(nodes, window), rand.New(rand.NewSource(5)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, rate := range []float64{0, 0.05, 0.1, 0.2} {
-		// A zero-rate packet network leaves everything to the circuit
-		// fabric: plain Octopus (the hybrid spec refuses rate=0).
-		spec := fmt.Sprintf("hybrid:rate=%g", rate)
-		if rate == 0 {
-			spec = "octopus"
-		}
-		res, err := octopus.RunAlgorithm(spec, g, load, octopus.AlgoParams{Window: window, Delta: 20})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("packet rate %.2f: %5.1f%% delivered (%d via packet net, %d via circuit)\n",
-			rate, 100*res.DeliveredFraction(), res.PacketNetHops, res.Delivered-res.PacketNetHops)
-	}
-	// Output:
-	// packet rate 0.00:  35.6% delivered (0 via packet net, 4560 via circuit)
-	// packet rate 0.05:  42.2% delivered (640 via packet net, 4760 via circuit)
-	// packet rate 0.10:  47.0% delivered (1280 via packet net, 4740 via circuit)
-	// packet rate 0.20:  54.4% delivered (2560 via packet net, 4400 via circuit)
-}
-
 // ExampleMakespan finds the smallest window that fully serves a load.
 func ExampleMakespan() {
 	g := octopus.Complete(2)
@@ -365,9 +334,9 @@ func dcOutcomes() (algos, mixes []string, out [][]*octopus.AlgoOutcome, err erro
 }
 
 // ExampleRunAlgorithm compares every registered algorithm — Octopus and
-// its variants, the Eclipse and RotorNet baselines, the hybrid
-// circuit/packet scheme and the UB bound — on five data-center traffic
-// mixes. Each cell reads delivered % / link utilization %.
+// its variants, the Eclipse and RotorNet baselines and the UB bound — on
+// five data-center traffic mixes. Each cell reads delivered % / link
+// utilization %.
 func ExampleRunAlgorithm() {
 	algos, mixes, out, err := dcOutcomes()
 	if err != nil {
@@ -398,13 +367,12 @@ func ExampleRunAlgorithm() {
 	// eclipse-based        17.9/75.6   25.0/54.5   23.7/51.3   12.8/33.0   28.0/21.8
 	// eclipse-pp           29.2/40.9   46.1/64.5   25.7/20.8    12.8/4.7   32.6/11.0
 	// rotornet              6.7/18.5     2.2/4.7     0.0/7.5     0.0/0.0     1.9/3.2
-	// hybrid               40.0/98.7   55.0/78.5   29.6/91.3   39.3/76.6   64.1/96.7
 	// ub                   34.6/98.8   46.9/74.1   25.7/63.2   91.1/91.3   50.3/38.3
 }
 
 // TestRunAlgorithmUtilizationAtMostOne holds every algorithm of
-// ExampleRunAlgorithm to its definition: packet-hops over circuit links
-// cannot outnumber the circuit link-slots that were active.
+// ExampleRunAlgorithm to its definition: packet-hops cannot outnumber
+// the link-slots that were active.
 func TestRunAlgorithmUtilizationAtMostOne(t *testing.T) {
 	algos, mixes, out, err := dcOutcomes()
 	if err != nil {

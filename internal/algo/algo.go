@@ -4,12 +4,12 @@
 // differential harness internal/verify/diff, and the public façade.
 //
 // Every scheduling algorithm the paper evaluates (the Octopus core
-// variants, the baselines, the hybrid circuit/packet scheme, and the UB
-// pseudo-algorithm) registers itself here under a stable name. Entry
-// points enumerate Registry() instead of maintaining their own rosters,
-// so adding an algorithm is a one-file change: implement Algorithm,
-// register it in register.go, and the CLIs, the experiment runners, and
-// the differential verification suite pick it up by construction.
+// variants, the baselines and the UB pseudo-algorithm) registers itself
+// here under a stable name. Entry points enumerate Registry() instead of
+// maintaining their own rosters, so adding an algorithm is a one-file
+// change: implement Algorithm, register it in register.go, and the CLIs,
+// the experiment runners, and the differential verification suite pick it
+// up by construction.
 //
 // An algorithm is selected by a spec string with a uniform grammar,
 //
@@ -39,9 +39,8 @@ type Kind int
 
 const (
 	// Offline algorithms plan a configuration schedule for the whole
-	// window up front (Octopus family, Eclipse/RotorNet baselines,
-	// hybrid). Outcome.Schedule is set when a circuit schedule was
-	// produced.
+	// window up front (Octopus family, Eclipse/RotorNet baselines);
+	// Outcome.Schedule is always set.
 	Offline Kind = iota
 	// Bound pseudo-algorithms compute an upper bound on achievable
 	// performance rather than a feasible schedule (UB).
@@ -105,14 +104,12 @@ type Outcome struct {
 
 	// Fabric and Load are what Schedule is validated against; they may
 	// differ from the run's inputs (RotorNet schedules over the complete
-	// fabric, Eclipse schedules the one-hop decomposition, hybrid's
-	// circuit schedule serves the residual load).
+	// fabric, Eclipse schedules the one-hop decomposition).
 	Fabric *graph.Digraph
 	Load   *traffic.Load
 
-	// Schedule is the planned configuration sequence; nil for
-	// schedule-free algorithms (ub, or hybrid runs fully absorbed by the
-	// packet network).
+	// Schedule is the planned configuration sequence; nil for the
+	// schedule-free bound (ub).
 	Schedule *schedule.Schedule
 
 	// Plan is the scheduler's own bookkeeping (nil for baselines whose
@@ -127,11 +124,8 @@ type Outcome struct {
 	Hops            int
 	Psi             int64 // in traffic.WeightScale units; 0 when not tracked
 	ActiveLinkSlots int64 // Σ αₖ·|Mₖ|; utilization denominator
-	// PacketNetHops is the share of Hops served off the circuit fabric
-	// (hybrid's packet network); it is left out of the utilization.
-	PacketNetHops   int
-	Reconfigs       int // configurations planned
-	ConfigsReplayed int // configurations the simulator replayed (0 if unmeasured)
+	Reconfigs       int   // configurations planned
+	ConfigsReplayed int   // configurations the simulator replayed (0 if unmeasured)
 	SlotsUsed       int
 	Measured        bool
 
@@ -187,13 +181,13 @@ func (o *Outcome) DeliveredFraction() float64 {
 	return float64(o.Delivered) / float64(o.Total)
 }
 
-// Utilization returns packet-hops over circuit links per active
-// link-slot (0 if no link was ever active).
+// Utilization returns packet-hops per active link-slot (0 if no link was
+// ever active).
 func (o *Outcome) Utilization() float64 {
 	if o.ActiveLinkSlots == 0 {
 		return 0
 	}
-	return float64(o.Hops-o.PacketNetHops) / float64(o.ActiveLinkSlots)
+	return float64(o.Hops) / float64(o.ActiveLinkSlots)
 }
 
 // DeliveredOfPsi returns delivered packets as a fraction of ψ in packet
@@ -243,7 +237,7 @@ func (o *Outcome) Verify() (*verify.Report, error) {
 
 // registry holds the registered algorithms in registration order, which
 // register.go keeps canonical (core variants, then baselines, then the
-// hybrid and bound entries).
+// bound entry).
 var registry []Algorithm
 
 // keysOf maps each registered name to the spec keys its algorithm reads.

@@ -56,7 +56,7 @@ func TestRegistryCompleteness(t *testing.T) {
 			if out.Total != offered {
 				t.Errorf("total %d, offered %d", out.Total, offered)
 			}
-			if (a.Kind() == Offline) != (out.Schedule != nil) && a.Name() != "hybrid" {
+			if (a.Kind() == Offline) != (out.Schedule != nil) {
 				t.Errorf("kind %s with schedule=%v", a.Kind(), out.Schedule != nil)
 			}
 			if _, err := out.Verify(); err != nil {
@@ -149,7 +149,7 @@ func TestRegistryListing(t *testing.T) {
 			t.Errorf("%s missing from CoreNames()", n)
 		}
 	}
-	for _, n := range []string{"rotornet", "ub", "hybrid", "eclipse-based", "eclipse-pp"} {
+	for _, n := range []string{"rotornet", "ub", "eclipse-based", "eclipse-pp"} {
 		if coreSet[n] {
 			t.Errorf("%s wrongly classified as core", n)
 		}

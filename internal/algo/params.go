@@ -17,7 +17,8 @@ import (
 // Params is the shared parameter spec every registered algorithm runs
 // under. The generic fields (Window, Delta, Ports, MultiHop, Matcher,
 // Seed) apply to every algorithm that uses them; the remaining knobs are
-// consumed by the algorithms they name and ignored by the rest.
+// read only by the algorithms they name, and ParseSpec refuses a spec
+// that sets one for any other entry.
 type Params struct {
 	Window int // W, the scheduling window (or online horizon) in slots
 	Delta  int // Δ, the reconfiguration delay in slots
@@ -40,10 +41,6 @@ type Params struct {
 	// Epsilon64 is the Octopus-e later-hop bonus in 1/64 units; 0 selects
 	// the algorithm default (4 for octopus-e, off for plain octopus).
 	Epsilon64 int
-
-	// PacketRate is hybrid's packet-network per-port rate in packets per
-	// slot; 0 selects the default 0.1.
-	PacketRate float64
 
 	// SlotsPerMatching is rotornet's per-matching dwell time; 0 selects
 	// the RotorNet default.
@@ -121,7 +118,7 @@ func ParseMatcher(s string) (core.Matcher, error) {
 //
 // against the registry, overlaying any key=value options onto base. Keys:
 // ports, par, pods, eps64, slots, red (integers), sample (N or 1/N),
-// crit, stretch, rate (numbers), multihop, backtrack, keeptrace (booleans;
+// crit, stretch (numbers), multihop, backtrack, keeptrace (booleans;
 // backtrack=false disables Octopus+ backtracking), and matcher
 // (exact|greedy). A key the named algorithm never reads is an error: each
 // entry takes the keys it was registered with, every entry takes sample
@@ -164,7 +161,7 @@ func ParseSpec(spec string, base Params) (Algorithm, Params, error) {
 // specKeys names every key ParseSpec accepts, for error messages.
 var specKeys = []string{
 	"backtrack", "crit", "eps64", "keeptrace", "matcher", "multihop",
-	"par", "pods", "ports", "rate", "red", "sample", "slots", "stretch",
+	"par", "pods", "ports", "red", "sample", "slots", "stretch",
 }
 
 // set applies one key=value option to the params.
@@ -234,14 +231,6 @@ func (p *Params) set(key, val string) error {
 			return err
 		}
 		p.DisableBacktrack = !backtrack
-		return nil
-	case "rate":
-		if err := parseFloat(&p.PacketRate); err != nil {
-			return err
-		}
-		if p.PacketRate <= 0 || p.PacketRate*float64(p.Window) >= math.MaxInt64 {
-			return fmt.Errorf("option %s=%q: want a packet rate > 0 whose budget rate·window fits an int (octopus is the circuit-only plan)", key, val)
-		}
 		return nil
 	case "matcher":
 		m, err := ParseMatcher(val)

@@ -61,13 +61,6 @@ func TestParseSpecOptions(t *testing.T) {
 	if !p.MultiHop || p.Ports != 2 {
 		t.Fatalf("got %+v", p)
 	}
-	_, p, err = ParseSpec("hybrid:rate=0.25", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.PacketRate != 0.25 {
-		t.Fatalf("got %+v", p)
-	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
@@ -85,7 +78,10 @@ func TestParseSpecErrors(t *testing.T) {
 		{"octopus:eps64=", "malformed option"},
 		{"octopus:eps64=abc", "want an integer"},
 		{"octopus:multihop=maybe", "want a boolean"},
-		{"hybrid:rate=fast", "want a number"},
+		{"octopus:crit=fast", "want a number"},
+		// A removed entry and its key are unknown, not ignored.
+		{"hybrid", `unknown algorithm "hybrid"`},
+		{"octopus:rate=0.1", `unknown option "rate"`},
 		{"octopus:matcher=hungarian", "unknown matcher"},
 		{"octopus:matcher=dense", `unknown matcher "dense" (want exact or greedy)`},
 		{"octopus:matcher=sparse", `unknown matcher "sparse" (want exact or greedy)`},
@@ -119,7 +115,6 @@ func TestParseSpecErrors(t *testing.T) {
 func TestParseSpecRefusesUnreadKeys(t *testing.T) {
 	base := Params{Window: 200, Delta: 5}
 	for _, tc := range []struct{ spec, reads string }{
-		{"octopus:rate=0.2", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
 		{"octopus:slots=7", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
 		{"octopus:pods=4", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
 		{"octopus:backtrack=false", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
@@ -129,7 +124,6 @@ func TestParseSpecRefusesUnreadKeys(t *testing.T) {
 		{"eclipse-based:eps64=64", "matcher, sample"},
 		{"eclipse-pp:ports=2", "matcher, sample"},
 		{"ub:crit=0.5", "matcher, sample"},
-		{"hybrid:red=2", "eps64, matcher, multihop, par, ports, rate, sample"},
 	} {
 		name, opt, _ := strings.Cut(tc.spec, ":")
 		key, _, _ := strings.Cut(opt, "=")
@@ -150,7 +144,7 @@ func TestParseSpecRefusesUnreadKeys(t *testing.T) {
 	for _, spec := range []string{
 		"octopus-e:eps64=8", "octopus-b:matcher=greedy", "octopus-g:ports=2", "octopus:ports=2",
 		"octopus-plus:backtrack=false", "octopus-plus:backtrack=false,keeptrace=true", "rotornet:slots=50",
-		"hybrid:rate=0.25", "hybrid:rate=0.5,matcher=greedy", "octopus-sharded:pods=4,par=2",
+		"octopus-sharded:pods=4,par=2",
 		"octopus:red=2,crit=0.5", "octopus-g:sample=1/64", "ub:matcher=greedy", "eclipse-pp:sample=8",
 	} {
 		if _, _, err := ParseSpec(spec, base); err != nil {
@@ -159,24 +153,15 @@ func TestParseSpecRefusesUnreadKeys(t *testing.T) {
 	}
 }
 
-// TestSpecNumbersFailClosed: a number key takes only finite values, and
-// rate only a positive one whose budget rate·window fits an int. rate=0
-// used to run at the default 0.1, and NaN, ±Inf and 1e300 all planned as
-// if they were a rate. A Go caller's zero PacketRate keeps meaning 0.1.
-// The counts par, pods, slots and red and the factor stretch take no
-// negative value, crit only a fraction in [0, 1]; 0 is still the default.
+// TestSpecNumbersFailClosed: a number key takes only finite values. The
+// counts par, pods, slots and red and the factor stretch take no negative
+// value, crit only a fraction in [0, 1]; 0 is still the default.
 func TestSpecNumbersFailClosed(t *testing.T) {
 	base := Params{Window: 200, Delta: 5}
 	for _, tc := range []struct{ spec, want string }{
-		{"hybrid:rate=0", "(octopus is the circuit-only plan)"},
-		{"hybrid:rate=-0.5", "want a packet rate > 0"},
-		{"hybrid:rate=NaN", "want a number (finite)"},
-		{"hybrid:rate=Inf", "want a number (finite)"},
-		{"hybrid:rate=-Inf", "want a number (finite)"},
-		{"hybrid:rate=1e300", "fits an int"},
-		{"hybrid:rate=5e16", "fits an int"}, // 1e19 slots: past MaxInt64
 		{"octopus:crit=NaN", "want a number (finite)"},
 		{"octopus:stretch=+Inf", "want a number (finite)"},
+		{"octopus:stretch=-Inf", "want a number (finite)"},
 		// Out of range: each once fell back to a default or the identity.
 		{"octopus:par=-1", "want an integer >= 0"},
 		{"rotornet:slots=-1", "want an integer >= 0"},
@@ -200,26 +185,6 @@ func TestSpecNumbersFailClosed(t *testing.T) {
 			t.Errorf("%q: %v", spec, err)
 		}
 	}
-	if _, p, err := ParseSpec("hybrid:rate=4e16", base); err != nil || p.PacketRate != 4e16 {
-		t.Fatalf("rate 4e16 (budget 8e18, within an int): %+v, %v", p, err)
-	}
-	g, load := synthetic(t, 1, 8, 200)
-	byDefault, err := hybrid(g, load.Clone(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.PacketRate = 0.1
-	explicit, err := hybrid(g, load.Clone(), base)
-	if err != nil || byDefault.Delivered != explicit.Delivered || byDefault.PacketNetHops != explicit.PacketNetHops {
-		t.Fatalf("PacketRate 0 delivered %d (%d packet hops), 0.1 delivered %d (%d): %v",
-			byDefault.Delivered, byDefault.PacketNetHops, explicit.Delivered, explicit.PacketNetHops, err)
-	}
-	for _, rate := range []float64{math.NaN(), math.Inf(1), -1, 1e300} {
-		base.PacketRate = rate
-		if _, err := hybrid(g, load.Clone(), base); err == nil {
-			t.Errorf("Go caller's PacketRate %g planned", rate)
-		}
-	}
 }
 
 // TestSpecKeysCoverSetter keeps the documented key list in sync with the
@@ -228,7 +193,7 @@ func TestSpecNumbersFailClosed(t *testing.T) {
 func TestSpecKeysCoverSetter(t *testing.T) {
 	vals := map[string]string{
 		"matcher": "greedy", "multihop": "true", "backtrack": "false",
-		"keeptrace": "true", "rate": "0.5", "crit": "0.5",
+		"keeptrace": "true", "crit": "0.5",
 	}
 	for _, key := range specKeys {
 		val, ok := vals[key]
@@ -257,10 +222,10 @@ func TestSpecKeysCoverSetter(t *testing.T) {
 // it accepts is in its documented range.
 func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
-		"octopus", "octopus:par=4", "octopus-g:matcher=exact", "hybrid:rate=0.5",
+		"octopus", "octopus:par=4", "octopus-g:matcher=exact", "octopus:stretch=0.5",
 		"octopus:red=2,crit=0.5,stretch=1.5", "octopus-sharded:pods=8,par=2",
 		"rotornet:slots=3", "octopus:sample=1/64", "octopus-e:eps64=8", "octopus:ports=2,multihop=true",
-		"octopus:crit=2", "hybrid:rate=NaN", "octopus:par=-1", "octopus:=", "nope:x=1", ":",
+		"octopus:crit=2", "octopus:crit=NaN", "octopus:par=-1", "octopus:=", "nope:x=1", ":",
 	} {
 		f.Add(seed)
 	}
@@ -278,8 +243,6 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("%q: crit %v outside [0, 1]", spec, p.CritFrac)
 		case !finite(p.Stretch) || p.Stretch < 0:
 			t.Fatalf("%q: stretch %v", spec, p.Stretch)
-		case p.PacketRate != 0 && (!finite(p.PacketRate) || p.PacketRate < 0 || p.PacketRate*float64(p.Window) >= math.MaxInt64):
-			t.Fatalf("%q: rate %v", spec, p.PacketRate)
 		case p.Window != base.Window || p.Delta != base.Delta:
 			t.Fatalf("%q: the spec changed the instance: %+v", spec, p)
 		}

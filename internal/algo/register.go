@@ -10,8 +10,8 @@ import (
 var baseKeys = []string{"eps64", "matcher", "multihop", "par", "ports"}
 
 // init registers the full roster in the canonical display order: the
-// Octopus core family, then the baselines, then the hybrid and bound
-// entries, each with the spec keys it reads (ParseSpec refuses the rest).
+// Octopus core family, then the baselines, then the bound entry, each
+// with the spec keys it reads (ParseSpec refuses the rest).
 // Adding an algorithm means implementing Algorithm in one file and
 // appending a Register call here — every CLI, experiment runner, and the
 // differential verification suite picks it up from the registry.
@@ -33,9 +33,6 @@ func init() {
 	Register(&funcAlgo{"rotornet", Offline, rotorNet,
 		"RotorNet baseline (§8): traffic-agnostic round-robin rotor matchings, replayed on the load"},
 		"slots")
-	Register(&funcAlgo{"hybrid", Offline, hybrid,
-		"Hybrid circuit/packet scheme (§7): packet network absorbs rate·W per port (rate=0.1), Octopus schedules the rest"},
-		append([]string{"rate"}, baseKeys...)...)
 	Register(&funcAlgo{"ub", Bound, upperBound,
 		"UB upper bound (§8): Eclipse on the unordered hop decomposition, a packet counts once all hops are served"},
 		"matcher")

@@ -1,7 +1,7 @@
 // Package diff is the differential verification harness: it runs every
 // algorithm in the internal/algo registry — the Octopus core variants, the
-// baselines, and the schedule-free hybrid/UB entries — over
-// shared random instances and funnels each outcome through its
+// baselines, and the schedule-free UB entry — over shared random
+// instances and funnels each outcome through its
 // verification recipe (verify.Schedule with the scheduler's own claimed
 // metrics attached, or the schedule-free invariants). A scheduler whose
 // bookkeeping drifts from the independently replayed truth, or whose

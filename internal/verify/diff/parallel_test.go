@@ -15,8 +15,8 @@ import (
 // harness-level enforcement of that contract, mirroring the observability
 // on/off suite.
 //
-// Algorithms that take no parallelism (rotornet, hybrid, ub, eclipse-pp,
-// ...) are covered too: for them both runs are the plain run, so the
+// Algorithms that take no parallelism (rotornet, ub, eclipse-pp, ...)
+// are covered too: for them both runs are the plain run, so the
 // bit-identity assertion is exact by construction.
 func TestParallelDifferentialEquivalence(t *testing.T) {
 	instances := 36

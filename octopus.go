@@ -193,7 +193,7 @@ func ScheduleOnline(g *Network, arrivals []Arrival, cfg PipelineConfig, maxEpoch
 // The algorithm registry: every scheduler, baseline, and bound behind one
 // uniform interface (see DESIGN.md §10). The Octopus entry points above
 // remain for callers who want the core scheduler's native result type; the
-// baselines, the hybrid scheme and UB run only here, through RunAlgorithm.
+// baselines and UB run only here, through RunAlgorithm.
 // The registry is the uniform comparison pipeline the CLIs, experiments,
 // and the differential harness run on.
 type (

@@ -92,19 +92,12 @@ func TestPublicAPIStepwise(t *testing.T) {
 	}
 }
 
-func TestPublicAPIHybridAndMakespan(t *testing.T) {
+func TestPublicAPIMakespan(t *testing.T) {
 	g := Complete(8)
 	rng := rand.New(rand.NewSource(4))
 	load, err := Synthetic(g, DefaultSyntheticParams(8, 200), rng)
 	if err != nil {
 		t.Fatal(err)
-	}
-	h, err := RunAlgorithm("hybrid:rate=0.1", g, load, AlgoParams{Window: 200, Delta: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Delivered == 0 || h.PacketNetHops == 0 {
-		t.Fatalf("hybrid result %+v", h)
 	}
 	w, res, err := Makespan(g, load, Options{Delta: 5})
 	if err != nil {
