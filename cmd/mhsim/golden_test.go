@@ -24,7 +24,7 @@ func TestGoldenOutput(t *testing.T) {
 		{"ub.txt", []string{"-algo", "ub"}},
 		{"octopus-plus.txt", []string{"-algo", "octopus-plus", "-routes", "4"}},
 		{"rotornet.txt", []string{"-algo", "rotornet"}},
-		{"octopus-g-multihop.txt", []string{"-algo", "octopus-g", "-multihop"}},
+		{"chained.txt", []string{"-algo", "chained"}},
 		{"octopus-random.txt", []string{"-algo", "octopus-random", "-routes", "3"}},
 		// The gantt chart is drawn from the schedule; this file was captured
 		// when it was still rendered from the decision trace, so the two

@@ -24,8 +24,9 @@
 // -emit writes the load the generation flags describe and stops; the same
 // flags then plan it from the file (-load). A -pods load streams to jsonl
 // or bin flow by flow, so it may be larger than RAM. -replay skips
-// planning: it replays a saved schedule, which carries its own Δ, over the
-// same load, and refuses the planner's flags (-algo, -delta, -v, ...).
+// planning: it replays a saved schedule, which carries its own Δ and
+// service rules, over the same instance and refuses the planner's flags
+// (-algo, -delta, -v, ...); -save-schedule refuses what it cannot reproduce.
 // -fig regenerates the tables of the paper's evaluation
 // (internal/experiment) and stops: the quick scale runs every figure in
 // under a second, the full scale is the paper's n = 100, W = 10000,
@@ -170,7 +171,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		statsPath  = fs.String("stats", "", "print statistics of a load file (any encoding) and exit")
 		fig        = fs.String("fig", "", "regenerate the paper's §8 tables and exit: figure IDs ("+strings.Join(experiment.FigureIDs(), ", ")+"), extension IDs ("+strings.Join(experiment.ExtensionIDs(), ", ")+"), comma-separated, or 'all' or 'ext'")
 		outDir     = fs.String("out", "", "-fig: directory to write per-figure CSV files (optional)")
-		multihop   = fs.Bool("multihop", false, "allow packets to chain hops within a configuration")
 		verbose    = fs.Bool("v", false, "print the configuration sequence")
 		gantt      = fs.Bool("gantt", false, "print the schedule as an ASCII Gantt chart")
 		saveSched  = fs.String("save-schedule", "", "write the planned schedule to a JSON file")
@@ -269,14 +269,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	// Resolve the algorithm spec and reject unsupported flag combinations
 	// before any generation or planning work.
-	a, params, err := algo.ParseSpec(*algoSpec, algo.Params{
-		Window:   *window,
-		Delta:    *delta,
-		Ports:    *ports,
-		Seed:     *seed,
-		MultiHop: *multihop,
-		Obs:      sinks.observer,
-	})
+	a, params, err := algo.ParseSpec(*algoSpec, algo.Params{Window: *window, Delta: *delta, Ports: *ports, Obs: sinks.observer})
 	if err != nil {
 		return err
 	}
@@ -347,8 +340,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			emitScheduleTrace(sinks.tracer, sch)
 			flight.AdmitLoad(flightRec, load, 0)
 			sim, err := simulate.Run(g, load, sch, simulate.Options{
-				Window: *window, MultiHop: *multihop, Ports: *ports, Faults: faults,
-				Obs: sinks.observer, Flight: flightRec,
+				Window: *window, MultiHop: sch.MultiHop, Ports: *ports, Epsilon64: sch.Epsilon64,
+				Faults: faults, Obs: sinks.observer, Flight: flightRec,
 			})
 			if err != nil {
 				return err
@@ -381,6 +374,15 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if out.Schedule != nil {
 			emitScheduleTrace(sinks.tracer, out.Schedule)
 		}
+		if *saveSched != "" {
+			if err := replayable(out, g, load, *ports); err != nil {
+				return fmt.Errorf("-save-schedule: %w", err)
+			}
+			if err := out.Schedule.SaveFile(*saveSched); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "wrote schedule to %s\n", *saveSched)
+		}
 		if *verbose {
 			for i, cfg := range out.Schedule.Configs {
 				fmt.Fprintf(stdout, "  config %3d: %s\n", i, cfg)
@@ -390,12 +392,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			if err := out.Schedule.WriteGantt(stdout, g.N()); err != nil {
 				return err
 			}
-		}
-		if *saveSched != "" {
-			if err := out.Schedule.SaveFile(*saveSched); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "wrote schedule to %s\n", *saveSched)
 		}
 
 		switch a.Kind() {
@@ -456,6 +452,23 @@ func loadFaults(path string, g *graph.Digraph) (*fault.Trace, error) {
 		return nil, fmt.Errorf("fault trace %s does not fit the selected fabric: %w", path, err)
 	}
 	return tr, nil
+}
+
+// replayable reports why -replay over the instance (g, load, ports) would
+// not measure what out measured: the file holds only the schedule.
+func replayable(out *algo.Outcome, g *graph.Digraph, load *traffic.Load, ports int) error {
+	if !out.Measured {
+		return fmt.Errorf("%s is measured by its own plan bookkeeping, and the routing behind it is not in the schedule file", out.Algo)
+	}
+	for i := range load.Flows {
+		if got := out.Load.Flows[i].Routes[0]; !slices.Equal(got, load.Flows[i].Routes[0]) {
+			return fmt.Errorf("%s planned flow %d over route %v, not its first, and route choices are not in the schedule file", out.Algo, load.Flows[i].ID, got)
+		}
+	}
+	if err := out.Schedule.Validate(g, 0, ports); err != nil {
+		return fmt.Errorf("%s's schedule does not fit the fabric a replay reads: %w", out.Algo, err)
+	}
+	return nil
 }
 
 // loadSchedule reads a replay schedule and validates it against the fabric
@@ -630,7 +643,7 @@ var modes = []struct {
 	{"stats", nil, nil},
 	{"emit", scenarioFlags, []string{"format"}},
 	{"fig", strings.Fields("n window delta seed"), strings.Fields("scale out instances workers matcher node-sweep delta-sweep time-nodes")},
-	{"replay", slices.Concat(scenarioFlags, strings.Fields("load ports multihop faults metrics-out trace-out flight-out")), nil},
+	{"replay", slices.Concat(scenarioFlags, strings.Fields("load ports faults metrics-out trace-out flight-out")), nil},
 }
 
 // checkMode returns the mode the flags select ("" plans a scenario),

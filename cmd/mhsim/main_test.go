@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,16 +147,22 @@ func TestScheduleFlagsWorkForBaselines(t *testing.T) {
 	// Pre-refactor mhsim silently ignored -gantt / -save-schedule / -v for
 	// baseline algorithms; the registry Outcome carries the schedule, so
 	// they now work uniformly for every schedule-producing algorithm.
+	// eclipse-pp's plan is refused at save (TestSaveThenReplayMeasuresThePlan).
 	for _, a := range []string{"eclipse-based", "rotornet", "eclipse-pp"} {
 		path := filepath.Join(t.TempDir(), "sched.json")
+		args := []string{"-n", "6", "-window", "60", "-delta", "4", "-seed", "2", "-algo", a, "-v", "-gantt"}
+		if a != "eclipse-pp" {
+			args = append(args, "-save-schedule", path)
+		}
 		var out, errw bytes.Buffer
-		err := run([]string{"-n", "6", "-window", "60", "-delta", "4", "-seed", "2",
-			"-algo", a, "-v", "-gantt", "-save-schedule", path}, &out, &errw)
-		if err != nil {
+		if err := run(args, &out, &errw); err != nil {
 			t.Fatalf("%s: %v", a, err)
 		}
 		if !strings.Contains(out.String(), "config   0:") {
 			t.Errorf("%s: -v printed no configuration sequence:\n%s", a, out.String())
+		}
+		if a == "eclipse-pp" {
+			continue
 		}
 		sch, err := schedule.LoadFile(path)
 		if err != nil {
@@ -168,33 +175,65 @@ func TestScheduleFlagsWorkForBaselines(t *testing.T) {
 }
 
 // TestSaveThenReplayMeasuresThePlan: a schedule saved by a plan and
-// replayed with -replay over the same load measures what the plan
-// measured.
+// replayed with -replay under the same instance flags measures what the
+// plan measured, or the plan is refused at save with the reason. The walk
+// covers every offline entry at one and three candidate routes, a
+// non-default ε, a two-port and a partial fabric; replay takes no planner
+// flag.
 func TestSaveThenReplayMeasuresThePlan(t *testing.T) {
-	measured := func(args ...string) string {
-		t.Helper()
+	measured := func(args ...string) (string, error) {
 		var out bytes.Buffer
-		if err := run(append([]string{"-n", "8", "-window", "200", "-seed", "3"}, args...), &out, io.Discard); err != nil {
-			t.Fatal(err)
+		if err := run(args, &out, io.Discard); err != nil {
+			return "", err
 		}
 		for _, line := range strings.Split(out.String(), "\n") {
 			if strings.HasPrefix(line, "measured: ") {
-				return line
+				return line, nil
 			}
 		}
-		t.Fatalf("mhsim %v printed no measured line:\n%s", args, out.String())
-		return ""
+		return "", fmt.Errorf("no measured line in:\n%s", out.String())
 	}
-	for _, tc := range []struct{ spec, replay string }{
-		{"octopus", ""},
-		{"chained", "-multihop"},
-		{"octopus:ports=2", "-ports=2"},
-	} {
-		path := filepath.Join(t.TempDir(), "s.json")
-		plan := measured("-delta", "5", "-algo", tc.spec, "-save-schedule", path)
-		if got := measured(append([]string{"-replay", path}, strings.Fields(tc.replay)...)...); got != plan {
-			t.Errorf("%s: plan %q, replay %q", tc.spec, plan, got)
+	type row struct{ spec, instance string }
+	var rows []row
+	for _, routes := range []string{"-routes 1", "-routes 3"} {
+		for _, a := range algo.Registry() {
+			if a.Kind() == algo.Offline {
+				rows = append(rows, row{a.Name(), routes})
+			}
 		}
+	}
+	rows = append(rows, row{"octopus-e:eps64=64", "-routes 3"}, row{"octopus", "-ports 2"}, row{"rotornet", "-deg 4"})
+	// Plans measured by their own bookkeeping, over routes a replay does
+	// not serve or over links the fabric lacks cannot be reproduced.
+	refused := map[row]string{
+		{"octopus-plus", "-routes 1"}:   "plan bookkeeping",
+		{"octopus-plus", "-routes 3"}:   "plan bookkeeping",
+		{"eclipse-pp", "-routes 1"}:     "plan bookkeeping",
+		{"eclipse-pp", "-routes 3"}:     "plan bookkeeping",
+		{"octopus-random", "-routes 3"}: "route choices are not in the schedule file",
+		{"rotornet", "-deg 4"}:          "does not fit the fabric a replay reads",
+	}
+	for _, r := range rows {
+		instance := append([]string{"-n", "12", "-window", "300", "-seed", "3"}, strings.Fields(r.instance)...)
+		path := filepath.Join(t.TempDir(), "s.json")
+		plan, err := measured(slices.Concat(instance, []string{"-delta", "5", "-algo", r.spec, "-save-schedule", path})...)
+		if why, ok := refused[r]; ok {
+			if err == nil || !strings.Contains(err.Error(), "-save-schedule: "+r.spec) || !strings.Contains(err.Error(), why) {
+				t.Errorf("%s %s: saved (error %v), want a refusal naming %q", r.spec, r.instance, err, why)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s %s: %v", r.spec, r.instance, err)
+			continue
+		}
+		if got, err := measured(append(instance, "-replay", path)...); err != nil || got != plan {
+			t.Errorf("%s %s: plan %q, replay %q (%v)", r.spec, r.instance, plan, got, err)
+		}
+	}
+	// Chaining is the schedule's own rule: there is no flag to ask for it.
+	if err := run([]string{"-multihop"}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -multihop") {
+		t.Errorf("-multihop: %v", err)
 	}
 }
 

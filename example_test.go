@@ -324,7 +324,7 @@ func dcOutcomes() (algos, mixes []string, out [][]*octopus.AlgoOutcome, err erro
 	for a, name := range algos {
 		out[a] = make([]*octopus.AlgoOutcome, len(loads))
 		for m, load := range loads {
-			out[a][m], err = octopus.RunAlgorithm(name, g, load, octopus.AlgoParams{Window: dcWindow, Delta: 20, Seed: 7})
+			out[a][m], err = octopus.RunAlgorithm(name, g, load, octopus.AlgoParams{Window: dcWindow, Delta: 20, Rng: rand.New(rand.NewSource(7))})
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("%s on %s: %w", name, mixes[m], err)
 			}

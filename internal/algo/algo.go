@@ -15,7 +15,7 @@
 //
 //	name[:key=value,...]
 //
-// e.g. "octopus-e:eps64=8" or "octopus-g:ports=2"; see
+// e.g. "octopus-e:eps64=8" or "octopus-sharded:pods=4,par=2"; see
 // ParseSpec for the key set. Running an algorithm yields a uniform *Outcome that
 // carries the planned schedule (when one exists), the delivered / hops /
 // ψ / reconfiguration metrics every consumer reports, and everything the
@@ -66,7 +66,7 @@ type Algorithm interface {
 	Kind() Kind
 	// Run executes the algorithm on the MHS instance (g, load) under p.
 	// Implementations must not mutate load (they clone when they need to
-	// resolve routes) and must be deterministic given p.Seed/p.Rng.
+	// resolve routes) and must be deterministic given p.Rng.
 	Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome, error)
 }
 

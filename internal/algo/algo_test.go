@@ -37,7 +37,7 @@ func TestRegistryCompleteness(t *testing.T) {
 	for _, a := range Registry() {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
-			out, err := a.Run(g, load, Params{Window: 120, Delta: 4, Seed: 1, KeepTrace: true})
+			out, err := a.Run(g, load, Params{Window: 120, Delta: 4, Rng: rand.New(rand.NewSource(1)), KeepTrace: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,16 +68,16 @@ func TestRegistryCompleteness(t *testing.T) {
 
 // TestRegistryDeterministic reruns every algorithm on the same instance
 // and params: metrics and schedule shape must be identical (octopus-random
-// must re-draw the same routes from Seed).
+// must re-draw the same routes from a stream of the same seed).
 func TestRegistryDeterministic(t *testing.T) {
 	g, load := testInstance(t, 23)
 	for _, a := range Registry() {
-		p := Params{Window: 100, Delta: 3, Seed: 9}
-		o1, err := a.Run(g, load, p)
+		p := func() Params { return Params{Window: 100, Delta: 3, Rng: rand.New(rand.NewSource(9))} }
+		o1, err := a.Run(g, load, p())
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
-		o2, err := a.Run(g, load, p)
+		o2, err := a.Run(g, load, p())
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
@@ -94,7 +94,7 @@ func TestRegistryRunsDoNotMutateLoad(t *testing.T) {
 	g, load := testInstance(t, 31)
 	pristine := load.Clone()
 	for _, a := range Registry() {
-		if _, err := a.Run(g, load, Params{Window: 80, Delta: 2, Seed: 4}); err != nil {
+		if _, err := a.Run(g, load, Params{Window: 80, Delta: 2, Rng: rand.New(rand.NewSource(4))}); err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
 		if len(load.Flows) != len(pristine.Flows) {

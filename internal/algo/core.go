@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"math/rand"
+
 	"octopus/internal/core"
 	"octopus/internal/graph"
 	"octopus/internal/simulate"
@@ -33,7 +35,6 @@ func baseOptions(p Params) core.Options {
 		Window:      p.Window,
 		Delta:       p.Delta,
 		Ports:       p.Ports,
-		MultiHop:    p.MultiHop,
 		Matcher:     p.Matcher,
 		Epsilon64:   p.Epsilon64,
 		Parallelism: p.Parallelism,
@@ -164,7 +165,7 @@ func octopusEAlgo() Algorithm {
 func chainedAlgo() Algorithm {
 	return &coreAlgo{
 		name:     "chained",
-		describe: "Octopus with multi-hop chaining (§5, Theorem 2); equivalent to octopus:multihop=true",
+		describe: "Octopus with multi-hop chaining (§5, Theorem 2): packets chain hops within a configuration, in the plan and its replay",
 		prep: passthrough(func(p Params) core.Options {
 			opt := baseOptions(p)
 			opt.MultiHop = true
@@ -192,7 +193,10 @@ func octopusRandomAlgo() Algorithm {
 		name:     "octopus-random",
 		describe: "Octopus-random (§6 baseline): pin one random candidate route per flow, then plain Octopus",
 		prep: func(load *traffic.Load, p Params) (*traffic.Load, core.Options, error) {
-			rng := p.rng()
+			rng := p.Rng
+			if rng == nil {
+				rng = rand.New(rand.NewSource(0))
+			}
 			resolved := load.Clone()
 			for i := range resolved.Flows {
 				f := &resolved.Flows[i]

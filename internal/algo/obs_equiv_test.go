@@ -2,6 +2,7 @@ package algo
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -19,13 +20,14 @@ func TestRegistryObsEquivalence(t *testing.T) {
 	for _, a := range Registry() {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
-			p := Params{Window: 120, Delta: 4, Seed: 1}
+			p := Params{Window: 120, Delta: 4, Rng: rand.New(rand.NewSource(1))}
 			plain, err := a.Run(g, load, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var trace bytes.Buffer
 			p.Obs = &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(&trace)}
+			p.Rng = rand.New(rand.NewSource(1))
 			inst, err := a.Run(g, load, p)
 			if err != nil {
 				t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 )
 
 // Params is the shared parameter spec every registered algorithm runs
-// under. The generic fields (Window, Delta, Ports, MultiHop, Matcher,
-// Seed) apply to every algorithm that uses them; the remaining knobs are
+// under. The instance fields (Window, Delta, Ports) and the generic Matcher
+// and Rng apply to every algorithm that uses them; the remaining knobs are
 // read only by the algorithms they name, and ParseSpec refuses a spec
 // that sets one for any other entry.
 type Params struct {
@@ -24,19 +24,13 @@ type Params struct {
 	Delta  int // Δ, the reconfiguration delay in slots
 	Ports  int // input/output ports per node (§7); 0 or 1 = single-port
 
-	// MultiHop lets packets chain hops within one configuration (§5),
-	// both in planning (core.Options.MultiHop) and in measurement.
-	MultiHop bool
-
 	// Matcher selects the matching solver for algorithms that take one
 	// (the octopus-g preset overrides it to the greedy matcher).
 	Matcher core.Matcher
 
-	// Seed seeds algorithm-internal randomness (octopus-random's route
-	// pinning). Rng, when non-nil, overrides Seed so a caller can share
-	// one deterministic stream across generation and runs.
-	Seed int64
-	Rng  *rand.Rand
+	// Rng is the one source of algorithm randomness (octopus-random's route
+	// pinning), shared with generation by callers; nil draws a stream seeded 0.
+	Rng *rand.Rand
 
 	// Epsilon64 is the Octopus-e later-hop bonus in 1/64 units; 0 selects
 	// the algorithm default (4 for octopus-e, off for plain octopus).
@@ -67,9 +61,9 @@ type Params struct {
 	// the unsharded identity (bit-identical to plain octopus).
 	Pods int
 
-	// KeepTrace makes core planners record every planned movement so the
-	// plan can be audited by core.Result.VerifyPlan (used by the
-	// differential harness; costs memory).
+	// KeepTrace makes Octopus+ record every planned movement so the plan
+	// can be audited by core.Result.VerifyPlan (set by the differential
+	// harness; costs memory).
 	KeepTrace bool
 
 	// Parallelism is the worker count of the core planner's per-α
@@ -92,15 +86,6 @@ type Params struct {
 	FlightSample int
 }
 
-// rng returns the parameter RNG: Rng when set, otherwise a fresh stream
-// seeded with Seed.
-func (p Params) rng() *rand.Rand {
-	if p.Rng != nil {
-		return p.Rng
-	}
-	return rand.New(rand.NewSource(p.Seed))
-}
-
 // ParseMatcher maps a matcher name onto core.Matcher.
 func ParseMatcher(s string) (core.Matcher, error) {
 	switch s {
@@ -117,15 +102,15 @@ func ParseMatcher(s string) (core.Matcher, error) {
 //	name[:key=value,...]
 //
 // against the registry, overlaying any key=value options onto base. Keys:
-// ports, par, pods, eps64, slots, red (integers), sample (N or 1/N),
-// crit, stretch (numbers), multihop, backtrack, keeptrace (booleans;
-// backtrack=false disables Octopus+ backtracking), and matcher
-// (exact|greedy). A key the named algorithm never reads is an error: each
-// entry takes the keys it was registered with, every entry takes sample
-// (the flight recorder's sampling, applied by whoever builds the recorder)
-// and core planners take red, crit and stretch (the copies the fault
-// pipeline provisions). The instance — window, Δ, seed — is base's alone:
-// every entry point sets it from its own flags.
+// par, pods, eps64, slots, red (integers), sample (N or 1/N), crit,
+// stretch (numbers), backtrack (boolean; false disables Octopus+
+// backtracking), and matcher (exact|greedy). A key the named algorithm
+// never reads is an error: each entry takes the keys it was registered
+// with, every entry takes sample (the flight recorder's sampling, applied
+// by whoever builds the recorder) and core planners take red, crit and
+// stretch (the copies the fault pipeline provisions). The instance —
+// window, Δ, ports, seed — is base's alone: every entry point sets it from
+// its own flags.
 func ParseSpec(spec string, base Params) (Algorithm, Params, error) {
 	name, opts, hasOpts := strings.Cut(spec, ":")
 	a, ok := Lookup(name)
@@ -160,8 +145,7 @@ func ParseSpec(spec string, base Params) (Algorithm, Params, error) {
 
 // specKeys names every key ParseSpec accepts, for error messages.
 var specKeys = []string{
-	"backtrack", "crit", "eps64", "keeptrace", "matcher", "multihop",
-	"par", "pods", "ports", "red", "sample", "slots", "stretch",
+	"backtrack", "crit", "eps64", "matcher", "par", "pods", "red", "sample", "slots", "stretch",
 }
 
 // set applies one key=value option to the params.
@@ -170,14 +154,6 @@ func (p *Params) set(key, val string) error {
 		v, err := strconv.Atoi(val)
 		if err != nil {
 			return fmt.Errorf("option %s=%q: want an integer", key, val)
-		}
-		*dst = v
-		return nil
-	}
-	parseBool := func(dst *bool) error {
-		v, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("option %s=%q: want a boolean", key, val)
 		}
 		*dst = v
 		return nil
@@ -205,8 +181,6 @@ func (p *Params) set(key, val string) error {
 		return fmt.Errorf("option %s=%q: want a number in [0, %g]", key, val, hi)
 	}
 	switch key {
-	case "ports":
-		return parseInt(&p.Ports)
 	case "par":
 		return count(&p.Parallelism)
 	case "pods":
@@ -221,14 +195,10 @@ func (p *Params) set(key, val string) error {
 		return upTo(&p.CritFrac, 1)
 	case "stretch":
 		return upTo(&p.Stretch, math.Inf(1))
-	case "multihop":
-		return parseBool(&p.MultiHop)
-	case "keeptrace":
-		return parseBool(&p.KeepTrace)
 	case "backtrack":
-		var backtrack bool
-		if err := parseBool(&backtrack); err != nil {
-			return err
+		backtrack, err := strconv.ParseBool(val)
+		if err != nil {
+			return fmt.Errorf("option %s=%q: want a boolean", key, val)
 		}
 		p.DisableBacktrack = !backtrack
 		return nil

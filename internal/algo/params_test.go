@@ -47,18 +47,11 @@ func TestParseSpecOptions(t *testing.T) {
 	if p.Epsilon64 != 8 || p.Window != 100 || p.Matcher != core.MatcherGreedy {
 		t.Fatalf("got %+v", p)
 	}
-	_, p, err = ParseSpec("octopus-plus:backtrack=false,keeptrace=true", base)
+	_, p, err = ParseSpec("octopus-plus:backtrack=false", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.DisableBacktrack || !p.KeepTrace {
-		t.Fatalf("got %+v", p)
-	}
-	_, p, err = ParseSpec("octopus:multihop=true,ports=2", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.MultiHop || p.Ports != 2 {
+	if !p.DisableBacktrack {
 		t.Fatalf("got %+v", p)
 	}
 }
@@ -77,7 +70,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"octopus:eps64", "malformed option"},
 		{"octopus:eps64=", "malformed option"},
 		{"octopus:eps64=abc", "want an integer"},
-		{"octopus:multihop=maybe", "want a boolean"},
+		{"octopus-plus:backtrack=maybe", "want a boolean"},
 		{"octopus:crit=fast", "want a number"},
 		// A removed entry and its key are unknown, not ignored.
 		{"hybrid", `unknown algorithm "hybrid"`},
@@ -93,6 +86,10 @@ func TestParseSpecErrors(t *testing.T) {
 		{"octopus:window=500", `unknown option "window"`},
 		{"octopus:delta=20", `unknown option "delta"`},
 		{"octopus-random:seed=7", `unknown option "seed"`},
+		{"octopus:ports=2", `unknown option "ports"`},
+		// Chaining is the chained entry; the trace audit is set in code.
+		{"octopus:multihop=true", `unknown option "multihop"`},
+		{"octopus-plus:keeptrace=true", `unknown option "keeptrace"`},
 	}
 	for _, tc := range cases {
 		_, _, err := ParseSpec(tc.spec, base)
@@ -115,14 +112,14 @@ func TestParseSpecErrors(t *testing.T) {
 func TestParseSpecRefusesUnreadKeys(t *testing.T) {
 	base := Params{Window: 200, Delta: 5}
 	for _, tc := range []struct{ spec, reads string }{
-		{"octopus:slots=7", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
-		{"octopus:pods=4", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
-		{"octopus:backtrack=false", "crit, eps64, matcher, multihop, par, ports, red, sample, stretch"},
-		{"octopus-g:matcher=exact", "crit, eps64, multihop, par, ports, red, sample, stretch"},
-		{"chained:multihop=false", "crit, eps64, matcher, par, ports, red, sample, stretch"},
-		{"rotornet:multihop=true", "sample, slots"},
+		{"octopus:slots=7", "crit, eps64, matcher, par, red, sample, stretch"},
+		{"octopus:pods=4", "crit, eps64, matcher, par, red, sample, stretch"},
+		{"octopus:backtrack=false", "crit, eps64, matcher, par, red, sample, stretch"},
+		{"octopus-g:matcher=exact", "crit, eps64, par, red, sample, stretch"},
+		{"chained:matcher=greedy", "crit, eps64, par, red, sample, stretch"},
+		{"rotornet:pods=2", "sample, slots"},
 		{"eclipse-based:eps64=64", "matcher, sample"},
-		{"eclipse-pp:ports=2", "matcher, sample"},
+		{"eclipse-pp:par=2", "matcher, sample"},
 		{"ub:crit=0.5", "matcher, sample"},
 	} {
 		name, opt, _ := strings.Cut(tc.spec, ":")
@@ -142,8 +139,8 @@ func TestParseSpecRefusesUnreadKeys(t *testing.T) {
 	}
 	// Specs the repository spells out (figures, CI, README, benchmark).
 	for _, spec := range []string{
-		"octopus-e:eps64=8", "octopus-b:matcher=greedy", "octopus-g:ports=2", "octopus:ports=2",
-		"octopus-plus:backtrack=false", "octopus-plus:backtrack=false,keeptrace=true", "rotornet:slots=50",
+		"octopus-e:eps64=8", "octopus-b:matcher=greedy", "chained:eps64=8,par=2",
+		"octopus-plus:backtrack=false", "rotornet:slots=50",
 		"octopus-sharded:pods=4,par=2",
 		"octopus:red=2,crit=0.5", "octopus-g:sample=1/64", "ub:matcher=greedy", "eclipse-pp:sample=8",
 	} {
@@ -192,8 +189,7 @@ func TestSpecNumbersFailClosed(t *testing.T) {
 // must list them all.
 func TestSpecKeysCoverSetter(t *testing.T) {
 	vals := map[string]string{
-		"matcher": "greedy", "multihop": "true", "backtrack": "false",
-		"keeptrace": "true", "crit": "0.5",
+		"matcher": "greedy", "backtrack": "false", "crit": "0.5",
 	}
 	for _, key := range specKeys {
 		val, ok := vals[key]
@@ -224,12 +220,13 @@ func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
 		"octopus", "octopus:par=4", "octopus-g:matcher=exact", "octopus:stretch=0.5",
 		"octopus:red=2,crit=0.5,stretch=1.5", "octopus-sharded:pods=8,par=2",
-		"rotornet:slots=3", "octopus:sample=1/64", "octopus-e:eps64=8", "octopus:ports=2,multihop=true",
+		"rotornet:slots=3", "octopus:sample=1/64", "octopus-e:eps64=8", "chained:eps64=8,par=2",
 		"octopus:crit=2", "octopus:crit=NaN", "octopus:par=-1", "octopus:=", "nope:x=1", ":",
+		"octopus:ports=2,multihop=true", "octopus-plus:keeptrace=true", "chained:matcher=greedy",
 	} {
 		f.Add(seed)
 	}
-	base := Params{Window: 200, Delta: 5}
+	base := Params{Window: 200, Delta: 5, Ports: 2}
 	f.Fuzz(func(t *testing.T, spec string) {
 		_, p, err := ParseSpec(spec, base)
 		if err != nil {
@@ -243,7 +240,7 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("%q: crit %v outside [0, 1]", spec, p.CritFrac)
 		case !finite(p.Stretch) || p.Stretch < 0:
 			t.Fatalf("%q: stretch %v", spec, p.Stretch)
-		case p.Window != base.Window || p.Delta != base.Delta:
+		case p.Window != base.Window || p.Delta != base.Delta || p.Ports != base.Ports:
 			t.Fatalf("%q: the spec changed the instance: %+v", spec, p)
 		}
 	})

@@ -32,12 +32,22 @@ type pinPoint struct {
 	base Params // what every spec of the point overlays; set by parsePins
 }
 
-// pinRun is one row: a registry spec and the exact ψ (traffic.WeightScale
-// units) and delivered packets it must produce on its point.
+// pinRun is one row: a registry spec, the fabric's ports per node (0 or 1
+// = single-port) and the exact ψ (traffic.WeightScale units) and delivered
+// packets it must produce on its point.
 type pinRun struct {
 	Spec      string `json:"spec"`
+	Ports     int    `json:"ports"`
 	Psi       int64  `json:"psi"`
 	Delivered int    `json:"delivered"`
+}
+
+// name is the row's subtest name: the spec, under ports=K when K > 1.
+func (r *pinRun) name() string {
+	if r.Ports > 1 {
+		return fmt.Sprintf("%s/ports=%d", r.Spec, r.Ports)
+	}
+	return r.Spec
 }
 
 func (pt *pinPoint) name() string {
@@ -77,7 +87,7 @@ func parsePins(raw []byte) ([]pinPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", pt.name(), err)
 		}
-		pt.base = Params{Window: pt.Window, Delta: pt.Delta, Matcher: m, Seed: pt.Seed}
+		pt.base = Params{Window: pt.Window, Delta: pt.Delta, Matcher: m}
 		if len(pt.Runs) == 0 {
 			return nil, fmt.Errorf("%s: no runs", pt.name())
 		}
@@ -148,11 +158,12 @@ func TestPins(t *testing.T) {
 				t.Fatalf("instance has %d flows, file says %d", len(load.Flows), pt.Flows)
 			}
 			for _, run := range pt.Runs {
-				t.Run(run.Spec, func(t *testing.T) {
+				t.Run(run.name(), func(t *testing.T) {
 					a, p, err := ParseSpec(run.Spec, pt.base)
 					if err != nil {
 						t.Fatal(err)
 					}
+					p.Ports, p.Rng = run.Ports, rand.New(rand.NewSource(pt.Seed))
 					out, err := a.Run(g, load, p)
 					if err != nil {
 						t.Fatal(err)

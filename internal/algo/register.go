@@ -7,7 +7,7 @@ import (
 
 // baseKeys are the spec keys baseOptions maps onto core.Options: every
 // entry that plans through it reads them.
-var baseKeys = []string{"eps64", "matcher", "multihop", "par", "ports"}
+var baseKeys = []string{"eps64", "matcher", "par"}
 
 // init registers the full roster in the canonical display order: the
 // Octopus core family, then the baselines, then the bound entry, each
@@ -17,11 +17,11 @@ var baseKeys = []string{"eps64", "matcher", "multihop", "par", "ports"}
 // differential verification suite picks it up from the registry.
 func init() {
 	Register(octopusAlgo(), baseKeys...)
-	Register(octopusGAlgo(), "eps64", "multihop", "par", "ports") // the matcher is greedy
+	Register(octopusGAlgo(), "eps64", "par") // the matcher is greedy
 	Register(octopusBAlgo(), baseKeys...)
 	Register(octopusEAlgo(), baseKeys...)
-	Register(chainedAlgo(), "eps64", "matcher", "par", "ports") // multihop is on
-	Register(octopusPlusAlgo(), append([]string{"backtrack", "keeptrace"}, baseKeys...)...)
+	Register(chainedAlgo(), "eps64", "par") // chaining plans without the matcher, on one port
+	Register(octopusPlusAlgo(), append([]string{"backtrack"}, baseKeys...)...)
 	Register(octopusRandomAlgo(), baseKeys...)
 	Register(octopusShardedAlgo(), append([]string{"pods"}, baseKeys...)...)
 	Register(&funcAlgo{"eclipse-based", Offline, eclipseBased,

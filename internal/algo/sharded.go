@@ -56,9 +56,6 @@ func (a *shardedAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outc
 		out.Algo = a.Name()
 		return out, nil
 	}
-	if p.MultiHop {
-		return nil, fmt.Errorf("algo: octopus-sharded does not support multihop")
-	}
 	podSize, err := graph.PodDims(g.N(), pods)
 	if err != nil {
 		return nil, err
@@ -97,8 +94,7 @@ func (a *shardedAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outc
 		localWindow = 0
 	}
 
-	var merged schedule.Schedule
-	merged.Delta = p.Delta
+	merged := schedule.Schedule{Delta: p.Delta, Epsilon64: opt.Epsilon64}
 	planned := PlanInfo{}
 	var results []*core.Result
 	var planNs []int64

@@ -92,9 +92,6 @@ func TestOctopusShardedRejections(t *testing.T) {
 	if _, err := a.Run(g, load, Params{Window: 64, Delta: 2, Pods: 5}); err == nil {
 		t.Fatal("pods=5 accepted on a 12-node fabric")
 	}
-	if _, err := a.Run(g, load, Params{Window: 64, Delta: 2, Pods: 3, MultiHop: true}); err == nil {
-		t.Fatal("multihop accepted")
-	}
 	cp, ok := a.(CorePlanner)
 	if !ok {
 		t.Fatal("octopus-sharded does not implement CorePlanner")

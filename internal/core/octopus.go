@@ -174,7 +174,7 @@ func New(g *graph.Digraph, load *traffic.Load, opt Options) (*Scheduler, error) 
 		load:   load,
 		opt:    opt,
 		tr:     buildRemaining(g, load, opt.Parallelism, opt.Epsilon64, opt.MultiRoute, backtrack, opt.KeepTrace),
-		out:    schedule.Schedule{Delta: opt.Delta},
+		out:    schedule.Schedule{Delta: opt.Delta, MultiHop: opt.MultiHop, Epsilon64: opt.Epsilon64},
 		ins:    bindCoreInstruments(opt.Obs),
 	}, nil
 }

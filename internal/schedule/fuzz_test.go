@@ -16,6 +16,8 @@ func FuzzScheduleJSON(f *testing.F) {
 	f.Add(`{"delta":1,"configs":[{"alpha":0,"from":[0],"to":[1]}]}`)
 	f.Add(`{"delta":1,"configs":[{"alpha":3,"from":[0,1],"to":[1]}]}`)
 	f.Add(`{"delta":2,"configs":[{"alpha":9007199254740993,"from":[],"to":[]}]}`)
+	f.Add(`{"delta":2,"multihop":true,"eps64":64,"configs":[{"alpha":4,"from":[0],"to":[1]}]}`)
+	f.Add(`{"delta":2,"eps64":-64,"configs":[]}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		sch, err := ReadJSON(strings.NewReader(data))
 		if err != nil {
@@ -24,6 +26,9 @@ func FuzzScheduleJSON(f *testing.F) {
 		// ReadJSON's documented guarantees on anything it accepts.
 		if sch.Delta < 0 {
 			t.Fatalf("accepted negative delta %d", sch.Delta)
+		}
+		if sch.Epsilon64 < 0 || sch.Epsilon64 > maxEpsilon64 {
+			t.Fatalf("accepted eps64 %d", sch.Epsilon64)
 		}
 		for i, c := range sch.Configs {
 			if c.Alpha <= 0 {
@@ -47,7 +52,8 @@ func FuzzScheduleJSON(f *testing.F) {
 		if first != buf2.String() {
 			t.Fatal("round trip is not byte-stable")
 		}
-		if again.Cost() != sch.Cost() || len(again.Configs) != len(sch.Configs) {
+		if again.Cost() != sch.Cost() || len(again.Configs) != len(sch.Configs) ||
+			again.MultiHop != sch.MultiHop || again.Epsilon64 != sch.Epsilon64 {
 			t.Fatal("round trip changed the schedule")
 		}
 	})

@@ -7,14 +7,19 @@ import (
 
 	"octopus/internal/graph"
 	"octopus/internal/strictjson"
+	"octopus/internal/traffic"
 )
 
 // jsonSchedule is the serialized form of a Schedule: flat link arrays keep
-// the files compact and diff-friendly.
+// the files compact and diff-friendly; a plain plan leaves its rules out.
 type jsonSchedule struct {
-	Delta   int          `json:"delta"`
-	Configs []jsonConfig `json:"configs"`
+	Delta     int          `json:"delta"`
+	MultiHop  bool         `json:"multihop,omitempty"`
+	Epsilon64 int          `json:"eps64,omitempty"`
+	Configs   []jsonConfig `json:"configs"`
 }
+
+const maxEpsilon64 = 64 * traffic.MaxRouteLen // the most core.New takes
 
 type jsonConfig struct {
 	Alpha int   `json:"alpha"`
@@ -25,7 +30,7 @@ type jsonConfig struct {
 // WriteJSON serializes the schedule as indented JSON, so a plan computed
 // once (possibly on a big machine) can be replayed or inspected later.
 func (s *Schedule) WriteJSON(w io.Writer) error {
-	js := jsonSchedule{Delta: s.Delta, Configs: make([]jsonConfig, len(s.Configs))}
+	js := jsonSchedule{Delta: s.Delta, MultiHop: s.MultiHop, Epsilon64: s.Epsilon64, Configs: make([]jsonConfig, len(s.Configs))}
 	for i, c := range s.Configs {
 		jc := jsonConfig{Alpha: c.Alpha, From: make([]int, len(c.Links)), To: make([]int, len(c.Links))}
 		for k, e := range c.Links {
@@ -41,8 +46,8 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 
 // ReadJSON parses a schedule from one JSON object (unknown keys and
 // trailing data are errors) and checks structural sanity (positive
-// durations, matching From/To lengths). Fabric validation is the
-// caller's job via Validate.
+// durations, matching From/To lengths, an eps64 a planner takes). Fabric
+// validation is the caller's job via Validate.
 func ReadJSON(r io.Reader) (*Schedule, error) {
 	var js jsonSchedule
 	if err := strictjson.Decode(r, &js); err != nil {
@@ -51,7 +56,10 @@ func ReadJSON(r io.Reader) (*Schedule, error) {
 	if js.Delta < 0 {
 		return nil, fmt.Errorf("schedule: negative delta %d", js.Delta)
 	}
-	s := &Schedule{Delta: js.Delta}
+	if js.Epsilon64 < 0 || js.Epsilon64 > maxEpsilon64 {
+		return nil, fmt.Errorf("schedule: eps64 %d outside [0, %d]", js.Epsilon64, maxEpsilon64)
+	}
+	s := &Schedule{Delta: js.Delta, MultiHop: js.MultiHop, Epsilon64: js.Epsilon64}
 	for i, jc := range js.Configs {
 		if jc.Alpha <= 0 {
 			return nil, fmt.Errorf("schedule: config %d has non-positive alpha", i)

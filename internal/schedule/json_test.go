@@ -37,10 +37,44 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScheduleJSONServiceRules: a plan's chaining and ε travel with it,
+// and a plain plan is written byte for byte as before they existed.
+func TestScheduleJSONServiceRules(t *testing.T) {
+	plain := &Schedule{Delta: 2, Configs: []Configuration{{Links: []graph.Edge{{From: 0, To: 1}}, Alpha: 3}}}
+	var buf bytes.Buffer
+	if err := plain.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "{\n \"delta\": 2,\n \"configs\": [\n  {\n   \"alpha\": 3,\n   \"from\": [\n    0\n   ],\n   \"to\": [\n    1\n   ]\n  }\n ]\n}\n"
+	if buf.String() != want {
+		t.Fatalf("plain schedule written as\n%s\nwant\n%s", buf.String(), want)
+	}
+	for _, s := range []*Schedule{
+		{Delta: 2, MultiHop: true, Configs: plain.Configs},
+		{Delta: 2, Epsilon64: 64, Configs: plain.Configs},
+		{Delta: 2, MultiHop: true, Epsilon64: maxEpsilon64, Configs: plain.Configs},
+	} {
+		buf.Reset()
+		if err := s.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MultiHop != s.MultiHop || got.Epsilon64 != s.Epsilon64 || got.Delta != s.Delta || got.Cost() != s.Cost() {
+			t.Errorf("round trip of %+v read %+v", s, got)
+		}
+	}
+}
+
 func TestScheduleReadJSONRejects(t *testing.T) {
 	cases := []string{
 		`{`,
 		`{"delta":-1,"configs":[]}`,
+		`{"delta":1,"eps64":-1,"configs":[]}`,
+		`{"delta":1,"eps64":1000000,"configs":[]}`,
+		`{"delta":1,"multihop":1,"configs":[]}`,
 		`{"delta":1,"configs":[{"alpha":0,"from":[],"to":[]}]}`,
 		`{"delta":1,"configs":[{"alpha":5,"from":[0],"to":[]}]}`,
 	}

@@ -39,10 +39,14 @@ func (c Configuration) String() string {
 }
 
 // Schedule is a sequence of configurations for a network with
-// reconfiguration delay Delta (in time slots).
+// reconfiguration delay Delta (in time slots) and the service rules it was
+// planned under: MultiHop chains hops within a configuration (§5), and
+// Epsilon64 is Octopus-e's later-hop bonus in 1/64 units (0 = off).
 type Schedule struct {
-	Configs []Configuration
-	Delta   int
+	Configs   []Configuration
+	Delta     int
+	MultiHop  bool
+	Epsilon64 int
 }
 
 // Cost returns the total number of time slots the schedule consumes:

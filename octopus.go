@@ -156,7 +156,8 @@ func Schedule(g *Network, load *Load, opt Options) (*Result, error) {
 }
 
 // Measure replays a schedule in the packet-level simulator and reports
-// delivered packets, packet-hops, ψ, and link utilization.
+// delivered packets, packet-hops, ψ, and link utilization; opt measures
+// the plan when it sets the schedule's own MultiHop and Epsilon64.
 func Measure(g *Network, load *Load, sch *ConfigSchedule, opt SimOptions) (*SimResult, error) {
 	return simulate.Run(g, load, sch, opt)
 }
@@ -204,7 +205,8 @@ type (
 	// analytic bound).
 	AlgoKind = algo.Kind
 	// AlgoParams is the shared parameter set accepted by every registered
-	// algorithm; each consumes the fields it understands.
+	// algorithm; each consumes the fields it understands. The instance
+	// (Window, Delta, Ports, Rng's seed) is the caller's.
 	AlgoParams = algo.Params
 	// AlgoOutcome is the uniform, verify-ready result of a registry run.
 	AlgoOutcome = algo.Outcome
