@@ -28,6 +28,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -79,8 +80,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		buildinfo.Print(stdout, "mhsd")
 		return nil
 	}
-	if *n < 2 {
-		return fmt.Errorf("need at least 2 nodes, have %d", *n)
+	// A flag nothing reads is refused, not ignored: -flight=false builds no
+	// recorder, and a complete fabric (-deg 0) draws nothing from the seed.
+	off := map[string]bool{"flight-sample": !*flightOn, "flight-cap": !*flightOn, "slo-epochs": !*flightOn, "seed": *deg == 0}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if off[f.Name] {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if unread != nil {
+		return fmt.Errorf("nothing reads %s: the recorder's flags need -flight, -seed needs -deg > 0", strings.Join(unread, " "))
 	}
 
 	fabric, err := traffic.Scenario{N: *n, Deg: *deg}.Fabric(rand.New(rand.NewSource(*seed)))

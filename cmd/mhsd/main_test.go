@@ -40,6 +40,20 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-trace-out", "/nonexistent-dir/trace.jsonl"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unwritable trace path accepted")
 	}
+	// A flag nothing reads is refused before mhsd listens; the address is
+	// unusable, so a run that got past the check fails there instead.
+	for _, tc := range []struct{ args, want string }{
+		{"-flight=false -flight-sample 4", "nothing reads -flight-sample"},
+		{"-flight=false -flight-cap 64", "nothing reads -flight-cap"},
+		{"-flight=false -slo-epochs 8", "nothing reads -slo-epochs"},
+		{"-seed 7", "nothing reads -seed"},
+		{"-deg 0 -seed 7 -flight=false -flight-cap 9", "nothing reads -flight-cap -seed"},
+	} {
+		err := run(append(strings.Fields(tc.args), "-addr", "127.0.0.1:-1"), io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("mhsd %s: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
 }
 
 // TestSignalShutdown: SIGINT cancels the serving context, so mhsd drains

@@ -1,37 +1,32 @@
 // Command mhsim runs one multi-hop scheduling scenario end to end:
-// generate (or read) a traffic load, plan a schedule with the selected
-// algorithm, replay it in the packet-level simulator, and print the
-// outcome. Algorithms are dispatched through the internal/algo registry,
-// so every registered algorithm — core Octopus variants, baselines, UB —
-// is available with a uniform spec grammar.
+// generate (or read) a traffic load, plan a schedule with any algorithm of
+// the internal/algo registry (one spec grammar for all), replay it in the
+// packet-level simulator, and print the outcome.
 //
 // Usage:
 //
 //	mhsim -n 100 -window 10000 -delta 20 -algo octopus
 //	mhsim -algo octopus-plus -routes 10
-//	mhsim -algo octopus-e:eps64=8
-//	mhsim -trace fb-web -algo eclipse-based
-//	mhsim -load load.json -algo octopus-g -v
-//	mhsim -algo octopus -faults trace.json
+//	mhsim -trace fb-web -algo eclipse-based -v
 //	mhsim -n 8 -window 200 -save-schedule s.json
 //	mhsim -n 8 -window 200 -replay s.json
-//	mhsim -list-algos
+//	mhsim -algo octopus:red=2,crit=0.5 -faults trace.json -max-epochs 8
+//	mhsim -faults trace.json -redundancy -redundancy-out showdown.json
 //	mhsim -n 1024 -window 10000 -pods 32 -emit pods.mhsb -format bin
+//	mhsim -n 1024 -window 96 -pods 32 -load pods.mhsb -algo octopus-g
 //	mhsim -stats pods.mhsb
-//	mhsim -fig 4a                      # one §8 figure at quick scale
 //	mhsim -fig all -scale full -out results/
+//	mhsim -list-algos
 //
-// -emit writes the load the generation flags describe and stops; the same
-// flags then plan it from the file (-load). A -pods load streams to jsonl
-// or bin flow by flow, so it may be larger than RAM. -replay skips
-// planning: it replays a saved schedule, which carries its own Δ and
-// service rules, over the same instance and refuses the planner's flags
-// (-algo, -delta, -v, ...); -save-schedule refuses what it cannot reproduce.
-// -fig regenerates the tables of the paper's evaluation
-// (internal/experiment) and stops: the quick scale runs every figure in
-// under a second, the full scale is the paper's n = 100, W = 10000,
-// Δ = 20, 10 instances per point.
-// -cpuprofile and -memprofile profile any of these runs.
+// The first of -stats, -emit, -fig, -replay, the -redundancy showdown and
+// the -faults run whose flags are set runs, else the plain plan. Each reads
+// the profiles and the flags of its row of modes; any other flag set is an
+// error, as is a spec key nothing reads (red, crit and stretch need
+// -faults, sample needs -flight-out). -load reads the load from a file, so
+// only the fabric flags (-n -seed -deg -pods -interlinks -matrix) may
+// describe it. -emit streams a -pods load, which may be larger than RAM; a
+// saved schedule carries its own Δ and service rules; -fig writes the
+// paper's §8 tables at quick or full scale (internal/experiment).
 package main
 
 import (
@@ -113,12 +108,12 @@ func (s *obsSinks) finish(stderr io.Writer, metricsOut string) error {
 	return nil
 }
 
-// emitScheduleTrace records the planned (or replayed) schedule in the
-// decision trace: one "sched" header followed by one "sched.config" per
+// emitScheduleTrace records the planned (or replayed) schedule, if any, in
+// the decision trace: one "sched" header followed by one "sched.config" per
 // configuration carrying its α and link set — enough to rebuild the
 // schedule from the trace alone.
 func emitScheduleTrace(t *obs.Tracer, sch *schedule.Schedule) {
-	if t == nil {
+	if t == nil || sch == nil {
 		return
 	}
 	t.Emit("sched",
@@ -176,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		saveSched  = fs.String("save-schedule", "", "write the planned schedule to a JSON file")
 		replay     = fs.String("replay", "", "skip planning: replay a schedule JSON file over the load")
 		faultsPath = fs.String("faults", "", "inject a link/node failure trace from a JSON file (see internal/fault)")
-		redundancy = fs.Bool("redundancy", false, "with -faults: run the proactive-vs-reactive showdown (none, reactive, proactive, both) instead of a single degraded run")
+		redundancy = fs.Bool("redundancy", false, "with -faults: run the proactive-vs-reactive showdown (none, reactive, proactive, both) instead of a single degraded run; copies protect half the flows unless the spec sets crit")
 		redOut     = fs.String("redundancy-out", "", "with -redundancy: also write the showdown results as JSON to this file ('-' for stdout)")
 		maxEpochs  = fs.Int("max-epochs", 0, "with -faults: cap the online run at this many epochs (0 = run until drained)")
 		listAlgos  = fs.Bool("list-algos", false, "print the algorithm registry (name, kind, description; tab-separated) and exit")
@@ -204,7 +199,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return nil
 	}
 	if *listAlgos {
-		listRegistry(stdout)
+		// Name, kind and description, tab-separated, in registry order:
+		// the README algorithm table is generated from this output.
+		for _, a := range algo.Registry() {
+			fmt.Fprintf(stdout, "%s\t%s\t%s\n", a.Name(), a.Kind(), a.Describe())
+		}
 		return nil
 	}
 	if *cpuProf != "" {
@@ -262,24 +261,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return emitLoad(sc, rand.New(rand.NewSource(*seed)), *emitPath, *format, stdout, stderr)
 	}
 
-	var sinks obsSinks
-	if err := sinks.setup(*metricsOut, *traceOut); err != nil {
-		return err
-	}
-
 	// Resolve the algorithm spec and reject unsupported flag combinations
 	// before any generation or planning work.
-	a, params, err := algo.ParseSpec(*algoSpec, algo.Params{Window: *window, Delta: *delta, Ports: *ports, Obs: sinks.observer})
+	a, params, err := algo.ParseSpec(*algoSpec, algo.Params{Window: *window, Delta: *delta, Ports: *ports})
 	if err != nil {
 		return err
-	}
-	var flightRec *flight.Recorder
-	if *flightOut != "" {
-		// The recorder shares the metrics registry (when one exists) so the
-		// SLO mirrors land on the same -metrics-out snapshot. For offline
-		// runs the recorder's "epochs" are simulator slot numbers.
-		flightRec = flight.New(flight.Config{Sample: params.FlightSample, Metrics: sinks.reg})
-		params.Flight = flightRec
 	}
 	wantSchedule := *verbose || *gantt || *saveSched != ""
 	if wantSchedule && a.Kind() != algo.Offline {
@@ -291,14 +277,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("algorithm %q does not support -faults (use one of: %s)",
 			a.Name(), strings.Join(algo.CoreNames(), ", "))
 	}
+	// Spec keys follow the flags' rule: a key no part of the run reads is
+	// refused.
 	if (params.Redundancy != 0 || params.CritFrac != 0 || params.Stretch != 0) && *faultsPath == "" {
 		return fmt.Errorf("algorithm spec %q: red, crit and stretch need -faults: only the fault pipeline provisions copies", *algoSpec)
 	}
-	if *redundancy && *faultsPath == "" {
-		return fmt.Errorf("-redundancy needs -faults: the showdown replays a failure trace")
-	}
-	if *redOut != "" && !*redundancy {
-		return fmt.Errorf("-redundancy-out needs -redundancy")
+	if params.FlightSample != 0 && *flightOut == "" {
+		return fmt.Errorf("algorithm spec %q: sample needs -flight-out: only the flight recorder samples flows", *algoSpec)
 	}
 
 	// One rng, drawn in order: a partial fabric, then the load, then
@@ -322,6 +307,19 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	// The sinks open once the instance is built: a refused run writes none.
+	var sinks obsSinks
+	if err := sinks.setup(*metricsOut, *traceOut); err != nil {
+		return err
+	}
+	params.Obs = sinks.observer
+	var flightRec *flight.Recorder
+	if *flightOut != "" {
+		// Its SLO mirrors land in the -metrics-out snapshot (when there is
+		// one); offline, its "epochs" are simulator slot numbers.
+		flightRec = flight.New(flight.Config{Sample: params.FlightSample, Metrics: sinks.reg})
+		params.Flight = flightRec
+	}
 	fmt.Fprintf(stdout, "fabric: %d nodes, %d links; load: %d flows, %d packets, max %d hops\n",
 		g.N(), g.M(), len(load.Flows), load.TotalPackets(), load.MaxHops())
 	if faults != nil {
@@ -329,8 +327,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			len(faults.Events), len(faults.DeltaJitter))
 	}
 
-	// The scenario runs behind a closure so every exit path still flushes
-	// the observability sinks (trace file, metrics snapshot).
+	// The run sits behind a closure so that each of its paths ends by
+	// writing the flight journal and flushing the sinks.
 	scenario := func() error {
 		if mode == "replay" {
 			sch, err := loadSchedule(*replay, g, *ports)
@@ -371,9 +369,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		if out.Schedule != nil {
-			emitScheduleTrace(sinks.tracer, out.Schedule)
-		}
+		emitScheduleTrace(sinks.tracer, out.Schedule)
 		if *saveSched != "" {
 			if err := replayable(out, g, load, *ports); err != nil {
 				return fmt.Errorf("-save-schedule: %w", err)
@@ -427,15 +423,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			snap.Events, snap.Retained, snap.TrackedFlows, *flightOut)
 	}
 	return sinks.finish(stderr, *metricsOut)
-}
-
-// listRegistry prints the machine-readable algorithm listing: one
-// tab-separated line per algorithm (name, kind, description), in registry
-// order. The README algorithm table is generated from this output.
-func listRegistry(w io.Writer) {
-	for _, a := range algo.Registry() {
-		fmt.Fprintf(w, "%s\t%s\t%s\n", a.Name(), a.Kind(), a.Describe())
-	}
 }
 
 // loadFaults reads and validates a failure trace against the fabric; an
@@ -612,66 +599,76 @@ func runShowdown(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults 
 			fmt.Sprintf("(%6.2f%%)", 100*a.UniqueFraction), a.Dropped, a.SurvivedRedundant, a.Psi)
 	}
 	fmt.Fprintf(stdout, "psi overhead of proactive copies (both / reactive): %.2fx\n", rep.PsiOverhead)
-	if outPath != "" {
-		buf, err := json.MarshalIndent(&rep, "", " ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if outPath == "-" {
-			_, err = stdout.Write(buf)
-			return err
-		}
-		if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-			return err
-		}
+	if outPath == "" {
+		return nil
 	}
-	return nil
+	return writeOut(outPath, stdout, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(&rep)
+	})
 }
 
-// scenarioFlags are the flags traffic.Scenario is built from.
-var scenarioFlags = strings.Fields("n window seed trace routes fixed-hops deg pods interpod interlinks flows skew matrix")
+// The fabric flags build the fabric, the load flags the load a run draws
+// over it; -load reads the load from a file instead, so a run that reads
+// -load reads no load flag beside it.
+var (
+	fabricFlags   = strings.Fields("n seed deg pods interlinks matrix")
+	loadFlags     = strings.Fields("trace routes fixed-hops flows skew interpod")
+	instanceFlags = slices.Concat(fabricFlags, loadFlags, strings.Fields("window load ports"))
+)
 
-// modes are the commands that do not plan, in order of precedence: each
-// is on when its flag is non-empty and reads the flags listed, the
-// profiles and its own. only are the flags no other command reads, so a
-// plan refuses them.
-var modes = []struct {
-	name        string
-	reads, only []string
-}{
-	{"stats", nil, nil},
-	{"emit", scenarioFlags, []string{"format"}},
-	{"fig", strings.Fields("n window delta seed"), strings.Fields("scale out instances workers matcher node-sweep delta-sweep time-nodes")},
-	{"replay", slices.Concat(scenarioFlags, strings.Fields("load ports faults metrics-out trace-out flight-out")), nil},
+// A mode is one of mhsim's runs: the flags that turn it on and the flags
+// it reads beside them.
+type mode struct{ on, reads []string }
+
+// modes are mhsim's runs in order of precedence: the first whose flags in
+// on all hold a value (neither empty nor false) runs, and reads those, the
+// flags in reads and the profiles. The plain plan, last, runs by default.
+var modes = []mode{
+	{[]string{"stats"}, nil},
+	{[]string{"emit"}, slices.Concat(fabricFlags, loadFlags, []string{"window", "format"})},
+	{[]string{"fig"}, strings.Fields("n window delta seed scale out instances workers matcher node-sweep delta-sweep time-nodes")},
+	{[]string{"replay"}, slices.Concat(instanceFlags, strings.Fields("faults metrics-out trace-out flight-out"))},
+	// No arm of the showdown is recorded, so it reads no -flight-out.
+	{[]string{"redundancy", "faults"}, slices.Concat(instanceFlags, strings.Fields("delta algo max-epochs redundancy-out metrics-out trace-out"))},
+	{[]string{"faults"}, slices.Concat(instanceFlags, strings.Fields("delta algo max-epochs metrics-out trace-out flight-out"))},
+	{nil, slices.Concat(instanceFlags, strings.Fields("delta algo v gantt save-schedule metrics-out trace-out flight-out"))},
 }
 
-// checkMode returns the mode the flags select ("" plans a scenario),
-// refusing any flag set on the command line that the mode would ignore.
+// checkMode returns the flags that turn the selected run on ("" for the
+// plain plan), refusing any flag set on the command line that the run would
+// ignore: a run that is on names what it ignores, the plain plan names the
+// run that would read the flag.
 func checkMode(fs *flag.FlagSet) (string, error) {
-	for _, m := range modes {
-		if fs.Lookup(m.name).Value.String() == "" {
-			continue
+	on := func(name string) bool { return !slices.Contains([]string{"", "false"}, fs.Lookup(name).Value.String()) }
+	m := modes[slices.IndexFunc(modes, func(m mode) bool { return !slices.ContainsFunc(m.on, func(s string) bool { return !on(s) }) })]
+	reads := slices.Concat(m.on, m.reads, []string{"cpuprofile", "memprofile"})
+	var dropped, loadDropped []string
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case !slices.Contains(reads, f.Name):
+			dropped = append(dropped, "-"+f.Name)
+		case on("load") && slices.Contains(loadFlags, f.Name):
+			loadDropped = append(loadDropped, "-"+f.Name)
 		}
-		keep, dropped := slices.Concat(m.reads, m.only, []string{m.name, "cpuprofile", "memprofile"}), []string(nil)
-		fs.Visit(func(f *flag.Flag) {
-			if !slices.Contains(keep, f.Name) {
-				dropped = append(dropped, "-"+f.Name)
+	})
+	switch {
+	case dropped != nil && m.on != nil:
+		return "", fmt.Errorf("-%s would ignore %s", m.on[0], strings.Join(dropped, " "))
+	case dropped != nil:
+		// The last run that reads the flag needs the fewest flags more.
+		var needs []string
+		for _, r := range modes {
+			if slices.Contains(slices.Concat(r.on, r.reads), dropped[0][1:]) {
+				needs = slices.DeleteFunc(slices.Clone(r.on), on)
 			}
-		})
-		if dropped != nil {
-			return "", fmt.Errorf("-%s would ignore %s", m.name, strings.Join(dropped, " "))
 		}
-		return m.name, nil
+		return "", fmt.Errorf("%s needs -%s", dropped[0], strings.Join(needs, " -"))
+	case loadDropped != nil:
+		return "", fmt.Errorf("-load would ignore %s", strings.Join(loadDropped, " "))
 	}
-	for _, m := range modes {
-		for _, name := range m.only {
-			if isSet(fs, name) {
-				return "", fmt.Errorf("-%s needs -%s", name, m.name)
-			}
-		}
-	}
-	return "", nil
+	return strings.Join(m.on, " "), nil
 }
 
 // isSet reports whether the flag was set on the command line.
@@ -798,14 +795,19 @@ func emitLoad(sc traffic.Scenario, rng *rand.Rand, path, format string, stdout, 
 		}
 		return sw.Close()
 	}
-	if path == "-" {
-		return write(stdout)
-	}
-	if err := strictjson.WriteFile(path, write); err != nil {
+	if err := writeOut(path, stdout, write); err != nil || path == "-" {
 		return err
 	}
 	fmt.Fprintf(stderr, "wrote %s: %d flows, %d packets\n", path, flows, packets)
 	return nil
+}
+
+// writeOut writes to the file at path with write, or to stdout for "-".
+func writeOut(path string, stdout io.Writer, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(stdout)
+	}
+	return strictjson.WriteFile(path, write)
 }
 
 // printStats summarises a load file of any encoding: flows, packets, the

@@ -42,13 +42,27 @@ func sameInstance(t *testing.T, sc traffic.Scenario, args ...string) *traffic.Lo
 	if err := run(args, &inPlace, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-load", path), &fromFile, io.Discard); err != nil {
+	if err := run(append(withoutLoadFlags(args), "-load", path), &fromFile, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if inPlace.String() != fromFile.String() {
 		t.Errorf("%v: in place\n%s\nfrom the file of %+v\n%s", args, inPlace.String(), sc, fromFile.String())
 	}
 	return load
+}
+
+// withoutLoadFlags is args without the load flags and their values: the
+// fabric and plan flags a -load run of the same instance reads.
+func withoutLoadFlags(args []string) []string {
+	var out []string
+	for i := 0; i < len(args); i++ {
+		if slices.Contains(loadFlags, strings.TrimPrefix(args[i], "-")) {
+			i++
+			continue
+		}
+		out = append(out, args[i])
+	}
+	return out
 }
 
 // TestMakeLoadSynthetic: the synthetic and pod loads mhsim generates are
@@ -410,6 +424,58 @@ func TestRedundancyFlagGating(t *testing.T) {
 		err = run([]string{"-n", "4", "-algo", spec}, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "need -faults") {
 			t.Errorf("%s without -faults: %v", spec, err)
+		}
+	}
+}
+
+// TestPlanPathsRefuseWhatTheyIgnore: the planning runs refuse every flag
+// and spec key they would drop — the schedule sinks under -faults, the load
+// flags beside -load (planned or replayed), -max-epochs without -faults,
+// -flight-out under the showdown, whose arms are not recorded, and
+// sample=N without a journal to sample; and a refused run writes no file.
+func TestPlanPathsRefuseWhatTheyIgnore(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name string) string { return filepath.Join(dir, name) }
+	inst := map[string]string{"flat": "-n 8 -window 60 -seed 1", "pods": "-n 12 -window 64 -seed 1 -pods 3"}
+	for name, flags := range inst {
+		load := " -load " + file(name+".json")
+		for _, pre := range []string{" -emit " + file(name+".json"), " -delta 5" + load + " -save-schedule " + file(name+"-s.json")} {
+			if err := run(strings.Fields(flags+pre), io.Discard, io.Discard); err != nil {
+				t.Fatalf("mhsim %s: %v", flags+pre, err)
+			}
+		}
+	}
+	type row struct{ args, want string }
+	faults := inst["flat"] + " -delta 5 -max-epochs 2 -faults testdata/redundancy-burst.json "
+	rows := []row{
+		{faults + "-v", "-faults would ignore -v"},
+		{faults + "-gantt", "-faults would ignore -gantt"},
+		{faults + "-save-schedule " + file("f-s.json"), "-faults would ignore -save-schedule"},
+		{faults + "-redundancy -flight-out " + file("f.jsonl"), "-redundancy would ignore -flight-out"},
+		{inst["flat"] + " -delta 5 -max-epochs 3", "-max-epochs needs -faults"},
+		{inst["flat"] + " -delta 5 -algo octopus:sample=8 -trace-out " + file("t.jsonl"), `algorithm spec "octopus:sample=8": sample needs -flight-out`},
+	}
+	for _, fl := range []string{"-trace fb-db", "-routes 2", "-fixed-hops 2", "-flows 16", "-skew 40", "-interpod 0.5"} {
+		name := "flat"
+		if strings.HasPrefix(fl, "-interpod") {
+			name = "pods" // -interpod shapes only the pod-synthetic load
+		}
+		load, want := inst[name]+" -load "+file(name+".json"), "-load would ignore "+strings.Fields(fl)[0]
+		rows = append(rows, row{load + " -delta 5 " + fl, want}, row{load + " -replay " + file(name+"-s.json") + " " + fl, want})
+	}
+	for _, r := range rows {
+		var out bytes.Buffer
+		err := run(strings.Fields(r.args), &out, io.Discard)
+		if err == nil || !strings.HasPrefix(err.Error(), r.want) {
+			t.Errorf("mhsim %s: err = %v, want %q", r.args, err, r.want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("mhsim %s: wrote %d bytes before refusing", r.args, out.Len())
+		}
+	}
+	for _, name := range []string{"f-s.json", "f.jsonl", "t.jsonl"} {
+		if _, err := os.Stat(file(name)); err == nil {
+			t.Errorf("a refused run wrote %s", name)
 		}
 	}
 }

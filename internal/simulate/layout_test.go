@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"octopus/internal/fault"
 	"octopus/internal/graph"
 	"octopus/internal/par"
 	"octopus/internal/schedule"
@@ -154,7 +155,7 @@ func TestDrainedGroupsAreReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.runMultiHop([]graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}}, 0, 600, nil)
+	st.runMultiHop([]graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}}, 0, 600, (*fault.Trace)(nil).Cursor())
 	if st.res.Delivered != 500 || st.res.Hops != 1500 {
 		t.Fatalf("delivered %d packets over %d hops, want 500 over 1500", st.res.Delivered, st.res.Hops)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"octopus/internal/fault"
 	"octopus/internal/graph"
 	"octopus/internal/schedule"
 	"octopus/internal/traffic"
@@ -99,14 +100,14 @@ func configGain(t *testing.T, g *graph.Digraph, load *traffic.Load, sch *schedul
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot := 0
+	slot, cur := 0, (*fault.Trace)(nil).Cursor()
 	var hops0 int
 	var psi0 int64
 	for i, cfg := range sch.Configs[:k+1] {
 		slot += sch.Delta
 		hops0, psi0 = st.res.Hops, st.res.Psi
 		if multi := (i < k && prefixMulti) || (i == k && lastMulti); multi {
-			st.runMultiHop(cfg.Links, slot, cfg.Alpha, nil)
+			st.runMultiHop(cfg.Links, slot, cfg.Alpha, cur)
 		} else {
 			for _, e := range cfg.Links {
 				st.serve(e, cfg.Alpha, slot, slot+cfg.Alpha)

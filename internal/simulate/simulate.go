@@ -181,6 +181,7 @@ type state struct {
 	groups []group
 	free   []int32     // drained groups that no queue holds any more
 	queues []linkQueue // indexed by graph.Digraph.LinkID
+	up     []int       // runBulk's slots up per link of a configuration
 	flight *flight.Recorder
 	res    Result
 }
@@ -359,10 +360,7 @@ func Run(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Optio
 		return nil, err
 	}
 
-	var cur *fault.Cursor
-	if opt.Faults != nil {
-		cur = opt.Faults.Cursor()
-	}
+	cur := opt.Faults.Cursor() // a nil trace: nothing ever down
 	// Pre-bound instruments; all nil (pure no-ops) when opt.Obs is nil.
 	cfgCount := opt.Obs.Counter("octopus_sim_configs_total")
 	delivCount := opt.Obs.Counter("octopus_sim_delivered_total")
@@ -394,15 +392,8 @@ func Run(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Optio
 
 		if opt.MultiHop {
 			st.runMultiHop(cfg.Links, slot, alpha, cur)
-		} else if cur == nil {
-			// Bulk mode: packets arriving during this configuration
-			// cannot move again until the next one, so each link simply
-			// serves up to alpha packets available at the start.
-			for _, e := range cfg.Links {
-				st.serve(e, alpha, slot, slot+alpha)
-			}
 		} else {
-			st.runBulkFaulty(cfg.Links, slot, alpha, cur)
+			st.runBulk(cfg.Links, slot, alpha, cur)
 		}
 		slot += alpha
 		if opt.TrackBuffers {
@@ -439,25 +430,19 @@ func Run(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Optio
 	return &st.res, nil
 }
 
-// runBulkFaulty is bulk mode under a failure trace: a link can carry at most
-// one packet per slot, so its bulk service shrinks to the number of slots in
-// the configuration during which it (and both endpoints) are up. Crossed
-// packets still become available only at the next configuration, exactly as
-// in the failure-free bulk mode.
-func (st *state) runBulkFaulty(links []graph.Edge, start, alpha int, cur *fault.Cursor) {
+// runBulk replays one configuration in bulk mode: packets arriving during
+// it cannot move again until the next one, so each link serves up to as
+// many packets available at the start as it has slots in which it (and
+// both endpoints) are up: alpha while nothing is down.
+func (st *state) runBulk(links []graph.Edge, start, alpha int, cur *fault.Cursor) {
 	end := start + alpha
-	up := make([]int, len(links))
+	st.up = append(st.up[:0], make([]int, len(links))...)
+	up := st.up
 	for seg := start; seg < end; {
 		cur.AdvanceTo(seg)
 		segEnd := min(end, cur.NextChange())
-		if cur.AnyDown() {
-			for i, e := range links {
-				if cur.LinkUsable(e) {
-					up[i] += segEnd - seg
-				}
-			}
-		} else {
-			for i := range links {
+		for i, e := range links {
+			if cur.LinkUsable(e) { // true at once while nothing is down
 				up[i] += segEnd - seg
 			}
 		}
@@ -520,19 +505,16 @@ func (st *state) measureBuffers() {
 }
 
 // runMultiHop replays one configuration slot by slot, letting packets chain
-// across consecutive active links with a one-slot switching latency. With a
-// fault cursor, links that are down at a slot serve nothing that slot and
-// the lost slot is accounted.
+// across consecutive active links with a one-slot switching latency. Links
+// that are down at a slot serve nothing that slot and the lost slot is
+// accounted.
 func (st *state) runMultiHop(links []graph.Edge, start, alpha int, cur *fault.Cursor) {
 	es := slices.Clone(links)
 	slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Or(a.From-b.From, a.To-b.To) })
 	for s := 0; s < alpha; s++ {
 		now := start + s
-		anyDown := false
-		if cur != nil {
-			cur.AdvanceTo(now)
-			anyDown = cur.AnyDown()
-		}
+		cur.AdvanceTo(now)
+		anyDown := cur.AnyDown()
 		moved := 0
 		for _, e := range es {
 			if anyDown && !cur.LinkUsable(e) {
@@ -546,7 +528,7 @@ func (st *state) runMultiHop(links []graph.Edge, start, alpha int, cur *fault.Cu
 			// that crossed became available the next slot, but none
 			// crossed). Unless a failure event ahead can change link
 			// availability, the remaining slots are idle.
-			if cur == nil || (!anyDown && cur.NextChange() >= start+alpha) {
+			if !anyDown && cur.NextChange() >= start+alpha {
 				break
 			}
 		}
