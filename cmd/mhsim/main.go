@@ -664,6 +664,9 @@ func checkMode(fs *flag.FlagSet) (string, error) {
 				needs = slices.DeleteFunc(slices.Clone(r.on), on)
 			}
 		}
+		if slices.Contains(needs, dropped[0][1:]) { // set, but to "" or false: the run's own switch
+			return "", fmt.Errorf("%s needs a value", dropped[0])
+		}
 		return "", fmt.Errorf("%s needs -%s", dropped[0], strings.Join(needs, " -"))
 	case loadDropped != nil:
 		return "", fmt.Errorf("-load would ignore %s", strings.Join(loadDropped, " "))

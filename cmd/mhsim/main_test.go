@@ -473,6 +473,12 @@ func TestPlanPathsRefuseWhatTheyIgnore(t *testing.T) {
 			t.Errorf("mhsim %s: wrote %d bytes before refusing", r.args, out.Len())
 		}
 	}
+	// A run's own switch set empty reads as unset: it needs a value, not itself.
+	for _, fl := range []string{"-faults", "-emit"} {
+		if err := run([]string{"-n", "8", fl, ""}, io.Discard, io.Discard); err == nil || err.Error() != fl+" needs a value" {
+			t.Errorf("mhsim %s '': err = %v, want %q", fl, err, fl+" needs a value")
+		}
+	}
 	for _, name := range []string{"f-s.json", "f.jsonl", "t.jsonl"} {
 		if _, err := os.Stat(file(name)); err == nil {
 			t.Errorf("a refused run wrote %s", name)

@@ -125,8 +125,9 @@ func TestMetricsAndTraceOut(t *testing.T) {
 // TestGoldenTrace pins the JSONL decision-trace schema byte for byte on a
 // small deterministic run. The trace deliberately carries no wall-clock
 // values, so the file is stable across machines; regenerate it (go test
-// -run TestGoldenTrace -update-trace) only on an intended schema change,
-// which also requires bumping obs.TraceVersion.
+// -run TestGoldenTrace -update-trace) only on an intended schema change.
+// A field that changes meaning also bumps obs.TraceVersion; an added field
+// or event kind keeps it.
 func TestGoldenTrace(t *testing.T) {
 	golden := filepath.Join("testdata", "golden", "trace.jsonl")
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")

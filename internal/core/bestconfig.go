@@ -9,12 +9,9 @@ import (
 	"octopus/internal/par"
 )
 
-// evalScratch is the reusable per-worker scratch of the parallel α
-// evaluation: the weighted-edge buffer, the row/column upper-bound arrays
-// (slice-backed, keyed by node index), the multi-port mode's link marks, the
-// matching arena and the worker's greedy incumbent. One scratch belongs to
-// one worker for the duration of a parallelFor, so no synchronization is
-// needed, and the greedy loop stops allocating after the first iteration.
+// evalScratch is one worker's scratch for the duration of a parallelFor:
+// G′'s edge buffer, rowColUB's arrays, evalMultiPort's link marks, the
+// matching arena and the worker's greedy incumbent. Nothing is shared.
 type evalScratch struct {
 	we       []matching.Edge
 	row, col []int64 // length fabric.N(), all-zero between rowColUB calls
@@ -37,8 +34,7 @@ func (sc *evalScratch) weighted(links []matching.Edge, col []int64) []matching.E
 	return we
 }
 
-// best tracks the highest benefit-per-unit-cost configuration seen so far
-// during one greedy iteration.
+// best is one iteration's incumbent: the highest benefit per unit cost yet.
 type best struct {
 	links   []graph.Edge
 	alpha   int
@@ -46,10 +42,8 @@ type best struct {
 	delta   int
 }
 
-// consider updates the incumbent if (benefit, alpha) has a strictly higher
-// benefit per unit cost. Ties keep the earlier candidate, so a fixed
-// consideration order (ascending α, greedy before exact) makes the choice
-// deterministic.
+// consider takes (links, alpha, benefit) when it beats the incumbent. Ties
+// keep the earlier candidate, so a fixed order makes the choice deterministic.
 func (b *best) consider(links []graph.Edge, alpha int, benefit int64) {
 	if b.beats(benefit, alpha) {
 		b.links, b.alpha, b.benefit = links, alpha, benefit
@@ -65,9 +59,8 @@ func (b *best) beats(benefit int64, alpha int) bool {
 	return benefit*int64(b.alpha+b.delta) > b.benefit*int64(alpha+b.delta)
 }
 
-// exceeds reports whether the incumbent's benefit per unit cost strictly
-// exceeds (benefit, alpha)'s. Note !exceeds is weaker than beats: on equal
-// ratios neither holds.
+// exceeds reports whether the incumbent's ratio strictly exceeds (benefit,
+// alpha)'s. On equal ratios neither it nor beats holds.
 func (b *best) exceeds(benefit int64, alpha int) bool {
 	if b.benefit == 0 {
 		return false
@@ -75,33 +68,28 @@ func (b *best) exceeds(benefit int64, alpha int) bool {
 	return b.benefit*int64(alpha+b.delta) > benefit*int64(b.alpha+b.delta)
 }
 
-// alphaEval is the per-α evaluation record of one greedy iteration.
+// alphaEval is one α's record in an iteration: the phase-1 candidate (the
+// greedy matching in the single-port bipartite modes, its links only where a
+// reduction can pick it; evalAlpha's otherwise) and, with the exact matcher,
+// rowColUB and phase 2's exact matching.
 type alphaEval struct {
-	// Phase-1 candidate: the greedy matching in the single-port bipartite
-	// modes (links only where a reduction can pick it, see phase 1), the
-	// mode's only candidate otherwise (evalAlpha).
-	links []graph.Edge
-	w     int64
-	// Exact bipartite mode only: matching-weight upper bound and (phase 2)
-	// the exact matching.
+	links      []graph.Edge
+	w          int64
 	ub         int64
 	exactLinks []graph.Edge
 	exactW     int64
 }
 
-// bestConfiguration implements Procedure 2 (BestConfiguration) with the
-// optimizations described in DESIGN.md: the α-candidate set of Procedure 1,
-// a two-phase evaluation that computes the cheap greedy matching and a
-// row/column upper bound for every α first and runs the exact matcher only
-// where the bound can still win, and parallel evaluation across α's (the
-// paper's §4.1 notes the per-iteration matchings are embarrassingly
-// parallel). The result is deterministic: it equals a sequential
-// ascending-α scan considering the greedy then the exact matching of each
-// α. Returns a nil link set with benefit 0 when nothing can be served.
+// bestConfiguration implements Procedure 2 over Procedure 1's α's (DESIGN.md
+// §4, §13.2). Phase 1 solves a greedy matching, and rowColUB for the exact
+// matcher, at every α the per-port bound keeps; phase 2 solves exact
+// matchings only where a bound can still win. The result is a sequential
+// ascending-α scan of each α's greedy then exact matching, at any
+// Parallelism; nil with benefit 0 when nothing can be served.
 func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	s.lastChanged = s.tr.takeChanged()
 	alphas := s.tr.candidateAlphas(maxAlpha)
-	s.lastCandidates = len(alphas)
+	s.lastCandidates, s.lastEvaluated, s.lastPruned = len(alphas), 0, 0
 	if len(alphas) == 0 {
 		return nil, 0, 0
 	}
@@ -116,19 +104,24 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 
 	evals := slices.Grow(s.evals[:0], len(alphas))[:len(alphas)]
 	clear(evals)
-	s.evals = evals
 	twoPhase := bipartite && s.opt.Matcher != MatcherGreedy
 
-	// Phase 1: cheap evaluation of every α, a run of α's carrying its greedy
-	// matching (GreedyNext). Every greedy weight is recorded, but a link set
-	// is copied out of its arena only when it strictly beats its worker's
-	// incumbent, which loses nothing since a worker meets its α's in
-	// ascending order (DESIGN.md §4, "Copying one matching").
+	// Phase 1: the per-port bound drops the α's that cannot win, then runs
+	// of the others carry their greedy matching (GreedyNext). A link set
+	// leaves its arena only when it beats its worker's incumbent (§4).
 	if bipartite {
+		var p int
+		alphas, p = s.pruneAlphas(alphas, evals)
+		evals = evals[:len(alphas)]
+		rest := append(append(s.restBuf[:0], alphas[:p]...), alphas[p+1:]...)
+		s.restBuf = rest
 		for _, sc := range s.scratch {
 			sc.local.benefit = 0
 		}
-		s.forAlphas(alphas, alphaRuns, func(sc *evalScratch, i int, prev, col []int64) {
+		s.forAlphas(rest, alphaRuns, func(sc *evalScratch, i int, prev, col []int64) {
+			if i >= p {
+				i++ // rest skips the probe
+			}
 			m, gw := sc.arena.GreedyNext(s.fabric.N(), s.tr.glinks, prev, col)
 			evals[i].w = gw
 			if sc.local.beats(gw, alphas[i]) {
@@ -149,7 +142,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 			evals[i].links, evals[i].w = s.evalAlpha(sc, alphas[i], col)
 		})
 	}
-	// Reduce the phase-1 candidates (ascending α; deterministic).
+	s.evals, s.lastEvaluated = evals, len(alphas)
 	seed := &best{delta: s.opt.Delta}
 	for i, a := range alphas {
 		seed.consider(evals[i].links, a, evals[i].w)
@@ -158,22 +151,10 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		sortLinks(seed.links)
 		return seed.links, seed.alpha, seed.benefit
 	}
-	// Phase 2: exact matchings only where an upper bound can still strictly
-	// beat the best greedy seed. Two admissible bounds apply: the row/column
-	// bound of phase 1, and twice the greedy weight (the greedy matcher is a
-	// 1/2-approximation, so exact(α) <= 2·greedy(α)). Membership depends
-	// only on phase-1 output, so the computed set is deterministic.
-	//
-	// The two filters carry different tie semantics, deliberately. The
-	// row/column filter is the historical one (solve only when ub strictly
-	// beats the seed): a skipped α has exact(α) <= ub(α) <= seed ratio, so
-	// its exact matching never strictly exceeds the seed and can never be
-	// chosen. The 2·greedy filter must be strictly weaker on ties — it
-	// skips only when the seed ratio strictly exceeds 2·greedy(α) — because
-	// with exact(α) == seed ratio exactly, the ascending-α reduction below
-	// could legitimately pick exact(α) (it precedes the seed's own entry
-	// when α is smaller); strictness guarantees skipped α's satisfy
-	// exact(α) < seed ratio and stay non-winners.
+	// Phase 2 (§13.2): an exact solve where rowColUB beats the greedy seed
+	// and the seed does not strictly exceed 2·greedy (a 1/2-approximation),
+	// best bound first in chunks of 2, 4, then phase2Chunk; between chunks
+	// an incumbent prunes the solves whose tighter bound it strictly exceeds.
 	sel := s.selBuf[:0]
 	for i := range alphas {
 		if seed.beats(evals[i].ub, alphas[i]) && !seed.exceeds(2*evals[i].w, alphas[i]) {
@@ -181,21 +162,6 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		}
 	}
 	s.selBuf = sel
-	// Solve in descending upper-bound-ratio order (ascending α on ties) in
-	// chunks of 2, 4, then phase2Chunk, tightening an incumbent between
-	// chunks: a solve is skipped once the incumbent's ratio strictly exceeds
-	// its upper bound. The first chunks are small because the best-bound α's
-	// usually hold the winner, and an iteration rarely selects more than a
-	// handful: with one size of 8 the first chunk was the whole iteration and
-	// nothing was ever pruned. The schedule does not depend on the worker
-	// count, so neither do the counters.
-	// Such a solve satisfies exact(α) <= ub(α) < incumbent <= final best
-	// ratio, so dropping it removes neither the argmax nor any tie the
-	// ascending-α reduction below could prefer — the chosen configuration
-	// is identical to solving the whole set (and independent of
-	// parallelism, since pruning decisions happen only at the
-	// single-threaded chunk boundaries). The chunk order does not leak into
-	// the result: the reduction still walks evals in ascending α.
 	slices.SortFunc(sel, func(x, y int) int {
 		bx := evals[x].ub * int64(alphas[y]+s.opt.Delta)
 		by := evals[y].ub * int64(alphas[x]+s.opt.Delta)
@@ -205,8 +171,6 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	solved := 0
 	for lo, size := 0, 2; lo < len(sel); size = min(2*size, phase2Chunk) {
 		hi := min(lo+size, len(sel))
-		// Compact the chunk down to the solves the incumbent cannot prune,
-		// using the tighter of the two bounds (strictly, as above).
 		k := lo
 		for _, i := range sel[lo:hi] {
 			if !inc.exceeds(min(evals[i].ub, 2*evals[i].w), alphas[i]) {
@@ -214,11 +178,7 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 				k++
 			}
 		}
-		// The chunk becomes one g-table block, which wants ascending α's.
-		// Reordering inside a chunk is harmless: the chunk's results only
-		// feed inc, and pruning reads inc's ratio, which equal-ratio
-		// candidates share whichever of them got there first.
-		slices.Sort(sel[lo:k])
+		slices.Sort(sel[lo:k]) // a g-table block wants ascending α's
 		var chunk [phase2Chunk]int
 		for ci, i := range sel[lo:k] {
 			chunk[ci] = alphas[i]
@@ -236,8 +196,6 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 		lo = hi
 	}
 	s.prunedExact += int64(len(sel) - solved)
-	// Final reduction mirrors the sequential order: for each α ascending,
-	// greedy first, then the exact matching if computed.
 	for i, a := range alphas {
 		bst.consider(evals[i].links, a, evals[i].w)
 		bst.consider(evals[i].exactLinks, a, evals[i].exactW)
@@ -246,24 +204,98 @@ func (s *Scheduler) bestConfiguration(maxAlpha int) ([]graph.Edge, int, int64) {
 	return bst.links, bst.alpha, bst.benefit
 }
 
-// phase2Chunk is the largest number of exact solves launched between
-// incumbent updates in phase 2 (the first two chunks are 2 and 4). Smaller
-// chunks prune more aggressively but synchronize more often.
+// pruneAlphas solves one probe, the α of the best bound ratio (the lowest on
+// ties), and drops every α whose per-port bound the probe's greedy ratio
+// strictly exceeds: no matching of it can win (DESIGN.md §4). alphas and
+// evals are compacted in place, the probe's record at its new position p.
+func (s *Scheduler) pruneAlphas(alphas []int, evals []alphaEval) (kept []int, p int) {
+	bound := s.portBounds(alphas)
+	for i, b := range bound {
+		if b*int64(alphas[p]+s.opt.Delta) > bound[p]*int64(alphas[i]+s.opt.Delta) {
+			p = i
+		}
+	}
+	s.ensureScratch(1) // forAlphas' closures would cost the probe four allocations
+	s.fillG(s.tr.activeStates(), alphas[p:p+1])
+	sc, col := s.scratch[0], s.gbuf[:len(s.tr.glinks)]
+	m, w := sc.arena.GreedyNext(s.fabric.N(), s.tr.glinks, nil, col)
+	probe, inc := alphaEval{links: appendLinks(nil, m), w: w}, best{delta: s.opt.Delta, alpha: alphas[p], benefit: w}
+	if s.opt.Matcher != MatcherGreedy {
+		probe.ub = rowColUB(s.tr.glinks, col, sc.row, sc.col)
+	}
+	for i, a := range alphas {
+		if i == p {
+			p = len(kept)
+		} else if inc.exceeds(bound[i], a) {
+			continue
+		}
+		kept = append(alphas[:len(kept)], a)
+	}
+	evals[p], s.lastPruned = probe, len(alphas)-len(kept)
+	s.prunedAlpha += int64(s.lastPruned)
+	return kept, p
+}
+
+// portCap is a port's B and T, or a step of the sums at one α.
+type portCap struct{ b, t int64 }
+
+// portBounds returns bound(α) for each α of as (ascending): the smaller of
+// Σ_u min(α·B_u, T_u) over the From nodes and over the To nodes, B_u the
+// heaviest live packet on u's links, T_u their largest queue benefit. A port
+// adds α·B_u up to α = ⌊T_u/B_u⌋ and T_u beyond, so each moves from the one
+// sum to the other once, at the first such α of as. The result aliases a
+// buffer valid until the next call.
+func (s *Scheduler) portBounds(as []int) []int64 {
+	n := s.fabric.N()
+	caps := slices.Grow(s.caps[:0], 2*n+len(as)+1)[:2*n+len(as)+1]
+	clear(caps)
+	for _, ls := range s.tr.activeStates() {
+		cs := ls.classes
+		if len(cs) == 0 || cs[len(cs)-1].prefC == 0 {
+			continue
+		}
+		k := 0
+		for cs[k].count == 0 {
+			k++
+		}
+		for _, v := range [2]int{ls.edge.From, n + ls.edge.To} {
+			caps[v].b, caps[v].t = max(caps[v].b, cs[k].bw), max(caps[v].t, cs[len(cs)-1].prefB)
+		}
+	}
+	bound, steps := slices.Grow(s.bounds[:0], len(as))[:len(as)], caps[2*n:]
+	for side := range 2 {
+		clear(steps)
+		var sumB, sumT int64
+		for _, c := range caps[side*n : (side+1)*n] {
+			if c.b > 0 {
+				i, _ := slices.BinarySearch(as, int(c.t/c.b)+1)
+				sumB, steps[i].b, steps[i].t = sumB+c.b, steps[i].b-c.b, steps[i].t+c.t
+			}
+		}
+		for i, a := range as {
+			sumB, sumT = sumB+steps[i].b, sumT+steps[i].t
+			if b := int64(a)*sumB + sumT; side == 0 || b < bound[i] {
+				bound[i] = b
+			}
+		}
+	}
+	s.caps, s.bounds = caps, bound
+	return bound
+}
+
+// phase2Chunk is the most exact solves phase 2 launches between incumbent
+// updates (the first two chunks are 2 and 4).
 const phase2Chunk = 8
 
-// gTableEntries caps one block of the g(link, α) table at 8 MiB of int64
-// (a fabric with more active links than that gets one-α blocks).
+// gTableEntries caps a g-table block at 8 MiB of int64 (or one α's column).
 const gTableEntries = 1 << 20
 
-// forAlphas calls f(scratch, j, prev, col) once for every j in [0, len(as)),
-// col being the g-table column of α = as[j]: col[i] = g(s.tr.glinks[i], α)
-// over the active links in (From, To) order, zeros included — the one source
-// of G', sc.weighted(s.tr.glinks, col) being Procedure 2's weighted graph. as
-// must ascend; it is cut into blocks of as many α's as the table holds, and a
-// block into min(runs, its size) runs of consecutive α's, evaluated in
-// parallel: a run by one worker in ascending α, a worker's runs in ascending
-// order. prev is the run's previous column (empty at its first α); both are
-// valid until the run ends. The runs do not depend on the worker count.
+// forAlphas calls f(scratch, j, prev, col) for every j in [0, len(as)), col
+// being α = as[j]'s g-table column, col[i] = g(s.tr.glinks[i], α) — the one
+// source of G′. as ascends; it is cut into blocks the table holds, a block
+// into min(runs, its size) runs of consecutive α's, each run walked by one
+// worker in ascending α. prev is the run's previous column (empty at its
+// first α). The runs do not depend on the worker count.
 func (s *Scheduler) forAlphas(as []int, runs int, f func(sc *evalScratch, j int, prev, col []int64)) {
 	states := s.tr.activeStates()
 	nL := len(states)
@@ -285,25 +317,20 @@ func (s *Scheduler) forAlphas(as []int, runs int, f func(sc *evalScratch, j int,
 	}
 }
 
-// alphaRuns is the number of runs phase 1 of the single-port bipartite modes
-// cuts a block into; a run carries its greedy matching from α to α.
+// alphaRuns is the runs a phase-1 block is cut into, each carrying its greedy
+// matching from α to α.
 const alphaRuns = 8
 
 // fillLinks is the number of links one fillG work item covers.
 const fillLinks = 1024
 
-// fillG sets s.gbuf[j*len(states)+li] = g(states[li], block[j]): per link,
-// a cursor that rolls forward over the weight classes as α ascends. A column
-// (one α, every link) is contiguous because that is how forAlphas reads it;
-// the writes of consecutive links land in the same len(block) cache lines.
-// Links are filled in parallel, fillLinks at a time: a link's slots are
-// written by the one worker that holds its range, and the classes are only
-// written by apply, so nothing is shared.
+// fillG sets s.gbuf[j*len(states)+li] = g(states[li], block[j]), a column
+// contiguous as forAlphas reads it. Links are filled in parallel, fillLinks
+// at a time; only apply writes the classes, so nothing is shared.
 func (s *Scheduler) fillG(states []*linkState, block []int) {
 	nL := len(states)
 	if need := len(block) * nL; cap(s.gbuf) < need {
-		// Links become active as packets move downstream, so need creeps up
-		// from one iteration to the next: head-room, or every step re-allocates.
+		// Head-room: need creeps up as packets reach new links.
 		s.gbuf = make([]int64, need+need/4)
 	}
 	s.parallelFor((nL+fillLinks-1)/fillLinks, func(_, c int) {
@@ -313,20 +340,16 @@ func (s *Scheduler) fillG(states []*linkState, block []int) {
 	})
 }
 
-// fillLink writes g(link, block[j]) to col[j*stride] for every j, cs being
-// the link's weight classes and block ascending. g(l, α) is the benefit of
-// the top α packets of l's queue (Procedure 2, line 4), each packet counted
-// once even if it has entries on other links: every class heavier than the
-// first class k whose prefix count reaches α, plus a partial take of k. A
-// class found that way is never empty, so drained cells cost nothing.
+// fillLink writes g(link, block[j]) to col[j*stride], cs being the link's
+// classes and block ascending. g(l, α), the benefit of the top α packets of
+// l's queue (Procedure 2, line 4), is every class heavier than the first
+// class k whose prefix count reaches α, plus a partial take of k.
 func fillLink(col []int64, stride int, cs []weightClass, block []int) {
-	if len(cs) == 0 {
-		for j := range block {
-			col[j*stride] = 0
-		}
-		return
+	var top weightClass // an empty queue: g is 0 at every α
+	if len(cs) > 0 {
+		top = cs[len(cs)-1]
 	}
-	top, k := &cs[len(cs)-1], 0
+	k := 0
 	for j, a := range block {
 		if a >= top.prefC {
 			col[j*stride] = top.prefB
@@ -340,15 +363,13 @@ func fillLink(col []int64, stride int, cs []weightClass, block []int) {
 }
 
 // parallelFor runs f(worker, 0..n-1) on Options.Parallelism workers of the
-// shared pool. T^r is read-only meanwhile, and each worker owns
-// s.scratch[worker] for the duration of the call.
+// shared pool, worker owning s.scratch[worker]; T^r is read-only meanwhile.
 func (s *Scheduler) parallelFor(n int, f func(worker, i int)) {
 	s.ensureScratch(par.Workers(s.opt.Parallelism, n))
 	par.For(s.opt.Parallelism, n, f)
 }
 
-// ensureScratch grows the per-worker scratch pool to at least `workers`
-// entries. Called single-threaded before workers start.
+// ensureScratch grows the scratch pool to `workers` entries, single-threaded.
 func (s *Scheduler) ensureScratch(workers int) {
 	for len(s.scratch) < workers {
 		s.scratch = append(s.scratch, &evalScratch{
@@ -359,11 +380,9 @@ func (s *Scheduler) ensureScratch(workers int) {
 	}
 }
 
-// ternarySearch finds a local maximum of the benefit-per-unit-cost function
-// over the sorted candidate α's with O(log |A|) full evaluations (the
-// paper's Octopus-B). The function need not be unimodal, so this finds one
-// of its maxima, not necessarily the global one; §8 observes the loss is
-// minimal in practice.
+// ternarySearch finds a local maximum of the ratio over the sorted α's with
+// O(log |A|) evaluations (Octopus-B); §8 finds the loss against the global
+// one minimal.
 func (s *Scheduler) ternarySearch(alphas []int, bst *best) {
 	evals := s.evals[:0]
 	for range alphas {
@@ -376,6 +395,7 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best) {
 			return e
 		}
 		e.w = 0
+		s.lastEvaluated++
 		s.forAlphas(alphas[i:i+1], 1, func(sc *evalScratch, _ int, _, col []int64) {
 			e.links, e.w = s.evalAlpha(sc, alphas[i], col)
 		})
@@ -400,10 +420,8 @@ func (s *Scheduler) ternarySearch(alphas []int, bst *best) {
 }
 
 // evalAlpha returns the best configuration for α and its benefit, col being
-// α's g-table column (see forAlphas): every mode but the single-port
-// bipartite phase 1 evaluates an α here. The chained benefit is a chain
-// estimate, not g, so that mode leaves col unread. It only reads T^r, plus
-// the caller's exclusively-owned scratch.
+// α's g-table column, in every mode but the bipartite phase 1. The chained
+// benefit is a chain estimate, not g, so that mode leaves col unread.
 func (s *Scheduler) evalAlpha(sc *evalScratch, a int, col []int64) ([]graph.Edge, int64) {
 	switch {
 	case s.opt.MultiHop:
@@ -412,7 +430,6 @@ func (s *Scheduler) evalAlpha(sc *evalScratch, a int, col []int64) ([]graph.Edge
 		return s.evalMultiPort(sc, col)
 	}
 	// One port: the better of the greedy and exact matchings, greedy on ties.
-	// Only that one is copied out of the arena.
 	m, w := sc.arena.GreedyNext(s.fabric.N(), s.tr.glinks, nil, col)
 	if s.opt.Matcher != MatcherGreedy {
 		if xm, xw := sc.arena.MaxWeightBipartite(s.fabric.N(), sc.weighted(s.tr.glinks, col)); xw > w {
@@ -422,12 +439,9 @@ func (s *Scheduler) evalAlpha(sc *evalScratch, a int, col []int64) ([]graph.Edge
 	return appendLinks(nil, m), w
 }
 
-// rowColUB is a cheap upper bound on the maximum-weight matching of links
-// weighted w (non-positive weights left out): the smaller of the row-maxima
-// sum and the column-maxima sum. rowMax and colMax are caller-owned all-zero
-// arrays indexed by node, of one length; only positive weights enter them,
-// so the sums read them whole (n cells, not one per link) and clear them for
-// the next call.
+// rowColUB bounds the maximum-weight matching of links weighted w by the
+// smaller of the row-maxima and column-maxima sums of the positive weights.
+// rowMax and colMax are all-zero arrays by node, read whole and cleared.
 func rowColUB(links []matching.Edge, w []int64, rowMax, colMax []int64) int64 {
 	for i, g := range w {
 		if g > 0 {
@@ -443,10 +457,8 @@ func rowColUB(links []matching.Edge, w []int64, rowMax, colMax []int64) int64 {
 	return min(rs, cs)
 }
 
-// appendLinks appends a matching to a link set (nil stays nil under an
-// empty one). The links are NOT sorted: candidate link sets only feed
-// best.consider (order-insensitive), and bestConfiguration sorts the single
-// winning set before returning, which is cheaper than sorting every candidate.
+// appendLinks appends a matching to a link set, unsorted: bestConfiguration
+// sorts only the winning set.
 func appendLinks(links []graph.Edge, m []matching.Edge) []graph.Edge {
 	links = slices.Grow(links, len(m))
 	for _, e := range m {
@@ -459,8 +471,7 @@ func sortLinks(links []graph.Edge) {
 	slices.SortFunc(links, cmpEdge)
 }
 
-// cmpEdge orders edges by (From, To); link sets never repeat an edge, so
-// the order is strict and the unstable sort is deterministic.
+// cmpEdge orders edges by (From, To), strictly: a link set repeats no edge.
 func cmpEdge(a, b graph.Edge) int {
 	if a.From != b.From {
 		return a.From - b.From
@@ -468,10 +479,9 @@ func cmpEdge(a, b graph.Edge) int {
 	return a.To - b.To
 }
 
-// evalMultiPort greedily composes r edge-disjoint matchings (§7, K ports
-// per node). Committed subflows queue on exactly one link, so matchings
-// over disjoint edge sets serve disjoint packet sets and benefits add
-// exactly; no weight recomputation is needed between the r rounds.
+// evalMultiPort greedily composes r edge-disjoint matchings (§7). A committed
+// subflow queues on one link, so disjoint matchings serve disjoint packets
+// and their benefits add: no weights are recomputed between rounds.
 func (s *Scheduler) evalMultiPort(sc *evalScratch, col []int64) ([]graph.Edge, int64) {
 	avail := sc.weighted(s.tr.glinks, col)
 	if len(avail) == 0 {
@@ -500,8 +510,7 @@ func (s *Scheduler) evalMultiPort(sc *evalScratch, col []int64) ([]graph.Edge, i
 			taken[s.fabric.LinkID(e.From, e.To)] = true
 			links = append(links, graph.Edge{From: e.From, To: e.To})
 		}
-		// Drop the matched links in place: the matchers copy what they keep,
-		// and the list is rebuilt for every column.
+		// Drop the matched links in place (the matchers copy what they keep).
 		next := avail[:0]
 		for _, e := range avail {
 			if !taken[s.fabric.LinkID(e.From, e.To)] {

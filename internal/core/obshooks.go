@@ -5,11 +5,9 @@ import (
 	"octopus/internal/obs"
 )
 
-// coreInstruments is the pre-bound instrument set of one Scheduler. Binding
-// happens once in init; with observability off every field is nil and each
-// hook costs one nil check. The hooks are strictly read-only with respect
-// to scheduler state: enabling them must not change a single decision
-// (asserted by the obs on/off equivalence tests).
+// coreInstruments is one Scheduler's instruments, bound once; with
+// observability off every field is nil and a hook costs one nil check. The
+// hooks only read scheduler state: enabling them changes no decision.
 type coreInstruments struct {
 	iterations *obs.Counter   // greedy iterations planned
 	alpha      *obs.Histogram // chosen α per iteration
@@ -20,6 +18,7 @@ type coreInstruments struct {
 	apply      *obs.Histogram // wall time applying it to T^r, ns
 
 	match       [len(matchCounters)]*obs.Counter // matching.Stats, summed over the arenas
+	prunedAlpha *obs.Counter                     // phase-1 α's skipped by the per-port bound
 	prunedExact *obs.Counter                     // phase-2 exact solves skipped by incumbent pruning
 
 	tracer *obs.Tracer
@@ -46,6 +45,7 @@ func bindCoreInstruments(o *obs.Observer) coreInstruments {
 		step:       o.Histogram("octopus_core_step_ns"),
 		apply:      o.Histogram("octopus_core_apply_ns"),
 
+		prunedAlpha: o.Counter("octopus_match_alpha_pruned_total"),
 		prunedExact: o.Counter("octopus_match_exact_pruned_total"),
 		tracer:      o.Tracer(),
 	}
@@ -73,14 +73,14 @@ func (s *Scheduler) observeIter(alpha int, benefit int64, nlinks int, psiGain in
 		obs.I("delivered", int64(deliveredGain)),
 		obs.I("pending", int64(s.tr.pending)),
 		obs.I("candidates", int64(s.lastCandidates)),
+		obs.I("evaluated", int64(s.lastEvaluated)),
+		obs.I("pruned", int64(s.lastPruned)),
 		obs.I("rebuilds", int64(s.lastChanged)),
 	)
 }
 
-// observeDone fires once when the greedy loop terminates: it folds the
-// per-worker arena stats into the match counters and emits the "core.done"
-// summary event. Step guards the done transition, so this runs exactly once
-// per Scheduler.
+// observeDone fires once, when the greedy loop terminates (Step guards it):
+// it adds the arenas' stats to the match counters and emits "core.done".
 func (s *Scheduler) observeDone() {
 	if !s.opt.Obs.Enabled() {
 		return
@@ -93,6 +93,7 @@ func (s *Scheduler) observeDone() {
 	for i, v := range matchValues(sum) {
 		ins.match[i].Add(v)
 	}
+	ins.prunedAlpha.Add(s.prunedAlpha)
 	ins.prunedExact.Add(s.prunedExact)
 	ins.tracer.Emit("core.done",
 		obs.I("iters", int64(s.iters)),

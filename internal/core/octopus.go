@@ -61,19 +61,14 @@ type Options struct {
 	// source is weighted by (1 + x·Epsilon64/64). 0 disables the bonus.
 	Epsilon64 int
 
-	// MultiHop enables the Theorem 2 variant: configuration benefit
-	// accounts for packets chaining across consecutive links of the
-	// matching, and the matching is built greedily edge-by-edge. Plan
-	// bookkeeping still advances packets one hop per configuration (a
-	// conservative lower bound); replay the schedule with
-	// simulate.Options.MultiHop to measure the chained delivery. It plans
-	// one matching a configuration, so it requires Ports <= 1.
+	// MultiHop enables the Theorem 2 variant: the benefit counts packets
+	// chaining across consecutive links, the matching built greedily edge by
+	// edge. The plan still books one hop a configuration (a lower bound);
+	// simulate.Options.MultiHop measures the chains. Requires Ports <= 1.
 	MultiHop bool
 
-	// Ports is the number of input and output ports per node (§7);
-	// 0 or 1 selects the single-port model. With Ports = r each
-	// configuration is a union of r edge-disjoint matchings picked
-	// greedily.
+	// Ports is the input and output ports per node (§7), 0 meaning 1: a
+	// configuration is a union of Ports edge-disjoint matchings.
 	Ports int
 
 	// MultiRoute enables Octopus+ (§6): flows may carry several candidate
@@ -84,15 +79,12 @@ type Options struct {
 	// DisableBacktrack turns off Octopus+ backtracking (ablation).
 	DisableBacktrack bool
 
-	// KeepTrace records every planned packet movement so the plan can be
-	// verified by Result.VerifyPlan. Costs memory proportional to the
-	// number of (configuration, link, subflow) service events.
+	// KeepTrace records every planned packet movement for Result.VerifyPlan,
+	// one record a (configuration, link, subflow) service.
 	KeepTrace bool
 
-	// Parallelism is the number of goroutines evaluating α candidates in
-	// one iteration (the per-α matchings are independent; §4.1 notes they
-	// are embarrassingly parallel). 0 uses GOMAXPROCS; 1 runs serially.
-	// The result is identical at any parallelism level.
+	// Parallelism is the goroutines evaluating an iteration's α's (§4.1:
+	// embarrassingly parallel); 0 uses GOMAXPROCS. The result is the same.
 	Parallelism int
 
 	// Obs receives per-iteration metrics and decision-trace events. nil
@@ -115,32 +107,27 @@ type Scheduler struct {
 	iters  int
 	done   bool
 
-	// Reusable hot-path state: one scratch per parallel worker (grown
-	// lazily by parallelFor) and the per-iteration α evaluation records.
-	scratch []*evalScratch
-	evals   []alphaEval
-
-	// The current block of the g(link, α) table (see forAlphas), the
-	// phase-2 solve-set buffer, and the running count of exact solves
-	// skipped by incumbent pruning (observability only).
-	gbuf        []int64
-	selBuf      []int
-	prunedExact int64
+	// Reusable hot-path state: one scratch per worker (see parallelFor), the
+	// α records of an iteration, the g(link, α) table block (forAlphas), the
+	// buffers of phase 1's bound and α's and of phase 2's solve set, and the
+	// α's and exact solves pruned so far (observability only).
+	scratch                  []*evalScratch
+	evals                    []alphaEval
+	gbuf, bounds             []int64
+	caps                     []portCap
+	restBuf, selBuf          []int
+	prunedAlpha, prunedExact int64
 
 	// Pre-bound observability instruments (all nil when opt.Obs is nil), and
-	// the current iteration's candidate-set size and the links whose classes
-	// the previous one changed.
-	ins            coreInstruments
-	lastCandidates int
-	lastChanged    int
+	// the current iteration's candidate-set size, α's evaluated and pruned,
+	// and links whose classes the previous one changed.
+	ins                                                    coreInstruments
+	lastCandidates, lastEvaluated, lastPruned, lastChanged int
 }
 
-// Result is the outcome of a completed Run: the schedule plus the plan's
-// own bookkeeping of what it routes. For single-route loads the plan
-// bookkeeping matches a packet-level replay exactly (asserted in tests);
-// for Octopus+ plans the bookkeeping is authoritative (backtracking revises
-// the plan in ways a forward replay cannot reproduce) and can be checked
-// with VerifyPlan.
+// Result is a completed Run: the schedule and the plan's bookkeeping, which
+// a replay matches exactly for single-route loads and which is authoritative
+// for Octopus+ (backtracking revises the plan; check it with VerifyPlan).
 type Result struct {
 	Schedule     *schedule.Schedule
 	Psi          int64 // planned ψ in traffic.WeightScale units
@@ -220,13 +207,11 @@ func checkOptions(opt *Options, load *traffic.Load) error {
 	return nil
 }
 
-// loadDims is what New needs to know of a load before building T^r: 𝒟 (at
-// least 1), the packet total, and the most subflows and queue entries the
-// plan can ever hold. T^r indexes both by int32, so New refuses a load whose
-// bounds pass MaxInt32; they are counted in full here — one subflow per
-// (flow, route in use, position short of the destination), one entry per
-// subflow plus its backtrack entry — so that nothing needs checking, and
-// nothing can wrap, while the plan runs.
+// loadDims is what New needs of a load before building T^r: 𝒟 (at least
+// 1), the packets, and the most subflows — one a (flow, route in use,
+// position short of the destination) — and queue entries — one a subflow
+// plus its backtrack entry — the plan can hold. T^r indexes them by int32,
+// so New refuses a load past that and nothing can wrap while the plan runs.
 type loadDims struct {
 	maxHops           int
 	packets           int64

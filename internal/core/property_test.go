@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"octopus/internal/graph"
+	"octopus/internal/matching"
 	"octopus/internal/simulate"
 	"octopus/internal/traffic"
 	"octopus/internal/verify"
@@ -183,7 +184,8 @@ func TestValidatedClaimsProperty(t *testing.T) {
 
 // Property: the scheduler is deterministic, including under parallel α
 // evaluation, in every mode: each reads its G' off one g-table block that
-// several workers share.
+// several workers share. Its work is too: the matching counters and the
+// pruned α's and exact solves read the same at Parallelism 1 and 4.
 func TestParallelDeterminismProperty(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -196,32 +198,54 @@ func TestParallelDeterminismProperty(t *testing.T) {
 		{"greedy", Options{Matcher: MatcherGreedy}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
+			var pruned int64
 			f := func(seed int64) bool {
 				g, load := randomSmallLoad(seed)
 				if len(load.Flows) == 0 {
 					return true
 				}
-				run := func(par int) *Result {
+				// The work counters: the arenas' stats but their grows and
+				// reuses (a pool of arenas grows once per worker), and the α's
+				// and exact solves pruned.
+				type work struct {
+					st               matching.Stats
+					alphaPr, exactPr int64
+				}
+				run := func(par int) (*Result, work) {
 					opt := mode.opt
 					opt.Window, opt.Delta, opt.Parallelism = 200, 6, par
 					s, err := New(g, load, opt)
 					if err != nil {
-						return nil
+						return nil, work{}
 					}
 					res, err := s.Run()
 					if err != nil {
-						return nil
+						return nil, work{}
 					}
-					return res
+					w := work{alphaPr: s.prunedAlpha, exactPr: s.prunedExact}
+					for _, sc := range s.scratch {
+						sc.arena.Stats.AddTo(&w.st)
+					}
+					w.st.Grows, w.st.Reuses = 0, 0
+					return res, w
 				}
-				a, b := run(1), run(4)
+				a, wa := run(1)
+				b, wb := run(4)
 				if a == nil || b == nil {
 					return false
 				}
+				if wa != wb {
+					t.Logf("seed %d: work at Parallelism 1 %+v, at 4 %+v", seed, wa, wb)
+					return false
+				}
+				pruned += wa.alphaPr
 				return a.Psi == b.Psi && a.Delivered == b.Delivered && reflect.DeepEqual(a.Schedule.Configs, b.Schedule.Configs)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 				t.Fatal(err)
+			}
+			if bip := mode.opt.AlphaSearch == AlphaFull && mode.opt.Ports == 0 && !mode.opt.MultiHop; bip != (pruned > 0) {
+				t.Errorf("%d α's pruned over the runs", pruned)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"octopus/internal/matching"
 )
@@ -87,5 +88,75 @@ func BenchmarkRowColUB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rowColUB(links, w, row, col)
+	}
+}
+
+// TestPortBoundProperty: on random multi-route loads, at every iteration of
+// a plan, the per-port bound of each candidate α is at least rowColUB of α's
+// column and at least the weight of its maximum-weight matching, and the
+// sweep equals the direct sum Σ min(α·B, T) over the From and over the To
+// ports, B and T read off each link's queue walk (naiveGValue): its first
+// packet's weight and its whole benefit. ε 0, 4 and 64, Octopus+
+// backtracking on and off, greedy and exact plans.
+func TestPortBoundProperty(t *testing.T) {
+	for _, eps := range []int{0, 4, 64} {
+		for _, noBT := range []bool{false, true} {
+			for _, m := range []Matcher{MatcherExact, MatcherGreedy} {
+				var checked int
+				f := func(seed int64) bool {
+					g, load := randomSmallLoad(seed)
+					if len(load.Flows) == 0 {
+						return true
+					}
+					s, err := New(g, load, Options{Window: 200, Delta: 6, Epsilon64: eps, MultiRoute: true, DisableBacktrack: noBT, Matcher: m})
+					if err != nil {
+						t.Log(err)
+						return false
+					}
+					n, ref := g.N(), &evalScratch{row: make([]int64, g.N()), col: make([]int64, g.N())}
+					for ok := true; ok; {
+						b, tt := make([]int64, 2*n), make([]int64, 2*n)
+						for _, ls := range s.tr.activeStates() {
+							if gv := naiveGValue(s.tr, ls); len(gv) > 1 {
+								for _, v := range []int{ls.edge.From, n + ls.edge.To} {
+									b[v], tt[v] = max(b[v], gv[1]), max(tt[v], gv[len(gv)-1])
+								}
+							}
+						}
+						as := slices.Clone(s.tr.candidateAlphas(s.opt.Window - s.used - s.opt.Delta))
+						bound := s.portBounds(as)
+						for i, a := range as {
+							var sums [2]int64
+							for v := range 2 * n {
+								sums[v/n] += min(int64(a)*b[v], tt[v])
+							}
+							we := gPrime(s.tr, a)
+							ws := make([]int64, len(we))
+							for k, e := range we {
+								ws[k] = e.Weight
+							}
+							ub := rowColUB(we, ws, ref.row, ref.col)
+							_, mw := ref.arena.MaxWeightBipartite(n, we)
+							if bound[i] != min(sums[0], sums[1]) || bound[i] < ub || bound[i] < mw {
+								t.Logf("seed %d, α %d: bound %d, direct sum %d, rowColUB %d, matching %d", seed, a, bound[i], min(sums[0], sums[1]), ub, mw)
+								return false
+							}
+							checked++
+						}
+						if _, ok, err = s.Step(); err != nil {
+							t.Log(err)
+							return false
+						}
+					}
+					return true
+				}
+				if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+					t.Fatalf("ε %d, backtracking off %v, matcher %d: %v", eps, noBT, m, err)
+				}
+				if checked == 0 {
+					t.Fatalf("ε %d, backtracking off %v, matcher %d: no α checked", eps, noBT, m)
+				}
+			}
+		}
 	}
 }
