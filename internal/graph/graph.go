@@ -9,8 +9,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -109,18 +111,6 @@ func (g *Digraph) Edges() []Edge {
 	return es
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Digraph) Clone() *Digraph {
-	c := New(g.n)
-	for i := 0; i < g.n; i++ {
-		c.out[i] = append([]int(nil), g.out[i]...)
-		c.in[i] = append([]int(nil), g.in[i]...)
-	}
-	copy(c.ids, g.ids)
-	c.m = g.m
-	return c
-}
-
 // Subgraph returns the subgraph of g over the same node set containing
 // exactly the edges for which keep returns true. The fault package uses this
 // to snapshot the surviving fabric after link and node failures.
@@ -179,20 +169,24 @@ const quadraticRouteLen = 16
 // times as a source and at most r times as a destination. (A union of r
 // edge-disjoint matchings satisfies this; see the paper's §7.)
 func (g *Digraph) IsRegular(links []Edge, r int) bool {
-	outDeg := make(map[int]int)
-	inDeg := make(map[int]int)
-	dup := make(map[Edge]bool, len(links))
+	deg := make([]int, 2*g.n) // out-degrees, then in-degrees
 	for _, e := range links {
 		if !g.HasEdge(e.From, e.To) {
 			return false
 		}
-		if dup[e] {
+		deg[e.From]++
+		deg[g.n+e.To]++
+		if deg[e.From] > r || deg[g.n+e.To] > r {
 			return false
 		}
-		dup[e] = true
-		outDeg[e.From]++
-		inDeg[e.To]++
-		if outDeg[e.From] > r || inDeg[e.To] > r {
+	}
+	if r <= 1 {
+		return true // a repeated edge repeats its source, past the bound
+	}
+	sorted := slices.Clone(links)
+	slices.SortFunc(sorted, func(a, b Edge) int { return cmp.Or(a.From-b.From, a.To-b.To) })
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
 			return false
 		}
 	}

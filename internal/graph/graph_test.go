@@ -238,19 +238,65 @@ func TestIsRegular(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := Complete(3)
-	c := g.Clone()
-	c.AddEdge(0, 1) // no-op, already exists
-	g2 := New(3)
-	g2.AddEdge(0, 1)
-	c2 := g2.Clone()
-	c2.AddEdge(1, 2)
-	if g2.HasEdge(1, 2) {
-		t.Fatal("clone shares storage with original")
+// mapIsRegular is IsRegular as it was written with maps: the oracle of
+// TestIsRegularEqualsMapOracle.
+func mapIsRegular(g *Digraph, links []Edge, r int) bool {
+	outDeg, inDeg, dup := map[int]int{}, map[int]int{}, map[Edge]bool{}
+	for _, e := range links {
+		if !g.HasEdge(e.From, e.To) || dup[e] {
+			return false
+		}
+		dup[e] = true
+		outDeg[e.From]++
+		inDeg[e.To]++
+		if outDeg[e.From] > r || inDeg[e.To] > r {
+			return false
+		}
 	}
-	if c.M() != g.M() {
-		t.Fatal("clone edge count differs")
+	return true
+}
+
+// TestIsRegularEqualsMapOracle: the degree-slice check accepts exactly the
+// link sets the map version accepts, at r = 1, 2 and 3, on random sets of a
+// sparse fabric with missing edges, out-of-range nodes, duplicates and
+// over-degree nodes among them.
+func TestIsRegularEqualsMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	accepted := [4]int{}
+	for trial := 0; trial < 20000; trial++ {
+		n := 2 + rng.Intn(7)
+		g := New(n)
+		for k := 0; k < 2*n; k++ {
+			if i, j := rng.Intn(n), rng.Intn(n); i != j {
+				g.AddEdge(i, j)
+			}
+		}
+		edges := g.Edges()
+		var links []Edge
+		for k := rng.Intn(2 * n); k > 0; k-- {
+			switch {
+			case len(edges) == 0 || rng.Intn(12) == 0: // perhaps no edge of g, perhaps off the fabric
+				links = append(links, Edge{rng.Intn(n+1) - rng.Intn(2), rng.Intn(n + 1)})
+			case len(links) > 0 && rng.Intn(6) == 0:
+				links = append(links, links[rng.Intn(len(links))])
+			default:
+				links = append(links, edges[rng.Intn(len(edges))])
+			}
+		}
+		for r := 1; r <= 3; r++ {
+			got, want := g.IsRegular(links, r), mapIsRegular(g, links, r)
+			if got != want {
+				t.Fatalf("trial %d: IsRegular(%v, %d) = %v on %v, the map version %v", trial, links, r, got, edges, want)
+			}
+			if got {
+				accepted[r]++
+			}
+		}
+	}
+	for r := 1; r <= 3; r++ {
+		if accepted[r] == 0 || accepted[r] == 20000 {
+			t.Errorf("r = %d: %d of 20000 sets accepted, want both outcomes", r, accepted[r])
+		}
 	}
 }
 

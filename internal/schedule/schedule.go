@@ -38,6 +38,19 @@ func (c Configuration) String() string {
 	return b.String()
 }
 
+// Check is Validate's test of the k-th configuration of a schedule: a
+// positive α and a valid ports-regular link set of g (ports < 1 means 1).
+func (c Configuration) Check(g *graph.Digraph, k, ports int) error {
+	ports = max(ports, 1)
+	if c.Alpha <= 0 {
+		return fmt.Errorf("schedule: configuration %d has non-positive duration %d", k, c.Alpha)
+	}
+	if !g.IsRegular(c.Links, ports) {
+		return fmt.Errorf("schedule: configuration %d is not a valid %d-port link set", k, ports)
+	}
+	return nil
+}
+
 // Schedule is a sequence of configurations for a network with
 // reconfiguration delay Delta (in time slots) and the service rules it was
 // planned under: MultiHop chains hops within a configuration (§5), and
@@ -74,15 +87,9 @@ func (s *Schedule) ActiveLinkSlots() int64 {
 // and the total cost must not exceed window (window <= 0 skips the cost
 // check). ports < 1 is treated as 1.
 func (s *Schedule) Validate(g *graph.Digraph, window, ports int) error {
-	if ports < 1 {
-		ports = 1
-	}
 	for k, c := range s.Configs {
-		if c.Alpha <= 0 {
-			return fmt.Errorf("schedule: configuration %d has non-positive duration %d", k, c.Alpha)
-		}
-		if !g.IsRegular(c.Links, ports) {
-			return fmt.Errorf("schedule: configuration %d is not a valid %d-port link set", k, ports)
+		if err := c.Check(g, k, ports); err != nil {
+			return err
 		}
 	}
 	if window > 0 && s.Cost() > window {

@@ -75,9 +75,9 @@ func refQueues(g *graph.Digraph, load *traffic.Load, opt Options) [][]refGroup {
 // queuesOf reads a state's VOQs back into the oracle's form.
 func queuesOf(t *testing.T, st *state) [][]refGroup {
 	t.Helper()
-	queues := make([][]refGroup, len(st.queues))
-	for id, q := range st.queues {
-		for _, gi := range q {
+	queues := make([][]refGroup, len(st.qidx))
+	for id, qi := range st.qidx {
+		for _, gi := range st.queues[qi] {
 			gr := &st.groups[gi]
 			if r := st.route(gr); int(gr.hops) != r.Hops() {
 				t.Fatalf("link %d: group of flow %d caches %d hops, its route has %d", id, st.id(gr), gr.hops, r.Hops())
@@ -258,7 +258,7 @@ func TestNewStateBytesPerFlow(t *testing.T) {
 	}
 	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / flows
 	if perFlow > 48 {
-		t.Fatalf("newState allocates %.1f bytes a flow (%d flows, %d links), want at most 48", perFlow, flows, len(st.queues))
+		t.Fatalf("newState allocates %.1f bytes a flow (%d flows, %d links), want at most 48", perFlow, flows, len(st.qidx))
 	}
 	t.Logf("%.1f bytes a flow", perFlow)
 }
@@ -290,7 +290,8 @@ func TestQueueBuildParallelEqualsSerial(t *testing.T) {
 				serial = st
 				// With IDs unique, (prio desc, ID asc) is strict: the order the
 				// queues must hold, whatever order the deal left them in.
-				for id, q := range st.queues {
+				for id, qi := range st.qidx {
+					q := st.queues[qi]
 					for i := 1; i < len(q); i++ {
 						a, b := &st.groups[q[i-1]], &st.groups[q[i]]
 						if a.prio < b.prio || a.prio == b.prio && st.id(a) >= st.id(b) {
@@ -303,8 +304,11 @@ func TestQueueBuildParallelEqualsSerial(t *testing.T) {
 			if !slices.Equal(st.groups, serial.groups) || !slices.Equal(st.free, serial.free) {
 				t.Fatalf("%s, GOMAXPROCS %d: groups or free list differ", name, procs)
 			}
-			for id, q := range st.queues {
-				if !slices.Equal(q, serial.queues[id]) {
+			if !slices.Equal(st.qidx, serial.qidx) {
+				t.Fatalf("%s, GOMAXPROCS %d: queue index differs", name, procs)
+			}
+			for id, qi := range st.qidx {
+				if !slices.Equal(st.queues[qi], serial.queues[qi]) {
 					t.Fatalf("%s, GOMAXPROCS %d: queue of link %d differs", name, procs, id)
 				}
 			}
@@ -335,7 +339,8 @@ func TestQueuesAreRunsInServeOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		next := int32(0)
-		for id, q := range st.queues {
+		for id, qi := range st.qidx {
+			q := st.queues[qi]
 			for _, gi := range q {
 				if gi != next {
 					t.Fatalf("%s: link %d queues groups %v, not a run from %d", c.name, id, q, next)

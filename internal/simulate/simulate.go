@@ -8,10 +8,11 @@
 // schedule, Run replays the schedule slot by slot: packets wait in
 // virtual output queues (VOQs) at each node, are prioritized on every
 // active link first by packet weight and then by flow ID (the paper's
-// packet-prioritizing scheme), and advance one hop per transmission. The
-// simulator is independent of the schedulers, so it serves as the
-// measurement authority: scheduler bookkeeping is cross-checked against it
-// in tests.
+// packet-prioritizing scheme), and advance one hop per transmission; Stream
+// replays configurations as they arrive, so a planner can have each replayed
+// as it commits it. The simulator reads nothing of a scheduler but its
+// configurations, so it serves as the measurement authority: scheduler
+// bookkeeping is cross-checked against it in tests.
 package simulate
 
 import (
@@ -54,36 +55,33 @@ type Options struct {
 	// ψ metric always uses the plain weight.
 	Epsilon64 int
 
-	// TrackBuffers records in-network buffering: after every
-	// configuration the simulator measures how many packets sit at
-	// intermediate nodes (past their source, short of their destination)
-	// and reports the peaks in Result.MaxNodeBuffer / MaxTotalBuffer.
-	// Multi-hop circuit scheduling trades switch-buffer memory for
-	// throughput; this quantifies the cost.
+	// TrackBuffers reports in Result.MaxNodeBuffer / MaxTotalBuffer the peak
+	// in-network buffering after a configuration: packets at intermediate
+	// nodes, past their source and short of their destination, the switch
+	// memory multi-hop scheduling trades for throughput.
 	TrackBuffers bool
 
 	// TrackFlows records per-flow delivery counts in Result.FlowDelivered.
 	TrackFlows bool
 
-	// Faults injects a deterministic failure trace (see internal/fault):
-	// a link that is down — or has a down endpoint — at a slot cannot
-	// carry packets during that slot, so packets wait at their current
-	// node rather than being silently delivered over a dead link, and
-	// every lost slot is accounted in Result.FailedLinkSlots. The trace's
-	// delta jitter extends the reconfiguration delay preceding the k-th
-	// configuration. Nil replays failure-free.
+	// Faults injects a deterministic failure trace (see internal/fault): a
+	// link that is down, or has a down endpoint, carries nothing during the
+	// slot, so packets wait at their node, and each lost slot is counted in
+	// Result.FailedLinkSlots. The trace's delta jitter extends the
+	// reconfiguration delay before the k-th configuration. Nil replays
+	// failure-free.
 	Faults *fault.Trace
 
-	// Obs receives per-configuration replay metrics and "sim.config" /
-	// "sim.done" trace events. nil disables instrumentation; the measured
-	// Result is identical either way.
+	// Obs receives the replay's metrics and its "sim.config" / "sim.done"
+	// trace events, all when the replay finishes: the events of a Stream
+	// never interleave with those of the planner feeding it. nil disables
+	// instrumentation; the measured Result is identical either way.
 	Obs *obs.Observer
 
-	// Flight receives per-flow lifecycle events for tracked flows: hop
-	// advances, deliveries and stranded packets.
-	// Epochs in the recorded events are global slot numbers (the replay's
-	// time unit). nil disables recording; like Obs, the recorder is
-	// strictly read-only — the measured Result is identical either way.
+	// Flight receives per-flow lifecycle events for tracked flows (hop
+	// advances, deliveries, stranded packets), their epochs global slot
+	// numbers. nil disables recording; like Obs, the recorder is strictly
+	// read-only: the measured Result is identical either way.
 	Flight *flight.Recorder
 }
 
@@ -179,9 +177,12 @@ type state struct {
 	// group a flow in serve order (newState); groups formed downstream take
 	// a free slot or are appended.
 	groups []group
-	free   []int32     // drained groups that no queue holds any more
-	queues []linkQueue // indexed by graph.Digraph.LinkID
-	up     []int       // runBulk's slots up per link of a configuration
+	free   []int32 // drained groups that no queue holds any more
+	// qidx[id] indexes link id's VOQ in queues: 0, the always-empty
+	// queues[0], until packets queue on the link (graph.Digraph.LinkID).
+	qidx   []int32
+	queues []linkQueue
+	up     []int // runBulk's slots up per link of a configuration
 	flight *flight.Recorder
 	res    Result
 }
@@ -202,7 +203,7 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 	n := len(load.Flows)
 	st := &state{
 		g: g, flows: load.Flows, eps: opt.Epsilon64, trackFlows: opt.TrackFlows, flight: opt.Flight,
-		groups: make([]group, n, n+n/growRoom), queues: make([]linkQueue, g.M()),
+		groups: make([]group, n, n+n/growRoom), qidx: make([]int32, g.M()), queues: []linkQueue{nil},
 	}
 	if opt.TrackFlows {
 		st.res.FlowDelivered = make(map[int]int)
@@ -236,10 +237,14 @@ func newState(g *graph.Digraph, load *traffic.Load, opt Options) (*state, error)
 	for i := range slots {
 		slots[i] = int32(i)
 	}
-	for id := range st.queues { // a link's classes, heaviest first
+	for id := range st.qidx { // a link's classes, heaviest first
 		lo, hi := start[id*classes], start[(id+1)*classes]
-		st.queues[id] = slots[lo:hi:hi]
-		if !ascending && lo < hi {
+		if lo == hi {
+			continue
+		}
+		st.qidx[id] = int32(len(st.queues))
+		st.queues = append(st.queues, slots[lo:hi:hi])
+		if !ascending {
 			// Within a class the deal kept load order, which is priority order
 			// where IDs ascend (every generator and codec). Otherwise sort by
 			// (prio desc, ID asc); Load.Validate has made the IDs unique.
@@ -269,7 +274,12 @@ func (st *state) merge(into int32, g *group) bool {
 func (st *state) enqueue(g group) {
 	g.prio = traffic.HopWeight(int(g.wlen), int(g.pos), st.eps)
 	r, fid := st.route(&g), st.id(&g)
-	q := &st.queues[st.g.LinkID(r[g.pos], r[g.pos+1])]
+	id := st.g.LinkID(r[g.pos], r[g.pos+1])
+	if st.qidx[id] == 0 {
+		st.qidx[id] = int32(len(st.queues))
+		st.queues = append(st.queues, nil)
+	}
+	q := &st.queues[st.qidx[id]]
 	i := sort.Search(len(*q), func(i int) bool {
 		o := &st.groups[(*q)[i]]
 		if o.prio != g.prio {
@@ -299,16 +309,18 @@ func (st *state) serve(e graph.Edge, want, availBy, nextAvail int) int {
 	if id < 0 || want <= 0 {
 		return 0
 	}
-	q := &st.queues[id]
+	// Copies, not pointers: enqueue below can grow the group array and the
+	// queue table, though never this queue (a route repeats no link).
+	qi := st.qidx[id]
+	q := st.queues[qi]
 	served := 0
-	for i := 0; i < len(*q) && served < want; i++ {
-		// A copy, not a pointer: enqueue below can grow the array.
-		g := st.groups[(*q)[i]]
+	for i := 0; i < len(q) && served < want; i++ {
+		g := st.groups[q[i]]
 		if int(g.avail) > availBy || g.count == 0 {
 			continue
 		}
 		take := min(want-served, int(g.count))
-		st.groups[(*q)[i]].count -= int32(take)
+		st.groups[q[i]].count -= int32(take)
 		served += take
 		st.res.Hops += take
 		st.res.Psi += int64(take) * traffic.Weight(int(g.wlen))
@@ -330,66 +342,73 @@ func (st *state) serve(e graph.Edge, want, availBy, nextAvail int) int {
 	}
 	// Drop drained groups from the queue; their slots are free to reuse.
 	if served > 0 {
-		live := (*q)[:0]
-		for _, gi := range *q {
+		live := q[:0]
+		for _, gi := range q {
 			if st.groups[gi].count > 0 {
 				live = append(live, gi)
 			} else {
 				st.free = append(st.free, gi)
 			}
 		}
-		*q = live
+		st.queues[qi] = live
 	}
 	return served
 }
 
 // Run replays sch over fabric g carrying load and returns the measured
-// result. Every flow's packets follow its first route.
+// result: Stream over sch's configurations.
 func Run(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Options) (*Result, error) {
-	ports := max(opt.Ports, 1)
-	// Structural validation only: the replay loop itself enforces the
-	// window by truncating, so an over-long schedule is not an error.
-	if err := sch.Validate(g, 0, ports); err != nil {
-		return nil, err
+	cfgs := make(chan schedule.Configuration, len(sch.Configs))
+	for _, c := range sch.Configs {
+		cfgs <- c
 	}
-	if err := load.Validate(g); err != nil {
-		return nil, err
-	}
-	st, err := newState(g, load, opt)
-	if err != nil {
-		return nil, err
-	}
+	close(cfgs)
+	return Stream(g, load, sch.Delta, opt, cfgs)
+}
 
+// Stream replays the configurations received on cfgs, each after a
+// reconfiguration delay of delta slots, until cfgs is closed; every flow's
+// packets follow its first route. It checks each as it arrives, as
+// Schedule.Validate does but for the window, which the replay enforces by
+// truncating. The first that fails is the error, ahead of a fault of the
+// load, and whatever fails, Stream reads cfgs to the end.
+func Stream(g *graph.Digraph, load *traffic.Load, delta int, opt Options, cfgs <-chan schedule.Configuration) (*Result, error) {
+	var st *state
+	err := load.Validate(g)
+	if err == nil {
+		st, err = newState(g, load, opt)
+	}
 	cur := opt.Faults.Cursor() // a nil trace: nothing ever down
-	// Pre-bound instruments; all nil (pure no-ops) when opt.Obs is nil.
-	cfgCount := opt.Obs.Counter("octopus_sim_configs_total")
-	delivCount := opt.Obs.Counter("octopus_sim_delivered_total")
-	hopCount := opt.Obs.Counter("octopus_sim_hops_total")
-	lostCount := opt.Obs.Counter("octopus_sim_failed_link_slots_total")
 	tracer := opt.Obs.Tracer()
-	slot := 0 // global slot counter
-	for k, cfg := range sch.Configs {
-		// Reconfiguration delay (plus any trace jitter) precedes each
-		// configuration.
-		delta := sch.Delta + opt.Faults.Jitter(k)
-		if opt.Window > 0 && slot+delta >= opt.Window {
-			break
+	var held [][]obs.Field // the sim.config events, emitted at the end
+	slot, k, spent := 0, 0, false
+	for cfg := range cfgs {
+		if cerr := cfg.Check(g, k, opt.Ports); cerr != nil {
+			for range cfgs {
+			}
+			return nil, cerr
 		}
-		slot += delta
+		k++
+		if err != nil || spent {
+			continue
+		}
+		// The delay (plus trace jitter) precedes each; the window cuts the last.
+		d := delta + opt.Faults.Jitter(k-1)
+		if spent = opt.Window > 0 && slot+d >= opt.Window; spent {
+			continue
+		}
+		slot += d
 		alpha := cfg.Alpha
-		if opt.Window > 0 && slot+alpha > opt.Window {
-			alpha = opt.Window - slot
-		}
-		if alpha <= 0 {
-			break
+		if opt.Window > 0 {
+			alpha = min(alpha, opt.Window-slot)
 		}
 		if slot > math.MaxInt32 || alpha > math.MaxInt32-slot { // group.avail is 32 bits
-			return nil, fmt.Errorf("simulate: configuration %d ends past slot %d, the last the replay can count", k, math.MaxInt32)
+			err = fmt.Errorf("simulate: configuration %d ends past slot %d, the last the replay can count", k-1, math.MaxInt32)
+			continue
 		}
+		r0 := st.res
 		st.res.Configs++
 		st.res.ActiveLinkSlots += int64(alpha) * int64(len(cfg.Links))
-		delivered0, hops0, lost0 := st.res.Delivered, st.res.Hops, st.res.FailedLinkSlots
-
 		if opt.MultiHop {
 			st.runMultiHop(cfg.Links, slot, alpha, cur)
 		} else {
@@ -399,33 +418,33 @@ func Run(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Optio
 		if opt.TrackBuffers {
 			st.measureBuffers()
 		}
-		cfgCount.Inc()
-		delivCount.Add(int64(st.res.Delivered - delivered0))
-		hopCount.Add(int64(st.res.Hops - hops0))
-		lostCount.Add(st.res.FailedLinkSlots - lost0)
-		tracer.Emit("sim.config",
-			obs.I("idx", int64(k)),
-			obs.I("slot", int64(slot)),
-			obs.I("alpha", int64(alpha)),
-			obs.I("links", int64(len(cfg.Links))),
-			obs.I("delivered", int64(st.res.Delivered-delivered0)),
-			obs.I("hops", int64(st.res.Hops-hops0)),
-			obs.I("lost_slots", st.res.FailedLinkSlots-lost0),
-		)
+		if tracer != nil {
+			held = append(held, []obs.Field{obs.I("idx", int64(k-1)), obs.I("slot", int64(slot)), obs.I("alpha", int64(alpha)),
+				obs.I("links", int64(len(cfg.Links))), obs.I("delivered", int64(st.res.Delivered-r0.Delivered)),
+				obs.I("hops", int64(st.res.Hops-r0.Hops)), obs.I("lost_slots", st.res.FailedLinkSlots-r0.FailedLinkSlots)})
+		}
+	}
+	if st == nil {
+		return nil, err
 	}
 	st.res.SlotsUsed = slot
+	opt.Obs.Counter("octopus_sim_configs_total").Add(int64(st.res.Configs))
+	opt.Obs.Counter("octopus_sim_delivered_total").Add(int64(st.res.Delivered))
+	opt.Obs.Counter("octopus_sim_hops_total").Add(int64(st.res.Hops))
+	opt.Obs.Counter("octopus_sim_failed_link_slots_total").Add(st.res.FailedLinkSlots)
+	for _, fields := range held {
+		tracer.Emit("sim.config", fields...)
+	}
+	if err != nil {
+		return nil, err
+	}
 	st.countStranded()
 	if opt.Obs.Enabled() {
 		opt.Obs.Gauge("octopus_sim_stranded").Set(int64(st.res.Stranded))
-		tracer.Emit("sim.done",
-			obs.I("configs", int64(st.res.Configs)),
-			obs.I("delivered", int64(st.res.Delivered)),
-			obs.I("total", int64(st.res.TotalPackets)),
-			obs.I("hops", int64(st.res.Hops)),
-			obs.I("psi", st.res.Psi),
-			obs.I("stranded", int64(st.res.Stranded)),
-			obs.I("slots_used", int64(st.res.SlotsUsed)),
-		)
+		r := &st.res
+		tracer.Emit("sim.done", obs.I("configs", int64(r.Configs)), obs.I("delivered", int64(r.Delivered)),
+			obs.I("total", int64(r.TotalPackets)), obs.I("hops", int64(r.Hops)), obs.I("psi", r.Psi),
+			obs.I("stranded", int64(r.Stranded)), obs.I("slots_used", int64(r.SlotsUsed)))
 	}
 	return &st.res, nil
 }
@@ -459,8 +478,8 @@ func (st *state) runBulk(links []graph.Edge, start, alpha int, cur *fault.Cursor
 // destination.
 func (st *state) countStranded() {
 	var stranded []group
-	for _, q := range st.queues {
-		for _, gi := range q {
+	for _, qi := range st.qidx { // in link id order
+		for _, gi := range st.queues[qi] {
 			if gr := st.groups[gi]; gr.pos > 0 {
 				st.res.Stranded += int(gr.count)
 				if st.flight != nil && st.flight.Tracks(int64(st.id(&gr))) {
@@ -524,10 +543,9 @@ func (st *state) runMultiHop(links []graph.Edge, start, alpha int, cur *fault.Cu
 			moved += st.serve(e, 1, now, now+1)
 		}
 		if moved == 0 {
-			// Nothing can move now; nothing in flight either (any packet
-			// that crossed became available the next slot, but none
-			// crossed). Unless a failure event ahead can change link
-			// availability, the remaining slots are idle.
+			// Nothing moved, so nothing is in flight: unless a failure event
+			// ahead can change which links are up, the remaining slots are
+			// idle.
 			if !anyDown && cur.NextChange() >= start+alpha {
 				break
 			}
